@@ -112,6 +112,9 @@ class ExperimentConfig:
             raise ConfigError(f"d must lie in [1, 8], got {self.d}")
         if not self.seeds:
             raise ConfigError("seed list must be non-empty")
+        for seed in self.seeds:
+            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+                raise ConfigError(f"seeds must be non-negative integers, got {seed!r}")
         if not self.eps_grid:
             raise ConfigError("eps grid must be non-empty")
         if any(not 0.0 < e <= 1.0 for e in self.eps_grid):
@@ -367,6 +370,7 @@ def _run_sibet(cfg):
         if f is None or g is None or alpha is None:
             raise ConfigError(f"embedded instance #{idx} needs weight, f, g and alpha")
         fg = weighted_l2_norm(f) * weighted_l2_norm(g)
+        norm = bet_norm_sum(w, alpha, f, g)
         c2 = c2_conditioning(w)
         rows.append({
             "kind": "embedded",
@@ -375,8 +379,8 @@ def _run_sibet(cfg):
             "depth": w.depth,
             "eps": "",
             "inner_ratio": bet_inner_sum(w, alpha, f, g) / fg,
-            "norm_ratio": bet_norm_sum(w, alpha, f, g) / fg,
-            "norm_over_sqrt_c2": bet_norm_sum(w, alpha, f, g) / (fg * math.sqrt(c2)),
+            "norm_ratio": norm / fg,
+            "norm_over_sqrt_c2": norm / (fg * math.sqrt(c2)),
             "c2": c2,
         })
     for theta in cfg.rotations:
@@ -384,6 +388,7 @@ def _run_sibet(cfg):
             inst = epsilon_family(eps, theta, min(cfg.depth, 4))
             fg = weighted_l2_norm(inst.f) * weighted_l2_norm(inst.g)
             inner = bet_inner_sum(inst.w, inst.alpha, inst.f, inst.g)
+            norm = bet_norm_sum(inst.w, inst.alpha, inst.f, inst.g)
             c2 = c2_conditioning(inst.w)
             rows.append({
                 "kind": "sweep",
@@ -392,9 +397,8 @@ def _run_sibet(cfg):
                 "depth": inst.w.depth,
                 "eps": eps,
                 "inner_ratio": inner / fg,
-                "norm_ratio": bet_norm_sum(inst.w, inst.alpha, inst.f, inst.g) / fg,
-                "norm_over_sqrt_c2": bet_norm_sum(inst.w, inst.alpha, inst.f, inst.g)
-                / (fg * math.sqrt(c2)),
+                "norm_ratio": norm / fg,
+                "norm_over_sqrt_c2": norm / (fg * math.sqrt(c2)),
                 "c2": c2,
             })
     random_rows = [r for r in rows if r["kind"] == "random"]
@@ -658,11 +662,15 @@ def _run_redundancy(cfg):
             red_by_d.setdefault(w.d, []).append(max(c1, c2, c3))
         rows.append(row)
 
-    # Bellman telescoping cross-check on the head of the suite.
+    # Bellman telescoping cross-check on the head of the suite, and
+    # structural identities on the first 20 of those instances.
     telescope_diff = 0.0
     telescope_gap = np.inf
-    n_tel = min(50, len(cfg.seeds))
-    for i in range(n_tel):
+    rng = np.random.default_rng(cfg.seeds[0] + 77)
+    mono_ok = True
+    cycle_err = 0.0
+    subst_err = 0.0
+    for i in range(min(50, len(cfg.seeds))):
         d, depth = suite_instance_params(i, cfg.d, min(cfg.depth, 6), depth_min=4)
         inst = random_instance(depth, d, cfg.seeds[i], min(cfg.cond_cap, 1e4))
         direct, accumulated, min_gap = telescoping_certificate(inst.w, inst.sseq)
@@ -670,15 +678,8 @@ def _run_redundancy(cfg):
             telescope_diff, matrices.operator_norm(direct - accumulated)
         )
         telescope_gap = min(telescope_gap, min_gap)
-
-    # Structural identities on a handful of instances.
-    rng = np.random.default_rng(cfg.seeds[0] + 77)
-    mono_ok = True
-    cycle_err = 0.0
-    subst_err = 0.0
-    for i in range(min(20, len(cfg.seeds))):
-        d, depth = suite_instance_params(i, cfg.d, min(cfg.depth, 6), depth_min=4)
-        inst = random_instance(depth, d, cfg.seeds[i], min(cfg.cond_cap, 1e4))
+        if i >= 20:
+            continue
         c1, c2, c3 = red_constants(inst.w, inst.mseq)
         dominated = MatrixSequence(
             depth, d,

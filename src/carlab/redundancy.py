@@ -73,10 +73,15 @@ def red_constants(w, bseq):
     * c2 bounds |K|^-1 sum_Q  R_K P_Q B_Q P_Q R_K  against the identity,
     * c3 bounds |K|^-1 sum_Q  P_Q B_Q P_Q          against <W>_K.
 
-    c1 and c2 are assembled summand by summand exactly as the quadratic
-    forms read; c3 accumulates the K-independent conjugations over the tree
-    and sandwiches once per K (which is also why c2 and c3 agree up to
+    P and R are one stacked power per tree level.  c1 and c2 are assembled
+    summand by summand exactly as the quadratic forms read: for each level
+    k of K and each descendant level j, R_K is repeated down to the 2^(j-k)
+    cubes Q of level j below it, the summands are formed as one stack, and
+    a reshape segment-sums them onto level k.  c3 instead accumulates the
+    K-independent conjugations P_Q B_Q P_Q over the tree first and
+    sandwiches once per K (which is also why c2 and c3 agree up to
     rounding: the substitution e = <W>_K^1/2 f maps one onto the other).
+    Cubes K with no support cube in D(K) are skipped for c1 and c2.
     """
     w = w.as_matrix()
     if not isinstance(bseq, MatrixSequence):
@@ -89,49 +94,49 @@ def red_constants(w, bseq):
     wavg = w.pyramid()
     vavg = w.inverse().pyramid()
     dtype = wavg[0].dtype
-    depth = w.depth
+    depth, d = w.depth, w.d
 
-    # Per-cube conjugations that do not involve K.
-    support = sorted(bseq.entries)
-    pbp = {}
-    for q in support:
-        p_q = matrices.spd_power(vavg[q.level][q.position], -0.5)
-        pbp[q] = p_q @ bseq.entries[q].astype(dtype) @ p_q
+    levels = range(depth + 1)
+    roots = [
+        matrices.spd_power_stack(wavg[k], -0.5, context=lambda i, k=k: DyadicIndex(k, i))
+        for k in levels
+    ]
+    proots = [
+        matrices.spd_power_stack(vavg[j], -0.5, context=lambda i, j=j: DyadicIndex(j, i))
+        for j in levels
+    ]
+    b = bseq.dense_levels(dtype)
+    pbp = [p @ bj @ p for p, bj in zip(proots, b)]
+    indicator = [np.zeros(1 << k) for k in levels]
+    for q in bseq.entries:
+        indicator[q.level][q.position] = 1.0
+    touched = [acc > 0.0 for acc in subtree_sums(indicator)]
 
     # c3: accumulate P_Q B_Q P_Q, sandwich with <W>_K^-1/2 once per cube K.
-    levels = [np.zeros((1 << k, w.d, w.d), dtype=dtype) for k in range(depth + 1)]
-    for q in support:
-        levels[q.level][q.position] = pbp[q]
-    acc = subtree_sums(levels)
+    acc = subtree_sums(pbp)
     c3 = -np.inf
-    for k in range(depth + 1):
-        roots = matrices.spd_power_stack(wavg[k], -0.5, context=lambda i, k=k: DyadicIndex(k, i))
-        sandwich = roots @ acc[k] @ roots
+    for k in levels:
+        sandwich = roots[k] @ acc[k] @ roots[k]
         c3 = max(c3, float(matrices.lambda_max_stack(sandwich).max()) * (1 << k))
 
     # c1, c2: both conjugation orders depend on (K, Q) jointly.
     c1 = c2 = -np.inf
-    for k in range(depth + 1):
-        roots_k = matrices.spd_power_stack(wavg[k], -0.5, context=lambda i, k=k: DyadicIndex(k, i))
-        for pos in range(1 << k):
-            kcube = DyadicIndex(k, pos)
-            r_k = roots_k[pos]
-            sum1 = np.zeros((w.d, w.d), dtype=dtype)
-            sum2 = np.zeros((w.d, w.d), dtype=dtype)
-            touched = False
-            for q in support:
-                if not kcube.contains(q):
-                    continue
-                touched = True
-                p_q = matrices.spd_power(vavg[q.level][q.position], -0.5)
-                inner = r_k @ bseq.entries[q].astype(dtype) @ r_k
-                sum1 += p_q @ inner @ p_q
-                sum2 += r_k @ pbp[q] @ r_k
-            if not touched:
+    for k in levels:
+        if not touched[k].any():
+            continue
+        sum1 = np.zeros((1 << k, d, d), dtype=dtype)
+        sum2 = np.zeros((1 << k, d, d), dtype=dtype)
+        for j in range(k, depth + 1):
+            if not indicator[j].any():
                 continue
-            scale = 1 << k
-            c1 = max(c1, float(matrices.lambda_max_stack(sum1[None])[0]) * scale)
-            c2 = max(c2, float(matrices.lambda_max_stack(sum2[None])[0]) * scale)
+            rrep = np.repeat(roots[k], 1 << (j - k), axis=0)
+            first = proots[j] @ (rrep @ b[j] @ rrep) @ proots[j]
+            second = rrep @ pbp[j] @ rrep
+            sum1 += first.reshape(1 << k, -1, d, d).sum(axis=1)
+            sum2 += second.reshape(1 << k, -1, d, d).sum(axis=1)
+        scale = 1 << k
+        c1 = max(c1, float(matrices.lambda_max_stack(sum1[touched[k]]).max()) * scale)
+        c2 = max(c2, float(matrices.lambda_max_stack(sum2[touched[k]]).max()) * scale)
     return c1, c2, c3
 
 

@@ -89,3 +89,42 @@ def rank_one_inner_value(a, b):
     """
     s = a + b
     return 0.5 * float(np.dot(s, b)) * float(np.dot(s, a))
+
+
+def _eigh_power(m, p):
+    vals, vecs = np.linalg.eigh((m + m.T) / 2)
+    return (vecs * vals**p) @ vecs.T
+
+
+def brute_red_constants(leaves, entries, depth):
+    """(c1, c2, c3) of the matrix redundancy forms, one (K, Q) pair at a time.
+
+    ``leaves`` is the (2^depth, d, d) weight and ``entries`` maps
+    (level, position) to B_Q.  With R_K = <W>_K^-1/2 and P_Q = <W^-1>_Q^-1/2,
+    c1 and c2 are sup_K 2^k lambda_max of the sums of P_Q R_K B_Q R_K P_Q
+    and R_K P_Q B_Q P_Q R_K over the support cubes Q in D(K), taken only
+    over cubes K whose D(K) meets the support; c3 is sup_K 2^k lambda_max
+    of R_K (sum P_Q B_Q P_Q) R_K over every K.
+    """
+    inverse = np.array([_eigh_power(m, -1.0) for m in leaves])
+    d = leaves.shape[1]
+    c1 = c2 = c3 = -np.inf
+    for level, pos in enum_cubes(depth):
+        r_k = _eigh_power(brute_average(leaves, level, pos, depth), -0.5)
+        sum1, sum2, sum3 = np.zeros((d, d)), np.zeros((d, d)), np.zeros((d, d))
+        touched = False
+        for q in enum_descendants(level, pos, depth):
+            if q not in entries:
+                continue
+            touched = True
+            p_q = _eigh_power(brute_average(inverse, q[0], q[1], depth), -0.5)
+            b = entries[q]
+            sum1 = sum1 + p_q @ r_k @ b @ r_k @ p_q
+            sum2 = sum2 + r_k @ p_q @ b @ p_q @ r_k
+            sum3 = sum3 + p_q @ b @ p_q
+        scale = 1 << level
+        c3 = max(c3, float(np.linalg.eigh(r_k @ sum3 @ r_k)[0][-1]) * scale)
+        if touched:
+            c1 = max(c1, float(np.linalg.eigh(sum1)[0][-1]) * scale)
+            c2 = max(c2, float(np.linalg.eigh(sum2)[0][-1]) * scale)
+    return c1, c2, c3

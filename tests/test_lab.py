@@ -40,6 +40,9 @@ def test_config_validation():
         ExperimentConfig(experiment="adversarial-search", budget=0)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "sibet-suite", "bogus": 1})
+    for seed in (-1, 1.0, True, "3"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(experiment="sibet-suite", seeds=[0, seed])
 
 
 def test_sweep_rows_and_csv_columns(tmp_path):
@@ -211,6 +214,14 @@ def test_cli_config_error_exit_code(tmp_path):
     cfg_path.write_text("{not json")
     assert main(["counterexample-sweep", "--config", str(cfg_path)]) == 2
     assert main(["counterexample-sweep", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_bad_seed_exit_code(tmp_path):
+    # a seed numpy would reject is a configuration error, not a failed verdict
+    assert main(["redundancy-suite", "--seed=-1", "--quiet"]) == 2
+    cfg_path = tmp_path / "float_seed.json"
+    cfg_path.write_text(json.dumps({"seeds": [1.5]}))
+    assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
 
 
 def test_cli_acceptance_failure_exit_code(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from carlab.dyadic import DyadicIndex, ROOT, StepField
 from carlab.errors import DimensionMismatchError, PreconditionError
 from carlab.matrices import spd_apply_power, spd_power
 from carlab.redundancy import red_constants, red_quadratic_form, sred_constant
+from oracles import brute_red_constants
 
 
 def test_sred_identity_weight_unit_mass():
@@ -63,6 +64,29 @@ def test_red_bounded_by_4d_random():
         inst = random_instance(4, d, seed=seed, cond_cap=1e4)
         c1, c2, c3 = red_constants(inst.w, inst.mseq)
         assert max(c1, c2, c3) <= 4.0 * d
+
+
+def _assert_matches_oracle(w, bseq):
+    w = w.as_matrix()
+    got = red_constants(w, bseq)
+    want = brute_red_constants(w.values, bseq.entries, w.depth)
+    for g, e in zip(got, want):
+        assert abs(g - e) <= 1e-12 * abs(e)
+
+
+@pytest.mark.parametrize("depth", range(7))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_red_constants_match_brute_oracle(depth, d):
+    inst = random_instance(depth, d, seed=7 * depth + d, cond_cap=1e4)
+    _assert_matches_oracle(inst.w, inst.mseq)
+
+
+@pytest.mark.parametrize("cube", [DyadicIndex(6, 37), ROOT])
+def test_red_constants_one_cube_support_matches_oracle(cube):
+    # A deep cube leaves most K untouched; the root leaves deeper levels empty.
+    inst = random_instance(6, 3, seed=5, cond_cap=1e4)
+    b = np.diag([1.0, 0.5, 0.25]) * cube.measure
+    _assert_matches_oracle(inst.w, MatrixSequence(6, 3, {cube: b}))
 
 
 def test_red_c2_equals_c3():
