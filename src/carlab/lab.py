@@ -110,8 +110,8 @@ class ExperimentConfig:
             raise ConfigError(f"depth must lie in [0, 12], got {self.depth}")
         if not 1 <= self.d <= 8:
             raise ConfigError(f"d must lie in [1, 8], got {self.d}")
-        if not self.seeds:
-            raise ConfigError("seed list must be non-empty")
+        if not isinstance(self.seeds, list) or not self.seeds:
+            raise ConfigError(f"seeds must be a non-empty list, got {self.seeds!r}")
         for seed in self.seeds:
             if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
                 raise ConfigError(f"seeds must be non-negative integers, got {seed!r}")

@@ -127,8 +127,6 @@ def red_constants(w, bseq):
         sum1 = np.zeros((1 << k, d, d), dtype=dtype)
         sum2 = np.zeros((1 << k, d, d), dtype=dtype)
         for j in range(k, depth + 1):
-            if not indicator[j].any():
-                continue
             rrep = np.repeat(roots[k], 1 << (j - k), axis=0)
             first = proots[j] @ (rrep @ b[j] @ rrep) @ proots[j]
             second = rrep @ pbp[j] @ rrep

@@ -219,9 +219,10 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_bad_seed_exit_code(tmp_path):
     # a seed numpy would reject is a configuration error, not a failed verdict
     assert main(["redundancy-suite", "--seed=-1", "--quiet"]) == 2
-    cfg_path = tmp_path / "float_seed.json"
-    cfg_path.write_text(json.dumps({"seeds": [1.5]}))
-    assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
+    cfg_path = tmp_path / "bad_seeds.json"
+    for seeds in ([1.5], 5):
+        cfg_path.write_text(json.dumps({"seeds": seeds}))
+        assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
 
 
 def test_cli_acceptance_failure_exit_code(tmp_path, monkeypatch):
