@@ -44,8 +44,6 @@ from .dyadic import (
     cubes,
     descendants,
     integral,
-    load_stepfield,
-    dump_stepfield,
     stepfield_from_json,
     stepfield_to_json,
     tree_size,

@@ -158,20 +158,55 @@ def subtree_sums(levels):
     return acc
 
 
+# ---------------------------------------------------------------------------
+# The best-constant kernel.  Every constant below is
+#     sup over K of |K|^-1 lambda_max(R_K [sum_{Q in D(K)} T_Q] R_K),
+# built from three pieces: per-level powers R of a pyramid, the subtree sums
+# of the per-cube terms T, and the supremum of 2^k lambda_max over cubes.
+# ---------------------------------------------------------------------------
+
+def level_powers(pyramid, p):
+    """One stacked SPD power per tree level; errors name the offending cube."""
+    return [
+        matrices.spd_power_stack(lv, p, context=lambda i, k=k: DyadicIndex(k, i))
+        for k, lv in enumerate(pyramid)
+    ]
+
+
+def cube_supremum(levels):
+    """sup over cubes (k, p) of 2^k lambda_max(levels[k][p]).
+
+    A scalar level is its own lambda_max.
+    """
+    best = -np.inf
+    for k, lv in enumerate(levels):
+        tops = matrices.lambda_max_stack(lv) if lv.ndim == 3 else lv
+        best = max(best, float(tops.max()) * (1 << k))
+    return best
+
+
+def testing_terms(wavg, seq):
+    """Per-level <W>_Q A_Q <W>_Q; a scalar sequence gives alpha_Q <W>_Q <W>_Q."""
+    alev = seq.dense_levels(dtype=wavg[0].dtype)
+    if isinstance(seq, MatrixSequence):
+        return [wk @ a @ wk for wk, a in zip(wavg, alev)]
+    return [a[:, None, None] * (wk @ wk) for wk, a in zip(wavg, alev)]
+
+
 def _weight_field(w):
     if w.kind == "vector":
         raise DimensionMismatchError("a weight must be a scalar or matrix field")
     return w.as_matrix()
 
 
-def _check_spd_levels(levels, what="average"):
-    """Smallest eigenvalue guard before conjugating by inverse powers."""
+def _check_spd_levels(levels):
+    """Smallest eigenvalue guard on a pyramid of weight averages."""
     for k, lv in enumerate(levels):
         lmins = matrices.lambda_min_stack(lv)
         worst = int(np.argmin(lmins))
         if float(lmins[worst]) <= matrices.SPD_REJECT:
             raise SingularMatrixError(
-                f"singular weight {what}",
+                "singular weight average",
                 lambda_min=float(lmins[worst]),
                 cube=DyadicIndex(k, worst),
             )
@@ -185,12 +220,7 @@ def carleson_intensity(seq):
     """
     if len(seq) == 0:
         return 0.0
-    acc = subtree_sums(seq.dense_levels())
-    best = -np.inf
-    for k, a in enumerate(acc):
-        tops = matrices.lambda_max_stack(a) if a.ndim == 3 else a
-        best = max(best, float(tops.max()) * (1 << k))
-    return best
+    return cube_supremum(subtree_sums(seq.dense_levels()))
 
 
 def carleson_equivalents(seq):
@@ -204,18 +234,14 @@ def carleson_equivalents(seq):
     """
     if not isinstance(seq, MatrixSequence):
         raise DimensionMismatchError("carleson_equivalents expects a matrix sequence")
+    if len(seq) == 0:
+        return 0.0, 0.0
     op_levels = [np.zeros(1 << k) for k in range(seq.depth + 1)]
     tr_levels = [np.zeros(1 << k) for k in range(seq.depth + 1)]
     for q, m in seq.items():
         op_levels[q.level][q.position] = matrices.operator_norm(m)
         tr_levels[q.level][q.position] = float(np.trace(m))
-    op_acc = subtree_sums(op_levels)
-    tr_acc = subtree_sums(tr_levels)
-    op_best = max(float(a.max()) * (1 << k) for k, a in enumerate(op_acc))
-    tr_best = max(float(a.max()) * (1 << k) for k, a in enumerate(tr_acc))
-    if len(seq) == 0:
-        return 0.0, 0.0
-    return op_best, tr_best
+    return cube_supremum(subtree_sums(op_levels)), cube_supremum(subtree_sums(tr_levels))
 
 
 def wcet_testing_constant(w, seq):
@@ -230,24 +256,12 @@ def wcet_testing_constant(w, seq):
         raise DimensionMismatchError("sequence and weight live on different trees")
     if len(seq) == 0:
         return 0.0
+    if isinstance(seq, MatrixSequence) and seq.d != w.d:
+        raise DimensionMismatchError("sequence and weight dimensions differ")
     wavg = w.pyramid()
-    _check_spd_levels(wavg)
-    dtype = wavg[0].dtype
-    if isinstance(seq, MatrixSequence):
-        if seq.d != w.d:
-            raise DimensionMismatchError("sequence and weight dimensions differ")
-        alev = seq.dense_levels(dtype=dtype)
-        terms = [wavg[k] @ alev[k] @ wavg[k] for k in range(w.depth + 1)]
-    else:
-        alev = seq.dense_levels(dtype=dtype)
-        terms = [alev[k][:, None, None] * (wavg[k] @ wavg[k]) for k in range(w.depth + 1)]
-    acc = subtree_sums(terms)
-    best = -np.inf
-    for k in range(w.depth + 1):
-        roots = matrices.spd_power_stack(wavg[k], -0.5, context=lambda i, k=k: DyadicIndex(k, i))
-        sandwich = roots @ acc[k] @ roots
-        best = max(best, float(matrices.lambda_max_stack(sandwich).max()) * (1 << k))
-    return best
+    roots = level_powers(wavg, -0.5)
+    acc = subtree_sums(testing_terms(wavg, seq))
+    return cube_supremum([r @ a @ r for r, a in zip(roots, acc)])
 
 
 def a2_characteristic(w):
@@ -260,14 +274,10 @@ def a2_characteristic(w):
     wavg = w.pyramid()
     winvavg = w.inverse().pyramid()
     _check_spd_levels(wavg)
-    best = -np.inf
-    for k in range(w.depth + 1):
-        roots = matrices.spd_power_stack(
-            winvavg[k], 0.5, context=lambda i, k=k: DyadicIndex(k, i)
-        )
-        sandwich = roots @ wavg[k] @ roots
-        best = max(best, float(matrices.lambda_max_stack(sandwich).max()))
-    return best
+    roots = level_powers(winvavg, 0.5)
+    return max(
+        float(matrices.lambda_max_stack(r @ a @ r).max()) for r, a in zip(roots, wavg)
+    )
 
 
 def c2_conditioning(w):

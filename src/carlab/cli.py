@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, LabError, NumericError
@@ -69,6 +70,9 @@ def _load_config(args):
     cfg = default_config(args.experiment, **overrides)
     if not cfg.output_path:
         cfg.output_path = f"lab_{args.experiment}.{cfg.format}"
+    out_dir = os.path.dirname(cfg.output_path) or "."
+    if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
+        raise ConfigError(f"output directory {out_dir} is missing or not writable")
     return cfg
 
 

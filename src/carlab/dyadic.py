@@ -9,7 +9,6 @@ two, so the averaging itself introduces no meaningful rounding.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 import numpy as np
@@ -264,13 +263,3 @@ def stepfield_from_json(obj):
     else:
         arr = arr.reshape(-1)
     return StepField(arr)
-
-
-def dump_stepfield(field, path):
-    with open(path, "w") as fh:
-        json.dump(stepfield_to_json(field), fh)
-
-
-def load_stepfield(path):
-    with open(path) as fh:
-        return stepfield_from_json(json.load(fh))

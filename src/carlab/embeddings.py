@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matrices
-from .characteristics import MatrixSequence, ScalarSequence
+from .characteristics import MatrixSequence, ScalarSequence, level_powers
 from .dyadic import StepField, check_index
 from .errors import DimensionMismatchError, SingularMatrixError
 
@@ -90,11 +90,10 @@ def cet_sum(w, seq, f):
     return float(total)
 
 
-def bet_norm_sum(w, seq, f, g):
-    """Norm-form bilinear sum.
+def _bet_vectors(w, seq, f, g):
+    """(A_Q, u_Q, v_Q) over the sequence support of a bilinear sum.
 
-    sum_Q ||A_Q^1/2 <W>_Q^-1 <W^1/2 f>_Q|| * ||A_Q^1/2 <W^-1>_Q^-1 <W^-1/2 g>_Q||;
-    scalar sequences specialize to alpha_Q times the product of plain norms.
+    u_Q = <W>_Q^-1 <W^1/2 f>_Q and v_Q = <W^-1>_Q^-1 <W^-1/2 g>_Q.
     """
     w, f, g = _weight(w), _vector_field(f), _vector_field(g)
     _check_shapes(w, f, g)
@@ -104,10 +103,20 @@ def bet_norm_sum(w, seq, f, g):
     gavg = _halfweighted_averages(w, g, -1)
     wavg = w.pyramid()
     winvavg = w.inverse().pyramid()
-    total = 0.0
     for q, a in seq.items():
         u = _apply_inverse_average(wavg, q, havg[q.level][q.position])
         v = _apply_inverse_average(winvavg, q, gavg[q.level][q.position])
+        yield a, u, v
+
+
+def bet_norm_sum(w, seq, f, g):
+    """Norm-form bilinear sum.
+
+    sum_Q ||A_Q^1/2 <W>_Q^-1 <W^1/2 f>_Q|| * ||A_Q^1/2 <W^-1>_Q^-1 <W^-1/2 g>_Q||;
+    scalar sequences specialize to alpha_Q times the product of plain norms.
+    """
+    total = 0.0
+    for a, u, v in _bet_vectors(w, seq, f, g):
         if isinstance(seq, MatrixSequence):
             total += np.sqrt(_entry_quadratic(a, u)) * np.sqrt(_entry_quadratic(a, v))
         else:
@@ -121,18 +130,8 @@ def bet_inner_sum(w, seq, f, g):
     sum_Q |<A_Q <W>_Q^-1 <W^1/2 f>_Q, <W^-1>_Q^-1 <W^-1/2 g>_Q>|; scalar
     sequences contribute alpha_Q |<u, v>|.
     """
-    w, f, g = _weight(w), _vector_field(f), _vector_field(g)
-    _check_shapes(w, f, g)
-    if seq.depth != w.depth:
-        raise DimensionMismatchError("sequence and fields live on different trees")
-    havg = _halfweighted_averages(w, f, +1)
-    gavg = _halfweighted_averages(w, g, -1)
-    wavg = w.pyramid()
-    winvavg = w.inverse().pyramid()
     total = 0.0
-    for q, a in seq.items():
-        u = _apply_inverse_average(wavg, q, havg[q.level][q.position])
-        v = _apply_inverse_average(winvavg, q, gavg[q.level][q.position])
+    for a, u, v in _bet_vectors(w, seq, f, g):
         if isinstance(seq, MatrixSequence):
             total += abs(float((a @ u) @ v))
         else:
@@ -150,14 +149,12 @@ def bet_cube_functional(w, f, g):
     _check_shapes(w, f, g)
     havg = _halfweighted_averages(w, f, +1)
     gavg = _halfweighted_averages(w, g, -1)
-    wavg = w.pyramid()
-    winvavg = w.inverse().pyramid()
+    ru = level_powers(w.pyramid(), -1.0)
+    rv = level_powers(w.inverse().pyramid(), -1.0)
     out = {}
     for k in range(w.depth + 1):
-        ru = matrices.spd_power_stack(wavg[k], -1.0)
-        rv = matrices.spd_power_stack(winvavg[k], -1.0)
-        u = np.einsum("kij,kj->ki", ru, havg[k])
-        v = np.einsum("kij,kj->ki", rv, gavg[k])
+        u = np.einsum("kij,kj->ki", ru[k], havg[k])
+        v = np.einsum("kij,kj->ki", rv[k], gavg[k])
         nu = np.sqrt(np.einsum("ki,ki->k", u, u))
         nv = np.sqrt(np.einsum("ki,ki->k", v, v))
         for p in range(1 << k):
@@ -174,12 +171,10 @@ def maximal_function(w, f):
     w, f = _weight(w), _vector_field(f)
     _check_shapes(w, f)
     havg = _halfweighted_averages(w, f, +1)
-    wavg = w.pyramid()
     wh = w.power(0.5)
     n = w.n_leaves
     best = None
-    for k in range(w.depth + 1):
-        inv = matrices.spd_power_stack(wavg[k], -1.0, context=lambda i, k=k: (k, i))
+    for k, inv in enumerate(level_powers(w.pyramid(), -1.0)):
         u = np.einsum("kij,kj->ki", inv, havg[k])
         u_leaf = np.repeat(u, n >> k, axis=0)
         y = np.einsum("kij,kj->ki", wh.values, u_leaf)

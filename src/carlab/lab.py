@@ -34,7 +34,9 @@ from .characteristics import (
     a2_characteristic,
     c2_conditioning,
     carleson_intensity,
+    level_powers,
     subtree_sums,
+    testing_terms,
     wcet_testing_constant,
 )
 from .constructions import (
@@ -160,8 +162,7 @@ def default_config(experiment, **overrides):
     }
     if experiment not in presets:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    kwargs = presets[experiment] | overrides
-    return ExperimentConfig(experiment=experiment, **kwargs)
+    return ExperimentConfig.from_dict({"experiment": experiment} | presets[experiment] | overrides)
 
 
 @dataclass
@@ -345,62 +346,38 @@ def _parse_embedded(obj, index):
     return w, f, g, _normalized_intensity(alpha), _normalized_intensity(mseq)
 
 
+def _sibet_row(kind, seed, eps, w, seq, f, g):
+    fg = weighted_l2_norm(f) * weighted_l2_norm(g)
+    norm = bet_norm_sum(w, seq, f, g)
+    c2 = c2_conditioning(w)
+    return {
+        "kind": kind,
+        "seed": seed,
+        "d": w.d,
+        "depth": w.depth,
+        "eps": eps,
+        "inner_ratio": bet_inner_sum(w, seq, f, g) / fg,
+        "norm_ratio": norm / fg,
+        "norm_over_sqrt_c2": norm / (fg * math.sqrt(c2)),
+        "c2": c2,
+    }
+
+
 def _run_sibet(cfg):
     rows = []
     for i, seed in enumerate(cfg.seeds):
         d, depth = suite_instance_params(i, cfg.d, cfg.depth)
         inst = random_instance(depth, d, seed, cfg.cond_cap)
-        fg = weighted_l2_norm(inst.f) * weighted_l2_norm(inst.g)
-        inner = bet_inner_sum(inst.w, inst.sseq, inst.f, inst.g)
-        norm = bet_norm_sum(inst.w, inst.sseq, inst.f, inst.g)
-        c2 = c2_conditioning(inst.w)
-        rows.append({
-            "kind": "random",
-            "seed": seed,
-            "d": d,
-            "depth": depth,
-            "eps": "",
-            "inner_ratio": inner / fg,
-            "norm_ratio": norm / fg,
-            "norm_over_sqrt_c2": norm / (fg * math.sqrt(c2)),
-            "c2": c2,
-        })
+        rows.append(_sibet_row("random", seed, "", inst.w, inst.sseq, inst.f, inst.g))
     for idx, obj in enumerate(cfg.extra_instances):
         w, f, g, alpha, _ = _parse_embedded(obj, idx)
         if f is None or g is None or alpha is None:
             raise ConfigError(f"embedded instance #{idx} needs weight, f, g and alpha")
-        fg = weighted_l2_norm(f) * weighted_l2_norm(g)
-        norm = bet_norm_sum(w, alpha, f, g)
-        c2 = c2_conditioning(w)
-        rows.append({
-            "kind": "embedded",
-            "seed": f"embedded-{idx}",
-            "d": w.d,
-            "depth": w.depth,
-            "eps": "",
-            "inner_ratio": bet_inner_sum(w, alpha, f, g) / fg,
-            "norm_ratio": norm / fg,
-            "norm_over_sqrt_c2": norm / (fg * math.sqrt(c2)),
-            "c2": c2,
-        })
+        rows.append(_sibet_row("embedded", f"embedded-{idx}", "", w, alpha, f, g))
     for theta in cfg.rotations:
         for eps in cfg.eps_grid:
             inst = epsilon_family(eps, theta, min(cfg.depth, 4))
-            fg = weighted_l2_norm(inst.f) * weighted_l2_norm(inst.g)
-            inner = bet_inner_sum(inst.w, inst.alpha, inst.f, inst.g)
-            norm = bet_norm_sum(inst.w, inst.alpha, inst.f, inst.g)
-            c2 = c2_conditioning(inst.w)
-            rows.append({
-                "kind": "sweep",
-                "seed": "",
-                "d": 2,
-                "depth": inst.w.depth,
-                "eps": eps,
-                "inner_ratio": inner / fg,
-                "norm_ratio": norm / fg,
-                "norm_over_sqrt_c2": norm / (fg * math.sqrt(c2)),
-                "c2": c2,
-            })
+            rows.append(_sibet_row("sweep", "", eps, inst.w, inst.alpha, inst.f, inst.g))
     random_rows = [r for r in rows if r["kind"] == "random"]
     sweep_rows = [r for r in rows if r["kind"] == "sweep"]
     max_random = max(r["inner_ratio"] for r in random_rows)
@@ -433,21 +410,13 @@ def necessity_report(w, seq, rng, samples_per_cube=6):
     """
     wm = w.as_matrix()
     wavg = wm.pyramid()
-    dtype = wavg[0].dtype
-    if isinstance(seq, MatrixSequence):
-        alev = seq.dense_levels(dtype=dtype)
-        terms = [wavg[k] @ alev[k] @ wavg[k] for k in range(wm.depth + 1)]
-    else:
-        alev = seq.dense_levels(dtype=dtype)
-        terms = [alev[k][:, None, None] * (wavg[k] @ wavg[k]) for k in range(wm.depth + 1)]
-    acc = subtree_sums(terms)
+    acc = subtree_sums(testing_terms(wavg, seq))
     testing = 0.0
     probe_sup = 0.0
     sampled_max = 0.0
     worst_rel = 0.0
     d = wm.d
-    for k in range(wm.depth + 1):
-        roots = matrices.spd_power_stack(wavg[k], -0.5)
+    for k, roots in enumerate(level_powers(wavg, -0.5)):
         sandwich = roots @ acc[k] @ roots
         for p in range(1 << k):
             lam, vecs = matrices.eigh_sym(

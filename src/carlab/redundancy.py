@@ -17,9 +17,11 @@ from .characteristics import (
     MatrixSequence,
     ScalarSequence,
     carleson_intensity,
+    cube_supremum,
+    level_powers,
     subtree_sums,
 )
-from .dyadic import DyadicIndex, check_index
+from .dyadic import check_index
 from .errors import DimensionMismatchError, PreconditionError
 
 INTENSITY_SLACK = 1e-9
@@ -49,19 +51,11 @@ def sred_constant(w, alpha):
     if len(alpha) == 0:
         return 0.0
     wavg = w.pyramid()
-    vavg = w.inverse().pyramid()
+    vinv = level_powers(w.inverse().pyramid(), -1.0)
     alev = alpha.dense_levels(dtype=wavg[0].dtype)
-    terms = []
-    for k in range(w.depth + 1):
-        vinv = matrices.spd_power_stack(vavg[k], -1.0, context=lambda i, k=k: DyadicIndex(k, i))
-        terms.append(alev[k][:, None, None] * vinv)
-    acc = subtree_sums(terms)
-    best = -np.inf
-    for k in range(w.depth + 1):
-        roots = matrices.spd_power_stack(wavg[k], -0.5, context=lambda i, k=k: DyadicIndex(k, i))
-        sandwich = roots @ acc[k] @ roots
-        best = max(best, float(matrices.lambda_max_stack(sandwich).max()) * (1 << k))
-    return best
+    acc = subtree_sums([a[:, None, None] * v for a, v in zip(alev, vinv)])
+    roots = level_powers(wavg, -0.5)
+    return cube_supremum([r @ a @ r for r, a in zip(roots, acc)])
 
 
 def red_constants(w, bseq):
@@ -81,7 +75,8 @@ def red_constants(w, bseq):
     K-independent conjugations P_Q B_Q P_Q over the tree first and
     sandwiches once per K (which is also why c2 and c3 agree up to
     rounding: the substitution e = <W>_K^1/2 f maps one onto the other).
-    Cubes K with no support cube in D(K) are skipped for c1 and c2.
+    Cubes K with no support cube in D(K) are skipped for c1 and c2; every
+    cube deeper than the deepest support cube is one of them.
     """
     w = w.as_matrix()
     if not isinstance(bseq, MatrixSequence):
@@ -96,34 +91,21 @@ def red_constants(w, bseq):
     dtype = wavg[0].dtype
     depth, d = w.depth, w.d
 
-    levels = range(depth + 1)
-    roots = [
-        matrices.spd_power_stack(wavg[k], -0.5, context=lambda i, k=k: DyadicIndex(k, i))
-        for k in levels
-    ]
-    proots = [
-        matrices.spd_power_stack(vavg[j], -0.5, context=lambda i, j=j: DyadicIndex(j, i))
-        for j in levels
-    ]
+    roots = level_powers(wavg, -0.5)
+    proots = level_powers(vavg, -0.5)
     b = bseq.dense_levels(dtype)
     pbp = [p @ bj @ p for p, bj in zip(proots, b)]
-    indicator = [np.zeros(1 << k) for k in levels]
+    indicator = [np.zeros(1 << k) for k in range(depth + 1)]
     for q in bseq.entries:
         indicator[q.level][q.position] = 1.0
     touched = [acc > 0.0 for acc in subtree_sums(indicator)]
 
     # c3: accumulate P_Q B_Q P_Q, sandwich with <W>_K^-1/2 once per cube K.
-    acc = subtree_sums(pbp)
-    c3 = -np.inf
-    for k in levels:
-        sandwich = roots[k] @ acc[k] @ roots[k]
-        c3 = max(c3, float(matrices.lambda_max_stack(sandwich).max()) * (1 << k))
+    c3 = cube_supremum([r @ a @ r for r, a in zip(roots, subtree_sums(pbp))])
 
     # c1, c2: both conjugation orders depend on (K, Q) jointly.
-    c1 = c2 = -np.inf
-    for k in levels:
-        if not touched[k].any():
-            continue
+    sums1, sums2 = [], []
+    for k in range(max(q.level for q in bseq.entries) + 1):
         sum1 = np.zeros((1 << k, d, d), dtype=dtype)
         sum2 = np.zeros((1 << k, d, d), dtype=dtype)
         for j in range(k, depth + 1):
@@ -132,10 +114,9 @@ def red_constants(w, bseq):
             second = rrep @ pbp[j] @ rrep
             sum1 += first.reshape(1 << k, -1, d, d).sum(axis=1)
             sum2 += second.reshape(1 << k, -1, d, d).sum(axis=1)
-        scale = 1 << k
-        c1 = max(c1, float(matrices.lambda_max_stack(sum1[touched[k]]).max()) * scale)
-        c2 = max(c2, float(matrices.lambda_max_stack(sum2[touched[k]]).max()) * scale)
-    return c1, c2, c3
+        sums1.append(sum1[touched[k]])
+        sums2.append(sum2[touched[k]])
+    return cube_supremum(sums1), cube_supremum(sums2), c3
 
 
 def red_quadratic_form(w, bseq, k, e, order="corollary"):

@@ -128,3 +128,52 @@ def brute_red_constants(leaves, entries, depth):
             c1 = max(c1, float(np.linalg.eigh(sum1)[0][-1]) * scale)
             c2 = max(c2, float(np.linalg.eigh(sum2)[0][-1]) * scale)
     return c1, c2, c3
+
+
+def _sandwich_supremum(leaves, depth, term):
+    """sup_K 2^k lambda_max(R_K [sum_{Q in D(K)} term(Q)] R_K), R_K = <W>_K^-1/2."""
+    d = leaves.shape[1]
+    best = -np.inf
+    for level, pos in enum_cubes(depth):
+        r_k = _eigh_power(brute_average(leaves, level, pos, depth), -0.5)
+        total = np.zeros((d, d))
+        for q in enum_descendants(level, pos, depth):
+            total = total + term(q)
+        best = max(best, float(np.linalg.eigh(r_k @ total @ r_k)[0][-1]) * (1 << level))
+    return best
+
+
+def brute_sred_constant(leaves, entries, depth):
+    """Scalar redundancy constant, one (K, Q) pair at a time.
+
+    ``leaves`` is the (2^depth, d, d) weight and ``entries`` maps
+    (level, position) to alpha_Q; the summand is alpha_Q <W^-1>_Q^-1.
+    """
+    inverse = np.array([_eigh_power(m, -1.0) for m in leaves])
+    d = leaves.shape[1]
+
+    def term(q):
+        if q not in entries:
+            return np.zeros((d, d))
+        return entries[q] * _eigh_power(brute_average(inverse, q[0], q[1], depth), -1.0)
+
+    return _sandwich_supremum(leaves, depth, term)
+
+
+def brute_wcet_testing_constant(leaves, entries, depth):
+    """Testing constant, one (K, Q) pair at a time.
+
+    ``entries`` maps (level, position) to A_Q, a d x d matrix or a scalar
+    alpha_Q standing for alpha_Q times the identity; the summand is
+    <W>_Q A_Q <W>_Q.
+    """
+    d = leaves.shape[1]
+
+    def term(q):
+        if q not in entries:
+            return np.zeros((d, d))
+        a = entries[q] if np.ndim(entries[q]) else entries[q] * np.eye(d)
+        w_q = brute_average(leaves, q[0], q[1], depth)
+        return w_q @ a @ w_q
+
+    return _sandwich_supremum(leaves, depth, term)

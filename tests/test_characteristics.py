@@ -14,7 +14,12 @@ from carlab.constructions import epsilon_family, necessity_probe, random_instanc
 from carlab.dyadic import DyadicIndex, ROOT, StepField, cubes
 from carlab.errors import DimensionMismatchError, SingularMatrixError
 
-from oracles import brute_matrix_intensity, brute_scalar_a2, brute_scalar_intensity
+from oracles import (
+    brute_matrix_intensity,
+    brute_scalar_a2,
+    brute_scalar_intensity,
+    brute_wcet_testing_constant,
+)
 
 
 def test_sequence_validation():
@@ -128,6 +133,26 @@ def test_wcet_scalar_sequence_matches_identity_embedding():
     assert wcet_testing_constant(inst.w, inst.sseq) == pytest.approx(
         wcet_testing_constant(inst.w, embedded), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("depth", range(7))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_wcet_matches_brute_oracle(depth, d):
+    inst = random_instance(depth, d, seed=11 * depth + d, cond_cap=1e4)
+    for seq in (inst.mseq, inst.sseq):
+        got = wcet_testing_constant(inst.w, seq)
+        want = brute_wcet_testing_constant(inst.w.values, dict(seq.items()), depth)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_wcet_singular_average_names_cube():
+    # the leaves of the left half share a null direction, so does their average
+    leaves = np.array([np.diag([1.0, 0.0])] * 2 + [np.eye(2)] * 2)
+    seq = ScalarSequence(2, {ROOT: 1.0})
+    with pytest.raises(SingularMatrixError) as err:
+        wcet_testing_constant(StepField(leaves), seq)
+    assert isinstance(err.value.cube, DyadicIndex)
+    assert err.value.cube == DyadicIndex(1, 0)
 
 
 def test_a2_constant_weight_is_one():

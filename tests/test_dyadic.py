@@ -121,16 +121,31 @@ def test_integral_additivity(f):
         assert abs(whole - split) <= 1e-12 * max(1.0, abs(whole))
 
 
+def _assert_average_linear(f, g):
+    h = StepField(2.5 * f.values - 0.5 * g.values)
+    f_abs, g_abs = StepField(np.abs(f.values)), StepField(np.abs(g.values))
+    for q in cubes(f.depth):
+        lhs = average(h, q)
+        rhs = 2.5 * average(f, q) - 0.5 * average(g, q)
+        # Rounding scales with the operands, not with the (possibly cancelled) result.
+        scale = 2.5 * average(f_abs, q) + 0.5 * average(g_abs, q)
+        assert abs(lhs - rhs) <= 1e-11 * max(1.0, scale)
+
+
 @given(scalar_fields(), scalar_fields())
 @settings(max_examples=40, deadline=None)
 def test_average_linearity(f, g):
     if f.depth != g.depth:
         return
-    h = StepField(2.5 * f.values - 0.5 * g.values)
-    for q in cubes(f.depth):
-        lhs = average(h, q)
-        rhs = 2.5 * average(f, q) - 0.5 * average(g, q)
-        assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
+    _assert_average_linear(f, g)
+
+
+def test_average_linearity_under_cancellation():
+    # 2.5 f - 0.5 g nearly cancels while the leaves reach 1e6
+    rng = np.random.default_rng(0)
+    f = rng.uniform(-1e6, 1e6, 64)
+    g = 5.0 * f + rng.uniform(-1e-3, 1e-3, 64)
+    _assert_average_linear(StepField(f), StepField(g))
 
 
 def test_pyramid_matches_brute_average():

@@ -24,6 +24,7 @@ from carlab.embeddings import (
     weighted_l2_norm,
 )
 from carlab import baselines
+from carlab.errors import SingularMatrixError
 
 from oracles import rank_one_inner_value
 
@@ -120,6 +121,27 @@ def test_maximal_function_constant_data():
     out = maximal_function(w, f)
     # telescoping for constant fields: value is |W^1/2 W^-1 W^1/2 v| = |v|
     np.testing.assert_allclose(out.values, np.linalg.norm(v) * np.ones(8), rtol=1e-10)
+
+
+def test_maximal_function_singular_average_names_cube():
+    # the leaves of the left half share a null direction, so does their average
+    leaves = np.array([np.diag([1.0, 0.0])] * 2 + [np.eye(2)] * 2)
+    f = StepField.constant(2, np.ones(2))
+    with pytest.raises(SingularMatrixError) as err:
+        maximal_function(StepField(leaves), f)
+    assert isinstance(err.value.cube, DyadicIndex)
+    assert err.value.cube == DyadicIndex(1, 0)
+
+
+def test_cube_functional_singular_inverse_average_names_cube():
+    # W itself is well conditioned, but <W^-1> has lambda_min 5e-13 on the
+    # left half, below the rejection floor of negative powers
+    leaves = np.array([np.diag([2e12, 1.0])] * 2 + [np.eye(2)] * 2)
+    f = StepField.constant(2, np.ones(2))
+    with pytest.raises(SingularMatrixError) as err:
+        bet_cube_functional(StepField(leaves), f, f)
+    assert isinstance(err.value.cube, DyadicIndex)
+    assert err.value.cube == DyadicIndex(1, 0)
 
 
 def test_maximal_function_zero():

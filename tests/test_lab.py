@@ -225,6 +225,28 @@ def test_cli_bad_seed_exit_code(tmp_path):
         assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
 
 
+def test_cli_bad_config_types_exit_code(tmp_path):
+    # a wrongly typed or unknown key is a configuration error, not a traceback
+    cfg_path = tmp_path / "bad.json"
+    for obj in ({"depth": "4"}, {"foo": 1}):
+        cfg_path.write_text(json.dumps(obj))
+        assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
+    with pytest.raises(ConfigError):
+        default_config("sibet-suite", depth="4")
+
+
+def test_cli_missing_output_directory_exits_before_run(tmp_path, monkeypatch):
+    def never(cfg):
+        raise AssertionError("the experiment ran before the output path was checked")
+
+    monkeypatch.setattr("carlab.cli.run_experiment", never)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["counterexample-sweep", "--out", str(out), "--quiet"]) == 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"output_path": str(out)}))
+    assert main(["counterexample-sweep", "--config", str(cfg_path), "--quiet"]) == 2
+
+
 def test_cli_acceptance_failure_exit_code(tmp_path, monkeypatch):
     # force a verdict to fail by tightening a regression bound to zero
     from carlab import baselines

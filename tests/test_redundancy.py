@@ -7,7 +7,7 @@ from carlab.dyadic import DyadicIndex, ROOT, StepField
 from carlab.errors import DimensionMismatchError, PreconditionError
 from carlab.matrices import spd_apply_power, spd_power
 from carlab.redundancy import red_constants, red_quadratic_form, sred_constant
-from oracles import brute_red_constants
+from oracles import brute_red_constants, brute_sred_constant
 
 
 def test_sred_identity_weight_unit_mass():
@@ -87,6 +87,15 @@ def test_red_constants_one_cube_support_matches_oracle(cube):
     inst = random_instance(6, 3, seed=5, cond_cap=1e4)
     b = np.diag([1.0, 0.5, 0.25]) * cube.measure
     _assert_matches_oracle(inst.w, MatrixSequence(6, 3, {cube: b}))
+
+
+@pytest.mark.parametrize("depth", range(7))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sred_constant_matches_brute_oracle(depth, d):
+    inst = random_instance(depth, d, seed=13 * depth + d, cond_cap=1e4)
+    got = sred_constant(inst.w, inst.sseq)
+    want = brute_sred_constant(inst.w.values, dict(inst.sseq.items()), depth)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_red_c2_equals_c3():
