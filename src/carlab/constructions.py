@@ -15,7 +15,12 @@ import numpy as np
 from . import matrices
 from .characteristics import MatrixSequence, ScalarSequence, carleson_intensity
 from .dyadic import DyadicIndex, ROOT, StepField, check_index
-from .errors import PreconditionError
+from .errors import NumericError, PreconditionError
+
+# The family's acceptance tolerances (1e-9 .. 1e-10) need a longdouble wider
+# than float64, such as the 80-bit x87 format; on platforms where longdouble
+# is float64 the sweep would only end in spurious failed verdicts.
+EXTENDED_PRECISION = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -25,7 +30,8 @@ class EpsilonInstance:
     The weight is the constant field a a* + eps^2 b b* for orthonormal
     (a, b); f and g are the extreme test functions W^1/2 b and W^-1/2 a on
     the whole interval; the three Carleson sequences (identity at the root,
-    the rank-one choice, and the scalar unit) all have intensity exactly 1.
+    the rank-one choice, and the scalar unit) all have intensity exactly 1,
+    and their computed intensities are kept as ``intensity_*``.
     """
 
     eps: float
@@ -38,6 +44,9 @@ class EpsilonInstance:
     seq_norm: MatrixSequence
     seq_inner: MatrixSequence
     alpha: ScalarSequence
+    intensity_norm: float
+    intensity_inner: float
+    intensity_alpha: float
 
     def to_json(self):
         from .dyadic import stepfield_to_json
@@ -67,6 +76,12 @@ def epsilon_family(eps, rotation=0.0, depth=4):
         raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
     if depth < 0:
         raise PreconditionError(f"depth must be >= 0, got {depth}")
+    if not EXTENDED_PRECISION:
+        info = np.finfo(np.longdouble)
+        raise NumericError(
+            "the family needs a longdouble finer than float64; this platform's "
+            f"longdouble is {info.bits}-bit with eps {info.eps:.3e}"
+        )
     ld = np.longdouble
     th = ld(rotation)
     a = np.array([np.cos(th), np.sin(th)], dtype=ld)
@@ -84,14 +99,15 @@ def epsilon_family(eps, rotation=0.0, depth=4):
     apb = a + b
     seq_inner = MatrixSequence(depth, 2, {ROOT: 0.5 * np.outer(apb, apb)})
     alpha = ScalarSequence(depth, {ROOT: 1.0})
-    inst = EpsilonInstance(
+    intensities = [carleson_intensity(seq) for seq in (seq_norm, seq_inner, alpha)]
+    for intensity in intensities:
+        assert abs(intensity - 1.0) <= 1e-10, f"family intensity {intensity} != 1"
+    return EpsilonInstance(
         eps=float(eps), theta=float(rotation), a=a, b=b, w=w, f=f, g=g,
         seq_norm=seq_norm, seq_inner=seq_inner, alpha=alpha,
+        intensity_norm=intensities[0], intensity_inner=intensities[1],
+        intensity_alpha=intensities[2],
     )
-    for seq in (inst.seq_norm, inst.seq_inner, inst.alpha):
-        intensity = carleson_intensity(seq)
-        assert abs(intensity - 1.0) <= 1e-10, f"family intensity {intensity} != 1"
-    return inst
 
 
 EPS_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)

@@ -251,7 +251,7 @@ def sweep_row(eps, rotation, depth):
     row = {
         "eps": eps,
         "depth": depth,
-        "intensity": carleson_intensity(inst.seq_norm),
+        "intensity": inst.intensity_norm,
         "a2": a2_characteristic(inst.w),
         "c2": c2,
         "f_norm": f_norm,
@@ -262,8 +262,8 @@ def sweep_row(eps, rotation, depth):
         "ratio_inner": bis / (f_norm * g_norm),
         "ratio_over_sqrt_c2": bns / (f_norm * g_norm * math.sqrt(c2)),
         "theta": rotation,
-        "intensity_inner": carleson_intensity(inst.seq_inner),
-        "intensity_alpha": carleson_intensity(inst.alpha),
+        "intensity_inner": inst.intensity_inner,
+        "intensity_alpha": inst.intensity_alpha,
         "ratio_norm_scalar_seq": bet_norm_sum(inst.w, inst.alpha, inst.f, inst.g)
         / (f_norm * g_norm),
         "inner_scalar_seq": bet_inner_sum(inst.w, inst.alpha, inst.f, inst.g),
@@ -343,6 +343,19 @@ def _parse_embedded(obj, index):
         mseq = MatrixSequence.from_json(obj["matrix_seq"]) if "matrix_seq" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad embedded instance #{index}: {exc}") from exc
+    for name, part in (("f", f), ("g", g), ("alpha", alpha), ("matrix_seq", mseq)):
+        if part is None:
+            continue
+        if part.depth != w.depth:
+            raise ConfigError(
+                f"bad embedded instance #{index}: {name} has depth {part.depth}, "
+                f"the weight has depth {w.depth}"
+            )
+        # a scalar sequence carries no dimension and fits any weight
+        if name != "alpha" and part.d != w.d:
+            raise ConfigError(
+                f"bad embedded instance #{index}: {name} has d={part.d}, the weight has d={w.d}"
+            )
     return w, f, g, _normalized_intensity(alpha), _normalized_intensity(mseq)
 
 

@@ -63,52 +63,83 @@ def symmetrize(m):
 
 
 def _jacobi_eigh(a, max_sweeps=60):
-    """Cyclic Jacobi eigendecomposition in the dtype of ``a``.
+    """Cyclic Jacobi eigendecomposition of a stack of symmetric matrices.
 
-    Returns (eigenvalues ascending, eigenvector columns), like
-    ``np.linalg.eigh``.  Used for longdouble input; convergence for the
-    d <= 8 matrices seen here takes a handful of sweeps.
+    ``a`` has shape (..., n, n); returns (eigenvalues ascending, eigenvector
+    columns) of shapes (..., n) and (..., n, n), like ``np.linalg.eigh``,
+    in the dtype of ``a``.  Used for longdouble input.
+
+    Every matrix goes through the scalar cyclic Jacobi iteration: a
+    convergence test at the start of each sweep, then the (p, q) rotations
+    in row order, each skipped when |a_pq| is negligible.  The stack is
+    processed together: a converged matrix leaves the working set, and a
+    rotation is applied at once to every remaining matrix that needs it.
+    The per-matrix arithmetic is unchanged, so each result is bitwise the
+    one the matrix would get on its own.
     """
     a = np.array(a, copy=True)
-    n = a.shape[0]
+    batch, n = a.shape[:-2], a.shape[-1]
     dt = a.dtype
-    v = np.eye(n, dtype=dt)
-    if n == 1:
-        return np.array([a[0, 0]], dtype=dt), v
+    a = a.reshape(-1, n, n)
+    v = np.broadcast_to(np.eye(n, dtype=dt), a.shape).copy()
+    if n > 1:
+        _jacobi_sweeps(a, v, max_sweeps)
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    order = np.argsort(diag, axis=-1, kind="stable")
+    vals = np.take_along_axis(diag, order, axis=-1)
+    vecs = np.take_along_axis(v, order[:, None, :], axis=-1)
+    return vals.reshape(*batch, n), vecs.reshape(*batch, n, n)
+
+
+def _jacobi_sweeps(a, v, max_sweeps):
+    """Rotate the (m, n, n) stacks ``a`` and ``v`` in place until converged."""
+    n = a.shape[-1]
+    dt = a.dtype
     eps = np.finfo(dt).eps
+    tiny = np.finfo(dt).tiny
     one = dt.type(1.0)
+    ii = np.arange(n)
+    live = np.arange(a.shape[0])
+    wa, wv = a, v
     for _ in range(max_sweeps):
-        offd = np.abs(a - np.diag(np.diag(a))).max()
-        scale = max(np.abs(a).max(), np.finfo(dt).tiny)
-        if offd <= eps * scale:
-            break
+        diag = np.zeros_like(wa)
+        diag[:, ii, ii] = wa[:, ii, ii]
+        offd = np.abs(wa - diag).max(axis=(-2, -1))
+        scale = np.maximum(np.abs(wa).max(axis=(-2, -1)), tiny)
+        done = offd <= eps * scale
+        if done.any():
+            a[live[done]] = wa[done]
+            v[live[done]] = wv[done]
+            keep = ~done
+            live, wa, wv, scale = live[keep], wa[keep], wv[keep], scale[keep]
+        if not live.size:
+            return
+        skip = 0.01 * eps * scale
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.01 * eps * scale:
+                rot = ~(np.abs(wa[:, p, q]) <= skip)
+                if not rot.any():
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = one
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(one + tau * tau))
-                c = one / np.sqrt(one + t * t)
-                s = t * c
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise NumericError("Jacobi eigensolver did not converge")
-    order = np.argsort(np.diag(a), kind="stable")
-    return np.diag(a)[order].copy(), v[:, order].copy()
+                sel = slice(None) if rot.all() else np.flatnonzero(rot)
+                apq = wa[sel, p, q]
+                tau = (wa[sel, q, q] - wa[sel, p, p]) / (2.0 * apq)
+                t = np.where(
+                    tau == 0.0, one, np.sign(tau) / (np.abs(tau) + np.sqrt(one + tau * tau))
+                )
+                c = (one / np.sqrt(one + t * t))[:, None]
+                s = t[:, None] * c
+                cp, cq = wa[sel, :, p].copy(), wa[sel, :, q].copy()
+                wa[sel, :, p] = c * cp - s * cq
+                wa[sel, :, q] = s * cp + c * cq
+                rp, rq = wa[sel, p, :].copy(), wa[sel, q, :].copy()
+                wa[sel, p, :] = c * rp - s * rq
+                wa[sel, q, :] = s * rp + c * rq
+                wa[sel, p, q] = 0.0
+                wa[sel, q, p] = 0.0
+                vp, vq = wv[sel, :, p].copy(), wv[sel, :, q].copy()
+                wv[sel, :, p] = c * vp - s * vq
+                wv[sel, :, q] = s * vp + c * vq
+    raise NumericError("Jacobi eigensolver did not converge")
 
 
 def eigh_sym(m):
@@ -191,8 +222,8 @@ def psd_gap(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Stacked helpers.  Leading axes are batch axes; float64 batches go through
-# LAPACK in one call, longdouble batches loop over the Jacobi solver.
+# Stacked helpers.  Leading axes are batch axes; a whole batch goes to one
+# solver call, LAPACK for float64 and the Jacobi solver for longdouble.
 # ---------------------------------------------------------------------------
 
 def _is_longdouble(a):
@@ -202,16 +233,12 @@ def _is_longdouble(a):
 def eigvalsh_stack(mats):
     """Ascending eigenvalues of a stack of symmetric matrices."""
     mats = np.asarray(mats)
-    if not _is_longdouble(mats):
-        try:
-            return np.linalg.eigvalsh(mats)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    flat = mats.reshape(-1, mats.shape[-2], mats.shape[-1])
-    out = np.empty(flat.shape[:2], dtype=mats.dtype)
-    for i, m in enumerate(flat):
-        out[i], _ = _jacobi_eigh(m)
-    return out.reshape(mats.shape[:-1])
+    if _is_longdouble(mats):
+        return _jacobi_eigh(mats)[0]
+    try:
+        return np.linalg.eigvalsh(mats)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
 def lambda_max_stack(mats):
@@ -228,25 +255,25 @@ def spd_power_stack(mats, p, context=None):
     """``spd_power`` over a stack of SPD matrices.
 
     ``context`` is used to name the offending cube in errors when the stack
-    holds per-cube averages: it maps flat batch index -> cube.
+    holds per-cube averages: it maps flat batch index -> cube.  A float64
+    stack names its most singular matrix, a longdouble stack its first
+    singular one.
     """
     if p not in ALLOWED_POWERS:
         raise ValueError(f"power must be one of {ALLOWED_POWERS}, got {p}")
     mats = np.asarray(mats)
     flat = mats.reshape(-1, mats.shape[-2], mats.shape[-1])
-    if _is_longdouble(mats):
-        out = np.empty_like(flat)
-        for i, m in enumerate(flat):
-            vals, vecs = _jacobi_eigh(m)
-            out[i] = _power_from_factors(vals, vecs, p, i, context, mats.dtype)
-        return out.reshape(mats.shape)
-    try:
-        vals, vecs = np.linalg.eigh(flat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    lmin = vals[:, 0]
+    longdouble = _is_longdouble(mats)
+    if longdouble:
+        vals, vecs = _jacobi_eigh(flat)
+    else:
+        try:
+            vals, vecs = np.linalg.eigh(flat)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    lmin = vals[:, 0].astype(np.float64)
     if p < 0 and lmin.size and lmin.min() <= SPD_REJECT:
-        i = int(np.argmin(lmin))
+        i = int(np.argmax(lmin <= SPD_REJECT) if longdouble else np.argmin(lmin))
         raise SingularMatrixError(
             "singular average under negative power",
             lambda_min=float(lmin[i]),
@@ -254,20 +281,10 @@ def spd_power_stack(mats, p, context=None):
         )
     if p > 0:
         vals = np.clip(vals, 0.0, None)
-    out = np.einsum("kij,kj,klj->kil", vecs, vals**p, vecs)
+    if longdouble:
+        # matmul, not einsum: the same sums as a single-matrix spd_power
+        out = (vecs * vals[:, None, :] ** mats.dtype.type(p)) @ vecs.transpose(0, 2, 1)
+    else:
+        out = np.einsum("kij,kj,klj->kil", vecs, vals**p, vecs)
     out = (out + out.transpose(0, 2, 1)) / 2
     return out.reshape(mats.shape)
-
-
-def _power_from_factors(vals, vecs, p, index, context, dtype):
-    lmin = float(vals[0])
-    if p < 0 and lmin <= SPD_REJECT:
-        raise SingularMatrixError(
-            "singular average under negative power",
-            lambda_min=lmin,
-            cube=None if context is None else context(index),
-        )
-    if p > 0:
-        vals = np.clip(vals, 0.0, None)
-    out = (vecs * vals ** dtype.type(p)) @ vecs.T
-    return (out + out.T) / 2

@@ -177,3 +177,51 @@ def brute_wcet_testing_constant(leaves, entries, depth):
         return w_q @ a @ w_q
 
     return _sandwich_supremum(leaves, depth, term)
+
+
+def brute_jacobi_eigh(a, max_sweeps=60):
+    """Cyclic Jacobi eigendecomposition of one matrix, in the dtype of ``a``.
+
+    The scalar loop the stacked longdouble solver must reproduce bit for
+    bit: (eigenvalues ascending, eigenvector columns).
+    """
+    a = np.array(a, copy=True)
+    n = a.shape[0]
+    dt = a.dtype
+    v = np.eye(n, dtype=dt)
+    if n == 1:
+        return np.array([a[0, 0]], dtype=dt), v
+    eps = np.finfo(dt).eps
+    one = dt.type(1.0)
+    for _ in range(max_sweeps):
+        offd = np.abs(a - np.diag(np.diag(a))).max()
+        scale = max(np.abs(a).max(), np.finfo(dt).tiny)
+        if offd <= eps * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 0.01 * eps * scale:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau == 0.0:
+                    t = one
+                else:
+                    t = np.sign(tau) / (abs(tau) + np.sqrt(one + tau * tau))
+                c = one / np.sqrt(one + t * t)
+                s = t * c
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    else:
+        raise ArithmeticError("Jacobi eigensolver did not converge")
+    order = np.argsort(np.diag(a), kind="stable")
+    return np.diag(a)[order].copy(), v[:, order].copy()

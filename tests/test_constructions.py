@@ -19,8 +19,8 @@ from carlab.constructions import (
 )
 from carlab.dyadic import DyadicIndex, ROOT, cubes
 from carlab.embeddings import bet_inner_sum, bet_norm_sum, weighted_l2_norm
-from carlab.errors import PreconditionError
-from carlab import matrices
+from carlab.errors import NumericError, PreconditionError
+from carlab import constructions, matrices
 
 
 def test_family_standard_basis_values():
@@ -61,6 +61,39 @@ def test_family_intensities_are_one():
     inst = epsilon_family(0.01, 0.2, depth=3)
     for seq in (inst.seq_norm, inst.seq_inner, inst.alpha):
         assert carleson_intensity(seq) == pytest.approx(1.0, abs=1e-10)
+    # the instance keeps the intensities it checked, bit for bit
+    assert (inst.intensity_norm, inst.intensity_inner, inst.intensity_alpha) == tuple(
+        carleson_intensity(seq) for seq in (inst.seq_norm, inst.seq_inner, inst.alpha)
+    )
+
+
+def test_family_refuses_float64_longdouble(monkeypatch):
+    monkeypatch.setattr(constructions, "EXTENDED_PRECISION", False)
+    with pytest.raises(NumericError, match="longdouble"):
+        epsilon_family(0.1, 0.0, depth=2)
+
+
+def test_family_spectra_match_mpmath():
+    # the longdouble eigenvalues of W, W^-1 and W^1/2 as the family computes
+    # them, against a 50-digit solve of the same longdouble matrices
+    mpmath = pytest.importorskip("mpmath")
+    eps_ld = np.finfo(np.longdouble).eps
+
+    def exact(x):
+        num, den = x.as_integer_ratio()
+        return mpmath.mpf(num) / den
+
+    with mpmath.workdps(50):
+        for theta in (0.0, 0.3, 1.1):
+            for eps in EPS_SWEEP:
+                w = epsilon_family(eps, theta, depth=2).w
+                for m in (w.values[0], w.inverse().values[0], w.power(0.5).values[0]):
+                    ref = sorted(mpmath.eigsy(mpmath.matrix(
+                        [[exact(x) for x in row] for row in m]), eigvals_only=True))
+                    lam = matrices.eigvalsh_stack(m[None])[0]
+                    lam_max = max(abs(r) for r in ref)
+                    for got, want in zip(lam, ref):
+                        assert abs(exact(got) - want) <= 8 * exact(eps_ld) * lam_max
 
 
 def test_failure_witness_norm_ratio():

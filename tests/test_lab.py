@@ -258,6 +258,33 @@ def test_cli_acceptance_failure_exit_code(tmp_path, monkeypatch):
     assert rc == 1
 
 
+def test_cli_embedded_instance_on_wrong_tree_exit_code(tmp_path):
+    # an embedded field or sequence that does not fit the weight is a
+    # configuration error, not a numeric one
+    from carlab.constructions import random_instance
+    from carlab.dyadic import stepfield_to_json
+
+    inst = random_instance(4, 2, seed=0, cond_cap=1e3)
+    shallow = random_instance(3, 2, seed=1, cond_cap=1e3)
+    wide = random_instance(4, 3, seed=2, cond_cap=1e3)
+    weight = stepfield_to_json(inst.w)
+    cases = [
+        ("sibet-suite", {"weight": weight, "f": stepfield_to_json(shallow.f),
+                         "g": stepfield_to_json(inst.g), "alpha": inst.sseq.to_json()}),
+        ("redundancy-suite", {"weight": weight, "alpha": shallow.sseq.to_json()}),
+        ("redundancy-suite", {"weight": weight, "matrix_seq": wide.mseq.to_json()}),
+    ]
+    cfg_path = tmp_path / "cfg.json"
+    for experiment, embedded in cases:
+        cfg_path.write_text(json.dumps({"seeds": [0], "extra_instances": [embedded]}))
+        assert main([experiment, "--config", str(cfg_path), "--quiet"]) == 2
+
+
+def test_cli_float64_longdouble_exit_code(monkeypatch):
+    monkeypatch.setattr("carlab.constructions.EXTENDED_PRECISION", False)
+    assert main(["counterexample-sweep", "--quiet"]) == 3
+
+
 def test_cli_numeric_error_exit_code(monkeypatch):
     from carlab.errors import NumericError
 

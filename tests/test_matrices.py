@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlab.errors import DimensionMismatchError, SingularMatrixError
+from carlab.errors import DimensionMismatchError, NumericError, SingularMatrixError
 from carlab.matrices import (
+    _jacobi_eigh,
     as_symmetric,
     eigvalsh_stack,
     operator_norm,
@@ -13,6 +14,7 @@ from carlab.matrices import (
     spd_power_stack,
     spectrum,
 )
+from oracles import brute_jacobi_eigh
 
 
 def random_spd(rng, d, cond):
@@ -151,3 +153,82 @@ def test_stacked_power_names_offender():
     with pytest.raises(SingularMatrixError) as err:
         spd_power_stack(mats, -1.0, context=lambda i: ("leaf", i))
     assert err.value.cube == ("leaf", 1)
+
+
+def random_spd_ld(rng, d, cond):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    q = q.astype(np.longdouble)
+    lams = np.exp(rng.uniform(-0.5 * np.log(cond), 0.5 * np.log(cond), size=d))
+    m = (q * lams.astype(np.longdouble)) @ q.T
+    return (m + m.T) / 2
+
+
+def assert_matches_scalar_jacobi(stack):
+    vals, vecs = _jacobi_eigh(stack)
+    assert vals.shape == stack.shape[:-1] and vecs.shape == stack.shape
+    assert vals.dtype == vecs.dtype == np.longdouble
+    flat = stack.reshape(-1, *stack.shape[-2:])
+    for m, lam, v in zip(flat, vals.reshape(flat.shape[:2]), vecs.reshape(flat.shape)):
+        lam_ref, v_ref = brute_jacobi_eigh(m)
+        assert np.array_equal(lam, lam_ref)
+        assert np.array_equal(v, v_ref)
+
+
+def sweeps_to_converge(m):
+    for k in range(1, 61):
+        try:
+            brute_jacobi_eigh(m, max_sweeps=k)
+        except ArithmeticError:
+            continue
+        return k
+    raise AssertionError("oracle did not converge")
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_jacobi_is_bitwise_the_scalar_loop(d):
+    rng = np.random.default_rng(100 + d)
+    stack = np.stack([random_spd_ld(rng, d, cond) for cond in (1.0, 1e2, 1e4, 1e6, 1e8)])
+    assert_matches_scalar_jacobi(stack)
+
+
+def test_stacked_jacobi_special_stacks():
+    rng = np.random.default_rng(7)
+    ld = np.longdouble
+    for d in (2, 3, 5):
+        diag = np.diag(np.arange(d, 0, -1).astype(ld))
+        assert_matches_scalar_jacobi(np.stack([np.zeros((d, d), ld), diag, -diag]))
+    # repeated eigenvalues, in a rotated basis and as a multiple of the identity
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    q = q.astype(ld)
+    repeated = (q * np.array([1, 1, 2, 2, 2], dtype=ld)) @ q.T
+    assert_matches_scalar_jacobi(np.stack([(repeated + repeated.T) / 2, 3 * np.eye(5, dtype=ld)]))
+    # members that leave the working set after different numbers of sweeps
+    near_diag = np.diag(np.arange(1, 5).astype(ld))
+    near_diag[0, 1] = near_diag[1, 0] = ld(1e-3)
+    mixed = np.stack([random_spd_ld(rng, 4, 1e8), np.eye(4, dtype=ld), near_diag,
+                      random_spd_ld(rng, 4, 10.0)])
+    assert len({sweeps_to_converge(m) for m in mixed}) >= 3
+    assert_matches_scalar_jacobi(mixed)
+    # leading batch shape and an empty stack
+    batch = np.stack([random_spd_ld(rng, 3, 1e5) for _ in range(6)]).reshape(2, 3, 3, 3)
+    assert_matches_scalar_jacobi(batch)
+    vals, vecs = _jacobi_eigh(np.zeros((0, 4, 4), dtype=ld))
+    assert vals.shape == (0, 4) and vecs.shape == (0, 4, 4)
+
+
+def test_stacked_jacobi_sweep_limit():
+    m = random_spd_ld(np.random.default_rng(8), 3, 1e3)
+    with pytest.raises(NumericError):
+        _jacobi_eigh(m[None], max_sweeps=1)
+    with pytest.raises(ArithmeticError):
+        brute_jacobi_eigh(m, max_sweeps=1)
+
+
+def test_longdouble_power_stack_names_first_singular_matrix():
+    # the 5th matrix is the more singular one; a loop stops at the 2nd
+    mats = np.stack([np.eye(2), np.diag([1.0, 1e-13]), np.eye(2), 2 * np.eye(2),
+                     np.diag([1.0, 0.0]), np.eye(2)]).astype(np.longdouble)
+    with pytest.raises(SingularMatrixError) as err:
+        spd_power_stack(mats, -1.0, context=lambda i: ("leaf", i))
+    assert err.value.cube == ("leaf", 1)
+    assert err.value.lambda_min == pytest.approx(1e-13)
