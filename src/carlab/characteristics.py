@@ -8,10 +8,12 @@ source of test flakiness).  Boolean verdicts belong to the caller.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from . import matrices
-from .dyadic import DyadicIndex, check_index
+from .dyadic import DyadicIndex, check_index, tree_cube
 from .errors import DimensionMismatchError, SingularMatrixError
 
 
@@ -78,7 +80,7 @@ class MatrixSequence:
         self.depth = int(depth)
         self.d = int(d)
         items = dict(entries).items() if isinstance(entries, dict) else entries
-        self.entries = {}
+        checked = []
         for q, m in items:
             q = check_index(q, self.depth)
             m = matrices.as_symmetric(m)
@@ -86,11 +88,17 @@ class MatrixSequence:
                 raise DimensionMismatchError(
                     f"entry at {q} has shape {m.shape}, expected {(self.d, self.d)}"
                 )
-            lmin = float(matrices.eigvalsh_stack(m[None])[0, 0])
-            if lmin < -self.PSD_TOL:
-                raise SingularMatrixError(f"sequence entry at {q} is not PSD", lambda_min=lmin)
-            if np.any(m != 0.0):
-                self.entries[q] = m
+            checked.append((q, m))
+        if checked:
+            # One eigenvalue pass over every entry; the first bad one is named.
+            lmins = matrices.lambda_min_stack(np.stack([m for _, m in checked]))
+            bad = np.flatnonzero(lmins.astype(np.float64) < -self.PSD_TOL)
+            if bad.size:
+                q = checked[bad[0]][0]
+                raise SingularMatrixError(
+                    f"sequence entry at {q} is not PSD", lambda_min=float(lmins[bad[0]])
+                )
+        self.entries = {q: m for q, m in checked if np.any(m != 0.0)}
 
     def get(self, q, default=None):
         q = DyadicIndex(*q)
@@ -165,22 +173,36 @@ def subtree_sums(levels):
 # of the per-cube terms T, and the supremum of 2^k lambda_max over cubes.
 # ---------------------------------------------------------------------------
 
+def _tree_stack(levels, kernel):
+    """``kernel`` on all levels concatenated, in one call, split back by level."""
+    bounds = list(accumulate((len(lv) for lv in levels), initial=0))
+    out = kernel(np.concatenate(levels))
+    return [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def level_powers(pyramid, p):
-    """One stacked SPD power per tree level; errors name the offending cube."""
-    return [
-        matrices.spd_power_stack(lv, p, context=lambda i, k=k: DyadicIndex(k, i))
-        for k, lv in enumerate(pyramid)
-    ]
+    """Stacked SPD power of every cube average, one solver call per tree.
+
+    A negative power of a singular average names the offending cube: with
+    a float64 pyramid the most singular average of the whole tree, with a
+    longdouble pyramid the first singular one in tree order (level by
+    level, left to right).
+    """
+    return _tree_stack(
+        pyramid, lambda stack: matrices.spd_power_stack(stack, p, context=tree_cube)
+    )
 
 
 def cube_supremum(levels):
     """sup over cubes (k, p) of 2^k lambda_max(levels[k][p]).
 
-    A scalar level is its own lambda_max.
+    A scalar level is its own lambda_max; matrix levels go to one stacked
+    eigenvalue call.
     """
+    if levels and levels[0].ndim == 3:
+        levels = _tree_stack(levels, matrices.lambda_max_stack)
     best = -np.inf
-    for k, lv in enumerate(levels):
-        tops = matrices.lambda_max_stack(lv) if lv.ndim == 3 else lv
+    for k, tops in enumerate(levels):
         best = max(best, float(tops.max()) * (1 << k))
     return best
 
@@ -200,16 +222,22 @@ def _weight_field(w):
 
 
 def _check_spd_levels(levels):
-    """Smallest eigenvalue guard on a pyramid of weight averages."""
-    for k, lv in enumerate(levels):
-        lmins = matrices.lambda_min_stack(lv)
-        worst = int(np.argmin(lmins))
-        if float(lmins[worst]) <= matrices.SPD_REJECT:
-            raise SingularMatrixError(
-                "singular weight average",
-                lambda_min=float(lmins[worst]),
-                cube=DyadicIndex(k, worst),
-            )
+    """Smallest eigenvalue guard on a pyramid of weight averages.
+
+    One eigenvalue call over the tree; names the most singular average of
+    the first level that holds a singular one.
+    """
+    lmins = matrices.lambda_min_stack(np.concatenate(levels))
+    bad = np.flatnonzero(lmins.astype(np.float64) <= matrices.SPD_REJECT)
+    if bad.size:
+        k = tree_cube(int(bad[0])).level
+        level = lmins[(1 << k) - 1:(1 << (k + 1)) - 1]
+        worst = int(np.argmin(level))
+        raise SingularMatrixError(
+            "singular weight average",
+            lambda_min=float(level[worst]),
+            cube=DyadicIndex(k, worst),
+        )
 
 
 def carleson_intensity(seq):
@@ -274,10 +302,9 @@ def a2_characteristic(w):
     wavg = w.pyramid()
     winvavg = w.inverse().pyramid()
     _check_spd_levels(wavg)
-    roots = level_powers(winvavg, 0.5)
-    return max(
-        float(matrices.lambda_max_stack(r @ a @ r).max()) for r, a in zip(roots, wavg)
-    )
+    roots = matrices.spd_power_stack(np.concatenate(winvavg), 0.5)
+    avgs = np.concatenate(wavg)
+    return float(matrices.lambda_max_stack(roots @ avgs @ roots).max())
 
 
 def c2_conditioning(w):

@@ -48,20 +48,6 @@ class EpsilonInstance:
     intensity_inner: float
     intensity_alpha: float
 
-    def to_json(self):
-        from .dyadic import stepfield_to_json
-
-        return {
-            "eps": float(self.eps),
-            "theta": float(self.theta),
-            "w": stepfield_to_json(self.w),
-            "f": stepfield_to_json(self.f),
-            "g": stepfield_to_json(self.g),
-            "seq_norm": self.seq_norm.to_json(),
-            "seq_inner": self.seq_inner.to_json(),
-            "alpha": self.alpha.to_json(),
-        }
-
 
 def epsilon_family(eps, rotation=0.0, depth=4):
     """Build the family member at eccentricity ``eps`` and rotation angle.

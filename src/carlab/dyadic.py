@@ -81,6 +81,17 @@ def descendants(q, depth):
             yield DyadicIndex(k, p)
 
 
+def tree_position(q):
+    """Index of cube ``q`` in the tree listed level by level, as ``cubes`` does."""
+    return (1 << q.level) - 1 + q.position
+
+
+def tree_cube(i):
+    """The cube at index ``i`` of the tree listed level by level."""
+    k = (i + 1).bit_length() - 1
+    return DyadicIndex(k, i + 1 - (1 << k))
+
+
 def tree_size(depth, level=0):
     """Number of cubes in D(K) for a cube K at ``level``: 2^(depth-level+1) - 1."""
     return (1 << (depth - level + 1)) - 1

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import matrices
 from .characteristics import MatrixSequence, ScalarSequence, level_powers
-from .dyadic import StepField, check_index
+from .dyadic import StepField, check_index, tree_position
 from .errors import DimensionMismatchError, SingularMatrixError
 
 
@@ -57,17 +57,6 @@ def _halfweighted_averages(w, f, sign):
     return StepField(vals).pyramid()
 
 
-def _apply_inverse_average(avg_pyramid, q, rhs):
-    """<.>_Q^-1 applied to ``rhs`` by spectral calculus on the average at Q."""
-    m = avg_pyramid[q.level][q.position]
-    try:
-        return matrices.spd_apply_power(m, -1.0, rhs)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            "singular average in embedding sum", lambda_min=exc.lambda_min, cube=q
-        ) from exc
-
-
 def _entry_quadratic(a, v):
     """<A v, v> with tiny negative round-off clamped to zero."""
     return max(float(v @ (a @ v)), 0.0)
@@ -91,9 +80,12 @@ def cet_sum(w, seq, f):
 
 
 def _bet_vectors(w, seq, f, g):
-    """(A_Q, u_Q, v_Q) over the sequence support of a bilinear sum.
+    """Support entries A_Q with the stacked u_Q and v_Q of a bilinear sum.
 
-    u_Q = <W>_Q^-1 <W^1/2 f>_Q and v_Q = <W^-1>_Q^-1 <W^-1/2 g>_Q.
+    u_Q = <W>_Q^-1 <W^1/2 f>_Q and v_Q = <W^-1>_Q^-1 <W^-1/2 g>_Q, in support
+    order, each side from one stacked eigendecomposition over the support
+    cubes.  A singular average names the first such cube in support order,
+    the <W> side before the <W^-1> side.
     """
     w, f, g = _weight(w), _vector_field(f), _vector_field(g)
     _check_shapes(w, f, g)
@@ -101,12 +93,44 @@ def _bet_vectors(w, seq, f, g):
         raise DimensionMismatchError("sequence and fields live on different trees")
     havg = _halfweighted_averages(w, f, +1)
     gavg = _halfweighted_averages(w, g, -1)
-    wavg = w.pyramid()
-    winvavg = w.inverse().pyramid()
-    for q, a in seq.items():
-        u = _apply_inverse_average(wavg, q, havg[q.level][q.position])
-        v = _apply_inverse_average(winvavg, q, gavg[q.level][q.position])
-        yield a, u, v
+    pairs = ((w.pyramid(), havg), (w.inverse().pyramid(), gavg))
+    if len(seq) == 0:
+        return [], None, None
+    support = [tree_position(q) for q in seq.entries]
+    sides = []
+    for avg, rhs in pairs:
+        vals, vecs = matrices.eigh_sym(np.concatenate(avg)[support])
+        sides.append((vals, vecs, np.concatenate(rhs)[support]))
+    lmin = np.stack([vals[:, 0] for vals, _, _ in sides], axis=1).astype(np.float64)
+    bad = np.flatnonzero(lmin <= matrices.SPD_REJECT)
+    if bad.size:
+        i = int(bad[0])
+        raise SingularMatrixError(
+            "singular average in embedding sum",
+            lambda_min=float(lmin.flat[i]),
+            cube=list(seq.entries)[i // 2],
+        )
+    u, v = (_apply_inverse(vals, vecs, x) for vals, vecs, x in sides)
+    return list(seq.entries.values()), u, v
+
+
+def _apply_inverse(vals, vecs, x):
+    """x_i mapped through (vecs_i diag(vals_i) vecs_i^T)^-1, row by row."""
+    inv = vals ** vals.dtype.type(-1.0)
+    return (vecs @ (inv[:, :, None] * (vecs.transpose(0, 2, 1) @ x[:, :, None])))[..., 0]
+
+
+def _rowdot(x, y):
+    """x_i . y_i for each row, as a batched matmul: bitwise the 1-D dot."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _ordered_sum(terms):
+    """Left-to-right sum, the order of a Python loop over the support."""
+    total = 0.0
+    for t in terms.tolist():
+        total += t
+    return total
 
 
 def bet_norm_sum(w, seq, f, g):
@@ -115,13 +139,19 @@ def bet_norm_sum(w, seq, f, g):
     sum_Q ||A_Q^1/2 <W>_Q^-1 <W^1/2 f>_Q|| * ||A_Q^1/2 <W^-1>_Q^-1 <W^-1/2 g>_Q||;
     scalar sequences specialize to alpha_Q times the product of plain norms.
     """
-    total = 0.0
-    for a, u, v in _bet_vectors(w, seq, f, g):
-        if isinstance(seq, MatrixSequence):
-            total += np.sqrt(_entry_quadratic(a, u)) * np.sqrt(_entry_quadratic(a, v))
-        else:
-            total += a * float(np.sqrt((u @ u) * (v @ v)))
-    return float(total)
+    entries, u, v = _bet_vectors(w, seq, f, g)
+    if not entries:
+        return 0.0
+    if isinstance(seq, MatrixSequence):
+        a = np.stack(entries)
+        qu, qv = (
+            np.maximum(_rowdot(x, (a @ x[:, :, None])[..., 0]).astype(np.float64), 0.0)
+            for x in (u, v)
+        )
+        terms = np.sqrt(qu) * np.sqrt(qv)
+    else:
+        terms = np.array(entries) * np.sqrt(_rowdot(u, u) * _rowdot(v, v)).astype(np.float64)
+    return _ordered_sum(terms)
 
 
 def bet_inner_sum(w, seq, f, g):
@@ -130,13 +160,14 @@ def bet_inner_sum(w, seq, f, g):
     sum_Q |<A_Q <W>_Q^-1 <W^1/2 f>_Q, <W^-1>_Q^-1 <W^-1/2 g>_Q>|; scalar
     sequences contribute alpha_Q |<u, v>|.
     """
-    total = 0.0
-    for a, u, v in _bet_vectors(w, seq, f, g):
-        if isinstance(seq, MatrixSequence):
-            total += abs(float((a @ u) @ v))
-        else:
-            total += a * abs(float(u @ v))
-    return float(total)
+    entries, u, v = _bet_vectors(w, seq, f, g)
+    if not entries:
+        return 0.0
+    if isinstance(seq, MatrixSequence):
+        terms = np.abs(_rowdot((np.stack(entries) @ u[:, :, None])[..., 0], v).astype(np.float64))
+    else:
+        terms = np.array(entries) * np.abs(_rowdot(u, v).astype(np.float64))
+    return _ordered_sum(terms)
 
 
 def bet_cube_functional(w, f, g):

@@ -13,6 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .characteristics import (
     a2_characteristic,
     c2_conditioning,
     carleson_intensity,
+    cube_supremum,
     level_powers,
     subtree_sums,
     testing_terms,
@@ -47,7 +49,14 @@ from .constructions import (
     random_scalar_sequence,
     random_weight_field,
 )
-from .dyadic import DyadicIndex, ROOT, StepField, stepfield_from_json, stepfield_to_json
+from .dyadic import (
+    DyadicIndex,
+    ROOT,
+    StepField,
+    stepfield_from_json,
+    stepfield_to_json,
+    tree_cube,
+)
 from .embeddings import (
     bet_inner_sum,
     bet_norm_sum,
@@ -757,23 +766,6 @@ def _n_angles(d):
     return d * (d - 1) // 2
 
 
-def _rotation_from_angles(angles, d):
-    """Product of Givens rotations, one angle per coordinate plane."""
-    q = np.eye(d)
-    idx = 0
-    for i in range(d - 1):
-        for j in range(i + 1, d):
-            c, s = math.cos(angles[idx]), math.sin(angles[idx])
-            g = np.eye(d)
-            g[i, i] = c
-            g[j, j] = c
-            g[i, j] = -s
-            g[j, i] = s
-            q = q @ g
-            idx += 1
-    return q
-
-
 class _SearchState:
     """Search coordinates: leaf spectra and rotations plus sequence weights.
 
@@ -781,20 +773,36 @@ class _SearchState:
     every iterate is automatically SPD; the per-leaf log spread is clipped
     to log(cond_cap) so the conditioning cap is a hard constraint.  The
     sequence is renormalized to intensity exactly 1 on every build.
+
+    ``leaf`` holds the values derived from the leaves alone (``_Leaf``),
+    built on first evaluation and shared with copies until a move changes
+    ``log_eigs`` or ``angles``.
     """
 
-    def __init__(self, depth, d, log_eigs, angles, seq_weights):
+    def __init__(self, depth, d, log_eigs, angles, seq_weights, leaf=None):
         self.depth = depth
         self.d = d
         self.log_eigs = log_eigs
         self.angles = angles
         self.seq_weights = seq_weights  # one non-negative weight per cube
+        self.leaf = leaf
 
     def copy(self):
         return _SearchState(
             self.depth, self.d,
             self.log_eigs.copy(), self.angles.copy(), self.seq_weights.copy(),
+            self.leaf,
         )
+
+
+class _Leaf(NamedTuple):
+    """The weight of a state and, for bet_norm_ratio, what the sum needs of it."""
+
+    w: StepField
+    f: StepField | None = None
+    g: StepField | None = None
+    norms: float | None = None  # ||f|| * ||g||
+    c2: float | None = None
 
 
 def _clip_spread(log_eigs, cond_cap):
@@ -804,27 +812,34 @@ def _clip_spread(log_eigs, cond_cap):
 
 
 def _state_weight(state, cond_cap):
+    """Leaves Q diag(exp(log_eigs)) Q^T, Q the product of one Givens rotation
+    per coordinate plane, built for all leaves at once."""
     logs = _clip_spread(state.log_eigs, cond_cap)
-    leaves = np.empty((1 << state.depth, state.d, state.d))
-    for i in range(1 << state.depth):
-        q = _rotation_from_angles(state.angles[i], state.d)
-        leaves[i] = (q * np.exp(logs[i])) @ q.T
-    return StepField(leaves)
+    n, d = logs.shape
+    eye = np.broadcast_to(np.eye(d), (n, d, d))
+    q = eye
+    planes = [(i, j) for i in range(d - 1) for j in range(i + 1, d)]
+    for (i, j), angles in zip(planes, state.angles.T.tolist()):
+        c = [math.cos(a) for a in angles]
+        s = np.array([math.sin(a) for a in angles])
+        g = eye.copy()
+        g[:, i, i] = c
+        g[:, j, j] = c
+        g[:, i, j] = -s
+        g[:, j, i] = s
+        q = q @ g
+    return StepField((q * np.exp(logs)[:, None, :]) @ q.transpose(0, 2, 1))
 
 
 def _state_sequence(state):
-    entries = {}
-    i = 0
-    for k in range(state.depth + 1):
-        for p in range(1 << k):
-            v = max(float(state.seq_weights[i]), 0.0)
-            if v > 0.0:
-                entries[DyadicIndex(k, p)] = v
-            i += 1
-    if not entries:
-        entries[ROOT] = 1.0
-    seq = ScalarSequence(state.depth, entries)
-    return seq.scaled(1.0 / carleson_intensity(seq))
+    weights = np.where(state.seq_weights > 0.0, state.seq_weights, 0.0)
+    if not weights.any():
+        weights[0] = 1.0  # the root
+    levels = [weights[(1 << k) - 1:(1 << (k + 1)) - 1] for k in range(state.depth + 1)]
+    scaled = weights * (1.0 / cube_supremum(subtree_sums(levels)))
+    return ScalarSequence(
+        state.depth, [(tree_cube(int(i)), scaled[i]) for i in np.flatnonzero(scaled)]
+    )
 
 
 def _extreme_vector_fields(w):
@@ -843,21 +858,32 @@ def _extreme_vector_fields(w):
     return f, g
 
 
+def _leaf_values(state, objective, cond_cap):
+    if state.leaf is None:
+        w = _state_weight(state, cond_cap)
+        if objective == "bet_norm_ratio":
+            f, g = _extreme_vector_fields(w)
+            norms = weighted_l2_norm(f) * weighted_l2_norm(g)
+            state.leaf = _Leaf(w, f, g, norms, c2_conditioning(w))
+        else:
+            state.leaf = _Leaf(w)
+    return state.leaf
+
+
 def _search_objective(state, objective, cond_cap):
-    w = _state_weight(state, cond_cap)
+    """The objective value of a state, with its ``_Leaf``."""
+    leaf = _leaf_values(state, objective, cond_cap)
     seq = _state_sequence(state)
     if objective == "bet_norm_ratio":
-        f, g = _extreme_vector_fields(w)
-        denom = weighted_l2_norm(f) * weighted_l2_norm(g)
-        return bet_norm_sum(w, seq, f, g) / denom, w
+        return bet_norm_sum(leaf.w, seq, leaf.f, leaf.g) / leaf.norms, leaf
     if objective == "sred_ratio":
-        return sred_constant(w, seq), w
+        return sred_constant(leaf.w, seq), leaf
     if objective == "red_ratio":
         mseq = MatrixSequence(
             state.depth, state.d,
             {q: v * np.eye(state.d) for q, v in seq.items()},
         )
-        return max(red_constants(w, mseq)), w
+        return max(red_constants(leaf.w, mseq)), leaf
     raise ConfigError(f"unknown objective {objective!r}")
 
 
@@ -891,10 +917,12 @@ def _perturb(state, rng, scale=0.35):
         i = int(rng.integers(out.log_eigs.shape[0]))
         j = int(rng.integers(out.log_eigs.shape[1]))
         out.log_eigs[i, j] += rng.normal(0.0, 2.0 * scale)
+        out.leaf = None
     elif kind < 0.7 and out.angles.shape[1]:
         i = int(rng.integers(out.angles.shape[0]))
         j = int(rng.integers(out.angles.shape[1]))
         out.angles[i, j] += rng.normal(0.0, scale)
+        out.leaf = None
     else:
         i = int(rng.integers(out.seq_weights.shape[0]))
         out.seq_weights[i] = max(0.0, out.seq_weights[i] + rng.normal(0.0, scale))
@@ -927,26 +955,26 @@ def adversarial_search(depth=3, d=2, seed=0, objective="bet_norm_ratio",
             state = _family_state(depth, d, cond_cap)
         else:
             state = _random_state(depth, d, cond_cap, rng)
-        current_value, w = _search_objective(state, objective, cond_cap)
+        current_value, leaf = _search_objective(state, objective, cond_cap)
         evals += 1
         if objective == "bet_norm_ratio":
-            sanity_max = max(sanity_max, current_value / math.sqrt(c2_conditioning(w)))
+            sanity_max = max(sanity_max, current_value / math.sqrt(leaf.c2))
         if current_value > best_value:
-            best_value, best_weight = current_value, w
+            best_value, best_weight = current_value, leaf.w
         if evals % checkpoint == 0 or evals == 1:
             history.append({"evaluations": evals, "best_objective": best_value,
                             "restart": restart, "seed": seed})
         while evals < min(budget, per_restart * (restart + 1)):
             candidate = _perturb(state, rng)
-            value, w = _search_objective(candidate, objective, cond_cap)
+            value, leaf = _search_objective(candidate, objective, cond_cap)
             evals += 1
             if value > best_value:
-                best_value, best_weight = value, w
+                best_value, best_weight = value, leaf.w
             if value > current_value:
                 state = candidate
                 current_value = value
             if objective == "bet_norm_ratio":
-                sanity_max = max(sanity_max, value / math.sqrt(c2_conditioning(w)))
+                sanity_max = max(sanity_max, value / math.sqrt(leaf.c2))
             if evals % checkpoint == 0:
                 history.append({"evaluations": evals, "best_objective": best_value,
                                 "restart": restart, "seed": seed})

@@ -2,6 +2,8 @@
 test, by direct enumeration over cubes and leaves.  Deliberately slow and
 structure-free so they share no code path with the library."""
 
+import math
+
 import numpy as np
 
 
@@ -225,3 +227,46 @@ def brute_jacobi_eigh(a, max_sweeps=60):
         raise ArithmeticError("Jacobi eigensolver did not converge")
     order = np.argsort(np.diag(a), kind="stable")
     return np.diag(a)[order].copy(), v[:, order].copy()
+
+
+def brute_bet_vectors(wavg, winvavg, havg, gavg, support):
+    """(u_Q, v_Q) of the bilinear sums, one support cube at a time.
+
+    Per cube Q = (k, p): one numpy ``eigh`` of <W>_Q (resp. <W^-1>_Q), then
+    the inverse applied to <W^1/2 f>_Q (resp. <W^-1/2 g>_Q) through the
+    eigenvectors.  The pyramids are passed in, so the comparison isolates
+    the solve.
+    """
+    out = []
+    for k, p in support:
+        pair = []
+        for avg, rhs in ((wavg, havg), (winvavg, gavg)):
+            vals, vecs = np.linalg.eigh(avg[k][p])
+            pair.append(vecs @ ((vals ** -1.0) * (vecs.T @ rhs[k][p])))
+        out.append(tuple(pair))
+    return out
+
+
+def brute_search_weight(logs, angles):
+    """Leaf weights Q diag(exp(logs)) Q^T, one leaf at a time.
+
+    Q is the product, in plane order (0, 1), (0, 2), ..., (d-2, d-1), of the
+    Givens rotations by the leaf's angles.
+    """
+    n, d = logs.shape
+    leaves = np.empty((n, d, d))
+    for i in range(n):
+        q = np.eye(d)
+        idx = 0
+        for a in range(d - 1):
+            for b in range(a + 1, d):
+                c, s = math.cos(angles[i, idx]), math.sin(angles[i, idx])
+                g = np.eye(d)
+                g[a, a] = c
+                g[b, b] = c
+                g[a, b] = -s
+                g[b, a] = s
+                q = q @ g
+                idx += 1
+        leaves[i] = (q * np.exp(logs[i])) @ q.T
+    return leaves

@@ -1,17 +1,31 @@
+import json
+
 import numpy as np
 import pytest
 
+from carlab import characteristics, matrices
 from carlab.characteristics import (
     MatrixSequence,
     ScalarSequence,
+    _check_spd_levels,
     a2_characteristic,
     c2_conditioning,
     carleson_equivalents,
     carleson_intensity,
+    cube_supremum,
+    level_powers,
+    subtree_sums,
     wcet_testing_constant,
 )
 from carlab.constructions import epsilon_family, necessity_probe, random_instance
-from carlab.dyadic import DyadicIndex, ROOT, StepField, cubes
+from carlab.dyadic import (
+    DyadicIndex,
+    ROOT,
+    StepField,
+    cubes,
+    stepfield_from_json,
+    stepfield_to_json,
+)
 from carlab.errors import DimensionMismatchError, SingularMatrixError
 
 from oracles import (
@@ -29,6 +43,83 @@ def test_sequence_validation():
         MatrixSequence(2, 2, {ROOT: np.diag([1.0, -1.0])})
     # zero entries are dropped (sparse default-zero storage)
     assert len(ScalarSequence(2, {ROOT: 0.0})) == 0
+    # one eigenvalue pass over all entries still names the first bad one
+    entries = [
+        ((1, 0), np.eye(2)),
+        ((2, 3), np.diag([1.0, -0.5])),
+        ((1, 1), np.diag([-2.0, 1.0])),
+    ]
+    with pytest.raises(SingularMatrixError, match="level=2, position=3") as err:
+        MatrixSequence(2, 2, entries)
+    assert err.value.lambda_min == -0.5
+
+
+def test_sequence_json_roundtrip():
+    inst = epsilon_family(0.1, 0.3, depth=2)
+    w = stepfield_from_json(json.loads(json.dumps(stepfield_to_json(inst.w))))
+    np.testing.assert_allclose(w.values, np.asarray(inst.w.values, float), rtol=1e-15)
+    seq = MatrixSequence.from_json(json.loads(json.dumps(inst.seq_inner.to_json())))
+    np.testing.assert_allclose(
+        seq.entries[ROOT], np.asarray(inst.seq_inner.entries[ROOT], float), rtol=1e-15
+    )
+    alpha = ScalarSequence.from_json(json.loads(json.dumps(inst.alpha.to_json())))
+    assert alpha.get(ROOT) == 1.0
+
+
+def _per_level_supremum(levels):
+    best = -np.inf
+    for k, lv in enumerate(levels):
+        best = max(best, float(matrices.lambda_max_stack(lv).max()) * (1 << k))
+    return best
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_tree_kernels_match_per_level_loops(d):
+    # one solver call per tree must be bitwise one call per level
+    for depth in range(7):
+        inst = random_instance(depth, d, seed=10 * depth + d, cond_cap=1e4)
+        wavg = inst.w.as_matrix().pyramid()
+        for p in matrices.ALLOWED_POWERS:
+            got = level_powers(wavg, p)
+            assert len(got) == depth + 1
+            for k, lv in enumerate(wavg):
+                assert np.array_equal(got[k], matrices.spd_power_stack(lv, p))
+        acc = subtree_sums(characteristics.testing_terms(wavg, inst.mseq))
+        for levels in (wavg, acc):
+            assert cube_supremum(levels) == _per_level_supremum(levels)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_level_powers_longdouble_matches_per_level_loop(d):
+    for depth in range(5):
+        w = random_instance(depth, d, seed=depth, cond_cap=1e4).w
+        wavg = StepField(w.values.astype(np.longdouble)).pyramid()
+        for p in (0.5, -0.5):
+            got = level_powers(wavg, p)
+            for k, lv in enumerate(wavg):
+                assert got[k].dtype == np.longdouble
+                assert np.array_equal(got[k], matrices.spd_power_stack(lv, p))
+
+
+@pytest.mark.parametrize(
+    "dtype, cube", [(np.float64, DyadicIndex(2, 3)), (np.longdouble, DyadicIndex(1, 0))]
+)
+def test_singular_pyramid_names_cube(dtype, cube):
+    # singular averages at two levels: (1, 0) and (1, 1), then the most
+    # singular one of the tree at (2, 3)
+    pyramid = [np.tile(np.eye(2), (1 << k, 1, 1)).astype(dtype) for k in range(4)]
+    pyramid[1][0] = np.diag([1.0, 1e-13])
+    pyramid[1][1] = np.diag([1.0, 1e-14])
+    pyramid[2][3] = np.diag([1.0, 0.0])
+    # float64: most singular over the tree; longdouble: first in tree order
+    with pytest.raises(SingularMatrixError) as err:
+        level_powers(pyramid, -0.5)
+    assert err.value.cube == cube
+    # the a2 guard: the most singular of the first level that has one
+    with pytest.raises(SingularMatrixError) as err:
+        _check_spd_levels(pyramid)
+    assert err.value.cube == DyadicIndex(1, 1)
+    assert err.value.lambda_min == pytest.approx(1e-14, rel=1e-12)
 
 
 def test_intensity_identity_at_root():

@@ -226,18 +226,3 @@ def test_necessity_probe_attains_testing_constant():
             assert necessity_probe(inst.w, inst.mseq, q, e) <= testing + 1e-9
         assert attained == pytest.approx(testing, rel=1e-8)
 
-
-def test_instance_json_roundtrip():
-    inst = epsilon_family(0.1, 0.3, depth=2)
-    blob = inst.to_json()
-    from carlab.characteristics import MatrixSequence, ScalarSequence
-    from carlab.dyadic import stepfield_from_json
-
-    w = stepfield_from_json(blob["w"])
-    np.testing.assert_allclose(w.values, np.asarray(inst.w.values, float), rtol=1e-15)
-    seq = MatrixSequence.from_json(blob["seq_inner"])
-    np.testing.assert_allclose(
-        seq.entries[ROOT], np.asarray(inst.seq_inner.entries[ROOT], float), rtol=1e-15
-    )
-    alpha = ScalarSequence.from_json(blob["alpha"])
-    assert alpha.get(ROOT) == 1.0

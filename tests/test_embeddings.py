@@ -14,6 +14,7 @@ from carlab.characteristics import (
 from carlab.constructions import epsilon_family, random_instance
 from carlab.dyadic import DyadicIndex, ROOT, StepField, average, cubes, integral
 from carlab.embeddings import (
+    _halfweighted_averages,
     bet_cube_functional,
     bet_inner_sum,
     bet_norm_sum,
@@ -26,7 +27,7 @@ from carlab.embeddings import (
 from carlab import baselines
 from carlab.errors import SingularMatrixError
 
-from oracles import rank_one_inner_value
+from oracles import brute_bet_vectors, rank_one_inner_value
 
 
 E1 = np.array([1.0, 0.0])
@@ -105,6 +106,48 @@ def test_bet_scalar_sequence_specialization():
     assert bet_norm_sum(inst.w, inst.sseq, inst.f, inst.g) == pytest.approx(
         bet_norm_sum(inst.w, embedded, inst.f, inst.g), rel=1e-10
     )
+
+
+def _brute_bet_sums(w, seq, f, g):
+    """(norm-form, inner-product) sums from the per-cube oracle, in support order."""
+    uv = brute_bet_vectors(
+        w.pyramid(), w.inverse().pyramid(),
+        _halfweighted_averages(w, f, +1), _halfweighted_averages(w, g, -1),
+        list(seq.entries),
+    )
+    norm = inner = 0.0
+    for a, (u, v) in zip(seq.entries.values(), uv):
+        if isinstance(seq, MatrixSequence):
+            norm += np.sqrt(max(float(u @ (a @ u)), 0.0)) * np.sqrt(max(float(v @ (a @ v)), 0.0))
+            inner += abs(float((a @ u) @ v))
+        else:
+            norm += a * float(np.sqrt((u @ u) * (v @ v)))
+            inner += a * abs(float(u @ v))
+    return float(norm), float(inner)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_bet_sums_match_per_cube_oracle(d):
+    # one stacked solve per side must be bitwise one solve per cube
+    for depth in range(7):
+        inst = random_instance(depth, d, seed=100 + 10 * depth + d, cond_cap=1e4)
+        w, f, g = inst.w.as_matrix(), inst.f.as_vector(), inst.g.as_vector()
+        for seq in (inst.sseq, inst.mseq):
+            norm, inner = _brute_bet_sums(w, seq, f, g)
+            assert bet_norm_sum(w, seq, f, g) == norm
+            assert bet_inner_sum(w, seq, f, g) == inner
+
+
+def test_bet_sum_singular_average_names_first_support_cube():
+    # <W^-1> has lambda_min 5e-13 on the leaves (2, 0), (2, 1) and on (1, 0)
+    leaves = np.array([np.diag([2e12, 1.0])] * 2 + [np.eye(2)] * 2)
+    f = StepField.constant(2, np.ones(2))
+    seq = ScalarSequence(2, [((2, 3), 1.0), ((1, 0), 0.5), ((2, 1), 0.5)])
+    for bet_sum in (bet_norm_sum, bet_inner_sum):
+        with pytest.raises(SingularMatrixError) as err:
+            bet_sum(StepField(leaves), seq, f, f)
+        assert err.value.cube == DyadicIndex(1, 0)
+        assert err.value.lambda_min == pytest.approx(5e-13, rel=1e-9)
 
 
 def test_maximal_function_dyadic_example():

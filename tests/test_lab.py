@@ -5,16 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from carlab import lab
 from carlab.cli import main
+from carlab.dyadic import StepField
 from carlab.errors import ConfigError
 from carlab.lab import (
     CSV_COLUMNS,
+    OBJECTIVES,
     ExperimentConfig,
     adversarial_search,
     default_config,
     run_experiment,
     sweep_row,
 )
+
+from oracles import brute_search_weight
 
 
 def small_sweep_config(**over):
@@ -150,6 +155,46 @@ def test_search_red_objective_runs():
     out = adversarial_search(depth=2, d=2, seed=9, objective="red_ratio",
                              budget=120, cond_cap=1e3)
     assert out["best_value"] <= 8.0 + 1e-9  # 4d with d = 2
+
+
+def test_search_weight_matches_per_leaf_oracle():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 3, 4):
+        state = lab._random_state(3, d, 1e4, rng)
+        logs = lab._clip_spread(state.log_eigs, 1e4)
+        want = StepField(brute_search_weight(logs, state.angles)).values
+        assert np.array_equal(lab._state_weight(state, 1e4).values, want)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_search_leaf_reuse_changes_nothing(monkeypatch, objective, d):
+    kwargs = dict(depth=3, d=d, seed=13, objective=objective, budget=200, cond_cap=1e4)
+    builds = []
+    state_weight = lab._state_weight
+
+    def counted_state_weight(*args):
+        builds.append(args)
+        return state_weight(*args)
+
+    monkeypatch.setattr(lab, "_state_weight", counted_state_weight)
+    reused = adversarial_search(**kwargs)
+    assert len(builds) < reused["evaluations"]  # sequence-only moves reuse W
+
+    copy = lab._SearchState.copy
+
+    def copy_without_leaf(state):
+        out = copy(state)
+        out.leaf = None
+        return out
+
+    monkeypatch.setattr(lab._SearchState, "copy", copy_without_leaf)
+    builds.clear()
+    rebuilt = adversarial_search(**kwargs)
+    assert len(builds) == rebuilt["evaluations"]
+    for key in ("history", "best_value", "sanity_max_over_sqrt_c2"):
+        assert reused[key] == rebuilt[key]
+    assert np.array_equal(reused["best_weight"].values, rebuilt["best_weight"].values)
 
 
 def test_search_experiment_report_verdicts():
