@@ -109,26 +109,52 @@ EPS_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
 COND_CAP_LIMIT = 1e8
 
 
+def orthogonal_from_draws(gauss):
+    """Haar orthogonal matrices from Gaussian draws (..., d, d).
+
+    QR with the sign of R's diagonal moved into Q; LAPACK factors every
+    member of a stack as it would factor it alone.
+    """
+    q, r = np.linalg.qr(gauss)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
 def random_orthogonal(d, rng):
     """Haar-distributed orthogonal matrix (QR of a Gaussian with sign fix)."""
-    m = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(m)
-    return q * np.sign(np.diag(r))
+    return orthogonal_from_draws(rng.standard_normal((d, d)))
+
+
+def draw_spd(d, rng, cond_cap=1e4):
+    """The random numbers of one ``random_spd``, in its draw order.
+
+    Returns (eigenvalue exponents (d,), Gaussian (d, d)).  Samplers draw
+    these one sample at a time and then build every matrix at once with
+    ``spd_from_draws``, which keeps the generator's sequence.
+    """
+    if cond_cap > COND_CAP_LIMIT:
+        raise PreconditionError(f"cond_cap must be <= {COND_CAP_LIMIT:g}")
+    half = 0.5 * np.log(cond_cap)
+    return rng.uniform(-half, half, size=d), rng.standard_normal((d, d))
+
+
+def spd_from_draws(draws):
+    """SPD matrices Q diag(exp(expo)) Q^T from a list of ``draw_spd`` results.
+
+    One QR, one sign fix and one matmul for the whole (n, d, d) stack, each
+    member bitwise the one ``random_spd`` builds from the same draws.
+    """
+    expo, gauss = (np.stack(part) for part in zip(*draws))
+    q = orthogonal_from_draws(gauss)
+    return matrices.as_symmetric_stack((q * np.exp(expo)[:, None, :]) @ q.transpose(0, 2, 1))
 
 
 def random_spd(d, rng, cond_cap=1e4):
     """Random SPD matrix with condition number at most ``cond_cap``."""
-    if cond_cap > COND_CAP_LIMIT:
-        raise PreconditionError(f"cond_cap must be <= {COND_CAP_LIMIT:g}")
-    half = 0.5 * np.log(cond_cap)
-    lams = np.exp(rng.uniform(-half, half, size=d))
-    q = random_orthogonal(d, rng)
-    return matrices.as_symmetric((q * lams) @ q.T)
+    return spd_from_draws([draw_spd(d, rng, cond_cap)])[0]
 
 
 def random_weight_field(depth, d, rng, cond_cap=1e4):
-    leaves = np.stack([random_spd(d, rng, cond_cap) for _ in range(1 << depth)])
-    return StepField(leaves)
+    return StepField(spd_from_draws([draw_spd(d, rng, cond_cap) for _ in range(1 << depth)]))
 
 
 def random_vector_field(depth, d, rng):

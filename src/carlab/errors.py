@@ -2,7 +2,23 @@
 
 
 class LabError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``point`` is the index of the offending member when the error comes
+    from a stacked computation, and None otherwise; it is named in the
+    message.
+    """
+
+    point = None
+
+    def __str__(self):
+        text = super().__str__()
+        return text if self.point is None else f"{text} (point {self.point})"
+
+    def at(self, point):
+        """Name the offending member of a stack; returns the error."""
+        self.point = point
+        return self
 
 
 class AddressError(LabError):

@@ -20,13 +20,13 @@ import numpy as np
 from . import baselines, matrices
 from .bellman import (
     BellmanPoint,
-    bellman_concavity_gap,
-    bellman_dm_gap,
     bellman_eval,
     bellman_second_derivative,
+    concavity_gaps,
+    dm_gaps,
     dynamics_gaps,
     matrix_parameter_probe,
-    random_domain_point,
+    size_gaps,
     telescoping_certificate,
 )
 from .characteristics import (
@@ -117,6 +117,10 @@ class ExperimentConfig:
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        for name in ("depth", "d", "samples", "budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.depth <= 12:
             raise ConfigError(f"depth must lie in [0, 12], got {self.depth}")
         if not 1 <= self.d <= 8:
@@ -539,40 +543,30 @@ def hessian_richardson_ratio(ts=(1e-3, 1e-4)):
     return errs[0] / errs[1]
 
 
+def _worst(gaps, dims, bound):
+    """(worst gap, violations, worst sample) of one sampling check.
+
+    The worst sample is the first minimal gap, as a running ``min`` keeps
+    it; its index counts the check's samples in draw order.
+    """
+    i = int(np.argmin(gaps))
+    sample = {"index": i, "d": int(dims[i])}
+    return float(gaps[i]), int(np.count_nonzero(gaps < bound)), sample
+
+
 def _run_bellman(cfg):
     n = cfg.samples
     rng = np.random.default_rng(cfg.seeds[0])
     d_max = min(cfg.d, 4)
-
-    size_worst = np.inf
-    size_violations = 0
-    for _ in range(n):
-        p = random_domain_point(1 + rng.integers(d_max), rng, cond_cap=1e4)
-        b = bellman_eval(p)
-        gap = min(matrices.psd_gap(b, np.zeros_like(b)), matrices.psd_gap(p.u, b))
-        size_worst = min(size_worst, gap)
-        size_violations += gap < -1e-9
-
-    concavity_worst = np.inf
-    concavity_violations = 0
-    for _ in range(n):
-        d = 1 + int(rng.integers(d_max))
-        p0 = random_domain_point(d, rng, cond_cap=1e4)
-        p1 = random_domain_point(d, rng, cond_cap=1e4)
-        gap = bellman_concavity_gap(p0, p1)
-        concavity_worst = min(concavity_worst, gap)
-        concavity_violations += gap < -1e-8
-
     h = 1e-5
-    dm_worst = np.inf
-    dm_violations = 0
-    for _ in range(n):
-        d = 1 + int(rng.integers(d_max))
-        p = random_domain_point(d, rng, cond_cap=1024)
-        p = BellmanPoint(p.u, p.v, min(p.m, 1.0 - h))
-        gap = bellman_dm_gap(p, h)
-        dm_worst = min(dm_worst, gap)
-        dm_violations += gap < -1e-4 * (h / 1e-5)
+
+    size_worst, size_violations, size_sample = _worst(*size_gaps(rng, n, d_max), -1e-9)
+    concavity_worst, concavity_violations, concavity_sample = _worst(
+        *concavity_gaps(rng, n, d_max), -1e-8
+    )
+    dm_worst, dm_violations, dm_sample = _worst(
+        *dm_gaps(rng, n, d_max, h), -1e-4 * (h / 1e-5)
+    )
 
     dynamics_worst = np.inf
     dynamics_violations = 0
@@ -581,8 +575,8 @@ def _run_bellman(cfg):
         inst_rng = np.random.default_rng(seed)
         w = random_weight_field(depth, d, inst_rng, cond_cap=1e3)
         alpha = random_scalar_sequence(depth, inst_rng)
-        gaps = dynamics_gaps(w, alpha)
-        dynamics_worst = min(dynamics_worst, min(gaps.values()))
+        gaps = dynamics_gaps(w, alpha)  # empty on a depth-0 tree
+        dynamics_worst = min(dynamics_worst, min(gaps.values(), default=np.inf))
         dynamics_violations += sum(g < -1e-9 for g in gaps.values())
 
     richardson = hessian_richardson_ratio()
@@ -607,6 +601,10 @@ def _run_bellman(cfg):
         "richardson_ratio": richardson,
         "matrix_probe_negative_fraction": probe["negative_fraction"],
         "rows": len(rows),
+        # The sample behind each sampling row's worst gap: its index in the
+        # check's draw order (the checks draw from one generator seeded
+        # with seeds[0]: size, then concavity, then dm) and its d.
+        "worst_samples": {"size": size_sample, "concavity": concavity_sample, "dm": dm_sample},
     }
     verdicts = {
         "size_bounds": size_worst >= -1e-9,

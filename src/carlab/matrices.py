@@ -230,6 +230,66 @@ def _is_longdouble(a):
     return a.dtype == np.longdouble
 
 
+def _first(bad):
+    """Flat index of the first true entry of a boolean stack, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
+def as_symmetric_stack(mats, rtol=SYM_REJECT_RTOL):
+    """``as_symmetric`` over a stack (n, d, d), naming the first asymmetric member."""
+    mats = np.asarray(mats)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise DimensionMismatchError(f"expected a stack of square matrices, got shape {mats.shape}")
+    trans = mats.transpose(0, 2, 1)
+    scale = np.abs(mats).max(axis=(1, 2))
+    asym = np.abs(mats - trans).max(axis=(1, 2))
+    i = _first((scale > 0.0) & (asym > rtol * scale))
+    if i is not None:
+        raise DimensionMismatchError(
+            f"matrix is not symmetric: |M - M^T| = {asym[i]:.3e} vs scale {scale[i]:.3e}"
+        ).at(i)
+    return (mats + trans) / 2
+
+
+def eig_power(vals, vecs, p):
+    """``spd_power`` from the eigendecomposition of a stack (n, d, d).
+
+    The same checks and the same matmul ``(vecs * vals**p) @ vecs^T`` as
+    ``spd_power``, so each member is bitwise the single-matrix result; a
+    failed check names the first offending member.
+    """
+    if p not in ALLOWED_POWERS:
+        raise ValueError(f"power must be one of {ALLOWED_POWERS}, got {p}")
+    lmin = vals[:, 0]
+    if p < 0:
+        i = _first(lmin <= SPD_REJECT)
+        if i is not None:
+            raise SingularMatrixError(
+                "matrix not SPD under negative power", lambda_min=float(lmin[i])).at(i)
+    else:
+        i = _first(lmin < -PSD_CLAMP)
+        if i is not None:
+            raise SingularMatrixError(
+                "matrix not PSD under square root", lambda_min=float(lmin[i])).at(i)
+        vals = np.clip(vals, 0.0, None)
+    out = (vecs * (vals ** vals.dtype.type(p))[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return (out + out.transpose(0, 2, 1)) / 2
+
+
+def psd_gap_stack(a, b):
+    """``psd_gap`` of each pair of members of two stacks (n, d, d).
+
+    Takes the full ``eigh``, like ``psd_gap``: LAPACK's eigenvalue-only
+    routine can differ from it in the last bits.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return eigh_sym(symmetrize(a - b))[0][:, 0]
+
+
 def eigvalsh_stack(mats):
     """Ascending eigenvalues of a stack of symmetric matrices."""
     mats = np.asarray(mats)

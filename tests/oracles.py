@@ -1,6 +1,7 @@
 """Brute-force oracles: independent computations of the quantities under
-test, by direct enumeration over cubes and leaves.  Deliberately slow and
-structure-free so they share no code path with the library."""
+test, by direct enumeration over cubes, leaves and samples.  Deliberately
+slow and structure-free so they share no code path with the kernels they
+check (the Bellman loops below use the library's one-point API)."""
 
 import math
 
@@ -270,3 +271,187 @@ def brute_search_weight(logs, angles):
                 idx += 1
         leaves[i] = (q * np.exp(logs[i])) @ q.T
     return leaves
+
+
+# ---------------------------------------------------------------------------
+# Per-sample random constructors and Bellman loops, as they were before the
+# samplers drew first and built on stacks.  The Bellman loops run through
+# the point API (BellmanPoint, bellman_eval, the scalar gap functions),
+# which the stacked kernels do not call.
+# ---------------------------------------------------------------------------
+
+def brute_random_orthogonal(d, rng):
+    m = rng.standard_normal((d, d))
+    q, r = np.linalg.qr(m)
+    return q * np.sign(np.diag(r))
+
+
+def brute_random_spd(d, rng, cond_cap=1e4):
+    half = 0.5 * np.log(cond_cap)
+    lams = np.exp(rng.uniform(-half, half, size=d))
+    q = brute_random_orthogonal(d, rng)
+    m = (q * lams) @ q.T
+    return (m + m.T) / 2
+
+
+def brute_random_weight_field(depth, d, rng, cond_cap=1e4):
+    """Leaf matrices (2^depth, d, d), one ``brute_random_spd`` each."""
+    return np.stack([brute_random_spd(d, rng, cond_cap) for _ in range(1 << depth)])
+
+
+def brute_random_domain_point(d, rng, cond_cap=1e4, boundary_fraction=0.3):
+    from carlab.bellman import BellmanPoint
+    from carlab.matrices import spd_power
+
+    v = brute_random_spd(d, rng, cond_cap)
+    vinv = spd_power(v, -1.0)
+    if rng.uniform() < boundary_fraction:
+        u = vinv
+    else:
+        u = vinv + rng.uniform(0.0, 2.0) * brute_random_spd(d, rng, min(cond_cap, 1e2))
+    return BellmanPoint(u, v, float(rng.uniform(0.0, 1.0)))
+
+
+def brute_size_gaps(rng, n, d_max):
+    """Per-sample size margins of the bellman-certify loop: (gaps, dims)."""
+    from carlab.bellman import bellman_eval
+    from carlab.matrices import psd_gap
+
+    gaps, dims = [], []
+    for _ in range(n):
+        p = brute_random_domain_point(1 + rng.integers(d_max), rng, cond_cap=1e4)
+        b = bellman_eval(p)
+        gaps.append(min(psd_gap(b, np.zeros_like(b)), psd_gap(p.u, b)))
+        dims.append(p.d)
+    return np.array(gaps), np.array(dims)
+
+
+def brute_concavity_gaps(rng, n, d_max):
+    from carlab.bellman import bellman_concavity_gap
+
+    gaps, dims = [], []
+    for _ in range(n):
+        d = 1 + int(rng.integers(d_max))
+        p0 = brute_random_domain_point(d, rng, cond_cap=1e4)
+        p1 = brute_random_domain_point(d, rng, cond_cap=1e4)
+        gaps.append(bellman_concavity_gap(p0, p1))
+        dims.append(d)
+    return np.array(gaps), np.array(dims)
+
+
+def brute_dm_gaps(rng, n, d_max, h):
+    from carlab.bellman import BellmanPoint, bellman_dm_gap
+
+    gaps, dims = [], []
+    for _ in range(n):
+        d = 1 + int(rng.integers(d_max))
+        p = brute_random_domain_point(d, rng, cond_cap=1024)
+        p = BellmanPoint(p.u, p.v, min(p.m, 1.0 - h))
+        gaps.append(bellman_dm_gap(p, h))
+        dims.append(d)
+    return np.array(gaps), np.array(dims)
+
+
+def brute_matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
+    from carlab.matrices import as_symmetric, psd_gap, spd_power
+
+    rng = np.random.default_rng(seed)
+
+    def sample():
+        v = brute_random_spd(d, rng, 1e3)
+        u = spd_power(v, -1.0) + rng.uniform(0.0, 1.5) * brute_random_spd(d, rng, 1e2)
+        q = brute_random_orthogonal(d, rng)
+        mm = (q * rng.uniform(0.0, 1.0, size=d)) @ q.T
+        return u, v, as_symmetric(mm)
+
+    def value(u, v, mm):
+        vr = spd_power(v, -0.5)
+        core = spd_power(mm + np.eye(d), -1.0)
+        return as_symmetric(u - vr @ core @ vr)
+
+    gaps = np.empty(n_pairs)
+    for i in range(n_pairs):
+        u0, v0, m0 = sample()
+        u1, v1, m1 = sample()
+        mid = value((u0 + u1) / 2, (v0 + v1) / 2, (m0 + m1) / 2)
+        avg = (value(u0, v0, m0) + value(u1, v1, m1)) / 2
+        gaps[i] = psd_gap(mid, avg)
+    return {
+        "pairs": n_pairs,
+        "min_gap": float(gaps.min()),
+        "mean_gap": float(gaps.mean()),
+        "negative_fraction": float((gaps < -1e-10).mean()),
+    }
+
+
+def _dynamics_data(w, alpha):
+    from carlab.characteristics import subtree_sums
+
+    w = w.as_matrix()
+    m_levels = subtree_sums(alpha.dense_levels())
+    for k in range(w.depth + 1):
+        m_levels[k] = m_levels[k] * (1 << k)
+    return w.pyramid(), w.inverse().pyramid(), m_levels
+
+
+def brute_cube_certificate(w, alpha, level, pos):
+    """Dynamics certificate of one cube, from BellmanPoints built per cube."""
+    from carlab.bellman import BellmanPoint, bellman_eval
+    from carlab.matrices import spd_power, symmetrize
+
+    uavg, vavg, m_levels = _dynamics_data(w, alpha)
+    depth = len(uavg) - 1
+
+    def point(k, p, m=None):
+        return BellmanPoint(uavg[k][p], vavg[k][p], float(m_levels[k][p]) if m is None else m)
+
+    pk = point(level, pos)
+    vinv = spd_power(pk.v, -1.0)
+    measure = 2.0 ** (-level)
+    lhs = measure * bellman_eval(pk) - 0.25 * alpha.get((level, pos)) * vinv
+    if level == depth:
+        rest = measure * bellman_eval(point(level, pos, 0.0))
+    else:
+        rest = np.zeros_like(lhs)
+        for child in (2 * pos, 2 * pos + 1):
+            rest = rest + 2.0 ** (-(level + 1)) * bellman_eval(point(level + 1, child))
+    return symmetrize(lhs - rest)
+
+
+def brute_dynamics_gaps(w, alpha):
+    """{(level, pos): gap} over the non-leaf cubes, one cube at a time."""
+    from carlab.matrices import psd_gap
+
+    depth = w.depth
+    out = {}
+    for level, pos in enum_cubes(depth - 1) if depth else []:
+        cert = brute_cube_certificate(w, alpha, level, pos)
+        out[(level, pos)] = psd_gap(cert, np.zeros_like(cert))
+    return out
+
+
+def brute_telescoping_certificate(w, alpha, level=0, pos=0):
+    """(direct, accumulated, min_gap) summed cube by cube over D(level, pos)."""
+    from carlab.bellman import BellmanPoint, bellman_eval
+    from carlab.matrices import psd_gap, spd_power, symmetrize
+
+    uavg, vavg, m_levels = _dynamics_data(w, alpha)
+    depth = w.depth
+    accumulated = sred_sum = leaf_tail = None
+    min_gap = np.inf
+    for k, p in enum_descendants(level, pos, depth):
+        cert = brute_cube_certificate(w, alpha, k, p)
+        accumulated = cert if accumulated is None else accumulated + cert
+        min_gap = min(min_gap, psd_gap(cert, np.zeros_like(cert)))
+        a = alpha.get((k, p))
+        if a:
+            term = a * spd_power(vavg[k][p], -1.0)
+            sred_sum = term if sred_sum is None else sred_sum + term
+        if k == depth:
+            tail = 2.0 ** (-k) * bellman_eval(BellmanPoint(uavg[k][p], vavg[k][p], 0.0))
+            leaf_tail = tail if leaf_tail is None else leaf_tail + tail
+    pk = BellmanPoint(uavg[level][pos], vavg[level][pos], float(m_levels[level][pos]))
+    if sred_sum is None:
+        sred_sum = np.zeros((w.d, w.d))
+    direct = 2.0 ** (-level) * bellman_eval(pk) - 0.25 * sred_sum - leaf_tail
+    return symmetrize(direct), symmetrize(accumulated), float(min_gap)

@@ -280,6 +280,34 @@ def test_cli_bad_config_types_exit_code(tmp_path):
         default_config("sibet-suite", depth="4")
 
 
+def test_bellman_certify_on_depth_zero_trees():
+    # a depth-0 tree has no non-leaf cube, so the dynamics check is vacuous;
+    # it used to end in a ValueError traceback
+    rep = run_experiment(default_config("bellman-certify", depth=0, samples=20, seeds=[0, 1]))
+    dynamics = next(r for r in rep.rows if r["check"] == "dynamics")
+    assert dynamics["worst_gap"] == np.inf and dynamics["violations"] == 0
+    assert rep.passed
+
+
+@pytest.mark.parametrize("experiment, obj", [
+    ("bellman-certify", {"samples": 10.5}),
+    ("bellman-certify", {"depth": 2.5}),
+    ("bellman-certify", {"d": 2.0}),
+    ("adversarial-search", {"budget": 20.5}),
+    ("adversarial-search", {"budget": True}),
+    ("sibet-suite", {"depth": False}),
+])
+def test_cli_non_integer_config_fields_exit_code(tmp_path, monkeypatch, experiment, obj):
+    # depth, d, samples and budget must be ints, as the seeds are: a float
+    # used to end in a TypeError traceback or run with a truncated budget
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(obj))
+    assert main([experiment, "--config", str(cfg_path), "--quiet"]) == 2
+    with pytest.raises(ConfigError, match="must be an integer"):
+        ExperimentConfig(experiment=experiment, **obj)
+
+
 def test_cli_missing_output_directory_exits_before_run(tmp_path, monkeypatch):
     def never(cfg):
         raise AssertionError("the experiment ran before the output path was checked")
