@@ -155,15 +155,54 @@ class MatrixSequence:
         )
 
 
+def check_sequence_batch(levels):
+    """The entry checks of the sequence classes on dense levels of a batch.
+
+    Scalar levels (B, 2^k) must be non-negative, matrix levels
+    (B, 2^k, d, d) symmetric and PSD, as ``ScalarSequence`` and
+    ``MatrixSequence`` require of their entries.
+    """
+    flat = np.concatenate(levels, axis=1)
+    n_cubes = flat.shape[1]
+    flat = flat.reshape(-1, *flat.shape[2:])
+    if flat.ndim == 1:
+        bad = np.flatnonzero(flat < 0.0)
+        if bad.size:
+            i = int(bad[0])
+            raise DimensionMismatchError(
+                f"negative sequence entry {float(flat[i])} at {tree_cube(i % n_cubes)}"
+            )
+        return
+    support = np.flatnonzero(np.any(flat != 0.0, axis=(-2, -1)))
+    lmins = matrices.lambda_min_stack(matrices.as_symmetric_stack(flat[support]))
+    bad = np.flatnonzero(lmins.astype(np.float64) < -MatrixSequence.PSD_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise SingularMatrixError(
+            f"sequence entry at {tree_cube(int(support[i]) % n_cubes)} is not PSD",
+            lambda_min=float(lmins[i]),
+        )
+
+
 # ---------------------------------------------------------------------------
 # Tree accumulation: acc[k][p] = sum of the per-cube quantity over D((k, p)).
 # ---------------------------------------------------------------------------
 
-def subtree_sums(levels):
+def batch_of_one(levels):
+    """The levels of one tree as a batch of one: a leading axis of length 1."""
+    return [lv[None] for lv in levels]
+
+
+def subtree_sums_batch(levels):
+    """``subtree_sums`` of a batch: every level carries a leading batch axis."""
     acc = [np.array(lv, copy=True) for lv in levels]
     for k in range(len(levels) - 2, -1, -1):
-        acc[k] += acc[k + 1][0::2] + acc[k + 1][1::2]
+        acc[k] += acc[k + 1][:, 0::2] + acc[k + 1][:, 1::2]
     return acc
+
+
+def subtree_sums(levels):
+    return [acc[0] for acc in subtree_sums_batch(batch_of_one(levels))]
 
 
 # ---------------------------------------------------------------------------
@@ -171,40 +210,58 @@ def subtree_sums(levels):
 #     sup over K of |K|^-1 lambda_max(R_K [sum_{Q in D(K)} T_Q] R_K),
 # built from three pieces: per-level powers R of a pyramid, the subtree sums
 # of the per-cube terms T, and the supremum of 2^k lambda_max over cubes.
+# Each piece has a batch core, whose levels carry a leading batch axis
+# (B, 2^k, ...), and a single-tree form that is its batch of one.
 # ---------------------------------------------------------------------------
 
 def _tree_stack(levels, kernel):
-    """``kernel`` on all levels concatenated, in one call, split back by level."""
-    bounds = list(accumulate((len(lv) for lv in levels), initial=0))
-    out = kernel(np.concatenate(levels))
-    return [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    """``kernel`` on all levels of a batch concatenated, in one call, split back by level."""
+    bounds = list(accumulate((lv.shape[1] for lv in levels), initial=0))
+    out = kernel(np.concatenate(levels, axis=1))
+    return [out[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def level_powers(pyramid, p):
-    """Stacked SPD power of every cube average, one solver call per tree.
+def level_powers_batch(pyramids, p):
+    """Stacked SPD power of every cube average of a batch, one solver call.
 
     A negative power of a singular average names the offending cube: with
-    a float64 pyramid the most singular average of the whole tree, with a
-    longdouble pyramid the first singular one in tree order (level by
-    level, left to right).
+    float64 averages the most singular one of the batch, with longdouble
+    averages the first singular one in batch and tree order (member by
+    member, level by level, left to right).
     """
+    n_cubes = sum(lv.shape[1] for lv in pyramids)
     return _tree_stack(
-        pyramid, lambda stack: matrices.spd_power_stack(stack, p, context=tree_cube)
+        pyramids,
+        lambda stack: matrices.spd_power_stack(
+            stack, p, context=lambda i: tree_cube(i % n_cubes)
+        ),
     )
 
 
-def cube_supremum(levels):
-    """sup over cubes (k, p) of 2^k lambda_max(levels[k][p]).
+def level_powers(pyramid, p):
+    return [lv[0] for lv in level_powers_batch(batch_of_one(pyramid), p)]
+
+
+def cube_supremum_batch(levels, touched=None):
+    """sup over cubes (k, p) of 2^k lambda_max(levels[k][b, p]), for each member b.
 
     A scalar level is its own lambda_max; matrix levels go to one stacked
-    eigenvalue call.
+    eigenvalue call.  ``touched``, when given, holds one boolean level per
+    level and restricts the supremum to the cubes it marks.  A level whose
+    maximum is NaN is passed over.
     """
-    if levels and levels[0].ndim == 3:
-        levels = _tree_stack(levels, matrices.lambda_max_stack)
-    best = -np.inf
-    for k, tops in enumerate(levels):
-        best = max(best, float(tops.max()) * (1 << k))
-    return best
+    starts = list(accumulate((lv.shape[1] for lv in levels[:-1]), initial=0))
+    tops = np.concatenate(levels, axis=1)
+    if tops.ndim == 4:
+        tops = matrices.lambda_max_stack(tops)
+    if touched is not None:
+        tops = np.where(np.concatenate(touched[:len(levels)], axis=1), tops, -np.inf)
+    level_max = np.maximum.reduceat(tops, starts, axis=1).astype(np.float64)
+    return np.fmax.reduce(level_max * 2.0 ** np.arange(len(levels)), axis=1, initial=-np.inf)
+
+
+def cube_supremum(levels):
+    return float(cube_supremum_batch(batch_of_one(levels))[0])
 
 
 def testing_terms(wavg, seq):
@@ -307,20 +364,29 @@ def a2_characteristic(w):
     return float(matrices.lambda_max_stack(roots @ avgs @ roots).max())
 
 
+def c2_conditioning_batch(leaves):
+    """``c2_conditioning`` of a batch of leaf arrays (B, 2^depth, d, d).
+
+    Returns one value per member; a leaf that is not SPD is named by the
+    smallest eigenvalue of the batch.
+    """
+    vals = matrices.eigvalsh_stack(leaves)
+    lmin = vals[..., 0]
+    worst = int(np.argmin(lmin))
+    n = leaves.shape[1]
+    if float(lmin.flat[worst]) <= 0.0:
+        raise SingularMatrixError(
+            "weight leaf is not SPD",
+            lambda_min=float(lmin.flat[worst]),
+            cube=DyadicIndex(n.bit_length() - 1, worst % n),
+        )
+    return (vals[..., -1] / lmin).max(axis=-1).astype(np.float64)
+
+
 def c2_conditioning(w):
     """Conditioning number of the weight: sup over leaves of lmax/lmin.
 
     The pointwise condition number kappa(W(x)), supped over the tree's
     leaves; identically 1 for d = 1.
     """
-    w = _weight_field(w)
-    vals = matrices.eigvalsh_stack(w.values)
-    lmin = vals[..., 0]
-    worst = int(np.argmin(lmin))
-    if float(lmin[worst]) <= 0.0:
-        raise SingularMatrixError(
-            "weight leaf is not SPD",
-            lambda_min=float(lmin[worst]),
-            cube=DyadicIndex(w.depth, worst),
-        )
-    return float((vals[..., -1] / lmin).max())
+    return float(c2_conditioning_batch(_weight_field(w).values[None])[0])

@@ -165,16 +165,10 @@ class StepField:
     def pyramid(self):
         """Per-level averages: pyramid()[k][p] is the average over (k, p).
 
-        Built by pairwise halving, which is exact dyadic arithmetic.
+        The batch of one of ``pyramid_batch``.
         """
         if self._pyramid is None:
-            levels = [None] * (self.depth + 1)
-            levels[self.depth] = self.values
-            for k in range(self.depth - 1, -1, -1):
-                upper = levels[k + 1]
-                half = upper.dtype.type(0.5)
-                levels[k] = half * (upper[0::2] + upper[1::2])
-            self._pyramid = levels
+            self._pyramid = [lv[0] for lv in pyramid_batch(self.values[None])]
         return self._pyramid
 
     def power(self, p):
@@ -213,6 +207,22 @@ class StepField:
 
     def __repr__(self):
         return f"StepField(kind={self.kind}, depth={self.depth}, d={self.d})"
+
+
+def pyramid_batch(values):
+    """Per-level averages of a batch of leaf arrays (B, 2^depth, ...).
+
+    Level k has shape (B, 2^k, ...) and is built from level k + 1 by
+    pairwise halving, which is exact dyadic arithmetic.
+    """
+    depth = values.shape[1].bit_length() - 1
+    levels = [None] * (depth + 1)
+    levels[depth] = values
+    for k in range(depth - 1, -1, -1):
+        upper = levels[k + 1]
+        half = upper.dtype.type(0.5)
+        levels[k] = half * (upper[:, 0::2] + upper[:, 1::2])
+    return levels
 
 
 def average(field, q):

@@ -9,11 +9,13 @@ come from the cached field pyramids.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from . import matrices
-from .characteristics import MatrixSequence, ScalarSequence, level_powers
-from .dyadic import StepField, check_index, tree_position
+from .characteristics import MatrixSequence, ScalarSequence, batch_of_one, level_powers
+from .dyadic import StepField, check_index, pyramid_batch, tree_cube, tree_position
 from .errors import DimensionMismatchError, SingularMatrixError
 
 
@@ -41,20 +43,34 @@ def weighted_l2_norm(f, w=None):
     """L2(W) norm of a vector field; plain L2 norm when ``w`` is None."""
     f = _vector_field(f)
     if w is None:
-        sq = np.einsum("ki,ki->k", f.values, f.values)
-    else:
-        w = _weight(w)
-        _check_shapes(w, f)
-        sq = np.einsum("ki,kij,kj->k", f.values, w.values, f.values)
-    meas = sq.dtype.type(2.0) ** (-f.depth)
-    return float(np.sqrt(sq.sum() * meas))
+        return float(l2_norm_batch(f.values[None])[0])
+    w = _weight(w)
+    _check_shapes(w, f)
+    sq = np.einsum("ki,kij,kj->k", f.values, w.values, f.values)
+    return float(_norm_from_squares(sq))
+
+
+def l2_norm_batch(values):
+    """Plain L2 norms of a batch of vector fields (B, 2^depth, d)."""
+    return _norm_from_squares(np.einsum("...ki,...ki->...k", values, values))
+
+
+def _norm_from_squares(sq):
+    """sqrt(sum_k |Q_k| sq_k) over the leaves, the last axis of ``sq``."""
+    meas = sq.dtype.type(2.0) ** -(sq.shape[-1].bit_length() - 1)
+    return np.sqrt(sq.sum(axis=-1) * meas)
+
+
+def halfweighted_pyramid_batch(wh, f):
+    """Pyramids of <W^{+-1/2} f> for a batch of leaf powers (B, n, d, d) and
+    fields (B, n, d)."""
+    return pyramid_batch(np.einsum("...ij,...j->...i", wh, f))
 
 
 def _halfweighted_averages(w, f, sign):
     """Pyramid of <W^{sign/2} f>: the half-weighted averages of f."""
     wh = w.power(0.5 * sign)
-    vals = np.einsum("kij,kj->ki", wh.values, f.values)
-    return StepField(vals).pyramid()
+    return [lv[0] for lv in halfweighted_pyramid_batch(wh.values[None], f.values[None])]
 
 
 def _entry_quadratic(a, v):
@@ -79,13 +95,12 @@ def cet_sum(w, seq, f):
     return float(total)
 
 
-def _bet_vectors(w, seq, f, g):
-    """Support entries A_Q with the stacked u_Q and v_Q of a bilinear sum.
+def _bet_parts(w, seq, f, g):
+    """The pyramids of <W>, <W^-1> and both half-weighted averages of a
+    bilinear sum, each a batch of one, with its support and entries.
 
-    u_Q = <W>_Q^-1 <W^1/2 f>_Q and v_Q = <W^-1>_Q^-1 <W^-1/2 g>_Q, in support
-    order, each side from one stacked eigendecomposition over the support
-    cubes.  A singular average names the first such cube in support order,
-    the <W> side before the <W^-1> side.
+    The support is the flat tree index of each support cube, in support
+    order; the entries are stacked in the same order.
     """
     w, f, g = _weight(w), _vector_field(f), _vector_field(g)
     _check_shapes(w, f, g)
@@ -93,14 +108,29 @@ def _bet_vectors(w, seq, f, g):
         raise DimensionMismatchError("sequence and fields live on different trees")
     havg = _halfweighted_averages(w, f, +1)
     gavg = _halfweighted_averages(w, g, -1)
-    pairs = ((w.pyramid(), havg), (w.inverse().pyramid(), gavg))
-    if len(seq) == 0:
-        return [], None, None
-    support = [tree_position(q) for q in seq.entries]
+    pyramids = [
+        batch_of_one(lv) for lv in (w.pyramid(), w.inverse().pyramid(), havg, gavg)
+    ]
+    support = np.array([tree_position(q) for q in seq.entries], dtype=np.intp)
+    return pyramids, support, np.array(list(seq.entries.values()))
+
+
+def bet_vectors_batch(wavg, vavg, havg, gavg, support):
+    """u_Q and v_Q of a batch of bilinear sums, stacked over the support.
+
+    u_Q = <W>_Q^-1 <W^1/2 f>_Q and v_Q = <W^-1>_Q^-1 <W^-1/2 g>_Q.  The four
+    pyramids carry a leading batch axis; ``support`` holds flat indices
+    into the batch's cubes, member by member (b * cubes + tree position).
+    Each side is one stacked eigendecomposition over the support cubes.  A
+    singular average names the first such cube in support order, the <W>
+    side before the <W^-1> side.
+    """
+    n_cubes = sum(lv.shape[1] for lv in wavg)
     sides = []
-    for avg, rhs in pairs:
-        vals, vecs = matrices.eigh_sym(np.concatenate(avg)[support])
-        sides.append((vals, vecs, np.concatenate(rhs)[support]))
+    for avg, rhs in ((wavg, havg), (vavg, gavg)):
+        mats, vecs = (np.concatenate(lv, axis=1) for lv in (avg, rhs))
+        vals, eigvecs = matrices.eigh_sym(mats.reshape(-1, *mats.shape[2:])[support])
+        sides.append((vals, eigvecs, vecs.reshape(-1, vecs.shape[-1])[support]))
     lmin = np.stack([vals[:, 0] for vals, _, _ in sides], axis=1).astype(np.float64)
     bad = np.flatnonzero(lmin <= matrices.SPD_REJECT)
     if bad.size:
@@ -108,10 +138,9 @@ def _bet_vectors(w, seq, f, g):
         raise SingularMatrixError(
             "singular average in embedding sum",
             lambda_min=float(lmin.flat[i]),
-            cube=list(seq.entries)[i // 2],
+            cube=tree_cube(int(support[i // 2]) % n_cubes),
         )
-    u, v = (_apply_inverse(vals, vecs, x) for vals, vecs, x in sides)
-    return list(seq.entries.values()), u, v
+    return tuple(_apply_inverse(vals, vecs, x) for vals, vecs, x in sides)
 
 
 def _apply_inverse(vals, vecs, x):
@@ -125,12 +154,36 @@ def _rowdot(x, y):
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _ordered_sum(terms):
-    """Left-to-right sum, the order of a Python loop over the support."""
-    total = 0.0
-    for t in terms.tolist():
-        total += t
-    return total
+def _ordered_sums(terms, counts):
+    """Left-to-right sum of each run of ``counts`` consecutive terms: the
+    order of a Python loop over each member's support."""
+    terms = iter(terms.tolist())
+    sums = []
+    for count in counts:
+        total = 0.0
+        for t in islice(terms, count):
+            total += t
+        sums.append(total)
+    return np.array(sums)
+
+
+def bet_norm_sum_batch(wavg, vavg, havg, gavg, support, entries, counts):
+    """``bet_norm_sum`` of a batch; one sum per member.
+
+    ``support`` and ``entries`` are stacked member by member (see
+    ``bet_vectors_batch``), ``counts`` holds each member's support size.
+    Entries (S,) are scalar, (S, d, d) matrix.
+    """
+    u, v = bet_vectors_batch(wavg, vavg, havg, gavg, support)
+    if entries.ndim == 3:
+        qu, qv = (
+            np.maximum(_rowdot(x, (entries @ x[:, :, None])[..., 0]).astype(np.float64), 0.0)
+            for x in (u, v)
+        )
+        terms = np.sqrt(qu) * np.sqrt(qv)
+    else:
+        terms = entries * np.sqrt(_rowdot(u, u) * _rowdot(v, v)).astype(np.float64)
+    return _ordered_sums(terms, counts)
 
 
 def bet_norm_sum(w, seq, f, g):
@@ -139,19 +192,10 @@ def bet_norm_sum(w, seq, f, g):
     sum_Q ||A_Q^1/2 <W>_Q^-1 <W^1/2 f>_Q|| * ||A_Q^1/2 <W^-1>_Q^-1 <W^-1/2 g>_Q||;
     scalar sequences specialize to alpha_Q times the product of plain norms.
     """
-    entries, u, v = _bet_vectors(w, seq, f, g)
-    if not entries:
+    pyramids, support, entries = _bet_parts(w, seq, f, g)
+    if not support.size:
         return 0.0
-    if isinstance(seq, MatrixSequence):
-        a = np.stack(entries)
-        qu, qv = (
-            np.maximum(_rowdot(x, (a @ x[:, :, None])[..., 0]).astype(np.float64), 0.0)
-            for x in (u, v)
-        )
-        terms = np.sqrt(qu) * np.sqrt(qv)
-    else:
-        terms = np.array(entries) * np.sqrt(_rowdot(u, u) * _rowdot(v, v)).astype(np.float64)
-    return _ordered_sum(terms)
+    return float(bet_norm_sum_batch(*pyramids, support, entries, [support.size])[0])
 
 
 def bet_inner_sum(w, seq, f, g):
@@ -160,14 +204,15 @@ def bet_inner_sum(w, seq, f, g):
     sum_Q |<A_Q <W>_Q^-1 <W^1/2 f>_Q, <W^-1>_Q^-1 <W^-1/2 g>_Q>|; scalar
     sequences contribute alpha_Q |<u, v>|.
     """
-    entries, u, v = _bet_vectors(w, seq, f, g)
-    if not entries:
+    pyramids, support, entries = _bet_parts(w, seq, f, g)
+    if not support.size:
         return 0.0
+    u, v = bet_vectors_batch(*pyramids, support)
     if isinstance(seq, MatrixSequence):
-        terms = np.abs(_rowdot((np.stack(entries) @ u[:, :, None])[..., 0], v).astype(np.float64))
+        terms = np.abs(_rowdot((entries @ u[:, :, None])[..., 0], v).astype(np.float64))
     else:
-        terms = np.array(entries) * np.abs(_rowdot(u, v).astype(np.float64))
-    return _ordered_sum(terms)
+        terms = entries * np.abs(_rowdot(u, v).astype(np.float64))
+    return float(_ordered_sums(terms, [support.size])[0])
 
 
 def bet_cube_functional(w, f, g):

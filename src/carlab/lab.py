@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, asdict
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +34,13 @@ from .characteristics import (
     ScalarSequence,
     a2_characteristic,
     c2_conditioning,
+    c2_conditioning_batch,
     carleson_intensity,
-    cube_supremum,
+    check_sequence_batch,
+    cube_supremum_batch,
     level_powers,
     subtree_sums,
+    subtree_sums_batch,
     testing_terms,
     wcet_testing_constant,
 )
@@ -53,19 +56,29 @@ from .dyadic import (
     DyadicIndex,
     ROOT,
     StepField,
+    pyramid_batch,
     stepfield_from_json,
     stepfield_to_json,
-    tree_cube,
 )
 from .embeddings import (
     bet_inner_sum,
     bet_norm_sum,
+    bet_norm_sum_batch,
     cet_sum,
+    halfweighted_pyramid_batch,
+    l2_norm_batch,
     maximal_function,
     weighted_l2_norm,
 )
 from .errors import ConfigError
-from .redundancy import red_constants, red_quadratic_form, sred_constant
+from .redundancy import (
+    check_intensity_batch,
+    red_constants,
+    red_constants_batch,
+    red_quadratic_form,
+    sred_constant,
+    sred_constant_batch,
+)
 
 EXPERIMENTS = (
     "counterexample-sweep",
@@ -93,6 +106,10 @@ CSV_COLUMNS = {
         "ratio_over_sqrt_c2",
     ],
 }
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -130,12 +147,18 @@ class ExperimentConfig:
         for seed in self.seeds:
             if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
                 raise ConfigError(f"seeds must be non-negative integers, got {seed!r}")
+        for name in ("eps_grid", "rotations"):
+            value = getattr(self, name)
+            if not isinstance(value, list) or not all(map(_is_real, value)):
+                raise ConfigError(f"{name} must be a list of real numbers, got {value!r}")
         if not self.eps_grid:
             raise ConfigError("eps grid must be non-empty")
         if any(not 0.0 < e <= 1.0 for e in self.eps_grid):
             raise ConfigError(f"eps values must lie in (0, 1], got {self.eps_grid}")
         if not self.rotations:
             raise ConfigError("rotation list must be non-empty")
+        if not _is_real(self.cond_cap):
+            raise ConfigError(f"cond_cap must be a real number, got {self.cond_cap!r}")
         if not 1.0 <= self.cond_cap <= 1e8:
             raise ConfigError(f"cond_cap must lie in [1, 1e8], got {self.cond_cap}")
         if self.format not in ("csv", "json"):
@@ -758,131 +781,121 @@ def _substitution_error(inst, rng, samples=5):
 
 # ---------------------------------------------------------------------------
 # Adversarial search.
+#
+# A state holds per-leaf log-eigenvalues and rotation angles, which keep
+# every iterate SPD (the per-leaf log spread is clipped to log(cond_cap), so
+# the conditioning cap is a hard constraint), and one non-negative weight
+# per cube, renormalized to Carleson intensity exactly 1 on every
+# evaluation.  A batch of states is three arrays with a leading restart axis.
 # ---------------------------------------------------------------------------
 
 def _n_angles(d):
     return d * (d - 1) // 2
 
 
-class _SearchState:
-    """Search coordinates: leaf spectra and rotations plus sequence weights.
-
-    Leaf weights are parameterized as (log-eigenvalues, rotation angles) so
-    every iterate is automatically SPD; the per-leaf log spread is clipped
-    to log(cond_cap) so the conditioning cap is a hard constraint.  The
-    sequence is renormalized to intensity exactly 1 on every build.
-
-    ``leaf`` holds the values derived from the leaves alone (``_Leaf``),
-    built on first evaluation and shared with copies until a move changes
-    ``log_eigs`` or ``angles``.
-    """
-
-    def __init__(self, depth, d, log_eigs, angles, seq_weights, leaf=None):
-        self.depth = depth
-        self.d = d
-        self.log_eigs = log_eigs
-        self.angles = angles
-        self.seq_weights = seq_weights  # one non-negative weight per cube
-        self.leaf = leaf
-
-    def copy(self):
-        return _SearchState(
-            self.depth, self.d,
-            self.log_eigs.copy(), self.angles.copy(), self.seq_weights.copy(),
-            self.leaf,
-        )
-
-
-class _Leaf(NamedTuple):
-    """The weight of a state and, for bet_norm_ratio, what the sum needs of it."""
-
-    w: StepField
-    f: StepField | None = None
-    g: StepField | None = None
-    norms: float | None = None  # ||f|| * ||g||
-    c2: float | None = None
-
-
 def _clip_spread(log_eigs, cond_cap):
     half = 0.5 * math.log(cond_cap)
-    center = log_eigs.mean(axis=1, keepdims=True)
+    center = log_eigs.mean(axis=-1, keepdims=True)
     return center + np.clip(log_eigs - center, -half, half)
 
 
-def _state_weight(state, cond_cap):
-    """Leaves Q diag(exp(log_eigs)) Q^T, Q the product of one Givens rotation
-    per coordinate plane, built for all leaves at once."""
-    logs = _clip_spread(state.log_eigs, cond_cap)
-    n, d = logs.shape
-    eye = np.broadcast_to(np.eye(d), (n, d, d))
+def _state_weights(log_eigs, angles, cond_cap):
+    """Leaf weights Q diag(exp(log_eigs)) Q^T of a batch of states.
+
+    Q is the product of one Givens rotation per coordinate plane; the
+    leaves (B, 2^depth, d, d) are symmetrized as ``StepField`` does.
+    """
+    logs = _clip_spread(log_eigs, cond_cap)
+    shape, d = logs.shape[:-1], logs.shape[-1]
+    eye = np.broadcast_to(np.eye(d), (*shape, d, d))
     q = eye
     planes = [(i, j) for i in range(d - 1) for j in range(i + 1, d)]
-    for (i, j), angles in zip(planes, state.angles.T.tolist()):
-        c = [math.cos(a) for a in angles]
-        s = np.array([math.sin(a) for a in angles])
+    for (i, j), plane in zip(planes, np.moveaxis(angles, -1, 0)):
+        flat = plane.ravel().tolist()
+        c = np.reshape([math.cos(a) for a in flat], shape)
+        s = np.reshape([math.sin(a) for a in flat], shape)
         g = eye.copy()
-        g[:, i, i] = c
-        g[:, j, j] = c
-        g[:, i, j] = -s
-        g[:, j, i] = s
+        g[..., i, i] = c
+        g[..., j, j] = c
+        g[..., i, j] = -s
+        g[..., j, i] = s
         q = q @ g
-    return StepField((q * np.exp(logs)[:, None, :]) @ q.transpose(0, 2, 1))
+    w = (q * np.exp(logs)[..., None, :]) @ q.swapaxes(-1, -2)
+    return (w + w.swapaxes(-1, -2)) / 2
 
 
-def _state_sequence(state):
-    weights = np.where(state.seq_weights > 0.0, state.seq_weights, 0.0)
-    if not weights.any():
-        weights[0] = 1.0  # the root
-    levels = [weights[(1 << k) - 1:(1 << (k + 1)) - 1] for k in range(state.depth + 1)]
-    scaled = weights * (1.0 / cube_supremum(subtree_sums(levels)))
-    return ScalarSequence(
-        state.depth, [(tree_cube(int(i)), scaled[i]) for i in np.flatnonzero(scaled)]
-    )
+def _tree_levels(flat):
+    """Split (B, cubes) arrays in tree order into their levels (B, 2^k)."""
+    return [flat[:, (1 << k) - 1:(2 << k) - 1] for k in range(flat.shape[1].bit_length())]
 
 
-def _extreme_vector_fields(w):
-    """f, g derived from the root average's extreme eigenvectors.
+def _state_sequences(seq_weights):
+    """Dense levels of the sequences of a batch of states, each rescaled to
+    Carleson intensity 1; an all-zero state puts its weight on the root."""
+    weights = np.where(seq_weights > 0.0, seq_weights, 0.0)
+    weights[~weights.any(axis=1), 0] = 1.0
+    intensity = cube_supremum_batch(subtree_sums_batch(_tree_levels(weights)))
+    return _tree_levels(weights * (1.0 / intensity)[:, None])
+
+
+def _extreme_vector_fields(w, power):
+    """f, g derived from the root averages' extreme eigenvectors.
 
     b (bottom direction) feeds f = W^1/2 b leafwise and a (top direction)
     feeds g = W^-1/2 a, which reproduces the counterexample family exactly
-    when the weight is one of its members.
+    when the weight is one of its members.  Batched: ``w`` is
+    (B, 2^depth, d, d) and ``power(p)`` its leafwise power.  Returns
+    (W^1/2, W^-1/2, f, g).
     """
-    root_avg = w.pyramid()[0][0]
-    _, vecs = matrices.eigh_sym(matrices.as_symmetric(root_avg))
-    b = vecs[:, 0]
-    a = vecs[:, -1]
-    f = StepField(np.einsum("kij,j->ki", w.power(0.5).values, b))
-    g = StepField(np.einsum("kij,j->ki", w.power(-0.5).values, a))
-    return f, g
+    _, vecs = matrices.eigh_sym(pyramid_batch(w)[0][:, 0])
+    wh, whinv = power(0.5), power(-0.5)
+    f = np.einsum("bkij,bj->bki", wh, vecs[:, :, 0])
+    g = np.einsum("bkij,bj->bki", whinv, vecs[:, :, -1])
+    return wh, whinv, f, g
 
 
-def _leaf_values(state, objective, cond_cap):
-    if state.leaf is None:
-        w = _state_weight(state, cond_cap)
-        if objective == "bet_norm_ratio":
-            f, g = _extreme_vector_fields(w)
-            norms = weighted_l2_norm(f) * weighted_l2_norm(g)
-            state.leaf = _Leaf(w, f, g, norms, c2_conditioning(w))
-        else:
-            state.leaf = _Leaf(w)
-    return state.leaf
+def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap):
+    """Objective values of a batch of states, with their leaf weights and,
+    for bet_norm_ratio, the values over sqrt(C2) of each weight (else None).
 
+    The steps and checks are those of one evaluation through the public
+    kernels, in the same order, so a batch of one raises what that
+    evaluation raises.  The sequences are checked on their dense levels.
+    """
+    w = _state_weights(log_eigs, angles, cond_cap)
+    n_leaves, d = w.shape[1], w.shape[-1]
 
-def _search_objective(state, objective, cond_cap):
-    """The objective value of a state, with its ``_Leaf``."""
-    leaf = _leaf_values(state, objective, cond_cap)
-    seq = _state_sequence(state)
-    if objective == "bet_norm_ratio":
-        return bet_norm_sum(leaf.w, seq, leaf.f, leaf.g) / leaf.norms, leaf
-    if objective == "sred_ratio":
-        return sred_constant(leaf.w, seq), leaf
-    if objective == "red_ratio":
-        mseq = MatrixSequence(
-            state.depth, state.d,
-            {q: v * np.eye(state.d) for q, v in seq.items()},
+    def power(p):
+        return matrices.spd_power_stack(
+            w, p, context=lambda i: DyadicIndex(n_leaves.bit_length() - 1, i % n_leaves)
         )
-        return max(red_constants(leaf.w, mseq)), leaf
-    raise ConfigError(f"unknown objective {objective!r}")
+
+    if objective == "bet_norm_ratio":
+        wh, whinv, f, g = _extreme_vector_fields(w, power)
+        norms = l2_norm_batch(f) * l2_norm_batch(g)
+        c2 = c2_conditioning_batch(w)
+    alpha = _state_sequences(seq_weights)
+    check_sequence_batch(alpha)
+    if objective == "red_ratio":
+        alpha = [a[..., None, None] * np.eye(d) for a in alpha]  # alpha_Q times I
+        check_sequence_batch(alpha)
+    if objective != "bet_norm_ratio":
+        check_intensity_batch(alpha)
+    wavg, vavg = pyramid_batch(w), pyramid_batch(power(-1.0))
+    if objective == "red_ratio":
+        c1, c2, c3 = red_constants_batch(wavg, vavg, alpha)
+        value = np.where(c2 > c1, c2, c1)  # max(c1, c2, c3): the first maximum
+        return np.where(c3 > value, c3, value), w, None
+    if objective == "sred_ratio":
+        return sred_constant_batch(wavg, vavg, alpha), w, None
+    flat = np.concatenate(alpha, axis=1)
+    support = np.flatnonzero(flat)
+    sums = bet_norm_sum_batch(
+        wavg, vavg, halfweighted_pyramid_batch(wh, f), halfweighted_pyramid_batch(whinv, g),
+        support, flat.ravel()[support], np.count_nonzero(flat, axis=1),
+    )
+    value = sums / norms
+    return value, w, value / np.sqrt(c2)
 
 
 def _family_state(depth, d, cond_cap, rotation=0.0):
@@ -895,7 +908,7 @@ def _family_state(depth, d, cond_cap, rotation=0.0):
         angles[:, 0] = rotation
     seq_weights = np.zeros(sum(1 << k for k in range(depth + 1)))
     seq_weights[0] = 1.0  # alpha at the root only
-    return _SearchState(depth, d, log_eigs, angles, seq_weights)
+    return log_eigs, angles, seq_weights
 
 
 def _random_state(depth, d, cond_cap, rng):
@@ -905,26 +918,63 @@ def _random_state(depth, d, cond_cap, rng):
     angles = rng.uniform(0.0, math.pi, size=(n_leaves, _n_angles(d)))
     n_cubes = sum(1 << k for k in range(depth + 1))
     seq_weights = np.where(rng.uniform(size=n_cubes) < 0.4, rng.uniform(0.1, 1.0, n_cubes), 0.0)
-    return _SearchState(depth, d, log_eigs, angles, seq_weights)
+    return log_eigs, angles, seq_weights
 
 
-def _perturb(state, rng, scale=0.35):
-    out = state.copy()
+# Move kinds: a leaf log-eigenvalue, a leaf rotation angle, a sequence weight.
+_LOG_EIG, _ANGLE, _SEQ = 0, 1, 2
+
+
+def _draw_move(rng, n_leaves, d, n_cubes, scale=0.35):
+    """One hill-climb move (kind, i, j, delta).  What it draws does not
+    depend on the state, so every move can be drawn before any evaluation."""
     kind = rng.uniform()
     if kind < 0.45:
-        i = int(rng.integers(out.log_eigs.shape[0]))
-        j = int(rng.integers(out.log_eigs.shape[1]))
-        out.log_eigs[i, j] += rng.normal(0.0, 2.0 * scale)
-        out.leaf = None
-    elif kind < 0.7 and out.angles.shape[1]:
-        i = int(rng.integers(out.angles.shape[0]))
-        j = int(rng.integers(out.angles.shape[1]))
-        out.angles[i, j] += rng.normal(0.0, scale)
-        out.leaf = None
-    else:
-        i = int(rng.integers(out.seq_weights.shape[0]))
-        out.seq_weights[i] = max(0.0, out.seq_weights[i] + rng.normal(0.0, scale))
-    return out
+        i = int(rng.integers(n_leaves))
+        j = int(rng.integers(d))
+        return _LOG_EIG, i, j, rng.normal(0.0, 2.0 * scale)
+    if kind < 0.7 and _n_angles(d):
+        i = int(rng.integers(n_leaves))
+        j = int(rng.integers(_n_angles(d)))
+        return _ANGLE, i, j, rng.normal(0.0, scale)
+    i = int(rng.integers(n_cubes))
+    return _SEQ, i, 0, rng.normal(0.0, scale)
+
+
+def _apply_moves(states, moves):
+    """Each member's state with its move (one row of ``moves``) applied."""
+    log_eigs, angles, seq_weights = (a.copy() for a in states)
+    kind, i, j = moves[:, :3].astype(np.intp).T
+    delta = moves[:, 3]
+    member = np.arange(len(moves))
+    sel = kind == _LOG_EIG
+    log_eigs[member[sel], i[sel], j[sel]] += delta[sel]
+    sel = kind == _ANGLE
+    angles[member[sel], i[sel], j[sel]] += delta[sel]
+    sel = kind == _SEQ
+    moved = seq_weights[member[sel], i[sel]] + delta[sel]
+    seq_weights[member[sel], i[sel]] = np.where(moved > 0.0, moved, 0.0)
+    return log_eigs, angles, seq_weights
+
+
+def _evaluate_in_order(states, objective, cond_cap):
+    """``_search_objective`` of a batch or, if that raises, of the members
+    before the first one that raises on its own.
+
+    Returns those members' results (None if there are none) and the first
+    failing member's error (None if the batch passed).
+    """
+    try:
+        return _search_objective(*states, objective, cond_cap), None
+    except Exception as exc:
+        error = exc
+    for b in range(len(states[0])):
+        try:
+            _search_objective(*(a[b:b + 1] for a in states), objective, cond_cap)
+        except Exception as exc:
+            head = tuple(a[:b] for a in states)
+            return (_search_objective(*head, objective, cond_cap) if b else None), exc
+    raise error
 
 
 def adversarial_search(depth=3, d=2, seed=0, objective="bet_norm_ratio",
@@ -934,51 +984,85 @@ def adversarial_search(depth=3, d=2, seed=0, objective="bet_norm_ratio",
     The first restart starts at the counterexample family member sitting at
     the conditioning cap (a feasible point, and for the norm-form objective
     the known optimum), the rest are random.  ``budget`` counts objective
-    evaluations; best-so-far is monotone across the whole run.
+    evaluations, ``budget // n_restarts`` per restart; best-so-far is
+    monotone across the whole run.
+
+    The restarts climb in lockstep.  A move draws the same numbers whatever
+    the state, so the whole random stream is drawn first, in the order of
+    one restart after the other: each restart's start state, then its
+    moves.  Each step then evaluates every restart's candidate in one
+    batched evaluation (start states at step 0) and each restart keeps its
+    candidate if it is better.  The history, the best value and weight and
+    the sanity maximum are replayed afterwards in (restart, step) order, so
+    the result is bitwise that of running the restarts one after the
+    other.  If an evaluation raises, the error raised is that of the first
+    failing evaluation in that order: a failing restart stops, and so do
+    the restarts after it.
     """
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
+    if objective not in OBJECTIVES:
+        raise ConfigError(f"unknown objective {objective!r}")
     rng = np.random.default_rng(seed)
     n_restarts = max(1, min(n_restarts, budget))
-    per_restart = budget // n_restarts
-    evals = 0
-    best_value = -np.inf
-    best_weight = None
-    history = []
-    checkpoint = max(1, budget // 25)
-    sanity_max = 0.0
-
+    steps = budget // n_restarts  # evaluations per restart
+    n_leaves, n_cubes = 1 << depth, (2 << depth) - 1
+    starts, moves = [], []
     for restart in range(n_restarts):
         if restart == 0 and d >= 2:
-            state = _family_state(depth, d, cond_cap)
+            starts.append(_family_state(depth, d, cond_cap))
         else:
-            state = _random_state(depth, d, cond_cap, rng)
-        current_value, leaf = _search_objective(state, objective, cond_cap)
-        evals += 1
-        if objective == "bet_norm_ratio":
-            sanity_max = max(sanity_max, current_value / math.sqrt(leaf.c2))
-        if current_value > best_value:
-            best_value, best_weight = current_value, leaf.w
+            starts.append(_random_state(depth, d, cond_cap, rng))
+        moves.extend(_draw_move(rng, n_leaves, d, n_cubes) for _ in range(steps - 1))
+    moves = np.array(moves, dtype=float).reshape(n_restarts, steps - 1, 4)
+
+    states = tuple(np.stack(a) for a in zip(*starts))
+    values = np.empty((n_restarts, steps))
+    ratios = np.empty((n_restarts, steps))
+    best = np.full(n_restarts, -np.inf)  # each restart's best, at its first argmax
+    best_weights = np.empty((n_restarts, n_leaves, d, d))
+    current = np.empty(n_restarts)
+    error = None
+    for step in range(steps):
+        live = len(states[0])
+        candidates = _apply_moves(states, moves[:live, step - 1]) if step else states
+        results, failed = _evaluate_in_order(candidates, objective, cond_cap)
+        if failed is not None:
+            error = failed  # the failing restart and the ones after it stop here
+            live = 0 if results is None else len(results[0])
+            if not live:
+                break
+            states, candidates = (tuple(a[:live] for a in x) for x in (states, candidates))
+        value, weight, ratio = results
+        values[:live, step] = value
+        if ratio is not None:
+            ratios[:live, step] = ratio
+        better = value > best[:live]
+        best[:live][better] = value[better]
+        best_weights[:live][better] = weight[better]
+        keep = value > current[:live] if step else np.ones(live, dtype=bool)
+        for state, candidate in zip(states, candidates):
+            state[keep] = candidate[keep]
+        current[:live][keep] = value[keep]
+    if error is not None:
+        raise error
+
+    checkpoint = max(1, budget // 25)
+    best_value, best_at = -np.inf, None
+    history = []
+    for evals, value in enumerate(values.ravel().tolist(), 1):
+        if value > best_value:
+            best_value, best_at = value, evals
         if evals % checkpoint == 0 or evals == 1:
             history.append({"evaluations": evals, "best_objective": best_value,
-                            "restart": restart, "seed": seed})
-        while evals < min(budget, per_restart * (restart + 1)):
-            candidate = _perturb(state, rng)
-            value, leaf = _search_objective(candidate, objective, cond_cap)
-            evals += 1
-            if value > best_value:
-                best_value, best_weight = value, leaf.w
-            if value > current_value:
-                state = candidate
-                current_value = value
-            if objective == "bet_norm_ratio":
-                sanity_max = max(sanity_max, value / math.sqrt(leaf.c2))
-            if evals % checkpoint == 0:
-                history.append({"evaluations": evals, "best_objective": best_value,
-                                "restart": restart, "seed": seed})
-        if evals >= budget:
-            break
+                            "restart": (evals - 1) // steps, "seed": seed})
+    sanity_max = 0.0
+    if objective == "bet_norm_ratio":
+        for ratio in ratios.ravel().tolist():
+            sanity_max = max(sanity_max, ratio)
 
+    best_restart = (best_at - 1) // steps
+    best_weight = StepField(best_weights[best_restart])
     best_c2 = c2_conditioning(best_weight)
     best_a2 = a2_characteristic(best_weight)
     return {
@@ -988,9 +1072,11 @@ def adversarial_search(depth=3, d=2, seed=0, objective="bet_norm_ratio",
         "best_a2": best_a2,
         "best_over_sqrt_c2": best_value / math.sqrt(best_c2),
         "sanity_max_over_sqrt_c2": sanity_max,
-        "evaluations": evals,
+        "evaluations": n_restarts * steps,
         "history": history,
         "best_weight": best_weight,
+        "best_restart": best_restart,
+        "best_evaluation": best_at,
     }
 
 
@@ -1007,6 +1093,8 @@ def _run_search(cfg):
         "best_a2": result["best_a2"],
         "best_over_sqrt_c2": result["best_over_sqrt_c2"],
         "evaluations": result["evaluations"],
+        "best_restart": result["best_restart"],
+        "best_evaluation": result["best_evaluation"],
         "best_weight": stepfield_to_json(result["best_weight"]),
     }
     verdicts = {}

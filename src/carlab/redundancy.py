@@ -16,10 +16,10 @@ from . import matrices
 from .characteristics import (
     MatrixSequence,
     ScalarSequence,
-    carleson_intensity,
-    cube_supremum,
-    level_powers,
-    subtree_sums,
+    batch_of_one,
+    cube_supremum_batch,
+    level_powers_batch,
+    subtree_sums_batch,
 )
 from .dyadic import check_index
 from .errors import DimensionMismatchError, PreconditionError
@@ -27,12 +27,30 @@ from .errors import DimensionMismatchError, PreconditionError
 INTENSITY_SLACK = 1e-9
 
 
-def _check_intensity(seq):
-    intensity = carleson_intensity(seq)
-    if intensity > 1.0 + INTENSITY_SLACK:
+def check_intensity_batch(levels):
+    """Refuse a batch of dense sequences whose Carleson intensity exceeds 1.
+
+    ``levels`` are the sequences' dense levels with a leading batch axis;
+    the first offending member is named by its intensity.
+    """
+    intensity = cube_supremum_batch(subtree_sums_batch(levels))
+    bad = np.flatnonzero(intensity > 1.0 + INTENSITY_SLACK)
+    if bad.size:
         raise PreconditionError(
-            f"redundancy bounds assume Carleson intensity <= 1, got {intensity}"
+            f"redundancy bounds assume Carleson intensity <= 1, got {float(intensity[bad[0]])}"
         )
+
+
+def sred_constant_batch(wavg, vavg, alpha):
+    """``sred_constant`` of a batch, from the pyramids of W and W^-1.
+
+    ``wavg``, ``vavg`` and the dense sequence levels ``alpha`` carry a
+    leading batch axis; returns one constant per member.
+    """
+    vinv = level_powers_batch(vavg, -1.0)
+    acc = subtree_sums_batch([a[..., None, None] * v for a, v in zip(alpha, vinv)])
+    roots = level_powers_batch(wavg, -0.5)
+    return cube_supremum_batch([r @ a @ r for r, a in zip(roots, acc)])
 
 
 def sred_constant(w, alpha):
@@ -47,15 +65,54 @@ def sred_constant(w, alpha):
         raise DimensionMismatchError("sred_constant expects a scalar sequence")
     if alpha.depth != w.depth:
         raise DimensionMismatchError("sequence and weight live on different trees")
-    _check_intensity(alpha)
+    check_intensity_batch(batch_of_one(alpha.dense_levels()))
     if len(alpha) == 0:
         return 0.0
     wavg = w.pyramid()
-    vinv = level_powers(w.inverse().pyramid(), -1.0)
+    vavg = w.inverse().pyramid()
     alev = alpha.dense_levels(dtype=wavg[0].dtype)
-    acc = subtree_sums([a[:, None, None] * v for a, v in zip(alev, vinv)])
-    roots = level_powers(wavg, -0.5)
-    return cube_supremum([r @ a @ r for r, a in zip(roots, acc)])
+    return float(sred_constant_batch(*map(batch_of_one, (wavg, vavg, alev)))[0])
+
+
+def red_constants_batch(wavg, vavg, b):
+    """``red_constants`` of a batch, from the pyramids of W and W^-1.
+
+    ``wavg``, ``vavg`` and the dense sequence levels ``b`` (B, 2^k, d, d)
+    carry a leading batch axis; returns the arrays (c1, c2, c3), one entry
+    per member.  The support of a member is its nonzero entries; no member
+    may have an empty support.
+    """
+    dtype = wavg[0].dtype
+    size, d = len(wavg[0]), wavg[0].shape[-1]
+    depth = len(wavg) - 1
+
+    roots = level_powers_batch(wavg, -0.5)
+    proots = level_powers_batch(vavg, -0.5)
+    pbp = [p @ bj @ p for p, bj in zip(proots, b)]
+    support = [np.any(bj != 0.0, axis=(-2, -1)) for bj in b]
+    touched = [acc > 0.0 for acc in subtree_sums_batch([s.astype(np.float64) for s in support])]
+
+    # c3: accumulate P_Q B_Q P_Q, sandwich with <W>_K^-1/2 once per cube K.
+    c3 = cube_supremum_batch([r @ a @ r for r, a in zip(roots, subtree_sums_batch(pbp))])
+
+    # c1, c2: both conjugation orders depend on (K, Q) jointly.
+    sums1, sums2 = [], []
+    for k in range(max(k for k, s in enumerate(support) if s.any()) + 1):
+        sum1 = np.zeros((size, 1 << k, d, d), dtype=dtype)
+        sum2 = np.zeros((size, 1 << k, d, d), dtype=dtype)
+        for j in range(k, depth + 1):
+            rrep = np.repeat(roots[k], 1 << (j - k), axis=1)
+            first = proots[j] @ (rrep @ b[j] @ rrep) @ proots[j]
+            second = rrep @ pbp[j] @ rrep
+            sum1 += first.reshape(size, 1 << k, -1, d, d).sum(axis=2)
+            sum2 += second.reshape(size, 1 << k, -1, d, d).sum(axis=2)
+        sums1.append(sum1)
+        sums2.append(sum2)
+    return (
+        cube_supremum_batch(sums1, touched),
+        cube_supremum_batch(sums2, touched),
+        c3,
+    )
 
 
 def red_constants(w, bseq):
@@ -75,7 +132,7 @@ def red_constants(w, bseq):
     K-independent conjugations P_Q B_Q P_Q over the tree first and
     sandwiches once per K (which is also why c2 and c3 agree up to
     rounding: the substitution e = <W>_K^1/2 f maps one onto the other).
-    Cubes K with no support cube in D(K) are skipped for c1 and c2; every
+    Cubes K with no support cube in D(K) are left out of c1 and c2; every
     cube deeper than the deepest support cube is one of them.
     """
     w = w.as_matrix()
@@ -83,40 +140,15 @@ def red_constants(w, bseq):
         raise DimensionMismatchError("red_constants expects a matrix sequence")
     if bseq.depth != w.depth or bseq.d != w.d:
         raise DimensionMismatchError("sequence and weight are incompatible")
-    _check_intensity(bseq)
+    check_intensity_batch(batch_of_one(bseq.dense_levels()))
     if len(bseq) == 0:
         return 0.0, 0.0, 0.0
     wavg = w.pyramid()
     vavg = w.inverse().pyramid()
-    dtype = wavg[0].dtype
-    depth, d = w.depth, w.d
-
-    roots = level_powers(wavg, -0.5)
-    proots = level_powers(vavg, -0.5)
-    b = bseq.dense_levels(dtype)
-    pbp = [p @ bj @ p for p, bj in zip(proots, b)]
-    indicator = [np.zeros(1 << k) for k in range(depth + 1)]
-    for q in bseq.entries:
-        indicator[q.level][q.position] = 1.0
-    touched = [acc > 0.0 for acc in subtree_sums(indicator)]
-
-    # c3: accumulate P_Q B_Q P_Q, sandwich with <W>_K^-1/2 once per cube K.
-    c3 = cube_supremum([r @ a @ r for r, a in zip(roots, subtree_sums(pbp))])
-
-    # c1, c2: both conjugation orders depend on (K, Q) jointly.
-    sums1, sums2 = [], []
-    for k in range(max(q.level for q in bseq.entries) + 1):
-        sum1 = np.zeros((1 << k, d, d), dtype=dtype)
-        sum2 = np.zeros((1 << k, d, d), dtype=dtype)
-        for j in range(k, depth + 1):
-            rrep = np.repeat(roots[k], 1 << (j - k), axis=0)
-            first = proots[j] @ (rrep @ b[j] @ rrep) @ proots[j]
-            second = rrep @ pbp[j] @ rrep
-            sum1 += first.reshape(1 << k, -1, d, d).sum(axis=1)
-            sum2 += second.reshape(1 << k, -1, d, d).sum(axis=1)
-        sums1.append(sum1[touched[k]])
-        sums2.append(sum2[touched[k]])
-    return cube_supremum(sums1), cube_supremum(sums2), c3
+    b = bseq.dense_levels(wavg[0].dtype)
+    return tuple(
+        float(c[0]) for c in red_constants_batch(*map(batch_of_one, (wavg, vavg, b)))
+    )
 
 
 def red_quadratic_form(w, bseq, k, e, order="corollary"):

@@ -455,3 +455,150 @@ def brute_telescoping_certificate(w, alpha, level=0, pos=0):
         sred_sum = np.zeros((w.d, w.d))
     direct = 2.0 ** (-level) * bellman_eval(pk) - 0.25 * sred_sum - leaf_tail
     return symmetrize(direct), symmetrize(accumulated), float(min_gap)
+
+
+# ---------------------------------------------------------------------------
+# The adversarial search as one restart after the other, one evaluation at
+# a time through the public kernels, as it ran before the restarts moved in
+# lockstep.  Leaf-derived values are reused across sequence-only moves.
+# ---------------------------------------------------------------------------
+
+def _brute_state_weight(state, cond_cap):
+    from carlab.dyadic import StepField
+
+    half = 0.5 * math.log(cond_cap)
+    center = state.log_eigs.mean(axis=1, keepdims=True)
+    logs = center + np.clip(state.log_eigs - center, -half, half)
+    return StepField(brute_search_weight(logs, state.angles))
+
+
+class _BruteState:
+    def __init__(self, depth, d, log_eigs, angles, seq_weights, leaf=None):
+        self.depth, self.d = depth, d
+        self.log_eigs, self.angles, self.seq_weights = log_eigs, angles, seq_weights
+        self.leaf = leaf  # (w, f, g, ||f|| ||g||, c2), shared until the leaves move
+
+    def copy(self):
+        return _BruteState(self.depth, self.d, self.log_eigs.copy(), self.angles.copy(),
+                           self.seq_weights.copy(), self.leaf)
+
+
+def _brute_leaf(state, objective, cond_cap):
+    from carlab import matrices
+    from carlab.characteristics import c2_conditioning
+    from carlab.dyadic import StepField
+    from carlab.embeddings import weighted_l2_norm
+
+    if state.leaf is None:
+        w = _brute_state_weight(state, cond_cap)
+        if objective == "bet_norm_ratio":
+            root_avg = w.pyramid()[0][0]
+            _, vecs = matrices.eigh_sym(matrices.as_symmetric(root_avg))
+            f = StepField(np.einsum("kij,j->ki", w.power(0.5).values, vecs[:, 0]))
+            g = StepField(np.einsum("kij,j->ki", w.power(-0.5).values, vecs[:, -1]))
+            norms = weighted_l2_norm(f) * weighted_l2_norm(g)
+            state.leaf = (w, f, g, norms, c2_conditioning(w))
+        else:
+            state.leaf = (w, None, None, None, None)
+    return state.leaf
+
+
+def _brute_objective(state, objective, cond_cap):
+    from carlab.characteristics import (
+        MatrixSequence, ScalarSequence, cube_supremum, subtree_sums,
+    )
+    from carlab.dyadic import tree_cube
+    from carlab.embeddings import bet_norm_sum
+    from carlab.redundancy import red_constants, sred_constant
+
+    leaf = _brute_leaf(state, objective, cond_cap)
+    w, f, g, norms, _ = leaf
+    weights = np.where(state.seq_weights > 0.0, state.seq_weights, 0.0)
+    if not weights.any():
+        weights[0] = 1.0
+    levels = [weights[(1 << k) - 1:(1 << (k + 1)) - 1] for k in range(state.depth + 1)]
+    scaled = weights * (1.0 / cube_supremum(subtree_sums(levels)))
+    seq = ScalarSequence(
+        state.depth, [(tree_cube(int(i)), scaled[i]) for i in np.flatnonzero(scaled)]
+    )
+    if objective == "bet_norm_ratio":
+        return bet_norm_sum(w, seq, f, g) / norms, leaf
+    if objective == "sred_ratio":
+        return sred_constant(w, seq), leaf
+    mseq = MatrixSequence(state.depth, state.d, {q: v * np.eye(state.d) for q, v in seq.items()})
+    return max(red_constants(w, mseq)), leaf
+
+
+def _brute_start(restart, depth, d, cond_cap, rng):
+    n_leaves = 1 << depth
+    n_angles = d * (d - 1) // 2
+    n_cubes = sum(1 << k for k in range(depth + 1))
+    if restart == 0 and d >= 2:
+        log_eigs = np.zeros((n_leaves, d))
+        log_eigs[:, 0] = -math.log(cond_cap)
+        seq_weights = np.zeros(n_cubes)
+        seq_weights[0] = 1.0
+        return _BruteState(depth, d, log_eigs, np.zeros((n_leaves, n_angles)), seq_weights)
+    half = 0.5 * math.log(cond_cap)
+    log_eigs = rng.uniform(-half, half, size=(n_leaves, d))
+    angles = rng.uniform(0.0, math.pi, size=(n_leaves, n_angles))
+    seq_weights = np.where(rng.uniform(size=n_cubes) < 0.4, rng.uniform(0.1, 1.0, n_cubes), 0.0)
+    return _BruteState(depth, d, log_eigs, angles, seq_weights)
+
+
+def _brute_perturb(state, rng, scale=0.35):
+    out = state.copy()
+    kind = rng.uniform()
+    if kind < 0.45:
+        i = int(rng.integers(out.log_eigs.shape[0]))
+        j = int(rng.integers(out.log_eigs.shape[1]))
+        out.log_eigs[i, j] += rng.normal(0.0, 2.0 * scale)
+        out.leaf = None
+    elif kind < 0.7 and out.angles.shape[1]:
+        i = int(rng.integers(out.angles.shape[0]))
+        j = int(rng.integers(out.angles.shape[1]))
+        out.angles[i, j] += rng.normal(0.0, scale)
+        out.leaf = None
+    else:
+        i = int(rng.integers(out.seq_weights.shape[0]))
+        out.seq_weights[i] = max(0.0, out.seq_weights[i] + rng.normal(0.0, scale))
+    return out
+
+
+def brute_adversarial_search(depth=3, d=2, seed=0, objective="bet_norm_ratio",
+                             budget=10000, cond_cap=1e4, n_restarts=4):
+    """``adversarial_search`` restart by restart; also returns the first
+    evaluation reaching the best value and its restart."""
+    rng = np.random.default_rng(seed)
+    n_restarts = max(1, min(n_restarts, budget))
+    per_restart = budget // n_restarts
+    evals = 0
+    best_value, best_weight, best_at, best_restart = -np.inf, None, None, None
+    history = []
+    checkpoint = max(1, budget // 25)
+    sanity_max = 0.0
+    for restart in range(n_restarts):
+        state = _brute_start(restart, depth, d, cond_cap, rng)
+        current = None
+        while evals < per_restart * (restart + 1):
+            candidate = state if current is None else _brute_perturb(state, rng)
+            value, (w, _, _, _, c2) = _brute_objective(candidate, objective, cond_cap)
+            evals += 1
+            if value > best_value:
+                best_value, best_weight, best_at, best_restart = value, w, evals, restart
+            if current is None or value > current:
+                state, current = candidate, value
+            if objective == "bet_norm_ratio":
+                sanity_max = max(sanity_max, value / math.sqrt(c2))
+            if evals % checkpoint == 0 or evals == 1:
+                history.append({"evaluations": evals, "best_objective": best_value,
+                                "restart": restart, "seed": seed})
+    return {
+        "best_value": best_value,
+        "sanity_max_over_sqrt_c2": sanity_max,
+        "evaluations": evals,
+        "history": history,
+        "best_weight": best_weight,
+        "best_restart": best_restart,
+        "best_evaluation": best_at,
+    }

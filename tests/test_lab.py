@@ -7,8 +7,8 @@ import pytest
 
 from carlab import lab
 from carlab.cli import main
-from carlab.dyadic import StepField
-from carlab.errors import ConfigError
+from carlab.dyadic import StepField, stepfield_to_json
+from carlab.errors import ConfigError, SingularMatrixError
 from carlab.lab import (
     CSV_COLUMNS,
     OBJECTIVES,
@@ -19,7 +19,7 @@ from carlab.lab import (
     sweep_row,
 )
 
-from oracles import brute_search_weight
+from oracles import brute_adversarial_search, brute_search_weight
 
 
 def small_sweep_config(**over):
@@ -160,41 +160,128 @@ def test_search_red_objective_runs():
 def test_search_weight_matches_per_leaf_oracle():
     rng = np.random.default_rng(4)
     for d in (1, 2, 3, 4):
-        state = lab._random_state(3, d, 1e4, rng)
-        logs = lab._clip_spread(state.log_eigs, 1e4)
-        want = StepField(brute_search_weight(logs, state.angles)).values
-        assert np.array_equal(lab._state_weight(state, 1e4).values, want)
+        states = [lab._random_state(3, d, 1e4, rng) for _ in range(3)]
+        log_eigs, angles, _ = (np.stack(a) for a in zip(*states))
+        got = lab._state_weights(log_eigs, angles, 1e4)
+        for member, (logs, angs, _) in enumerate(states):
+            want = StepField(brute_search_weight(lab._clip_spread(logs, 1e4), angs)).values
+            assert np.array_equal(got[member], want)
+
+
+SEARCH_KEYS = ("history", "best_value", "sanity_max_over_sqrt_c2", "evaluations",
+               "best_restart", "best_evaluation")
+
+
+def _assert_same_search(got, want):
+    for key in SEARCH_KEYS:
+        assert got[key] == want[key], key
+    assert np.array_equal(got["best_weight"].values, want["best_weight"].values)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_search_leaf_reuse_changes_nothing(monkeypatch, objective, d):
-    kwargs = dict(depth=3, d=d, seed=13, objective=objective, budget=200, cond_cap=1e4)
-    builds = []
-    state_weight = lab._state_weight
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_search_leaf_reuse_changes_nothing(objective, d):
+    # The oracle runs the restarts one after the other and reuses the
+    # leaf-derived values across sequence-only moves; the lockstep search
+    # recomputes them for every candidate.  Budgets 1, 3 and 5 leave fewer
+    # evaluations than restarts or one per restart; 202 is not a multiple
+    # of the four restarts.
+    for depth in range(5):
+        for seed in (0, 13):
+            for budget in (1, 3, 5):
+                kwargs = dict(depth=depth, d=d, seed=seed, objective=objective,
+                              budget=budget, cond_cap=1e4)
+                _assert_same_search(adversarial_search(**kwargs),
+                                    brute_adversarial_search(**kwargs))
+    depth = (d + OBJECTIVES.index(objective)) % 5
+    kwargs = dict(depth=depth, d=d, seed=13 * (d % 2), objective=objective,
+                  budget=202, cond_cap=1e4)
+    _assert_same_search(adversarial_search(**kwargs), brute_adversarial_search(**kwargs))
 
-    def counted_state_weight(*args):
-        builds.append(args)
-        return state_weight(*args)
 
-    monkeypatch.setattr(lab, "_state_weight", counted_state_weight)
-    reused = adversarial_search(**kwargs)
-    assert len(builds) < reused["evaluations"]  # sequence-only moves reuse W
+class _ScriptedRng:
+    """A generator that turns chosen hill-climb moves into log-eigenvalue
+    moves by -1e4 on a chosen leaf: its eigenvalues underflow to 0 and the
+    evaluation of the candidate fails.
 
-    copy = lab._SearchState.copy
+    ``poison`` maps the index of a move (counted over the whole run, in
+    draw order) to the leaf it zeroes.  Every draw is still made, so the
+    rest of the stream is unchanged.
+    """
 
-    def copy_without_leaf(state):
-        out = copy(state)
-        out.leaf = None
-        return out
+    def __init__(self, rng, poison):
+        self._rng = rng
+        self._poison = poison
+        self._leaf = []  # the leaf of a poisoned move, until its index is drawn
+        self._delta = None
+        self.moves = 0
 
-    monkeypatch.setattr(lab._SearchState, "copy", copy_without_leaf)
-    builds.clear()
-    rebuilt = adversarial_search(**kwargs)
-    assert len(builds) == rebuilt["evaluations"]
-    for key in ("history", "best_value", "sanity_max_over_sqrt_c2"):
-        assert reused[key] == rebuilt[key]
-    assert np.array_equal(reused["best_weight"].values, rebuilt["best_weight"].values)
+    def uniform(self, *args, **kwargs):
+        if args or kwargs:
+            return self._rng.uniform(*args, **kwargs)
+        kind = self._rng.uniform()  # a move's kind is its only bare uniform draw
+        leaf = self._poison.get(self.moves)
+        self.moves += 1
+        if leaf is None:
+            return kind
+        self._leaf, self._delta = [leaf], -1e4
+        return 0.0
+
+    def integers(self, high):
+        value = int(self._rng.integers(high))
+        return self._leaf.pop() if self._leaf else value
+
+    def normal(self, loc, scale):
+        value = self._rng.normal(loc, scale)
+        delta, self._delta = self._delta, None
+        return value if delta is None else delta
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_search_raises_the_first_error_in_restart_order(monkeypatch, objective):
+    # budget 400: 4 restarts of 100 evaluations, 99 moves each.  Restart 2
+    # fails at its 5th move, restart 0 at its 50th: the loop meets restart
+    # 0's failure first, while the lockstep search evaluates restart 2's
+    # candidate first.
+    make_rng = np.random.default_rng
+    kwargs = dict(depth=3, d=2, seed=5, objective=objective, budget=400, cond_cap=1e4)
+
+    def run(search, poison):
+        rngs = []
+
+        def scripted(seed):
+            rngs.append(_ScriptedRng(make_rng(seed), poison))
+            return rngs[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", scripted)
+        with pytest.raises(SingularMatrixError) as err:
+            search(**kwargs)
+        monkeypatch.setattr(np.random, "default_rng", make_rng)
+        return err.value, rngs[0].moves
+
+    both = {2 * 99 + 4: 6, 0 * 99 + 49: 1}
+    want, moves = run(brute_adversarial_search, both)
+    assert moves == 50 and want.cube == (3, 1)  # the loop stopped in restart 0
+    got, _ = run(adversarial_search, both)
+    assert (type(got), str(got)) == (type(want), str(want))
+
+    only_restart_2 = {2 * 99 + 4: 6}
+    want, moves = run(brute_adversarial_search, only_restart_2)
+    assert moves == 2 * 99 + 5 and want.cube == (3, 6)
+    got, _ = run(adversarial_search, only_restart_2)
+    assert (type(got), str(got)) == (type(want), str(want))
+
+
+def test_search_report_names_the_best_evaluation():
+    cfg = default_config("adversarial-search", budget=202, depth=2, d=3,
+                         seeds=[11], objective="red_ratio")
+    agg = run_experiment(cfg).aggregates
+    want = brute_adversarial_search(depth=2, d=3, seed=11, objective="red_ratio",
+                                    budget=202, cond_cap=cfg.cond_cap)
+    assert want["history"][-1]["best_objective"] == want["best_value"] == agg["best_value"]
+    assert (agg["best_restart"], agg["best_evaluation"]) == (
+        want["best_restart"], want["best_evaluation"])
+    assert agg["best_weight"] == stepfield_to_json(want["best_weight"])
 
 
 def test_search_experiment_report_verdicts():
@@ -278,6 +365,26 @@ def test_cli_bad_config_types_exit_code(tmp_path):
         assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
     with pytest.raises(ConfigError):
         default_config("sibet-suite", depth="4")
+
+
+@pytest.mark.parametrize("obj", [
+    {"rotations": ["a"]},
+    {"rotations": 0.5},
+    {"rotations": [0.1, True]},
+    {"eps_grid": [True]},
+    {"eps_grid": "0.1"},
+    {"cond_cap": True},
+    {"cond_cap": "1e4"},
+])
+def test_cli_non_numeric_config_lists_exit_code(tmp_path, monkeypatch, obj):
+    # ["a"] ended in a ValueError traceback from longdouble, 0.5 in a
+    # TypeError traceback; [true] and a cond_cap of true ran and passed
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(obj))
+    assert main(["counterexample-sweep", "--config", str(cfg_path), "--quiet"]) == 2
+    with pytest.raises(ConfigError, match="real number"):
+        ExperimentConfig(experiment="counterexample-sweep", **obj)
 
 
 def test_bellman_certify_on_depth_zero_trees():
