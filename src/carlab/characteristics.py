@@ -8,32 +8,75 @@ source of test flakiness).  Boolean verdicts belong to the caller.
 
 from __future__ import annotations
 
+import copy
 from itertools import accumulate
 
 import numpy as np
 
 from . import matrices
-from .dyadic import DyadicIndex, check_index, tree_cube
+from .dyadic import DyadicIndex, check_index, tree_cube, tree_levels, tree_position, tree_size
 from .errors import DimensionMismatchError, SingularMatrixError
 
 
-class ScalarSequence:
-    """Cube-indexed non-negative scalars, sparse with default zero."""
+PSD_TOL = 1e-12
 
-    def __init__(self, depth, entries=()):
-        self.depth = int(depth)
-        items = dict(entries).items() if isinstance(entries, dict) else entries
-        self.entries = {}
-        for q, value in items:
-            q = check_index(q, self.depth)
-            value = float(value)
-            if value < 0.0:
-                raise DimensionMismatchError(f"negative sequence entry {value} at {q}")
-            if value != 0.0:
-                self.entries[q] = value
 
-    def get(self, q, default=0.0):
-        return self.entries.get(DyadicIndex(*q), default)
+def check_scalar_entries(values, cube_of):
+    """Refuse scalar sequence entries that are non-finite, then negative ones.
+
+    ``values`` is a flat array of entries, returned when they pass; an
+    error names the cube ``cube_of(i)`` of the first offending entry i.
+    """
+    for bad, what in ((~np.isfinite(values), "non-finite"), (values < 0.0, "negative")):
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            i = int(hits[0])
+            raise DimensionMismatchError(f"{what} sequence entry {values[i]} at {cube_of(i)}")
+    return values
+
+
+def check_matrix_entries(mats, cube_of):
+    """Check a stack (n, d, d) of matrix sequence entries; returns it symmetrized.
+
+    The entries must be finite, then symmetric (one ``as_symmetric_stack``),
+    then PSD to within ``PSD_TOL`` (one ``lambda_min_stack``); an error
+    names the cube ``cube_of(i)`` of the first entry i that fails a check.
+    """
+    hits = np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))
+    if hits.size:
+        raise DimensionMismatchError(f"non-finite sequence entry at {cube_of(int(hits[0]))}")
+    try:
+        mats = matrices.as_symmetric_stack(mats)
+    except DimensionMismatchError as exc:
+        raise DimensionMismatchError(
+            f"sequence entry at {cube_of(exc.point)}: {exc.args[0]}"
+        ) from None
+    lmins = matrices.lambda_min_stack(mats)
+    hits = np.flatnonzero(lmins.astype(np.float64) < -PSD_TOL)
+    if hits.size:
+        i = int(hits[0])
+        raise SingularMatrixError(
+            f"sequence entry at {cube_of(i)} is not PSD", lambda_min=float(lmins[i])
+        )
+    return mats
+
+
+class CubeSequence:
+    """Cube-indexed entries, sparse with default zero.
+
+    Only the nonzero entries are kept: ``entries`` maps each cube to its
+    entry, in entry order; ``values`` stacks the entries in that order and
+    ``positions`` holds their cubes' flat tree positions.  The stack is
+    checked as one by ``_check``.
+    """
+
+    def _store(self, cubes, values):
+        keep = np.flatnonzero(np.any(values != 0.0, axis=tuple(range(1, values.ndim))))
+        cubes = [cubes[i] for i in keep]
+        self.values = self._check(values[keep], cubes.__getitem__)
+        self.positions = np.array([tree_position(q) for q in cubes], dtype=np.intp)
+        rows = self.values.tolist() if self.values.ndim == 1 else self.values
+        self.entries = dict(zip(cubes, rows))
 
     def items(self):
         return self.entries.items()
@@ -42,13 +85,36 @@ class ScalarSequence:
         return len(self.entries)
 
     def scaled(self, factor):
-        return ScalarSequence(self.depth, {q: v * factor for q, v in self.entries.items()})
+        """The sequence times ``factor``, checked again as one stack."""
+        seq = copy.copy(self)
+        seq._store(list(self.entries), self.values * factor)
+        return seq
 
-    def dense_levels(self, dtype=np.float64):
-        levels = [np.zeros(1 << k, dtype=dtype) for k in range(self.depth + 1)]
-        for q, v in self.entries.items():
-            levels[q.level][q.position] = v
-        return levels
+    def _levels(self, values):
+        """Dense tree levels of one value per kept entry, zero elsewhere."""
+        flat = np.zeros((tree_size(self.depth),) + values.shape[1:], dtype=values.dtype)
+        flat[self.positions] = values
+        return tree_levels(flat)
+
+    def dense_levels(self, dtype=None):
+        if dtype is None:
+            dtype = np.result_type(np.float64, self.values)
+        return self._levels(self.values.astype(dtype, copy=False))
+
+
+class ScalarSequence(CubeSequence):
+    """Cube-indexed non-negative scalars, sparse with default zero."""
+
+    _check = staticmethod(check_scalar_entries)
+
+    def __init__(self, depth, entries=()):
+        self.depth = int(depth)
+        items = entries.items() if isinstance(entries, dict) else entries
+        checked = {check_index(q, self.depth): float(v) for q, v in items}
+        self._store(list(checked), np.array(list(checked.values()), dtype=np.float64))
+
+    def get(self, q, default=0.0):
+        return self.entries.get(DyadicIndex(*q), default)
 
     def to_json(self):
         return {
@@ -71,59 +137,29 @@ class ScalarSequence:
         )
 
 
-class MatrixSequence:
+class MatrixSequence(CubeSequence):
     """Cube-indexed positive semidefinite d x d matrices, sparse with default zero."""
 
-    PSD_TOL = 1e-12
+    _check = staticmethod(check_matrix_entries)
 
     def __init__(self, depth, d, entries=()):
         self.depth = int(depth)
         self.d = int(d)
-        items = dict(entries).items() if isinstance(entries, dict) else entries
-        checked = []
-        for q, m in items:
-            q = check_index(q, self.depth)
-            m = matrices.as_symmetric(m)
+        items = entries.items() if isinstance(entries, dict) else entries
+        checked = {check_index(q, self.depth): np.asarray(m) for q, m in items}
+        for q, m in checked.items():
             if m.shape != (self.d, self.d):
                 raise DimensionMismatchError(
                     f"entry at {q} has shape {m.shape}, expected {(self.d, self.d)}"
                 )
-            checked.append((q, m))
-        if checked:
-            # One eigenvalue pass over every entry; the first bad one is named.
-            lmins = matrices.lambda_min_stack(np.stack([m for _, m in checked]))
-            bad = np.flatnonzero(lmins.astype(np.float64) < -self.PSD_TOL)
-            if bad.size:
-                q = checked[bad[0]][0]
-                raise SingularMatrixError(
-                    f"sequence entry at {q} is not PSD", lambda_min=float(lmins[bad[0]])
-                )
-        self.entries = {q: m for q, m in checked if np.any(m != 0.0)}
+        mats = list(checked.values())
+        self._store(list(checked), np.stack(mats) if mats else np.zeros((0, self.d, self.d)))
 
     def get(self, q, default=None):
         q = DyadicIndex(*q)
         if q in self.entries:
             return self.entries[q]
         return np.zeros((self.d, self.d)) if default is None else default
-
-    def items(self):
-        return self.entries.items()
-
-    def __len__(self):
-        return len(self.entries)
-
-    def scaled(self, factor):
-        return MatrixSequence(
-            self.depth, self.d, {q: m * factor for q, m in self.entries.items()}
-        )
-
-    def dense_levels(self, dtype=None):
-        if dtype is None:
-            dtype = np.result_type(np.float64, *(m.dtype for m in self.entries.values()))
-        levels = [np.zeros((1 << k, self.d, self.d), dtype=dtype) for k in range(self.depth + 1)]
-        for q, m in self.entries.items():
-            levels[q.level][q.position] = m
-        return levels
 
     def to_json(self):
         return {
@@ -158,30 +194,18 @@ class MatrixSequence:
 def check_sequence_batch(levels):
     """The entry checks of the sequence classes on dense levels of a batch.
 
-    Scalar levels (B, 2^k) must be non-negative, matrix levels
-    (B, 2^k, d, d) symmetric and PSD, as ``ScalarSequence`` and
+    Scalar levels (B, 2^k) must be finite and non-negative, matrix levels
+    (B, 2^k, d, d) finite, symmetric and PSD, as ``ScalarSequence`` and
     ``MatrixSequence`` require of their entries.
     """
     flat = np.concatenate(levels, axis=1)
     n_cubes = flat.shape[1]
     flat = flat.reshape(-1, *flat.shape[2:])
     if flat.ndim == 1:
-        bad = np.flatnonzero(flat < 0.0)
-        if bad.size:
-            i = int(bad[0])
-            raise DimensionMismatchError(
-                f"negative sequence entry {float(flat[i])} at {tree_cube(i % n_cubes)}"
-            )
+        check_scalar_entries(flat, lambda i: tree_cube(i % n_cubes))
         return
     support = np.flatnonzero(np.any(flat != 0.0, axis=(-2, -1)))
-    lmins = matrices.lambda_min_stack(matrices.as_symmetric_stack(flat[support]))
-    bad = np.flatnonzero(lmins.astype(np.float64) < -MatrixSequence.PSD_TOL)
-    if bad.size:
-        i = int(bad[0])
-        raise SingularMatrixError(
-            f"sequence entry at {tree_cube(int(support[i]) % n_cubes)} is not PSD",
-            lambda_min=float(lmins[i]),
-        )
+    check_matrix_entries(flat[support], lambda i: tree_cube(int(support[i]) % n_cubes))
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +345,11 @@ def carleson_equivalents(seq):
         raise DimensionMismatchError("carleson_equivalents expects a matrix sequence")
     if len(seq) == 0:
         return 0.0, 0.0
-    op_levels = [np.zeros(1 << k) for k in range(seq.depth + 1)]
-    tr_levels = [np.zeros(1 << k) for k in range(seq.depth + 1)]
-    for q, m in seq.items():
-        op_levels[q.level][q.position] = matrices.operator_norm(m)
-        tr_levels[q.level][q.position] = float(np.trace(m))
-    return cube_supremum(subtree_sums(op_levels)), cube_supremum(subtree_sums(tr_levels))
+    op = matrices.operator_norm_stack(seq.values)
+    tr = np.trace(seq.values, axis1=1, axis2=2)
+    return tuple(
+        cube_supremum(subtree_sums(seq._levels(v.astype(np.float64)))) for v in (op, tr)
+    )
 
 
 def wcet_testing_constant(w, seq):

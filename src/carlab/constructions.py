@@ -163,14 +163,15 @@ def random_vector_field(depth, d, rng):
 
 def random_scalar_sequence(depth, rng, density=0.35):
     """Sparse non-negative sequence rescaled to Carleson intensity exactly 1."""
-    entries = {}
+    cubes, values = [], []
     for k in range(depth + 1):
         for p in range(1 << k):
-            if rng.uniform() < density:
-                entries[DyadicIndex(k, p)] = float(rng.uniform(0.1, 1.0))
-    if not entries:
-        entries[ROOT] = 1.0
-    seq = ScalarSequence(depth, entries)
+            if rng.random() < density:
+                cubes.append(DyadicIndex(k, p))
+                values.append(rng.uniform(0.1, 1.0))
+    if not cubes:
+        cubes, values = [ROOT], [1.0]
+    seq = ScalarSequence(depth, zip(cubes, values))
     return seq.scaled(1.0 / carleson_intensity(seq))
 
 
@@ -178,23 +179,32 @@ def random_matrix_sequence(depth, d, rng, density=0.35):
     """Sparse PSD sequence rescaled to Carleson intensity exactly 1.
 
     Entries mix full-rank and rank-one matrices; rank-one entries matter
-    because they drive the inner-product sums hardest.
+    because they drive the inner-product sums hardest.  Each cube's numbers
+    are drawn in tree order (``rng.random()`` is the draw of
+    ``rng.uniform()``, without its argument handling); then all rank-one
+    entries are built as one outer product, and all full-rank ones as one
+    orthogonal stack Q and one batched Q diag(u) Q^T.
     """
-    entries = {}
+    cubes, rank_one, full = [], [], []
     for k in range(depth + 1):
         for p in range(1 << k):
-            if rng.uniform() >= density:
+            if rng.random() >= density:
                 continue
-            if rng.uniform() < 0.5:
-                v = rng.standard_normal(d)
-                m = np.outer(v, v)
+            cubes.append(DyadicIndex(k, p))
+            if rng.random() < 0.5:
+                rank_one.append((len(cubes) - 1, rng.standard_normal(d)))
             else:
-                q = random_orthogonal(d, rng)
-                m = (q * rng.uniform(0.05, 1.0, size=d)) @ q.T
-            entries[DyadicIndex(k, p)] = matrices.as_symmetric(m)
-    if not entries:
-        entries[ROOT] = np.eye(d)
-    seq = MatrixSequence(depth, d, entries)
+                full.append((len(cubes) - 1, rng.standard_normal((d, d)),
+                             rng.uniform(0.05, 1.0, size=d)))
+    mats = np.empty((len(cubes), d, d))
+    if rank_one:
+        at, v = (np.array(part) for part in zip(*rank_one))
+        mats[at] = v[:, :, None] * v[:, None, :]
+    if full:
+        at, gauss, u = (np.array(part) for part in zip(*full))
+        q = orthogonal_from_draws(gauss)
+        mats[at] = (q * u[:, None, :]) @ q.transpose(0, 2, 1)
+    seq = MatrixSequence(depth, d, zip(cubes, mats) if cubes else {ROOT: np.eye(d)})
     return seq.scaled(1.0 / carleson_intensity(seq))
 
 

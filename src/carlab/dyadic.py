@@ -92,6 +92,11 @@ def tree_cube(i):
     return DyadicIndex(k, i + 1 - (1 << k))
 
 
+def tree_levels(flat):
+    """Split an array whose leading axis lists a tree's cubes in tree order into its levels."""
+    return [flat[(1 << k) - 1:(2 << k) - 1] for k in range(len(flat).bit_length())]
+
+
 def tree_size(depth, level=0):
     """Number of cubes in D(K) for a cube K at ``level``: 2^(depth-level+1) - 1."""
     return (1 << (depth - level + 1)) - 1

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import matrices
 from .characteristics import MatrixSequence, ScalarSequence, batch_of_one, level_powers
-from .dyadic import StepField, check_index, pyramid_batch, tree_cube, tree_position
+from .dyadic import StepField, check_index, pyramid_batch, tree_cube
 from .errors import DimensionMismatchError, SingularMatrixError
 
 
@@ -111,8 +111,7 @@ def _bet_parts(w, seq, f, g):
     pyramids = [
         batch_of_one(lv) for lv in (w.pyramid(), w.inverse().pyramid(), havg, gavg)
     ]
-    support = np.array([tree_position(q) for q in seq.entries], dtype=np.intp)
-    return pyramids, support, np.array(list(seq.entries.values()))
+    return pyramids, seq.positions, seq.values
 
 
 def bet_vectors_batch(wavg, vavg, havg, gavg, support):

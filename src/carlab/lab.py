@@ -54,7 +54,6 @@ from .constructions import (
 )
 from .dyadic import (
     DyadicIndex,
-    ROOT,
     StepField,
     pyramid_batch,
     stepfield_from_json,
@@ -70,14 +69,15 @@ from .embeddings import (
     maximal_function,
     weighted_l2_norm,
 )
-from .errors import ConfigError
+from .errors import ConfigError, LabError
 from .redundancy import (
     check_intensity_batch,
     red_constants,
     red_constants_batch,
-    red_quadratic_form,
     sred_constant,
     sred_constant_batch,
+    substitution_error,
+    trace_cycling_error,
 )
 
 EXPERIMENTS = (
@@ -377,7 +377,7 @@ def _parse_embedded(obj, index):
         g = stepfield_from_json(obj["g"]) if "g" in obj else None
         alpha = ScalarSequence.from_json(obj["alpha"]) if "alpha" in obj else None
         mseq = MatrixSequence.from_json(obj["matrix_seq"]) if "matrix_seq" in obj else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, LabError) as exc:
         raise ConfigError(f"bad embedded instance #{index}: {exc}") from exc
     for name, part in (("f", f), ("g", g), ("alpha", alpha), ("matrix_seq", mseq)):
         if part is None:
@@ -643,11 +643,19 @@ def _run_redundancy(cfg):
     rows = []
     sred_by_d = {}
     red_by_d = {}
+    # The cross-check loop below reuses the suite's instance i, and its
+    # constants, when it would build the same one.
+    n_head = min(50, len(cfg.seeds))
+    head = [(*suite_instance_params(i, cfg.d, min(cfg.depth, 6), depth_min=4),
+             min(cfg.cond_cap, 1e4)) for i in range(n_head)]
+    reused = {}
     for i, seed in enumerate(cfg.seeds):
         d, depth = suite_instance_params(i, cfg.d, cfg.depth, depth_min=4)
         inst = random_instance(depth, d, seed, cfg.cond_cap)
         s = sred_constant(inst.w, inst.sseq)
         c1, c2, c3 = red_constants(inst.w, inst.mseq)
+        if i < n_head and head[i] == (d, depth, cfg.cond_cap):
+            reused[i] = inst, (c1, c2, c3)
         sred_by_d.setdefault(d, []).append(s)
         red_by_d.setdefault(d, []).append(max(c1, c2, c3))
         rows.append({
@@ -682,9 +690,8 @@ def _run_redundancy(cfg):
     mono_ok = True
     cycle_err = 0.0
     subst_err = 0.0
-    for i in range(min(50, len(cfg.seeds))):
-        d, depth = suite_instance_params(i, cfg.d, min(cfg.depth, 6), depth_min=4)
-        inst = random_instance(depth, d, cfg.seeds[i], min(cfg.cond_cap, 1e4))
+    for i, (d, depth, cond_cap) in enumerate(head):
+        inst, c = reused.get(i) or (random_instance(depth, d, cfg.seeds[i], cond_cap), None)
         direct, accumulated, min_gap = telescoping_certificate(inst.w, inst.sseq)
         telescope_diff = max(
             telescope_diff, matrices.operator_norm(direct - accumulated)
@@ -692,19 +699,18 @@ def _run_redundancy(cfg):
         telescope_gap = min(telescope_gap, min_gap)
         if i >= 20:
             continue
-        c1, c2, c3 = red_constants(inst.w, inst.mseq)
-        dominated = MatrixSequence(
-            depth, d,
-            {q: matrices.operator_norm(m) * np.eye(d) for q, m in inst.mseq.items()},
-        )
+        c1, c2, c3 = c or red_constants(inst.w, inst.mseq)
+        norms = matrices.operator_norm_stack(inst.mseq.values)
+        eye = np.eye(d)
+        dominated = MatrixSequence(depth, d, zip(inst.mseq.entries, norms[:, None, None] * eye))
         intensity = carleson_intensity(dominated)
         k1, k2, k3 = red_constants(inst.w, dominated.scaled(1.0 / intensity))
         # Undo the intensity normalization to compare against the raw sequence.
         k1, k2, k3 = k1 * intensity, k2 * intensity, k3 * intensity
         if min(k1 - c1, k2 - c2, k3 - c3) < -1e-8:
             mono_ok = False
-        cycle_err = max(cycle_err, _trace_cycling_error(inst))
-        subst_err = max(subst_err, _substitution_error(inst, rng, samples=5))
+        cycle_err = max(cycle_err, trace_cycling_error(inst.w, inst.mseq, norms))
+        subst_err = max(subst_err, substitution_error(inst.w, inst.mseq, rng, samples=5))
 
     all_sred = [v for vals in sred_by_d.values() for v in vals]
     all_red_rows = [r for r in rows if r["red_c1"] != ""]
@@ -736,47 +742,6 @@ def _run_redundancy(cfg):
         "substitution_identity": subst_err <= 1e-10,
     }
     return rows, aggregates, verdicts
-
-
-def _trace_cycling_error(inst):
-    """Worst relative defect of the trace-cycling identity on one instance."""
-    w = inst.w.as_matrix()
-    wavg = w.pyramid()
-    vavg = w.inverse().pyramid()
-    worst = 0.0
-    for q, b in inst.mseq.items():
-        b_q = matrices.operator_norm(b)
-        k = ROOT
-        r_k = matrices.spd_power(wavg[k.level][k.position], -0.5)
-        p_q = matrices.spd_power(vavg[q.level][q.position], -0.5)
-        t1 = float(np.trace(r_k @ p_q @ (b_q * np.eye(w.d)) @ p_q @ r_k))
-        t2 = float(np.trace(p_q @ r_k @ (b_q * np.eye(w.d)) @ r_k @ p_q))
-        scale = max(abs(t1), abs(t2), 1e-30)
-        worst = max(worst, abs(t1 - t2) / scale)
-    return worst
-
-
-def _substitution_error(inst, rng, samples=5):
-    """Defect of the substitution e = <W>_K^1/2 f linking the two forms."""
-    w = inst.w.as_matrix()
-    wavg = w.pyramid()
-    worst = 0.0
-    depth = w.depth
-    for _ in range(samples):
-        k = DyadicIndex(int(rng.integers(0, depth + 1)), 0)
-        k = DyadicIndex(k.level, int(rng.integers(0, 1 << k.level)))
-        e = rng.standard_normal(w.d)
-        e /= np.linalg.norm(e)
-        second = red_quadratic_form(w, inst.mseq, k, e, order="second")
-        wk = wavg[k.level][k.position]
-        f = matrices.spd_apply_power(wk, -0.5, e)
-        corollary = red_quadratic_form(w, inst.mseq, k, f, order="corollary")
-        rhs_second = float(e @ e)
-        rhs_corollary = float(f @ (wk @ f))
-        scale = max(second, corollary, 1e-30)
-        worst = max(worst, abs(second - corollary) / scale)
-        worst = max(worst, abs(rhs_second - rhs_corollary) / max(rhs_second, 1e-30))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,17 @@ def spectrum(m):
 
 def operator_norm(m):
     """Operator (spectral) norm of a symmetric matrix."""
-    vals = spectrum(m)
-    return float(max(abs(vals[0]), abs(vals[-1])))
+    return float(operator_norm_stack(as_symmetric(m)[None])[0])
+
+
+def operator_norm_stack(mats):
+    """Operator norm of each member of a stack of symmetric matrices.
+
+    Takes the full ``eigh``: LAPACK's eigenvalue-only routine can differ
+    from it in the last bits.
+    """
+    vals = eigh_sym(mats)[0]
+    return np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1]))
 
 
 def spd_power(m, p):

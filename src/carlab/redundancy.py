@@ -151,6 +151,16 @@ def red_constants(w, bseq):
     )
 
 
+def p_roots(w, positions):
+    """P_Q = <W^-1>_Q^-1/2 of the cubes at flat tree ``positions``, in order.
+
+    One stacked eigendecomposition and one ``eig_power``, each member
+    bitwise the single-matrix ``spd_power``.
+    """
+    flat = np.concatenate(w.inverse().pyramid())[positions]
+    return matrices.eig_power(*matrices.eigh_sym(flat), -0.5)
+
+
 def red_quadratic_form(w, bseq, k, e, order="corollary"):
     """One testing quadratic form of the matrix redundancy statement.
 
@@ -162,25 +172,70 @@ def red_quadratic_form(w, bseq, k, e, order="corollary"):
 
     summed over Q in D(K) and divided by |K|.  Used to verify that the
     substitution e = <W>_K^1/2 f turns the second form into the corollary.
+    The summands of the support cubes in D(K) are formed with batched
+    matmul, each bitwise the single-matrix product, clipped at zero and
+    added left to right in entry order.
     """
+    if order not in ("first", "second", "corollary"):
+        raise ValueError(f"unknown order {order!r}")
     w = w.as_matrix()
     k = check_index(k, w.depth)
     e = np.asarray(e, dtype=float)
+    r_k = matrices.spd_power(w.pyramid()[k.level][k.position], -0.5)
+    levels, pos = np.array(list(bseq.entries), dtype=np.intp).reshape(-1, 2).T
+    shift = np.maximum(levels - k.level, 0)
+    inside = np.flatnonzero((levels >= k.level) & (pos >> shift == k.position))
+    if not inside.size:
+        return 0.0
+    p_q = p_roots(w, bseq.positions[inside])
+    if order == "first":
+        x = (r_k @ (p_q @ e)[..., None])[..., 0]
+    elif order == "second":
+        x = p_q @ (r_k @ e)
+    else:
+        x = p_q @ e
+    terms = (x[:, None, :] @ (bseq.values[inside] @ x[..., None]))[:, 0, 0]
+    terms = np.maximum(terms.astype(np.float64), 0.0)
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1]) / k.measure
+
+
+def trace_cycling_error(w, bseq, norms):
+    """Worst relative defect of the trace-cycling identity over the support.
+
+    tr(R P (b I) P R) = tr(P R (b I) R P) with R = R_root, P = P_Q and b
+    the operator norm ``norms`` of each entry B_Q; the products are batched
+    matmuls, each bitwise the single-matrix product.
+    """
+    w = w.as_matrix()
+    r_k = matrices.spd_power(w.pyramid()[0][0], -0.5)
+    p_q = p_roots(w, bseq.positions)
+    scalar = norms[:, None, None] * np.eye(w.d)
+    t1 = np.trace(r_k @ p_q @ scalar @ p_q @ r_k, axis1=1, axis2=2)
+    t2 = np.trace(p_q @ r_k @ scalar @ r_k @ p_q, axis1=1, axis2=2)
+    scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), 1e-30)
+    return float(np.max(np.abs(t1 - t2) / scale, initial=0.0))
+
+
+def substitution_error(w, bseq, rng, samples=5):
+    """Defect of the substitution e = <W>_K^1/2 f linking the two forms.
+
+    Each sample draws a cube K and a unit vector e from ``rng``.
+    """
+    w = w.as_matrix()
     wavg = w.pyramid()
-    vavg = w.inverse().pyramid()
-    r_k = matrices.spd_power(wavg[k.level][k.position], -0.5)
-    total = 0.0
-    for q, b in bseq.items():
-        if not k.contains(q):
-            continue
-        p_q = matrices.spd_power(vavg[q.level][q.position], -0.5)
-        if order == "first":
-            x = r_k @ (p_q @ e)
-        elif order == "second":
-            x = p_q @ (r_k @ e)
-        elif order == "corollary":
-            x = p_q @ e
-        else:
-            raise ValueError(f"unknown order {order!r}")
-        total += max(float(x @ (b @ x)), 0.0)
-    return total / k.measure
+    worst = 0.0
+    for _ in range(samples):
+        level = int(rng.integers(0, w.depth + 1))
+        k = (level, int(rng.integers(0, 1 << level)))
+        e = rng.standard_normal(w.d)
+        e /= np.linalg.norm(e)
+        second = red_quadratic_form(w, bseq, k, e, order="second")
+        wk = wavg[k[0]][k[1]]
+        f = matrices.spd_apply_power(wk, -0.5, e)
+        corollary = red_quadratic_form(w, bseq, k, f, order="corollary")
+        rhs_second = float(e @ e)
+        rhs_corollary = float(f @ (wk @ f))
+        scale = max(second, corollary, 1e-30)
+        worst = max(worst, abs(second - corollary) / scale)
+        worst = max(worst, abs(rhs_second - rhs_corollary) / max(rhs_second, 1e-30))
+    return worst

@@ -602,3 +602,111 @@ def brute_adversarial_search(depth=3, d=2, seed=0, objective="bet_norm_ratio",
         "best_restart": best_restart,
         "best_evaluation": best_at,
     }
+
+
+# ---------------------------------------------------------------------------
+# The random sequences, the sequence entry checks and the redundancy
+# cross-checks entry by entry, as they ran before they moved to stacks.
+# ---------------------------------------------------------------------------
+
+def brute_matrix_sequence_entries(depth, d, entries):
+    """The entries a ``MatrixSequence`` keeps, checked one entry at a time."""
+    from carlab import matrices
+    from carlab.dyadic import check_index
+    from carlab.errors import DimensionMismatchError, SingularMatrixError
+
+    checked = []
+    for q, m in dict(entries).items():
+        q = check_index(q, depth)
+        m = matrices.as_symmetric(m)
+        if m.shape != (d, d):
+            raise DimensionMismatchError(f"entry at {q} has shape {m.shape}, expected {(d, d)}")
+        checked.append((q, m))
+    for q, m in checked:
+        lmin = float(np.linalg.eigvalsh(m)[0])
+        if lmin < -1e-12:
+            raise SingularMatrixError(f"sequence entry at {q} is not PSD", lambda_min=lmin)
+    return {q: m for q, m in checked if np.any(m != 0.0)}
+
+
+def brute_random_scalar_sequence(depth, rng, density=0.35):
+    """Entries of ``random_scalar_sequence``, drawn and rescaled one at a time."""
+    from carlab.characteristics import ScalarSequence, carleson_intensity
+
+    entries = {}
+    for k in range(depth + 1):
+        for p in range(1 << k):
+            if rng.uniform() < density:
+                entries[(k, p)] = float(rng.uniform(0.1, 1.0))
+    if not entries:
+        entries[(0, 0)] = 1.0
+    factor = 1.0 / carleson_intensity(ScalarSequence(depth, entries))
+    return {q: v * factor for q, v in entries.items()}
+
+
+def brute_random_matrix_sequence(depth, d, rng, density=0.35):
+    """Entries of ``random_matrix_sequence``, built and checked one at a time."""
+    from carlab import matrices
+    from carlab.characteristics import MatrixSequence, carleson_intensity
+
+    entries = {}
+    for k in range(depth + 1):
+        for p in range(1 << k):
+            if rng.uniform() >= density:
+                continue
+            if rng.uniform() < 0.5:
+                v = rng.standard_normal(d)
+                m = np.outer(v, v)
+            else:
+                q = brute_random_orthogonal(d, rng)
+                m = (q * rng.uniform(0.05, 1.0, size=d)) @ q.T
+            entries[(k, p)] = matrices.as_symmetric(m)
+    if not entries:
+        entries[(0, 0)] = np.eye(d)
+    entries = brute_matrix_sequence_entries(depth, d, entries)
+    factor = 1.0 / carleson_intensity(MatrixSequence(depth, d, entries))
+    return brute_matrix_sequence_entries(depth, d, {q: m * factor for q, m in entries.items()})
+
+
+def brute_trace_cycling_error(w, entries):
+    """Worst relative trace-cycling defect over the entries, one cube at a time."""
+    from carlab import matrices
+
+    w = w.as_matrix()
+    wavg = w.pyramid()
+    vavg = w.inverse().pyramid()
+    worst = 0.0
+    for (level, pos), b in entries.items():
+        b_q = matrices.operator_norm(b)
+        r_k = matrices.spd_power(wavg[0][0], -0.5)
+        p_q = matrices.spd_power(vavg[level][pos], -0.5)
+        t1 = float(np.trace(r_k @ p_q @ (b_q * np.eye(w.d)) @ p_q @ r_k))
+        t2 = float(np.trace(p_q @ r_k @ (b_q * np.eye(w.d)) @ r_k @ p_q))
+        scale = max(abs(t1), abs(t2), 1e-30)
+        worst = max(worst, abs(t1 - t2) / scale)
+    return worst
+
+
+def brute_red_quadratic_form(w, entries, k, e, order="corollary"):
+    """``red_quadratic_form`` summed cube by cube in entry order."""
+    from carlab import matrices
+
+    w = w.as_matrix()
+    level, pos = k
+    e = np.asarray(e, dtype=float)
+    wavg = w.pyramid()
+    vavg = w.inverse().pyramid()
+    r_k = matrices.spd_power(wavg[level][pos], -0.5)
+    total = 0.0
+    for (ql, qp), b in entries.items():
+        if ql < level or qp >> (ql - level) != pos:
+            continue
+        p_q = matrices.spd_power(vavg[ql][qp], -0.5)
+        if order == "first":
+            x = r_k @ (p_q @ e)
+        elif order == "second":
+            x = p_q @ (r_k @ e)
+        else:
+            x = p_q @ e
+        total += max(float(x @ (b @ x)), 0.0)
+    return total / 2.0 ** -level

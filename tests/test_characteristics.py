@@ -26,10 +26,11 @@ from carlab.dyadic import (
     stepfield_from_json,
     stepfield_to_json,
 )
-from carlab.errors import DimensionMismatchError, SingularMatrixError
+from carlab.errors import AddressError, DimensionMismatchError, SingularMatrixError
 
 from oracles import (
     brute_matrix_intensity,
+    brute_matrix_sequence_entries,
     brute_scalar_a2,
     brute_scalar_intensity,
     brute_wcet_testing_constant,
@@ -52,6 +53,67 @@ def test_sequence_validation():
     with pytest.raises(SingularMatrixError, match="level=2, position=3") as err:
         MatrixSequence(2, 2, entries)
     assert err.value.lambda_min == -0.5
+
+
+def test_matrix_sequence_matches_per_entry_oracle():
+    # one stacked check keeps bitwise the entries the per-entry checks kept,
+    # zero entries dropped, in entry order
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3, 4):
+        order = list(cubes(4))
+        rng.shuffle(order)
+        entries = []
+        for q in order[:12]:
+            v = rng.standard_normal((d, 2))
+            m = v @ v.T if rng.uniform() < 0.8 else np.zeros((d, d))
+            entries.append((tuple(q), m))
+        seq = MatrixSequence(4, d, entries)
+        want = brute_matrix_sequence_entries(4, d, entries)
+        assert list(seq.entries) == list(want)
+        assert all(np.array_equal(seq.entries[q], want[q]) for q in want)
+        scaled = seq.scaled(0.3)
+        want = brute_matrix_sequence_entries(4, d, {q: m * 0.3 for q, m in want.items()})
+        assert all(np.array_equal(scaled.entries[q], want[q]) for q in want)
+
+
+@pytest.mark.parametrize("entries, error, match", [
+    # shape first, then finiteness, then symmetry, then PSD; with two bad
+    # entries, the later check's entry comes first in entry order
+    ({(1, 0): np.diag([1.0, -1.0]), (2, 1): np.eye(3)},
+     DimensionMismatchError, r"level=2, position=1\) has shape"),
+    ({(1, 0): np.array([[1.0, 0.5], [0.0, 1.0]]), (2, 1): np.diag([np.nan, 1.0])},
+     DimensionMismatchError, r"non-finite sequence entry at .*level=2, position=1"),
+    ({(1, 0): np.diag([1.0, -1.0]), (2, 1): np.array([[1.0, 0.5], [0.0, 1.0]])},
+     DimensionMismatchError, r"level=2, position=1\): matrix is not symmetric"),
+    ({(2, 3): np.diag([1.0, -0.5]), (1, 1): np.diag([-2.0, 1.0])},
+     SingularMatrixError, r"level=2, position=3\) is not PSD"),
+    ({(1, 0): np.eye(2), (3, 0): np.eye(2)}, AddressError, "level 3"),
+])
+def test_matrix_sequence_error_order(entries, error, match):
+    with pytest.raises(error, match=match):
+        MatrixSequence(2, 2, entries)
+
+
+def test_scalar_sequence_error_order():
+    with pytest.raises(DimensionMismatchError, match=r"non-finite .*level=2, position=1"):
+        ScalarSequence(2, {(1, 0): -1.0, (2, 1): np.nan})
+    with pytest.raises(DimensionMismatchError, match=r"negative .*level=1, position=0"):
+        ScalarSequence(2, {(1, 0): -1.0, (2, 1): -2.0, (2, 2): 1.0})
+
+
+def test_scaled_checks_the_stack_again():
+    # scaled() runs the stacked checks on the product: a non-finite or a
+    # negative factor is refused, naming the first entry it spoils
+    seq = MatrixSequence(2, 2, {(1, 1): np.eye(2), (2, 0): np.diag([0.5, 0.0])})
+    with pytest.raises(DimensionMismatchError, match=r"non-finite .*level=1, position=1"):
+        with np.errstate(invalid="ignore"):
+            seq.scaled(np.inf)
+    with pytest.raises(SingularMatrixError, match=r"level=1, position=1\) is not PSD"):
+        seq.scaled(-1.0)
+    alpha = ScalarSequence(2, {(1, 1): 1.0, (2, 0): 0.5})
+    with pytest.raises(DimensionMismatchError, match="non-finite"):
+        alpha.scaled(np.nan)
+    assert alpha.scaled(0.0).entries == {} and len(seq.scaled(0.0)) == 0
 
 
 def test_sequence_json_roundtrip():

@@ -14,13 +14,17 @@ from carlab.constructions import (
     epsilon_family,
     necessity_probe,
     random_instance,
+    random_matrix_sequence,
     random_orthogonal,
+    random_scalar_sequence,
     random_spd,
 )
 from carlab.dyadic import DyadicIndex, ROOT, cubes
 from carlab.embeddings import bet_inner_sum, bet_norm_sum, weighted_l2_norm
 from carlab.errors import NumericError, PreconditionError
 from carlab import constructions, matrices
+
+from oracles import brute_random_matrix_sequence, brute_random_scalar_sequence
 
 
 def test_family_standard_basis_values():
@@ -147,6 +151,24 @@ def test_random_instance_determinism():
     assert dict(a.sseq.items()) == dict(b.sseq.items())
     for q in a.mseq.entries:
         np.testing.assert_array_equal(a.mseq.entries[q], b.mseq.entries[q])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_random_sequences_match_per_entry_oracles(d):
+    # the stacked samplers draw in the per-entry order and build bitwise the
+    # same entries, in the same order; density 0 falls back to the root
+    for depth in range(9):
+        for seed, density in ((depth, 0.35), (40 + depth, 0.35), (depth, 0.9), (depth, 0.0)):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            mseq = random_matrix_sequence(depth, d, rng, density)
+            want = brute_random_matrix_sequence(depth, d, ref, density)
+            assert list(mseq.entries) == list(want)
+            assert all(np.array_equal(mseq.entries[q], want[q]) for q in want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            sseq = random_scalar_sequence(depth, rng, density)
+            want = brute_random_scalar_sequence(depth, ref, density)
+            assert list(sseq.items()) == list(want.items())
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_random_instance_normalization_and_cap():

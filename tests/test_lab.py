@@ -460,6 +460,34 @@ def test_cli_embedded_instance_on_wrong_tree_exit_code(tmp_path):
         assert main([experiment, "--config", str(cfg_path), "--quiet"]) == 2
 
 
+def test_cli_invalid_embedded_sequence_exit_code(tmp_path, monkeypatch):
+    # a NaN alpha entry ran with the row sred -inf and exit 0; an inf matrix
+    # entry ran with finite constants and exit 0, once the rescaling had
+    # turned it into NaN; a negative alpha entry and a level off the tree
+    # exited 3.  All are bad configuration.
+    from carlab.constructions import random_instance
+
+    monkeypatch.chdir(tmp_path)
+    inst = random_instance(3, 2, seed=0, cond_cap=1e3)
+
+    def edited(seq, **change):
+        obj = seq.to_json()
+        obj["values"][0].update(change)
+        return obj
+
+    cases = [
+        {"alpha": edited(inst.sseq, value=float("nan"))},
+        {"matrix_seq": edited(inst.mseq, value=[float("inf"), 0.0, 0.0, 1.0])},
+        {"alpha": edited(inst.sseq, value=-0.5)},
+        {"alpha": edited(inst.sseq, level=7, position=0)},
+    ]
+    cfg_path = tmp_path / "cfg.json"
+    for embedded in cases:
+        embedded["weight"] = stepfield_to_json(inst.w)
+        cfg_path.write_text(json.dumps({"seeds": [0], "extra_instances": [embedded]}))
+        assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
+
+
 def test_cli_float64_longdouble_exit_code(monkeypatch):
     monkeypatch.setattr("carlab.constructions.EXTENDED_PRECISION", False)
     assert main(["counterexample-sweep", "--quiet"]) == 3

@@ -7,8 +7,10 @@ from carlab.errors import DimensionMismatchError, NumericError, SingularMatrixEr
 from carlab.matrices import (
     _jacobi_eigh,
     as_symmetric,
+    eigh_sym,
     eigvalsh_stack,
     operator_norm,
+    operator_norm_stack,
     psd_gap,
     spd_power,
     spd_power_stack,
@@ -135,6 +137,19 @@ def test_longdouble_small_eigenvalue_relative_accuracy():
     lam = spectrum((w + w.T) / 2)
     small = float(lam[-1])
     assert abs(small / 1e-8 - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_stacked_operator_norm_is_bitwise_the_single_matrix_norm(dtype):
+    # one eigh over the stack; each member as its own eigh would give it
+    rng = np.random.default_rng(8)
+    for d in range(1, 9):
+        mats = rng.standard_normal((12, d, d))
+        mats = ((mats + mats.transpose(0, 2, 1)) / 2).astype(dtype)
+        got = operator_norm_stack(mats)
+        for m, norm in zip(mats, got):
+            vals = eigh_sym(m)[0]
+            assert norm == max(abs(vals[0]), abs(vals[-1]))
 
 
 def test_stacked_power_matches_single():

@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlab.characteristics import MatrixSequence, ScalarSequence, carleson_intensity
-from carlab.constructions import random_instance
+from carlab.constructions import random_instance, random_orthogonal
 from carlab.dyadic import DyadicIndex, ROOT, StepField
 from carlab.errors import DimensionMismatchError, PreconditionError
-from carlab.matrices import spd_apply_power, spd_power
-from carlab.redundancy import red_constants, red_quadratic_form, sred_constant
-from oracles import brute_red_constants, brute_sred_constant
+from carlab.matrices import operator_norm_stack, spd_apply_power, spd_power
+from carlab.redundancy import (
+    red_constants,
+    red_quadratic_form,
+    sred_constant,
+    trace_cycling_error,
+)
+from oracles import (
+    brute_red_constants,
+    brute_red_quadratic_form,
+    brute_sred_constant,
+    brute_trace_cycling_error,
+)
 
 
 def test_sred_identity_weight_unit_mass():
@@ -164,6 +175,67 @@ def test_substitution_identity():
             assert float(e @ e) == pytest.approx(float(f @ (wk @ f)), rel=1e-10)
             checked += 1
     assert checked == 100
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_cross_checks_match_per_cube_oracles(d):
+    # every quadratic form, in all three orders, and the trace-cycling
+    # defect are bitwise the cube-by-cube sums
+    for depth in range(9):
+        inst = random_instance(depth, d, seed=11 * depth + d, cond_cap=1e4)
+        rng = np.random.default_rng(depth)
+        for _ in range(3):
+            level = int(rng.integers(0, depth + 1))
+            k = DyadicIndex(level, int(rng.integers(0, 1 << level)))
+            e = rng.standard_normal(d)
+            for order in ("first", "second", "corollary"):
+                assert red_quadratic_form(inst.w, inst.mseq, k, e, order) == (
+                    brute_red_quadratic_form(inst.w, inst.mseq.entries, k, e, order)
+                )
+        norms = operator_norm_stack(inst.mseq.values)
+        assert trace_cycling_error(inst.w, inst.mseq, norms) == (
+            brute_trace_cycling_error(inst.w, inst.mseq.entries)
+        )
+    with pytest.raises(ValueError, match="unknown order"):
+        red_quadratic_form(inst.w, inst.mseq, ROOT, e, order="third")
+
+
+# Metamorphic checks.  W -> cW and the joint rotation W -> U W U^T,
+# B -> U B U^T leave every constant unchanged in exact arithmetic; the
+# tolerance is 64 eps cond, with cond the spread of all leaf eigenvalues
+# (the worst seen over 400 random cases was 8.4 eps cond).
+
+def _constants(w, inst, bseq):
+    return (sred_constant(w, inst.sseq),) + red_constants(w, bseq)
+
+
+def _assert_invariant(inst, w, bseq):
+    vals = np.linalg.eigvalsh(inst.w.values)
+    tol = 64 * np.finfo(float).eps * vals.max() / vals.min()
+    for a, b in zip(_constants(inst.w, inst, inst.mseq), _constants(w, inst, bseq)):
+        assert abs(a - b) <= tol * max(abs(a), abs(b))
+
+
+_cases = dict(
+    seed=st.integers(0, 2**16), depth=st.integers(0, 4), d=st.integers(1, 4),
+    log_cap=st.floats(0.0, 4.0),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_c=st.floats(-3.0, 3.0), **_cases)
+def test_constants_invariant_under_weight_scaling(seed, depth, d, log_cap, log_c):
+    inst = random_instance(depth, d, seed=seed, cond_cap=10.0**log_cap)
+    _assert_invariant(inst, StepField(10.0**log_c * inst.w.values), inst.mseq)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_cases)
+def test_constants_invariant_under_joint_rotation(seed, depth, d, log_cap):
+    inst = random_instance(depth, d, seed=seed, cond_cap=10.0**log_cap)
+    u = random_orthogonal(d, np.random.default_rng(seed))
+    rotated = MatrixSequence(depth, d, {q: u @ m @ u.T for q, m in inst.mseq.items()})
+    _assert_invariant(inst, StepField(u @ inst.w.values @ u.T), rotated)
 
 
 def test_scalar_redundancy_implication_both_orientations():
