@@ -417,11 +417,6 @@ def _draw_point(d, rng, cond_cap, boundary_fraction=0.3):
     return v, bump, float(rng.uniform(0.0, 1.0))
 
 
-def _inverse_stack(v):
-    """spd_power(v, -1) of every member of a stack."""
-    return matrices.eig_power(*matrices.eigh_sym(matrices.as_symmetric_stack(v)), -1.0)
-
-
 def _spd_bumped(vinv, bumps):
     """vinv + scale * random_spd per member, from (scale, draws) bumps.
 
@@ -442,7 +437,7 @@ def domain_points(draws):
     """
     v_draws, bumps, m = zip(*draws)
     v = spd_from_draws(v_draws)
-    vinv = _inverse_stack(v)
+    vinv = matrices.spd_power(v, -1.0)
     bumped = np.array([b is not None for b in bumps])
     u = np.where(bumped[:, None, None], _spd_bumped(vinv, bumps), vinv)
     return BellmanStack(u, v, m)
@@ -567,14 +562,14 @@ def matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
     def sample(draws):
         v_draws, bumps, gauss, eigs = zip(*draws)
         v = spd_from_draws(v_draws)
-        u = _spd_bumped(_inverse_stack(v), bumps)
+        u = _spd_bumped(matrices.spd_power(v, -1.0), bumps)
         q = orthogonal_from_draws(np.stack(gauss))
         mm = matrices.as_symmetric_stack((q * np.stack(eigs)[:, None, :]) @ q.transpose(0, 2, 1))
         return u, v, mm
 
     def value(u, v, mm):
-        vr = matrices.eig_power(*matrices.eigh_sym(matrices.as_symmetric_stack(v)), -0.5)
-        core = _inverse_stack(mm + eye)
+        vr = matrices.spd_power(v, -0.5)
+        core = matrices.spd_power(mm + eye, -1.0)
         return matrices.as_symmetric_stack(u - vr @ core @ vr)
 
     def evaluate(pairs):

@@ -248,16 +248,14 @@ def _tree_stack(levels, kernel):
 def level_powers_batch(pyramids, p):
     """Stacked SPD power of every cube average of a batch, one solver call.
 
-    A negative power of a singular average names the offending cube: with
-    float64 averages the most singular one of the batch, with longdouble
-    averages the first singular one in batch and tree order (member by
-    member, level by level, left to right).
+    A refused average names its cube: the first one in batch and tree
+    order (member by member, level by level, left to right).
     """
     n_cubes = sum(lv.shape[1] for lv in pyramids)
     return _tree_stack(
         pyramids,
-        lambda stack: matrices.spd_power_stack(
-            stack, p, context=lambda i: tree_cube(i % n_cubes)
+        lambda stack: matrices.eig_power(
+            *matrices.eigh_sym(stack), p, context=lambda i: tree_cube(i % n_cubes)
         ),
     )
 
@@ -300,25 +298,6 @@ def _weight_field(w):
     if w.kind == "vector":
         raise DimensionMismatchError("a weight must be a scalar or matrix field")
     return w.as_matrix()
-
-
-def _check_spd_levels(levels):
-    """Smallest eigenvalue guard on a pyramid of weight averages.
-
-    One eigenvalue call over the tree; names the most singular average of
-    the first level that holds a singular one.
-    """
-    lmins = matrices.lambda_min_stack(np.concatenate(levels))
-    bad = np.flatnonzero(lmins.astype(np.float64) <= matrices.SPD_REJECT)
-    if bad.size:
-        k = tree_cube(int(bad[0])).level
-        level = lmins[(1 << k) - 1:(1 << (k + 1)) - 1]
-        worst = int(np.argmin(level))
-        raise SingularMatrixError(
-            "singular weight average",
-            lambda_min=float(level[worst]),
-            cube=DyadicIndex(k, worst),
-        )
 
 
 def carleson_intensity(seq):
@@ -379,11 +358,9 @@ def a2_characteristic(w):
     needs one eigendecomposition per cube instead of two.
     """
     w = _weight_field(w)
-    wavg = w.pyramid()
-    winvavg = w.inverse().pyramid()
-    _check_spd_levels(wavg)
-    roots = matrices.spd_power_stack(np.concatenate(winvavg), 0.5)
-    avgs = np.concatenate(wavg)
+    winvavg = np.concatenate(w.inverse().pyramid())
+    roots = matrices.eig_power(*matrices.eigh_sym(winvavg), 0.5, context=tree_cube)
+    avgs = np.concatenate(w.pyramid())
     return float(matrices.lambda_max_stack(roots @ avgs @ roots).max())
 
 

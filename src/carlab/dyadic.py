@@ -122,6 +122,10 @@ class StepField:
             raise DimensionMismatchError(f"matrix leaves must be square, got {values.shape[1:]}")
         if values.ndim > 3:
             raise DimensionMismatchError(f"unsupported leaf shape {values.shape[1:]}")
+        bad = np.flatnonzero(~np.isfinite(values).reshape(n, -1).all(axis=1))
+        if bad.size:
+            leaf = DyadicIndex(n.bit_length() - 1, int(bad[0]))
+            raise DimensionMismatchError(f"non-finite field value at {leaf}")
         if values.ndim == 3:
             values = (values + values.transpose(0, 2, 1)) / 2
         values = values.copy()
@@ -180,13 +184,14 @@ class StepField:
         """Leafwise SPD power of a matrix-valued weight field (cached).
 
         Every embedding sum reuses the same powers across all cubes, hence
-        the cache.  Raises SingularMatrixError on a non-SPD leaf.
+        the cache.  A leaf the power refuses raises SingularMatrixError
+        naming the first such leaf.
         """
         if self.kind != "matrix":
             raise DimensionMismatchError("powers are defined for matrix fields only")
         if p not in self._powers:
-            out = matrices.spd_power_stack(
-                self.values, p, context=lambda i: DyadicIndex(self.depth, i)
+            out = matrices.eig_power(
+                *matrices.eigh_sym(self.values), p, context=lambda i: DyadicIndex(self.depth, i)
             )
             self._powers[p] = StepField(out)
         return self._powers[p]

@@ -16,7 +16,7 @@ import numpy as np
 from . import matrices
 from .characteristics import MatrixSequence, ScalarSequence, batch_of_one, level_powers
 from .dyadic import StepField, check_index, pyramid_batch, tree_cube
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError
 
 
 def _vector_field(f):
@@ -120,32 +120,23 @@ def bet_vectors_batch(wavg, vavg, havg, gavg, support):
     u_Q = <W>_Q^-1 <W^1/2 f>_Q and v_Q = <W^-1>_Q^-1 <W^-1/2 g>_Q.  The four
     pyramids carry a leading batch axis; ``support`` holds flat indices
     into the batch's cubes, member by member (b * cubes + tree position).
-    Each side is one stacked eigendecomposition over the support cubes.  A
-    singular average names the first such cube in support order, the <W>
-    side before the <W^-1> side.
+    Both sides are one stacked eigendecomposition, <W>_Q and <W^-1>_Q
+    interleaved per support cube, so a singular average names the first
+    such cube in support order, the <W> side before the <W^-1> side.
     """
     n_cubes = sum(lv.shape[1] for lv in wavg)
-    sides = []
-    for avg, rhs in ((wavg, havg), (vavg, gavg)):
-        mats, vecs = (np.concatenate(lv, axis=1) for lv in (avg, rhs))
-        vals, eigvecs = matrices.eigh_sym(mats.reshape(-1, *mats.shape[2:])[support])
-        sides.append((vals, eigvecs, vecs.reshape(-1, vecs.shape[-1])[support]))
-    lmin = np.stack([vals[:, 0] for vals, _, _ in sides], axis=1).astype(np.float64)
-    bad = np.flatnonzero(lmin <= matrices.SPD_REJECT)
-    if bad.size:
-        i = int(bad[0])
-        raise SingularMatrixError(
-            "singular average in embedding sum",
-            lambda_min=float(lmin.flat[i]),
-            cube=tree_cube(int(support[i // 2]) % n_cubes),
-        )
-    return tuple(_apply_inverse(vals, vecs, x) for vals, vecs, x in sides)
 
+    def on_support(levels):
+        flat = np.concatenate(levels, axis=1)
+        return flat.reshape(-1, *flat.shape[2:])[support]
 
-def _apply_inverse(vals, vecs, x):
-    """x_i mapped through (vecs_i diag(vals_i) vecs_i^T)^-1, row by row."""
-    inv = vals ** vals.dtype.type(-1.0)
-    return (vecs @ (inv[:, :, None] * (vecs.transpose(0, 2, 1) @ x[:, :, None])))[..., 0]
+    mats = np.stack([on_support(wavg), on_support(vavg)], axis=1)
+    rhs = np.stack([on_support(havg), on_support(gavg)], axis=1)
+    out = matrices.eig_apply_power(
+        *matrices.eigh_sym(mats), -1.0, rhs,
+        context=lambda i: tree_cube(int(support[i // 2]) % n_cubes),
+    )
+    return out[:, 0], out[:, 1]
 
 
 def _rowdot(x, y):

@@ -14,6 +14,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
@@ -147,6 +148,8 @@ class ExperimentConfig:
         for seed in self.seeds:
             if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
                 raise ConfigError(f"seeds must be non-negative integers, got {seed!r}")
+        if self.experiment == "sibet-suite" and min(self.d, len(self.seeds)) < 2:
+            raise ConfigError("sibet-suite needs a d = 2 random row: d >= 2 and 2 or more seeds")
         for name in ("eps_grid", "rotations"):
             value = getattr(self, name)
             if not isinstance(value, list) or not all(map(_is_real, value)):
@@ -284,7 +287,7 @@ def sweep_row(eps, rotation, depth):
     bns = bet_norm_sum(inst.w, inst.seq_norm, inst.f, inst.g)
     bis = bet_inner_sum(inst.w, inst.seq_inner, inst.f, inst.g)
     c2 = c2_conditioning(inst.w)
-    row = {
+    return {
         "eps": eps,
         "depth": depth,
         "intensity": inst.intensity_norm,
@@ -304,7 +307,6 @@ def sweep_row(eps, rotation, depth):
         / (f_norm * g_norm),
         "inner_scalar_seq": bet_inner_sum(inst.w, inst.alpha, inst.f, inst.g),
     }
-    return row
 
 
 def _sweep_rows(cfg):
@@ -829,11 +831,9 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap):
     """
     w = _state_weights(log_eigs, angles, cond_cap)
     n_leaves, d = w.shape[1], w.shape[-1]
-
-    def power(p):
-        return matrices.spd_power_stack(
-            w, p, context=lambda i: DyadicIndex(n_leaves.bit_length() - 1, i % n_leaves)
-        )
+    depth = n_leaves.bit_length() - 1
+    power = partial(matrices.eig_power, *matrices.eigh_sym(w),
+                    context=lambda i: DyadicIndex(depth, i % n_leaves))
 
     if objective == "bet_norm_ratio":
         wh, whinv, f, g = _extreme_vector_fields(w, power)

@@ -13,6 +13,15 @@ Two precision regimes coexist:
   needed where acceptance tolerances sit below the ``eps * cond`` floor of
   double arithmetic (condition numbers up to 1e8 appear in the
   counterexample sweep).
+
+Every SPD power goes through one core, ``eig_power`` (W^p) and
+``eig_apply_power`` (W^p x), from an eigendecomposition of a stack
+(..., d, d); ``spd_power`` adds the asymmetry check for input from outside
+the package.  The core has one refusal rule: a negative power refuses
+lambda_min <= ``SPD_REJECT``, the square root refuses lambda_min <
+-``PSD_CLAMP`` and clips the rest to zero.  It has one naming rule: the
+first offending member in stack order, as the cube its caller's
+``context`` gives it or else as ``LabError.point``.
 """
 
 from __future__ import annotations
@@ -179,43 +188,6 @@ def operator_norm_stack(mats):
     return np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1]))
 
 
-def spd_power(m, p):
-    """Fractional power of an SPD matrix by spectral calculus.
-
-    ``p`` must be one of 1/2, -1/2, -1.  Tiny negative eigenvalues are
-    clamped to zero under the square root; negative powers refuse input
-    whose smallest eigenvalue is at or below ``SPD_REJECT``.
-    """
-    if p not in ALLOWED_POWERS:
-        raise ValueError(f"power must be one of {ALLOWED_POWERS}, got {p}")
-    m = as_symmetric(m)
-    vals, vecs = eigh_sym(m)
-    lmin = float(vals[0])
-    if p < 0:
-        if lmin <= SPD_REJECT:
-            raise SingularMatrixError("matrix not SPD under negative power", lambda_min=lmin)
-    else:
-        if lmin < -PSD_CLAMP:
-            raise SingularMatrixError("matrix not PSD under square root", lambda_min=lmin)
-        vals = np.clip(vals, 0.0, None)
-    out = (vecs * vals ** m.dtype.type(p)) @ vecs.T
-    return (out + out.T) / 2
-
-
-def spd_apply_power(m, p, x):
-    """Apply ``m ** p`` to vector(s) ``x`` without forming the power matrix."""
-    if p not in ALLOWED_POWERS:
-        raise ValueError(f"power must be one of {ALLOWED_POWERS}, got {p}")
-    m = np.asarray(m)
-    vals, vecs = eigh_sym(m)
-    lmin = float(vals[0])
-    if p < 0 and lmin <= SPD_REJECT:
-        raise SingularMatrixError("matrix not SPD under negative power", lambda_min=lmin)
-    if p > 0:
-        vals = np.clip(vals, 0.0, None)
-    return vecs @ ((vals ** m.dtype.type(p)) * (vecs.T @ x))
-
-
 def psd_gap(a, b):
     """Smallest eigenvalue of a - b: the margin of a >= b in the PSD order.
 
@@ -235,10 +207,6 @@ def psd_gap(a, b):
 # solver call, LAPACK for float64 and the Jacobi solver for longdouble.
 # ---------------------------------------------------------------------------
 
-def _is_longdouble(a):
-    return a.dtype == np.longdouble
-
-
 def _first(bad):
     """Flat index of the first true entry of a boolean stack, or None."""
     hits = np.flatnonzero(bad)
@@ -246,44 +214,79 @@ def _first(bad):
 
 
 def as_symmetric_stack(mats, rtol=SYM_REJECT_RTOL):
-    """``as_symmetric`` over a stack (n, d, d), naming the first asymmetric member."""
+    """``as_symmetric`` over a stack (..., d, d), naming the first asymmetric member."""
     mats = np.asarray(mats)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+    if mats.ndim < 3 or mats.shape[-1] != mats.shape[-2]:
         raise DimensionMismatchError(f"expected a stack of square matrices, got shape {mats.shape}")
-    trans = mats.transpose(0, 2, 1)
-    scale = np.abs(mats).max(axis=(1, 2))
-    asym = np.abs(mats - trans).max(axis=(1, 2))
+    trans = mats.swapaxes(-1, -2)
+    scale = np.abs(mats).max(axis=(-2, -1))
+    asym = np.abs(mats - trans).max(axis=(-2, -1))
     i = _first((scale > 0.0) & (asym > rtol * scale))
     if i is not None:
         raise DimensionMismatchError(
-            f"matrix is not symmetric: |M - M^T| = {asym[i]:.3e} vs scale {scale[i]:.3e}"
+            f"matrix is not symmetric: |M - M^T| = {asym.flat[i]:.3e} vs scale {scale.flat[i]:.3e}"
         ).at(i)
     return (mats + trans) / 2
 
 
-def eig_power(vals, vecs, p):
-    """``spd_power`` from the eigendecomposition of a stack (n, d, d).
+# ---------------------------------------------------------------------------
+# SPD powers, from an eigendecomposition (vals, vecs) of a stack (..., d, d);
+# a 2-D matrix is a stack with no batch axes.
+# ---------------------------------------------------------------------------
 
-    The same checks and the same matmul ``(vecs * vals**p) @ vecs^T`` as
-    ``spd_power``, so each member is bitwise the single-matrix result; a
-    failed check names the first offending member.
+def _powered(vals, p, context):
+    """vals ** p of ascending spectra (..., d), refusing what the power cannot take.
+
+    A negative power refuses lambda_min <= SPD_REJECT; the square root
+    refuses lambda_min < -PSD_CLAMP and clips the rest of the spectrum at
+    zero.  The error names the first offending member in stack order, the
+    flat index i over the batch axes: as cube ``context(i)`` when a context
+    is given, else as ``LabError.point = i`` (a single matrix names none).
     """
     if p not in ALLOWED_POWERS:
         raise ValueError(f"power must be one of {ALLOWED_POWERS}, got {p}")
-    lmin = vals[:, 0]
+    lmin = vals[..., 0].reshape(-1)
     if p < 0:
-        i = _first(lmin <= SPD_REJECT)
-        if i is not None:
-            raise SingularMatrixError(
-                "matrix not SPD under negative power", lambda_min=float(lmin[i])).at(i)
+        i, what = _first(lmin <= SPD_REJECT), "matrix not SPD under negative power"
     else:
-        i = _first(lmin < -PSD_CLAMP)
-        if i is not None:
-            raise SingularMatrixError(
-                "matrix not PSD under square root", lambda_min=float(lmin[i])).at(i)
+        i, what = _first(lmin < -PSD_CLAMP), "matrix not PSD under square root"
+    if i is not None:
+        cube = None if context is None else context(i)
+        err = SingularMatrixError(what, lambda_min=float(lmin[i]), cube=cube)
+        raise err if context is not None or vals.ndim == 1 else err.at(i)
+    if p > 0:
         vals = np.clip(vals, 0.0, None)
-    out = (vecs * (vals ** vals.dtype.type(p))[:, None, :]) @ vecs.transpose(0, 2, 1)
-    return (out + out.transpose(0, 2, 1)) / 2
+    return vals ** vals.dtype.type(p)
+
+
+def eig_power(vals, vecs, p, context=None):
+    """W^p of every member of a stack, from W's eigendecomposition (vals, vecs).
+
+    ``p`` is one of ``ALLOWED_POWERS``; refusal and naming follow
+    ``_powered``.  The contraction is one ``einsum`` for both dtypes: its
+    float64 result is bitwise independent of the batch size, and its
+    longdouble result bitwise that of matmul.
+    """
+    out = np.einsum("...ij,...j,...lj->...il", vecs, _powered(vals, p, context), vecs)
+    return (out + out.swapaxes(-1, -2)) / 2
+
+
+def eig_apply_power(vals, vecs, p, x, context=None):
+    """W^p x for vectors x (..., d), from W's eigendecomposition, without forming W^p."""
+    scaled = _powered(vals, p, context)[..., None] * (vecs.swapaxes(-1, -2) @ x[..., None])
+    return (vecs @ scaled)[..., 0]
+
+
+def spd_power(m, p):
+    """Fractional power of a symmetric matrix or stack (..., d, d).
+
+    Refuses asymmetric input first, since it comes from outside the
+    package; then ``eig_power``.  The tree kernels call ``eig_power``
+    themselves on their stacks, which are symmetric by construction.
+    """
+    m = np.asarray(m)
+    m = as_symmetric(m) if m.ndim == 2 else as_symmetric_stack(m)
+    return eig_power(*eigh_sym(m), p)
 
 
 def psd_gap_stack(a, b):
@@ -302,7 +305,7 @@ def psd_gap_stack(a, b):
 def eigvalsh_stack(mats):
     """Ascending eigenvalues of a stack of symmetric matrices."""
     mats = np.asarray(mats)
-    if _is_longdouble(mats):
+    if mats.dtype == np.longdouble:
         return _jacobi_eigh(mats)[0]
     try:
         return np.linalg.eigvalsh(mats)
@@ -318,42 +321,3 @@ def lambda_max_stack(mats):
 def lambda_min_stack(mats):
     """Smallest eigenvalue of each matrix in a stack."""
     return eigvalsh_stack(mats)[..., 0]
-
-
-def spd_power_stack(mats, p, context=None):
-    """``spd_power`` over a stack of SPD matrices.
-
-    ``context`` is used to name the offending cube in errors when the stack
-    holds per-cube averages: it maps flat batch index -> cube.  A float64
-    stack names its most singular matrix, a longdouble stack its first
-    singular one.
-    """
-    if p not in ALLOWED_POWERS:
-        raise ValueError(f"power must be one of {ALLOWED_POWERS}, got {p}")
-    mats = np.asarray(mats)
-    flat = mats.reshape(-1, mats.shape[-2], mats.shape[-1])
-    longdouble = _is_longdouble(mats)
-    if longdouble:
-        vals, vecs = _jacobi_eigh(flat)
-    else:
-        try:
-            vals, vecs = np.linalg.eigh(flat)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    lmin = vals[:, 0].astype(np.float64)
-    if p < 0 and lmin.size and lmin.min() <= SPD_REJECT:
-        i = int(np.argmax(lmin <= SPD_REJECT) if longdouble else np.argmin(lmin))
-        raise SingularMatrixError(
-            "singular average under negative power",
-            lambda_min=float(lmin[i]),
-            cube=None if context is None else context(i),
-        )
-    if p > 0:
-        vals = np.clip(vals, 0.0, None)
-    if longdouble:
-        # matmul, not einsum: the same sums as a single-matrix spd_power
-        out = (vecs * vals[:, None, :] ** mats.dtype.type(p)) @ vecs.transpose(0, 2, 1)
-    else:
-        out = np.einsum("kij,kj,klj->kil", vecs, vals**p, vecs)
-    out = (out + out.transpose(0, 2, 1)) / 2
-    return out.reshape(mats.shape)

@@ -151,16 +151,6 @@ def red_constants(w, bseq):
     )
 
 
-def p_roots(w, positions):
-    """P_Q = <W^-1>_Q^-1/2 of the cubes at flat tree ``positions``, in order.
-
-    One stacked eigendecomposition and one ``eig_power``, each member
-    bitwise the single-matrix ``spd_power``.
-    """
-    flat = np.concatenate(w.inverse().pyramid())[positions]
-    return matrices.eig_power(*matrices.eigh_sym(flat), -0.5)
-
-
 def red_quadratic_form(w, bseq, k, e, order="corollary"):
     """One testing quadratic form of the matrix redundancy statement.
 
@@ -187,7 +177,8 @@ def red_quadratic_form(w, bseq, k, e, order="corollary"):
     inside = np.flatnonzero((levels >= k.level) & (pos >> shift == k.position))
     if not inside.size:
         return 0.0
-    p_q = p_roots(w, bseq.positions[inside])
+    vavg = np.concatenate(w.inverse().pyramid())[bseq.positions[inside]]
+    p_q = matrices.eig_power(*matrices.eigh_sym(vavg), -0.5)
     if order == "first":
         x = (r_k @ (p_q @ e)[..., None])[..., 0]
     elif order == "second":
@@ -208,7 +199,8 @@ def trace_cycling_error(w, bseq, norms):
     """
     w = w.as_matrix()
     r_k = matrices.spd_power(w.pyramid()[0][0], -0.5)
-    p_q = p_roots(w, bseq.positions)
+    vavg = np.concatenate(w.inverse().pyramid())[bseq.positions]
+    p_q = matrices.eig_power(*matrices.eigh_sym(vavg), -0.5)
     scalar = norms[:, None, None] * np.eye(w.d)
     t1 = np.trace(r_k @ p_q @ scalar @ p_q @ r_k, axis1=1, axis2=2)
     t2 = np.trace(p_q @ r_k @ scalar @ r_k @ p_q, axis1=1, axis2=2)
@@ -231,7 +223,7 @@ def substitution_error(w, bseq, rng, samples=5):
         e /= np.linalg.norm(e)
         second = red_quadratic_form(w, bseq, k, e, order="second")
         wk = wavg[k[0]][k[1]]
-        f = matrices.spd_apply_power(wk, -0.5, e)
+        f = matrices.eig_apply_power(*matrices.eigh_sym(wk), -0.5, e)
         corollary = red_quadratic_form(w, bseq, k, f, order="corollary")
         rhs_second = float(e @ e)
         rhs_corollary = float(f @ (wk @ f))

@@ -230,6 +230,31 @@ def brute_jacobi_eigh(a, max_sweeps=60):
     return np.diag(a)[order].copy(), v[:, order].copy()
 
 
+def brute_spd_power(m, p):
+    """SPD power of every matrix of a stack (..., d, d), one matrix at a time.
+
+    Per matrix: numpy ``eigh`` (longdouble: ``brute_jacobi_eigh``), the
+    refusal rule (a negative power refuses lambda_min <= 1e-12, the square
+    root lambda_min < -1e-12 and clips the rest at zero), then an einsum
+    and the symmetrization.  A refused matrix raises SingularMatrixError
+    with ``point`` its flat index in the stack.
+    """
+    from carlab.errors import SingularMatrixError
+
+    m = np.asarray(m)
+    flat = m.reshape(-1, *m.shape[-2:])
+    out = np.empty_like(flat)
+    for i, a in enumerate(flat):
+        vals, vecs = brute_jacobi_eigh(a) if a.dtype == np.longdouble else np.linalg.eigh(a)
+        if (vals[0] <= 1e-12) if p < 0 else (vals[0] < -1e-12):
+            raise SingularMatrixError("refused", lambda_min=float(vals[0])).at(i)
+        if p > 0:
+            vals = np.clip(vals, 0.0, None)
+        r = np.einsum("ij,j,lj->il", vecs, vals ** a.dtype.type(p), vecs)
+        out[i] = (r + r.T) / 2
+    return out.reshape(m.shape)
+
+
 def brute_bet_vectors(wavg, winvavg, havg, gavg, support):
     """(u_Q, v_Q) of the bilinear sums, one support cube at a time.
 

@@ -203,6 +203,17 @@ def test_stack_errors_name_first_bad_point(check, kind):
         assert info.value.lambda_min == one.value.lambda_min
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_stack_inverse_names_first_singular_point(dtype):
+    # V is refused at points 1 and 4, at 4 with the smaller eigenvalue
+    u, v, m = _stack_with("singular")
+    s = BellmanStack(u.astype(dtype), v.astype(dtype), m)
+    with pytest.raises(SingularMatrixError) as info:
+        s.vinv
+    assert info.value.point == 1
+    assert info.value.lambda_min == pytest.approx(1e-13, rel=1e-9)
+
+
 def test_sampled_errors_name_first_failing_sample():
     # d = 1 samples are evaluated first, but the d = 2 sample 1 fails before
     # the d = 1 sample 4 in draw order, at a later stage (B, not the

@@ -7,7 +7,6 @@ from carlab import characteristics, matrices
 from carlab.characteristics import (
     MatrixSequence,
     ScalarSequence,
-    _check_spd_levels,
     a2_characteristic,
     c2_conditioning,
     carleson_equivalents,
@@ -33,6 +32,7 @@ from oracles import (
     brute_matrix_sequence_entries,
     brute_scalar_a2,
     brute_scalar_intensity,
+    brute_spd_power,
     brute_wcet_testing_constant,
 )
 
@@ -145,7 +145,7 @@ def test_tree_kernels_match_per_level_loops(d):
             got = level_powers(wavg, p)
             assert len(got) == depth + 1
             for k, lv in enumerate(wavg):
-                assert np.array_equal(got[k], matrices.spd_power_stack(lv, p))
+                assert np.array_equal(got[k], brute_spd_power(lv, p))
         acc = subtree_sums(characteristics.testing_terms(wavg, inst.mseq))
         for levels in (wavg, acc):
             assert cube_supremum(levels) == _per_level_supremum(levels)
@@ -160,28 +160,34 @@ def test_level_powers_longdouble_matches_per_level_loop(d):
             got = level_powers(wavg, p)
             for k, lv in enumerate(wavg):
                 assert got[k].dtype == np.longdouble
-                assert np.array_equal(got[k], matrices.spd_power_stack(lv, p))
+                assert np.array_equal(got[k], brute_spd_power(lv, p))
 
 
 @pytest.mark.parametrize(
-    "dtype, cube", [(np.float64, DyadicIndex(2, 3)), (np.longdouble, DyadicIndex(1, 0))]
+    "dtype, cube", [(np.float64, DyadicIndex(1, 0)), (np.longdouble, DyadicIndex(1, 0))]
 )
 def test_singular_pyramid_names_cube(dtype, cube):
     # singular averages at two levels: (1, 0) and (1, 1), then the most
-    # singular one of the tree at (2, 3)
+    # singular one of the tree at (2, 3); both dtypes name the first in
+    # tree order
     pyramid = [np.tile(np.eye(2), (1 << k, 1, 1)).astype(dtype) for k in range(4)]
     pyramid[1][0] = np.diag([1.0, 1e-13])
     pyramid[1][1] = np.diag([1.0, 1e-14])
     pyramid[2][3] = np.diag([1.0, 0.0])
-    # float64: most singular over the tree; longdouble: first in tree order
     with pytest.raises(SingularMatrixError) as err:
         level_powers(pyramid, -0.5)
     assert err.value.cube == cube
-    # the a2 guard: the most singular of the first level that has one
+    assert err.value.lambda_min == pytest.approx(1e-13, rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_a2_names_first_singular_leaf(dtype):
+    # leaves 1 and 3 are singular, 3 the more singular one
+    leaves = np.stack([np.eye(2), np.diag([1.0, 1e-13]), np.eye(2), np.diag([1.0, 0.0])])
     with pytest.raises(SingularMatrixError) as err:
-        _check_spd_levels(pyramid)
-    assert err.value.cube == DyadicIndex(1, 1)
-    assert err.value.lambda_min == pytest.approx(1e-14, rel=1e-12)
+        a2_characteristic(StepField(leaves.astype(dtype)))
+    assert err.value.cube == DyadicIndex(2, 1)
+    assert err.value.lambda_min == pytest.approx(1e-13, rel=1e-12)
 
 
 def test_intensity_identity_at_root():

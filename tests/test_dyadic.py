@@ -17,7 +17,7 @@ from carlab.dyadic import (
     stepfield_to_json,
     tree_size,
 )
-from carlab.errors import AddressError, DimensionMismatchError
+from carlab.errors import AddressError, DimensionMismatchError, SingularMatrixError
 
 from oracles import brute_average
 
@@ -212,3 +212,35 @@ def test_weight_power_cache_and_identity():
     assert w.power(0.5) is w.power(0.5)
     sq = np.einsum("kij,kjl->kil", w.power(0.5).values, w.power(0.5).values)
     np.testing.assert_allclose(sq, leaves, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_power_names_first_refused_leaf(dtype):
+    # leaves 1 and 3 are refused, 3 the worse one; the square root refuses
+    # the indefinite leaves instead of clipping them
+    eye = np.eye(2)
+    singular = np.stack([eye, np.diag([1.0, 1e-13]), eye, np.diag([1.0, 0.0])])
+    indefinite = np.stack([eye, np.diag([1.0, -0.5]), eye, np.diag([1.0, -1.0])])
+    for leaves, powers in ((singular, (-0.5, -1.0)), (indefinite, (0.5, -0.5, -1.0))):
+        w = StepField(leaves.astype(dtype))
+        for p in powers:
+            with pytest.raises(SingularMatrixError) as err:
+                w.power(p)
+            assert err.value.cube == DyadicIndex(2, 1)
+            assert err.value.lambda_min == pytest.approx(leaves[1][1, 1], rel=1e-12)
+    assert StepField(singular.astype(dtype)).power(0.5).values[3, 1, 1] == 0.0
+
+
+def test_stepfield_refuses_non_finite_values():
+    for values in (np.array([1.0, np.nan]), np.array([[0.0, 1.0], [np.inf, 0.0]]),
+                   np.stack([np.eye(2), np.eye(2), np.diag([1.0, -np.inf]), np.eye(2)])):
+        with pytest.raises(DimensionMismatchError, match="non-finite field value"):
+            StepField(values)
+    bad = np.stack([np.eye(2)] * 4)
+    bad[2, 0, 0] = bad[3, 1, 1] = np.nan
+    with pytest.raises(DimensionMismatchError, match=r"level=2, position=2"):
+        StepField(bad)
+    obj = stepfield_to_json(StepField(np.ones(4)))
+    obj["values"][1] = float("inf")
+    with pytest.raises(DimensionMismatchError, match=r"level=2, position=1"):
+        stepfield_from_json(obj)

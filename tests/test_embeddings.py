@@ -150,6 +150,32 @@ def test_bet_sum_singular_average_names_first_support_cube():
         assert err.value.lambda_min == pytest.approx(5e-13, rel=1e-9)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_bet_sums_name_first_support_cube_in_both_dtypes(dtype):
+    # <W^-1> is refused at (1, 0) (lambda_min 5e-13) and, more singular,
+    # at (2, 3) (1e-13); (1, 0) comes first in support order
+    leaves = np.array([np.diag([2e12, 1.0])] * 2 + [np.eye(2), np.diag([1e13, 1.0])])
+    w = StepField(leaves.astype(dtype))
+    f = StepField.constant(2, np.ones(2), dtype=dtype)
+    seq = ScalarSequence(2, [((2, 2), 1.0), ((1, 0), 0.5), ((2, 3), 0.5)])
+    for bet_sum in (bet_norm_sum, bet_inner_sum):
+        with pytest.raises(SingularMatrixError) as err:
+            bet_sum(w, seq, f, f)
+        assert err.value.cube == DyadicIndex(1, 0)
+        assert err.value.lambda_min == pytest.approx(5e-13, rel=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_cet_sum_refuses_indefinite_leaf(dtype):
+    # the square root clipped the leaf's -0.5 to zero and the sum read 1.25
+    w = StepField(np.stack([np.diag([1.0, -0.5]), np.eye(2)]).astype(dtype))
+    f = StepField(np.ones((2, 2), dtype=dtype))
+    with pytest.raises(SingularMatrixError) as err:
+        cet_sum(w, ScalarSequence(1, {ROOT: 1.0}), f)
+    assert err.value.cube == DyadicIndex(1, 0)
+    assert err.value.lambda_min == -0.5
+
+
 def test_maximal_function_dyadic_example():
     # identity weight, f = (1,3) e1 on depth 1: averages 2 then leaf values
     w = StepField.constant(1, np.eye(2))

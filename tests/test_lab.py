@@ -456,7 +456,8 @@ def test_cli_embedded_instance_on_wrong_tree_exit_code(tmp_path):
     ]
     cfg_path = tmp_path / "cfg.json"
     for experiment, embedded in cases:
-        cfg_path.write_text(json.dumps({"seeds": [0], "extra_instances": [embedded]}))
+        # two seeds: sibet-suite refuses a single one before the run
+        cfg_path.write_text(json.dumps({"seeds": [0, 1], "extra_instances": [embedded]}))
         assert main([experiment, "--config", str(cfg_path), "--quiet"]) == 2
 
 
@@ -486,6 +487,46 @@ def test_cli_invalid_embedded_sequence_exit_code(tmp_path, monkeypatch):
         embedded["weight"] = stepfield_to_json(inst.w)
         cfg_path.write_text(json.dumps({"seeds": [0], "extra_instances": [embedded]}))
         assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
+
+
+def test_cli_non_finite_embedded_field_exit_code(tmp_path, monkeypatch):
+    # a NaN weight entry ran redundancy-suite with the row sred -inf (and
+    # red_c1..3 -inf with a matrix sequence) and exit 0; an inf entry of g
+    # gave sibet-suite NaN ratios and exit 0.  All are bad configuration.
+    from carlab.characteristics import MatrixSequence, ScalarSequence
+    from carlab.constructions import random_instance
+    from carlab.dyadic import ROOT
+
+    monkeypatch.chdir(tmp_path)
+    inst = random_instance(3, 2, seed=0, cond_cap=1e3)
+    weight = stepfield_to_json(inst.w)
+    weight["values"][0][0] = float("nan")
+    g = stepfield_to_json(inst.g)
+    g["values"][0][0] = float("inf")
+    alpha = ScalarSequence(3, {ROOT: 1.0}).to_json()
+    cases = [
+        ("redundancy-suite", {"weight": weight, "alpha": alpha}),
+        ("redundancy-suite", {"weight": weight, "alpha": alpha,
+                              "matrix_seq": MatrixSequence(3, 2, {ROOT: np.eye(2)}).to_json()}),
+        ("sibet-suite", {"weight": stepfield_to_json(inst.w), "f": stepfield_to_json(inst.f),
+                         "g": g, "alpha": inst.sseq.to_json()}),
+    ]
+    cfg_path = tmp_path / "cfg.json"
+    for experiment, embedded in cases:
+        cfg_path.write_text(json.dumps({"seeds": [0, 1], "extra_instances": [embedded]}))
+        assert main([experiment, "--config", str(cfg_path), "--quiet"]) == 2
+
+
+def test_cli_sibet_suite_without_d2_instance_exit_code(tmp_path, monkeypatch):
+    # the sweep verdict compares with the largest d = 2 random ratio; with
+    # one seed or d = 1 there is none, and the run ended in a traceback
+    # (ValueError, exit 1)
+    monkeypatch.chdir(tmp_path)
+    for flags in (["--seed", "0"], ["--d", "1"]):
+        assert main(["sibet-suite", *flags, "--quiet"]) == 2
+    with pytest.raises(ConfigError, match="d = 2"):
+        default_config("sibet-suite", d=1)
+    default_config("sibet-suite", d=2, seeds=[3, 4])
 
 
 def test_cli_float64_longdouble_exit_code(monkeypatch):

@@ -5,18 +5,20 @@ from hypothesis import strategies as st
 
 from carlab.errors import DimensionMismatchError, NumericError, SingularMatrixError
 from carlab.matrices import (
+    ALLOWED_POWERS,
     _jacobi_eigh,
     as_symmetric,
+    eig_apply_power,
+    eig_power,
     eigh_sym,
     eigvalsh_stack,
     operator_norm,
     operator_norm_stack,
     psd_gap,
     spd_power,
-    spd_power_stack,
     spectrum,
 )
-from oracles import brute_jacobi_eigh
+from oracles import brute_jacobi_eigh, brute_spd_power
 
 
 def random_spd(rng, d, cond):
@@ -155,9 +157,9 @@ def test_stacked_operator_norm_is_bitwise_the_single_matrix_norm(dtype):
 def test_stacked_power_matches_single():
     rng = np.random.default_rng(12)
     mats = np.stack([random_spd(rng, 3, 1e4) for _ in range(7)])
-    out = spd_power_stack(mats, -0.5)
+    out = spd_power(mats, -0.5)
     for i in range(7):
-        np.testing.assert_allclose(out[i], spd_power(mats[i], -0.5), rtol=1e-11, atol=1e-13)
+        assert np.array_equal(out[i], spd_power(mats[i], -0.5))
     np.testing.assert_allclose(
         eigvalsh_stack(mats)[0], np.linalg.eigvalsh(mats[0]), rtol=1e-12
     )
@@ -166,8 +168,9 @@ def test_stacked_power_matches_single():
 def test_stacked_power_names_offender():
     mats = np.stack([np.eye(2), np.diag([1.0, 0.0])])
     with pytest.raises(SingularMatrixError) as err:
-        spd_power_stack(mats, -1.0, context=lambda i: ("leaf", i))
+        eig_power(*eigh_sym(mats), -1.0, context=lambda i: ("leaf", i))
     assert err.value.cube == ("leaf", 1)
+    assert err.value.point is None
 
 
 def random_spd_ld(rng, d, cond):
@@ -244,6 +247,89 @@ def test_longdouble_power_stack_names_first_singular_matrix():
     mats = np.stack([np.eye(2), np.diag([1.0, 1e-13]), np.eye(2), 2 * np.eye(2),
                      np.diag([1.0, 0.0]), np.eye(2)]).astype(np.longdouble)
     with pytest.raises(SingularMatrixError) as err:
-        spd_power_stack(mats, -1.0, context=lambda i: ("leaf", i))
+        eig_power(*eigh_sym(mats), -1.0, context=lambda i: ("leaf", i))
     assert err.value.cube == ("leaf", 1)
     assert err.value.lambda_min == pytest.approx(1e-13)
+
+
+def _with_spectrum(rng, lams):
+    q, _ = np.linalg.qr(rng.standard_normal((len(lams), len(lams))))
+    return (q * np.asarray(lams)) @ q.T
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_power_kernel_is_bitwise_the_per_matrix_oracle(dtype, d):
+    # 0, 1 and 2 batch axes, condition numbers up to 1e8
+    rng = np.random.default_rng(300 + d)
+    good = np.stack([random_spd(rng, d, 10.0 ** rng.uniform(0, 8)) for _ in range(12)])
+    # members 5 (singular), 7 (a negative part within PSD_CLAMP) and 9 (indefinite)
+    bad = good.copy()
+    bad[5] = random_spd(rng, d, 1e2) * 1e-13
+    bad[7] = _with_spectrum(rng, [-5e-13] + [2.0] * (d - 1))
+    bad[9] = _with_spectrum(rng, [-1e-3] + [1.0] * (d - 1))
+    good, bad = (((m + m.swapaxes(-1, -2)) / 2).astype(dtype) for m in (good, bad))
+    for p in ALLOWED_POWERS:
+        for mats in (good[0], good, good.reshape(3, 4, d, d), bad[:9] if p > 0 else bad[:5]):
+            got = spd_power(mats, p)
+            assert got.dtype == dtype and got.shape == mats.shape
+            assert np.array_equal(got, brute_spd_power(mats, p))
+        for mats in (bad, bad.reshape(3, 4, d, d)):
+            with pytest.raises(SingularMatrixError) as want:
+                brute_spd_power(mats, p)
+            with pytest.raises(SingularMatrixError) as got:
+                spd_power(mats, p)
+            assert got.value.point == want.value.point == (9 if p > 0 else 5)
+            assert got.value.lambda_min == want.value.lambda_min
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_power_refusal_names_first_member(dtype):
+    # members 1 and 3 are refused, 3 the worse one; 2-D input names no member
+    eye = np.eye(2)
+    negative = np.stack([eye, np.diag([1.0, 1e-13]), eye, np.diag([1.0, 0.0])]).astype(dtype)
+    indefinite = np.stack([eye, np.diag([1.0, -1e-3]), eye, np.diag([1.0, -1.0])]).astype(dtype)
+    for mats, powers in ((negative, (-0.5, -1.0)), (indefinite, ALLOWED_POWERS)):
+        vals, vecs = eigh_sym(mats)
+        for p in powers:
+            for call in (lambda **kw: eig_power(vals, vecs, p, **kw),
+                         lambda **kw: eig_apply_power(vals, vecs, p, np.ones((4, 2)), **kw)):
+                with pytest.raises(SingularMatrixError) as err:
+                    call()
+                assert err.value.point == 1 and err.value.cube is None
+                assert "(point 1)" in str(err.value)
+                with pytest.raises(SingularMatrixError) as err:
+                    call(context=lambda i: ("leaf", i))
+                assert err.value.cube == ("leaf", 1) and err.value.point is None
+                assert err.value.lambda_min == float(vals[1, 0])
+            with pytest.raises(SingularMatrixError) as err:
+                spd_power(mats[3], p)
+            assert err.value.point is None and err.value.cube is None
+    # batch axes are flattened in C order: member (1, 0) of a (2, 2) stack is 2
+    with pytest.raises(SingularMatrixError) as err:
+        spd_power(indefinite[[0, 0, 1, 3]].reshape(2, 2, 2, 2), 0.5)
+    assert err.value.point == 2
+    # the square root clips a negative part within PSD_CLAMP
+    assert np.array_equal(spd_power(np.diag([1.0, -1e-13]).astype(dtype), 0.5),
+                          np.diag([1.0, 0.0]).astype(dtype))
+
+
+def test_spd_power_refuses_asymmetric_input():
+    m = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(DimensionMismatchError):
+        spd_power(m, 0.5)
+    with pytest.raises(DimensionMismatchError) as err:
+        spd_power(np.stack([np.eye(2), m]), 0.5)
+    assert err.value.point == 1
+
+
+def test_apply_power_is_the_power_applied():
+    rng = np.random.default_rng(4)
+    mats = np.stack([random_spd(rng, 3, 1e3) for _ in range(5)])
+    x = rng.standard_normal((5, 3))
+    for p in ALLOWED_POWERS:
+        got = eig_apply_power(*eigh_sym(mats), p, x)
+        want = np.einsum("kij,kj->ki", spd_power(mats, p), x)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        # one vector through one matrix is bitwise the stack's member
+        assert np.array_equal(eig_apply_power(*eigh_sym(mats[2]), p, x[2]), got[2])

@@ -6,7 +6,7 @@ from carlab.characteristics import MatrixSequence, ScalarSequence, carleson_inte
 from carlab.constructions import random_instance, random_orthogonal
 from carlab.dyadic import DyadicIndex, ROOT, StepField
 from carlab.errors import DimensionMismatchError, PreconditionError
-from carlab.matrices import operator_norm_stack, spd_apply_power, spd_power
+from carlab.matrices import operator_norm_stack, spd_power
 from carlab.redundancy import (
     red_constants,
     red_quadratic_form,
@@ -167,7 +167,7 @@ def test_substitution_identity():
             e /= np.linalg.norm(e)
             second = red_quadratic_form(w, inst.mseq, k, e, order="second")
             wk = wavg[k.level][k.position]
-            f = spd_apply_power(wk, -0.5, e)
+            f = spd_power(wk, -0.5) @ e
             corollary = red_quadratic_form(w, inst.mseq, k, f, order="corollary")
             scale = max(second, corollary, 1e-30)
             assert abs(second - corollary) / scale <= 1e-10
