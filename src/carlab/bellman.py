@@ -10,19 +10,14 @@ Concavity is certified by midpoint sampling, not symbolically: the
 perfect-square Hessian argument is a proof device, while the testable
 statement is midpoint concavity on the convex domain.
 
-Two APIs compute the same numbers:
-
-* the point API: ``BellmanPoint``, ``bellman_eval`` and the scalar gap
-  functions, one matrix at a time;
-* the stacked API: ``BellmanStack`` holds n points of one dimension d as
-  arrays (n, d, d), (n, d, d), (n,), with V's eigendecomposition taken
-  once and V^-1 cached; ``bellman_eval_stack``, ``size_gap_stack``,
-  ``concavity_gap_stack`` and ``dm_gap_stack`` work on it with one LAPACK
-  call per step.  Each
-  member goes through the arithmetic of the point API (batched ``eigh``,
-  QR and matmul are bitwise the per-matrix calls), so results are bitwise
-  equal; a failed check names the first offending member
-  (``LabError.point``).
+There is one API, on stacks: ``BellmanStack`` holds n points of one
+dimension d as arrays (n, d, d), (n, d, d), (n,), with V's
+eigendecomposition taken once and V^-1 cached; ``bellman_eval_stack``,
+``size_gap_stack``, ``concavity_gap_stack`` and ``dm_gap_stack`` work on it
+with one LAPACK call per step, and a failed check names the first
+offending member (``LabError.point``).  A ``BellmanPoint`` is a stack of
+one, and ``bellman_eval`` and the scalar gap functions read their numbers
+from it; their errors name no member.
 
 The sampling certificates (``size_gaps``, ``concavity_gaps``, ``dm_gaps``)
 and ``matrix_parameter_probe`` draw each sample's random numbers in the
@@ -35,7 +30,6 @@ tree level, so each cube's B is formed once.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,25 +49,19 @@ M_TOL = 1e-9
 BLOCK = 128
 
 
-@dataclass(frozen=True)
 class BellmanPoint:
-    """Admissible triple (U, V, m); membership is checked on construction."""
+    """Admissible triple (U, V, m); membership is checked on construction.
 
-    u: np.ndarray
-    v: np.ndarray
-    m: float
+    ``stack`` is the point as a ``BellmanStack`` of one, which runs the
+    check and holds every number the point functions read.
+    """
 
-    def __post_init__(self):
-        u = matrices.as_symmetric(self.u)
-        v = matrices.as_symmetric(self.v)
+    def __init__(self, u, v, m):
+        u, v = matrices.as_symmetric(u), matrices.as_symmetric(v)
         if u.shape != v.shape:
             raise DimensionMismatchError(f"U and V differ in shape: {u.shape} vs {v.shape}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "m", float(self.m))
-        margins = self.domain_margins()
-        if margins["psd"] < -DOMAIN_TOL or margins["m"] < -M_TOL:
-            raise DomainError("point outside the Bellman domain", margins=margins)
+        self.u, self.v, self.m = u, v, float(m)
+        self.stack = _one(BellmanStack, u[None], v[None], [self.m])
 
     @property
     def d(self):
@@ -81,19 +69,22 @@ class BellmanPoint:
 
     def domain_margins(self):
         """Signed slack of each domain constraint (negative = violated)."""
-        root = matrices.spd_power(self.v, 0.5)
-        eye = np.eye(self.d, dtype=root.dtype)
-        sandwich = root @ self.u @ root
-        return {
-            "psd": matrices.psd_gap(sandwich, eye),
-            "m": min(self.m, 1.0 - self.m),
-        }
+        return {"psd": float(self.stack.psd_margin[0]), "m": float(self.stack.m_margin[0])}
+
+
+def _one(f, *args):
+    """``f(*args)`` on stacks of one; an error's member index is cleared,
+    since a point names no member."""
+    try:
+        return f(*args)
+    except LabError as exc:
+        exc.point = None
+        raise
 
 
 def bellman_eval(p):
     """Matrix value B(U, V, m) = U - (m+1)^-1 V^-1."""
-    vinv = matrices.spd_power(p.v, -1.0)
-    return matrices.as_symmetric(p.u - vinv / (p.m + 1.0))
+    return _one(bellman_eval_stack, p.stack)[0]
 
 
 def bellman_concavity_gap(p0, p1):
@@ -102,16 +93,12 @@ def bellman_concavity_gap(p0, p1):
     The domain is convex (operator convexity of inversion), so the midpoint
     is admissible; constructing it re-asserts membership.
     """
-    if p0.d != p1.d:
-        raise DimensionMismatchError("points have different dimensions")
-    mid = BellmanPoint((p0.u + p1.u) / 2, (p0.v + p1.v) / 2, (p0.m + p1.m) / 2)
-    avg = (bellman_eval(p0) + bellman_eval(p1)) / 2
-    return matrices.psd_gap(bellman_eval(mid), avg)
+    return float(_one(concavity_gap_stack, p0.stack, p1.stack)[0])
 
 
 def bellman_dm_derivative(p):
     """Analytic m-derivative (m+1)^-2 V^-1 (the finite-difference oracle)."""
-    return matrices.spd_power(p.v, -1.0) / (p.m + 1.0) ** 2
+    return _one(lambda: p.stack.vinv)[0] / (p.m + 1.0) ** 2
 
 
 def bellman_dm_gap(p, h=1e-5):
@@ -121,12 +108,7 @@ def bellman_dm_gap(p, h=1e-5):
     the forward quotient undershoots by O(h), so callers allow a slack
     proportional to h.
     """
-    if not 0.0 < h <= 1e-4:
-        raise PreconditionError(f"step h must lie in (0, 1e-4], got {h}")
-    shifted = BellmanPoint(p.u, p.v, p.m + h)
-    quotient = (bellman_eval(shifted) - bellman_eval(p)) / h
-    vinv = matrices.spd_power(p.v, -1.0)
-    return matrices.psd_gap(quotient, vinv / 4.0)
+    return float(_one(dm_gap_stack, p.stack, h)[0])
 
 
 def bellman_second_derivative(p, dv, dm):
@@ -137,7 +119,7 @@ def bellman_second_derivative(p, dv, dm):
     a positive multiple of the quadratic form certifying concavity.
     """
     dv = matrices.as_symmetric(dv)
-    vinv = matrices.spd_power(p.v, -1.0)
+    vinv = _one(lambda: p.stack.vinv)[0]
     s = 1.0 / (p.m + 1.0)
     vdv = vinv @ dv @ vinv
     out = -2.0 * (s**3 * dm * dm * vinv + s**2 * dm * vdv + s * vdv @ dv @ vinv)
@@ -156,11 +138,12 @@ def _py_min(a, b):
 class BellmanStack:
     """Admissible triples (U_i, V_i, m_i), i < n, of one dimension d.
 
-    ``u`` and ``v`` are (n, d, d), ``m`` is (n,).  Construction runs the
-    checks of ``BellmanPoint`` on every member, with the same arithmetic,
-    and a failure names the first bad member.  The eigendecomposition of V
-    is taken once: V^1/2 for the domain check comes from it, and so does
-    V^-1, which is formed on first use and cached.
+    ``u`` and ``v`` are (n, d, d), ``m`` is (n,).  Construction checks
+    that every member lies in the domain, and a failure names the first
+    bad member; ``psd_margin`` and ``m_margin`` keep each member's signed
+    slack.  The eigendecomposition of V is taken once: V^1/2 for the domain
+    check comes from it, and so does V^-1, which is formed on first use and
+    cached.
     """
 
     def __init__(self, u, v, m):
@@ -186,7 +169,7 @@ class BellmanStack:
             i = int(np.argmax(bad))
             margins = {"psd": float(self.psd_margin[i]), "m": float(m_margin[i])}
             raise DomainError("point outside the Bellman domain", margins=margins).at(i)
-        self.m = m
+        self.m, self.m_margin = m, m_margin
 
     def __len__(self):
         return self.u.shape[0]
@@ -437,7 +420,7 @@ def domain_points(draws):
     """
     v_draws, bumps, m = zip(*draws)
     v = spd_from_draws(v_draws)
-    vinv = matrices.spd_power(v, -1.0)
+    vinv = matrices.eig_power(*matrices.eigh_sym(v), -1.0)
     bumped = np.array([b is not None for b in bumps])
     u = np.where(bumped[:, None, None], _spd_bumped(vinv, bumps), vinv)
     return BellmanStack(u, v, m)
@@ -562,14 +545,14 @@ def matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
     def sample(draws):
         v_draws, bumps, gauss, eigs = zip(*draws)
         v = spd_from_draws(v_draws)
-        u = _spd_bumped(matrices.spd_power(v, -1.0), bumps)
+        u = _spd_bumped(matrices.eig_power(*matrices.eigh_sym(v), -1.0), bumps)
         q = orthogonal_from_draws(np.stack(gauss))
         mm = matrices.as_symmetric_stack((q * np.stack(eigs)[:, None, :]) @ q.transpose(0, 2, 1))
         return u, v, mm
 
     def value(u, v, mm):
-        vr = matrices.spd_power(v, -0.5)
-        core = matrices.spd_power(mm + eye, -1.0)
+        vr = matrices.eig_power(*matrices.eigh_sym(v), -0.5)
+        core = matrices.eig_power(*matrices.eigh_sym(mm + eye), -1.0)
         return matrices.as_symmetric_stack(u - vr @ core @ vr)
 
     def evaluate(pairs):

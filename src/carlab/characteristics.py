@@ -295,6 +295,7 @@ def testing_terms(wavg, seq):
 
 
 def _weight_field(w):
+    """A scalar or matrix field as a matrix weight; vector fields are refused."""
     if w.kind == "vector":
         raise DimensionMismatchError("a weight must be a scalar or matrix field")
     return w.as_matrix()
@@ -367,18 +368,19 @@ def a2_characteristic(w):
 def c2_conditioning_batch(leaves):
     """``c2_conditioning`` of a batch of leaf arrays (B, 2^depth, d, d).
 
-    Returns one value per member; a leaf that is not SPD is named by the
-    smallest eigenvalue of the batch.
+    Returns one value per member.  A leaf with lambda_min <= 0 is refused,
+    and the error names the first such leaf in stack order (member by
+    member, then leaf by leaf), as the SPD powers name theirs.
     """
     vals = matrices.eigvalsh_stack(leaves)
     lmin = vals[..., 0]
-    worst = int(np.argmin(lmin))
-    n = leaves.shape[1]
-    if float(lmin.flat[worst]) <= 0.0:
+    bad = np.flatnonzero(lmin <= 0.0)
+    if bad.size:
+        i, n = int(bad[0]), leaves.shape[1]
         raise SingularMatrixError(
             "weight leaf is not SPD",
-            lambda_min=float(lmin.flat[worst]),
-            cube=DyadicIndex(n.bit_length() - 1, worst % n),
+            lambda_min=float(lmin.flat[i]),
+            cube=DyadicIndex(n.bit_length() - 1, i % n),
         )
     return (vals[..., -1] / lmin).max(axis=-1).astype(np.float64)
 

@@ -107,8 +107,8 @@ class StepField:
 
     ``values`` has shape (2^depth,) for scalar fields, (2^depth, d) for
     vector fields and (2^depth, d, d) for matrix fields.  Instances are
-    treated as immutable; per-level averages and leafwise SPD powers are
-    cached on first use.
+    treated as immutable; per-level averages, the leaves' eigendecomposition
+    and leafwise SPD powers are cached on first use.
     """
 
     def __init__(self, values):
@@ -133,6 +133,7 @@ class StepField:
         self.values = values
         self.depth = n.bit_length() - 1
         self._pyramid = None
+        self._eig = None
         self._powers = {}
 
     # -- basic structure ----------------------------------------------------
@@ -184,15 +185,15 @@ class StepField:
         """Leafwise SPD power of a matrix-valued weight field (cached).
 
         Every embedding sum reuses the same powers across all cubes, hence
-        the cache.  A leaf the power refuses raises SingularMatrixError
-        naming the first such leaf.
+        the cache; the leaves are decomposed once, for every power.  A leaf
+        the power refuses raises SingularMatrixError naming the first one.
         """
         if self.kind != "matrix":
             raise DimensionMismatchError("powers are defined for matrix fields only")
         if p not in self._powers:
-            out = matrices.eig_power(
-                *matrices.eigh_sym(self.values), p, context=lambda i: DyadicIndex(self.depth, i)
-            )
+            if self._eig is None:
+                self._eig = matrices.eigh_sym(self.values)
+            out = matrices.eig_power(*self._eig, p, context=lambda i: DyadicIndex(self.depth, i))
             self._powers[p] = StepField(out)
         return self._powers[p]
 

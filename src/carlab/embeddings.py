@@ -14,8 +14,10 @@ from itertools import islice
 import numpy as np
 
 from . import matrices
-from .characteristics import MatrixSequence, ScalarSequence, batch_of_one, level_powers
-from .dyadic import StepField, check_index, pyramid_batch, tree_cube
+from .characteristics import (
+    MatrixSequence, ScalarSequence, _weight_field, batch_of_one, level_powers,
+)
+from .dyadic import StepField, pyramid_batch, tree_cube
 from .errors import DimensionMismatchError
 
 
@@ -23,12 +25,6 @@ def _vector_field(f):
     if f.kind == "matrix":
         raise DimensionMismatchError("expected a scalar or vector field")
     return f.as_vector()
-
-
-def _weight(w):
-    if w.kind == "vector":
-        raise DimensionMismatchError("a weight must be a scalar or matrix field")
-    return w.as_matrix()
 
 
 def _check_shapes(w, *fields):
@@ -44,7 +40,7 @@ def weighted_l2_norm(f, w=None):
     f = _vector_field(f)
     if w is None:
         return float(l2_norm_batch(f.values[None])[0])
-    w = _weight(w)
+    w = _weight_field(w)
     _check_shapes(w, f)
     sq = np.einsum("ki,kij,kj->k", f.values, w.values, f.values)
     return float(_norm_from_squares(sq))
@@ -80,7 +76,7 @@ def _entry_quadratic(a, v):
 
 def cet_sum(w, seq, f):
     """Embedding sum sum_Q ||A_Q^1/2 <W^1/2 f>_Q||^2 over the sequence support."""
-    w, f = _weight(w), _vector_field(f)
+    w, f = _weight_field(w), _vector_field(f)
     _check_shapes(w, f)
     if seq.depth != w.depth:
         raise DimensionMismatchError("sequence and fields live on different trees")
@@ -95,23 +91,17 @@ def cet_sum(w, seq, f):
     return float(total)
 
 
-def _bet_parts(w, seq, f, g):
+def _bet_pyramids(w, f, g, seq=None):
     """The pyramids of <W>, <W^-1> and both half-weighted averages of a
-    bilinear sum, each a batch of one, with its support and entries.
-
-    The support is the flat tree index of each support cube, in support
-    order; the entries are stacked in the same order.
-    """
-    w, f, g = _weight(w), _vector_field(f), _vector_field(g)
+    bilinear sum, each a batch of one; ``seq``, when given, must live on
+    the weight's tree."""
+    w, f, g = _weight_field(w), _vector_field(f), _vector_field(g)
     _check_shapes(w, f, g)
-    if seq.depth != w.depth:
+    if seq is not None and seq.depth != w.depth:
         raise DimensionMismatchError("sequence and fields live on different trees")
     havg = _halfweighted_averages(w, f, +1)
     gavg = _halfweighted_averages(w, g, -1)
-    pyramids = [
-        batch_of_one(lv) for lv in (w.pyramid(), w.inverse().pyramid(), havg, gavg)
-    ]
-    return pyramids, seq.positions, seq.values
+    return [batch_of_one(lv) for lv in (w.pyramid(), w.inverse().pyramid(), havg, gavg)]
 
 
 def bet_vectors_batch(wavg, vavg, havg, gavg, support):
@@ -182,10 +172,10 @@ def bet_norm_sum(w, seq, f, g):
     sum_Q ||A_Q^1/2 <W>_Q^-1 <W^1/2 f>_Q|| * ||A_Q^1/2 <W^-1>_Q^-1 <W^-1/2 g>_Q||;
     scalar sequences specialize to alpha_Q times the product of plain norms.
     """
-    pyramids, support, entries = _bet_parts(w, seq, f, g)
-    if not support.size:
+    pyramids = _bet_pyramids(w, f, g, seq)
+    if not len(seq):
         return 0.0
-    return float(bet_norm_sum_batch(*pyramids, support, entries, [support.size])[0])
+    return float(bet_norm_sum_batch(*pyramids, seq.positions, seq.values, [len(seq)])[0])
 
 
 def bet_inner_sum(w, seq, f, g):
@@ -194,38 +184,29 @@ def bet_inner_sum(w, seq, f, g):
     sum_Q |<A_Q <W>_Q^-1 <W^1/2 f>_Q, <W^-1>_Q^-1 <W^-1/2 g>_Q>|; scalar
     sequences contribute alpha_Q |<u, v>|.
     """
-    pyramids, support, entries = _bet_parts(w, seq, f, g)
-    if not support.size:
+    pyramids = _bet_pyramids(w, f, g, seq)
+    if not len(seq):
         return 0.0
-    u, v = bet_vectors_batch(*pyramids, support)
+    u, v = bet_vectors_batch(*pyramids, seq.positions)
     if isinstance(seq, MatrixSequence):
-        terms = np.abs(_rowdot((entries @ u[:, :, None])[..., 0], v).astype(np.float64))
+        terms = np.abs(_rowdot((seq.values @ u[:, :, None])[..., 0], v).astype(np.float64))
     else:
-        terms = entries * np.abs(_rowdot(u, v).astype(np.float64))
-    return float(_ordered_sums(terms, [support.size])[0])
+        terms = seq.values * np.abs(_rowdot(u, v).astype(np.float64))
+    return float(_ordered_sums(terms, [len(seq)])[0])
 
 
 def bet_cube_functional(w, f, g):
     """The cube functional F driving the level-set argument.
 
     F(Q) = ||<W>_Q^-1 <W^1/2 f>_Q|| * ||<W^-1>_Q^-1 <W^-1/2 g>_Q|| for every
-    cube of the tree, returned as a dict.
+    cube of the tree, returned as a dict.  It is the scalar term of
+    ``bet_norm_sum`` with alpha_Q = 1, formed as that sum forms it.
     """
-    w, f, g = _weight(w), _vector_field(f), _vector_field(g)
-    _check_shapes(w, f, g)
-    havg = _halfweighted_averages(w, f, +1)
-    gavg = _halfweighted_averages(w, g, -1)
-    ru = level_powers(w.pyramid(), -1.0)
-    rv = level_powers(w.inverse().pyramid(), -1.0)
-    out = {}
-    for k in range(w.depth + 1):
-        u = np.einsum("kij,kj->ki", ru[k], havg[k])
-        v = np.einsum("kij,kj->ki", rv[k], gavg[k])
-        nu = np.sqrt(np.einsum("ki,ki->k", u, u))
-        nv = np.sqrt(np.einsum("ki,ki->k", v, v))
-        for p in range(1 << k):
-            out[check_index((k, p), w.depth)] = float(nu[p] * nv[p])
-    return out
+    pyramids = _bet_pyramids(w, f, g)
+    cubes = np.arange(sum(lv.shape[1] for lv in pyramids[0]))
+    u, v = bet_vectors_batch(*pyramids, cubes)
+    values = np.sqrt(_rowdot(u, u) * _rowdot(v, v)).astype(np.float64)
+    return {tree_cube(i): float(x) for i, x in enumerate(values)}
 
 
 def maximal_function(w, f):
@@ -234,7 +215,7 @@ def maximal_function(w, f):
     M_W f(x) = sup over cubes Q containing x of
     ||W^1/2(x) <W>_Q^-1 <W^1/2 f>_Q||, exact on the finite tree.
     """
-    w, f = _weight(w), _vector_field(f)
+    w, f = _weight_field(w), _vector_field(f)
     _check_shapes(w, f)
     havg = _halfweighted_averages(w, f, +1)
     wh = w.power(0.5)
@@ -251,7 +232,7 @@ def maximal_function(w, f):
 
 def phi_product(w, f, g):
     """Pointwise product M_W f * M_{W^-1} g as a scalar field."""
-    w = _weight(w)
+    w = _weight_field(w)
     mf = maximal_function(w, f)
     mg = maximal_function(w.inverse(), g)
     return StepField(mf.values * mg.values)

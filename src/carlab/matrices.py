@@ -191,15 +191,10 @@ def operator_norm_stack(mats):
 def psd_gap(a, b):
     """Smallest eigenvalue of a - b: the margin of a >= b in the PSD order.
 
-    Margins, not booleans, so the caller owns the threshold.
+    Margins, not booleans, so the caller owns the threshold.  The stack of
+    one of ``psd_gap_stack``.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = symmetrize(a - b)
-    vals, _ = eigh_sym(diff)
-    return float(vals[0])
+    return float(psd_gap_stack(np.asarray(a)[None], np.asarray(b)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +287,8 @@ def spd_power(m, p):
 def psd_gap_stack(a, b):
     """``psd_gap`` of each pair of members of two stacks (n, d, d).
 
-    Takes the full ``eigh``, like ``psd_gap``: LAPACK's eigenvalue-only
-    routine can differ from it in the last bits.
+    Takes the full ``eigh``: LAPACK's eigenvalue-only routine can differ
+    from it in the last bits.
     """
     a = np.asarray(a)
     b = np.asarray(b)

@@ -21,7 +21,7 @@ from .characteristics import (
     level_powers_batch,
     subtree_sums_batch,
 )
-from .dyadic import check_index
+from .dyadic import DyadicIndex, check_index
 from .errors import DimensionMismatchError, PreconditionError
 
 INTENSITY_SLACK = 1e-9
@@ -172,13 +172,23 @@ def red_quadratic_form(w, bseq, k, e, order="corollary"):
     k = check_index(k, w.depth)
     e = np.asarray(e, dtype=float)
     r_k = matrices.spd_power(w.pyramid()[k.level][k.position], -0.5)
+    return _quadratic_form(bseq, k, _support_powers(w, bseq), r_k, e, order)
+
+
+def _support_powers(w, bseq):
+    """P_Q = <W^-1>_Q^-1/2 of every support cube, in entry order, as one stack."""
+    vavg = np.concatenate(w.inverse().pyramid())[bseq.positions]
+    return matrices.eig_power(*matrices.eigh_sym(vavg), -0.5)
+
+
+def _quadratic_form(bseq, k, p_q, r_k, e, order):
+    """``red_quadratic_form`` from the ``_support_powers`` ``p_q`` and R_K."""
     levels, pos = np.array(list(bseq.entries), dtype=np.intp).reshape(-1, 2).T
     shift = np.maximum(levels - k.level, 0)
     inside = np.flatnonzero((levels >= k.level) & (pos >> shift == k.position))
     if not inside.size:
         return 0.0
-    vavg = np.concatenate(w.inverse().pyramid())[bseq.positions[inside]]
-    p_q = matrices.eig_power(*matrices.eigh_sym(vavg), -0.5)
+    p_q = p_q[inside]
     if order == "first":
         x = (r_k @ (p_q @ e)[..., None])[..., 0]
     elif order == "second":
@@ -199,8 +209,7 @@ def trace_cycling_error(w, bseq, norms):
     """
     w = w.as_matrix()
     r_k = matrices.spd_power(w.pyramid()[0][0], -0.5)
-    vavg = np.concatenate(w.inverse().pyramid())[bseq.positions]
-    p_q = matrices.eig_power(*matrices.eigh_sym(vavg), -0.5)
+    p_q = _support_powers(w, bseq)
     scalar = norms[:, None, None] * np.eye(w.d)
     t1 = np.trace(r_k @ p_q @ scalar @ p_q @ r_k, axis1=1, axis2=2)
     t2 = np.trace(p_q @ r_k @ scalar @ r_k @ p_q, axis1=1, axis2=2)
@@ -211,20 +220,24 @@ def trace_cycling_error(w, bseq, norms):
 def substitution_error(w, bseq, rng, samples=5):
     """Defect of the substitution e = <W>_K^1/2 f linking the two forms.
 
-    Each sample draws a cube K and a unit vector e from ``rng``.
+    Each sample draws a cube K and a unit vector e from ``rng``.  The
+    support's P_Q are decomposed once for all samples, and each sample's
+    <W>_K once, for both R_K and f = <W>_K^-1/2 e.
     """
     w = w.as_matrix()
     wavg = w.pyramid()
+    p_q = _support_powers(w, bseq)
     worst = 0.0
     for _ in range(samples):
         level = int(rng.integers(0, w.depth + 1))
-        k = (level, int(rng.integers(0, 1 << level)))
+        k = DyadicIndex(level, int(rng.integers(0, 1 << level)))
         e = rng.standard_normal(w.d)
         e /= np.linalg.norm(e)
-        second = red_quadratic_form(w, bseq, k, e, order="second")
-        wk = wavg[k[0]][k[1]]
-        f = matrices.eig_apply_power(*matrices.eigh_sym(wk), -0.5, e)
-        corollary = red_quadratic_form(w, bseq, k, f, order="corollary")
+        wk = wavg[k.level][k.position]
+        eig = matrices.eigh_sym(wk)
+        second = _quadratic_form(bseq, k, p_q, matrices.eig_power(*eig, -0.5), e, "second")
+        f = matrices.eig_apply_power(*eig, -0.5, e)
+        corollary = _quadratic_form(bseq, k, p_q, None, f, "corollary")
         rhs_second = float(e @ e)
         rhs_corollary = float(f @ (wk @ f))
         scale = max(second, corollary, 1e-30)

@@ -1,9 +1,11 @@
 """Brute-force oracles: independent computations of the quantities under
 test, by direct enumeration over cubes, leaves and samples.  Deliberately
 slow and structure-free so they share no code path with the kernels they
-check (the Bellman loops below use the library's one-point API)."""
+check (the Bellman loops below evaluate B one point at a time with their
+own 2-D arithmetic, not through ``carlab.bellman``)."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -299,10 +301,65 @@ def brute_search_weight(logs, angles):
 
 
 # ---------------------------------------------------------------------------
+# The Bellman function one point at a time: symmetrization, SPD power and
+# PSD margin of single 2-D matrices, as the point API computed them before
+# a point became a stack of one.
+# ---------------------------------------------------------------------------
+
+class BrutePoint(NamedTuple):
+    u: np.ndarray
+    v: np.ndarray
+    m: float
+
+
+def brute_symmetric(m):
+    """(M + M^T)/2 of one matrix."""
+    m = np.asarray(m)
+    return (m + m.T) / 2
+
+
+def brute_power(m, p):
+    """SPD power of one matrix, symmetrized first."""
+    return brute_spd_power(brute_symmetric(m), p)
+
+
+def brute_psd_gap(a, b):
+    """Smallest eigenvalue of the symmetrized a - b, from one full ``eigh``."""
+    return float(np.linalg.eigh(brute_symmetric(a - b))[0][0])
+
+
+def brute_point(u, v, m):
+    """(U, V, m) with U and V symmetrized, refused outside the Bellman domain
+    1 <= V^1/2 U V^1/2 (slack 1e-10), 0 <= m <= 1 (slack 1e-9)."""
+    from carlab.errors import DomainError
+
+    u, v, m = brute_symmetric(u), brute_symmetric(v), float(m)
+    root = brute_power(v, 0.5)
+    margins = {"psd": brute_psd_gap(root @ u @ root, np.eye(len(v))), "m": min(m, 1.0 - m)}
+    if margins["psd"] < -1e-10 or margins["m"] < -1e-9:
+        raise DomainError("point outside the Bellman domain", margins=margins)
+    return BrutePoint(u, v, m)
+
+
+def brute_eval(p):
+    """B(U, V, m) = U - (m+1)^-1 V^-1."""
+    return brute_symmetric(p.u - brute_power(p.v, -1.0) / (p.m + 1.0))
+
+
+def brute_concavity_gap(p0, p1):
+    mid = brute_point((p0.u + p1.u) / 2, (p0.v + p1.v) / 2, (p0.m + p1.m) / 2)
+    return brute_psd_gap(brute_eval(mid), (brute_eval(p0) + brute_eval(p1)) / 2)
+
+
+def brute_dm_gap(p, h):
+    shifted = brute_point(p.u, p.v, p.m + h)
+    quotient = (brute_eval(shifted) - brute_eval(p)) / h
+    return brute_psd_gap(quotient, brute_power(p.v, -1.0) / 4.0)
+
+
+# ---------------------------------------------------------------------------
 # Per-sample random constructors and Bellman loops, as they were before the
-# samplers drew first and built on stacks.  The Bellman loops run through
-# the point API (BellmanPoint, bellman_eval, the scalar gap functions),
-# which the stacked kernels do not call.
+# samplers drew first and built on stacks.
 # ---------------------------------------------------------------------------
 
 def brute_random_orthogonal(d, rng):
@@ -325,74 +382,63 @@ def brute_random_weight_field(depth, d, rng, cond_cap=1e4):
 
 
 def brute_random_domain_point(d, rng, cond_cap=1e4, boundary_fraction=0.3):
-    from carlab.bellman import BellmanPoint
-    from carlab.matrices import spd_power
-
     v = brute_random_spd(d, rng, cond_cap)
-    vinv = spd_power(v, -1.0)
+    vinv = brute_power(v, -1.0)
     if rng.uniform() < boundary_fraction:
         u = vinv
     else:
         u = vinv + rng.uniform(0.0, 2.0) * brute_random_spd(d, rng, min(cond_cap, 1e2))
-    return BellmanPoint(u, v, float(rng.uniform(0.0, 1.0)))
+    return brute_point(u, v, float(rng.uniform(0.0, 1.0)))
 
 
 def brute_size_gaps(rng, n, d_max):
     """Per-sample size margins of the bellman-certify loop: (gaps, dims)."""
-    from carlab.bellman import bellman_eval
-    from carlab.matrices import psd_gap
-
     gaps, dims = [], []
     for _ in range(n):
-        p = brute_random_domain_point(1 + rng.integers(d_max), rng, cond_cap=1e4)
-        b = bellman_eval(p)
-        gaps.append(min(psd_gap(b, np.zeros_like(b)), psd_gap(p.u, b)))
-        dims.append(p.d)
+        d = 1 + int(rng.integers(d_max))
+        p = brute_random_domain_point(d, rng, cond_cap=1e4)
+        b = brute_eval(p)
+        gaps.append(min(brute_psd_gap(b, np.zeros_like(b)), brute_psd_gap(p.u, b)))
+        dims.append(d)
     return np.array(gaps), np.array(dims)
 
 
 def brute_concavity_gaps(rng, n, d_max):
-    from carlab.bellman import bellman_concavity_gap
-
     gaps, dims = [], []
     for _ in range(n):
         d = 1 + int(rng.integers(d_max))
         p0 = brute_random_domain_point(d, rng, cond_cap=1e4)
         p1 = brute_random_domain_point(d, rng, cond_cap=1e4)
-        gaps.append(bellman_concavity_gap(p0, p1))
+        gaps.append(brute_concavity_gap(p0, p1))
         dims.append(d)
     return np.array(gaps), np.array(dims)
 
 
 def brute_dm_gaps(rng, n, d_max, h):
-    from carlab.bellman import BellmanPoint, bellman_dm_gap
-
     gaps, dims = [], []
     for _ in range(n):
         d = 1 + int(rng.integers(d_max))
         p = brute_random_domain_point(d, rng, cond_cap=1024)
-        p = BellmanPoint(p.u, p.v, min(p.m, 1.0 - h))
-        gaps.append(bellman_dm_gap(p, h))
+        p = brute_point(p.u, p.v, min(p.m, 1.0 - h))
+        gaps.append(brute_dm_gap(p, h))
         dims.append(d)
     return np.array(gaps), np.array(dims)
 
 
 def brute_matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
-    from carlab.matrices import as_symmetric, psd_gap, spd_power
-
     rng = np.random.default_rng(seed)
 
     def sample():
         v = brute_random_spd(d, rng, 1e3)
-        u = spd_power(v, -1.0) + rng.uniform(0.0, 1.5) * brute_random_spd(d, rng, 1e2)
+        u = brute_power(v, -1.0) + rng.uniform(0.0, 1.5) * brute_random_spd(d, rng, 1e2)
         q = brute_random_orthogonal(d, rng)
         mm = (q * rng.uniform(0.0, 1.0, size=d)) @ q.T
-        return u, v, as_symmetric(mm)
+        return u, v, brute_symmetric(mm)
 
     def value(u, v, mm):
-        vr = spd_power(v, -0.5)
-        core = spd_power(mm + np.eye(d), -1.0)
-        return as_symmetric(u - vr @ core @ vr)
+        vr = brute_power(v, -0.5)
+        core = brute_power(mm + np.eye(d), -1.0)
+        return brute_symmetric(u - vr @ core @ vr)
 
     gaps = np.empty(n_pairs)
     for i in range(n_pairs):
@@ -400,7 +446,7 @@ def brute_matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
         u1, v1, m1 = sample()
         mid = value((u0 + u1) / 2, (v0 + v1) / 2, (m0 + m1) / 2)
         avg = (value(u0, v0, m0) + value(u1, v1, m1)) / 2
-        gaps[i] = psd_gap(mid, avg)
+        gaps[i] = brute_psd_gap(mid, avg)
     return {
         "pairs": n_pairs,
         "min_gap": float(gaps.min()),
@@ -420,46 +466,38 @@ def _dynamics_data(w, alpha):
 
 
 def brute_cube_certificate(w, alpha, level, pos):
-    """Dynamics certificate of one cube, from BellmanPoints built per cube."""
-    from carlab.bellman import BellmanPoint, bellman_eval
-    from carlab.matrices import spd_power, symmetrize
-
+    """Dynamics certificate of one cube, from points built per cube."""
     uavg, vavg, m_levels = _dynamics_data(w, alpha)
     depth = len(uavg) - 1
 
     def point(k, p, m=None):
-        return BellmanPoint(uavg[k][p], vavg[k][p], float(m_levels[k][p]) if m is None else m)
+        return brute_point(uavg[k][p], vavg[k][p], float(m_levels[k][p]) if m is None else m)
 
     pk = point(level, pos)
-    vinv = spd_power(pk.v, -1.0)
+    vinv = brute_power(pk.v, -1.0)
     measure = 2.0 ** (-level)
-    lhs = measure * bellman_eval(pk) - 0.25 * alpha.get((level, pos)) * vinv
+    lhs = measure * brute_eval(pk) - 0.25 * alpha.get((level, pos)) * vinv
     if level == depth:
-        rest = measure * bellman_eval(point(level, pos, 0.0))
+        rest = measure * brute_eval(point(level, pos, 0.0))
     else:
         rest = np.zeros_like(lhs)
         for child in (2 * pos, 2 * pos + 1):
-            rest = rest + 2.0 ** (-(level + 1)) * bellman_eval(point(level + 1, child))
-    return symmetrize(lhs - rest)
+            rest = rest + 2.0 ** (-(level + 1)) * brute_eval(point(level + 1, child))
+    return brute_symmetric(lhs - rest)
 
 
 def brute_dynamics_gaps(w, alpha):
     """{(level, pos): gap} over the non-leaf cubes, one cube at a time."""
-    from carlab.matrices import psd_gap
-
     depth = w.depth
     out = {}
     for level, pos in enum_cubes(depth - 1) if depth else []:
         cert = brute_cube_certificate(w, alpha, level, pos)
-        out[(level, pos)] = psd_gap(cert, np.zeros_like(cert))
+        out[(level, pos)] = brute_psd_gap(cert, np.zeros_like(cert))
     return out
 
 
 def brute_telescoping_certificate(w, alpha, level=0, pos=0):
     """(direct, accumulated, min_gap) summed cube by cube over D(level, pos)."""
-    from carlab.bellman import BellmanPoint, bellman_eval
-    from carlab.matrices import psd_gap, spd_power, symmetrize
-
     uavg, vavg, m_levels = _dynamics_data(w, alpha)
     depth = w.depth
     accumulated = sred_sum = leaf_tail = None
@@ -467,19 +505,19 @@ def brute_telescoping_certificate(w, alpha, level=0, pos=0):
     for k, p in enum_descendants(level, pos, depth):
         cert = brute_cube_certificate(w, alpha, k, p)
         accumulated = cert if accumulated is None else accumulated + cert
-        min_gap = min(min_gap, psd_gap(cert, np.zeros_like(cert)))
+        min_gap = min(min_gap, brute_psd_gap(cert, np.zeros_like(cert)))
         a = alpha.get((k, p))
         if a:
-            term = a * spd_power(vavg[k][p], -1.0)
+            term = a * brute_power(vavg[k][p], -1.0)
             sred_sum = term if sred_sum is None else sred_sum + term
         if k == depth:
-            tail = 2.0 ** (-k) * bellman_eval(BellmanPoint(uavg[k][p], vavg[k][p], 0.0))
+            tail = 2.0 ** (-k) * brute_eval(brute_point(uavg[k][p], vavg[k][p], 0.0))
             leaf_tail = tail if leaf_tail is None else leaf_tail + tail
-    pk = BellmanPoint(uavg[level][pos], vavg[level][pos], float(m_levels[level][pos]))
+    pk = brute_point(uavg[level][pos], vavg[level][pos], float(m_levels[level][pos]))
     if sred_sum is None:
         sred_sum = np.zeros((w.d, w.d))
-    direct = 2.0 ** (-level) * bellman_eval(pk) - 0.25 * sred_sum - leaf_tail
-    return symmetrize(direct), symmetrize(accumulated), float(min_gap)
+    direct = 2.0 ** (-level) * brute_eval(pk) - 0.25 * sred_sum - leaf_tail
+    return brute_symmetric(direct), brute_symmetric(accumulated), float(min_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -735,3 +773,25 @@ def brute_red_quadratic_form(w, entries, k, e, order="corollary"):
             x = p_q @ e
         total += max(float(x @ (b @ x)), 0.0)
     return total / 2.0 ** -level
+
+
+def brute_substitution_error(w, entries, rng, samples=5):
+    """``substitution_error`` one sample at a time, each form summed cube by
+    cube, with f = <W>_K^-1/2 e from one ``eigh`` of <W>_K."""
+    w = w.as_matrix()
+    wavg = w.pyramid()
+    worst = 0.0
+    for _ in range(samples):
+        level = int(rng.integers(0, w.depth + 1))
+        k = (level, int(rng.integers(0, 1 << level)))
+        e = rng.standard_normal(w.d)
+        e /= np.linalg.norm(e)
+        second = brute_red_quadratic_form(w, entries, k, e, order="second")
+        wk = wavg[level][k[1]]
+        vals, vecs = np.linalg.eigh(wk)
+        f = vecs @ ((vals ** -0.5) * (vecs.T @ e))
+        corollary = brute_red_quadratic_form(w, entries, k, f, order="corollary")
+        scale = max(second, corollary, 1e-30)
+        worst = max(worst, abs(second - corollary) / scale)
+        worst = max(worst, abs(float(e @ e) - float(f @ (wk @ f))) / max(float(e @ e), 1e-30))
+    return worst

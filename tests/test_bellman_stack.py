@@ -194,9 +194,11 @@ def test_stack_errors_name_first_bad_point(check, kind):
         STACK_CHECKS[check](BellmanStack(u, v, m))
     assert info.value.point == 1
     assert "(point 1)" in str(info.value)
-    # the same defect, one point at a time, with the same margins
+    # the same defect, one point at a time, with the same margins; a point
+    # is a stack of one, but its error names no member
     with pytest.raises(ERRORS[kind]) as one:
         bellman_eval(BellmanPoint(u[1], v[1], m[1]))
+    assert one.value.point is None and "(point" not in str(one.value)
     if kind == "domain":
         assert info.value.margins == one.value.margins
     if kind == "singular":

@@ -367,6 +367,26 @@ def test_c2_rejects_singular_leaf():
         c2_conditioning(StepField(leaves))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_c2_names_first_non_spd_leaf_as_the_powers_do(dtype):
+    # leaf 1 is the first leaf that is not SPD, leaf 3 the most singular
+    bad, worse = np.diag([1.0, -0.1]), np.diag([1.0, -1.0])
+    w = StepField(np.stack([np.eye(2), bad, np.eye(2), worse]).astype(dtype))
+    with pytest.raises(SingularMatrixError) as c2:
+        c2_conditioning(w)
+    with pytest.raises(SingularMatrixError) as power:
+        w.power(-1.0)
+    assert c2.value.cube == power.value.cube == DyadicIndex(2, 1)
+    assert c2.value.lambda_min == pytest.approx(-0.1, rel=1e-12)
+    # in a batch, member by member: member 0's leaf 3 comes before member
+    # 1's more singular leaf 0
+    batch = np.stack([[np.eye(2)] * 3 + [bad], [worse] + [np.eye(2)] * 3]).astype(dtype)
+    with pytest.raises(SingularMatrixError) as info:
+        characteristics.c2_conditioning_batch(batch)
+    assert info.value.cube == DyadicIndex(2, 3)
+    assert info.value.lambda_min == pytest.approx(-0.1, rel=1e-12)
+
+
 def test_necessity_identity_sampled():
     rng = np.random.default_rng(26)
     for seed in range(10):

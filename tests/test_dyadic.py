@@ -17,9 +17,11 @@ from carlab.dyadic import (
     stepfield_to_json,
     tree_size,
 )
+from carlab import matrices
+from carlab.constructions import random_weight_field
 from carlab.errors import AddressError, DimensionMismatchError, SingularMatrixError
 
-from oracles import brute_average
+from oracles import brute_average, brute_spd_power
 
 
 def test_root_and_children():
@@ -244,3 +246,17 @@ def test_stepfield_refuses_non_finite_values():
     obj["values"][1] = float("inf")
     with pytest.raises(DimensionMismatchError, match=r"level=2, position=1"):
         stepfield_from_json(obj)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_power_decomposes_the_leaves_once(monkeypatch, dtype):
+    # every power of a field comes from one eigendecomposition of its leaves,
+    # and each is bitwise the power of each leaf decomposed on its own
+    w = StepField(random_weight_field(3, 3, np.random.default_rng(5)).values.astype(dtype))
+    real = matrices.eigh_sym
+    calls = []
+    monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(len(m)) or real(m))
+    for p in (0.5, -1.0, -0.5, 0.5):
+        assert np.array_equal(w.power(p).values, brute_spd_power(w.values, p))
+    assert w.inverse() is w.power(-1.0)
+    assert calls == [8]

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlab.characteristics import MatrixSequence, ScalarSequence, carleson_intensity
+from carlab import matrices
+from carlab.characteristics import (
+    MatrixSequence,
+    ScalarSequence,
+    a2_characteristic,
+    c2_conditioning,
+    carleson_intensity,
+    wcet_testing_constant,
+)
 from carlab.constructions import random_instance, random_orthogonal
 from carlab.dyadic import DyadicIndex, ROOT, StepField
 from carlab.errors import DimensionMismatchError, PreconditionError
@@ -11,12 +19,14 @@ from carlab.redundancy import (
     red_constants,
     red_quadratic_form,
     sred_constant,
+    substitution_error,
     trace_cycling_error,
 )
 from oracles import (
     brute_red_constants,
     brute_red_quadratic_form,
     brute_sred_constant,
+    brute_substitution_error,
     brute_trace_cycling_error,
 )
 
@@ -200,6 +210,26 @@ def test_stacked_cross_checks_match_per_cube_oracles(d):
         red_quadratic_form(inst.w, inst.mseq, ROOT, e, order="third")
 
 
+def test_substitution_error_decomposes_once_per_sample(monkeypatch):
+    # one eigh of <W>_K per sample serves R_K and f, and one of the support's
+    # <W^-1>_Q serves every sample; the value is bitwise the per-sample loop's
+    real = matrices.eigh_sym
+    calls = []
+    for depth in range(6):
+        for d in range(1, 5):
+            inst = random_instance(depth, d, seed=10 * depth + d, cond_cap=1e4)
+            inst.w.inverse()  # the leaves' decomposition is cached on the field
+            calls.clear()
+            monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(1) or real(m))
+            got = substitution_error(inst.w, inst.mseq, np.random.default_rng(depth), samples=5)
+            monkeypatch.setattr(matrices, "eigh_sym", real)
+            assert len(calls) == 5 + 1
+            want = brute_substitution_error(
+                inst.w, inst.mseq.entries, np.random.default_rng(depth), samples=5
+            )
+            assert got == want
+
+
 # Metamorphic checks.  W -> cW and the joint rotation W -> U W U^T,
 # B -> U B U^T leave every constant unchanged in exact arithmetic; the
 # tolerance is 64 eps cond, with cond the spread of all leaf eigenvalues
@@ -236,6 +266,37 @@ def test_constants_invariant_under_joint_rotation(seed, depth, d, log_cap):
     u = random_orthogonal(d, np.random.default_rng(seed))
     rotated = MatrixSequence(depth, d, {q: u @ m @ u.T for q, m in inst.mseq.items()})
     _assert_invariant(inst, StepField(u @ inst.w.values @ u.T), rotated)
+
+
+def _best_constants(w, sseq, mseq):
+    return (
+        carleson_intensity(sseq),
+        carleson_intensity(mseq),
+        a2_characteristic(w),
+        c2_conditioning(w),
+        wcet_testing_constant(w, sseq),
+        wcet_testing_constant(w, mseq),
+        sred_constant(w, sseq),
+    ) + red_constants(w, mseq)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_best_constants_unchanged_under_refinement(d, dtype):
+    # the same W and the same entries on a tree one or two levels deeper:
+    # refined averages are exact and every added term is zero, so each best
+    # constant comes out bitwise the same
+    for depth in range(4):
+        inst = random_instance(depth, d, seed=20 * depth + d, cond_cap=1e4)
+        w = StepField(inst.w.values.astype(dtype))
+        want = _best_constants(w, inst.sseq, inst.mseq)
+        for deeper in (depth + 1, depth + 2):
+            got = _best_constants(
+                w.refine(deeper),
+                ScalarSequence(deeper, inst.sseq.entries),
+                MatrixSequence(deeper, d, inst.mseq.entries),
+            )
+            assert got == want
 
 
 def test_scalar_redundancy_implication_both_orientations():
