@@ -143,10 +143,11 @@ class BellmanStack:
     bad member; ``psd_margin`` and ``m_margin`` keep each member's signed
     slack.  The eigendecomposition of V is taken once: V^1/2 for the domain
     check comes from it, and so does V^-1, which is formed on first use and
-    cached.
+    cached.  ``_eig`` is that decomposition where the caller already holds
+    it, for a ``v`` that is exactly symmetric (``domain_points``).
     """
 
-    def __init__(self, u, v, m):
+    def __init__(self, u, v, m, _eig=None):
         u = matrices.as_symmetric_stack(u)
         v = matrices.as_symmetric_stack(v)
         if u.shape != v.shape:
@@ -155,7 +156,7 @@ class BellmanStack:
         if m.shape != u.shape[:1]:
             raise DimensionMismatchError(f"m has shape {m.shape}, expected {u.shape[:1]}")
         self.u, self.v = u, v
-        self._eig = matrices.eigh_sym(v)
+        self._eig = matrices.eigh_sym(v) if _eig is None else _eig
         self._vinv = None
         root = matrices.eig_power(*self._eig, 0.5)
         eye = np.broadcast_to(np.eye(self.d, dtype=root.dtype), root.shape)
@@ -419,11 +420,12 @@ def domain_points(draws):
     Bitwise the points ``random_domain_point`` builds from the same draws.
     """
     v_draws, bumps, m = zip(*draws)
-    v = spd_from_draws(v_draws)
-    vinv = matrices.eig_power(*matrices.eigh_sym(v), -1.0)
+    v = spd_from_draws(v_draws)  # exactly symmetric: the stack's V is this v
+    eig = matrices.eigh_sym(v)
+    vinv = matrices.eig_power(*eig, -1.0)
     bumped = np.array([b is not None for b in bumps])
     u = np.where(bumped[:, None, None], _spd_bumped(vinv, bumps), vinv)
-    return BellmanStack(u, v, m)
+    return BellmanStack(u, v, m, _eig=eig)
 
 
 def random_domain_point(d, rng, cond_cap=1e4, boundary_fraction=0.3):
@@ -545,22 +547,23 @@ def matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
     def sample(draws):
         v_draws, bumps, gauss, eigs = zip(*draws)
         v = spd_from_draws(v_draws)
-        u = _spd_bumped(matrices.eig_power(*matrices.eigh_sym(v), -1.0), bumps)
+        v_eig = matrices.eigh_sym(v)
+        u = _spd_bumped(matrices.eig_power(*v_eig, -1.0), bumps)
         q = orthogonal_from_draws(np.stack(gauss))
         mm = matrices.as_symmetric_stack((q * np.stack(eigs)[:, None, :]) @ q.transpose(0, 2, 1))
-        return u, v, mm
+        return u, v, mm, v_eig
 
-    def value(u, v, mm):
-        vr = matrices.eig_power(*matrices.eigh_sym(v), -0.5)
+    def value(u, mm, v_eig):
+        vr = matrices.eig_power(*v_eig, -0.5)
         core = matrices.eig_power(*matrices.eigh_sym(mm + eye), -1.0)
         return matrices.as_symmetric_stack(u - vr @ core @ vr)
 
     def evaluate(pairs):
         first, second = zip(*pairs)
-        u0, v0, m0 = sample(first)
-        u1, v1, m1 = sample(second)
-        mid = value((u0 + u1) / 2, (v0 + v1) / 2, (m0 + m1) / 2)
-        avg = (value(u0, v0, m0) + value(u1, v1, m1)) / 2
+        u0, v0, m0, e0 = sample(first)
+        u1, v1, m1, e1 = sample(second)
+        mid = value((u0 + u1) / 2, (m0 + m1) / 2, matrices.eigh_sym((v0 + v1) / 2))
+        avg = (value(u0, m0, e0) + value(u1, m1, e1)) / 2
         return matrices.psd_gap_stack(mid, avg)
 
     gaps, _ = _sampled(n_pairs, lambda: (d, (draw_sample(), draw_sample())), evaluate)

@@ -4,7 +4,9 @@ Every single-tree kernel is the batch of one of its core, so these tests
 check that a member's result does not depend on the batch around it: a
 mixed batch must give, with ``np.array_equal``, what the single-tree
 calls give.  The members of a batch share (depth, d) but differ in weight,
-fields and support, and one of them carries a root-only sequence.
+fields and support, and one of them carries a root-only sequence.  The
+search objective is held to the same rule: the search's lookahead batches
+mix restarts at different steps.
 """
 
 import numpy as np
@@ -34,6 +36,7 @@ from carlab.redundancy import (
     sred_constant,
     sred_constant_batch,
 )
+from carlab.search import OBJECTIVES, _apply_moves, _draw_stream, _search_objective
 
 SHAPES = [(depth, d) for depth in range(5) for d in range(1, 5)]
 
@@ -146,3 +149,22 @@ def test_level_powers_and_cube_supremum_batch_match_single_trees(depth, d, dtype
     for b, pyramid in enumerate(pyramids):
         for lv_got, lv_want in zip(got, subtree_sums(pyramid)):
             assert np.array_equal(lv_got[b], lv_want)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("depth, d", [(3, 2), (2, 1), (3, 3)])
+def test_search_objective_member_matches_mixed_batch(objective, depth, d):
+    # A lookahead batch: four restarts, four candidates each, at different
+    # steps (step 0 is the start state itself).
+    states, moves = _draw_stream(depth, d, 5, 1e4, 4, 30)
+    rows = np.repeat(np.arange(4), 4)
+    steps = np.array([0, 1, 2, 3, 7, 8, 9, 10, 14, 15, 16, 17, 26, 27, 28, 29])
+    batch = _apply_moves(states, rows, moves[rows, steps])
+    value, weight, ratio = _search_objective(*batch, objective, 1e4)
+    assert (ratio is None) == (objective != "bet_norm_ratio")
+    for b in range(len(rows)):
+        one = _search_objective(*(a[b:b + 1] for a in batch), objective, 1e4)
+        assert np.array_equal(one[0], value[b:b + 1])
+        assert np.array_equal(one[1], weight[b:b + 1])
+        if ratio is not None:
+            assert np.array_equal(one[2], ratio[b:b + 1])

@@ -115,6 +115,30 @@ def test_sampling_checks_match_oracle(check, seed, d_max):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_domain_points_decompose_each_v_once(monkeypatch):
+    # The stack takes V's eigendecomposition from domain_points, which
+    # formed V^-1 from it: 4 matrices per sample (V, B twice, U - B), not 5.
+    from carlab import matrices
+
+    eigh_sym, counted = matrices.eigh_sym, []
+
+    def counting(m):
+        counted.append(int(np.prod(np.shape(m)[:-2])))
+        return eigh_sym(m)
+
+    def decompose_again(self, u, v, m, _eig=None):  # the stack as it was before
+        init(self, u, v, m)
+
+    init = BellmanStack.__init__
+    monkeypatch.setattr(matrices, "eigh_sym", counting)
+    gaps, dims = size_gaps(np.random.default_rng(3), 1000, 4)
+    assert sum(counted) == 4000
+    monkeypatch.setattr(BellmanStack, "__init__", decompose_again)
+    want_gaps, want_dims = size_gaps(np.random.default_rng(3), 1000, 4)
+    assert sum(counted) == 4000 + 5000
+    assert np.array_equal(gaps, want_gaps) and np.array_equal(dims, want_dims)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matrix_parameter_probe_matches_oracle(seed):
     for d in (1, 2, 3, 4):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from carlab import lab
+from carlab import search
 from carlab.cli import main
 from carlab.dyadic import StepField, stepfield_to_json
 from carlab.errors import ConfigError, SingularMatrixError
@@ -160,11 +160,11 @@ def test_search_red_objective_runs():
 def test_search_weight_matches_per_leaf_oracle():
     rng = np.random.default_rng(4)
     for d in (1, 2, 3, 4):
-        states = [lab._random_state(3, d, 1e4, rng) for _ in range(3)]
+        states = [search._random_state(3, d, 1e4, rng) for _ in range(3)]
         log_eigs, angles, _ = (np.stack(a) for a in zip(*states))
-        got = lab._state_weights(log_eigs, angles, 1e4)
+        got = search._state_weights(log_eigs, angles, 1e4)
         for member, (logs, angs, _) in enumerate(states):
-            want = StepField(brute_search_weight(lab._clip_spread(logs, 1e4), angs)).values
+            want = StepField(brute_search_weight(search._clip_spread(logs, 1e4), angs)).values
             assert np.array_equal(got[member], want)
 
 
@@ -272,6 +272,42 @@ def test_search_raises_the_first_error_in_restart_order(monkeypatch, objective):
     assert (type(got), str(got)) == (type(want), str(want))
 
 
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_climb_lookahead_changes_nothing(objective):
+    # 202 leaves 50 steps per restart, 30 leaves 7: neither is a multiple of
+    # the lookahead; 5, 3 and 1 leave one step per restart.
+    for budget in (202, 30, 5, 3, 1):
+        n_restarts = min(4, budget)
+        steps = budget // n_restarts
+        states, moves = search._draw_stream(2, 2, 7, 1e4, n_restarts, steps)
+        want = search._climb(states, moves, steps, objective, 1e4, 1)
+        for lookahead in (3, search.LOOKAHEAD, 64):
+            got = search._climb(states, moves, steps, objective, 1e4, lookahead)
+            for g, w in zip(got, want):
+                assert (g is None and w is None) or np.array_equal(g, w), (budget, lookahead)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_search_lookahead_error_reruns_step_by_step(monkeypatch, objective):
+    # The first lookahead batch fails, as a dropped move that the climb made
+    # one step at a time never evaluates may: the search starts over one
+    # step at a time and returns that climb's result.
+    evaluate = search._search_objective
+    failed = []
+
+    def fail_once(*args):
+        if len(args[0]) > 4 and not failed:
+            failed.append(len(args[0]))
+            raise SingularMatrixError("matrix not SPD", lambda_min=0.0)
+        return evaluate(*args)
+
+    monkeypatch.setattr(search, "_search_objective", fail_once)
+    kwargs = dict(depth=2, d=2, seed=3, objective=objective, budget=202, cond_cap=1e4)
+    got = adversarial_search(**kwargs)
+    assert failed == [4 * search.LOOKAHEAD]
+    _assert_same_search(got, brute_adversarial_search(**kwargs))
+
+
 def test_search_report_names_the_best_evaluation():
     cfg = default_config("adversarial-search", budget=202, depth=2, d=3,
                          seeds=[11], objective="red_ratio")
@@ -355,6 +391,16 @@ def test_cli_bad_seed_exit_code(tmp_path):
     for seeds in ([1.5], 5):
         cfg_path.write_text(json.dumps({"seeds": seeds}))
         assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
+
+
+def test_cli_search_with_several_seeds_exit_code(tmp_path, monkeypatch, capsys):
+    # a search runs one seed: a longer list is refused, not cut to its first seed
+    monkeypatch.chdir(tmp_path)
+    assert main(["adversarial-search", "--seed", "1,2", "--budget", "4", "--quiet"]) == 2
+    assert "[1, 2]" in capsys.readouterr().err
+    assert not (tmp_path / "lab_adversarial-search.csv").exists()
+    with pytest.raises(ConfigError):
+        default_config("adversarial-search", seeds=[0, 1])
 
 
 def test_cli_bad_config_types_exit_code(tmp_path):
