@@ -238,30 +238,27 @@ def subtree_sums(levels):
 # (B, 2^k, ...), and a single-tree form that is its batch of one.
 # ---------------------------------------------------------------------------
 
-def _tree_stack(levels, kernel):
-    """``kernel`` on all levels of a batch concatenated, in one call, split back by level."""
-    bounds = list(accumulate((lv.shape[1] for lv in levels), initial=0))
-    out = kernel(np.concatenate(levels, axis=1))
-    return [out[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+def tree_eigh_batch(levels):
+    """Eigendecomposition (vals, vecs) of every cube of a batch of levels
+    (B, 2^k, d, d), in one solver call, the cubes in tree order:
+    (B, cubes, d) and (B, cubes, d, d)."""
+    return matrices.eigh_sym(np.concatenate(levels, axis=1))
 
 
-def level_powers_batch(pyramids, p):
-    """Stacked SPD power of every cube average of a batch, one solver call.
+def level_powers_batch(eig, p):
+    """SPD power of every cube average of a batch, from their ``tree_eigh_batch``.
 
     A refused average names its cube: the first one in batch and tree
     order (member by member, level by level, left to right).
     """
-    n_cubes = sum(lv.shape[1] for lv in pyramids)
-    return _tree_stack(
-        pyramids,
-        lambda stack: matrices.eig_power(
-            *matrices.eigh_sym(stack), p, context=lambda i: tree_cube(i % n_cubes)
-        ),
-    )
+    vals, vecs = eig
+    n_cubes = vals.shape[1]
+    out = matrices.eig_power(vals, vecs, p, context=lambda i: tree_cube(i % n_cubes))
+    return np.split(out, [(1 << k) - 1 for k in range(1, n_cubes.bit_length())], axis=1)
 
 
 def level_powers(pyramid, p):
-    return [lv[0] for lv in level_powers_batch(batch_of_one(pyramid), p)]
+    return [lv[0] for lv in level_powers_batch(tree_eigh_batch(batch_of_one(pyramid)), p)]
 
 
 def cube_supremum_batch(levels, touched=None):
@@ -365,18 +362,18 @@ def a2_characteristic(w):
     return float(matrices.lambda_max_stack(roots @ avgs @ roots).max())
 
 
-def c2_conditioning_batch(leaves):
-    """``c2_conditioning`` of a batch of leaf arrays (B, 2^depth, d, d).
+def c2_conditioning_batch(vals):
+    """``c2_conditioning`` of a batch, from the ascending eigenvalues
+    (B, 2^depth, d) of its leaves (``eigvalsh_stack``).
 
     Returns one value per member.  A leaf with lambda_min <= 0 is refused,
     and the error names the first such leaf in stack order (member by
     member, then leaf by leaf), as the SPD powers name theirs.
     """
-    vals = matrices.eigvalsh_stack(leaves)
     lmin = vals[..., 0]
     bad = np.flatnonzero(lmin <= 0.0)
     if bad.size:
-        i, n = int(bad[0]), leaves.shape[1]
+        i, n = int(bad[0]), vals.shape[1]
         raise SingularMatrixError(
             "weight leaf is not SPD",
             lambda_min=float(lmin.flat[i]),
@@ -391,4 +388,4 @@ def c2_conditioning(w):
     The pointwise condition number kappa(W(x)), supped over the tree's
     leaves; identically 1 for d = 1.
     """
-    return float(c2_conditioning_batch(_weight_field(w).values[None])[0])
+    return float(c2_conditioning_batch(matrices.eigvalsh_stack(_weight_field(w).values[None]))[0])

@@ -17,7 +17,7 @@ from . import matrices
 from .characteristics import (
     MatrixSequence, ScalarSequence, _weight_field, batch_of_one, level_powers,
 )
-from .dyadic import StepField, pyramid_batch, tree_cube
+from .dyadic import StepField, pyramid_batch, tree_cube, tree_size
 from .errors import DimensionMismatchError
 
 
@@ -91,9 +91,10 @@ def cet_sum(w, seq, f):
     return float(total)
 
 
-def _bet_pyramids(w, f, g, seq=None):
-    """The pyramids of <W>, <W^-1> and both half-weighted averages of a
-    bilinear sum, each a batch of one; ``seq``, when given, must live on
+def _bet_inputs(w, f, g, support, seq=None):
+    """The inputs of ``bet_vectors_batch`` for one bilinear sum over the
+    flat cubes ``support``, each a batch of one but the eigendecompositions,
+    which are stacked over the support; ``seq``, when given, must live on
     the weight's tree."""
     w, f, g = _weight_field(w), _vector_field(f), _vector_field(g)
     _check_shapes(w, f, g)
@@ -101,30 +102,33 @@ def _bet_pyramids(w, f, g, seq=None):
         raise DimensionMismatchError("sequence and fields live on different trees")
     havg = _halfweighted_averages(w, f, +1)
     gavg = _halfweighted_averages(w, g, -1)
-    return [batch_of_one(lv) for lv in (w.pyramid(), w.inverse().pyramid(), havg, gavg)]
+    avgs = [np.concatenate(v.pyramid())[support] for v in (w, w.inverse())]
+    vals, vecs = matrices.eigh_sym(np.stack(avgs))
+    return (vals[0], vecs[0]), (vals[1], vecs[1]), batch_of_one(havg), batch_of_one(gavg)
 
 
-def bet_vectors_batch(wavg, vavg, havg, gavg, support):
+def bet_vectors_batch(weig, veig, havg, gavg, support):
     """u_Q and v_Q of a batch of bilinear sums, stacked over the support.
 
-    u_Q = <W>_Q^-1 <W^1/2 f>_Q and v_Q = <W^-1>_Q^-1 <W^-1/2 g>_Q.  The four
-    pyramids carry a leading batch axis; ``support`` holds flat indices
-    into the batch's cubes, member by member (b * cubes + tree position).
-    Both sides are one stacked eigendecomposition, <W>_Q and <W^-1>_Q
-    interleaved per support cube, so a singular average names the first
-    such cube in support order, the <W> side before the <W^-1> side.
+    u_Q = <W>_Q^-1 <W^1/2 f>_Q and v_Q = <W^-1>_Q^-1 <W^-1/2 g>_Q.  The
+    half-weighted pyramids ``havg`` and ``gavg`` carry a leading batch
+    axis; ``support`` holds flat indices into the batch's cubes, member by
+    member (b * cubes + tree position), and ``weig``, ``veig`` are the
+    eigendecompositions (vals, vecs) of <W>_Q and <W^-1>_Q over it.  Both
+    sides are one stacked power, <W>_Q and <W^-1>_Q interleaved per support
+    cube, so a singular average names the first such cube in support
+    order, the <W> side before the <W^-1> side.
     """
-    n_cubes = sum(lv.shape[1] for lv in wavg)
+    n_cubes = sum(lv.shape[1] for lv in havg)
 
     def on_support(levels):
         flat = np.concatenate(levels, axis=1)
         return flat.reshape(-1, *flat.shape[2:])[support]
 
-    mats = np.stack([on_support(wavg), on_support(vavg)], axis=1)
+    vals, vecs = (np.stack(pair, axis=1) for pair in zip(weig, veig))
     rhs = np.stack([on_support(havg), on_support(gavg)], axis=1)
     out = matrices.eig_apply_power(
-        *matrices.eigh_sym(mats), -1.0, rhs,
-        context=lambda i: tree_cube(int(support[i // 2]) % n_cubes),
+        vals, vecs, -1.0, rhs, context=lambda i: tree_cube(int(support[i // 2]) % n_cubes),
     )
     return out[:, 0], out[:, 1]
 
@@ -147,14 +151,14 @@ def _ordered_sums(terms, counts):
     return np.array(sums)
 
 
-def bet_norm_sum_batch(wavg, vavg, havg, gavg, support, entries, counts):
+def bet_norm_sum_batch(weig, veig, havg, gavg, support, entries, counts):
     """``bet_norm_sum`` of a batch; one sum per member.
 
-    ``support`` and ``entries`` are stacked member by member (see
-    ``bet_vectors_batch``), ``counts`` holds each member's support size.
-    Entries (S,) are scalar, (S, d, d) matrix.
+    ``weig``, ``veig``, ``support`` and ``entries`` are stacked member by
+    member (see ``bet_vectors_batch``), ``counts`` holds each member's
+    support size.  Entries (S,) are scalar, (S, d, d) matrix.
     """
-    u, v = bet_vectors_batch(wavg, vavg, havg, gavg, support)
+    u, v = bet_vectors_batch(weig, veig, havg, gavg, support)
     if entries.ndim == 3:
         qu, qv = (
             np.maximum(_rowdot(x, (entries @ x[:, :, None])[..., 0]).astype(np.float64), 0.0)
@@ -172,10 +176,10 @@ def bet_norm_sum(w, seq, f, g):
     sum_Q ||A_Q^1/2 <W>_Q^-1 <W^1/2 f>_Q|| * ||A_Q^1/2 <W^-1>_Q^-1 <W^-1/2 g>_Q||;
     scalar sequences specialize to alpha_Q times the product of plain norms.
     """
-    pyramids = _bet_pyramids(w, f, g, seq)
+    inputs = _bet_inputs(w, f, g, seq.positions, seq)
     if not len(seq):
         return 0.0
-    return float(bet_norm_sum_batch(*pyramids, seq.positions, seq.values, [len(seq)])[0])
+    return float(bet_norm_sum_batch(*inputs, seq.positions, seq.values, [len(seq)])[0])
 
 
 def bet_inner_sum(w, seq, f, g):
@@ -184,10 +188,10 @@ def bet_inner_sum(w, seq, f, g):
     sum_Q |<A_Q <W>_Q^-1 <W^1/2 f>_Q, <W^-1>_Q^-1 <W^-1/2 g>_Q>|; scalar
     sequences contribute alpha_Q |<u, v>|.
     """
-    pyramids = _bet_pyramids(w, f, g, seq)
+    inputs = _bet_inputs(w, f, g, seq.positions, seq)
     if not len(seq):
         return 0.0
-    u, v = bet_vectors_batch(*pyramids, seq.positions)
+    u, v = bet_vectors_batch(*inputs, seq.positions)
     if isinstance(seq, MatrixSequence):
         terms = np.abs(_rowdot((seq.values @ u[:, :, None])[..., 0], v).astype(np.float64))
     else:
@@ -202,9 +206,8 @@ def bet_cube_functional(w, f, g):
     cube of the tree, returned as a dict.  It is the scalar term of
     ``bet_norm_sum`` with alpha_Q = 1, formed as that sum forms it.
     """
-    pyramids = _bet_pyramids(w, f, g)
-    cubes = np.arange(sum(lv.shape[1] for lv in pyramids[0]))
-    u, v = bet_vectors_batch(*pyramids, cubes)
+    cubes = np.arange(tree_size(_weight_field(w).depth))
+    u, v = bet_vectors_batch(*_bet_inputs(w, f, g, cubes), cubes)
     values = np.sqrt(_rowdot(u, u) * _rowdot(v, v)).astype(np.float64)
     return {tree_cube(i): float(x) for i, x in enumerate(values)}
 

@@ -140,6 +140,12 @@ class ExperimentConfig:
             raise ConfigError("eps grid must be non-empty")
         if any(not 0.0 < e <= 1.0 for e in self.eps_grid):
             raise ConfigError(f"eps values must lie in (0, 1], got {self.eps_grid}")
+        if any(e * e <= matrices.SPD_REJECT for e in self.eps_grid):
+            # the family's bottom eigenvalue eps^2 would be refused under W^-1
+            raise ConfigError(
+                f"eps values must exceed sqrt(SPD_REJECT) = {math.sqrt(matrices.SPD_REJECT):g}, "
+                f"the eigenvalue floor of negative powers, got {self.eps_grid}"
+            )
         if not self.rotations:
             raise ConfigError("rotation list must be non-empty")
         if not _is_real(self.cond_cap):

@@ -20,6 +20,7 @@ from .characteristics import (
     cube_supremum_batch,
     level_powers_batch,
     subtree_sums_batch,
+    tree_eigh_batch,
 )
 from .dyadic import DyadicIndex, check_index
 from .errors import DimensionMismatchError, PreconditionError
@@ -41,15 +42,16 @@ def check_intensity_batch(levels):
         )
 
 
-def sred_constant_batch(wavg, vavg, alpha):
-    """``sred_constant`` of a batch, from the pyramids of W and W^-1.
+def sred_constant_batch(weig, veig, alpha):
+    """``sred_constant`` of a batch, from the ``tree_eigh_batch`` of the
+    pyramids of W and W^-1.
 
-    ``wavg``, ``vavg`` and the dense sequence levels ``alpha`` carry a
+    ``weig``, ``veig`` and the dense sequence levels ``alpha`` carry a
     leading batch axis; returns one constant per member.
     """
-    vinv = level_powers_batch(vavg, -1.0)
+    vinv = level_powers_batch(veig, -1.0)
     acc = subtree_sums_batch([a[..., None, None] * v for a, v in zip(alpha, vinv)])
-    roots = level_powers_batch(wavg, -0.5)
+    roots = level_powers_batch(weig, -0.5)
     return cube_supremum_batch([r @ a @ r for r, a in zip(roots, acc)])
 
 
@@ -68,26 +70,25 @@ def sred_constant(w, alpha):
     check_intensity_batch(batch_of_one(alpha.dense_levels()))
     if len(alpha) == 0:
         return 0.0
-    wavg = w.pyramid()
-    vavg = w.inverse().pyramid()
-    alev = alpha.dense_levels(dtype=wavg[0].dtype)
-    return float(sred_constant_batch(*map(batch_of_one, (wavg, vavg, alev)))[0])
+    eigs = [tree_eigh_batch(batch_of_one(f.pyramid())) for f in (w, w.inverse())]
+    alev = batch_of_one(alpha.dense_levels(dtype=w.values.dtype))
+    return float(sred_constant_batch(*eigs, alev)[0])
 
 
-def red_constants_batch(wavg, vavg, b):
-    """``red_constants`` of a batch, from the pyramids of W and W^-1.
+def red_constants_batch(weig, veig, b):
+    """``red_constants`` of a batch, from the ``tree_eigh_batch`` of the
+    pyramids of W and W^-1.
 
-    ``wavg``, ``vavg`` and the dense sequence levels ``b`` (B, 2^k, d, d)
+    ``weig``, ``veig`` and the dense sequence levels ``b`` (B, 2^k, d, d)
     carry a leading batch axis; returns the arrays (c1, c2, c3), one entry
     per member.  The support of a member is its nonzero entries; no member
     may have an empty support.
     """
-    dtype = wavg[0].dtype
-    size, d = len(wavg[0]), wavg[0].shape[-1]
-    depth = len(wavg) - 1
+    size, depth = len(b[0]), len(b) - 1
 
-    roots = level_powers_batch(wavg, -0.5)
-    proots = level_powers_batch(vavg, -0.5)
+    roots = level_powers_batch(weig, -0.5)
+    proots = level_powers_batch(veig, -0.5)
+    dtype, d = roots[0].dtype, roots[0].shape[-1]
     pbp = [p @ bj @ p for p, bj in zip(proots, b)]
     support = [np.any(bj != 0.0, axis=(-2, -1)) for bj in b]
     touched = [acc > 0.0 for acc in subtree_sums_batch([s.astype(np.float64) for s in support])]
@@ -143,12 +144,9 @@ def red_constants(w, bseq):
     check_intensity_batch(batch_of_one(bseq.dense_levels()))
     if len(bseq) == 0:
         return 0.0, 0.0, 0.0
-    wavg = w.pyramid()
-    vavg = w.inverse().pyramid()
-    b = bseq.dense_levels(wavg[0].dtype)
-    return tuple(
-        float(c[0]) for c in red_constants_batch(*map(batch_of_one, (wavg, vavg, b)))
-    )
+    eigs = [tree_eigh_batch(batch_of_one(f.pyramid())) for f in (w, w.inverse())]
+    b = batch_of_one(bseq.dense_levels(w.values.dtype))
+    return tuple(float(c[0]) for c in red_constants_batch(*eigs, b))
 
 
 def red_quadratic_form(w, bseq, k, e, order="corollary"):

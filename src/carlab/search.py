@@ -29,8 +29,11 @@ from .redundancy import check_intensity_batch, red_constants_batch, sred_constan
 OBJECTIVES = ("bet_norm_ratio", "sred_ratio", "red_ratio")
 
 # Steps each restart evaluates per batched evaluation, all against its
-# current state.  A module constant: it changes the scheduling, not a result.
-LOOKAHEAD = 4
+# current state, per objective.  The candidates after a restart's first
+# accepted move are dropped, so an objective that accepts fewer moves (the
+# redundancy ratios: about 5% against 31%) looks further ahead.  Module
+# constants: they change the scheduling, not a result.
+LOOKAHEAD = {"bet_norm_ratio": 4, "sred_ratio": 8, "red_ratio": 8}
 
 
 # ---------------------------------------------------------------------------
@@ -92,40 +95,58 @@ def _state_sequences(seq_weights):
     return _tree_levels(weights * (1.0 / intensity)[:, None])
 
 
-def _extreme_vector_fields(w, power):
-    """f, g derived from the root averages' extreme eigenvectors.
-
-    b (bottom direction) feeds f = W^1/2 b leafwise and a (top direction)
-    feeds g = W^-1/2 a, which reproduces the counterexample family exactly
-    when the weight is one of its members.  Batched: ``w`` is
-    (B, 2^depth, d, d) and ``power(p)`` its leafwise power.  Returns
-    (W^1/2, W^-1/2, f, g).
-    """
-    _, vecs = matrices.eigh_sym(pyramid_batch(w)[0][:, 0])
-    wh, whinv = power(0.5), power(-0.5)
-    f = np.einsum("bkij,bj->bki", wh, vecs[:, :, 0])
-    g = np.einsum("bkij,bj->bki", whinv, vecs[:, :, -1])
-    return wh, whinv, f, g
+def _empty_eigs(n, depth, d, objective):
+    """Room for the eigendecompositions of ``n`` states: (vals, vecs) of
+    every cube average of W, the same of W^-1 and, for bet_norm_ratio, the
+    leaf eigenvalues that C2 takes, each with a leading state axis."""
+    n_cubes = (2 << depth) - 1
+    shapes = [(n_cubes, d), (n_cubes, d, d)] * 2
+    if objective == "bet_norm_ratio":
+        shapes.append((1 << depth, d))
+    return tuple(np.empty((n, *shape)) for shape in shapes)
 
 
-def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap):
+def _refresh(solve, mats, out, stale):
+    """``out``, the results of ``solve`` on the stacks ``mats`` (B, m, d, d),
+    with those at ``stale`` (B, m) recomputed in one solver call, in place."""
+    if stale.any():
+        for old, new in zip(out, solve(mats[stale])):
+            old[stale] = new
+    return out
+
+
+def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, eigs=None, stale=None):
     """Objective values of a batch of states, with their leaf weights and,
     for bet_norm_ratio, the values over sqrt(C2) of each weight (else None).
 
-    The steps and checks are those of one evaluation through the public
-    kernels, in the same order, so a batch of one raises what that
-    evaluation raises.  The sequences are checked on their dense levels.
+    ``eigs`` holds each state's eigendecompositions (``_empty_eigs``), of
+    which only the cubes marked in ``stale`` (B, cubes) are decomposed
+    again, in place; without ``eigs`` every cube is.  The steps and checks
+    are those of one evaluation through the public kernels, in the same
+    order, so a batch of one raises what that evaluation raises.  The
+    sequences are checked on their dense levels.
     """
     w = _state_weights(log_eigs, angles, cond_cap)
     n_leaves, d = w.shape[1], w.shape[-1]
     depth = n_leaves.bit_length() - 1
-    power = partial(matrices.eig_power, *matrices.eigh_sym(w),
+    if eigs is None:
+        eigs = _empty_eigs(len(w), depth, d, objective)
+        stale = np.ones(eigs[0].shape[:2], dtype=bool)
+    weig = _refresh(matrices.eigh_sym, np.concatenate(pyramid_batch(w), axis=1), eigs[:2], stale)
+    power = partial(matrices.eig_power, *(a[:, n_leaves - 1:] for a in weig),
                     context=lambda i: DyadicIndex(depth, i % n_leaves))
 
     if objective == "bet_norm_ratio":
-        wh, whinv, f, g = _extreme_vector_fields(w, power)
+        # f = W^1/2 b and g = W^-1/2 a leafwise, from the bottom and top
+        # eigenvectors b, a of the root average: this reproduces the
+        # counterexample family exactly when the weight is one of its members
+        root_vecs, wh, whinv = weig[1][:, 0], power(0.5), power(-0.5)
+        f = np.einsum("bkij,bj->bki", wh, root_vecs[:, :, 0])
+        g = np.einsum("bkij,bj->bki", whinv, root_vecs[:, :, -1])
         norms = l2_norm_batch(f) * l2_norm_batch(g)
-        c2 = c2_conditioning_batch(w)
+        leaf_vals = _refresh(lambda m: (matrices.eigvalsh_stack(m),), w, eigs[4:],
+                             stale[:, n_leaves - 1:])
+        c2 = c2_conditioning_batch(leaf_vals[0])
     alpha = _state_sequences(seq_weights)
     check_sequence_batch(alpha)
     if objective == "red_ratio":
@@ -133,17 +154,19 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap):
         check_sequence_batch(alpha)
     if objective != "bet_norm_ratio":
         check_intensity_batch(alpha)
-    wavg, vavg = pyramid_batch(w), pyramid_batch(power(-1.0))
+    vavg = pyramid_batch(power(-1.0))
+    veig = _refresh(matrices.eigh_sym, np.concatenate(vavg, axis=1), eigs[2:4], stale)
     if objective == "red_ratio":
-        c1, c2, c3 = red_constants_batch(wavg, vavg, alpha)
+        c1, c2, c3 = red_constants_batch(weig, veig, alpha)
         value = np.where(c2 > c1, c2, c1)  # max(c1, c2, c3): the first maximum
         return np.where(c3 > value, c3, value), w, None
     if objective == "sred_ratio":
-        return sred_constant_batch(wavg, vavg, alpha), w, None
+        return sred_constant_batch(weig, veig, alpha), w, None
     flat = np.concatenate(alpha, axis=1)
     support = np.flatnonzero(flat)
+    on_support = [tuple(a.reshape(-1, *a.shape[2:])[support] for a in eig) for eig in (weig, veig)]
     sums = bet_norm_sum_batch(
-        wavg, vavg, halfweighted_pyramid_batch(wh, f), halfweighted_pyramid_batch(whinv, g),
+        *on_support, halfweighted_pyramid_batch(wh, f), halfweighted_pyramid_batch(whinv, g),
         support, flat.ravel()[support], np.count_nonzero(flat, axis=1),
     )
     value = sums / norms
@@ -234,23 +257,46 @@ def _apply_moves(states, rows, moves):
     return log_eigs, angles, seq_weights
 
 
-def _evaluate_in_order(states, objective, cond_cap):
-    """``_search_objective`` of a batch or, if that raises, of the members
-    before the first one that raises on its own.
+def _stale_cubes(moves, fresh, depth):
+    """The cubes (len(moves), cubes) whose averages a batch of moves changes.
+
+    A leaf move changes its leaf and the leaf's ancestors, a sequence move
+    no cube; every cube of a ``fresh`` member, whose restart has no
+    eigendecompositions yet, counts as changed.
+    """
+    stale = np.zeros((len(moves), (2 << depth) - 1), dtype=bool)
+    stale[fresh] = True
+    kind, leaf = moves[:, 0], moves[:, 1].astype(np.intp)
+    m = np.flatnonzero((kind == _LOG_EIG) | (kind == _ANGLE))
+    k = np.arange(depth + 1)
+    stale[m[:, None], (1 << k) - 1 + (leaf[m, None] >> (depth - k))] = True
+    return stale
+
+
+def _adopt(carried, rows, candidates, members):
+    """Make the candidates ``members`` the current states of their restarts
+    ``rows[members]``: each array of ``carried`` (state, then
+    eigendecompositions) takes the candidates' rows."""
+    for mine, theirs in zip(carried, candidates):
+        mine[rows[members]] = theirs[members]
+
+
+def _evaluate_in_order(evaluate, n):
+    """``evaluate(slice)`` of a batch of ``n`` members or, if that raises,
+    of the members before the first one that raises on its own.
 
     Returns those members' results (None if there are none) and the first
     failing member's error (None if the batch passed).
     """
     try:
-        return _search_objective(*states, objective, cond_cap), None
+        return evaluate(slice(None)), None
     except Exception as exc:
         error = exc
-    for b in range(len(states[0])):
+    for b in range(n):
         try:
-            _search_objective(*(a[b:b + 1] for a in states), objective, cond_cap)
+            evaluate(slice(b, b + 1))
         except Exception as exc:
-            head = tuple(a[:b] for a in states)
-            return (_search_objective(*head, objective, cond_cap) if b else None), exc
+            return (evaluate(slice(0, b)) if b else None), exc
     raise error
 
 
@@ -267,6 +313,11 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
     member's value does not depend on the batch around it, so every kept
     value is the one the climb makes one step at a time.
 
+    Each restart carries the eigendecompositions of its current state.  A
+    candidate starts from a copy of them and decomposes again only the
+    cubes its move changed (``_stale_cubes``); the accepted candidate's
+    set becomes the restart's.
+
     With lookahead 1 all restarts advance one step per batch, and an error
     stops the failing restart and the ones after it; the first error in
     (restart, step) order is raised once the others are done.  With a
@@ -279,7 +330,9 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
     first best value.
     """
     n, n_leaves, d = states[0].shape
+    depth = n_leaves.bit_length() - 1
     start, states = states, tuple(a.copy() for a in states)
+    eigs = _empty_eigs(n, depth, d, objective)
     values = np.empty((n, steps))
     ratios = np.empty((n, steps)) if objective == "bet_norm_ratio" else None
     best = np.full(n, -np.inf)
@@ -296,20 +349,26 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
         offset = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
         step = done[rows] + offset
         candidates = _apply_moves(states, rows, moves[rows, step])
+        cand_eigs = tuple(a[rows] for a in eigs)
+        stale = _stale_cubes(moves[rows, step], done[rows] == 0, depth)
+
+        def evaluate(sl):
+            return _search_objective(*(a[sl] for a in candidates), objective, cond_cap,
+                                     tuple(a[sl] for a in cand_eigs), stale[sl])
+
         if lookahead > 1:
             try:
-                results = _search_objective(*candidates, objective, cond_cap)
+                results = evaluate(slice(None))
             except Exception:
                 return _climb(start, moves, steps, objective, cond_cap, 1)
         else:
-            results, failed = _evaluate_in_order(candidates, objective, cond_cap)
+            results, failed = _evaluate_in_order(evaluate, len(rows))
             if failed is not None:
                 error = failed  # the failing restart and the ones after it stop here
                 if results is None:
                     break
                 live = len(results[0])
                 rows, offset, step = rows[:live], offset[:live], step[:live]
-                candidates = tuple(a[:live] for a in candidates)
         value, weight, ratio = results
         first = step == 0
         current[rows[first]] = value[first]  # a start state is kept whatever its value
@@ -324,10 +383,11 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
             if value[m] > best[rows[m]]:
                 best[rows[m]] = value[m]
                 best_weights[rows[m]] = weight[m]
-        moved = np.flatnonzero(accept & (offset == stop[rows]))
-        for state, candidate in zip(states, candidates):
-            state[rows[moved]] = candidate[moved]
+        moved = accept & (offset == stop[rows])
         current[rows[moved]] = value[moved]
+        # a restart adopts its accepted candidate or, in its first batch, its start state
+        adopted = moved | (first & (stop[rows] == lookahead))
+        _adopt(states + eigs, rows, candidates + cand_eigs, np.flatnonzero(adopted))
         done += np.bincount(rows[kept], minlength=n)
     if error is not None:
         raise error
@@ -360,7 +420,8 @@ def adversarial_search(depth=3, d=2, seed=0, objective="bet_norm_ratio",
     n_restarts = max(1, min(n_restarts, budget))
     steps = budget // n_restarts  # evaluations per restart
     states, moves = _draw_stream(depth, d, seed, cond_cap, n_restarts, steps)
-    values, ratios, best_weights = _climb(states, moves, steps, objective, cond_cap, LOOKAHEAD)
+    values, ratios, best_weights = _climb(states, moves, steps, objective, cond_cap,
+                                         LOOKAHEAD[objective])
 
     checkpoint = max(1, budget // 25)
     best_value, best_at = -np.inf, None

@@ -522,8 +522,9 @@ def brute_telescoping_certificate(w, alpha, level=0, pos=0):
 
 # ---------------------------------------------------------------------------
 # The adversarial search as one restart after the other, one evaluation at
-# a time through the public kernels, as it ran before the restarts moved in
-# lockstep.  Leaf-derived values are reused across sequence-only moves.
+# a time through the public kernels, as it ran before the restarts were
+# batched.  Leaf-derived values are reused across sequence-only moves;
+# everything else is computed afresh for every candidate.
 # ---------------------------------------------------------------------------
 
 def _brute_state_weight(state, cond_cap):

@@ -12,6 +12,7 @@ mix restarts at different steps.
 import numpy as np
 import pytest
 
+from carlab import matrices
 from carlab.characteristics import (
     MatrixSequence,
     ScalarSequence,
@@ -21,6 +22,7 @@ from carlab.characteristics import (
     level_powers_batch,
     subtree_sums,
     subtree_sums_batch,
+    tree_eigh_batch,
 )
 from carlab.constructions import (
     random_matrix_sequence,
@@ -83,12 +85,16 @@ def _pyramids(ws):
     return _stack([w.pyramid() for w in ws]), _stack([w.inverse().pyramid() for w in ws])
 
 
+def _tree_eighs(ws):
+    """The cores' inputs: the eigendecompositions of both pyramids of a batch."""
+    return tuple(tree_eigh_batch(pyramids) for pyramids in _pyramids(ws))
+
+
 @pytest.mark.parametrize("depth, d", SHAPES)
 def test_sred_constant_batch_matches_single_trees(depth, d):
     rng = np.random.default_rng(100 * depth + d)
     ws, seqs = _weights(depth, d, rng), _scalar_sequences(depth, rng)
-    wavg, vavg = _pyramids(ws)
-    got = sred_constant_batch(wavg, vavg, _stack([s.dense_levels() for s in seqs]))
+    got = sred_constant_batch(*_tree_eighs(ws), _stack([s.dense_levels() for s in seqs]))
     assert np.array_equal(got, [sred_constant(w, s) for w, s in zip(ws, seqs)])
 
 
@@ -96,8 +102,7 @@ def test_sred_constant_batch_matches_single_trees(depth, d):
 def test_red_constants_batch_matches_single_trees(depth, d):
     rng = np.random.default_rng(200 * depth + d)
     ws, seqs = _weights(depth, d, rng), _matrix_sequences(depth, d, rng)
-    wavg, vavg = _pyramids(ws)
-    got = red_constants_batch(wavg, vavg, _stack([s.dense_levels() for s in seqs]))
+    got = red_constants_batch(*_tree_eighs(ws), _stack([s.dense_levels() for s in seqs]))
     want = np.array([red_constants(w, s) for w, s in zip(ws, seqs)])
     assert np.array_equal(np.stack(got, axis=1), want)
 
@@ -110,7 +115,6 @@ def test_bet_norm_sum_batch_matches_single_trees(depth, d, matrix):
     seqs = _matrix_sequences(depth, d, rng) if matrix else _scalar_sequences(depth, rng)
     fs = [random_vector_field(depth, d, rng) for _ in ws]
     gs = [random_vector_field(depth, d, rng) for _ in ws]
-    wavg, vavg = _pyramids(ws)
     havg = halfweighted_pyramid_batch(
         np.stack([w.power(0.5).values for w in ws]), np.stack([f.values for f in fs]))
     gavg = halfweighted_pyramid_batch(
@@ -119,7 +123,9 @@ def test_bet_norm_sum_batch_matches_single_trees(depth, d, matrix):
     support = np.array([b * n_cubes + tree_position(q)
                         for b, s in enumerate(seqs) for q in s.entries])
     entries = np.array([v for s in seqs for v in s.entries.values()])
-    got = bet_norm_sum_batch(wavg, vavg, havg, gavg, support, entries,
+    on_support = [np.concatenate(p, axis=1).reshape(-1, d, d)[support] for p in _pyramids(ws)]
+    weig, veig = (tuple(matrices.eigh_sym(m)) for m in on_support)
+    got = bet_norm_sum_batch(weig, veig, havg, gavg, support, entries,
                              [len(s) for s in seqs])
     want = [bet_norm_sum(w, s, f, g) for w, s, f, g in zip(ws, seqs, fs, gs)]
     assert np.array_equal(got, want)
@@ -132,7 +138,7 @@ def test_level_powers_and_cube_supremum_batch_match_single_trees(depth, d, dtype
     ws = _weights(depth, d, rng, dtype=dtype)
     pyramids = [w.pyramid() for w in ws]
     for p in (0.5, -0.5, -1.0):
-        got = level_powers_batch(_stack(pyramids), p)
+        got = level_powers_batch(tree_eigh_batch(_stack(pyramids)), p)
         for b, pyramid in enumerate(pyramids):
             for lv_got, lv_want in zip(got, level_powers(pyramid, p)):
                 assert lv_got.dtype == dtype

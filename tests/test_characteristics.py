@@ -382,7 +382,7 @@ def test_c2_names_first_non_spd_leaf_as_the_powers_do(dtype):
     # 1's more singular leaf 0
     batch = np.stack([[np.eye(2)] * 3 + [bad], [worse] + [np.eye(2)] * 3]).astype(dtype)
     with pytest.raises(SingularMatrixError) as info:
-        characteristics.c2_conditioning_batch(batch)
+        characteristics.c2_conditioning_batch(matrices.eigvalsh_stack(batch))
     assert info.value.cube == DyadicIndex(2, 3)
     assert info.value.lambda_min == pytest.approx(-0.1, rel=1e-12)
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from carlab import search
+from carlab import matrices, search
 from carlab.cli import main
-from carlab.dyadic import StepField, stepfield_to_json
+from carlab.dyadic import StepField, pyramid_batch, stepfield_to_json
 from carlab.errors import ConfigError, SingularMatrixError
 from carlab.lab import (
     CSV_COLUMNS,
@@ -182,8 +182,9 @@ def _assert_same_search(got, want):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_search_leaf_reuse_changes_nothing(objective, d):
     # The oracle runs the restarts one after the other and reuses the
-    # leaf-derived values across sequence-only moves; the lockstep search
-    # recomputes them for every candidate.  Budgets 1, 3 and 5 leave fewer
+    # leaf-derived values across sequence-only moves; the search carries
+    # each restart's eigendecompositions and decomposes again only the
+    # cubes a move changed.  Budgets 1, 3 and 5 leave fewer
     # evaluations than restarts or one per restart; 202 is not a multiple
     # of the four restarts.
     for depth in range(5):
@@ -281,10 +282,42 @@ def test_climb_lookahead_changes_nothing(objective):
         steps = budget // n_restarts
         states, moves = search._draw_stream(2, 2, 7, 1e4, n_restarts, steps)
         want = search._climb(states, moves, steps, objective, 1e4, 1)
-        for lookahead in (3, search.LOOKAHEAD, 64):
+        for lookahead in (3, search.LOOKAHEAD[objective], 64):
             got = search._climb(states, moves, steps, objective, 1e4, lookahead)
             for g, w in zip(got, want):
                 assert (g is None and w is None) or np.array_equal(g, w), (budget, lookahead)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_climb_carries_fresh_eigendecompositions(monkeypatch, objective, d):
+    # After every batch each restart's carried eigendecompositions equal,
+    # bitwise, those of a fresh decomposition of its current state: every
+    # cube average of W and of W^-1 and, for bet_norm_ratio, the leaf
+    # eigenvalues of C2.  At depth 0 the one leaf is the root cube; at
+    # d = 1 there are no angle moves.
+    adopt, batches = search._adopt, []
+
+    def adopt_and_check(carried, rows, candidates, members):
+        adopt(carried, rows, candidates, members)
+        batches.append(len(rows))
+        for r in range(len(carried[0])):
+            w = search._state_weights(carried[0][r:r + 1], carried[1][r:r + 1], 1e4)
+            winv = matrices.eig_power(*matrices.eigh_sym(w), -1.0)
+            fresh = [*matrices.eigh_sym(np.concatenate(pyramid_batch(w), axis=1)),
+                     *matrices.eigh_sym(np.concatenate(pyramid_batch(winv), axis=1))]
+            if objective == "bet_norm_ratio":
+                fresh.append(matrices.eigvalsh_stack(w))
+            assert len(carried) == 3 + len(fresh)
+            for mine, want in zip(carried[3:], fresh):
+                assert np.array_equal(mine[r:r + 1], want), (len(batches), r)
+
+    monkeypatch.setattr(search, "_adopt", adopt_and_check)
+    for depth in range(5):
+        states, moves = search._draw_stream(depth, d, 7 + depth, 1e4, 4, 15)
+        batches.clear()
+        search._climb(states, moves, 15, objective, 1e4, search.LOOKAHEAD[objective])
+        assert len(batches) >= 2
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -304,7 +337,7 @@ def test_search_lookahead_error_reruns_step_by_step(monkeypatch, objective):
     monkeypatch.setattr(search, "_search_objective", fail_once)
     kwargs = dict(depth=2, d=2, seed=3, objective=objective, budget=202, cond_cap=1e4)
     got = adversarial_search(**kwargs)
-    assert failed == [4 * search.LOOKAHEAD]
+    assert failed == [4 * search.LOOKAHEAD[objective]]
     _assert_same_search(got, brute_adversarial_search(**kwargs))
 
 
@@ -382,6 +415,25 @@ def test_cli_config_error_exit_code(tmp_path):
     cfg_path.write_text("{not json")
     assert main(["counterexample-sweep", "--config", str(cfg_path)]) == 2
     assert main(["counterexample-sweep", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("eps", [1e-9, 5e-7])
+def test_cli_eps_below_the_power_floor_exit_code(tmp_path, monkeypatch, capsys, eps):
+    # eps^2 <= SPD_REJECT: the family's bottom eigenvalue is refused under
+    # W^-1, which ended the depth-10 sweep mid-run with exit 3
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "tiny_eps.json"
+    cfg_path.write_text(json.dumps({"eps_grid": [1e-2, eps], "depth": 10}))
+    assert main(["counterexample-sweep", "--config", str(cfg_path), "--quiet"]) == 2
+    assert "sqrt(SPD_REJECT) = 1e-06" in capsys.readouterr().err
+    assert not (tmp_path / "lab_counterexample-sweep.csv").exists()
+    for experiment in ("sibet-suite", "c2-sharpness"):
+        with pytest.raises(ConfigError, match="SPD_REJECT"):
+            default_config(experiment, eps_grid=[eps])
+    # the default grid, deep-sweep's grid and the smallest eps above the floor pass
+    for grid in (None, [1e-2, 1e-4], [1.01e-6]):
+        extra = {} if grid is None else {"eps_grid": grid}
+        default_config("counterexample-sweep", depth=10, **extra)
 
 
 def test_cli_bad_seed_exit_code(tmp_path):

@@ -1,14 +1,24 @@
-"""``tools/digest_diff.py`` on small digests written to a temporary directory."""
+"""``tools/digest_diff.py`` on small digests written to a temporary directory,
+and ``tools/search_counts.py`` on a small search."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-_spec = importlib.util.spec_from_file_location(
-    "digest_diff", Path(__file__).resolve().parents[1] / "tools" / "digest_diff.py"
-)
-digest_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(digest_diff)
+from carlab import matrices, search
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+digest_diff = _tool("digest_diff")
+search_counts = _tool("search_counts")
 
 VALUE = 0.7310585786300049
 
@@ -53,3 +63,23 @@ def test_flipped_verdict_fails(tmp_path, capsys):
     assert "sibet-suite/verdicts/ratio_bounded: True -> False  (rel inf)" in out
     assert "1 values differ, 1 beyond" in out
 
+
+
+def test_search_counts_prints_one_line_per_objective(capsys):
+    eigh_sym, climb = matrices.eigh_sym, search._climb
+    assert search_counts.main(["--depth", "2", "--budget", "40", "--seed", "3"]) == 0
+    assert (matrices.eigh_sym, search._climb) == (eigh_sym, climb)  # unwrapped again
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "depth=2 d=2 seed=3 budget=40 cond_cap=10000.0"
+    assert lines[1].split() == ["objective", *search_counts.COLUMNS]
+    rows = {line.split()[0]: dict(zip(search_counts.COLUMNS, map(int, line.split()[1:])))
+            for line in lines[2:]}
+    assert list(rows) == list(search.OBJECTIVES)
+    for objective, row in rows.items():
+        assert row["lookahead"] == search.LOOKAHEAD[objective]
+        # 4 restarts of 10 evaluations: a batch advances each restart by 1
+        # to lookahead steps, and every kept evaluation is a candidate
+        assert -(-10 // row["lookahead"]) <= row["batches"] <= 10
+        assert 40 <= row["candidates"] <= 4 * row["lookahead"] * row["batches"]
+        assert 0 <= row["accepted"] <= 36  # step 0 of each restart is no move
+        assert 0 < row["lapack_calls"] <= row["lapack_mats"]
