@@ -90,16 +90,20 @@ class CubeSequence:
         seq._store(list(self.entries), self.values * factor)
         return seq
 
-    def _levels(self, values):
-        """Dense tree levels of one value per kept entry, zero elsewhere."""
+    def _dense(self, values):
+        """One value per kept entry at its cube, zero elsewhere, in tree order."""
         flat = np.zeros((tree_size(self.depth),) + values.shape[1:], dtype=values.dtype)
         flat[self.positions] = values
-        return tree_levels(flat)
+        return flat
 
-    def dense_levels(self, dtype=None):
+    def dense(self, dtype=None):
+        """Every cube's entry, zero off the support, in tree order."""
         if dtype is None:
             dtype = np.result_type(np.float64, self.values)
-        return self._levels(self.values.astype(dtype, copy=False))
+        return self._dense(self.values.astype(dtype, copy=False))
+
+    def dense_levels(self, dtype=None):
+        return tree_levels(self.dense(dtype))
 
 
 class ScalarSequence(CubeSequence):
@@ -246,19 +250,19 @@ def tree_eigh_batch(levels):
 
 
 def level_powers_batch(eig, p):
-    """SPD power of every cube average of a batch, from their ``tree_eigh_batch``.
+    """SPD power of every cube average of a batch, from their ``tree_eigh_batch``:
+    (B, cubes, d, d) in tree order, which ``tree_levels_batch`` splits into levels.
 
     A refused average names its cube: the first one in batch and tree
     order (member by member, level by level, left to right).
     """
     vals, vecs = eig
     n_cubes = vals.shape[1]
-    out = matrices.eig_power(vals, vecs, p, context=lambda i: tree_cube(i % n_cubes))
-    return np.split(out, [(1 << k) - 1 for k in range(1, n_cubes.bit_length())], axis=1)
+    return matrices.eig_power(vals, vecs, p, context=lambda i: tree_cube(i % n_cubes))
 
 
 def level_powers(pyramid, p):
-    return [lv[0] for lv in level_powers_batch(tree_eigh_batch(batch_of_one(pyramid)), p)]
+    return tree_levels(level_powers_batch(tree_eigh_batch(batch_of_one(pyramid)), p)[0])
 
 
 def cube_supremum_batch(levels, touched=None):
@@ -266,15 +270,17 @@ def cube_supremum_batch(levels, touched=None):
 
     A scalar level is its own lambda_max; matrix levels go to one stacked
     eigenvalue call.  ``touched``, when given, holds one boolean level per
-    level and restricts the supremum to the cubes it marks.  A level whose
-    maximum is NaN is passed over.
+    level and restricts the supremum, and the eigenvalue call, to the cubes
+    it marks.  A level whose maximum is NaN is passed over.
     """
     starts = list(accumulate((lv.shape[1] for lv in levels[:-1]), initial=0))
     tops = np.concatenate(levels, axis=1)
-    if tops.ndim == 4:
-        tops = matrices.lambda_max_stack(tops)
     if touched is not None:
-        tops = np.where(np.concatenate(touched[:len(levels)], axis=1), tops, -np.inf)
+        keep = np.concatenate(touched[:len(levels)], axis=1)
+        tops, kept = np.full(keep.shape, -np.inf, dtype=tops.dtype), tops[keep]
+        tops[keep] = matrices.lambda_max_stack(kept) if kept.ndim == 3 else kept
+    elif tops.ndim == 4:
+        tops = matrices.lambda_max_stack(tops)
     level_max = np.maximum.reduceat(tops, starts, axis=1).astype(np.float64)
     return np.fmax.reduce(level_max * 2.0 ** np.arange(len(levels)), axis=1, initial=-np.inf)
 
@@ -325,7 +331,7 @@ def carleson_equivalents(seq):
     op = matrices.operator_norm_stack(seq.values)
     tr = np.trace(seq.values, axis1=1, axis2=2)
     return tuple(
-        cube_supremum(subtree_sums(seq._levels(v.astype(np.float64)))) for v in (op, tr)
+        cube_supremum(subtree_sums(tree_levels(seq._dense(v.astype(np.float64))))) for v in (op, tr)
     )
 
 

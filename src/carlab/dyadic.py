@@ -97,6 +97,11 @@ def tree_levels(flat):
     return [flat[(1 << k) - 1:(2 << k) - 1] for k in range(len(flat).bit_length())]
 
 
+def tree_levels_batch(flat):
+    """``tree_levels`` of a batch: (B, cubes, ...) in tree order into levels (B, 2^k, ...)."""
+    return [flat[:, (1 << k) - 1:(2 << k) - 1] for k in range(flat.shape[1].bit_length())]
+
+
 def tree_size(depth, level=0):
     """Number of cubes in D(K) for a cube K at ``level``: 2^(depth-level+1) - 1."""
     return (1 << (depth - level + 1)) - 1

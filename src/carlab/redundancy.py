@@ -22,7 +22,7 @@ from .characteristics import (
     subtree_sums_batch,
     tree_eigh_batch,
 )
-from .dyadic import DyadicIndex, check_index
+from .dyadic import DyadicIndex, check_index, tree_levels_batch
 from .errors import DimensionMismatchError, PreconditionError
 
 INTENSITY_SLACK = 1e-9
@@ -42,17 +42,15 @@ def check_intensity_batch(levels):
         )
 
 
-def sred_constant_batch(weig, veig, alpha):
-    """``sred_constant`` of a batch, from the ``tree_eigh_batch`` of the
-    pyramids of W and W^-1.
+def sred_constant_batch(roots, vinv, alpha):
+    """``sred_constant`` of a batch, from the powers <W>_Q^-1/2 (``roots``)
+    and <W^-1>_Q^-1 (``vinv``) of every cube (``level_powers_batch``).
 
-    ``weig``, ``veig`` and the dense sequence levels ``alpha`` carry a
-    leading batch axis; returns one constant per member.
+    ``roots``, ``vinv`` and the dense sequences ``alpha`` (B, cubes) are in
+    tree order with a leading batch axis; returns one constant per member.
     """
-    vinv = level_powers_batch(veig, -1.0)
-    acc = subtree_sums_batch([a[..., None, None] * v for a, v in zip(alpha, vinv)])
-    roots = level_powers_batch(weig, -0.5)
-    return cube_supremum_batch([r @ a @ r for r, a in zip(roots, acc)])
+    acc = subtree_sums_batch(tree_levels_batch(alpha[..., None, None] * vinv))
+    return cube_supremum_batch([r @ a @ r for r, a in zip(tree_levels_batch(roots), acc)])
 
 
 def sred_constant(w, alpha):
@@ -70,50 +68,56 @@ def sred_constant(w, alpha):
     check_intensity_batch(batch_of_one(alpha.dense_levels()))
     if len(alpha) == 0:
         return 0.0
-    eigs = [tree_eigh_batch(batch_of_one(f.pyramid())) for f in (w, w.inverse())]
-    alev = batch_of_one(alpha.dense_levels(dtype=w.values.dtype))
-    return float(sred_constant_batch(*eigs, alev)[0])
-
-
-def red_constants_batch(weig, veig, b):
-    """``red_constants`` of a batch, from the ``tree_eigh_batch`` of the
-    pyramids of W and W^-1.
-
-    ``weig``, ``veig`` and the dense sequence levels ``b`` (B, 2^k, d, d)
-    carry a leading batch axis; returns the arrays (c1, c2, c3), one entry
-    per member.  The support of a member is its nonzero entries; no member
-    may have an empty support.
-    """
-    size, depth = len(b[0]), len(b) - 1
-
+    weig, veig = [tree_eigh_batch(batch_of_one(f.pyramid())) for f in (w, w.inverse())]
+    vinv = level_powers_batch(veig, -1.0)
     roots = level_powers_batch(weig, -0.5)
-    proots = level_powers_batch(veig, -0.5)
-    dtype, d = roots[0].dtype, roots[0].shape[-1]
-    pbp = [p @ bj @ p for p, bj in zip(proots, b)]
-    support = [np.any(bj != 0.0, axis=(-2, -1)) for bj in b]
+    return float(sred_constant_batch(roots, vinv, alpha.dense(w.values.dtype)[None])[0])
+
+
+def red_sums_batch(roots, proots, b, pbp, deepest):
+    """The c1 and c2 sums of ``red_constants_batch``, over Q in D(K) of
+    P_Q R_K B_Q R_K P_Q and of R_K P_Q B_Q P_Q R_K (``pbp`` holds each
+    P_Q B_Q P_Q), for every cube K down to level ``deepest`` in tree order.
+
+    One pass per shift s = level(Q) - level(K): the Q of the cubes K down to
+    level kk are the cubes of levels s..kk + s in tree order, 2^s per K.
+    Each K adds its terms in increasing s, which fixes the rounding.
+    """
+    size, n_cubes, d = b.shape[:3]
+    sum1, sum2 = (np.zeros((size, (2 << deepest) - 1, d, d), dtype=roots.dtype) for _ in range(2))
+    for s in range(n_cubes.bit_length()):
+        ks = slice(0, (2 << min(deepest, n_cubes.bit_length() - 1 - s)) - 1)
+        qs = slice((1 << s) - 1, ((ks.stop + 1) << s) - 1)
+        rrep, p = np.repeat(roots[:, ks], 1 << s, axis=1), proots[:, qs]
+        segments = (size, -1, 1 << s, d, d)  # the 2^s summands of each K
+        sum1[:, ks] += (p @ (rrep @ b[:, qs] @ rrep) @ p).reshape(segments).sum(axis=2)
+        sum2[:, ks] += (rrep @ pbp[:, qs] @ rrep).reshape(segments).sum(axis=2)
+    return sum1, sum2
+
+
+def red_constants_batch(roots, proots, b):
+    """``red_constants`` of a batch, from the powers R = <W>_Q^-1/2
+    (``roots``) and P = <W^-1>_Q^-1/2 (``proots``) of every cube
+    (``level_powers_batch``).
+
+    ``roots``, ``proots`` and the dense sequences ``b`` (B, cubes, d, d) are
+    in tree order with a leading batch axis; returns the arrays (c1, c2,
+    c3), one entry per member.  The support of a member is its nonzero
+    entries; no member may have an empty support.
+    """
+    support = tree_levels_batch(np.any(b != 0.0, axis=(-2, -1)))
     touched = [acc > 0.0 for acc in subtree_sums_batch([s.astype(np.float64) for s in support])]
 
     # c3: accumulate P_Q B_Q P_Q, sandwich with <W>_K^-1/2 once per cube K.
-    c3 = cube_supremum_batch([r @ a @ r for r, a in zip(roots, subtree_sums_batch(pbp))])
+    pbp = proots @ b @ proots
+    acc = subtree_sums_batch(tree_levels_batch(pbp))
+    c3 = cube_supremum_batch([r @ a @ r for r, a in zip(tree_levels_batch(roots), acc)])
+    del acc  # freed before the temporaries of the shift passes
 
     # c1, c2: both conjugation orders depend on (K, Q) jointly.
-    sums1, sums2 = [], []
-    for k in range(max(k for k, s in enumerate(support) if s.any()) + 1):
-        sum1 = np.zeros((size, 1 << k, d, d), dtype=dtype)
-        sum2 = np.zeros((size, 1 << k, d, d), dtype=dtype)
-        for j in range(k, depth + 1):
-            rrep = np.repeat(roots[k], 1 << (j - k), axis=1)
-            first = proots[j] @ (rrep @ b[j] @ rrep) @ proots[j]
-            second = rrep @ pbp[j] @ rrep
-            sum1 += first.reshape(size, 1 << k, -1, d, d).sum(axis=2)
-            sum2 += second.reshape(size, 1 << k, -1, d, d).sum(axis=2)
-        sums1.append(sum1)
-        sums2.append(sum2)
-    return (
-        cube_supremum_batch(sums1, touched),
-        cube_supremum_batch(sums2, touched),
-        c3,
-    )
+    deepest = max(k for k, s in enumerate(support) if s.any())
+    sums = red_sums_batch(roots, proots, b, pbp, deepest)
+    return (*(cube_supremum_batch(tree_levels_batch(a), touched) for a in sums), c3)
 
 
 def red_constants(w, bseq):
@@ -125,14 +129,14 @@ def red_constants(w, bseq):
     * c2 bounds |K|^-1 sum_Q  R_K P_Q B_Q P_Q R_K  against the identity,
     * c3 bounds |K|^-1 sum_Q  P_Q B_Q P_Q          against <W>_K.
 
-    P and R are one stacked power per tree level.  c1 and c2 are assembled
-    summand by summand exactly as the quadratic forms read: for each level
-    k of K and each descendant level j, R_K is repeated down to the 2^(j-k)
-    cubes Q of level j below it, the summands are formed as one stack, and
-    a reshape segment-sums them onto level k.  c3 instead accumulates the
-    K-independent conjugations P_Q B_Q P_Q over the tree first and
-    sandwiches once per K (which is also why c2 and c3 agree up to
-    rounding: the substitution e = <W>_K^1/2 f maps one onto the other).
+    P and R are one stacked power over the tree each.  c1 and c2 are
+    assembled summand by summand exactly as the quadratic forms read: for
+    each shift s between the levels of K and Q, R_K is repeated onto the
+    2^s cubes Q below it and a reshape segment-sums the summands onto K
+    (``red_sums_batch``).  c3 instead accumulates the K-independent
+    conjugations P_Q B_Q P_Q over the tree first and sandwiches once per K
+    (which is also why c2 and c3 agree up to rounding: the substitution
+    e = <W>_K^1/2 f maps one onto the other).
     Cubes K with no support cube in D(K) are left out of c1 and c2; every
     cube deeper than the deepest support cube is one of them.
     """
@@ -144,9 +148,10 @@ def red_constants(w, bseq):
     check_intensity_batch(batch_of_one(bseq.dense_levels()))
     if len(bseq) == 0:
         return 0.0, 0.0, 0.0
-    eigs = [tree_eigh_batch(batch_of_one(f.pyramid())) for f in (w, w.inverse())]
-    b = batch_of_one(bseq.dense_levels(w.values.dtype))
-    return tuple(float(c[0]) for c in red_constants_batch(*eigs, b))
+    roots, proots = (level_powers_batch(eig, -0.5) for eig in
+                     [tree_eigh_batch(batch_of_one(f.pyramid())) for f in (w, w.inverse())])
+    b = bseq.dense(w.values.dtype)[None]
+    return tuple(float(c[0]) for c in red_constants_batch(roots, proots, b))
 
 
 def red_quadratic_form(w, bseq, k, e, order="corollary"):

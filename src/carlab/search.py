@@ -21,7 +21,7 @@ from .characteristics import (
     cube_supremum_batch,
     subtree_sums_batch,
 )
-from .dyadic import DyadicIndex, StepField, pyramid_batch
+from .dyadic import StepField, pyramid_batch, tree_cube, tree_levels_batch
 from .embeddings import bet_norm_sum_batch, halfweighted_pyramid_batch, l2_norm_batch
 from .errors import ConfigError
 from .redundancy import check_intensity_batch, red_constants_batch, sred_constant_batch
@@ -81,93 +81,113 @@ def _state_weights(log_eigs, angles, cond_cap):
     return (w + w.swapaxes(-1, -2)) / 2
 
 
-def _tree_levels(flat):
-    """Split (B, cubes) arrays in tree order into their levels (B, 2^k)."""
-    return [flat[:, (1 << k) - 1:(2 << k) - 1] for k in range(flat.shape[1].bit_length())]
-
-
 def _state_sequences(seq_weights):
-    """Dense levels of the sequences of a batch of states, each rescaled to
-    Carleson intensity 1; an all-zero state puts its weight on the root."""
+    """The sequences of a batch of states, dense (B, cubes) in tree order,
+    each rescaled to Carleson intensity 1; an all-zero state puts its
+    weight on the root."""
     weights = np.where(seq_weights > 0.0, seq_weights, 0.0)
     weights[~weights.any(axis=1), 0] = 1.0
-    intensity = cube_supremum_batch(subtree_sums_batch(_tree_levels(weights)))
-    return _tree_levels(weights * (1.0 / intensity)[:, None])
+    intensity = cube_supremum_batch(subtree_sums_batch(tree_levels_batch(weights)))
+    return weights * (1.0 / intensity)[:, None]
 
 
-def _empty_eigs(n, depth, d, objective):
-    """Room for the eigendecompositions of ``n`` states: (vals, vecs) of
-    every cube average of W, the same of W^-1 and, for bet_norm_ratio, the
-    leaf eigenvalues that C2 takes, each with a leading state axis."""
-    n_cubes = (2 << depth) - 1
-    shapes = [(n_cubes, d), (n_cubes, d, d)] * 2
+def _empty_carry(n, depth, d, objective):
+    """Room for what ``n`` states derive from their weights, by name, each
+    with a leading state axis: the leaves of W and W^-1; (vals, vecs) of
+    every cube average of W and of W^-1; and the powers the objective's
+    kernels take: for bet_norm_ratio the leaves' W^1/2 and W^-1/2 and the
+    leaf eigenvalues of C2, for the redundancy ratios R = <W>^-1/2 of every
+    cube and P = <W^-1>^-1/2 (red_ratio) or <W^-1>^-1 (sred_ratio)."""
+    leaf, cube = (1 << depth, d, d), ((2 << depth) - 1, d, d)
+    shapes = dict(w=leaf, winv=leaf, wvals=cube[:2], wvecs=cube, vvals=cube[:2], vvecs=cube)
     if objective == "bet_norm_ratio":
-        shapes.append((1 << depth, d))
-    return tuple(np.empty((n, *shape)) for shape in shapes)
+        shapes.update(wh=leaf, whinv=leaf, leaf_vals=leaf[:2])
+    else:
+        shapes.update({"r": cube, "p" if objective == "red_ratio" else "vinv": cube})
+    return {name: np.empty((n, *shape)) for name, shape in shapes.items()}
 
 
-def _refresh(solve, mats, out, stale):
-    """``out``, the results of ``solve`` on the stacks ``mats`` (B, m, d, d),
-    with those at ``stale`` (B, m) recomputed in one solver call, in place."""
+def _refresh(solve, inputs, out, stale):
+    """The arrays ``out`` (B, m, ...), with the members at ``stale`` (B, m)
+    recomputed in place by one call of ``solve`` on the same members of the
+    arrays ``inputs``, which returns one array per array of ``out``."""
     if stale.any():
-        for old, new in zip(out, solve(mats[stale])):
+        for old, new in zip(out, solve(*(a[stale] for a in inputs))):
             old[stale] = new
     return out
 
 
-def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, eigs=None, stale=None):
+def _refresh_power(out, p, eig, stale, first=0):
+    """``out`` (B, m, d, d), with its members at ``stale`` (B, m) set in
+    place to W^p from the same members of ``eig``; a refusal names the first
+    failing member's cube, member j being the cube ``first + j`` in tree
+    order."""
+    def context(i):
+        return tree_cube(first + int(np.flatnonzero(stale)[i]) % stale.shape[1])
+    return _refresh(lambda *e: (matrices.eig_power(*e, p, context=context),), eig, (out,), stale)[0]
+
+
+def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=None, stale=None):
     """Objective values of a batch of states, with their leaf weights and,
     for bet_norm_ratio, the values over sqrt(C2) of each weight (else None).
 
-    ``eigs`` holds each state's eigendecompositions (``_empty_eigs``), of
-    which only the cubes marked in ``stale`` (B, cubes) are decomposed
-    again, in place; without ``eigs`` every cube is.  The steps and checks
-    are those of one evaluation through the public kernels, in the same
-    order, so a batch of one raises what that evaluation raises.  The
-    sequences are checked on their dense levels.
+    ``carry`` holds what each state derives from its weights
+    (``_empty_carry``), of which only the leaves and cubes marked in
+    ``stale`` (B, cubes) are computed again, in place; without ``carry``
+    every one is.  The steps and checks are those of one evaluation through
+    the public kernels, in the same order, so a batch of one raises what
+    that evaluation raises: the members not marked stale have passed them
+    before.  The sequences are checked on their dense levels.
     """
-    w = _state_weights(log_eigs, angles, cond_cap)
-    n_leaves, d = w.shape[1], w.shape[-1]
+    n_leaves, d = log_eigs.shape[1:]
     depth = n_leaves.bit_length() - 1
-    if eigs is None:
-        eigs = _empty_eigs(len(w), depth, d, objective)
-        stale = np.ones(eigs[0].shape[:2], dtype=bool)
-    weig = _refresh(matrices.eigh_sym, np.concatenate(pyramid_batch(w), axis=1), eigs[:2], stale)
-    power = partial(matrices.eig_power, *(a[:, n_leaves - 1:] for a in weig),
-                    context=lambda i: DyadicIndex(depth, i % n_leaves))
+    if carry is None:
+        carry = _empty_carry(len(log_eigs), depth, d, objective)
+        stale = np.ones((len(log_eigs), (2 << depth) - 1), dtype=bool)
+    c, leaves = carry, stale[:, n_leaves - 1:]
+    w = _refresh(lambda *state: (_state_weights(*state, cond_cap),), (log_eigs, angles),
+                 (c["w"],), leaves)[0]
+    weig = _refresh(matrices.eigh_sym, (np.concatenate(pyramid_batch(w), axis=1),),
+                    (c["wvals"], c["wvecs"]), stale)
+    leaf_power = partial(_refresh_power, eig=tuple(a[:, n_leaves - 1:] for a in weig),
+                         stale=leaves, first=n_leaves - 1)
 
     if objective == "bet_norm_ratio":
         # f = W^1/2 b and g = W^-1/2 a leafwise, from the bottom and top
         # eigenvectors b, a of the root average: this reproduces the
         # counterexample family exactly when the weight is one of its members
-        root_vecs, wh, whinv = weig[1][:, 0], power(0.5), power(-0.5)
+        root_vecs, wh, whinv = weig[1][:, 0], leaf_power(c["wh"], 0.5), leaf_power(c["whinv"], -0.5)
         f = np.einsum("bkij,bj->bki", wh, root_vecs[:, :, 0])
         g = np.einsum("bkij,bj->bki", whinv, root_vecs[:, :, -1])
         norms = l2_norm_batch(f) * l2_norm_batch(g)
-        leaf_vals = _refresh(lambda m: (matrices.eigvalsh_stack(m),), w, eigs[4:],
-                             stale[:, n_leaves - 1:])
+        leaf_vals = _refresh(lambda m: (matrices.eigvalsh_stack(m),), (w,), (c["leaf_vals"],),
+                             leaves)
         c2 = c2_conditioning_batch(leaf_vals[0])
     alpha = _state_sequences(seq_weights)
-    check_sequence_batch(alpha)
+    check_sequence_batch(tree_levels_batch(alpha))
     if objective == "red_ratio":
-        alpha = [a[..., None, None] * np.eye(d) for a in alpha]  # alpha_Q times I
-        check_sequence_batch(alpha)
+        alpha = alpha[..., None, None] * np.eye(d)  # alpha_Q times I
+        check_sequence_batch(tree_levels_batch(alpha))
     if objective != "bet_norm_ratio":
-        check_intensity_batch(alpha)
-    vavg = pyramid_batch(power(-1.0))
-    veig = _refresh(matrices.eigh_sym, np.concatenate(vavg, axis=1), eigs[2:4], stale)
+        check_intensity_batch(tree_levels_batch(alpha))
+    vavg = pyramid_batch(leaf_power(c["winv"], -1.0))
+    veig = _refresh(matrices.eigh_sym, (np.concatenate(vavg, axis=1),),
+                    (c["vvals"], c["vvecs"]), stale)
     if objective == "red_ratio":
-        c1, c2, c3 = red_constants_batch(weig, veig, alpha)
+        r = _refresh_power(c["r"], -0.5, weig, stale)
+        p = _refresh_power(c["p"], -0.5, veig, stale)
+        c1, c2, c3 = red_constants_batch(r, p, alpha)
         value = np.where(c2 > c1, c2, c1)  # max(c1, c2, c3): the first maximum
         return np.where(c3 > value, c3, value), w, None
     if objective == "sred_ratio":
-        return sred_constant_batch(weig, veig, alpha), w, None
-    flat = np.concatenate(alpha, axis=1)
-    support = np.flatnonzero(flat)
+        vinv = _refresh_power(c["vinv"], -1.0, veig, stale)
+        r = _refresh_power(c["r"], -0.5, weig, stale)
+        return sred_constant_batch(r, vinv, alpha), w, None
+    support = np.flatnonzero(alpha)
     on_support = [tuple(a.reshape(-1, *a.shape[2:])[support] for a in eig) for eig in (weig, veig)]
     sums = bet_norm_sum_batch(
         *on_support, halfweighted_pyramid_batch(wh, f), halfweighted_pyramid_batch(whinv, g),
-        support, flat.ravel()[support], np.count_nonzero(flat, axis=1),
+        support, alpha.ravel()[support], np.count_nonzero(alpha, axis=1),
     )
     value = sums / norms
     return value, w, value / np.sqrt(c2)
@@ -204,17 +224,17 @@ _LOG_EIG, _ANGLE, _SEQ, _START = 0, 1, 2, 3
 def _draw_move(rng, n_leaves, d, n_cubes, scale=0.35):
     """One hill-climb move (kind, i, j, delta).  What it draws does not
     depend on the state, so every move can be drawn before any evaluation."""
-    kind = rng.uniform()
+    kind = rng.random()  # bitwise the draws of uniform() and normal(0.0, s), cheaper
     if kind < 0.45:
         i = int(rng.integers(n_leaves))
         j = int(rng.integers(d))
-        return _LOG_EIG, i, j, rng.normal(0.0, 2.0 * scale)
+        return _LOG_EIG, i, j, 2.0 * scale * rng.standard_normal()
     if kind < 0.7 and _n_angles(d):
         i = int(rng.integers(n_leaves))
         j = int(rng.integers(_n_angles(d)))
-        return _ANGLE, i, j, rng.normal(0.0, scale)
+        return _ANGLE, i, j, scale * rng.standard_normal()
     i = int(rng.integers(n_cubes))
-    return _SEQ, i, 0, rng.normal(0.0, scale)
+    return _SEQ, i, 0, scale * rng.standard_normal()
 
 
 
@@ -275,8 +295,8 @@ def _stale_cubes(moves, fresh, depth):
 
 def _adopt(carried, rows, candidates, members):
     """Make the candidates ``members`` the current states of their restarts
-    ``rows[members]``: each array of ``carried`` (state, then
-    eigendecompositions) takes the candidates' rows."""
+    ``rows[members]``: each array of ``carried`` (state, then what
+    ``_empty_carry`` names, in its order) takes the candidates' rows."""
     for mine, theirs in zip(carried, candidates):
         mine[rows[members]] = theirs[members]
 
@@ -313,8 +333,9 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
     member's value does not depend on the batch around it, so every kept
     value is the one the climb makes one step at a time.
 
-    Each restart carries the eigendecompositions of its current state.  A
-    candidate starts from a copy of them and decomposes again only the
+    Each restart carries what its current state derives from its weights
+    (``_empty_carry``): leaves, eigendecompositions and powers.  A
+    candidate starts from a copy and computes again only the leaf and the
     cubes its move changed (``_stale_cubes``); the accepted candidate's
     set becomes the restart's.
 
@@ -332,7 +353,7 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
     n, n_leaves, d = states[0].shape
     depth = n_leaves.bit_length() - 1
     start, states = states, tuple(a.copy() for a in states)
-    eigs = _empty_eigs(n, depth, d, objective)
+    carried = _empty_carry(n, depth, d, objective)
     values = np.empty((n, steps))
     ratios = np.empty((n, steps)) if objective == "bet_norm_ratio" else None
     best = np.full(n, -np.inf)
@@ -349,12 +370,13 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
         offset = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
         step = done[rows] + offset
         candidates = _apply_moves(states, rows, moves[rows, step])
-        cand_eigs = tuple(a[rows] for a in eigs)
+        cand_carried = {name: a[rows] for name, a in carried.items()}
         stale = _stale_cubes(moves[rows, step], done[rows] == 0, depth)
 
         def evaluate(sl):
             return _search_objective(*(a[sl] for a in candidates), objective, cond_cap,
-                                     tuple(a[sl] for a in cand_eigs), stale[sl])
+                                     {name: a[sl] for name, a in cand_carried.items()},
+                                     stale[sl])
 
         if lookahead > 1:
             try:
@@ -387,7 +409,8 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
         current[rows[moved]] = value[moved]
         # a restart adopts its accepted candidate or, in its first batch, its start state
         adopted = moved | (first & (stop[rows] == lookahead))
-        _adopt(states + eigs, rows, candidates + cand_eigs, np.flatnonzero(adopted))
+        _adopt(states + tuple(carried.values()), rows,
+               candidates + tuple(cand_carried.values()), np.flatnonzero(adopted))
         done += np.bincount(rows[kept], minlength=n)
     if error is not None:
         raise error

@@ -135,6 +135,35 @@ def brute_red_constants(leaves, entries, depth):
     return c1, c2, c3
 
 
+def brute_red_sums(roots, proots, b):
+    """The c1 and c2 sums of ``red_sums_batch``, by the loop over the level k
+    of K and then the level j of Q that ``red_constants_batch`` ran before
+    its loop over shifts: for each k down to the batch's deepest support
+    level, R_K repeated onto the 2^(j-k) cubes Q of each level j below, the
+    summands added level by level.  Takes the kernel's flat inputs; returns
+    both sums as levels (B, 2^k, d, d).
+    """
+    from carlab.dyadic import tree_levels_batch
+
+    roots, proots, b = (tree_levels_batch(a) for a in (roots, proots, b))
+    size, depth, d = len(b[0]), len(b) - 1, b[0].shape[-1]
+    pbp = [p @ bj @ p for p, bj in zip(proots, b)]
+    support = [np.any(bj != 0.0, axis=(-2, -1)) for bj in b]
+    sums1, sums2 = [], []
+    for k in range(max(k for k, s in enumerate(support) if s.any()) + 1):
+        sum1 = np.zeros((size, 1 << k, d, d), dtype=roots[0].dtype)
+        sum2 = np.zeros((size, 1 << k, d, d), dtype=roots[0].dtype)
+        for j in range(k, depth + 1):
+            rrep = np.repeat(roots[k], 1 << (j - k), axis=1)
+            first = proots[j] @ (rrep @ b[j] @ rrep) @ proots[j]
+            second = rrep @ pbp[j] @ rrep
+            sum1 += first.reshape(size, 1 << k, -1, d, d).sum(axis=2)
+            sum2 += second.reshape(size, 1 << k, -1, d, d).sum(axis=2)
+        sums1.append(sum1)
+        sums2.append(sum2)
+    return sums1, sums2
+
+
 def _sandwich_supremum(leaves, depth, term):
     """sup_K 2^k lambda_max(R_K [sum_{Q in D(K)} term(Q)] R_K), R_K = <W>_K^-1/2."""
     d = leaves.shape[1]

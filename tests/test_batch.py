@@ -30,7 +30,7 @@ from carlab.constructions import (
     random_vector_field,
     random_weight_field,
 )
-from carlab.dyadic import ROOT, DyadicIndex, StepField, tree_position
+from carlab.dyadic import ROOT, DyadicIndex, StepField, tree_levels_batch, tree_position
 from carlab.embeddings import bet_norm_sum, bet_norm_sum_batch, halfweighted_pyramid_batch
 from carlab.redundancy import (
     red_constants,
@@ -85,16 +85,18 @@ def _pyramids(ws):
     return _stack([w.pyramid() for w in ws]), _stack([w.inverse().pyramid() for w in ws])
 
 
-def _tree_eighs(ws):
-    """The cores' inputs: the eigendecompositions of both pyramids of a batch."""
-    return tuple(tree_eigh_batch(pyramids) for pyramids in _pyramids(ws))
+def _tree_powers(ws, pw, pv):
+    """The cores' inputs: the power ``pw`` of every cube average of W and
+    the power ``pv`` of every cube average of W^-1, for a batch."""
+    return tuple(level_powers_batch(tree_eigh_batch(pyramids), p)
+                 for pyramids, p in zip(_pyramids(ws), (pw, pv)))
 
 
 @pytest.mark.parametrize("depth, d", SHAPES)
 def test_sred_constant_batch_matches_single_trees(depth, d):
     rng = np.random.default_rng(100 * depth + d)
     ws, seqs = _weights(depth, d, rng), _scalar_sequences(depth, rng)
-    got = sred_constant_batch(*_tree_eighs(ws), _stack([s.dense_levels() for s in seqs]))
+    got = sred_constant_batch(*_tree_powers(ws, -0.5, -1.0), np.stack([s.dense() for s in seqs]))
     assert np.array_equal(got, [sred_constant(w, s) for w, s in zip(ws, seqs)])
 
 
@@ -102,7 +104,7 @@ def test_sred_constant_batch_matches_single_trees(depth, d):
 def test_red_constants_batch_matches_single_trees(depth, d):
     rng = np.random.default_rng(200 * depth + d)
     ws, seqs = _weights(depth, d, rng), _matrix_sequences(depth, d, rng)
-    got = red_constants_batch(*_tree_eighs(ws), _stack([s.dense_levels() for s in seqs]))
+    got = red_constants_batch(*_tree_powers(ws, -0.5, -0.5), np.stack([s.dense() for s in seqs]))
     want = np.array([red_constants(w, s) for w, s in zip(ws, seqs)])
     assert np.array_equal(np.stack(got, axis=1), want)
 
@@ -138,7 +140,7 @@ def test_level_powers_and_cube_supremum_batch_match_single_trees(depth, d, dtype
     ws = _weights(depth, d, rng, dtype=dtype)
     pyramids = [w.pyramid() for w in ws]
     for p in (0.5, -0.5, -1.0):
-        got = level_powers_batch(tree_eigh_batch(_stack(pyramids)), p)
+        got = tree_levels_batch(level_powers_batch(tree_eigh_batch(_stack(pyramids)), p))
         for b, pyramid in enumerate(pyramids):
             for lv_got, lv_want in zip(got, level_powers(pyramid, p)):
                 assert lv_got.dtype == dtype

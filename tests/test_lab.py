@@ -201,13 +201,16 @@ def test_search_leaf_reuse_changes_nothing(objective, d):
 
 
 class _ScriptedRng:
-    """A generator that turns chosen hill-climb moves into log-eigenvalue
-    moves by -1e4 on a chosen leaf: its eigenvalues underflow to 0 and the
-    evaluation of the candidate fails.
+    """A generator that turns chosen hill-climb moves into large negative
+    log-eigenvalue moves on a chosen leaf: its eigenvalues underflow to 0
+    and the evaluation of the candidate fails.
 
     ``poison`` maps the index of a move (counted over the whole run, in
     draw order) to the leaf it zeroes.  Every draw is still made, so the
-    rest of the stream is unchanged.
+    rest of the stream is unchanged.  A move's kind is its bare
+    ``uniform()`` draw in the oracle and its ``random()`` draw in the
+    search; its step draw, ``normal`` in the oracle and ``standard_normal()``
+    in the search (which scales it by 0.7), returns -1e4 on a poisoned move.
     """
 
     def __init__(self, rng, poison):
@@ -220,7 +223,12 @@ class _ScriptedRng:
     def uniform(self, *args, **kwargs):
         if args or kwargs:
             return self._rng.uniform(*args, **kwargs)
-        kind = self._rng.uniform()  # a move's kind is its only bare uniform draw
+        return self._kind(self._rng.uniform())
+
+    def random(self):
+        return self._kind(self._rng.random())
+
+    def _kind(self, kind):
         leaf = self._poison.get(self.moves)
         self.moves += 1
         if leaf is None:
@@ -233,7 +241,12 @@ class _ScriptedRng:
         return self._leaf.pop() if self._leaf else value
 
     def normal(self, loc, scale):
-        value = self._rng.normal(loc, scale)
+        return self._step(self._rng.normal(loc, scale))
+
+    def standard_normal(self):
+        return self._step(self._rng.standard_normal())
+
+    def _step(self, value):
         delta, self._delta = self._delta, None
         return value if delta is None else delta
 
@@ -291,26 +304,40 @@ def test_climb_lookahead_changes_nothing(objective):
 @pytest.mark.parametrize("objective", OBJECTIVES)
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_climb_carries_fresh_eigendecompositions(monkeypatch, objective, d):
-    # After every batch each restart's carried eigendecompositions equal,
-    # bitwise, those of a fresh decomposition of its current state: every
-    # cube average of W and of W^-1 and, for bet_norm_ratio, the leaf
-    # eigenvalues of C2.  At depth 0 the one leaf is the root cube; at
-    # d = 1 there are no angle moves.
+    # After every batch each restart's carried set equals, bitwise, one
+    # computed afresh from its current state: the leaves of W and W^-1, the
+    # eigendecompositions of every cube average of W and of W^-1 and the
+    # objective's powers (for bet_norm_ratio the leaves' W^1/2, W^-1/2 and
+    # eigenvalues, else <W>^-1/2 and <W^-1>^-1/2 or <W^-1>^-1 of every
+    # cube).  At depth 0 the one leaf is the root cube; at d = 1 there are
+    # no angle moves.
     adopt, batches = search._adopt, []
 
     def adopt_and_check(carried, rows, candidates, members):
         adopt(carried, rows, candidates, members)
         batches.append(len(rows))
+        depth = carried[0].shape[1].bit_length() - 1
+        names = list(search._empty_carry(1, depth, d, objective))
         for r in range(len(carried[0])):
             w = search._state_weights(carried[0][r:r + 1], carried[1][r:r + 1], 1e4)
-            winv = matrices.eig_power(*matrices.eigh_sym(w), -1.0)
-            fresh = [*matrices.eigh_sym(np.concatenate(pyramid_batch(w), axis=1)),
-                     *matrices.eigh_sym(np.concatenate(pyramid_batch(winv), axis=1))]
+            leaf_eig = matrices.eigh_sym(w)
+            winv = matrices.eig_power(*leaf_eig, -1.0)
+            wvals, wvecs = matrices.eigh_sym(np.concatenate(pyramid_batch(w), axis=1))
+            vvals, vvecs = matrices.eigh_sym(np.concatenate(pyramid_batch(winv), axis=1))
+            fresh = dict(w=w, winv=winv, wvals=wvals, wvecs=wvecs, vvals=vvals, vvecs=vvecs)
             if objective == "bet_norm_ratio":
-                fresh.append(matrices.eigvalsh_stack(w))
-            assert len(carried) == 3 + len(fresh)
-            for mine, want in zip(carried[3:], fresh):
-                assert np.array_equal(mine[r:r + 1], want), (len(batches), r)
+                fresh.update(wh=matrices.eig_power(*leaf_eig, 0.5),
+                             whinv=matrices.eig_power(*leaf_eig, -0.5),
+                             leaf_vals=matrices.eigvalsh_stack(w))
+            else:
+                fresh["r"] = matrices.eig_power(wvals, wvecs, -0.5)
+                if objective == "red_ratio":
+                    fresh["p"] = matrices.eig_power(vvals, vvecs, -0.5)
+                else:
+                    fresh["vinv"] = matrices.eig_power(vvals, vvecs, -1.0)
+            assert sorted(names) == sorted(fresh) and len(carried) == 3 + len(names)
+            for name, mine in zip(names, carried[3:]):
+                assert np.array_equal(mine[r:r + 1], fresh[name]), (name, len(batches), r)
 
     monkeypatch.setattr(search, "_adopt", adopt_and_check)
     for depth in range(5):

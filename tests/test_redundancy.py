@@ -9,21 +9,30 @@ from carlab.characteristics import (
     a2_characteristic,
     c2_conditioning,
     carleson_intensity,
+    level_powers_batch,
+    tree_eigh_batch,
     wcet_testing_constant,
 )
-from carlab.constructions import random_instance, random_orthogonal
-from carlab.dyadic import DyadicIndex, ROOT, StepField
+from carlab.constructions import (
+    random_instance,
+    random_matrix_sequence,
+    random_orthogonal,
+    random_weight_field,
+)
+from carlab.dyadic import DyadicIndex, ROOT, StepField, tree_levels_batch
 from carlab.errors import DimensionMismatchError, PreconditionError
 from carlab.matrices import operator_norm_stack, spd_power
 from carlab.redundancy import (
     red_constants,
     red_quadratic_form,
+    red_sums_batch,
     sred_constant,
     substitution_error,
     trace_cycling_error,
 )
 from oracles import (
     brute_red_constants,
+    brute_red_sums,
     brute_red_quadratic_form,
     brute_sred_constant,
     brute_substitution_error,
@@ -117,6 +126,34 @@ def test_sred_constant_matches_brute_oracle(depth, d):
     got = sred_constant(inst.w, inst.sseq)
     want = brute_sred_constant(inst.w.values, dict(inst.sseq.items()), depth)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("depth", range(9))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_red_sums_over_shifts_match_the_level_loop(depth, d):
+    # A batch whose members' deepest support levels differ: a random
+    # sequence, the root alone and one cube at about half the depth (the
+    # last batch leaves out the random one, so the batch's deepest level can
+    # be above the tree's bottom).  The kernel must add each cube's terms
+    # in the order of the loop it replaced, so the sums are bitwise equal.
+    rng = np.random.default_rng(1000 + 10 * depth + d)
+    half = DyadicIndex(depth // 2, (1 << (depth // 2)) - 1)
+    seqs = [random_matrix_sequence(depth, d, rng),
+            MatrixSequence(depth, d, {ROOT: np.eye(d)}),
+            MatrixSequence(depth, d, {half: 2.0 ** -half.level * np.eye(d)})]
+    ws = [random_weight_field(depth, d, rng, cond_cap=1e3) for _ in seqs]
+    for members in (slice(None), slice(1, None), slice(1, 2)):
+        pyramids = [[np.stack(lv) for lv in zip(*(f.pyramid() for f in fields))]
+                    for fields in (ws[members], [w.inverse() for w in ws[members]])]
+        roots, proots = (level_powers_batch(tree_eigh_batch(p), -0.5) for p in pyramids)
+        b = np.stack([s.dense() for s in seqs[members]])
+        want = brute_red_sums(roots, proots, b)
+        deepest = len(want[0]) - 1
+        got = red_sums_batch(roots, proots, b, proots @ b @ proots, deepest)
+        for sums_got, sums_want in zip(got, want):
+            assert len(tree_levels_batch(sums_got)) == len(sums_want)
+            for lv_got, lv_want in zip(tree_levels_batch(sums_got), sums_want):
+                assert np.array_equal(lv_got, lv_want), (members, deepest)
 
 
 def test_red_c2_equals_c3():

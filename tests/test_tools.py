@@ -83,3 +83,8 @@ def test_search_counts_prints_one_line_per_objective(capsys):
         assert 40 <= row["candidates"] <= 4 * row["lookahead"] * row["batches"]
         assert 0 <= row["accepted"] <= 36  # step 0 of each restart is no move
         assert 0 < row["lapack_calls"] <= row["lapack_mats"]
+        # a restart's first batch builds all 4 leaves of each candidate, a
+        # later candidate at most its moved leaf, and every built leaf is
+        # inverted at least
+        assert 4 * 4 <= row["weight_leaves"] <= 4 * row["candidates"]
+        assert row["weight_leaves"] <= row["power_mats"]

@@ -12,7 +12,9 @@ named) and prints one line per objective:
 * ``candidates``: states those batches evaluated, dropped ones included;
 * ``accepted``: moves that became a restart's current state;
 * ``lapack_calls`` and ``lapack_mats``: calls to ``matrices.eigh_sym`` and
-  ``matrices.eigvalsh_stack`` on float64 stacks, and the matrices in them.
+  ``matrices.eigvalsh_stack`` on float64 stacks, and the matrices in them;
+* ``power_mats``: matrices raised to a power by ``matrices.eig_power``;
+* ``weight_leaves``: leaf weights built by ``search._state_weights``.
 
 A longer lookahead makes fewer batches but evaluates more candidates that
 are dropped after an accepted move; these counts are what the lookahead
@@ -34,7 +36,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from carlab import matrices, search  # noqa: E402
 
-COLUMNS = ("lookahead", "batches", "candidates", "accepted", "lapack_calls", "lapack_mats")
+COLUMNS = ("lookahead", "batches", "candidates", "accepted", "lapack_calls", "lapack_mats",
+           "power_mats", "weight_leaves")
 
 
 @contextmanager
@@ -84,13 +87,21 @@ def counts(objective, **config):
             out["lapack_calls"] += 1
             out["lapack_mats"] += math.prod(mats.shape[:-2])
 
+    def powered(args):  # (vals, vecs, p): one matrix per spectrum
+        out["power_mats"] += math.prod(np.shape(args[0])[:-1])
+
+    def weights(args):  # (log_eigs, angles, cond_cap): one leaf per row of log_eigs
+        out["weight_leaves"] += math.prod(np.shape(args[0])[:-1])
+
     def climbed(result):  # a climb that starts over returns its rerun's result
         out["accepted"] = _accepted(result[0])
 
     with _wrapped(search, "_search_objective", batch), \
             _wrapped(search, "_climb", lambda args: None, climbed), \
             _wrapped(matrices, "eigh_sym", lapack), \
-            _wrapped(matrices, "eigvalsh_stack", lapack):
+            _wrapped(matrices, "eigvalsh_stack", lapack), \
+            _wrapped(matrices, "eig_power", powered), \
+            _wrapped(search, "_state_weights", weights):
         search.adversarial_search(objective=objective, **config)
     return out
 
