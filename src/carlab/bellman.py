@@ -126,6 +126,36 @@ def bellman_second_derivative(p, dv, dm):
     return matrices.symmetrize(out)
 
 
+HESSIAN_CHECK = {
+    "u": np.diag([5.0, 4.0]),
+    "v": np.diag([0.4, 0.5]),
+    "dv": np.diag([0.3, -0.35]),
+    "m": 0.4,
+    "dm": 40.0,
+}
+
+
+def hessian_richardson_ratio(ts=(1e-3, 1e-4)):
+    """Error ratio of the centered second difference against the closed form.
+
+    The second difference converges at rate t^2, so halving t by 10 must
+    shrink the defect by about 100; the fixed direction has a large fourth
+    derivative so the defect stays far above rounding noise at both steps.
+    """
+    u, v, dv = HESSIAN_CHECK["u"], HESSIAN_CHECK["v"], HESSIAN_CHECK["dv"]
+    m, dm = HESSIAN_CHECK["m"], HESSIAN_CHECK["dm"]
+    p = BellmanPoint(u, v, m)
+    exact = bellman_second_derivative(p, dv, dm)
+    errs = []
+    for t in ts:
+        plus = bellman_eval(BellmanPoint(u, v + t * dv, m + t * dm))
+        minus = bellman_eval(BellmanPoint(u, v - t * dv, m - t * dm))
+        center = bellman_eval(p)
+        second = (plus - 2.0 * center + minus) / (t * t)
+        errs.append(matrices.operator_norm(matrices.as_symmetric(second - exact)))
+    return errs[0] / errs[1]
+
+
 # ---------------------------------------------------------------------------
 # Stacked points: n points of one dimension d.
 # ---------------------------------------------------------------------------

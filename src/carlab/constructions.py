@@ -1,5 +1,5 @@
 """Instance generators: the two-eigenvalue counterexample family, seeded
-random instances, and the testing-vector probe.
+random instances, and the testing-vector probe with its report.
 
 The family is built in extended precision because the sweep reaches
 condition number 1e8, where the acceptance tolerances (1e-9 .. 1e-10) sit
@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrices
-from .characteristics import MatrixSequence, ScalarSequence, carleson_intensity
+from .characteristics import (
+    MatrixSequence,
+    ScalarSequence,
+    carleson_intensity,
+    level_powers,
+    subtree_sums,
+    testing_terms,
+)
 from .dyadic import DyadicIndex, ROOT, StepField, check_index
 from .errors import NumericError, PreconditionError
 
@@ -264,3 +271,42 @@ def necessity_probe(w, seq, k, e):
     if denom <= 0.0:
         raise PreconditionError("degenerate weight average under the probe")
     return float(numer / denom)
+
+
+def necessity_report(w, seq, rng, samples_per_cube=6):
+    """Compare the testing constant against its testing-vector probes.
+
+    Returns (testing, probe_sup, sampled_max, worst_cube_rel_err): the
+    eigenvalue route, the probe at each cube's top testing vector, the
+    largest randomly-sampled probe, and the worst per-cube relative gap
+    between the two routes.
+    """
+    wm = w.as_matrix()
+    wavg = wm.pyramid()
+    acc = subtree_sums(testing_terms(wavg, seq))
+    testing = 0.0
+    probe_sup = 0.0
+    sampled_max = 0.0
+    worst_rel = 0.0
+    d = wm.d
+    for k, roots in enumerate(level_powers(wavg, -0.5)):
+        sandwich = roots @ acc[k] @ roots
+        for p in range(1 << k):
+            lam, vecs = matrices.eigh_sym(
+                matrices.as_symmetric(sandwich[p] * (1 << k))
+            )
+            top = float(lam[-1])
+            testing = max(testing, top)
+            e_star = roots[p] @ vecs[:, -1]
+            nrm = float(np.sqrt(e_star @ e_star))
+            if nrm == 0.0:
+                continue
+            value = necessity_probe(wm, seq, DyadicIndex(k, p), e_star / nrm)
+            probe_sup = max(probe_sup, value)
+            if top > 1e-12:
+                worst_rel = max(worst_rel, abs(value - top) / top)
+            for _ in range(samples_per_cube):
+                e = rng.standard_normal(d)
+                e /= np.linalg.norm(e)
+                sampled_max = max(sampled_max, necessity_probe(wm, seq, DyadicIndex(k, p), e))
+    return testing, probe_sup, sampled_max, worst_rel

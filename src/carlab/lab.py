@@ -3,28 +3,30 @@
 Every experiment is a pure function of its configuration: all randomness is
 seeded, so any report row can be regenerated from the config plus the seed
 or eps it carries.  Reports collect rows, suite aggregates and boolean
-verdicts; the CLI turns failed verdicts into a nonzero exit code.
+verdicts; the CLI turns failed verdicts into a nonzero exit code.  The
+experiments are declared in one table, ``EXPERIMENTS``, at the end of the
+module: each has a preset config, a runner and its pinned CSV columns.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 import numbers
 import time
 from dataclasses import dataclass, field, asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import baselines, matrices
 from .bellman import (
-    BellmanPoint,
-    bellman_eval,
-    bellman_second_derivative,
     concavity_gaps,
     dm_gaps,
     dynamics_gaps,
+    hessian_richardson_ratio,
     matrix_parameter_probe,
     size_gaps,
     telescoping_certificate,
@@ -35,20 +37,17 @@ from .characteristics import (
     a2_characteristic,
     c2_conditioning,
     carleson_intensity,
-    level_powers,
-    subtree_sums,
-    testing_terms,
     wcet_testing_constant,
 )
 from .constructions import (
     EPS_SWEEP,
     epsilon_family,
-    necessity_probe,
+    necessity_report,
     random_instance,
     random_scalar_sequence,
     random_weight_field,
 )
-from .dyadic import DyadicIndex, stepfield_from_json, stepfield_to_json
+from .dyadic import stepfield_from_json, stepfield_to_json
 from .embeddings import (
     bet_inner_sum,
     bet_norm_sum,
@@ -64,31 +63,6 @@ from .redundancy import (
     trace_cycling_error,
 )
 from .search import OBJECTIVES, adversarial_search
-
-EXPERIMENTS = (
-    "counterexample-sweep",
-    "c2-sharpness",
-    "sibet-suite",
-    "wcet-suite",
-    "bellman-certify",
-    "redundancy-suite",
-    "adversarial-search",
-)
-
-# Pinned CSV column orders.  The sweep columns are part of the external
-# interface and must not change.
-CSV_COLUMNS = {
-    "counterexample-sweep": [
-        "eps", "depth", "intensity", "a2", "c2", "f_norm", "g_norm",
-        "bet_norm_sum", "bet_inner_sum", "ratio_norm", "ratio_inner",
-        "ratio_over_sqrt_c2",
-    ],
-    "c2-sharpness": [
-        "eps", "depth", "intensity", "a2", "c2", "f_norm", "g_norm",
-        "bet_norm_sum", "bet_inner_sum", "ratio_norm", "ratio_inner",
-        "ratio_over_sqrt_c2",
-    ],
-}
 
 
 def _is_real(value):
@@ -115,16 +89,16 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
-        for name in ("depth", "d", "samples", "budget"):
+        names = tuple(EXPERIMENTS)
+        if self.experiment not in names:
+            raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {names}")
+        for name, lo, hi in (("depth", 0, 12), ("d", 1, 8), ("samples", 1, math.inf),
+                             ("budget", 1, math.inf)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= self.depth <= 12:
-            raise ConfigError(f"depth must lie in [0, 12], got {self.depth}")
-        if not 1 <= self.d <= 8:
-            raise ConfigError(f"d must lie in [1, 8], got {self.d}")
+            if not lo <= value <= hi:
+                raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {value}")
         if not isinstance(self.seeds, list) or not self.seeds:
             raise ConfigError(f"seeds must be a non-empty list, got {self.seeds!r}")
         for seed in self.seeds:
@@ -152,16 +126,16 @@ class ExperimentConfig:
             raise ConfigError(f"cond_cap must be a real number, got {self.cond_cap!r}")
         if not 1.0 <= self.cond_cap <= 1e8:
             raise ConfigError(f"cond_cap must lie in [1, 1e8], got {self.cond_cap}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string or null, got {self.output_path!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
-        if self.budget < 1:
-            raise ConfigError(f"budget must be >= 1, got {self.budget}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.experiment == "adversarial-search" and len(self.seeds) != 1:
             raise ConfigError(f"adversarial-search runs one seed, got {self.seeds!r}")
+        if not isinstance(self.extra_instances, list):
+            raise ConfigError(f"extra_instances must be a list, got {self.extra_instances!r}")
 
     @classmethod
     def from_dict(cls, obj):
@@ -180,18 +154,10 @@ class ExperimentConfig:
 
 def default_config(experiment, **overrides):
     """The acceptance-grade configuration of each experiment."""
-    presets = {
-        "counterexample-sweep": dict(depth=4, seeds=[0]),
-        "c2-sharpness": dict(depth=4, seeds=[0]),
-        "sibet-suite": dict(depth=6, d=4, seeds=list(range(200)), cond_cap=1e6),
-        "wcet-suite": dict(depth=6, d=4, seeds=list(range(100)), cond_cap=1e4),
-        "bellman-certify": dict(depth=4, d=4, seeds=list(range(100)), samples=10000),
-        "redundancy-suite": dict(depth=8, d=4, seeds=list(range(500)), cond_cap=1e4),
-        "adversarial-search": dict(depth=3, d=2, seeds=[0], cond_cap=1e4, budget=10000),
-    }
-    if experiment not in presets:
+    if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    return ExperimentConfig.from_dict({"experiment": experiment} | presets[experiment] | overrides)
+    preset = copy.deepcopy(EXPERIMENTS[experiment].preset)  # each config owns its lists
+    return ExperimentConfig.from_dict({"experiment": experiment} | preset | overrides)
 
 
 @dataclass
@@ -222,7 +188,7 @@ class LabReport:
             with open(path, "w") as fh:
                 json.dump(self.to_json_obj(), fh, indent=1, default=float)
         else:
-            columns = CSV_COLUMNS.get(self.experiment)
+            columns = EXPERIMENTS[self.experiment].columns
             if columns is None:
                 columns = list(self.rows[0]) if self.rows else []
             with open(path, "w", newline="") as fh:
@@ -241,28 +207,18 @@ def _stamp():
 def run_experiment(cfg):
     """Run one experiment; write the report if an output path is set."""
     started = time.perf_counter()
-    runner = {
-        "counterexample-sweep": _run_sweep,
-        "c2-sharpness": _run_sharpness,
-        "sibet-suite": _run_sibet,
-        "wcet-suite": _run_wcet,
-        "bellman-certify": _run_bellman,
-        "redundancy-suite": _run_redundancy,
-        "adversarial-search": _run_search,
-    }[cfg.experiment]
-    rows, aggregates, verdicts = runner(cfg)
+    rows, aggregates, verdicts = EXPERIMENTS[cfg.experiment].run(cfg)
     aggregates["elapsed_seconds"] = time.perf_counter() - started
-    report = LabReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
-        rows=rows,
-        aggregates=aggregates,
-        verdicts=verdicts,
-        stamp=_stamp(),
-    )
+    report = LabReport(experiment=cfg.experiment, config=cfg.to_dict(), rows=rows,
+                       aggregates=aggregates, verdicts=verdicts, stamp=_stamp())
     if cfg.output_path:
         report.write(cfg.output_path, cfg.format)
     return report
+
+
+def _max(rows, key, **where):
+    """Largest ``row[key]`` over the rows whose fields equal ``where``."""
+    return max(r[key] for r in rows if all(r[k] == v for k, v in where.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -299,46 +255,43 @@ def sweep_row(eps, rotation, depth):
     }
 
 
-def _sweep_rows(cfg):
-    return [
-        sweep_row(eps, theta, cfg.depth)
-        for theta in cfg.rotations
-        for eps in cfg.eps_grid
-    ]
+# (verdict, deviation of one row, bound on the largest deviation)
+SWEEP_CHECKS = (
+    ("intensity_unit", lambda r: abs(r["intensity"] - 1.0), 1e-10),
+    ("f_norm_matches_eps", lambda r: abs(r["f_norm"] / r["eps"] - 1.0), 1e-10),
+    ("g_norm_unit", lambda r: abs(r["g_norm"] - 1.0), 1e-10),
+    ("bet_norm_sum_unit", lambda r: abs(r["bet_norm_sum"] - 1.0), 1e-9),
+    ("ratio_norm_inverse_eps", lambda r: abs(r["ratio_norm"] * r["eps"] - 1.0), 1e-9),
+    ("a2_unit", lambda r: abs(r["a2"] - 1.0), 1e-10),
+    ("inner_sum_half", lambda r: abs(r["bet_inner_sum"] - 0.5), 1e-9),
+    ("scalar_seq_ratio_matches",
+     lambda r: abs(r["ratio_norm_scalar_seq"] / r["ratio_norm"] - 1.0), 1e-9),
+)
+SHARPNESS_CHECKS = (
+    ("ratio_attains_sqrt_c2", lambda r: abs(r["ratio_over_sqrt_c2"] - 1.0), 1e-9),
+    ("c2_matches_definition", lambda r: abs(r["c2"] * r["eps"] ** 2 - 1.0), 1e-9),
+)
+
+
+def _sweep(cfg, checks):
+    """The family rows and the verdicts of one check table over them."""
+    rows = [sweep_row(eps, theta, cfg.depth) for theta in cfg.rotations for eps in cfg.eps_grid]
+    return rows, {name: max(map(dev, rows)) <= bound for name, dev, bound in checks}
 
 
 def _run_sweep(cfg):
-    rows = _sweep_rows(cfg)
-    checks = {
-        "intensity_unit": max(abs(r["intensity"] - 1.0) for r in rows) <= 1e-10,
-        "f_norm_matches_eps": max(abs(r["f_norm"] / r["eps"] - 1.0) for r in rows) <= 1e-10,
-        "g_norm_unit": max(abs(r["g_norm"] - 1.0) for r in rows) <= 1e-10,
-        "bet_norm_sum_unit": max(abs(r["bet_norm_sum"] - 1.0) for r in rows) <= 1e-9,
-        "ratio_norm_inverse_eps": max(abs(r["ratio_norm"] * r["eps"] - 1.0) for r in rows)
-        <= 1e-9,
-        "a2_unit": max(abs(r["a2"] - 1.0) for r in rows) <= 1e-10,
-        "inner_sum_half": max(abs(r["bet_inner_sum"] - 0.5) for r in rows) <= 1e-9,
-        "scalar_seq_ratio_matches": max(
-            abs(r["ratio_norm_scalar_seq"] / r["ratio_norm"] - 1.0) for r in rows
-        )
-        <= 1e-9,
-    }
+    rows, verdicts = _sweep(cfg, SWEEP_CHECKS)
     aggregates = {
-        "max_ratio_norm": max(r["ratio_norm"] for r in rows),
+        "max_ratio_norm": _max(rows, "ratio_norm"),
         "min_eps": min(r["eps"] for r in rows),
         "rows": len(rows),
     }
-    return rows, aggregates, checks
+    return rows, aggregates, verdicts
 
 
 def _run_sharpness(cfg):
-    rows = _sweep_rows(cfg)
-    checks = {
-        "ratio_attains_sqrt_c2": max(abs(r["ratio_over_sqrt_c2"] - 1.0) for r in rows) <= 1e-9,
-        "c2_matches_definition": max(abs(r["c2"] * r["eps"] ** 2 - 1.0) for r in rows) <= 1e-9,
-    }
-    aggregates = {"rows": len(rows)}
-    return rows, aggregates, checks
+    rows, verdicts = _sweep(cfg, SHARPNESS_CHECKS)
+    return rows, {"rows": len(rows)}, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -419,65 +372,21 @@ def _run_sibet(cfg):
         for eps in cfg.eps_grid:
             inst = epsilon_family(eps, theta, min(cfg.depth, 4))
             rows.append(_sibet_row("sweep", "", eps, inst.w, inst.alpha, inst.f, inst.g))
-    random_rows = [r for r in rows if r["kind"] == "random"]
-    sweep_rows = [r for r in rows if r["kind"] == "sweep"]
-    max_random = max(r["inner_ratio"] for r in random_rows)
-    max_random_d2 = max(r["inner_ratio"] for r in random_rows if r["d"] == 2)
-    max_sweep = max(r["inner_ratio"] for r in sweep_rows)
-    max_norm_over_sqrt_c2 = max(r["norm_over_sqrt_c2"] for r in rows)
-    aggregates = {
-        "max_inner_ratio_random": max_random,
-        "max_inner_ratio_random_d2": max_random_d2,
-        "max_inner_ratio_sweep": max_sweep,
-        "max_norm_over_sqrt_c2": max_norm_over_sqrt_c2,
+    agg = {
+        "max_inner_ratio_random": _max(rows, "inner_ratio", kind="random"),
+        "max_inner_ratio_random_d2": _max(rows, "inner_ratio", kind="random", d=2),
+        "max_inner_ratio_sweep": _max(rows, "inner_ratio", kind="sweep"),
+        "max_norm_over_sqrt_c2": _max(rows, "norm_over_sqrt_c2"),
         "cprime_bound": baselines.SIBET_CPRIME,
         "rows": len(rows),
     }
     verdicts = {
-        "inner_ratio_within_cprime": max_random <= baselines.SIBET_CPRIME,
-        "no_growth_along_sweep": max_sweep <= 1.05 * max_random_d2,
-        "norm_ratio_within_c2bet": max_norm_over_sqrt_c2 <= baselines.C2BET_C,
+        "inner_ratio_within_cprime": agg["max_inner_ratio_random"] <= agg["cprime_bound"],
+        "no_growth_along_sweep":
+            agg["max_inner_ratio_sweep"] <= 1.05 * agg["max_inner_ratio_random_d2"],
+        "norm_ratio_within_c2bet": agg["max_norm_over_sqrt_c2"] <= baselines.C2BET_C,
     }
-    return rows, aggregates, verdicts
-
-
-def necessity_report(w, seq, rng, samples_per_cube=6):
-    """Compare the testing constant against its testing-vector probes.
-
-    Returns (testing, probe_sup, sampled_max, worst_cube_rel_err): the
-    eigenvalue route, the probe at each cube's top testing vector, the
-    largest randomly-sampled probe, and the worst per-cube relative gap
-    between the two routes.
-    """
-    wm = w.as_matrix()
-    wavg = wm.pyramid()
-    acc = subtree_sums(testing_terms(wavg, seq))
-    testing = 0.0
-    probe_sup = 0.0
-    sampled_max = 0.0
-    worst_rel = 0.0
-    d = wm.d
-    for k, roots in enumerate(level_powers(wavg, -0.5)):
-        sandwich = roots @ acc[k] @ roots
-        for p in range(1 << k):
-            lam, vecs = matrices.eigh_sym(
-                matrices.as_symmetric(sandwich[p] * (1 << k))
-            )
-            top = float(lam[-1])
-            testing = max(testing, top)
-            e_star = roots[p] @ vecs[:, -1]
-            nrm = float(np.sqrt(e_star @ e_star))
-            if nrm == 0.0:
-                continue
-            value = necessity_probe(wm, seq, DyadicIndex(k, p), e_star / nrm)
-            probe_sup = max(probe_sup, value)
-            if top > 1e-12:
-                worst_rel = max(worst_rel, abs(value - top) / top)
-            for _ in range(samples_per_cube):
-                e = rng.standard_normal(d)
-                e /= np.linalg.norm(e)
-                sampled_max = max(sampled_max, necessity_probe(wm, seq, DyadicIndex(k, p), e))
-    return testing, probe_sup, sampled_max, worst_rel
+    return rows, agg, verdicts
 
 
 def _run_wcet(cfg):
@@ -505,83 +414,47 @@ def _run_wcet(cfg):
             "testing_recomputed_rel_err": abs(t_ref - testing) / testing,
             "maximal_ratio": weighted_l2_norm(mf.as_vector()) / fnorm,
         })
-    max_forward = max(r["forward_ratio"] for r in rows)
-    max_probe_err = max(r["probe_rel_err"] for r in rows)
-    max_cube_err = max(r["probe_cube_rel_err"] for r in rows)
-    max_excess = max(r["sampled_excess"] for r in rows)
-    max_maximal = max(r["maximal_ratio"] for r in rows)
-    aggregates = {
-        "max_forward_ratio": max_forward,
-        "max_probe_rel_err": max_probe_err,
-        "max_cube_rel_err": max_cube_err,
-        "max_sampled_excess": max_excess,
-        "max_maximal_ratio": max_maximal,
+    agg = {
+        "max_forward_ratio": _max(rows, "forward_ratio"),
+        "max_probe_rel_err": _max(rows, "probe_rel_err"),
+        "max_cube_rel_err": _max(rows, "probe_cube_rel_err"),
+        "max_sampled_excess": _max(rows, "sampled_excess"),
+        "max_maximal_ratio": _max(rows, "maximal_ratio"),
         "forward_bound": baselines.WCET_FORWARD_C,
         "rows": len(rows),
     }
     verdicts = {
-        "forward_bound_holds": max_forward <= baselines.WCET_FORWARD_C,
-        "necessity_identity": max_probe_err <= 1e-8 and max_cube_err <= 1e-8,
-        "probe_never_exceeds": max_excess <= 1e-9,
-        "maximal_function_bounded": max_maximal <= baselines.MAXIMAL_L2_C,
+        "forward_bound_holds": agg["max_forward_ratio"] <= agg["forward_bound"],
+        "necessity_identity": agg["max_probe_rel_err"] <= 1e-8 and agg["max_cube_rel_err"] <= 1e-8,
+        "probe_never_exceeds": agg["max_sampled_excess"] <= 1e-9,
+        "maximal_function_bounded": agg["max_maximal_ratio"] <= baselines.MAXIMAL_L2_C,
     }
-    return rows, aggregates, verdicts
+    return rows, agg, verdicts
 
 
-HESSIAN_CHECK = {
-    "u": np.diag([5.0, 4.0]),
-    "v": np.diag([0.4, 0.5]),
-    "dv": np.diag([0.3, -0.35]),
-    "m": 0.4,
-    "dm": 40.0,
-}
-
-
-def hessian_richardson_ratio(ts=(1e-3, 1e-4)):
-    """Error ratio of the centered second difference against the closed form.
-
-    The second difference converges at rate t^2, so halving t by 10 must
-    shrink the defect by about 100; the fixed direction has a large fourth
-    derivative so the defect stays far above rounding noise at both steps.
-    """
-    u, v, dv = HESSIAN_CHECK["u"], HESSIAN_CHECK["v"], HESSIAN_CHECK["dv"]
-    m, dm = HESSIAN_CHECK["m"], HESSIAN_CHECK["dm"]
-    p = BellmanPoint(u, v, m)
-    exact = bellman_second_derivative(p, dv, dm)
-    errs = []
-    for t in ts:
-        plus = bellman_eval(BellmanPoint(u, v + t * dv, m + t * dm))
-        minus = bellman_eval(BellmanPoint(u, v - t * dv, m - t * dm))
-        center = bellman_eval(p)
-        second = (plus - 2.0 * center + minus) / (t * t)
-        errs.append(matrices.operator_norm(matrices.as_symmetric(second - exact)))
-    return errs[0] / errs[1]
-
-
-def _worst(gaps, dims, bound):
-    """(worst gap, violations, worst sample) of one sampling check.
-
-    The worst sample is the first minimal gap, as a running ``min`` keeps
-    it; its index counts the check's samples in draw order.
-    """
-    i = int(np.argmin(gaps))
-    sample = {"index": i, "d": int(dims[i])}
-    return float(gaps[i]), int(np.count_nonzero(gaps < bound)), sample
+# (row, verdict, gaps of n samples drawn from rng up to dimension d_max, bound
+# on the worst gap) of each sampling check, in draw order; the dm slack
+# scales with its difference step h = 1e-5
+BELLMAN_SAMPLING = (
+    ("size", "size_bounds", size_gaps, -1e-9),
+    ("concavity", "midpoint_concavity", concavity_gaps, -1e-8),
+    ("dm", "dm_bound", lambda rng, n, d_max: dm_gaps(rng, n, d_max, 1e-5), -1e-4),
+)
 
 
 def _run_bellman(cfg):
     n = cfg.samples
     rng = np.random.default_rng(cfg.seeds[0])
     d_max = min(cfg.d, 4)
-    h = 1e-5
 
-    size_worst, size_violations, size_sample = _worst(*size_gaps(rng, n, d_max), -1e-9)
-    concavity_worst, concavity_violations, concavity_sample = _worst(
-        *concavity_gaps(rng, n, d_max), -1e-8
-    )
-    dm_worst, dm_violations, dm_sample = _worst(
-        *dm_gaps(rng, n, d_max, h), -1e-4 * (h / 1e-5)
-    )
+    rows, worst_samples = [], {}
+    for check, _, gaps_of, bound in BELLMAN_SAMPLING:
+        gaps, dims = gaps_of(rng, n, d_max)
+        # the first minimal gap, as a running ``min`` keeps it
+        i = int(np.argmin(gaps))
+        worst_samples[check] = {"index": i, "d": int(dims[i])}
+        rows.append({"check": check, "samples": n, "worst_gap": float(gaps[i]), "bound": bound,
+                     "violations": int(np.count_nonzero(gaps < bound))})
 
     dynamics_worst = np.inf
     dynamics_violations = 0
@@ -597,13 +470,7 @@ def _run_bellman(cfg):
     richardson = hessian_richardson_ratio()
     probe = matrix_parameter_probe(d=2, n_pairs=min(n, 2000), seed=cfg.seeds[0])
 
-    rows = [
-        {"check": "size", "samples": n, "worst_gap": size_worst, "bound": -1e-9,
-         "violations": size_violations},
-        {"check": "concavity", "samples": n, "worst_gap": concavity_worst, "bound": -1e-8,
-         "violations": concavity_violations},
-        {"check": "dm", "samples": n, "worst_gap": dm_worst, "bound": -1e-4 * (h / 1e-5),
-         "violations": dm_violations},
+    rows += [
         {"check": "dynamics", "samples": len(cfg.seeds), "worst_gap": dynamics_worst,
          "bound": -1e-9, "violations": dynamics_violations},
         {"check": "hessian_richardson", "samples": 2, "worst_gap": richardson,
@@ -619,22 +486,24 @@ def _run_bellman(cfg):
         # The sample behind each sampling row's worst gap: its index in the
         # check's draw order (the checks draw from one generator seeded
         # with seeds[0]: size, then concavity, then dm) and its d.
-        "worst_samples": {"size": size_sample, "concavity": concavity_sample, "dm": dm_sample},
+        "worst_samples": worst_samples,
     }
-    verdicts = {
-        "size_bounds": size_worst >= -1e-9,
-        "midpoint_concavity": concavity_worst >= -1e-8,
-        "dm_bound": dm_worst >= -1e-4 * (h / 1e-5),
-        "dynamics_gap": dynamics_worst >= -1e-9,
-        "hessian_richardson": 80.0 <= richardson <= 120.0,
-    }
+    names = [verdict for _, verdict, _, _ in BELLMAN_SAMPLING] + ["dynamics_gap"]
+    verdicts = {name: row["worst_gap"] >= row["bound"] for name, row in zip(names, rows)}
+    verdicts["hessian_richardson"] = 80.0 <= richardson <= 120.0
     return rows, aggregates, verdicts
+
+
+def _max_by_d(pairs):
+    """{d: largest value} of (d, value) pairs, by increasing d."""
+    by_d = {}
+    for d, value in pairs:
+        by_d.setdefault(d, []).append(value)
+    return {d: max(v) for d, v in sorted(by_d.items())}
 
 
 def _run_redundancy(cfg):
     rows = []
-    sred_by_d = {}
-    red_by_d = {}
     # The cross-check loop below reuses the suite's instance i, and its
     # constants, when it would build the same one.
     n_head = min(50, len(cfg.seeds))
@@ -648,18 +517,8 @@ def _run_redundancy(cfg):
         c1, c2, c3 = red_constants(inst.w, inst.mseq)
         if i < n_head and head[i] == (d, depth, cfg.cond_cap):
             reused[i] = inst, (c1, c2, c3)
-        sred_by_d.setdefault(d, []).append(s)
-        red_by_d.setdefault(d, []).append(max(c1, c2, c3))
-        rows.append({
-            "kind": "suite",
-            "seed": seed,
-            "d": d,
-            "depth": depth,
-            "sred": s,
-            "red_c1": c1,
-            "red_c2": c2,
-            "red_c3": c3,
-        })
+        rows.append({"kind": "suite", "seed": seed, "d": d, "depth": depth, "sred": s,
+                     "red_c1": c1, "red_c2": c2, "red_c3": c3})
 
     for idx, obj in enumerate(cfg.extra_instances):
         w, _, _, alpha, mseq = _parse_embedded(obj, idx)
@@ -667,11 +526,9 @@ def _run_redundancy(cfg):
                "sred": "", "red_c1": "", "red_c2": "", "red_c3": ""}
         if alpha is not None:
             row["sred"] = sred_constant(w, alpha)
-            sred_by_d.setdefault(w.d, []).append(row["sred"])
         if mseq is not None:
             c1, c2, c3 = red_constants(w, mseq)
             row.update(red_c1=c1, red_c2=c2, red_c3=c3)
-            red_by_d.setdefault(w.d, []).append(max(c1, c2, c3))
         rows.append(row)
 
     # Bellman telescoping cross-check on the head of the suite, and
@@ -685,9 +542,7 @@ def _run_redundancy(cfg):
     for i, (d, depth, cond_cap) in enumerate(head):
         inst, c = reused.get(i) or (random_instance(depth, d, cfg.seeds[i], cond_cap), None)
         direct, accumulated, min_gap = telescoping_certificate(inst.w, inst.sseq)
-        telescope_diff = max(
-            telescope_diff, matrices.operator_norm(direct - accumulated)
-        )
+        telescope_diff = max(telescope_diff, matrices.operator_norm(direct - accumulated))
         telescope_gap = min(telescope_gap, min_gap)
         if i >= 20:
             continue
@@ -704,13 +559,12 @@ def _run_redundancy(cfg):
         cycle_err = max(cycle_err, trace_cycling_error(inst.w, inst.mseq, norms))
         subst_err = max(subst_err, substitution_error(inst.w, inst.mseq, rng, samples=5))
 
-    all_sred = [v for vals in sred_by_d.values() for v in vals]
-    all_red_rows = [r for r in rows if r["red_c1"] != ""]
-    max_sred = max(all_sred)
-    aggregates = {
-        "max_sred": max_sred,
-        "sred_by_d": {d: max(v) for d, v in sorted(sred_by_d.items())},
-        "red_by_d": {d: max(v) for d, v in sorted(red_by_d.items())},
+    sred = [(r["d"], r["sred"]) for r in rows if r["sred"] != ""]
+    red = [(r["d"], max(r["red_c1"], r["red_c2"], r["red_c3"])) for r in rows if r["red_c1"] != ""]
+    agg = {
+        "max_sred": max(v for _, v in sred),
+        "sred_by_d": _max_by_d(sred),
+        "red_by_d": _max_by_d(red),
         "telescoping_max_diff": telescope_diff,
         "telescoping_min_gap": telescope_gap,
         "trace_cycling_max_err": cycle_err,
@@ -718,22 +572,18 @@ def _run_redundancy(cfg):
         "rows": len(rows),
     }
     verdicts = {
-        "sred_at_most_4": max_sred <= 4.0,
-        "red_at_most_4d": all(
-            max(r["red_c1"], r["red_c2"], r["red_c3"]) <= 4.0 * r["d"] for r in all_red_rows
-        ),
-        "sred_regression": all(
-            max(v) <= baselines.SRED_MAX[d] for d, v in sred_by_d.items() if d in baselines.SRED_MAX
-        ),
-        "red_regression": all(
-            max(v) <= baselines.RED_MAX[d] for d, v in red_by_d.items() if d in baselines.RED_MAX
-        ),
+        "sred_at_most_4": agg["max_sred"] <= 4.0,
+        "red_at_most_4d": all(v <= 4.0 * d for d, v in red),
+        "sred_regression": all(v <= baselines.SRED_MAX[d] for d, v in agg["sred_by_d"].items()
+                               if d in baselines.SRED_MAX),
+        "red_regression": all(v <= baselines.RED_MAX[d] for d, v in agg["red_by_d"].items()
+                              if d in baselines.RED_MAX),
         "telescoping_cross_oracle": telescope_diff <= 1e-8 and telescope_gap >= -1e-9,
         "operator_norm_monotonicity": mono_ok,
         "trace_cycling_identity": cycle_err <= 1e-10,
         "substitution_identity": subst_err <= 1e-10,
     }
-    return rows, aggregates, verdicts
+    return rows, agg, verdicts
 
 
 def _run_search(cfg):
@@ -742,17 +592,10 @@ def _run_search(cfg):
         budget=cfg.budget, cond_cap=cfg.cond_cap,
     )
     rows = result["history"]
-    aggregates = {
-        "objective": cfg.objective,
-        "best_value": result["best_value"],
-        "best_c2": result["best_c2"],
-        "best_a2": result["best_a2"],
-        "best_over_sqrt_c2": result["best_over_sqrt_c2"],
-        "evaluations": result["evaluations"],
-        "best_restart": result["best_restart"],
-        "best_evaluation": result["best_evaluation"],
-        "best_weight": stepfield_to_json(result["best_weight"]),
-    }
+    best = ("best_value", "best_c2", "best_a2", "best_over_sqrt_c2", "evaluations",
+            "best_restart", "best_evaluation")
+    aggregates = {"objective": cfg.objective, **{k: result[k] for k in best},
+                  "best_weight": stepfield_to_json(result["best_weight"])}
     verdicts = {}
     if cfg.objective == "bet_norm_ratio":
         verdicts["attains_sqrt_c2"] = result["best_over_sqrt_c2"] >= 0.99
@@ -763,9 +606,43 @@ def _run_search(cfg):
         verdicts["never_exceeds_4"] = result["best_value"] <= 4.0
     else:
         verdicts["never_exceeds_4d"] = result["best_value"] <= 4.0 * cfg.d
-    monotone = all(
-        rows[i]["best_objective"] <= rows[i + 1]["best_objective"]
-        for i in range(len(rows) - 1)
+    verdicts["best_monotone"] = all(
+        r0["best_objective"] <= r1["best_objective"] for r0, r1 in zip(rows, rows[1:])
     )
-    verdicts["best_monotone"] = monotone
     return rows, aggregates, verdicts
+
+
+# ---------------------------------------------------------------------------
+# The declared experiments.
+# ---------------------------------------------------------------------------
+
+class Experiment(NamedTuple):
+    """One experiment: its acceptance-grade config overrides, its runner
+    (config -> rows, aggregates, verdicts) and its pinned CSV columns, or
+    None for the first row's keys."""
+
+    preset: dict
+    run: Callable
+    columns: tuple | None = None
+
+
+# The sweep's CSV columns are part of the external interface and must not change.
+SWEEP_COLUMNS = (
+    "eps", "depth", "intensity", "a2", "c2", "f_norm", "g_norm", "bet_norm_sum",
+    "bet_inner_sum", "ratio_norm", "ratio_inner", "ratio_over_sqrt_c2",
+)
+
+EXPERIMENTS = {
+    "counterexample-sweep": Experiment(dict(depth=4, seeds=[0]), _run_sweep, SWEEP_COLUMNS),
+    "c2-sharpness": Experiment(dict(depth=4, seeds=[0]), _run_sharpness, SWEEP_COLUMNS),
+    "sibet-suite":
+        Experiment(dict(depth=6, d=4, seeds=list(range(200)), cond_cap=1e6), _run_sibet),
+    "wcet-suite":
+        Experiment(dict(depth=6, d=4, seeds=list(range(100)), cond_cap=1e4), _run_wcet),
+    "bellman-certify":
+        Experiment(dict(depth=4, d=4, seeds=list(range(100)), samples=10000), _run_bellman),
+    "redundancy-suite":
+        Experiment(dict(depth=8, d=4, seeds=list(range(500)), cond_cap=1e4), _run_redundancy),
+    "adversarial-search":
+        Experiment(dict(depth=3, d=2, seeds=[0], cond_cap=1e4, budget=10000), _run_search),
+}

@@ -237,8 +237,6 @@ def _draw_move(rng, n_leaves, d, n_cubes, scale=0.35):
     return _SEQ, i, 0, scale * rng.standard_normal()
 
 
-
-
 def _draw_stream(depth, d, seed, cond_cap, n_restarts, steps):
     """Every restart's start state and moves, drawn in the order of one
     restart after the other: its start state, then its moves.

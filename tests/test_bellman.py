@@ -11,6 +11,7 @@ from carlab.bellman import (
     bellman_second_derivative,
     dyadic_point,
     dynamics_gaps,
+    hessian_richardson_ratio,
     matrix_parameter_probe,
     random_domain_point,
     telescoping_certificate,
@@ -115,8 +116,6 @@ def test_concavity_random():
 
 
 def test_second_derivative_richardson():
-    from carlab.lab import hessian_richardson_ratio
-
     ratio = hessian_richardson_ratio()
     assert 80.0 <= ratio <= 120.0
 

@@ -13,6 +13,7 @@ from carlab.constructions import (
     EPS_SWEEP,
     epsilon_family,
     necessity_probe,
+    necessity_report,
     random_instance,
     random_matrix_sequence,
     random_orthogonal,
@@ -248,3 +249,20 @@ def test_necessity_probe_attains_testing_constant():
             assert necessity_probe(inst.w, inst.mseq, q, e) <= testing + 1e-9
         assert attained == pytest.approx(testing, rel=1e-8)
 
+
+def test_necessity_report_matches_testing_constant():
+    # the eigenvalue route agrees with the testing constant, the probe at
+    # each cube's top testing vector attains it, and no sampled probe
+    # exceeds it
+    inst = random_instance(3, 2, seed=5, cond_cap=1e4)
+    testing = wcet_testing_constant(inst.w, inst.mseq)
+    rng = np.random.default_rng(3)
+    t_ref, probe_sup, sampled_max, worst_rel = necessity_report(inst.w, inst.mseq, rng)
+    assert t_ref == pytest.approx(testing, rel=1e-8)
+    assert probe_sup == pytest.approx(testing, rel=1e-8)
+    assert worst_rel <= 1e-8
+    assert 0.0 < sampled_max <= testing + 1e-9
+    # six sampled unit vectors per cube of the depth-3 tree
+    fresh = np.random.default_rng(3)
+    fresh.standard_normal((15 * 6, 2))
+    assert rng.bit_generator.state == fresh.bit_generator.state

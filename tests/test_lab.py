@@ -8,9 +8,9 @@ import pytest
 from carlab import matrices, search
 from carlab.cli import main
 from carlab.dyadic import StepField, pyramid_batch, stepfield_to_json
+from carlab.constructions import EPS_SWEEP
 from carlab.errors import ConfigError, SingularMatrixError
 from carlab.lab import (
-    CSV_COLUMNS,
     OBJECTIVES,
     ExperimentConfig,
     adversarial_search,
@@ -59,7 +59,10 @@ def test_sweep_rows_and_csv_columns(tmp_path):
         reader = csv.reader(fh)
         header = next(reader)
         rows = list(reader)
-    assert header == CSV_COLUMNS["counterexample-sweep"]
+    assert header == [
+        "eps", "depth", "intensity", "a2", "c2", "f_norm", "g_norm", "bet_norm_sum",
+        "bet_inner_sum", "ratio_norm", "ratio_inner", "ratio_over_sqrt_c2",
+    ]
     assert len(rows) == 2
     first = dict(zip(header, rows[0]))
     assert float(first["eps"]) == 0.1
@@ -388,6 +391,84 @@ def test_search_experiment_report_verdicts():
     assert report.aggregates["best_weight"]["d"] == 2  # regenerable instance
 
 
+_TINY_SWEEP = dict(depth=2, eps_grid=[0.1], rotations=[0.0])
+_SWEEP_ROW = [
+    "eps", "depth", "intensity", "a2", "c2", "f_norm", "g_norm", "bet_norm_sum",
+    "bet_inner_sum", "ratio_norm", "ratio_inner", "ratio_over_sqrt_c2", "theta",
+    "intensity_inner", "intensity_alpha", "ratio_norm_scalar_seq", "inner_scalar_seq",
+]
+_SEARCH_AGGREGATES = [
+    "objective", "best_value", "best_c2", "best_a2", "best_over_sqrt_c2", "evaluations",
+    "best_restart", "best_evaluation", "best_weight", "elapsed_seconds",
+]
+_SEARCH_ROW = ["evaluations", "best_objective", "restart", "seed"]
+
+
+@pytest.mark.parametrize("experiment, over, verdicts, aggregates, row", [
+    ("counterexample-sweep", _TINY_SWEEP,
+     ["intensity_unit", "f_norm_matches_eps", "g_norm_unit", "bet_norm_sum_unit",
+      "ratio_norm_inverse_eps", "a2_unit", "inner_sum_half", "scalar_seq_ratio_matches"],
+     ["max_ratio_norm", "min_eps", "rows", "elapsed_seconds"], _SWEEP_ROW),
+    ("c2-sharpness", _TINY_SWEEP,
+     ["ratio_attains_sqrt_c2", "c2_matches_definition"], ["rows", "elapsed_seconds"], _SWEEP_ROW),
+    ("sibet-suite", dict(_TINY_SWEEP, d=2, seeds=[0, 1]),
+     ["inner_ratio_within_cprime", "no_growth_along_sweep", "norm_ratio_within_c2bet"],
+     ["max_inner_ratio_random", "max_inner_ratio_random_d2", "max_inner_ratio_sweep",
+      "max_norm_over_sqrt_c2", "cprime_bound", "rows", "elapsed_seconds"],
+     ["kind", "seed", "d", "depth", "eps", "inner_ratio", "norm_ratio", "norm_over_sqrt_c2",
+      "c2"]),
+    ("wcet-suite", dict(depth=2, d=2, seeds=[0, 1]),
+     ["forward_bound_holds", "necessity_identity", "probe_never_exceeds",
+      "maximal_function_bounded"],
+     ["max_forward_ratio", "max_probe_rel_err", "max_cube_rel_err", "max_sampled_excess",
+      "max_maximal_ratio", "forward_bound", "rows", "elapsed_seconds"],
+     ["seed", "d", "depth", "testing_constant", "cet_sum", "forward_ratio", "probe_sup",
+      "probe_rel_err", "probe_cube_rel_err", "sampled_excess", "testing_recomputed_rel_err",
+      "maximal_ratio"]),
+    ("bellman-certify", dict(depth=2, d=2, seeds=[0, 1], samples=20),
+     ["size_bounds", "midpoint_concavity", "dm_bound", "dynamics_gap", "hessian_richardson"],
+     ["richardson_ratio", "matrix_probe_negative_fraction", "rows", "worst_samples",
+      "elapsed_seconds"],
+     ["check", "samples", "worst_gap", "bound", "violations"]),
+    ("redundancy-suite", dict(depth=2, d=2, seeds=[0, 1]),
+     ["sred_at_most_4", "red_at_most_4d", "sred_regression", "red_regression",
+      "telescoping_cross_oracle", "operator_norm_monotonicity", "trace_cycling_identity",
+      "substitution_identity"],
+     ["max_sred", "sred_by_d", "red_by_d", "telescoping_max_diff", "telescoping_min_gap",
+      "trace_cycling_max_err", "substitution_max_err", "rows", "elapsed_seconds"],
+     ["kind", "seed", "d", "depth", "sred", "red_c1", "red_c2", "red_c3"]),
+    ("adversarial-search", dict(depth=2, d=2, budget=8, objective="bet_norm_ratio"),
+     ["attains_sqrt_c2", "bounded_by_c2bet", "best_monotone"], _SEARCH_AGGREGATES, _SEARCH_ROW),
+    ("adversarial-search", dict(depth=2, d=2, budget=8, objective="sred_ratio"),
+     ["never_exceeds_4", "best_monotone"], _SEARCH_AGGREGATES, _SEARCH_ROW),
+    ("adversarial-search", dict(depth=2, d=2, budget=8, objective="red_ratio"),
+     ["never_exceeds_4d", "best_monotone"], _SEARCH_AGGREGATES, _SEARCH_ROW),
+])
+def test_report_key_orders_are_pinned(experiment, over, verdicts, aggregates, row):
+    # the CLI prints verdicts in dict order, JSON reports keep key order and
+    # an unpinned CSV takes its columns from the first row; the report
+    # digest sorts keys, so only this test sees a reordering
+    report = run_experiment(default_config(experiment, **over))
+    assert list(report.verdicts) == verdicts
+    assert list(report.aggregates) == aggregates
+    assert list(report.rows[0]) == row
+    if experiment == "bellman-certify":
+        assert [r["check"] for r in report.rows] == [
+            "size", "concavity", "dm", "dynamics", "hessian_richardson",
+            "matrix_parameter_probe(informational)",
+        ]
+        assert list(report.aggregates["worst_samples"]) == ["size", "concavity", "dm"]
+
+
+def test_default_config_hands_out_independent_presets():
+    first = default_config("sibet-suite")
+    first.seeds.append(10_000)
+    first.eps_grid.clear()
+    second = default_config("sibet-suite")
+    assert second.seeds == list(range(200))
+    assert second.eps_grid == list(EPS_SWEEP)
+
+
 # -- CLI ---------------------------------------------------------------------
 
 def test_cli_runs_sweep_and_exits_zero(tmp_path, capsys):
@@ -490,6 +571,15 @@ def test_cli_bad_config_types_exit_code(tmp_path):
         assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
     with pytest.raises(ConfigError):
         default_config("sibet-suite", depth="4")
+    # a non-list extra_instances and a non-string output_path ended in a
+    # TypeError traceback with exit 1
+    for obj in ({"extra_instances": 5}, {"extra_instances": None},
+                {"output_path": 5}, {"output_path": ["a"]}):
+        cfg_path.write_text(json.dumps(obj))
+        assert main(["sibet-suite", "--config", str(cfg_path), "--seed", "0,1,2", "--depth", "2",
+                     "--quiet"]) == 2
+        with pytest.raises(ConfigError):
+            default_config("redundancy-suite", **obj)
 
 
 @pytest.mark.parametrize("obj", [
