@@ -64,30 +64,44 @@ def check_matrix_entries(mats, cube_of):
 class CubeSequence:
     """Cube-indexed entries, sparse with default zero.
 
-    Only the nonzero entries are kept: ``entries`` maps each cube to its
-    entry, in entry order; ``values`` stacks the entries in that order and
-    ``positions`` holds their cubes' flat tree positions.  The stack is
-    checked as one by ``_check``.
+    Only the nonzero entries are kept: ``values`` stacks them in entry
+    order and ``positions`` holds their cubes' flat tree positions; the
+    stack is checked as one by ``_check``.  ``entries``, which maps each
+    cube to its entry in entry order, is built on first read.
     """
 
-    def _store(self, cubes, values):
+    @classmethod
+    def from_arrays(cls, depth, positions, values):
+        """Entries ``values`` at distinct flat tree ``positions``, checked as ``__init__`` does."""
+        seq = cls.__new__(cls)
+        seq.depth = int(depth)
+        seq._store(positions, values)
+        return seq
+
+    def _store(self, positions, values):
         keep = np.flatnonzero(np.any(values != 0.0, axis=tuple(range(1, values.ndim))))
-        cubes = [cubes[i] for i in keep]
-        self.values = self._check(values[keep], cubes.__getitem__)
-        self.positions = np.array([tree_position(q) for q in cubes], dtype=np.intp)
-        rows = self.values.tolist() if self.values.ndim == 1 else self.values
-        self.entries = dict(zip(cubes, rows))
+        positions = np.asarray(positions, dtype=np.intp)[keep]
+        self.values = self._check(values[keep], lambda i: tree_cube(int(positions[i])))
+        self.positions = positions
+        self._entries = None
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            rows = self.values.tolist() if self.values.ndim == 1 else self.values
+            self._entries = dict(zip(map(tree_cube, self.positions.tolist()), rows))
+        return self._entries
 
     def items(self):
         return self.entries.items()
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.positions)
 
     def scaled(self, factor):
         """The sequence times ``factor``, checked again as one stack."""
         seq = copy.copy(self)
-        seq._store(list(self.entries), self.values * factor)
+        seq._store(self.positions, self.values * factor)
         return seq
 
     def _dense(self, values):
@@ -115,7 +129,7 @@ class ScalarSequence(CubeSequence):
         self.depth = int(depth)
         items = entries.items() if isinstance(entries, dict) else entries
         checked = {check_index(q, self.depth): float(v) for q, v in items}
-        self._store(list(checked), np.array(list(checked.values()), dtype=np.float64))
+        self._store(list(map(tree_position, checked)), np.fromiter(checked.values(), float))
 
     def get(self, q, default=0.0):
         return self.entries.get(DyadicIndex(*q), default)
@@ -148,16 +162,20 @@ class MatrixSequence(CubeSequence):
 
     def __init__(self, depth, d, entries=()):
         self.depth = int(depth)
-        self.d = int(d)
+        d = int(d)
         items = entries.items() if isinstance(entries, dict) else entries
         checked = {check_index(q, self.depth): np.asarray(m) for q, m in items}
         for q, m in checked.items():
-            if m.shape != (self.d, self.d):
+            if m.shape != (d, d):
                 raise DimensionMismatchError(
-                    f"entry at {q} has shape {m.shape}, expected {(self.d, self.d)}"
+                    f"entry at {q} has shape {m.shape}, expected {(d, d)}"
                 )
-        mats = list(checked.values())
-        self._store(list(checked), np.stack(mats) if mats else np.zeros((0, self.d, self.d)))
+        mats = np.stack(list(checked.values())) if checked else np.zeros((0, d, d))
+        self._store(list(map(tree_position, checked)), mats)
+
+    @property
+    def d(self):
+        return self.values.shape[-1]
 
     def get(self, q, default=None):
         q = DyadicIndex(*q)
@@ -236,34 +254,12 @@ def subtree_sums(levels):
 # ---------------------------------------------------------------------------
 # The best-constant kernel.  Every constant below is
 #     sup over K of |K|^-1 lambda_max(R_K [sum_{Q in D(K)} T_Q] R_K),
-# built from three pieces: per-level powers R of a pyramid, the subtree sums
-# of the per-cube terms T, and the supremum of 2^k lambda_max over cubes.
-# Each piece has a batch core, whose levels carry a leading batch axis
-# (B, 2^k, ...), and a single-tree form that is its batch of one.
+# built from three pieces: the powers R of every cube average of a weight
+# (``StepField.cube_power``), the subtree sums of the per-cube terms T, and
+# the supremum of 2^k lambda_max over cubes.  The last two have a batch
+# core, whose levels carry a leading batch axis (B, 2^k, ...), and a
+# single-tree form that is its batch of one.
 # ---------------------------------------------------------------------------
-
-def tree_eigh_batch(levels):
-    """Eigendecomposition (vals, vecs) of every cube of a batch of levels
-    (B, 2^k, d, d), in one solver call, the cubes in tree order:
-    (B, cubes, d) and (B, cubes, d, d)."""
-    return matrices.eigh_sym(np.concatenate(levels, axis=1))
-
-
-def level_powers_batch(eig, p):
-    """SPD power of every cube average of a batch, from their ``tree_eigh_batch``:
-    (B, cubes, d, d) in tree order, which ``tree_levels_batch`` splits into levels.
-
-    A refused average names its cube: the first one in batch and tree
-    order (member by member, level by level, left to right).
-    """
-    vals, vecs = eig
-    n_cubes = vals.shape[1]
-    return matrices.eig_power(vals, vecs, p, context=lambda i: tree_cube(i % n_cubes))
-
-
-def level_powers(pyramid, p):
-    return tree_levels(level_powers_batch(tree_eigh_batch(batch_of_one(pyramid)), p)[0])
-
 
 def cube_supremum_batch(levels, touched=None):
     """sup over cubes (k, p) of 2^k lambda_max(levels[k][b, p]), for each member b.
@@ -349,9 +345,8 @@ def wcet_testing_constant(w, seq):
         return 0.0
     if isinstance(seq, MatrixSequence) and seq.d != w.d:
         raise DimensionMismatchError("sequence and weight dimensions differ")
-    wavg = w.pyramid()
-    roots = level_powers(wavg, -0.5)
-    acc = subtree_sums(testing_terms(wavg, seq))
+    roots = tree_levels(w.cube_power(-0.5))
+    acc = subtree_sums(testing_terms(w.pyramid(), seq))
     return cube_supremum([r @ a @ r for r, a in zip(roots, acc)])
 
 

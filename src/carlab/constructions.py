@@ -17,11 +17,10 @@ from .characteristics import (
     MatrixSequence,
     ScalarSequence,
     carleson_intensity,
-    level_powers,
     subtree_sums,
     testing_terms,
 )
-from .dyadic import DyadicIndex, ROOT, StepField, check_index
+from .dyadic import DyadicIndex, ROOT, StepField, check_index, tree_levels, tree_size
 from .errors import NumericError, PreconditionError
 
 # The family's acceptance tolerances (1e-9 .. 1e-10) need a longdouble wider
@@ -110,7 +109,10 @@ EPS_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
 # Seeded random generators.  Everything is a deterministic function of the
 # seed; weights are drawn as Q diag(exp(u)) Q^T with Haar-random Q and
 # log-uniform eigenvalues spanning at most log(cond_cap), so the per-leaf
-# condition number respects the cap by construction.
+# condition number respects the cap by construction.  The samplers of whole
+# fields and sequences draw leaf by leaf, or cube by cube in tree order, in
+# place into arrays and build every leaf or entry at once; they draw
+# ``rng.uniform(low, high)`` as ``low + (high - low) * rng.random()`` does.
 # ---------------------------------------------------------------------------
 
 COND_CAP_LIMIT = 1e8
@@ -131,6 +133,12 @@ def random_orthogonal(d, rng):
     return orthogonal_from_draws(rng.standard_normal((d, d)))
 
 
+def _half_log_cap(cond_cap):
+    if cond_cap > COND_CAP_LIMIT:
+        raise PreconditionError(f"cond_cap must be <= {COND_CAP_LIMIT:g}")
+    return 0.5 * np.log(cond_cap)
+
+
 def draw_spd(d, rng, cond_cap=1e4):
     """The random numbers of one ``random_spd``, in its draw order.
 
@@ -138,9 +146,7 @@ def draw_spd(d, rng, cond_cap=1e4):
     these one sample at a time and then build every matrix at once with
     ``spd_from_draws``, which keeps the generator's sequence.
     """
-    if cond_cap > COND_CAP_LIMIT:
-        raise PreconditionError(f"cond_cap must be <= {COND_CAP_LIMIT:g}")
-    half = 0.5 * np.log(cond_cap)
+    half = _half_log_cap(cond_cap)
     return rng.uniform(-half, half, size=d), rng.standard_normal((d, d))
 
 
@@ -150,7 +156,10 @@ def spd_from_draws(draws):
     One QR, one sign fix and one matmul for the whole (n, d, d) stack, each
     member bitwise the one ``random_spd`` builds from the same draws.
     """
-    expo, gauss = (np.stack(part) for part in zip(*draws))
+    return _spd_from_arrays(*(np.stack(part) for part in zip(*draws)))
+
+
+def _spd_from_arrays(expo, gauss):
     q = orthogonal_from_draws(gauss)
     return matrices.as_symmetric_stack((q * np.exp(expo)[:, None, :]) @ q.transpose(0, 2, 1))
 
@@ -161,7 +170,13 @@ def random_spd(d, rng, cond_cap=1e4):
 
 
 def random_weight_field(depth, d, rng, cond_cap=1e4):
-    return StepField(spd_from_draws([draw_spd(d, rng, cond_cap) for _ in range(1 << depth)]))
+    """Leaves drawn as ``draw_spd`` draws them, built as one stack."""
+    half = _half_log_cap(cond_cap)
+    unit, gauss = np.empty((1 << depth, d)), np.empty((1 << depth, d, d))
+    for u, g in zip(unit, gauss):
+        rng.random(out=u)
+        rng.standard_normal(out=g)
+    return StepField(_spd_from_arrays(-half + (half - -half) * unit, gauss))
 
 
 def random_vector_field(depth, d, rng):
@@ -170,15 +185,13 @@ def random_vector_field(depth, d, rng):
 
 def random_scalar_sequence(depth, rng, density=0.35):
     """Sparse non-negative sequence rescaled to Carleson intensity exactly 1."""
-    cubes, values = [], []
-    for k in range(depth + 1):
-        for p in range(1 << k):
-            if rng.random() < density:
-                cubes.append(DyadicIndex(k, p))
-                values.append(rng.uniform(0.1, 1.0))
-    if not cubes:
-        cubes, values = [ROOT], [1.0]
-    seq = ScalarSequence(depth, zip(cubes, values))
+    values = np.zeros(tree_size(depth))
+    for i in range(len(values)):
+        if rng.random() < density:
+            values[i] = 0.1 + (1.0 - 0.1) * rng.random()
+    if not values.any():
+        values[0] = 1.0
+    seq = ScalarSequence.from_arrays(depth, np.arange(len(values)), values)
     return seq.scaled(1.0 / carleson_intensity(seq))
 
 
@@ -186,32 +199,29 @@ def random_matrix_sequence(depth, d, rng, density=0.35):
     """Sparse PSD sequence rescaled to Carleson intensity exactly 1.
 
     Entries mix full-rank and rank-one matrices; rank-one entries matter
-    because they drive the inner-product sums hardest.  Each cube's numbers
-    are drawn in tree order (``rng.random()`` is the draw of
-    ``rng.uniform()``, without its argument handling); then all rank-one
+    because they drive the inner-product sums hardest.  All rank-one
     entries are built as one outer product, and all full-rank ones as one
-    orthogonal stack Q and one batched Q diag(u) Q^T.
+    orthogonal stack Q and one batched Q diag(u) Q^T.  If no cube is kept,
+    the root gets the identity.
     """
-    cubes, rank_one, full = [], [], []
-    for k in range(depth + 1):
-        for p in range(1 << k):
-            if rng.random() >= density:
-                continue
-            cubes.append(DyadicIndex(k, p))
-            if rng.random() < 0.5:
-                rank_one.append((len(cubes) - 1, rng.standard_normal(d)))
-            else:
-                full.append((len(cubes) - 1, rng.standard_normal((d, d)),
-                             rng.uniform(0.05, 1.0, size=d)))
-    mats = np.empty((len(cubes), d, d))
-    if rank_one:
-        at, v = (np.array(part) for part in zip(*rank_one))
-        mats[at] = v[:, :, None] * v[:, None, :]
-    if full:
-        at, gauss, u = (np.array(part) for part in zip(*full))
-        q = orthogonal_from_draws(gauss)
-        mats[at] = (q * u[:, None, :]) @ q.transpose(0, 2, 1)
-    seq = MatrixSequence(depth, d, zip(cubes, mats) if cubes else {ROOT: np.eye(d)})
+    n = tree_size(depth)
+    vecs, gauss, unit = np.zeros((n, d)), np.empty((n, d, d)), np.empty((n, d))
+    full = []
+    for i in range(n):
+        if rng.random() >= density:
+            continue
+        if rng.random() < 0.5:
+            rng.standard_normal(out=vecs[i])
+        else:
+            full.append(i)
+            rng.standard_normal(out=gauss[i])
+            rng.random(out=unit[i])
+    mats = vecs[:, :, None] * vecs[:, None, :]
+    q = orthogonal_from_draws(gauss[full])
+    mats[full] = (q * (0.05 + (1.0 - 0.05) * unit[full])[:, None, :]) @ q.transpose(0, 2, 1)
+    if not mats.any():
+        mats[0] = np.eye(d)
+    seq = MatrixSequence.from_arrays(depth, np.arange(n), mats)
     return seq.scaled(1.0 / carleson_intensity(seq))
 
 
@@ -289,7 +299,7 @@ def necessity_report(w, seq, rng, samples_per_cube=6):
     sampled_max = 0.0
     worst_rel = 0.0
     d = wm.d
-    for k, roots in enumerate(level_powers(wavg, -0.5)):
+    for k, roots in enumerate(tree_levels(wm.cube_power(-0.5))):
         sandwich = roots @ acc[k] @ roots
         for p in range(1 << k):
             lam, vecs = matrices.eigh_sym(

@@ -112,8 +112,8 @@ class StepField:
 
     ``values`` has shape (2^depth,) for scalar fields, (2^depth, d) for
     vector fields and (2^depth, d, d) for matrix fields.  Instances are
-    treated as immutable; per-level averages, the leaves' eigendecomposition
-    and leafwise SPD powers are cached on first use.
+    treated as immutable; per-level averages, and the eigendecompositions
+    and SPD powers of the leaves and of the cube averages, are cached.
     """
 
     def __init__(self, values):
@@ -138,8 +138,8 @@ class StepField:
         self.values = values
         self.depth = n.bit_length() - 1
         self._pyramid = None
-        self._eig = None
-        self._powers = {}
+        self._eig = self._cube_eig = None
+        self._powers, self._cube_powers = {}, {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -201,6 +201,22 @@ class StepField:
             out = matrices.eig_power(*self._eig, p, context=lambda i: DyadicIndex(self.depth, i))
             self._powers[p] = StepField(out)
         return self._powers[p]
+
+    def cube_power(self, p):
+        """SPD power of every cube average, (cubes, d, d) in tree order (cached).
+
+        The averages are decomposed once, for every power; a refused one
+        raises SingularMatrixError naming the first in tree order.
+        """
+        if self.kind != "matrix":
+            raise DimensionMismatchError("powers are defined for matrix fields only")
+        if p not in self._cube_powers:
+            if self._cube_eig is None:
+                self._cube_eig = matrices.eigh_sym(np.concatenate(self.pyramid()))
+            out = matrices.eig_power(*self._cube_eig, p, context=tree_cube)
+            out.setflags(write=False)
+            self._cube_powers[p] = out
+        return self._cube_powers[p]
 
     def inverse(self):
         return self.power(-1.0)

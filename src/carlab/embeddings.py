@@ -15,9 +15,9 @@ import numpy as np
 
 from . import matrices
 from .characteristics import (
-    MatrixSequence, ScalarSequence, _weight_field, batch_of_one, level_powers,
+    MatrixSequence, ScalarSequence, _weight_field, batch_of_one,
 )
-from .dyadic import StepField, pyramid_batch, tree_cube, tree_size
+from .dyadic import StepField, pyramid_batch, tree_cube, tree_levels, tree_size
 from .errors import DimensionMismatchError
 
 
@@ -224,7 +224,7 @@ def maximal_function(w, f):
     wh = w.power(0.5)
     n = w.n_leaves
     best = None
-    for k, inv in enumerate(level_powers(w.pyramid(), -1.0)):
+    for k, inv in enumerate(tree_levels(w.cube_power(-1.0))):
         u = np.einsum("kij,kj->ki", inv, havg[k])
         u_leaf = np.repeat(u, n >> k, axis=0)
         y = np.einsum("kij,kj->ki", wh.values, u_leaf)
@@ -264,12 +264,13 @@ def choquet_integral(seq, functional):
     if positive:
         values = np.array([fv for fv, _ in positive])
         weights = np.array([av for _, av in positive])
-        # mu({F >= v_i}) via suffix sums over the sorted distinct values.
-        distinct, start = np.unique(values, return_index=True)
+        # mu({F >= v_i}) via suffix sums over the sorted distinct values,
+        # found where each run of equal values starts.
+        start = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
         suffix = np.cumsum(weights[::-1])[::-1]
         mu_at_least = suffix[start]
         prev = 0.0
-        for v, mu in zip(distinct, mu_at_least):
+        for v, mu in zip(values[start], mu_at_least):
             level_form += (v - prev) * mu
             prev = v
     return sum_form, float(level_form)

@@ -136,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError(f"adversarial-search runs one seed, got {self.seeds!r}")
         if not isinstance(self.extra_instances, list):
             raise ConfigError(f"extra_instances must be a list, got {self.extra_instances!r}")
+        if self.experiment == "wcet-suite" and self.extra_instances:
+            raise ConfigError("wcet-suite runs no extra_instances")
 
     @classmethod
     def from_dict(cls, obj):
@@ -548,8 +550,8 @@ def _run_redundancy(cfg):
             continue
         c1, c2, c3 = c or red_constants(inst.w, inst.mseq)
         norms = matrices.operator_norm_stack(inst.mseq.values)
-        eye = np.eye(d)
-        dominated = MatrixSequence(depth, d, zip(inst.mseq.entries, norms[:, None, None] * eye))
+        dominated = MatrixSequence.from_arrays(depth, inst.mseq.positions,
+                                               norms[:, None, None] * np.eye(d))
         intensity = carleson_intensity(dominated)
         k1, k2, k3 = red_constants(inst.w, dominated.scaled(1.0 / intensity))
         # Undo the intensity normalization to compare against the raw sequence.

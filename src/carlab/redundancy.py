@@ -18,9 +18,7 @@ from .characteristics import (
     ScalarSequence,
     batch_of_one,
     cube_supremum_batch,
-    level_powers_batch,
     subtree_sums_batch,
-    tree_eigh_batch,
 )
 from .dyadic import DyadicIndex, check_index, tree_levels_batch
 from .errors import DimensionMismatchError, PreconditionError
@@ -44,7 +42,7 @@ def check_intensity_batch(levels):
 
 def sred_constant_batch(roots, vinv, alpha):
     """``sred_constant`` of a batch, from the powers <W>_Q^-1/2 (``roots``)
-    and <W^-1>_Q^-1 (``vinv``) of every cube (``level_powers_batch``).
+    and <W^-1>_Q^-1 (``vinv``) of every cube (``StepField.cube_power``).
 
     ``roots``, ``vinv`` and the dense sequences ``alpha`` (B, cubes) are in
     tree order with a leading batch axis; returns one constant per member.
@@ -68,9 +66,7 @@ def sred_constant(w, alpha):
     check_intensity_batch(batch_of_one(alpha.dense_levels()))
     if len(alpha) == 0:
         return 0.0
-    weig, veig = [tree_eigh_batch(batch_of_one(f.pyramid())) for f in (w, w.inverse())]
-    vinv = level_powers_batch(veig, -1.0)
-    roots = level_powers_batch(weig, -0.5)
+    vinv, roots = w.inverse().cube_power(-1.0)[None], w.cube_power(-0.5)[None]
     return float(sred_constant_batch(roots, vinv, alpha.dense(w.values.dtype)[None])[0])
 
 
@@ -98,7 +94,7 @@ def red_sums_batch(roots, proots, b, pbp, deepest):
 def red_constants_batch(roots, proots, b):
     """``red_constants`` of a batch, from the powers R = <W>_Q^-1/2
     (``roots``) and P = <W^-1>_Q^-1/2 (``proots``) of every cube
-    (``level_powers_batch``).
+    (``StepField.cube_power``).
 
     ``roots``, ``proots`` and the dense sequences ``b`` (B, cubes, d, d) are
     in tree order with a leading batch axis; returns the arrays (c1, c2,
@@ -148,8 +144,7 @@ def red_constants(w, bseq):
     check_intensity_batch(batch_of_one(bseq.dense_levels()))
     if len(bseq) == 0:
         return 0.0, 0.0, 0.0
-    roots, proots = (level_powers_batch(eig, -0.5) for eig in
-                     [tree_eigh_batch(batch_of_one(f.pyramid())) for f in (w, w.inverse())])
+    roots, proots = (f.cube_power(-0.5)[None] for f in (w, w.inverse()))
     b = bseq.dense(w.values.dtype)[None]
     return tuple(float(c[0]) for c in red_constants_batch(roots, proots, b))
 
@@ -180,13 +175,13 @@ def red_quadratic_form(w, bseq, k, e, order="corollary"):
 
 def _support_powers(w, bseq):
     """P_Q = <W^-1>_Q^-1/2 of every support cube, in entry order, as one stack."""
-    vavg = np.concatenate(w.inverse().pyramid())[bseq.positions]
-    return matrices.eig_power(*matrices.eigh_sym(vavg), -0.5)
+    return w.inverse().cube_power(-0.5)[bseq.positions]
 
 
 def _quadratic_form(bseq, k, p_q, r_k, e, order):
     """``red_quadratic_form`` from the ``_support_powers`` ``p_q`` and R_K."""
-    levels, pos = np.array(list(bseq.entries), dtype=np.intp).reshape(-1, 2).T
+    levels = np.frexp(bseq.positions + 1)[1] - 1  # flat tree position -> (level, pos)
+    pos = bseq.positions + 1 - (1 << levels)
     shift = np.maximum(levels - k.level, 0)
     inside = np.flatnonzero((levels >= k.level) & (pos >> shift == k.position))
     if not inside.size:

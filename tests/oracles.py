@@ -101,6 +101,39 @@ def _eigh_power(m, p):
     return (vecs * vals**p) @ vecs.T
 
 
+# ---------------------------------------------------------------------------
+# The powers of every cube average of a batch of pyramids in one solver
+# call, as the constants took them before ``StepField.cube_power``: the
+# batch form that feeds the batch cores in the tests.
+# ---------------------------------------------------------------------------
+
+def tree_eigh_batch(levels):
+    """Eigendecomposition (vals, vecs) of every cube of a batch of levels
+    (B, 2^k, d, d), in one solver call, the cubes in tree order."""
+    from carlab import matrices
+
+    return matrices.eigh_sym(np.concatenate(levels, axis=1))
+
+
+def level_powers_batch(eig, p):
+    """SPD power of every cube average of a batch, from their ``tree_eigh_batch``:
+    (B, cubes, d, d) in tree order.  A refused average names its cube: the
+    first one in batch and tree order."""
+    from carlab import matrices
+    from carlab.dyadic import tree_cube
+
+    vals, vecs = eig
+    n_cubes = vals.shape[1]
+    return matrices.eig_power(vals, vecs, p, context=lambda i: tree_cube(i % n_cubes))
+
+
+def level_powers(pyramid, p):
+    """``level_powers_batch`` of one pyramid, split into its levels."""
+    from carlab.dyadic import tree_levels
+
+    return tree_levels(level_powers_batch(tree_eigh_batch([lv[None] for lv in pyramid]), p)[0])
+
+
 def brute_red_constants(leaves, entries, depth):
     """(c1, c2, c3) of the matrix redundancy forms, one (K, Q) pair at a time.
 
@@ -825,3 +858,71 @@ def brute_substitution_error(w, entries, rng, samples=5):
         worst = max(worst, abs(second - corollary) / scale)
         worst = max(worst, abs(float(e @ e) - float(f @ (wk @ f))) / max(float(e @ e), 1e-30))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# The random sequences as they were built before they drew into arrays:
+# a DyadicIndex per kept cube and the cube-keyed constructors, and the
+# level form of the Choquet integral through ``np.unique``.
+# ---------------------------------------------------------------------------
+
+def loop_random_scalar_sequence(depth, rng, density=0.35):
+    """``random_scalar_sequence`` through ``ScalarSequence(depth, pairs)``."""
+    from carlab.characteristics import ScalarSequence, carleson_intensity
+    from carlab.dyadic import ROOT, DyadicIndex
+
+    cubes, values = [], []
+    for k in range(depth + 1):
+        for p in range(1 << k):
+            if rng.random() < density:
+                cubes.append(DyadicIndex(k, p))
+                values.append(rng.uniform(0.1, 1.0))
+    if not cubes:
+        cubes, values = [ROOT], [1.0]
+    seq = ScalarSequence(depth, zip(cubes, values))
+    return seq.scaled(1.0 / carleson_intensity(seq))
+
+
+def loop_random_matrix_sequence(depth, d, rng, density=0.35):
+    """``random_matrix_sequence`` through ``MatrixSequence(depth, d, pairs)``."""
+    from carlab.characteristics import MatrixSequence, carleson_intensity
+    from carlab.constructions import orthogonal_from_draws
+    from carlab.dyadic import ROOT, DyadicIndex
+
+    cubes, rank_one, full = [], [], []
+    for k in range(depth + 1):
+        for p in range(1 << k):
+            if rng.random() >= density:
+                continue
+            cubes.append(DyadicIndex(k, p))
+            if rng.random() < 0.5:
+                rank_one.append((len(cubes) - 1, rng.standard_normal(d)))
+            else:
+                full.append((len(cubes) - 1, rng.standard_normal((d, d)),
+                             rng.uniform(0.05, 1.0, size=d)))
+    mats = np.empty((len(cubes), d, d))
+    if rank_one:
+        at, v = (np.array(part) for part in zip(*rank_one))
+        mats[at] = v[:, :, None] * v[:, None, :]
+    if full:
+        at, gauss, u = (np.array(part) for part in zip(*full))
+        q = orthogonal_from_draws(gauss)
+        mats[at] = (q * u[:, None, :]) @ q.transpose(0, 2, 1)
+    seq = MatrixSequence(depth, d, zip(cubes, mats) if cubes else {ROOT: np.eye(d)})
+    return seq.scaled(1.0 / carleson_intensity(seq))
+
+
+def unique_choquet_level_form(seq, functional):
+    """The level form of ``choquet_integral``, its distinct values from ``np.unique``."""
+    positive = sorted((float(fv), seq.get(q)) for q, fv in functional.items() if fv > 0.0)
+    level_form = 0.0
+    if positive:
+        values = np.array([fv for fv, _ in positive])
+        weights = np.array([av for _, av in positive])
+        distinct, start = np.unique(values, return_index=True)
+        suffix = np.cumsum(weights[::-1])[::-1]
+        prev = 0.0
+        for v, mu in zip(distinct, suffix[start]):
+            level_form += (v - prev) * mu
+            prev = v
+    return float(level_form)

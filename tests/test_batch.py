@@ -18,11 +18,8 @@ from carlab.characteristics import (
     ScalarSequence,
     cube_supremum,
     cube_supremum_batch,
-    level_powers,
-    level_powers_batch,
     subtree_sums,
     subtree_sums_batch,
-    tree_eigh_batch,
 )
 from carlab.constructions import (
     random_matrix_sequence,
@@ -30,7 +27,9 @@ from carlab.constructions import (
     random_vector_field,
     random_weight_field,
 )
-from carlab.dyadic import ROOT, DyadicIndex, StepField, tree_levels_batch, tree_position
+from carlab.dyadic import (
+    ROOT, DyadicIndex, StepField, tree_levels, tree_levels_batch, tree_position,
+)
 from carlab.embeddings import bet_norm_sum, bet_norm_sum_batch, halfweighted_pyramid_batch
 from carlab.redundancy import (
     red_constants,
@@ -39,6 +38,8 @@ from carlab.redundancy import (
     sred_constant_batch,
 )
 from carlab.search import OBJECTIVES, _apply_moves, _draw_stream, _search_objective
+
+from oracles import level_powers_batch, tree_eigh_batch
 
 SHAPES = [(depth, d) for depth in range(5) for d in range(1, 5)]
 
@@ -141,8 +142,8 @@ def test_level_powers_and_cube_supremum_batch_match_single_trees(depth, d, dtype
     pyramids = [w.pyramid() for w in ws]
     for p in (0.5, -0.5, -1.0):
         got = tree_levels_batch(level_powers_batch(tree_eigh_batch(_stack(pyramids)), p))
-        for b, pyramid in enumerate(pyramids):
-            for lv_got, lv_want in zip(got, level_powers(pyramid, p)):
+        for b, w in enumerate(ws):
+            for lv_got, lv_want in zip(got, tree_levels(w.cube_power(p))):
                 assert lv_got.dtype == dtype
                 assert np.array_equal(lv_got[b], lv_want)
     seqs = _scalar_sequences(depth, rng)

@@ -12,7 +12,6 @@ from carlab.characteristics import (
     carleson_equivalents,
     carleson_intensity,
     cube_supremum,
-    level_powers,
     subtree_sums,
     wcet_testing_constant,
 )
@@ -24,6 +23,8 @@ from carlab.dyadic import (
     cubes,
     stepfield_from_json,
     stepfield_to_json,
+    tree_levels,
+    tree_position,
 )
 from carlab.errors import AddressError, DimensionMismatchError, SingularMatrixError
 
@@ -34,6 +35,7 @@ from oracles import (
     brute_scalar_intensity,
     brute_spd_power,
     brute_wcet_testing_constant,
+    level_powers,
 )
 
 
@@ -101,6 +103,46 @@ def test_scalar_sequence_error_order():
         ScalarSequence(2, {(1, 0): -1.0, (2, 1): -2.0, (2, 2): 1.0})
 
 
+@pytest.mark.parametrize("cls, entries, error", [
+    # valid, with a zero entry dropped
+    (MatrixSequence, {(2, 3): np.eye(2), (0, 0): np.zeros((2, 2)), (1, 0): np.diag([0.5, 0.0])},
+     None),
+    (ScalarSequence, {(2, 3): 0.5, (0, 0): 0.0, (1, 0): 2.0}, None),
+    # non-finite, asymmetric, not PSD; non-finite, negative: the first
+    # offending entry after the earlier checks
+    (MatrixSequence, {(1, 0): np.array([[1.0, 0.5], [0.0, 1.0]]), (2, 1): np.diag([np.nan, 1.0])},
+     DimensionMismatchError),
+    (MatrixSequence, {(1, 0): np.diag([1.0, -1.0]), (2, 1): np.array([[1.0, 0.5], [0.0, 1.0]])},
+     DimensionMismatchError),
+    (MatrixSequence, {(2, 3): np.diag([1.0, -0.5]), (1, 1): np.diag([-2.0, 1.0])},
+     SingularMatrixError),
+    (ScalarSequence, {(1, 0): -1.0, (2, 1): np.nan}, DimensionMismatchError),
+    (ScalarSequence, {(1, 0): -1.0, (2, 1): -2.0, (2, 2): 1.0}, DimensionMismatchError),
+])
+def test_from_arrays_matches_the_cube_keyed_constructor(cls, entries, error):
+    # the same check of the same stack, and an error naming the same cube
+    def keyed():
+        return cls(2, entries) if cls is ScalarSequence else cls(2, 2, entries)
+
+    def from_arrays():
+        positions = [tree_position(DyadicIndex(*q)) for q in entries]
+        return cls.from_arrays(2, positions, np.array(list(entries.values()), dtype=float))
+
+    if error is not None:
+        with pytest.raises(error) as want:
+            keyed()
+        with pytest.raises(error) as got:
+            from_arrays()
+        assert str(got.value) == str(want.value)
+        return
+    got, want = from_arrays(), keyed()
+    assert got._entries is None  # built on first read
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.positions, want.positions)
+    assert list(got.entries) == list(want.entries) and len(got) == len(want) == 2
+    assert all(np.array_equal(got.entries[q], want.entries[q]) for q in want.entries)
+
+
 def test_scaled_checks_the_stack_again():
     # scaled() runs the stacked checks on the product: a non-finite or a
     # negative factor is refused, naming the first entry it spoils
@@ -142,7 +184,7 @@ def test_tree_kernels_match_per_level_loops(d):
         inst = random_instance(depth, d, seed=10 * depth + d, cond_cap=1e4)
         wavg = inst.w.as_matrix().pyramid()
         for p in matrices.ALLOWED_POWERS:
-            got = level_powers(wavg, p)
+            got = tree_levels(inst.w.cube_power(p))
             assert len(got) == depth + 1
             for k, lv in enumerate(wavg):
                 assert np.array_equal(got[k], brute_spd_power(lv, p))
@@ -155,9 +197,10 @@ def test_tree_kernels_match_per_level_loops(d):
 def test_level_powers_longdouble_matches_per_level_loop(d):
     for depth in range(5):
         w = random_instance(depth, d, seed=depth, cond_cap=1e4).w
-        wavg = StepField(w.values.astype(np.longdouble)).pyramid()
+        field = StepField(w.values.astype(np.longdouble))
+        wavg = field.pyramid()
         for p in (0.5, -0.5):
-            got = level_powers(wavg, p)
+            got = tree_levels(field.cube_power(p))
             for k, lv in enumerate(wavg):
                 assert got[k].dtype == np.longdouble
                 assert np.array_equal(got[k], brute_spd_power(lv, p))
@@ -168,16 +211,19 @@ def test_level_powers_longdouble_matches_per_level_loop(d):
 )
 def test_singular_pyramid_names_cube(dtype, cube):
     # singular averages at two levels: (1, 0) and (1, 1), then the most
-    # singular one of the tree at (2, 3); both dtypes name the first in
-    # tree order
-    pyramid = [np.tile(np.eye(2), (1 << k, 1, 1)).astype(dtype) for k in range(4)]
-    pyramid[1][0] = np.diag([1.0, 1e-13])
-    pyramid[1][1] = np.diag([1.0, 1e-14])
-    pyramid[2][3] = np.diag([1.0, 0.0])
-    with pytest.raises(SingularMatrixError) as err:
-        level_powers(pyramid, -0.5)
-    assert err.value.cube == cube
-    assert err.value.lambda_min == pytest.approx(1e-13, rel=1e-12)
+    # singular one of the tree at (2, 3), above their singular leaves; both
+    # dtypes name the first in tree order, as the per-tree power of the
+    # pyramid names it
+    leaves = [np.diag([1e-13, 1.0])] * 4 + [np.diag([1.0, 2e-14])] * 2 + [np.diag([1.0, 0.0])] * 2
+    w = StepField(np.stack(leaves).astype(dtype))
+    for p in (-0.5, -1.0):
+        with pytest.raises(SingularMatrixError) as err:
+            w.cube_power(p)
+        with pytest.raises(SingularMatrixError) as want:
+            level_powers(w.pyramid(), p)
+        assert err.value.cube == want.value.cube == cube
+        assert str(err.value) == str(want.value)
+        assert err.value.lambda_min == pytest.approx(1e-13, rel=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])

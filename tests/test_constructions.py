@@ -25,7 +25,12 @@ from carlab.embeddings import bet_inner_sum, bet_norm_sum, weighted_l2_norm
 from carlab.errors import NumericError, PreconditionError
 from carlab import constructions, matrices
 
-from oracles import brute_random_matrix_sequence, brute_random_scalar_sequence
+from oracles import (
+    brute_random_matrix_sequence,
+    brute_random_scalar_sequence,
+    loop_random_matrix_sequence,
+    loop_random_scalar_sequence,
+)
 
 
 def test_family_standard_basis_values():
@@ -170,6 +175,29 @@ def test_random_sequences_match_per_entry_oracles(d):
             want = brute_random_scalar_sequence(depth, ref, density)
             assert list(sseq.items()) == list(want.items())
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_array_built_sequences_match_the_cube_keyed_builds(d):
+    # drawing into arrays keeps the draws, the entries, their order and the
+    # generator state; density 0 falls back to the root
+    for depth in range(9):
+        for seed in (depth, 50 + depth, 100 + depth):
+            for density in (0.35, 0.9, 0.0):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                pairs = [(random_matrix_sequence(depth, d, rng, density),
+                          loop_random_matrix_sequence(depth, d, ref, density)),
+                         (random_scalar_sequence(depth, rng, density),
+                          loop_random_scalar_sequence(depth, ref, density))]
+                for got, want in pairs:
+                    assert type(got) is type(want) and got.depth == want.depth
+                    assert np.array_equal(got.values, want.values)
+                    assert np.array_equal(got.positions, want.positions)
+                    assert list(got.entries) == list(want.entries)
+                    assert all(np.array_equal(got.entries[q], want.entries[q])
+                               for q in want.entries)
+                assert pairs[0][0].d == d
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_random_instance_normalization_and_cap():

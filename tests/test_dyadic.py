@@ -18,10 +18,11 @@ from carlab.dyadic import (
     tree_size,
 )
 from carlab import matrices
+from carlab.characteristics import batch_of_one
 from carlab.constructions import random_weight_field
 from carlab.errors import AddressError, DimensionMismatchError, SingularMatrixError
 
-from oracles import brute_average, brute_spd_power
+from oracles import brute_average, brute_spd_power, level_powers_batch, tree_eigh_batch
 
 
 def test_root_and_children():
@@ -260,3 +261,22 @@ def test_power_decomposes_the_leaves_once(monkeypatch, dtype):
         assert np.array_equal(w.power(p).values, brute_spd_power(w.values, p))
     assert w.inverse() is w.power(-1.0)
     assert calls == [8]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_cube_power_decomposes_the_averages_once(monkeypatch, dtype):
+    # every power of the cube averages comes from one eigendecomposition of
+    # them all, bitwise the batch kernel's power of a batch of one
+    w = StepField(random_weight_field(3, 3, np.random.default_rng(5)).values.astype(dtype))
+    eig = tree_eigh_batch(batch_of_one(w.pyramid()))
+    real = matrices.eigh_sym
+    calls = []
+    monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(len(m)) or real(m))
+    for p in (-1.0, -0.5, 0.5, -0.5):
+        got = w.cube_power(p)
+        assert got.dtype == dtype and not got.flags.writeable
+        assert np.array_equal(got, level_powers_batch(eig, p)[0])
+    assert w.cube_power(0.5) is w.cube_power(0.5)
+    assert calls == [15]
+    with pytest.raises(DimensionMismatchError, match="matrix fields only"):
+        StepField(np.ones(4)).cube_power(-0.5)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,8 @@ from carlab.embeddings import (
 from carlab import baselines
 from carlab.errors import SingularMatrixError
 from carlab.matrices import operator_norm_stack
+
+from oracles import unique_choquet_level_form
 
 from oracles import brute_bet_vectors, rank_one_inner_value
 
@@ -259,6 +265,35 @@ def test_choquet_with_ties_and_zero_weights():
     functional = {ROOT: 2.0, DyadicIndex(1, 0): 2.0, DyadicIndex(1, 1): 1.0}
     s, l = choquet_integral(seq, functional)
     assert s == pytest.approx(1.0) and l == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_choquet_level_form_matches_the_unique_path(seed):
+    # the run starts of the sorted values are np.unique's first indices
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(1, 6))
+    seq = ScalarSequence(depth, {q: float(rng.uniform(0, 2)) for q in cubes(depth)
+                                 if rng.uniform() < 0.6})
+    # quantized values force runs of ties
+    functional = {q: float(np.round(rng.uniform(0, 3), int(rng.integers(0, 3))))
+                  for q in cubes(depth)}
+    assert choquet_integral(seq, functional)[1] == unique_choquet_level_form(seq, functional)
+
+
+def test_choquet_integral_does_not_import_numpy_ma():
+    # numpy.ma costs about 1 MB; np.unique(x) imports it
+    code = (
+        "import sys\n"
+        "from carlab.characteristics import ScalarSequence\n"
+        "from carlab.embeddings import choquet_integral\n"
+        "seq = ScalarSequence(1, {(0, 0): 1.0, (1, 1): 0.5})\n"
+        "assert choquet_integral(seq, {(0, 0): 2.0, (1, 0): 1.0, (1, 1): 2.0}) == (3.0, 3.0)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @given(st.integers(min_value=0, max_value=100_000))

@@ -8,7 +8,7 @@ import pytest
 from carlab import matrices, search
 from carlab.cli import main
 from carlab.dyadic import StepField, pyramid_batch, stepfield_to_json
-from carlab.constructions import EPS_SWEEP
+from carlab.constructions import EPS_SWEEP, random_instance
 from carlab.errors import ConfigError, SingularMatrixError
 from carlab.lab import (
     OBJECTIVES,
@@ -16,8 +16,10 @@ from carlab.lab import (
     adversarial_search,
     default_config,
     run_experiment,
+    suite_instance_params,
     sweep_row,
 )
+from carlab.redundancy import red_constants, sred_constant
 
 from oracles import brute_adversarial_search, brute_search_weight
 
@@ -515,6 +517,31 @@ def test_cli_config_with_embedded_instance(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert any(r["kind"] == "embedded" for r in payload["rows"])
+
+
+def test_cli_wcet_suite_refuses_extra_instances(tmp_path):
+    # wcet-suite runs no embedded instance; it ignored the list and exited 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"extra_instances": [{"x": 1}], "seeds": [0, 1], "depth": 2,
+                                    "d": 2}))
+    assert main(["wcet-suite", "--config", str(cfg_path), "--quiet"]) == 2
+    with pytest.raises(ConfigError, match="wcet-suite runs no extra_instances"):
+        default_config("wcet-suite", extra_instances=[{"x": 1}])
+
+
+def test_redundancy_rows_match_fresh_instances():
+    # two periods of the (d, depth) ladder; each row's constants recomputed
+    # on a fresh instance, red before sred, so that no cached power is shared
+    cfg = default_config("redundancy-suite", depth=6, d=4, seeds=list(range(7, 31)))
+    rows = run_experiment(cfg).rows
+    assert len(rows) == 24
+    for i, (seed, row) in enumerate(zip(cfg.seeds, rows)):
+        d, depth = suite_instance_params(i, 4, 6, depth_min=4)
+        inst = random_instance(depth, d, seed, cfg.cond_cap)
+        c1, c2, c3 = red_constants(inst.w, inst.mseq)
+        assert row == {"kind": "suite", "seed": seed, "d": d, "depth": depth,
+                       "sred": sred_constant(inst.w, inst.sseq),
+                       "red_c1": c1, "red_c2": c2, "red_c3": c3}
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -9,8 +9,6 @@ from carlab.characteristics import (
     a2_characteristic,
     c2_conditioning,
     carleson_intensity,
-    level_powers_batch,
-    tree_eigh_batch,
     wcet_testing_constant,
 )
 from carlab.constructions import (
@@ -37,6 +35,8 @@ from oracles import (
     brute_sred_constant,
     brute_substitution_error,
     brute_trace_cycling_error,
+    level_powers_batch,
+    tree_eigh_batch,
 )
 
 

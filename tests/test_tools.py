@@ -1,11 +1,16 @@
 """``tools/digest_diff.py`` on small digests written to a temporary directory,
-and ``tools/search_counts.py`` on a small search."""
+``tools/report_digest.py --only`` and ``tools/search_counts.py`` on a small
+search."""
 
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 from carlab import matrices, search
+from carlab.lab import OBJECTIVES, default_config, run_experiment
 
 
 def _tool(name):
@@ -18,6 +23,7 @@ def _tool(name):
 
 
 digest_diff = _tool("digest_diff")
+report_digest = _tool("report_digest")
 search_counts = _tool("search_counts")
 
 VALUE = 0.7310585786300049
@@ -63,6 +69,38 @@ def test_flipped_verdict_fails(tmp_path, capsys):
     assert "sibet-suite/verdicts/ratio_bounded: True -> False  (rel inf)" in out
     assert "1 values differ, 1 beyond" in out
 
+
+def test_report_digest_only_writes_the_named_runs(tmp_path):
+    out = tmp_path / "digest.json"
+    assert report_digest.main(["--out", str(out), "--only", "c2-sharpness",
+                               "--only", "counterexample-sweep"]) == 0
+    digest = json.loads(out.read_text())
+    assert sorted(digest) == ["c2-sharpness", "counterexample-sweep"]
+    for name, entry in digest.items():
+        report = run_experiment(default_config(name))
+        want = report_digest.canonical_json(report_digest.digest_entry(report))
+        assert entry == json.loads(want)
+
+
+def test_report_digest_only_selects_experiments_and_runs(tmp_path, monkeypatch):
+    ran = []
+
+    def run(cfg):
+        ran.append((cfg.experiment, cfg.objective))
+        return SimpleNamespace(rows=[], aggregates={}, verdicts={})
+
+    monkeypatch.setattr(report_digest, "run_experiment", run)
+    out = str(tmp_path / "digest.json")
+    report_digest.main(["--out", out, "--only", "adversarial-search", "--only", "wcet-suite",
+                        "--only", "adversarial-search:red_ratio"])
+    assert ran == [("wcet-suite", "bet_norm_ratio"),
+                   *(("adversarial-search", objective) for objective in OBJECTIVES)]
+    ran.clear()
+    report_digest.main(["--out", out, "--only", "adversarial-search:sred_ratio"])
+    assert ran == [("adversarial-search", "sred_ratio")]
+    with pytest.raises(SystemExit) as exc:
+        report_digest.main(["--out", out, "--only", "no-such-experiment"])
+    assert exc.value.code == 2 and not ran[1:]
 
 
 def test_search_counts_prints_one_line_per_objective(capsys):

@@ -1,6 +1,6 @@
 """Canonical digest of every experiment's report at its default config.
 
-    python3 tools/report_digest.py --out FILE
+    python3 tools/report_digest.py --out FILE [--only NAME ...]
 
 Runs the seven experiments at ``default_config`` (adversarial-search once
 per objective) and writes their rows, aggregates and verdicts as one
@@ -9,6 +9,10 @@ and ``elapsed_seconds``, the one timing, left out.  Two checkouts that
 compute the same reports write byte-identical files, so ``diff`` of two
 digests shows every row that moved.  The package is loaded from the
 ``src/`` directory next to this script's directory.
+
+``--only NAME``, repeatable, keeps the runs of the named experiments, or
+one run such as ``adversarial-search:red_ratio``, so that one experiment's
+digest can be compared on its own.
 """
 
 from __future__ import annotations
@@ -47,9 +51,15 @@ def canonical_json(obj):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="digest output path")
+    names = [name for name, _ in runs()]
+    parser.add_argument("--only", action="append", metavar="NAME",
+                        choices=[*EXPERIMENTS, *(n for n in names if n not in EXPERIMENTS)],
+                        help="digest only this experiment or run (repeatable)")
     args = parser.parse_args(argv)
     digest = {}
     for name, cfg in runs():
+        if args.only and name not in args.only and name.split(":")[0] not in args.only:
+            continue
         print(f"running {name}", file=sys.stderr, flush=True)
         digest[name] = digest_entry(run_experiment(cfg))
     with open(args.out, "w") as fh:
