@@ -38,7 +38,9 @@ from . import matrices
 from .characteristics import carleson_intensity, subtree_sums
 from .constructions import draw_spd, orthogonal_from_draws, spd_from_draws
 from .dyadic import DyadicIndex, ROOT, check_index
-from .errors import DimensionMismatchError, DomainError, LabError, PreconditionError
+from .errors import (
+    DimensionMismatchError, DomainError, PreconditionError, first_failure, relabel,
+)
 
 DOMAIN_TOL = 1e-10
 M_TOL = 1e-9
@@ -75,11 +77,8 @@ class BellmanPoint:
 def _one(f, *args):
     """``f(*args)`` on stacks of one; an error's member index is cleared,
     since a point names no member."""
-    try:
+    with relabel(None):
         return f(*args)
-    except LabError as exc:
-        exc.point = None
-        raise
 
 
 def bellman_eval(p):
@@ -327,7 +326,7 @@ def _certificates(data, k, levels, bottom=None):
         hi = (k.position + 1) << (j - k.level)
         measure = 2.0 ** (-j)
         tail = cert = None
-        try:
+        with relabel(lambda p: DyadicIndex(j, lo + p)):
             stack = BellmanStack(uavg[j][lo:hi], vavg[j][lo:hi], m_levels[j][lo:hi])
             b = bellman_eval_stack(stack)
             if j in levels:
@@ -339,10 +338,6 @@ def _certificates(data, k, levels, bottom=None):
                     for child in (0, 1):
                         rest = rest + 2.0 ** (-(j + 1)) * below[child::2]
                 cert = matrices.symmetrize(lhs - rest)
-        except LabError as exc:
-            if exc.point is not None:
-                exc.point = DyadicIndex(j, lo + exc.point)
-            raise
         out.append(_Level(j, lo, stack, b, tail, cert))
         below = b
     return out
@@ -474,52 +469,28 @@ def _by_d(samples, evaluate):
     out = np.empty(len(samples))
     for d in sorted(set(dims.tolist())):  # np.unique would import numpy.ma (1 MB)
         idx = np.flatnonzero(dims == d)
-        try:
+        with relabel(lambda p: int(idx[p])):
             out[idx] = evaluate([samples[i][1] for i in idx])
-        except LabError as exc:
-            if exc.point is not None:
-                exc.point = int(idx[exc.point])
-            raise
     return out
-
-
-def _evaluate(block, evaluate):
-    """``_by_d`` on one block, failing as a per-sample loop would.
-
-    If a sample fails, the samples before it are evaluated again, so that
-    the error raised is the one of the first failing sample in draw order.
-    """
-    stop, error = len(block), None
-    while True:
-        try:
-            out = _by_d(block[:stop], evaluate) if stop else None
-        except LabError as exc:
-            if exc.point is None:
-                raise
-            error, stop = exc, exc.point
-            continue
-        if error is not None:
-            raise error
-        return out
 
 
 def _sampled(n, draw, evaluate):
     """Gaps and dimensions of ``n`` samples, in draw order.
 
     ``draw()`` draws one sample: (d, raw numbers).  Samples are drawn
-    ``BLOCK`` at a time, then evaluated; an error names its sample index.
+    ``BLOCK`` at a time, then evaluated; the error raised is the first
+    failing sample's in draw order, and names its sample index.
     """
     gaps = np.empty(n)
     dims = np.empty(n, dtype=np.intp)
     for start in range(0, n, BLOCK):
         block = [draw() for _ in range(min(BLOCK, n - start))]
         dims[start:start + len(block)] = [d for d, _ in block]
-        try:
-            gaps[start:start + len(block)] = _evaluate(block, evaluate)
-        except LabError as exc:
-            if exc.point is not None:
-                exc.point += start
-            raise
+        with relabel(lambda p: start + p):
+            out, _, error = first_failure(lambda sl: _by_d(block[sl], evaluate), len(block))
+            if error is not None:
+                raise error
+        gaps[start:start + len(block)] = out
     return gaps, dims
 
 

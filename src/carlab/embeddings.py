@@ -69,26 +69,24 @@ def _halfweighted_averages(w, f, sign):
     return [lv[0] for lv in halfweighted_pyramid_batch(wh.values[None], f.values[None])]
 
 
-def _entry_quadratic(a, v):
-    """<A v, v> with tiny negative round-off clamped to zero."""
-    return max(float(v @ (a @ v)), 0.0)
-
-
 def cet_sum(w, seq, f):
-    """Embedding sum sum_Q ||A_Q^1/2 <W^1/2 f>_Q||^2 over the sequence support."""
+    """Embedding sum sum_Q ||A_Q^1/2 <W^1/2 f>_Q||^2 over the sequence support.
+
+    Matrix terms <A_Q v, v> are clamped at zero against round-off; the
+    terms are added in entry order.
+    """
     w, f = _weight_field(w), _vector_field(f)
     _check_shapes(w, f)
     if seq.depth != w.depth:
         raise DimensionMismatchError("sequence and fields live on different trees")
-    havg = _halfweighted_averages(w, f, +1)
-    total = 0.0
-    for q, a in seq.items():
-        v = havg[q.level][q.position]
-        if isinstance(seq, MatrixSequence):
-            total += _entry_quadratic(a, v)
-        else:
-            total += a * float(v @ v)
-    return float(total)
+    if not len(seq):
+        return 0.0
+    v = np.concatenate(_halfweighted_averages(w, f, +1))[seq.positions]
+    if isinstance(seq, MatrixSequence):
+        terms = np.maximum(_rowdot(v, (seq.values @ v[:, :, None])[..., 0]).astype(np.float64), 0.0)
+    else:
+        terms = seq.values * _rowdot(v, v).astype(np.float64)
+    return float(_ordered_sums(terms, [len(seq)])[0])
 
 
 def _bet_inputs(w, f, g, support, seq=None):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two steps that map
+a batch member's error back to what a per-item loop would name."""
+
+from contextlib import contextmanager
 
 
 class LabError(Exception):
@@ -71,3 +74,42 @@ class PreconditionError(LabError):
 
 class ConfigError(LabError):
     """An experiment configuration failed to parse or validate."""
+
+
+@contextmanager
+def relabel(label):
+    """Map the ``point`` of a LabError raised in the block through ``label``.
+
+    A label of None clears the point; an error that names no point passes
+    through unchanged.
+    """
+    try:
+        yield
+    except LabError as exc:
+        if exc.point is not None:
+            exc.point = None if label is None else label(exc.point)
+        raise
+
+
+def first_failure(evaluate, n):
+    """Evaluate a batch of ``n`` members, failing as a loop over them would.
+
+    ``evaluate(sl)`` evaluates the members ``sl`` (a slice) together, and
+    an error it raises names its member by the index in ``sl``.  Returns
+    ``(results, n, None)`` if the batch passes.  Otherwise ``b`` is the
+    first member that fails when evaluated alone, and the return is
+    (results of the members [0, b), or None if b is 0; b; b's error, its
+    point shifted to the index in the batch).  A batch that fails while no
+    member fails alone raises the batch's error.
+    """
+    try:
+        return evaluate(slice(None)), n, None
+    except LabError as exc:
+        error = exc
+    for b in range(n):
+        try:
+            with relabel(lambda p: b + p):
+                evaluate(slice(b, b + 1))
+        except LabError as exc:
+            return (evaluate(slice(0, b)) if b else None), b, exc
+    raise error

@@ -14,6 +14,13 @@ Two precision regimes coexist:
   double arithmetic (condition numbers up to 1e8 appear in the
   counterexample sweep).
 
+Both solvers read the lower triangle only: LAPACK ``eigh``/``eigvalsh``
+with numpy's default ``UPLO='L'``, and the Jacobi solver by mirroring the
+lower triangle before it starts.  Input that is symmetric up to rounding,
+such as a product ``R A R`` of symmetric factors, is thus solved as one
+symmetric matrix; a rotation chosen from one triangle can then always
+clear the other.
+
 Every SPD power goes through one core, ``eig_power`` (W^p) and
 ``eig_apply_power`` (W^p x), from an eigendecomposition of a stack
 (..., d, d); ``spd_power`` adds the asymmetry check for input from outside
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericError, SingularMatrixError
+from .errors import DimensionMismatchError, NumericError, SingularMatrixError, relabel
 
 # Construction-time asymmetry rejection (relative to the largest entry).
 SYM_REJECT_RTOL = 1e-9
@@ -45,19 +52,13 @@ def as_symmetric(m, rtol=SYM_REJECT_RTOL):
 
     Rejects input whose asymmetric part exceeds ``rtol`` relative to the
     largest entry; silent symmetrization of genuinely asymmetric data would
-    hide bugs upstream.
+    hide bugs upstream.  The stack of one of ``as_symmetric_stack``.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.abs(m).max())
-    if scale > 0.0:
-        asym = float(np.abs(m - m.T).max())
-        if asym > rtol * scale:
-            raise DimensionMismatchError(
-                f"matrix is not symmetric: |M - M^T| = {asym:.3e} vs scale {scale:.3e}"
-            )
-    return (m + m.T) / 2
+    with relabel(None):
+        return as_symmetric_stack(m[None], rtol)[0]
 
 
 def symmetrize(m):
@@ -76,7 +77,8 @@ def _jacobi_eigh(a, max_sweeps=60):
 
     ``a`` has shape (..., n, n); returns (eigenvalues ascending, eigenvector
     columns) of shapes (..., n) and (..., n, n), like ``np.linalg.eigh``,
-    in the dtype of ``a``.  Used for longdouble input.
+    in the dtype of ``a``.  Used for longdouble input.  Reads the lower
+    triangle only, as LAPACK's ``eigh`` does.
 
     Every matrix goes through the scalar cyclic Jacobi iteration: a
     convergence test at the start of each sweep, then the (p, q) rotations
@@ -86,8 +88,9 @@ def _jacobi_eigh(a, max_sweeps=60):
     The per-matrix arithmetic is unchanged, so each result is bitwise the
     one the matrix would get on its own.
     """
-    a = np.array(a, copy=True)
+    a = np.asarray(a)
     batch, n = a.shape[:-2], a.shape[-1]
+    a = np.where(np.tri(n, dtype=bool), a, a.swapaxes(-1, -2))
     dt = a.dtype
     a = a.reshape(-1, n, n)
     v = np.broadcast_to(np.eye(n, dtype=dt), a.shape).copy()

@@ -23,7 +23,7 @@ from .characteristics import (
 )
 from .dyadic import StepField, pyramid_batch, tree_cube, tree_levels_batch
 from .embeddings import bet_norm_sum_batch, halfweighted_pyramid_batch, l2_norm_batch
-from .errors import ConfigError
+from .errors import ConfigError, LabError, first_failure
 from .redundancy import check_intensity_batch, red_constants_batch, sred_constant_batch
 
 OBJECTIVES = ("bet_norm_ratio", "sred_ratio", "red_ratio")
@@ -299,25 +299,6 @@ def _adopt(carried, rows, candidates, members):
         mine[rows[members]] = theirs[members]
 
 
-def _evaluate_in_order(evaluate, n):
-    """``evaluate(slice)`` of a batch of ``n`` members or, if that raises,
-    of the members before the first one that raises on its own.
-
-    Returns those members' results (None if there are none) and the first
-    failing member's error (None if the batch passed).
-    """
-    try:
-        return evaluate(slice(None)), None
-    except Exception as exc:
-        error = exc
-    for b in range(n):
-        try:
-            evaluate(slice(b, b + 1))
-        except Exception as exc:
-            return (evaluate(slice(0, b)) if b else None), exc
-    raise error
-
-
 def _climb(states, moves, steps, objective, cond_cap, lookahead):
     """Climb every restart (a member of ``states``) through ``steps``
     evaluations: step 0 evaluates its start state, step t its current state
@@ -379,15 +360,14 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
         if lookahead > 1:
             try:
                 results = evaluate(slice(None))
-            except Exception:
+            except LabError:
                 return _climb(start, moves, steps, objective, cond_cap, 1)
         else:
-            results, failed = _evaluate_in_order(evaluate, len(rows))
+            results, b, failed = first_failure(evaluate, len(rows))
             if failed is not None:
-                error = failed  # the failing restart and the ones after it stop here
+                error, live = failed, b  # the failing restart and the ones after it stop here
                 if results is None:
                     break
-                live = len(results[0])
                 rows, offset, step = rows[:live], offset[:live], step[:live]
         value, weight, ratio = results
         first = step == 0

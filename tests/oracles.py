@@ -250,10 +250,12 @@ def brute_jacobi_eigh(a, max_sweeps=60):
     """Cyclic Jacobi eigendecomposition of one matrix, in the dtype of ``a``.
 
     The scalar loop the stacked longdouble solver must reproduce bit for
-    bit: (eigenvalues ascending, eigenvector columns).
+    bit: (eigenvalues ascending, eigenvector columns).  Reads the lower
+    triangle only, as LAPACK's ``eigh`` does.
     """
-    a = np.array(a, copy=True)
+    a = np.asarray(a)
     n = a.shape[0]
+    a = np.where(np.tri(n, dtype=bool), a, a.T)
     dt = a.dtype
     v = np.eye(n, dtype=dt)
     if n == 1:
@@ -858,6 +860,22 @@ def brute_substitution_error(w, entries, rng, samples=5):
         worst = max(worst, abs(second - corollary) / scale)
         worst = max(worst, abs(float(e @ e) - float(f @ (wk @ f))) / max(float(e @ e), 1e-30))
     return worst
+
+
+def loop_cet_sum(w, seq, f):
+    """``cet_sum`` as a loop over ``seq.items()``, one cube at a time."""
+    from carlab.characteristics import MatrixSequence, _weight_field
+    from carlab.embeddings import _halfweighted_averages
+
+    havg = _halfweighted_averages(_weight_field(w), f.as_vector(), +1)
+    total = 0.0
+    for q, a in seq.items():
+        v = havg[q.level][q.position]
+        if isinstance(seq, MatrixSequence):
+            total += max(float(v @ (a @ v)), 0.0)
+        else:
+            total += a * float(v @ v)
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

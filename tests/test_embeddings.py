@@ -32,7 +32,7 @@ from carlab import baselines
 from carlab.errors import SingularMatrixError
 from carlab.matrices import operator_norm_stack
 
-from oracles import unique_choquet_level_form
+from oracles import loop_cet_sum, unique_choquet_level_form
 
 from oracles import brute_bet_vectors, rank_one_inner_value
 
@@ -170,6 +170,15 @@ def test_bet_sums_name_first_support_cube_in_both_dtypes(dtype):
             bet_sum(w, seq, f, f)
         assert err.value.cube == DyadicIndex(1, 0)
         assert err.value.lambda_min == pytest.approx(5e-13, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cet_sum_is_bitwise_the_cube_loop(d):
+    for depth in range(7):
+        for seed in range(3):
+            inst = random_instance(depth, d, seed, cond_cap=1e4)
+            for seq in (inst.mseq, inst.sseq, ScalarSequence(depth), MatrixSequence(depth, d)):
+                assert cet_sum(inst.w, seq, inst.f) == loop_cet_sum(inst.w, seq, inst.f)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])

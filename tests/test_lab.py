@@ -485,6 +485,18 @@ def test_cli_runs_sweep_and_exits_zero(tmp_path, capsys):
     assert "[PASS]" in stdout and "[FAIL]" not in stdout
 
 
+def test_cli_deep_sweep_at_rounding_asymmetric_rotations(tmp_path):
+    # At these rotations A2's products <W^-1>^1/2 <W> <W^-1>^1/2 are
+    # asymmetric in the last bit, and the Jacobi solver once never
+    # converged on them (exit 3)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"depth": 10, "eps_grid": [1e-2],
+                                    "rotations": [0.5271121551688654, 1.1144232064574016]}))
+    out = tmp_path / "r.json"
+    assert main(["counterexample-sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == 0
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"eps_grid": [0.1], "depth": 5, "format": "json"}))

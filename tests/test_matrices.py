@@ -234,6 +234,29 @@ def test_stacked_jacobi_special_stacks():
     assert vals.shape == (0, 4) and vecs.shape == (0, 4, 4)
 
 
+# <W^-1>^1/2 <W> <W^-1>^1/2 at the root of the two-eigenvalue family at
+# eps 1e-2, rotation 1.1144232064574016, depth 10, as ``a2_characteristic``
+# forms it in longdouble: symmetric up to rounding, 0 above the diagonal and
+# -1.04e-17 below it.  Read from both triangles it never converged.
+ROUNDED_PRODUCT = np.array([
+    ["0.99999999999999986903", "0.0"],
+    ["-1.04083408558608425665e-17", "0.9999999999999998699"],
+], dtype=np.longdouble)
+
+
+def test_jacobi_reads_the_lower_triangle():
+    lower = np.tril(ROUNDED_PRODUCT) + np.tril(ROUNDED_PRODUCT, -1).T
+    vals, vecs = _jacobi_eigh(ROUNDED_PRODUCT)
+    want_vals, want_vecs = _jacobi_eigh(lower)
+    assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
+    assert vals[0] < vals[1] and not np.array_equal(vecs, np.eye(2))
+    rng = np.random.default_rng(9)
+    noisy = random_spd_ld(rng, 4, 1e3)
+    noisy[np.triu_indices(4, 1)] *= np.longdouble(1) + np.longdouble(1e-17)
+    assert_matches_scalar_jacobi(np.stack([ROUNDED_PRODUCT, ROUNDED_PRODUCT.T, lower]))
+    assert_matches_scalar_jacobi(np.stack([noisy, random_spd_ld(rng, 4, 1e6)]))
+
+
 def test_stacked_jacobi_sweep_limit():
     m = random_spd_ld(np.random.default_rng(8), 3, 1e3)
     with pytest.raises(NumericError):

@@ -1,6 +1,6 @@
 """``tools/digest_diff.py`` on small digests written to a temporary directory,
-``tools/report_digest.py --only`` and ``tools/search_counts.py`` on a small
-search."""
+``tools/report_digest.py --only``, ``tools/search_counts.py`` on a small
+search and ``tools/seed_sweep.py`` on three deep-sweep seeds."""
 
 import importlib.util
 import json
@@ -25,6 +25,7 @@ def _tool(name):
 digest_diff = _tool("digest_diff")
 report_digest = _tool("report_digest")
 search_counts = _tool("search_counts")
+seed_sweep = _tool("seed_sweep")
 
 VALUE = 0.7310585786300049
 
@@ -126,3 +127,19 @@ def test_search_counts_prints_one_line_per_objective(capsys):
         # inverted at least
         assert 4 * 4 <= row["weight_leaves"] <= 4 * row["candidates"]
         assert row["weight_leaves"] <= row["power_mats"]
+
+
+def test_seed_sweep_runs_the_perfbench_configs(monkeypatch, capsys):
+    # deep-sweep seed 109 exited 3 before the Jacobi solver read one triangle
+    assert seed_sweep.main(["--workload", "deep-sweep", "--seeds", "108:111"]) == 0
+    assert capsys.readouterr().out == "deep-sweep seeds 108:111: 0 of 3 failed\n"
+    codes = {109: 3}
+    monkeypatch.setattr(seed_sweep, "exit_codes",
+                        lambda configs, workload, seed, workdir: [codes.get(seed, 0)])
+    assert seed_sweep.main(["--workload", "deep-sweep", "--seeds", "108:111"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 109: exit 3", "deep-sweep seeds 108:111: 1 of 3 failed"]
+    for bad in ("5", "3:3", "a:b"):
+        with pytest.raises(SystemExit) as exc:
+            seed_sweep.main(["--workload", "deep-sweep", "--seeds", bad])
+        assert exc.value.code == 2
