@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices
-from .characteristics import carleson_intensity, subtree_sums
+from .characteristics import carleson_intensity, check_fits, subtree_sums
 from .constructions import draw_spd, orthogonal_from_draws, spd_from_draws
 from .dyadic import DyadicIndex, ROOT, check_index
 from .errors import (
@@ -265,8 +265,7 @@ def dm_gap_stack(s, h=1e-5):
 
 def _dyadic_data(w, alpha):
     w = w.as_matrix()
-    if alpha.depth != w.depth:
-        raise DimensionMismatchError("sequence and weight live on different trees")
+    check_fits(w, alpha)
     intensity = carleson_intensity(alpha)
     if intensity > 1.0 + 1e-9:
         raise PreconditionError(

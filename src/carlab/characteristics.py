@@ -213,6 +213,14 @@ class MatrixSequence(CubeSequence):
         )
 
 
+def check_fits(w, seq):
+    """Refuse a sequence off the weight's tree, or a matrix sequence of another d."""
+    if seq.depth != w.depth:
+        raise DimensionMismatchError("sequence and weight live on different trees")
+    if isinstance(seq, MatrixSequence) and seq.d != w.d:
+        raise DimensionMismatchError("sequence and weight dimensions differ")
+
+
 def check_sequence_batch(levels):
     """The entry checks of the sequence classes on dense levels of a batch.
 
@@ -293,6 +301,46 @@ def testing_terms(wavg, seq):
     return [a[:, None, None] * (wk @ wk) for wk, a in zip(wavg, alev)]
 
 
+def rowdot(x, y):
+    """x_i . y_i for each row, as a batched matmul: bitwise the 1-D dot."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def support_terms(values, x):
+    """The one form of a support term: <A_Q x_Q, x_Q> clamped at 0 for matrix
+    entries ``values`` (S, d, d), alpha_Q |x_Q|^2 for scalar ones (S,)."""
+    if values.ndim == 3:
+        return np.maximum(rowdot(x, (values @ x[:, :, None])[..., 0]).astype(np.float64), 0.0)
+    return values * rowdot(x, x).astype(np.float64)
+
+
+def ordered_sums(terms, counts):
+    """Left-to-right sum of each run of ``counts`` consecutive terms, as a loop adds them."""
+    sums = np.zeros(len(counts))
+    np.add.at(sums, np.repeat(np.arange(len(counts)), counts), terms)
+    return sums
+
+
+def subtree_forms(seq, cubes, vectors):
+    """|K|^-1 sum over the support cubes Q in D(K) of ``support_terms``, for
+    each cube K in ``cubes`` (flat tree positions); ``vectors(i, j)`` gives
+    the x_Q (m, d) of the pairs (cubes[i], entry j) with Q in D(K).  Terms
+    are added left to right in entry order, as a loop over ``seq.items()``
+    does."""
+    cubes = np.asarray(cubes, dtype=np.intp)
+    # positions + 1 numbers the children of t as 2t and 2t + 1: t >> s is the
+    # ancestor s levels up.  Every entry's ancestors, entry by entry; -1 past the root.
+    above = (((seq.positions[:, None] + 1) >> np.arange(seq.depth + 1)) - 1).ravel()
+    order = np.argsort(above, kind="stable")  # by ancestor, then in entry order
+    ranked = above[order]
+    lo = np.searchsorted(ranked, cubes)
+    n = np.searchsorted(ranked, cubes, "right") - lo
+    i = np.repeat(np.arange(len(cubes)), n)
+    j = order[np.arange(i.size) + (lo - np.cumsum(n) + n)[i]] // (seq.depth + 1)
+    terms = support_terms(seq.values[j], vectors(i, j))
+    return np.ldexp(ordered_sums(terms, n), np.frexp(cubes + 1)[1] - 1)  # times 1 / |K|
+
+
 def _weight_field(w):
     """A scalar or matrix field as a matrix weight; vector fields are refused."""
     if w.kind == "vector":
@@ -339,12 +387,9 @@ def wcet_testing_constant(w, seq):
     as alpha_Q * identity.
     """
     w = _weight_field(w)
-    if seq.depth != w.depth:
-        raise DimensionMismatchError("sequence and weight live on different trees")
+    check_fits(w, seq)
     if len(seq) == 0:
         return 0.0
-    if isinstance(seq, MatrixSequence) and seq.d != w.d:
-        raise DimensionMismatchError("sequence and weight dimensions differ")
     roots = tree_levels(w.cube_power(-0.5))
     acc = subtree_sums(testing_terms(w.pyramid(), seq))
     return cube_supremum([r @ a @ r for r, a in zip(roots, acc)])

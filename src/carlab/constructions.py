@@ -1,5 +1,6 @@
 """Instance generators: the two-eigenvalue counterexample family, seeded
-random instances, and the testing-vector probe with its report.
+random instances, and the testing-vector probe with its report, which
+probes every cube at once (``characteristics.subtree_forms``).
 
 The family is built in extended precision because the sweep reaches
 condition number 1e8, where the acceptance tolerances (1e-9 .. 1e-10) sit
@@ -17,10 +18,13 @@ from .characteristics import (
     MatrixSequence,
     ScalarSequence,
     carleson_intensity,
+    check_fits,
+    rowdot,
+    subtree_forms,
     subtree_sums,
     testing_terms,
 )
-from .dyadic import DyadicIndex, ROOT, StepField, check_index, tree_levels, tree_size
+from .dyadic import ROOT, StepField, check_index, tree_position, tree_size
 from .errors import NumericError, PreconditionError
 
 # The family's acceptance tolerances (1e-9 .. 1e-10) need a longdouble wider
@@ -257,66 +261,55 @@ def necessity_probe(w, seq, k, e):
 
     [sum_{Q in D(K)} ||A_Q^1/2 <W>_Q e||^2] / (|K| <<W>_K e, e>), a lower
     bound for the testing constant with equality at the maximizing (K, e).
-    The numerator is summed cube by cube, independently of the accumulation
-    path used by the testing-constant computation.
+    The numerator is a ``subtree_forms`` sum over the support, independent
+    of the accumulation path used by the testing-constant computation.
     """
     w = w.as_matrix()
+    check_fits(w, seq)
     k = check_index(k, w.depth)
     e = np.asarray(e, dtype=w.values.dtype)
     norm = float(np.sqrt(e @ e))
     if abs(norm - 1.0) > 1e-8:
         raise PreconditionError(f"probe vector must be unit norm, got {norm}")
-    wavg = w.pyramid()
-    numer = 0.0
-    for q, a in seq.items():
-        if not k.contains(q):
-            continue
-        we = wavg[q.level][q.position] @ e
-        if isinstance(seq, MatrixSequence):
-            numer += max(float(we @ (a @ we)), 0.0)
-        else:
-            numer += a * float(we @ we)
-    wk = wavg[k.level][k.position]
-    denom = k.measure * float(e @ (wk @ e))
-    if denom <= 0.0:
+    return float(_probes(w, seq, [tree_position(k)], e[None])[0])
+
+
+def _probes(w, seq, cubes, e):
+    """``necessity_probe`` at each cube (flat tree position) in ``cubes`` and row of ``e``."""
+    avgs = np.concatenate(w.pyramid())
+    on_support = avgs[seq.positions]
+    numer = subtree_forms(seq, cubes, lambda i, j: (on_support[j] @ e[i][..., None])[..., 0])
+    quad = rowdot(e, (avgs[cubes] @ e[:, :, None])[..., 0]).astype(np.float64)
+    if np.any(quad <= 0.0):
         raise PreconditionError("degenerate weight average under the probe")
-    return float(numer / denom)
+    return numer / quad
 
 
-def necessity_report(w, seq, rng, samples_per_cube=6):
+SAMPLES_PER_CUBE = 6
+
+
+def necessity_report(w, seq, rng):
     """Compare the testing constant against its testing-vector probes.
 
     Returns (testing, probe_sup, sampled_max, worst_cube_rel_err): the
     eigenvalue route, the probe at each cube's top testing vector, the
-    largest randomly-sampled probe, and the worst per-cube relative gap
-    between the two routes.
+    largest of ``SAMPLES_PER_CUBE`` random probes per cube, and the worst
+    per-cube relative gap between the two routes.  One stacked ``eigh``
+    takes every cube; the samples are one draw, cube by cube in tree order.
     """
     wm = w.as_matrix()
-    wavg = wm.pyramid()
-    acc = subtree_sums(testing_terms(wavg, seq))
-    testing = 0.0
-    probe_sup = 0.0
-    sampled_max = 0.0
-    worst_rel = 0.0
-    d = wm.d
-    for k, roots in enumerate(tree_levels(wm.cube_power(-0.5))):
-        sandwich = roots @ acc[k] @ roots
-        for p in range(1 << k):
-            lam, vecs = matrices.eigh_sym(
-                matrices.as_symmetric(sandwich[p] * (1 << k))
-            )
-            top = float(lam[-1])
-            testing = max(testing, top)
-            e_star = roots[p] @ vecs[:, -1]
-            nrm = float(np.sqrt(e_star @ e_star))
-            if nrm == 0.0:
-                continue
-            value = necessity_probe(wm, seq, DyadicIndex(k, p), e_star / nrm)
-            probe_sup = max(probe_sup, value)
-            if top > 1e-12:
-                worst_rel = max(worst_rel, abs(value - top) / top)
-            for _ in range(samples_per_cube):
-                e = rng.standard_normal(d)
-                e /= np.linalg.norm(e)
-                sampled_max = max(sampled_max, necessity_probe(wm, seq, DyadicIndex(k, p), e))
-    return testing, probe_sup, sampled_max, worst_rel
+    check_fits(wm, seq)
+    roots = wm.cube_power(-0.5)
+    cubes = np.arange(len(roots))
+    sandwich = roots @ np.concatenate(subtree_sums(testing_terms(wm.pyramid(), seq))) @ roots
+    scale = 2.0 ** (np.frexp(cubes + 1)[1] - 1)  # 1 / |K|
+    lam, vecs = matrices.eigh_sym(matrices.as_symmetric_stack(sandwich * scale[:, None, None]))
+    top = lam[:, -1].astype(np.float64)
+    e_star = (roots @ vecs[:, :, -1:])[..., 0]
+    samples = rng.standard_normal((len(cubes) * SAMPLES_PER_CUBE, wm.d))
+    e = [x / np.sqrt(rowdot(x, x)).astype(np.float64)[:, None] for x in (e_star, samples)]
+    probes = _probes(
+        wm, seq, np.concatenate([cubes, cubes.repeat(SAMPLES_PER_CUBE)]), np.concatenate(e))
+    at_star, big = probes[:len(cubes)], top > 1e-12
+    rel = np.abs(at_star[big] - top[big]) / top[big]
+    return tuple(float(np.max(x, initial=0.0)) for x in (top, at_star, probes[len(cubes):], rel))

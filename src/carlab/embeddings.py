@@ -9,13 +9,12 @@ come from the cached field pyramids.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from . import matrices
 from .characteristics import (
-    MatrixSequence, ScalarSequence, _weight_field, batch_of_one,
+    MatrixSequence, ScalarSequence, _weight_field, batch_of_one, check_fits, ordered_sums,
+    rowdot, subtree_forms, support_terms,
 )
 from .dyadic import StepField, pyramid_batch, tree_cube, tree_levels, tree_size
 from .errors import DimensionMismatchError
@@ -73,31 +72,26 @@ def cet_sum(w, seq, f):
     """Embedding sum sum_Q ||A_Q^1/2 <W^1/2 f>_Q||^2 over the sequence support.
 
     Matrix terms <A_Q v, v> are clamped at zero against round-off; the
-    terms are added in entry order.
+    terms are added in entry order (``subtree_forms`` at the root).
     """
     w, f = _weight_field(w), _vector_field(f)
     _check_shapes(w, f)
-    if seq.depth != w.depth:
-        raise DimensionMismatchError("sequence and fields live on different trees")
+    check_fits(w, seq)
     if not len(seq):
         return 0.0
     v = np.concatenate(_halfweighted_averages(w, f, +1))[seq.positions]
-    if isinstance(seq, MatrixSequence):
-        terms = np.maximum(_rowdot(v, (seq.values @ v[:, :, None])[..., 0]).astype(np.float64), 0.0)
-    else:
-        terms = seq.values * _rowdot(v, v).astype(np.float64)
-    return float(_ordered_sums(terms, [len(seq)])[0])
+    return float(subtree_forms(seq, [0], lambda i, j: v[j])[0])
 
 
 def _bet_inputs(w, f, g, support, seq=None):
     """The inputs of ``bet_vectors_batch`` for one bilinear sum over the
     flat cubes ``support``, each a batch of one but the eigendecompositions,
-    which are stacked over the support; ``seq``, when given, must live on
-    the weight's tree."""
+    which are stacked over the support; ``seq``, when given, must fit the
+    weight (``check_fits``)."""
     w, f, g = _weight_field(w), _vector_field(f), _vector_field(g)
     _check_shapes(w, f, g)
-    if seq is not None and seq.depth != w.depth:
-        raise DimensionMismatchError("sequence and fields live on different trees")
+    if seq is not None:
+        check_fits(w, seq)
     havg = _halfweighted_averages(w, f, +1)
     gavg = _halfweighted_averages(w, g, -1)
     avgs = [np.concatenate(v.pyramid())[support] for v in (w, w.inverse())]
@@ -131,24 +125,6 @@ def bet_vectors_batch(weig, veig, havg, gavg, support):
     return out[:, 0], out[:, 1]
 
 
-def _rowdot(x, y):
-    """x_i . y_i for each row, as a batched matmul: bitwise the 1-D dot."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
-def _ordered_sums(terms, counts):
-    """Left-to-right sum of each run of ``counts`` consecutive terms: the
-    order of a Python loop over each member's support."""
-    terms = iter(terms.tolist())
-    sums = []
-    for count in counts:
-        total = 0.0
-        for t in islice(terms, count):
-            total += t
-        sums.append(total)
-    return np.array(sums)
-
-
 def bet_norm_sum_batch(weig, veig, havg, gavg, support, entries, counts):
     """``bet_norm_sum`` of a batch; one sum per member.
 
@@ -158,14 +134,10 @@ def bet_norm_sum_batch(weig, veig, havg, gavg, support, entries, counts):
     """
     u, v = bet_vectors_batch(weig, veig, havg, gavg, support)
     if entries.ndim == 3:
-        qu, qv = (
-            np.maximum(_rowdot(x, (entries @ x[:, :, None])[..., 0]).astype(np.float64), 0.0)
-            for x in (u, v)
-        )
-        terms = np.sqrt(qu) * np.sqrt(qv)
+        terms = np.sqrt(support_terms(entries, u)) * np.sqrt(support_terms(entries, v))
     else:
-        terms = entries * np.sqrt(_rowdot(u, u) * _rowdot(v, v)).astype(np.float64)
-    return _ordered_sums(terms, counts)
+        terms = entries * np.sqrt(rowdot(u, u) * rowdot(v, v)).astype(np.float64)
+    return ordered_sums(terms, counts)
 
 
 def bet_norm_sum(w, seq, f, g):
@@ -191,10 +163,10 @@ def bet_inner_sum(w, seq, f, g):
         return 0.0
     u, v = bet_vectors_batch(*inputs, seq.positions)
     if isinstance(seq, MatrixSequence):
-        terms = np.abs(_rowdot((seq.values @ u[:, :, None])[..., 0], v).astype(np.float64))
+        terms = np.abs(rowdot((seq.values @ u[:, :, None])[..., 0], v).astype(np.float64))
     else:
-        terms = seq.values * np.abs(_rowdot(u, v).astype(np.float64))
-    return float(_ordered_sums(terms, [len(seq)])[0])
+        terms = seq.values * np.abs(rowdot(u, v).astype(np.float64))
+    return float(ordered_sums(terms, [len(seq)])[0])
 
 
 def bet_cube_functional(w, f, g):
@@ -206,7 +178,7 @@ def bet_cube_functional(w, f, g):
     """
     cubes = np.arange(tree_size(_weight_field(w).depth))
     u, v = bet_vectors_batch(*_bet_inputs(w, f, g, cubes), cubes)
-    values = np.sqrt(_rowdot(u, u) * _rowdot(v, v)).astype(np.float64)
+    values = np.sqrt(rowdot(u, u) * rowdot(v, v)).astype(np.float64)
     return {tree_cube(i): float(x) for i, x in enumerate(values)}
 
 

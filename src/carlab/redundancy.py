@@ -17,10 +17,12 @@ from .characteristics import (
     MatrixSequence,
     ScalarSequence,
     batch_of_one,
+    check_fits,
     cube_supremum_batch,
+    subtree_forms,
     subtree_sums_batch,
 )
-from .dyadic import DyadicIndex, check_index, tree_levels_batch
+from .dyadic import DyadicIndex, check_index, tree_levels_batch, tree_position
 from .errors import DimensionMismatchError, PreconditionError
 
 INTENSITY_SLACK = 1e-9
@@ -61,8 +63,7 @@ def sred_constant(w, alpha):
     w = w.as_matrix()
     if not isinstance(alpha, ScalarSequence):
         raise DimensionMismatchError("sred_constant expects a scalar sequence")
-    if alpha.depth != w.depth:
-        raise DimensionMismatchError("sequence and weight live on different trees")
+    check_fits(w, alpha)
     check_intensity_batch(batch_of_one(alpha.dense_levels()))
     if len(alpha) == 0:
         return 0.0
@@ -139,8 +140,7 @@ def red_constants(w, bseq):
     w = w.as_matrix()
     if not isinstance(bseq, MatrixSequence):
         raise DimensionMismatchError("red_constants expects a matrix sequence")
-    if bseq.depth != w.depth or bseq.d != w.d:
-        raise DimensionMismatchError("sequence and weight are incompatible")
+    check_fits(w, bseq)
     check_intensity_batch(batch_of_one(bseq.dense_levels()))
     if len(bseq) == 0:
         return 0.0, 0.0, 0.0
@@ -160,17 +160,22 @@ def red_quadratic_form(w, bseq, k, e, order="corollary"):
 
     summed over Q in D(K) and divided by |K|.  Used to verify that the
     substitution e = <W>_K^1/2 f turns the second form into the corollary.
-    The summands of the support cubes in D(K) are formed with batched
-    matmul, each bitwise the single-matrix product, clipped at zero and
-    added left to right in entry order.
+    The summands are formed with batched matmul, each bitwise the
+    single-matrix product, and summed by ``subtree_forms``.
     """
     if order not in ("first", "second", "corollary"):
         raise ValueError(f"unknown order {order!r}")
     w = w.as_matrix()
+    check_fits(w, bseq)
     k = check_index(k, w.depth)
     e = np.asarray(e, dtype=float)
     r_k = matrices.spd_power(w.pyramid()[k.level][k.position], -0.5)
-    return _quadratic_form(bseq, k, _support_powers(w, bseq), r_k, e, order)
+    p_q = _support_powers(w, bseq)
+    if order == "first":
+        return _form(bseq, k, (r_k @ (p_q @ e)[..., None])[..., 0])
+    if order == "second":
+        return _form(bseq, k, p_q @ (r_k @ e))
+    return _form(bseq, k, p_q @ e)
 
 
 def _support_powers(w, bseq):
@@ -178,24 +183,9 @@ def _support_powers(w, bseq):
     return w.inverse().cube_power(-0.5)[bseq.positions]
 
 
-def _quadratic_form(bseq, k, p_q, r_k, e, order):
-    """``red_quadratic_form`` from the ``_support_powers`` ``p_q`` and R_K."""
-    levels = np.frexp(bseq.positions + 1)[1] - 1  # flat tree position -> (level, pos)
-    pos = bseq.positions + 1 - (1 << levels)
-    shift = np.maximum(levels - k.level, 0)
-    inside = np.flatnonzero((levels >= k.level) & (pos >> shift == k.position))
-    if not inside.size:
-        return 0.0
-    p_q = p_q[inside]
-    if order == "first":
-        x = (r_k @ (p_q @ e)[..., None])[..., 0]
-    elif order == "second":
-        x = p_q @ (r_k @ e)
-    else:
-        x = p_q @ e
-    terms = (x[:, None, :] @ (bseq.values[inside] @ x[..., None]))[:, 0, 0]
-    terms = np.maximum(terms.astype(np.float64), 0.0)
-    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1]) / k.measure
+def _form(bseq, k, x):
+    """|K|^-1 sum over Q in D(K) of <B_Q x_Q, x_Q>, from the x_Q of every support cube."""
+    return float(subtree_forms(bseq, [tree_position(k)], lambda i, j: x[j])[0])
 
 
 def trace_cycling_error(w, bseq, norms):
@@ -220,25 +210,24 @@ def substitution_error(w, bseq, rng, samples=5):
 
     Each sample draws a cube K and a unit vector e from ``rng``.  The
     support's P_Q are decomposed once for all samples, and each sample's
-    <W>_K once, for both R_K and f = <W>_K^-1/2 e.
+    <W>_K once, for both R_K and f = <W>_K^-1/2 e; both forms of every
+    sample are one ``subtree_forms`` call.
     """
     w = w.as_matrix()
     wavg = w.pyramid()
     p_q = _support_powers(w, bseq)
-    worst = 0.0
-    for _ in range(samples):
+    cubes, x, rhs = [], np.empty((2 * samples, len(bseq), w.d), dtype=p_q.dtype), []
+    for s in range(samples):
         level = int(rng.integers(0, w.depth + 1))
         k = DyadicIndex(level, int(rng.integers(0, 1 << level)))
         e = rng.standard_normal(w.d)
         e /= np.linalg.norm(e)
         wk = wavg[k.level][k.position]
         eig = matrices.eigh_sym(wk)
-        second = _quadratic_form(bseq, k, p_q, matrices.eig_power(*eig, -0.5), e, "second")
         f = matrices.eig_apply_power(*eig, -0.5, e)
-        corollary = _quadratic_form(bseq, k, p_q, None, f, "corollary")
-        rhs_second = float(e @ e)
-        rhs_corollary = float(f @ (wk @ f))
-        scale = max(second, corollary, 1e-30)
-        worst = max(worst, abs(second - corollary) / scale)
-        worst = max(worst, abs(rhs_second - rhs_corollary) / max(rhs_second, 1e-30))
-    return worst
+        cubes += [tree_position(k)] * 2
+        x[2 * s], x[2 * s + 1] = p_q @ (matrices.eig_power(*eig, -0.5) @ e), p_q @ f
+        rhs.append(abs(float(e @ e) - float(f @ (wk @ f))) / max(float(e @ e), 1e-30))
+    second, corollary = subtree_forms(bseq, cubes, lambda i, j: x[i, j]).reshape(-1, 2).T
+    forms = np.abs(second - corollary) / np.maximum(np.maximum(second, corollary), 1e-30)
+    return float(np.max(np.concatenate([forms, rhs]), initial=0.0))

@@ -878,6 +878,78 @@ def loop_cet_sum(w, seq, f):
     return float(total)
 
 
+def loop_necessity_probe(w, seq, k, e):
+    """``necessity_probe`` summed cube by cube over ``seq.items()``, with a
+    ``DyadicIndex.contains`` test per cube."""
+    from carlab.characteristics import MatrixSequence
+
+    w = w.as_matrix()
+    e = np.asarray(e, dtype=w.values.dtype)
+    wavg = w.pyramid()
+    numer = 0.0
+    for q, a in seq.items():
+        if not k.contains(q):
+            continue
+        we = wavg[q.level][q.position] @ e
+        if isinstance(seq, MatrixSequence):
+            numer += max(float(we @ (a @ we)), 0.0)
+        else:
+            numer += a * float(we @ we)
+    wk = wavg[k.level][k.position]
+    return float(numer / (k.measure * float(e @ (wk @ e))))
+
+
+def loop_necessity_report(w, seq, rng, samples_per_cube=6):
+    """``necessity_report`` one cube at a time: one ``eigh`` per cube and
+    ``samples_per_cube`` draws of ``rng.standard_normal(d)`` after it."""
+    from carlab import matrices
+    from carlab.characteristics import subtree_sums, testing_terms
+    from carlab.dyadic import DyadicIndex, tree_levels
+
+    wm = w.as_matrix()
+    acc = subtree_sums(testing_terms(wm.pyramid(), seq))
+    testing = probe_sup = sampled_max = worst_rel = 0.0
+    for k, roots in enumerate(tree_levels(wm.cube_power(-0.5))):
+        sandwich = roots @ acc[k] @ roots
+        for p in range(1 << k):
+            lam, vecs = matrices.eigh_sym(matrices.as_symmetric(sandwich[p] * (1 << k)))
+            top = float(lam[-1])
+            testing = max(testing, top)
+            e_star = roots[p] @ vecs[:, -1]
+            value = loop_necessity_probe(
+                wm, seq, DyadicIndex(k, p), e_star / float(np.sqrt(e_star @ e_star)))
+            probe_sup = max(probe_sup, value)
+            if top > 1e-12:
+                worst_rel = max(worst_rel, abs(value - top) / top)
+            for _ in range(samples_per_cube):
+                e = rng.standard_normal(wm.d)
+                e /= np.linalg.norm(e)
+                sampled_max = max(sampled_max, loop_necessity_probe(wm, seq, DyadicIndex(k, p), e))
+    return testing, probe_sup, sampled_max, worst_rel
+
+
+def loop_subtree_forms(seq, cubes, vectors):
+    """``subtree_forms`` over ``seq.items()``: for each cube K, the clamped
+    terms of the entries whose cube K contains, added in entry order."""
+    from carlab.characteristics import MatrixSequence
+    from carlab.dyadic import tree_cube
+
+    out = []
+    for i, pos in enumerate(cubes):
+        k = tree_cube(int(pos))
+        total = 0.0
+        for j, (q, a) in enumerate(seq.items()):
+            if not k.contains(q):
+                continue
+            x = vectors[i, j]
+            if isinstance(seq, MatrixSequence):
+                total += max(float(x @ (a @ x)), 0.0)
+            else:
+                total += a * float(x @ x)
+        out.append(total / k.measure)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The random sequences as they were built before they drew into arrays:
 # a DyadicIndex per kept cube and the cube-keyed constructors, and the

@@ -12,10 +12,13 @@ from carlab.characteristics import (
     carleson_equivalents,
     carleson_intensity,
     cube_supremum,
+    subtree_forms,
     subtree_sums,
     wcet_testing_constant,
 )
-from carlab.constructions import epsilon_family, necessity_probe, random_instance
+from carlab.constructions import (
+    epsilon_family, necessity_probe, necessity_report, random_instance,
+)
 from carlab.dyadic import (
     DyadicIndex,
     ROOT,
@@ -36,6 +39,7 @@ from oracles import (
     brute_spd_power,
     brute_wcet_testing_constant,
     level_powers,
+    loop_subtree_forms,
 )
 
 
@@ -445,3 +449,62 @@ def test_necessity_identity_sampled():
                 e /= np.linalg.norm(e)
                 sampled = max(sampled, necessity_probe(inst.w, inst.mseq, q, e))
         assert sampled <= testing + 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_subtree_forms_is_the_entry_loop(d):
+    # every cube K, in tree order and then shuffled with repeats, against a
+    # loop over seq.items() with DyadicIndex.contains; the shuffled copy of
+    # the matrix sequence lists its entries out of tree order
+    rng = np.random.default_rng(d)
+    for depth in range(7):
+        inst = random_instance(depth, d, seed=depth, cond_cap=1e4)
+        entries = list(inst.mseq.items())
+        shuffled = MatrixSequence(depth, d, [entries[i] for i in rng.permutation(len(entries))])
+        n = 2 ** (depth + 1) - 1
+        for seq in (inst.mseq, shuffled, inst.sseq, MatrixSequence(depth, d), ScalarSequence(depth)):
+            for cubes_k in (np.arange(n), rng.integers(0, n, size=2 * n)):
+                vectors = rng.standard_normal((len(cubes_k), len(seq), d))
+                got = subtree_forms(seq, cubes_k, lambda i, j: vectors[i, j])
+                assert got.tolist() == loop_subtree_forms(seq, cubes_k, vectors)
+
+
+def _fit_entry_points():
+    from carlab.bellman import dyadic_point
+    from carlab.embeddings import bet_inner_sum, bet_norm_sum, cet_sum
+    from carlab.redundancy import red_constants, red_quadratic_form, sred_constant
+
+    unit = np.array([1.0, 0.0])
+    return {
+        "wcet_testing_constant": lambda w, f, s: wcet_testing_constant(w, s),
+        "necessity_probe": lambda w, f, s: necessity_probe(w, s, ROOT, unit),
+        "necessity_report": lambda w, f, s: necessity_report(w, s, np.random.default_rng(0)),
+        "cet_sum": lambda w, f, s: cet_sum(w, s, f),
+        "bet_norm_sum": lambda w, f, s: bet_norm_sum(w, s, f, f),
+        "bet_inner_sum": lambda w, f, s: bet_inner_sum(w, s, f, f),
+        "red_constants": lambda w, f, s: red_constants(w, s),
+        "red_quadratic_form": lambda w, f, s: red_quadratic_form(w, s, ROOT, unit),
+        "sred_constant": lambda w, f, s: sred_constant(w, s),
+        "dyadic_point": lambda w, f, s: dyadic_point(w, s, ROOT),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fit_entry_points()))
+def test_sequence_must_fit_its_weight(name):
+    # a sequence on a deeper tree, and a matrix sequence of another d, are
+    # refused as the testing constant refuses them, not with an IndexError
+    # or a numpy ValueError
+    call = _fit_entry_points()[name]
+    w, f = StepField.constant(2, np.eye(2)), StepField.constant(2, np.array([1.0, 0.0]))
+    deeper = (MatrixSequence(3, 2, {(3, 7): np.eye(2)}), ScalarSequence(3, {(3, 7): 1.0}))
+    wider = MatrixSequence(2, 3, {ROOT: np.eye(3)})
+    takes = {"red_constants": "matrix", "red_quadratic_form": "matrix",
+             "sred_constant": "scalar", "dyadic_point": "scalar"}.get(name, "both")
+    bad = [seq for seq, kind in zip(deeper, ("matrix", "scalar")) if takes in (kind, "both")]
+    bad += [wider] if takes != "scalar" else []
+    for seq in bad:
+        with pytest.raises(DimensionMismatchError, match="different trees|dimensions differ"):
+            call(w, f, seq)
+    # a scalar sequence fits a weight of any d
+    if takes != "matrix":
+        call(w, f, ScalarSequence(2, {ROOT: 0.5}))

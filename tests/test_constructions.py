@@ -28,6 +28,8 @@ from carlab import constructions, matrices
 from oracles import (
     brute_random_matrix_sequence,
     brute_random_scalar_sequence,
+    loop_necessity_probe,
+    loop_necessity_report,
     loop_random_matrix_sequence,
     loop_random_scalar_sequence,
 )
@@ -276,6 +278,34 @@ def test_necessity_probe_attains_testing_constant():
             q = DyadicIndex(q.level, int(rng.integers(0, 1 << q.level)))
             assert necessity_probe(inst.w, inst.mseq, q, e) <= testing + 1e-9
         assert attained == pytest.approx(testing, rel=1e-8)
+
+
+def _necessity_cases(d):
+    from carlab.characteristics import MatrixSequence, ScalarSequence
+
+    for depth in range(7):
+        for seed in range(3):
+            inst = random_instance(depth, d, seed, cond_cap=1e4)
+            for seq in (inst.mseq, inst.sseq, MatrixSequence(depth, d), ScalarSequence(depth)):
+                yield seed, inst.w, seq
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_necessity_report_is_bitwise_the_cube_loop(d):
+    for seed, w, seq in _necessity_cases(d):
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert necessity_report(w, seq, rng) == loop_necessity_report(w, seq, loop_rng)
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_necessity_probe_is_bitwise_the_cube_loop(d):
+    rng = np.random.default_rng(d)
+    for _, w, seq in _necessity_cases(d):
+        for q in cubes(w.depth):
+            e = rng.standard_normal(d)
+            e /= np.linalg.norm(e)
+            assert necessity_probe(w, seq, q, e) == loop_necessity_probe(w, seq, q, e)
 
 
 def test_necessity_report_matches_testing_constant():
