@@ -35,9 +35,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices
-from .characteristics import carleson_intensity, check_fits, subtree_sums
+from .characteristics import check_fits, cube_supremum_batch, subtree_sums_batch
 from .constructions import draw_spd, orthogonal_from_draws, spd_from_draws
-from .dyadic import DyadicIndex, ROOT, check_index
+from .dyadic import DyadicIndex, ROOT, check_index, level_slice, tree_level, tree_position
 from .errors import (
     DimensionMismatchError, DomainError, PreconditionError, first_failure, relabel,
 )
@@ -264,20 +264,18 @@ def dm_gap_stack(s, h=1e-5):
 # ---------------------------------------------------------------------------
 
 def _dyadic_data(w, alpha):
+    """(W, <W>, <W^-1>, m, alpha) with every cube-indexed array in tree order."""
     w = w.as_matrix()
     check_fits(w, alpha)
-    intensity = carleson_intensity(alpha)
+    a = alpha.dense()
+    acc = subtree_sums_batch(a[None])
+    intensity = float(cube_supremum_batch(acc)[0])
     if intensity > 1.0 + 1e-9:
         raise PreconditionError(
             f"dynamics requires Carleson intensity <= 1, got {intensity}"
         )
-    uavg = w.pyramid()
-    vavg = w.inverse().pyramid()
-    a_levels = alpha.dense_levels()
-    m_levels = subtree_sums(a_levels)
-    for k in range(w.depth + 1):
-        m_levels[k] = m_levels[k] * (1 << k)
-    return w, uavg, vavg, m_levels, a_levels
+    m = np.ldexp(acc[0], tree_level(np.arange(len(a))))  # |K|^-1 sum over D(K)
+    return w, w.pyramid(), w.inverse().pyramid(), m, a
 
 
 def dyadic_point(w, alpha, k):
@@ -286,11 +284,9 @@ def dyadic_point(w, alpha, k):
     Matrix Jensen guarantees <W>_K >= <W^-1>_K^-1, so generated points are
     always admissible; construction asserts this instead of repairing.
     """
-    w, uavg, vavg, m_levels, _ = _dyadic_data(w, alpha)
-    k = check_index(k, w.depth)
-    return BellmanPoint(
-        uavg[k.level][k.position], vavg[k.level][k.position], float(m_levels[k.level][k.position])
-    )
+    w, uavg, vavg, m, _ = _dyadic_data(w, alpha)
+    i = tree_position(check_index(k, w.depth))
+    return BellmanPoint(uavg[i], vavg[i], float(m[i]))
 
 
 class _Level(NamedTuple):
@@ -298,6 +294,7 @@ class _Level(NamedTuple):
 
     level: int
     lo: int
+    alpha: np.ndarray  # alpha at the cubes
     stack: BellmanStack
     b: np.ndarray  # B at the cubes' points
     tail: np.ndarray | None  # |L| B(U_L, V_L, 0), leaves only
@@ -316,20 +313,20 @@ def _certificates(data, k, levels, bottom=None):
     Returns a ``_Level`` per level, lowest first.  An inadmissible average
     names its cube.
     """
-    w, uavg, vavg, m_levels, a_levels = data
+    w, uavg, vavg, m, a = data
     depth = w.depth
     out = []
     below = None
     for j in range(depth if bottom is None else bottom, k.level - 1, -1):
-        lo = k.position << (j - k.level)
-        hi = (k.position + 1) << (j - k.level)
+        lo, start = k.position << (j - k.level), level_slice(j).start
+        cubes = slice(start + lo, start + ((k.position + 1) << (j - k.level)))
         measure = 2.0 ** (-j)
         tail = cert = None
         with relabel(lambda p: DyadicIndex(j, lo + p)):
-            stack = BellmanStack(uavg[j][lo:hi], vavg[j][lo:hi], m_levels[j][lo:hi])
+            stack = BellmanStack(uavg[cubes], vavg[cubes], m[cubes])
             b = bellman_eval_stack(stack)
             if j in levels:
-                lhs = measure * b - (0.25 * a_levels[j][lo:hi])[:, None, None] * stack.vinv
+                lhs = measure * b - (0.25 * a[cubes])[:, None, None] * stack.vinv
                 if j == depth:
                     rest = tail = measure * bellman_eval_stack(stack.with_m(0.0))
                 else:
@@ -337,7 +334,7 @@ def _certificates(data, k, levels, bottom=None):
                     for child in (0, 1):
                         rest = rest + 2.0 ** (-(j + 1)) * below[child::2]
                 cert = matrices.symmetrize(lhs - rest)
-        out.append(_Level(j, lo, stack, b, tail, cert))
+        out.append(_Level(j, lo, a[cubes], stack, b, tail, cert))
         below = b
     return out
 
@@ -388,13 +385,13 @@ def telescoping_certificate(w, alpha, k=ROOT):
     run over D(K) in ``descendants`` order (level by level, left to right).
     """
     data = _dyadic_data(w, alpha)
-    wm, a_levels = data[0], data[4]
+    wm = data[0]
     k = check_index(k, wm.depth)
     levels = _certificates(data, k, range(k.level, wm.depth + 1))[::-1]
 
     certs = np.concatenate([lv.cert for lv in levels])
     gaps = _gaps(certs)
-    alphas = np.concatenate([a_levels[lv.level][lv.lo:lv.lo + len(lv.stack)] for lv in levels])
+    alphas = np.concatenate([lv.alpha for lv in levels])
     vinvs = np.concatenate([lv.stack.vinv for lv in levels])
     nonzero = alphas != 0
     if nonzero.any():

@@ -4,17 +4,20 @@ All the "<=" conditions of the theory are exposed here as best-constant
 computations: suprema of generalized Rayleigh quotients over every cube of
 the tree, computed exhaustively (trees are small, and exactness removes a
 source of test flakiness).  Boolean verdicts belong to the caller.
+Cube-indexed arrays are flat in tree order (``dyadic``).
 """
 
 from __future__ import annotations
 
 import copy
-from itertools import accumulate
 
 import numpy as np
 
 from . import matrices
-from .dyadic import DyadicIndex, check_index, tree_cube, tree_levels, tree_position, tree_size
+from .dyadic import (
+    DyadicIndex, check_index, level_slice, tree_ancestor, tree_cube, tree_level, tree_position,
+    tree_size,
+)
 from .errors import DimensionMismatchError, SingularMatrixError
 
 
@@ -115,9 +118,6 @@ class CubeSequence:
         if dtype is None:
             dtype = np.result_type(np.float64, self.values)
         return self._dense(self.values.astype(dtype, copy=False))
-
-    def dense_levels(self, dtype=None):
-        return tree_levels(self.dense(dtype))
 
 
 class ScalarSequence(CubeSequence):
@@ -221,14 +221,13 @@ def check_fits(w, seq):
         raise DimensionMismatchError("sequence and weight dimensions differ")
 
 
-def check_sequence_batch(levels):
-    """The entry checks of the sequence classes on dense levels of a batch.
+def check_sequence_batch(flat):
+    """The entry checks of the sequence classes on a batch of dense sequences.
 
-    Scalar levels (B, 2^k) must be finite and non-negative, matrix levels
-    (B, 2^k, d, d) finite, symmetric and PSD, as ``ScalarSequence`` and
-    ``MatrixSequence`` require of their entries.
+    Scalar entries (B, cubes) must be finite and non-negative, matrix
+    entries (B, cubes, d, d) finite, symmetric and PSD, as ``ScalarSequence``
+    and ``MatrixSequence`` require of their entries.
     """
-    flat = np.concatenate(levels, axis=1)
     n_cubes = flat.shape[1]
     flat = flat.reshape(-1, *flat.shape[2:])
     if flat.ndim == 1:
@@ -239,66 +238,55 @@ def check_sequence_batch(levels):
 
 
 # ---------------------------------------------------------------------------
-# Tree accumulation: acc[k][p] = sum of the per-cube quantity over D((k, p)).
+# The best-constant kernel.  Every constant below is
+#     sup over K of |K|^-1 lambda_max(R_K [sum_{Q in D(K)} T_Q] R_K),
+# that is cube_supremum_batch(R @ subtree_sums_batch(T) @ R), built from
+# three pieces: the powers R of every cube average of a weight
+# (``StepField.cube_power``), the subtree sums of the per-cube terms T, and
+# the supremum of 2^k lambda_max over cubes.  The last two take a batch of
+# trees, (B, cubes, ...) in tree order; one tree is the batch x[None].
 # ---------------------------------------------------------------------------
 
-def batch_of_one(levels):
-    """The levels of one tree as a batch of one: a leading axis of length 1."""
-    return [lv[None] for lv in levels]
+def subtree_sums_batch(flat):
+    """acc[b, K] = sum of ``flat[b, Q]`` over Q in D(K), for every cube K.
 
-
-def subtree_sums_batch(levels):
-    """``subtree_sums`` of a batch: every level carries a leading batch axis."""
-    acc = [np.array(lv, copy=True) for lv in levels]
-    for k in range(len(levels) - 2, -1, -1):
-        acc[k] += acc[k + 1][:, 0::2] + acc[k + 1][:, 1::2]
+    Level by level from the leaves up, each cube adds its two children's sums.
+    """
+    acc = np.array(flat, copy=True)
+    for k in range(flat.shape[1].bit_length() - 2, -1, -1):
+        below = acc[:, level_slice(k + 1)]
+        acc[:, level_slice(k)] += below[:, 0::2] + below[:, 1::2]
     return acc
 
 
-def subtree_sums(levels):
-    return [acc[0] for acc in subtree_sums_batch(batch_of_one(levels))]
+def cube_supremum_batch(flat, touched=None):
+    """sup over cubes K of 2^level(K) lambda_max(flat[b, K]), for each member b.
 
-
-# ---------------------------------------------------------------------------
-# The best-constant kernel.  Every constant below is
-#     sup over K of |K|^-1 lambda_max(R_K [sum_{Q in D(K)} T_Q] R_K),
-# built from three pieces: the powers R of every cube average of a weight
-# (``StepField.cube_power``), the subtree sums of the per-cube terms T, and
-# the supremum of 2^k lambda_max over cubes.  The last two have a batch
-# core, whose levels carry a leading batch axis (B, 2^k, ...), and a
-# single-tree form that is its batch of one.
-# ---------------------------------------------------------------------------
-
-def cube_supremum_batch(levels, touched=None):
-    """sup over cubes (k, p) of 2^k lambda_max(levels[k][b, p]), for each member b.
-
-    A scalar level is its own lambda_max; matrix levels go to one stacked
-    eigenvalue call.  ``touched``, when given, holds one boolean level per
-    level and restricts the supremum, and the eigenvalue call, to the cubes
-    it marks.  A level whose maximum is NaN is passed over.
+    Scalar entries (B, cubes) are their own lambda_max; matrix entries
+    (B, cubes, d, d) go to one stacked eigenvalue call.  ``touched``, when
+    given, is a boolean (B, cubes') with cubes' >= cubes and restricts the
+    supremum, and the eigenvalue call, to the cubes it marks.  A level whose
+    maximum is NaN is passed over.
     """
-    starts = list(accumulate((lv.shape[1] for lv in levels[:-1]), initial=0))
-    tops = np.concatenate(levels, axis=1)
+    n_levels = flat.shape[1].bit_length()
     if touched is not None:
-        keep = np.concatenate(touched[:len(levels)], axis=1)
-        tops, kept = np.full(keep.shape, -np.inf, dtype=tops.dtype), tops[keep]
+        keep = touched[:, :flat.shape[1]]
+        tops, kept = np.full(keep.shape, -np.inf, dtype=flat.dtype), flat[keep]
         tops[keep] = matrices.lambda_max_stack(kept) if kept.ndim == 3 else kept
-    elif tops.ndim == 4:
-        tops = matrices.lambda_max_stack(tops)
+    else:
+        tops = matrices.lambda_max_stack(flat) if flat.ndim == 4 else flat
+    starts = [level_slice(k).start for k in range(n_levels)]
     level_max = np.maximum.reduceat(tops, starts, axis=1).astype(np.float64)
-    return np.fmax.reduce(level_max * 2.0 ** np.arange(len(levels)), axis=1, initial=-np.inf)
-
-
-def cube_supremum(levels):
-    return float(cube_supremum_batch(batch_of_one(levels))[0])
+    return np.fmax.reduce(level_max * 2.0 ** np.arange(n_levels), axis=1, initial=-np.inf)
 
 
 def testing_terms(wavg, seq):
-    """Per-level <W>_Q A_Q <W>_Q; a scalar sequence gives alpha_Q <W>_Q <W>_Q."""
-    alev = seq.dense_levels(dtype=wavg[0].dtype)
+    """<W>_Q A_Q <W>_Q of every cube, from the averages ``wavg`` (cubes, d, d);
+    a scalar sequence gives alpha_Q <W>_Q <W>_Q."""
+    a = seq.dense(dtype=wavg.dtype)
     if isinstance(seq, MatrixSequence):
-        return [wk @ a @ wk for wk, a in zip(wavg, alev)]
-    return [a[:, None, None] * (wk @ wk) for wk, a in zip(wavg, alev)]
+        return wavg @ a @ wavg
+    return a[:, None, None] * (wavg @ wavg)
 
 
 def rowdot(x, y):
@@ -328,9 +316,8 @@ def subtree_forms(seq, cubes, vectors):
     are added left to right in entry order, as a loop over ``seq.items()``
     does."""
     cubes = np.asarray(cubes, dtype=np.intp)
-    # positions + 1 numbers the children of t as 2t and 2t + 1: t >> s is the
-    # ancestor s levels up.  Every entry's ancestors, entry by entry; -1 past the root.
-    above = (((seq.positions[:, None] + 1) >> np.arange(seq.depth + 1)) - 1).ravel()
+    # every entry's ancestors, entry by entry; -1 past the root
+    above = tree_ancestor(seq.positions[:, None], np.arange(seq.depth + 1)).ravel()
     order = np.argsort(above, kind="stable")  # by ancestor, then in entry order
     ranked = above[order]
     lo = np.searchsorted(ranked, cubes)
@@ -338,7 +325,7 @@ def subtree_forms(seq, cubes, vectors):
     i = np.repeat(np.arange(len(cubes)), n)
     j = order[np.arange(i.size) + (lo - np.cumsum(n) + n)[i]] // (seq.depth + 1)
     terms = support_terms(seq.values[j], vectors(i, j))
-    return np.ldexp(ordered_sums(terms, n), np.frexp(cubes + 1)[1] - 1)  # times 1 / |K|
+    return np.ldexp(ordered_sums(terms, n), tree_level(cubes))  # times 1 / |K|
 
 
 def _weight_field(w):
@@ -356,7 +343,7 @@ def carleson_intensity(seq):
     """
     if len(seq) == 0:
         return 0.0
-    return cube_supremum(subtree_sums(seq.dense_levels()))
+    return float(cube_supremum_batch(subtree_sums_batch(seq.dense()[None]))[0])
 
 
 def carleson_equivalents(seq):
@@ -374,9 +361,8 @@ def carleson_equivalents(seq):
         return 0.0, 0.0
     op = matrices.operator_norm_stack(seq.values)
     tr = np.trace(seq.values, axis1=1, axis2=2)
-    return tuple(
-        cube_supremum(subtree_sums(tree_levels(seq._dense(v.astype(np.float64))))) for v in (op, tr)
-    )
+    dense = (seq._dense(v.astype(np.float64))[None] for v in (op, tr))
+    return tuple(float(cube_supremum_batch(subtree_sums_batch(a))[0]) for a in dense)
 
 
 def wcet_testing_constant(w, seq):
@@ -390,9 +376,8 @@ def wcet_testing_constant(w, seq):
     check_fits(w, seq)
     if len(seq) == 0:
         return 0.0
-    roots = tree_levels(w.cube_power(-0.5))
-    acc = subtree_sums(testing_terms(w.pyramid(), seq))
-    return cube_supremum([r @ a @ r for r, a in zip(roots, acc)])
+    roots, terms = w.cube_power(-0.5)[None], testing_terms(w.pyramid(), seq)[None]
+    return float(cube_supremum_batch(roots @ subtree_sums_batch(terms) @ roots)[0])
 
 
 def a2_characteristic(w):
@@ -402,10 +387,8 @@ def a2_characteristic(w):
     needs one eigendecomposition per cube instead of two.
     """
     w = _weight_field(w)
-    winvavg = np.concatenate(w.inverse().pyramid())
-    roots = matrices.eig_power(*matrices.eigh_sym(winvavg), 0.5, context=tree_cube)
-    avgs = np.concatenate(w.pyramid())
-    return float(matrices.lambda_max_stack(roots @ avgs @ roots).max())
+    roots = matrices.eig_power(*matrices.eigh_sym(w.inverse().pyramid()), 0.5, context=tree_cube)
+    return float(matrices.lambda_max_stack(roots @ w.pyramid() @ roots).max())
 
 
 def c2_conditioning_batch(vals):

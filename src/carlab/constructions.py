@@ -21,10 +21,10 @@ from .characteristics import (
     check_fits,
     rowdot,
     subtree_forms,
-    subtree_sums,
+    subtree_sums_batch,
     testing_terms,
 )
-from .dyadic import ROOT, StepField, check_index, tree_position, tree_size
+from .dyadic import ROOT, StepField, check_index, tree_level, tree_position, tree_size
 from .errors import NumericError, PreconditionError
 
 # The family's acceptance tolerances (1e-9 .. 1e-10) need a longdouble wider
@@ -276,7 +276,7 @@ def necessity_probe(w, seq, k, e):
 
 def _probes(w, seq, cubes, e):
     """``necessity_probe`` at each cube (flat tree position) in ``cubes`` and row of ``e``."""
-    avgs = np.concatenate(w.pyramid())
+    avgs = w.pyramid()
     on_support = avgs[seq.positions]
     numer = subtree_forms(seq, cubes, lambda i, j: (on_support[j] @ e[i][..., None])[..., 0])
     quad = rowdot(e, (avgs[cubes] @ e[:, :, None])[..., 0]).astype(np.float64)
@@ -301,8 +301,8 @@ def necessity_report(w, seq, rng):
     check_fits(wm, seq)
     roots = wm.cube_power(-0.5)
     cubes = np.arange(len(roots))
-    sandwich = roots @ np.concatenate(subtree_sums(testing_terms(wm.pyramid(), seq))) @ roots
-    scale = 2.0 ** (np.frexp(cubes + 1)[1] - 1)  # 1 / |K|
+    sandwich = roots @ subtree_sums_batch(testing_terms(wm.pyramid(), seq)[None])[0] @ roots
+    scale = 2.0 ** tree_level(cubes)  # 1 / |K|
     lam, vecs = matrices.eigh_sym(matrices.as_symmetric_stack(sandwich * scale[:, None, None]))
     top = lam[:, -1].astype(np.float64)
     e_star = (roots @ vecs[:, :, -1:])[..., 0]

@@ -5,10 +5,16 @@ The root cube is [0, 1]; the cube at (level k, position p) is
 (scalar, vector or symmetric matrix) to each leaf of a tree of fixed depth,
 and all averages are exact finite sums of leaf values scaled by powers of
 two, so the averaging itself introduces no meaningful rounding.
+
+Every cube-indexed array is flat in tree order: the cubes level by level, as
+``cubes`` lists them, cube (k, p) at index 2^k - 1 + p (``tree_position``),
+level k at ``level_slice(k)``, and a batch axis, if any, first.  All of the
+index arithmetic of that layout lives in this module.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -92,14 +98,20 @@ def tree_cube(i):
     return DyadicIndex(k, i + 1 - (1 << k))
 
 
-def tree_levels(flat):
-    """Split an array whose leading axis lists a tree's cubes in tree order into its levels."""
-    return [flat[(1 << k) - 1:(2 << k) - 1] for k in range(len(flat).bit_length())]
+def level_slice(k):
+    """The indices of level ``k`` in tree order: 2^k - 1 up to 2^(k+1) - 1."""
+    return slice((1 << k) - 1, (2 << k) - 1)
 
 
-def tree_levels_batch(flat):
-    """``tree_levels`` of a batch: (B, cubes, ...) in tree order into levels (B, 2^k, ...)."""
-    return [flat[:, (1 << k) - 1:(2 << k) - 1] for k in range(flat.shape[1].bit_length())]
+def tree_level(i):
+    """Level of the cube at tree index ``i``, elementwise for an index array."""
+    return np.frexp(np.asarray(i) + 1)[1] - 1
+
+
+def tree_ancestor(i, up):
+    """Index of the cube ``up`` levels above the one at index ``i``, -1 past the
+    root, elementwise: index + 1 numbers the children of t as 2t and 2t + 1."""
+    return ((i + 1) >> up) - 1
 
 
 def tree_size(depth, level=0):
@@ -178,12 +190,11 @@ class StepField:
     # -- cached derived data ------------------------------------------------
 
     def pyramid(self):
-        """Per-level averages: pyramid()[k][p] is the average over (k, p).
-
-        The batch of one of ``pyramid_batch``.
-        """
+        """Every cube average (cubes, ...), that over q at ``tree_position(q)``:
+        the batch of one of ``pyramid_batch``, read-only."""
         if self._pyramid is None:
-            self._pyramid = [lv[0] for lv in pyramid_batch(self.values[None])]
+            self._pyramid = pyramid_batch(self.values[None])[0]
+            self._pyramid.setflags(write=False)
         return self._pyramid
 
     def power(self, p):
@@ -212,7 +223,7 @@ class StepField:
             raise DimensionMismatchError("powers are defined for matrix fields only")
         if p not in self._cube_powers:
             if self._cube_eig is None:
-                self._cube_eig = matrices.eigh_sym(np.concatenate(self.pyramid()))
+                self._cube_eig = matrices.eigh_sym(self.pyramid())
             out = matrices.eig_power(*self._cube_eig, p, context=tree_cube)
             out.setflags(write=False)
             self._cube_powers[p] = out
@@ -242,19 +253,16 @@ class StepField:
 
 
 def pyramid_batch(values):
-    """Per-level averages of a batch of leaf arrays (B, 2^depth, ...).
-
-    Level k has shape (B, 2^k, ...) and is built from level k + 1 by
-    pairwise halving, which is exact dyadic arithmetic.
-    """
+    """Every cube average (B, cubes, ...) of a batch of leaf arrays (B, 2^depth, ...):
+    level k is the pairwise halving of level k + 1, exact dyadic arithmetic."""
     depth = values.shape[1].bit_length() - 1
-    levels = [None] * (depth + 1)
-    levels[depth] = values
+    out = np.empty((len(values), tree_size(depth), *values.shape[2:]), dtype=values.dtype)
+    out[:, level_slice(depth)] = values
+    half = values.dtype.type(0.5)
     for k in range(depth - 1, -1, -1):
-        upper = levels[k + 1]
-        half = upper.dtype.type(0.5)
-        levels[k] = half * (upper[:, 0::2] + upper[:, 1::2])
-    return levels
+        upper = out[:, level_slice(k + 1)]
+        out[:, level_slice(k)] = half * (upper[:, 0::2] + upper[:, 1::2])
+    return out
 
 
 def average(field, q):
@@ -263,7 +271,7 @@ def average(field, q):
     Scalar fields return a float; vector/matrix fields return an array copy.
     """
     q = check_index(q, field.depth)
-    value = field.pyramid()[q.level][q.position]
+    value = field.pyramid()[tree_position(q)]
     if field.kind == "scalar":
         return float(value)
     return np.array(value, copy=True)
@@ -308,11 +316,10 @@ def stepfield_from_json(obj):
             kind = "matrix"
         else:
             kind = "vector"
-    arr = np.asarray(values, dtype=float)
-    if kind == "matrix":
-        arr = arr.reshape(-1, d, d)
-    elif kind == "vector":
-        arr = arr.reshape(-1, d)
-    else:
-        arr = arr.reshape(-1)
-    return StepField(arr)
+    shapes = {"scalar": (), "vector": (d,), "matrix": (d, d)}
+    if not isinstance(kind, str) or kind not in shapes:
+        raise DimensionMismatchError(f"unknown field kind {kind!r} (scalar, vector or matrix)")
+    arr, shape = np.asarray(values, dtype=float), shapes[kind]
+    if arr.size != len(values) * math.prod(shape):
+        raise DimensionMismatchError(f"{kind} leaves of d={d} take {math.prod(shape)} value(s)")
+    return StepField(arr.reshape(len(values), *shape))

@@ -13,10 +13,10 @@ import numpy as np
 
 from . import matrices
 from .characteristics import (
-    MatrixSequence, ScalarSequence, _weight_field, batch_of_one, check_fits, ordered_sums,
-    rowdot, subtree_forms, support_terms,
+    MatrixSequence, ScalarSequence, _weight_field, check_fits, ordered_sums, rowdot,
+    subtree_forms, support_terms,
 )
-from .dyadic import StepField, pyramid_batch, tree_cube, tree_levels, tree_size
+from .dyadic import StepField, level_slice, pyramid_batch, tree_ancestor, tree_cube, tree_size
 from .errors import DimensionMismatchError
 
 
@@ -57,15 +57,15 @@ def _norm_from_squares(sq):
 
 
 def halfweighted_pyramid_batch(wh, f):
-    """Pyramids of <W^{+-1/2} f> for a batch of leaf powers (B, n, d, d) and
-    fields (B, n, d)."""
+    """Pyramids (B, cubes, d) of <W^{+-1/2} f> for a batch of leaf powers
+    (B, n, d, d) and fields (B, n, d)."""
     return pyramid_batch(np.einsum("...ij,...j->...i", wh, f))
 
 
 def _halfweighted_averages(w, f, sign):
-    """Pyramid of <W^{sign/2} f>: the half-weighted averages of f."""
+    """Pyramid (cubes, d) of <W^{sign/2} f>: the half-weighted averages of f."""
     wh = w.power(0.5 * sign)
-    return [lv[0] for lv in halfweighted_pyramid_batch(wh.values[None], f.values[None])]
+    return halfweighted_pyramid_batch(wh.values[None], f.values[None])[0]
 
 
 def cet_sum(w, seq, f):
@@ -79,7 +79,7 @@ def cet_sum(w, seq, f):
     check_fits(w, seq)
     if not len(seq):
         return 0.0
-    v = np.concatenate(_halfweighted_averages(w, f, +1))[seq.positions]
+    v = _halfweighted_averages(w, f, +1)[seq.positions]
     return float(subtree_forms(seq, [0], lambda i, j: v[j])[0])
 
 
@@ -94,31 +94,25 @@ def _bet_inputs(w, f, g, support, seq=None):
         check_fits(w, seq)
     havg = _halfweighted_averages(w, f, +1)
     gavg = _halfweighted_averages(w, g, -1)
-    avgs = [np.concatenate(v.pyramid())[support] for v in (w, w.inverse())]
-    vals, vecs = matrices.eigh_sym(np.stack(avgs))
-    return (vals[0], vecs[0]), (vals[1], vecs[1]), batch_of_one(havg), batch_of_one(gavg)
+    vals, vecs = matrices.eigh_sym(np.stack([v.pyramid()[support] for v in (w, w.inverse())]))
+    return (vals[0], vecs[0]), (vals[1], vecs[1]), havg[None], gavg[None]
 
 
 def bet_vectors_batch(weig, veig, havg, gavg, support):
     """u_Q and v_Q of a batch of bilinear sums, stacked over the support.
 
     u_Q = <W>_Q^-1 <W^1/2 f>_Q and v_Q = <W^-1>_Q^-1 <W^-1/2 g>_Q.  The
-    half-weighted pyramids ``havg`` and ``gavg`` carry a leading batch
-    axis; ``support`` holds flat indices into the batch's cubes, member by
+    half-weighted pyramids ``havg`` and ``gavg`` are (B, cubes, d) in tree
+    order; ``support`` holds flat indices into the batch's cubes, member by
     member (b * cubes + tree position), and ``weig``, ``veig`` are the
     eigendecompositions (vals, vecs) of <W>_Q and <W^-1>_Q over it.  Both
     sides are one stacked power, <W>_Q and <W^-1>_Q interleaved per support
     cube, so a singular average names the first such cube in support
     order, the <W> side before the <W^-1> side.
     """
-    n_cubes = sum(lv.shape[1] for lv in havg)
-
-    def on_support(levels):
-        flat = np.concatenate(levels, axis=1)
-        return flat.reshape(-1, *flat.shape[2:])[support]
-
+    n_cubes, d = havg.shape[1:]
     vals, vecs = (np.stack(pair, axis=1) for pair in zip(weig, veig))
-    rhs = np.stack([on_support(havg), on_support(gavg)], axis=1)
+    rhs = np.stack([havg.reshape(-1, d)[support], gavg.reshape(-1, d)[support]], axis=1)
     out = matrices.eig_apply_power(
         vals, vecs, -1.0, rhs, context=lambda i: tree_cube(int(support[i // 2]) % n_cubes),
     )
@@ -186,21 +180,16 @@ def maximal_function(w, f):
     """Weighted maximal function as a scalar field on the leaves.
 
     M_W f(x) = sup over cubes Q containing x of
-    ||W^1/2(x) <W>_Q^-1 <W^1/2 f>_Q||, exact on the finite tree.
+    ||W^1/2(x) <W>_Q^-1 <W^1/2 f>_Q||, exact on the finite tree: each leaf
+    takes the largest norm over its depth + 1 ancestors, all at once.
     """
     w, f = _weight_field(w), _vector_field(f)
     _check_shapes(w, f)
-    havg = _halfweighted_averages(w, f, +1)
-    wh = w.power(0.5)
-    n = w.n_leaves
-    best = None
-    for k, inv in enumerate(tree_levels(w.cube_power(-1.0))):
-        u = np.einsum("kij,kj->ki", inv, havg[k])
-        u_leaf = np.repeat(u, n >> k, axis=0)
-        y = np.einsum("kij,kj->ki", wh.values, u_leaf)
-        norms = np.sqrt(np.einsum("ki,ki->k", y, y))
-        best = norms if best is None else np.maximum(best, norms)
-    return StepField(best)
+    u = np.einsum("kij,kj->ki", w.cube_power(-1.0), _halfweighted_averages(w, f, +1))
+    leaves = np.arange(tree_size(w.depth))[level_slice(w.depth), None]
+    y = np.einsum("kij,kaj->kai", w.power(0.5).values,
+                  u[tree_ancestor(leaves, np.arange(w.depth + 1))])
+    return StepField(np.sqrt(np.einsum("kai,kai->ka", y, y)).max(axis=1))
 
 
 def phi_product(w, f, g):

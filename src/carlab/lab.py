@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Callable, NamedTuple
@@ -110,6 +111,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, list) or not all(map(_is_real, value)):
                 raise ConfigError(f"{name} must be a list of real numbers, got {value!r}")
+        if not all(abs(r) <= sys.float_info.max for r in self.rotations):
+            raise ConfigError(f"rotations must be finite floats, got {self.rotations!r}")
         if not self.eps_grid:
             raise ConfigError("eps grid must be non-empty")
         if any(not 0.0 < e <= 1.0 for e in self.eps_grid):
@@ -369,6 +372,9 @@ def _run_sibet(cfg):
         w, f, g, alpha, _ = _parse_embedded(obj, idx)
         if f is None or g is None or alpha is None:
             raise ConfigError(f"embedded instance #{idx} needs weight, f, g and alpha")
+        for name, part in (("f", f), ("g", g)):
+            if weighted_l2_norm(part) == 0.0:
+                raise ConfigError(f"bad embedded instance #{idx}: {name} has L2 norm 0")
         rows.append(_sibet_row("embedded", f"embedded-{idx}", "", w, alpha, f, g))
     for theta in cfg.rotations:
         for eps in cfg.eps_grid:

@@ -16,25 +16,24 @@ from . import matrices
 from .characteristics import (
     MatrixSequence,
     ScalarSequence,
-    batch_of_one,
     check_fits,
     cube_supremum_batch,
     subtree_forms,
     subtree_sums_batch,
 )
-from .dyadic import DyadicIndex, check_index, tree_levels_batch, tree_position
+from .dyadic import DyadicIndex, check_index, level_slice, tree_level, tree_position, tree_size
 from .errors import DimensionMismatchError, PreconditionError
 
 INTENSITY_SLACK = 1e-9
 
 
-def check_intensity_batch(levels):
+def check_intensity_batch(flat):
     """Refuse a batch of dense sequences whose Carleson intensity exceeds 1.
 
-    ``levels`` are the sequences' dense levels with a leading batch axis;
+    ``flat`` holds the dense sequences (B, cubes[, d, d]) in tree order;
     the first offending member is named by its intensity.
     """
-    intensity = cube_supremum_batch(subtree_sums_batch(levels))
+    intensity = cube_supremum_batch(subtree_sums_batch(flat))
     bad = np.flatnonzero(intensity > 1.0 + INTENSITY_SLACK)
     if bad.size:
         raise PreconditionError(
@@ -49,8 +48,7 @@ def sred_constant_batch(roots, vinv, alpha):
     ``roots``, ``vinv`` and the dense sequences ``alpha`` (B, cubes) are in
     tree order with a leading batch axis; returns one constant per member.
     """
-    acc = subtree_sums_batch(tree_levels_batch(alpha[..., None, None] * vinv))
-    return cube_supremum_batch([r @ a @ r for r, a in zip(tree_levels_batch(roots), acc)])
+    return cube_supremum_batch(roots @ subtree_sums_batch(alpha[..., None, None] * vinv) @ roots)
 
 
 def sred_constant(w, alpha):
@@ -64,7 +62,7 @@ def sred_constant(w, alpha):
     if not isinstance(alpha, ScalarSequence):
         raise DimensionMismatchError("sred_constant expects a scalar sequence")
     check_fits(w, alpha)
-    check_intensity_batch(batch_of_one(alpha.dense_levels()))
+    check_intensity_batch(alpha.dense()[None])
     if len(alpha) == 0:
         return 0.0
     vinv, roots = w.inverse().cube_power(-1.0)[None], w.cube_power(-0.5)[None]
@@ -81,10 +79,11 @@ def red_sums_batch(roots, proots, b, pbp, deepest):
     Each K adds its terms in increasing s, which fixes the rounding.
     """
     size, n_cubes, d = b.shape[:3]
-    sum1, sum2 = (np.zeros((size, (2 << deepest) - 1, d, d), dtype=roots.dtype) for _ in range(2))
-    for s in range(n_cubes.bit_length()):
-        ks = slice(0, (2 << min(deepest, n_cubes.bit_length() - 1 - s)) - 1)
-        qs = slice((1 << s) - 1, ((ks.stop + 1) << s) - 1)
+    depth = n_cubes.bit_length() - 1
+    sum1, sum2 = (np.zeros((size, tree_size(deepest), d, d), dtype=roots.dtype) for _ in range(2))
+    for s in range(depth + 1):
+        kk = min(deepest, depth - s)
+        ks, qs = slice(0, tree_size(kk)), slice(level_slice(s).start, level_slice(kk + s).stop)
         rrep, p = np.repeat(roots[:, ks], 1 << s, axis=1), proots[:, qs]
         segments = (size, -1, 1 << s, d, d)  # the 2^s summands of each K
         sum1[:, ks] += (p @ (rrep @ b[:, qs] @ rrep) @ p).reshape(segments).sum(axis=2)
@@ -102,19 +101,17 @@ def red_constants_batch(roots, proots, b):
     c3), one entry per member.  The support of a member is its nonzero
     entries; no member may have an empty support.
     """
-    support = tree_levels_batch(np.any(b != 0.0, axis=(-2, -1)))
-    touched = [acc > 0.0 for acc in subtree_sums_batch([s.astype(np.float64) for s in support])]
+    support = np.any(b != 0.0, axis=(-2, -1))
+    touched = subtree_sums_batch(support.astype(np.float64)) > 0.0
 
     # c3: accumulate P_Q B_Q P_Q, sandwich with <W>_K^-1/2 once per cube K.
     pbp = proots @ b @ proots
-    acc = subtree_sums_batch(tree_levels_batch(pbp))
-    c3 = cube_supremum_batch([r @ a @ r for r, a in zip(tree_levels_batch(roots), acc)])
-    del acc  # freed before the temporaries of the shift passes
+    c3 = cube_supremum_batch(roots @ subtree_sums_batch(pbp) @ roots)
 
     # c1, c2: both conjugation orders depend on (K, Q) jointly.
-    deepest = max(k for k, s in enumerate(support) if s.any())
+    deepest = int(tree_level(np.flatnonzero(support.any(axis=0))[-1]))
     sums = red_sums_batch(roots, proots, b, pbp, deepest)
-    return (*(cube_supremum_batch(tree_levels_batch(a), touched) for a in sums), c3)
+    return (*(cube_supremum_batch(a, touched) for a in sums), c3)
 
 
 def red_constants(w, bseq):
@@ -141,7 +138,7 @@ def red_constants(w, bseq):
     if not isinstance(bseq, MatrixSequence):
         raise DimensionMismatchError("red_constants expects a matrix sequence")
     check_fits(w, bseq)
-    check_intensity_batch(batch_of_one(bseq.dense_levels()))
+    check_intensity_batch(bseq.dense()[None])
     if len(bseq) == 0:
         return 0.0, 0.0, 0.0
     roots, proots = (f.cube_power(-0.5)[None] for f in (w, w.inverse()))
@@ -169,7 +166,7 @@ def red_quadratic_form(w, bseq, k, e, order="corollary"):
     check_fits(w, bseq)
     k = check_index(k, w.depth)
     e = np.asarray(e, dtype=float)
-    r_k = matrices.spd_power(w.pyramid()[k.level][k.position], -0.5)
+    r_k = matrices.spd_power(w.pyramid()[tree_position(k)], -0.5)
     p_q = _support_powers(w, bseq)
     if order == "first":
         return _form(bseq, k, (r_k @ (p_q @ e)[..., None])[..., 0])
@@ -196,7 +193,7 @@ def trace_cycling_error(w, bseq, norms):
     matmuls, each bitwise the single-matrix product.
     """
     w = w.as_matrix()
-    r_k = matrices.spd_power(w.pyramid()[0][0], -0.5)
+    r_k = matrices.spd_power(w.pyramid()[0], -0.5)
     p_q = _support_powers(w, bseq)
     scalar = norms[:, None, None] * np.eye(w.d)
     t1 = np.trace(r_k @ p_q @ scalar @ p_q @ r_k, axis1=1, axis2=2)
@@ -222,7 +219,7 @@ def substitution_error(w, bseq, rng, samples=5):
         k = DyadicIndex(level, int(rng.integers(0, 1 << level)))
         e = rng.standard_normal(w.d)
         e /= np.linalg.norm(e)
-        wk = wavg[k.level][k.position]
+        wk = wavg[tree_position(k)]
         eig = matrices.eigh_sym(wk)
         f = matrices.eig_apply_power(*eig, -0.5, e)
         cubes += [tree_position(k)] * 2

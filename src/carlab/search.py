@@ -21,7 +21,7 @@ from .characteristics import (
     cube_supremum_batch,
     subtree_sums_batch,
 )
-from .dyadic import StepField, pyramid_batch, tree_cube, tree_levels_batch
+from .dyadic import StepField, level_slice, pyramid_batch, tree_ancestor, tree_cube, tree_size
 from .embeddings import bet_norm_sum_batch, halfweighted_pyramid_batch, l2_norm_batch
 from .errors import ConfigError, LabError, first_failure
 from .redundancy import check_intensity_batch, red_constants_batch, sred_constant_batch
@@ -87,7 +87,7 @@ def _state_sequences(seq_weights):
     weight on the root."""
     weights = np.where(seq_weights > 0.0, seq_weights, 0.0)
     weights[~weights.any(axis=1), 0] = 1.0
-    intensity = cube_supremum_batch(subtree_sums_batch(tree_levels_batch(weights)))
+    intensity = cube_supremum_batch(subtree_sums_batch(weights))
     return weights * (1.0 / intensity)[:, None]
 
 
@@ -98,7 +98,7 @@ def _empty_carry(n, depth, d, objective):
     kernels take: for bet_norm_ratio the leaves' W^1/2 and W^-1/2 and the
     leaf eigenvalues of C2, for the redundancy ratios R = <W>^-1/2 of every
     cube and P = <W^-1>^-1/2 (red_ratio) or <W^-1>^-1 (sred_ratio)."""
-    leaf, cube = (1 << depth, d, d), ((2 << depth) - 1, d, d)
+    leaf, cube = (1 << depth, d, d), (tree_size(depth), d, d)
     shapes = dict(w=leaf, winv=leaf, wvals=cube[:2], wvecs=cube, vvals=cube[:2], vvecs=cube)
     if objective == "bet_norm_ratio":
         shapes.update(wh=leaf, whinv=leaf, leaf_vals=leaf[:2])
@@ -137,20 +137,20 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
     every one is.  The steps and checks are those of one evaluation through
     the public kernels, in the same order, so a batch of one raises what
     that evaluation raises: the members not marked stale have passed them
-    before.  The sequences are checked on their dense levels.
+    before.  The sequences are checked as dense arrays in tree order.
     """
     n_leaves, d = log_eigs.shape[1:]
     depth = n_leaves.bit_length() - 1
     if carry is None:
         carry = _empty_carry(len(log_eigs), depth, d, objective)
-        stale = np.ones((len(log_eigs), (2 << depth) - 1), dtype=bool)
-    c, leaves = carry, stale[:, n_leaves - 1:]
+        stale = np.ones((len(log_eigs), tree_size(depth)), dtype=bool)
+    c, leaf_level = carry, level_slice(depth)
+    leaves = stale[:, leaf_level]
     w = _refresh(lambda *state: (_state_weights(*state, cond_cap),), (log_eigs, angles),
                  (c["w"],), leaves)[0]
-    weig = _refresh(matrices.eigh_sym, (np.concatenate(pyramid_batch(w), axis=1),),
-                    (c["wvals"], c["wvecs"]), stale)
-    leaf_power = partial(_refresh_power, eig=tuple(a[:, n_leaves - 1:] for a in weig),
-                         stale=leaves, first=n_leaves - 1)
+    weig = _refresh(matrices.eigh_sym, (pyramid_batch(w),), (c["wvals"], c["wvecs"]), stale)
+    leaf_power = partial(_refresh_power, eig=tuple(a[:, leaf_level] for a in weig),
+                         stale=leaves, first=leaf_level.start)
 
     if objective == "bet_norm_ratio":
         # f = W^1/2 b and g = W^-1/2 a leafwise, from the bottom and top
@@ -164,15 +164,14 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
                              leaves)
         c2 = c2_conditioning_batch(leaf_vals[0])
     alpha = _state_sequences(seq_weights)
-    check_sequence_batch(tree_levels_batch(alpha))
+    check_sequence_batch(alpha)
     if objective == "red_ratio":
         alpha = alpha[..., None, None] * np.eye(d)  # alpha_Q times I
-        check_sequence_batch(tree_levels_batch(alpha))
+        check_sequence_batch(alpha)
     if objective != "bet_norm_ratio":
-        check_intensity_batch(tree_levels_batch(alpha))
+        check_intensity_batch(alpha)
     vavg = pyramid_batch(leaf_power(c["winv"], -1.0))
-    veig = _refresh(matrices.eigh_sym, (np.concatenate(vavg, axis=1),),
-                    (c["vvals"], c["vvecs"]), stale)
+    veig = _refresh(matrices.eigh_sym, (vavg,), (c["vvals"], c["vvecs"]), stale)
     if objective == "red_ratio":
         r = _refresh_power(c["r"], -0.5, weig, stale)
         p = _refresh_power(c["p"], -0.5, veig, stale)
@@ -201,7 +200,7 @@ def _family_state(depth, d, cond_cap, rotation=0.0):
     angles = np.zeros((n_leaves, _n_angles(d)))
     if _n_angles(d):
         angles[:, 0] = rotation
-    seq_weights = np.zeros(sum(1 << k for k in range(depth + 1)))
+    seq_weights = np.zeros(tree_size(depth))
     seq_weights[0] = 1.0  # alpha at the root only
     return log_eigs, angles, seq_weights
 
@@ -211,7 +210,7 @@ def _random_state(depth, d, cond_cap, rng):
     half = 0.5 * math.log(cond_cap)
     log_eigs = rng.uniform(-half, half, size=(n_leaves, d))
     angles = rng.uniform(0.0, math.pi, size=(n_leaves, _n_angles(d)))
-    n_cubes = sum(1 << k for k in range(depth + 1))
+    n_cubes = tree_size(depth)
     seq_weights = np.where(rng.uniform(size=n_cubes) < 0.4, rng.uniform(0.1, 1.0, n_cubes), 0.0)
     return log_eigs, angles, seq_weights
 
@@ -245,7 +244,7 @@ def _draw_stream(depth, d, seed, cond_cap, n_restarts, steps):
     the moves (n_restarts, steps, 4), step 0 of each restart being no move.
     """
     rng = np.random.default_rng(seed)
-    n_leaves, n_cubes = 1 << depth, (2 << depth) - 1
+    n_leaves, n_cubes = 1 << depth, tree_size(depth)
     starts, moves = [], []
     for restart in range(n_restarts):
         if restart == 0 and d >= 2:
@@ -282,12 +281,12 @@ def _stale_cubes(moves, fresh, depth):
     no cube; every cube of a ``fresh`` member, whose restart has no
     eigendecompositions yet, counts as changed.
     """
-    stale = np.zeros((len(moves), (2 << depth) - 1), dtype=bool)
+    stale = np.zeros((len(moves), tree_size(depth)), dtype=bool)
     stale[fresh] = True
     kind, leaf = moves[:, 0], moves[:, 1].astype(np.intp)
     m = np.flatnonzero((kind == _LOG_EIG) | (kind == _ANGLE))
-    k = np.arange(depth + 1)
-    stale[m[:, None], (1 << k) - 1 + (leaf[m, None] >> (depth - k))] = True
+    leaves = level_slice(depth).start + leaf[m, None]
+    stale[m[:, None], tree_ancestor(leaves, np.arange(depth + 1))] = True
     return stale
 
 

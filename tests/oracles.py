@@ -102,23 +102,90 @@ def _eigh_power(m, p):
 
 
 # ---------------------------------------------------------------------------
-# The powers of every cube average of a batch of pyramids in one solver
-# call, as the constants took them before ``StepField.cube_power``: the
-# batch form that feeds the batch cores in the tests.
+# The tree kernels on lists of levels, as they ran before every cube-indexed
+# array became flat in tree order: level k of a tree is an array (2^k, ...).
+# Each is a loop over levels that shares no indexing with the flat kernels,
+# which are compared with them bitwise.
 # ---------------------------------------------------------------------------
 
-def tree_eigh_batch(levels):
-    """Eigendecomposition (vals, vecs) of every cube of a batch of levels
-    (B, 2^k, d, d), in one solver call, the cubes in tree order."""
+def split_levels(flat, axis=0):
+    """The levels (.., 2^k, ..) of an array whose ``axis`` lists a tree's cubes in tree order."""
+    lead = (slice(None),) * axis
+    return [flat[lead + (slice((1 << k) - 1, (2 << k) - 1),)]
+            for k in range(flat.shape[axis].bit_length())]
+
+
+def loop_pyramid(values):
+    """Per-level averages of leaf values (2^depth, ...), by pairwise halving
+    from the leaves up: ``loop_pyramid(values)[k][p]`` averages over (k, p)."""
+    depth = len(values).bit_length() - 1
+    levels = [None] * (depth + 1)
+    levels[depth] = np.asarray(values)
+    for k in range(depth - 1, -1, -1):
+        upper = levels[k + 1]
+        levels[k] = upper.dtype.type(0.5) * (upper[0::2] + upper[1::2])
+    return levels
+
+
+def loop_subtree_sums(levels):
+    """acc[k][p] = sum of the per-cube quantity over D((k, p)), one level at a time."""
+    acc = [np.array(lv, copy=True) for lv in levels]
+    for k in range(len(levels) - 2, -1, -1):
+        acc[k] += acc[k + 1][0::2] + acc[k + 1][1::2]
+    return acc
+
+
+def loop_cube_supremum(levels, touched=None):
+    """sup over cubes (k, p) of 2^k lambda_max(levels[k][p]), one eigenvalue
+    call per level.  ``touched``, one boolean level per level when given,
+    keeps only the cubes it marks; a level whose maximum is NaN is passed over."""
     from carlab import matrices
 
-    return matrices.eigh_sym(np.concatenate(levels, axis=1))
+    best = -np.inf
+    for k, level in enumerate(levels):
+        if touched is not None:
+            level = level[touched[k]]
+        if not level.size:
+            continue
+        tops = matrices.lambda_max_stack(level) if level.ndim == 3 else level
+        top = float(np.max(tops))
+        if not math.isnan(top):
+            best = max(best, top * 2.0 ** k)
+    return best
+
+
+def loop_testing_terms(wavg, seq):
+    """Per-level <W>_Q A_Q <W>_Q from the per-level averages ``wavg``; a scalar
+    sequence gives alpha_Q <W>_Q <W>_Q."""
+    from carlab.characteristics import MatrixSequence
+
+    alev = split_levels(seq.dense(dtype=wavg[0].dtype))
+    if isinstance(seq, MatrixSequence):
+        return [wk @ a @ wk for wk, a in zip(wavg, alev)]
+    return [a[:, None, None] * (wk @ wk) for wk, a in zip(wavg, alev)]
+
+
+def loop_maximal_function(w, f):
+    """``maximal_function`` one level at a time: the level's u = <W>_Q^-1
+    <W^1/2 f>_Q repeated onto its leaves, and a running maximum of the norms."""
+    from carlab.embeddings import _halfweighted_averages
+
+    w, f = w.as_matrix(), f.as_vector()
+    havg = split_levels(_halfweighted_averages(w, f, +1))
+    best = None
+    for k, inv in enumerate(split_levels(w.cube_power(-1.0))):
+        u = np.repeat(np.einsum("kij,kj->ki", inv, havg[k]), w.n_leaves >> k, axis=0)
+        y = np.einsum("kij,kj->ki", w.power(0.5).values, u)
+        norms = np.sqrt(np.einsum("ki,ki->k", y, y))
+        best = norms if best is None else np.maximum(best, norms)
+    return best
 
 
 def level_powers_batch(eig, p):
-    """SPD power of every cube average of a batch, from their ``tree_eigh_batch``:
-    (B, cubes, d, d) in tree order.  A refused average names its cube: the
-    first one in batch and tree order."""
+    """SPD power of every cube average of a batch, from the eigendecomposition
+    ``eig`` of its pyramids (B, cubes, d, d) in one solver call, as the
+    constants took them before ``StepField.cube_power``.  A refused average
+    names its cube: the first one in batch and tree order."""
     from carlab import matrices
     from carlab.dyadic import tree_cube
 
@@ -128,10 +195,14 @@ def level_powers_batch(eig, p):
 
 
 def level_powers(pyramid, p):
-    """``level_powers_batch`` of one pyramid, split into its levels."""
-    from carlab.dyadic import tree_levels
+    """SPD power of every cube of a per-level pyramid, by one stacked power
+    per level; a refused average names its cube."""
+    from carlab import matrices
+    from carlab.dyadic import DyadicIndex
 
-    return tree_levels(level_powers_batch(tree_eigh_batch([lv[None] for lv in pyramid]), p)[0])
+    return [matrices.eig_power(*matrices.eigh_sym(level), p,
+                               context=lambda i, k=k: DyadicIndex(k, i))
+            for k, level in enumerate(pyramid)]
 
 
 def brute_red_constants(leaves, entries, depth):
@@ -176,9 +247,7 @@ def brute_red_sums(roots, proots, b):
     summands added level by level.  Takes the kernel's flat inputs; returns
     both sums as levels (B, 2^k, d, d).
     """
-    from carlab.dyadic import tree_levels_batch
-
-    roots, proots, b = (tree_levels_batch(a) for a in (roots, proots, b))
+    roots, proots, b = (split_levels(a, axis=1) for a in (roots, proots, b))
     size, depth, d = len(b[0]), len(b) - 1, b[0].shape[-1]
     pbp = [p @ bj @ p for p, bj in zip(proots, b)]
     support = [np.any(bj != 0.0, axis=(-2, -1)) for bj in b]
@@ -520,13 +589,11 @@ def brute_matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
 
 
 def _dynamics_data(w, alpha):
-    from carlab.characteristics import subtree_sums
-
     w = w.as_matrix()
-    m_levels = subtree_sums(alpha.dense_levels())
+    m_levels = loop_subtree_sums(split_levels(alpha.dense()))
     for k in range(w.depth + 1):
         m_levels[k] = m_levels[k] * (1 << k)
-    return w.pyramid(), w.inverse().pyramid(), m_levels
+    return loop_pyramid(w.values), loop_pyramid(w.inverse().values), m_levels
 
 
 def brute_cube_certificate(w, alpha, level, pos):
@@ -620,7 +687,7 @@ def _brute_leaf(state, objective, cond_cap):
     if state.leaf is None:
         w = _brute_state_weight(state, cond_cap)
         if objective == "bet_norm_ratio":
-            root_avg = w.pyramid()[0][0]
+            root_avg = loop_pyramid(w.values)[0][0]
             _, vecs = matrices.eigh_sym(matrices.as_symmetric(root_avg))
             f = StepField(np.einsum("kij,j->ki", w.power(0.5).values, vecs[:, 0]))
             g = StepField(np.einsum("kij,j->ki", w.power(-0.5).values, vecs[:, -1]))
@@ -632,9 +699,7 @@ def _brute_leaf(state, objective, cond_cap):
 
 
 def _brute_objective(state, objective, cond_cap):
-    from carlab.characteristics import (
-        MatrixSequence, ScalarSequence, cube_supremum, subtree_sums,
-    )
+    from carlab.characteristics import MatrixSequence, ScalarSequence
     from carlab.dyadic import tree_cube
     from carlab.embeddings import bet_norm_sum
     from carlab.redundancy import red_constants, sred_constant
@@ -644,8 +709,7 @@ def _brute_objective(state, objective, cond_cap):
     weights = np.where(state.seq_weights > 0.0, state.seq_weights, 0.0)
     if not weights.any():
         weights[0] = 1.0
-    levels = [weights[(1 << k) - 1:(1 << (k + 1)) - 1] for k in range(state.depth + 1)]
-    scaled = weights * (1.0 / cube_supremum(subtree_sums(levels)))
+    scaled = weights * (1.0 / loop_cube_supremum(loop_subtree_sums(split_levels(weights))))
     seq = ScalarSequence(
         state.depth, [(tree_cube(int(i)), scaled[i]) for i in np.flatnonzero(scaled)]
     )
@@ -801,8 +865,8 @@ def brute_trace_cycling_error(w, entries):
     from carlab import matrices
 
     w = w.as_matrix()
-    wavg = w.pyramid()
-    vavg = w.inverse().pyramid()
+    wavg = loop_pyramid(w.values)
+    vavg = loop_pyramid(w.inverse().values)
     worst = 0.0
     for (level, pos), b in entries.items():
         b_q = matrices.operator_norm(b)
@@ -822,8 +886,8 @@ def brute_red_quadratic_form(w, entries, k, e, order="corollary"):
     w = w.as_matrix()
     level, pos = k
     e = np.asarray(e, dtype=float)
-    wavg = w.pyramid()
-    vavg = w.inverse().pyramid()
+    wavg = loop_pyramid(w.values)
+    vavg = loop_pyramid(w.inverse().values)
     r_k = matrices.spd_power(wavg[level][pos], -0.5)
     total = 0.0
     for (ql, qp), b in entries.items():
@@ -844,7 +908,7 @@ def brute_substitution_error(w, entries, rng, samples=5):
     """``substitution_error`` one sample at a time, each form summed cube by
     cube, with f = <W>_K^-1/2 e from one ``eigh`` of <W>_K."""
     w = w.as_matrix()
-    wavg = w.pyramid()
+    wavg = loop_pyramid(w.values)
     worst = 0.0
     for _ in range(samples):
         level = int(rng.integers(0, w.depth + 1))
@@ -865,12 +929,13 @@ def brute_substitution_error(w, entries, rng, samples=5):
 def loop_cet_sum(w, seq, f):
     """``cet_sum`` as a loop over ``seq.items()``, one cube at a time."""
     from carlab.characteristics import MatrixSequence, _weight_field
+    from carlab.dyadic import tree_position
     from carlab.embeddings import _halfweighted_averages
 
     havg = _halfweighted_averages(_weight_field(w), f.as_vector(), +1)
     total = 0.0
     for q, a in seq.items():
-        v = havg[q.level][q.position]
+        v = havg[tree_position(q)]
         if isinstance(seq, MatrixSequence):
             total += max(float(v @ (a @ v)), 0.0)
         else:
@@ -885,7 +950,7 @@ def loop_necessity_probe(w, seq, k, e):
 
     w = w.as_matrix()
     e = np.asarray(e, dtype=w.values.dtype)
-    wavg = w.pyramid()
+    wavg = loop_pyramid(w.values)
     numer = 0.0
     for q, a in seq.items():
         if not k.contains(q):
@@ -903,13 +968,12 @@ def loop_necessity_report(w, seq, rng, samples_per_cube=6):
     """``necessity_report`` one cube at a time: one ``eigh`` per cube and
     ``samples_per_cube`` draws of ``rng.standard_normal(d)`` after it."""
     from carlab import matrices
-    from carlab.characteristics import subtree_sums, testing_terms
-    from carlab.dyadic import DyadicIndex, tree_levels
+    from carlab.dyadic import DyadicIndex
 
     wm = w.as_matrix()
-    acc = subtree_sums(testing_terms(wm.pyramid(), seq))
+    acc = loop_subtree_sums(loop_testing_terms(loop_pyramid(wm.values), seq))
     testing = probe_sup = sampled_max = worst_rel = 0.0
-    for k, roots in enumerate(tree_levels(wm.cube_power(-0.5))):
+    for k, roots in enumerate(split_levels(wm.cube_power(-0.5))):
         sandwich = roots @ acc[k] @ roots
         for p in range(1 << k):
             lam, vecs = matrices.eigh_sym(matrices.as_symmetric(sandwich[p] * (1 << k)))

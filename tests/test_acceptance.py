@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria are exercised through the same seeded experiment configs the CLI
-uses, at the stated tolerances and runtime budgets.  Run with ``pytest -s
-tests/test_acceptance.py`` to see the per-criterion lines.
+uses, at the stated tolerances and runtime budgets; the default runs come
+from the session fixture ``default_reports`` (``conftest.py``), which the
+golden-digest test reads too.  Run with ``pytest -s tests/test_acceptance.py``
+to see the per-criterion lines.
 """
 
 import math
@@ -21,7 +23,7 @@ from carlab.embeddings import (
     choquet_integral,
     phi_product,
 )
-from carlab.lab import adversarial_search, default_config, run_experiment
+from carlab.lab import adversarial_search
 from carlab.matrices import operator_norm
 from carlab.redundancy import sred_constant
 
@@ -31,14 +33,14 @@ def _report(criterion, ok, detail):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def sweep_report():
-    return run_experiment(default_config("counterexample-sweep"))
+@pytest.fixture
+def sweep_report(default_reports):
+    return default_reports["counterexample-sweep"]
 
 
-@pytest.fixture(scope="module")
-def redundancy_report():
-    return run_experiment(default_config("redundancy-suite"))
+@pytest.fixture
+def redundancy_report(default_reports):
+    return default_reports["redundancy-suite"]
 
 
 def test_criterion_1_counterexample_reproduction(sweep_report):
@@ -58,8 +60,8 @@ def test_criterion_1_counterexample_reproduction(sweep_report):
     _report("1 counterexample reproduction", ok and runtime_ok, detail)
 
 
-def test_criterion_2_sharpness_of_half_power():
-    rep = run_experiment(default_config("c2-sharpness"))
+def test_criterion_2_sharpness_of_half_power(default_reports):
+    rep = default_reports["c2-sharpness"]
     ok = rep.verdicts["ratio_attains_sqrt_c2"] and rep.verdicts["c2_matches_definition"]
     elapsed = rep.aggregates["elapsed_seconds"]
     _report(
@@ -69,8 +71,8 @@ def test_criterion_2_sharpness_of_half_power():
     )
 
 
-def test_criterion_3_inner_product_positive_result():
-    rep = run_experiment(default_config("sibet-suite"))
+def test_criterion_3_inner_product_positive_result(default_reports):
+    rep = default_reports["sibet-suite"]
     agg = rep.aggregates
     ok = rep.verdicts["inner_ratio_within_cprime"] and rep.verdicts["no_growth_along_sweep"]
     elapsed = agg["elapsed_seconds"]
@@ -119,8 +121,8 @@ def test_criterion_5_matrix_redundancy(redundancy_report):
     )
 
 
-def test_criterion_6_bellman_certification():
-    rep = run_experiment(default_config("bellman-certify"))
+def test_criterion_6_bellman_certification(default_reports):
+    rep = default_reports["bellman-certify"]
     ok = rep.passed
     elapsed = rep.aggregates["elapsed_seconds"]
     worst = {r["check"]: r["worst_gap"] for r in rep.rows}
@@ -171,8 +173,8 @@ def test_criterion_7_choquet_identity_and_proof_chain():
     )
 
 
-def test_criterion_8_weighted_testing_condition():
-    rep = run_experiment(default_config("wcet-suite"))
+def test_criterion_8_weighted_testing_condition(default_reports):
+    rep = default_reports["wcet-suite"]
     agg = rep.aggregates
     ok = rep.verdicts["necessity_identity"] and rep.verdicts["forward_bound_holds"] and \
         rep.verdicts["probe_never_exceeds"]
@@ -184,13 +186,16 @@ def test_criterion_8_weighted_testing_condition():
     )
 
 
-def test_criterion_9_adversarial_search_sanity():
+def test_criterion_9_adversarial_search_sanity(default_reports):
+    # the bet_norm_ratio search is the default one: depth 3, d 2, seed 0,
+    # budget 10000, cond_cap 1e4
+    rep = default_reports["adversarial-search:bet_norm_ratio"]
+    assert (rep.config["depth"], rep.config["d"], rep.config["budget"]) == (3, 2, 10000)
+    bet = rep.aggregates
     t0 = time.perf_counter()
-    bet = adversarial_search(depth=3, d=2, seed=0, objective="bet_norm_ratio",
-                             budget=10000, cond_cap=1e4)
     sred = adversarial_search(depth=3, d=1, seed=0, objective="sred_ratio",
                               budget=10000, cond_cap=1e4)
-    elapsed = time.perf_counter() - t0
+    elapsed = bet["elapsed_seconds"] + time.perf_counter() - t0
     attained = bet["best_value"] >= 0.99 * math.sqrt(bet["best_c2"])
     bounded = sred["best_value"] <= 4.0
     _report(

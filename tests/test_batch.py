@@ -16,9 +16,7 @@ from carlab import matrices
 from carlab.characteristics import (
     MatrixSequence,
     ScalarSequence,
-    cube_supremum,
     cube_supremum_batch,
-    subtree_sums,
     subtree_sums_batch,
 )
 from carlab.constructions import (
@@ -27,9 +25,7 @@ from carlab.constructions import (
     random_vector_field,
     random_weight_field,
 )
-from carlab.dyadic import (
-    ROOT, DyadicIndex, StepField, tree_levels, tree_levels_batch, tree_position,
-)
+from carlab.dyadic import ROOT, DyadicIndex, StepField, tree_position, tree_size
 from carlab.embeddings import bet_norm_sum, bet_norm_sum_batch, halfweighted_pyramid_batch
 from carlab.redundancy import (
     red_constants,
@@ -39,14 +35,9 @@ from carlab.redundancy import (
 )
 from carlab.search import OBJECTIVES, _apply_moves, _draw_stream, _search_objective
 
-from oracles import level_powers_batch, tree_eigh_batch
+from oracles import level_powers_batch
 
 SHAPES = [(depth, d) for depth in range(5) for d in range(1, 5)]
-
-
-def _stack(levels_per_member):
-    """Per-member lists of levels -> one list of batched levels."""
-    return [np.stack(level) for level in zip(*levels_per_member)]
 
 
 def _weights(depth, d, rng, n=4, dtype=np.float64):
@@ -83,13 +74,13 @@ def _matrix_sequences(depth, d, rng):
 
 
 def _pyramids(ws):
-    return _stack([w.pyramid() for w in ws]), _stack([w.inverse().pyramid() for w in ws])
+    return np.stack([w.pyramid() for w in ws]), np.stack([w.inverse().pyramid() for w in ws])
 
 
 def _tree_powers(ws, pw, pv):
     """The cores' inputs: the power ``pw`` of every cube average of W and
     the power ``pv`` of every cube average of W^-1, for a batch."""
-    return tuple(level_powers_batch(tree_eigh_batch(pyramids), p)
+    return tuple(level_powers_batch(matrices.eigh_sym(pyramids), p)
                  for pyramids, p in zip(_pyramids(ws), (pw, pv)))
 
 
@@ -122,11 +113,11 @@ def test_bet_norm_sum_batch_matches_single_trees(depth, d, matrix):
         np.stack([w.power(0.5).values for w in ws]), np.stack([f.values for f in fs]))
     gavg = halfweighted_pyramid_batch(
         np.stack([w.power(-0.5).values for w in ws]), np.stack([g.values for g in gs]))
-    n_cubes = (2 << depth) - 1
+    n_cubes = tree_size(depth)
     support = np.array([b * n_cubes + tree_position(q)
                         for b, s in enumerate(seqs) for q in s.entries])
     entries = np.array([v for s in seqs for v in s.entries.values()])
-    on_support = [np.concatenate(p, axis=1).reshape(-1, d, d)[support] for p in _pyramids(ws)]
+    on_support = [p.reshape(-1, d, d)[support] for p in _pyramids(ws)]
     weig, veig = (tuple(matrices.eigh_sym(m)) for m in on_support)
     got = bet_norm_sum_batch(weig, veig, havg, gavg, support, entries,
                              [len(s) for s in seqs])
@@ -139,25 +130,19 @@ def test_bet_norm_sum_batch_matches_single_trees(depth, d, matrix):
 def test_level_powers_and_cube_supremum_batch_match_single_trees(depth, d, dtype):
     rng = np.random.default_rng(400 * depth + d)
     ws = _weights(depth, d, rng, dtype=dtype)
-    pyramids = [w.pyramid() for w in ws]
+    pyramids = np.stack([w.pyramid() for w in ws])
     for p in (0.5, -0.5, -1.0):
-        got = tree_levels_batch(level_powers_batch(tree_eigh_batch(_stack(pyramids)), p))
+        got = level_powers_batch(matrices.eigh_sym(pyramids), p)
+        assert got.dtype == dtype
         for b, w in enumerate(ws):
-            for lv_got, lv_want in zip(got, tree_levels(w.cube_power(p))):
-                assert lv_got.dtype == dtype
-                assert np.array_equal(lv_got[b], lv_want)
-    seqs = _scalar_sequences(depth, rng)
-    for levels in (
-        pyramids,
-        [s.dense_levels(dtype=dtype) for s in seqs],
-        [subtree_sums(s.dense_levels(dtype=dtype)) for s in seqs],
-    ):
-        got = cube_supremum_batch(_stack(levels))
-        assert np.array_equal(got, [cube_supremum(lv) for lv in levels])
-    got = subtree_sums_batch(_stack(pyramids))
+            assert np.array_equal(got[b], w.cube_power(p))
+    dense = np.stack([s.dense(dtype=dtype) for s in _scalar_sequences(depth, rng)])
+    for flat in (pyramids, dense, subtree_sums_batch(dense)):
+        got = cube_supremum_batch(flat)
+        assert np.array_equal(got, [cube_supremum_batch(x[None])[0] for x in flat])
+    got = subtree_sums_batch(pyramids)
     for b, pyramid in enumerate(pyramids):
-        for lv_got, lv_want in zip(got, subtree_sums(pyramid)):
-            assert np.array_equal(lv_got[b], lv_want)
+        assert np.array_equal(got[b], subtree_sums_batch(pyramid[None])[0])
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)

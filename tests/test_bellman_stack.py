@@ -31,7 +31,7 @@ from carlab.constructions import (
     random_spd,
     random_weight_field,
 )
-from carlab.dyadic import DyadicIndex
+from carlab.dyadic import DyadicIndex, tree_position
 from carlab.errors import DimensionMismatchError, DomainError, SingularMatrixError
 from carlab.lab import default_config, run_experiment
 
@@ -272,8 +272,8 @@ def test_sampled_errors_name_first_failing_sample():
 def test_dynamics_error_names_cube():
     w, alpha = _instance(3, 2, 2)
     data = list(bellman._dyadic_data(w, alpha))
-    vavg = [lv.copy() for lv in data[2]]
-    vavg[1][1] = np.diag([1e-20, 1.0])  # cube (1, 1) leaves the domain
+    vavg = data[2].copy()
+    vavg[tree_position(DyadicIndex(1, 1))] = np.diag([1e-20, 1.0])  # (1, 1) leaves the domain
     data[2] = vavg
     with pytest.raises(DomainError) as info:
         bellman._certificates(tuple(data), DyadicIndex(0, 0), {0, 1})

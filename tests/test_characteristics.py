@@ -11,9 +11,8 @@ from carlab.characteristics import (
     c2_conditioning,
     carleson_equivalents,
     carleson_intensity,
-    cube_supremum,
+    cube_supremum_batch,
     subtree_forms,
-    subtree_sums,
     wcet_testing_constant,
 )
 from carlab.constructions import (
@@ -26,7 +25,6 @@ from carlab.dyadic import (
     cubes,
     stepfield_from_json,
     stepfield_to_json,
-    tree_levels,
     tree_position,
 )
 from carlab.errors import AddressError, DimensionMismatchError, SingularMatrixError
@@ -39,7 +37,12 @@ from oracles import (
     brute_spd_power,
     brute_wcet_testing_constant,
     level_powers,
+    loop_cube_supremum,
+    loop_pyramid,
     loop_subtree_forms,
+    loop_subtree_sums,
+    loop_testing_terms,
+    split_levels,
 )
 
 
@@ -174,27 +177,21 @@ def test_sequence_json_roundtrip():
     assert alpha.get(ROOT) == 1.0
 
 
-def _per_level_supremum(levels):
-    best = -np.inf
-    for k, lv in enumerate(levels):
-        best = max(best, float(matrices.lambda_max_stack(lv).max()) * (1 << k))
-    return best
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_tree_kernels_match_per_level_loops(d):
     # one solver call per tree must be bitwise one call per level
     for depth in range(7):
         inst = random_instance(depth, d, seed=10 * depth + d, cond_cap=1e4)
-        wavg = inst.w.as_matrix().pyramid()
+        wavg = loop_pyramid(inst.w.as_matrix().values)
         for p in matrices.ALLOWED_POWERS:
-            got = tree_levels(inst.w.cube_power(p))
+            got = split_levels(inst.w.cube_power(p))
             assert len(got) == depth + 1
             for k, lv in enumerate(wavg):
                 assert np.array_equal(got[k], brute_spd_power(lv, p))
-        acc = subtree_sums(characteristics.testing_terms(wavg, inst.mseq))
+        acc = loop_subtree_sums(loop_testing_terms(wavg, inst.mseq))
         for levels in (wavg, acc):
-            assert cube_supremum(levels) == _per_level_supremum(levels)
+            got = cube_supremum_batch(np.concatenate(levels)[None])[0]
+            assert got == loop_cube_supremum(levels)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -202,9 +199,9 @@ def test_level_powers_longdouble_matches_per_level_loop(d):
     for depth in range(5):
         w = random_instance(depth, d, seed=depth, cond_cap=1e4).w
         field = StepField(w.values.astype(np.longdouble))
-        wavg = field.pyramid()
+        wavg = loop_pyramid(field.values)
         for p in (0.5, -0.5):
-            got = tree_levels(field.cube_power(p))
+            got = split_levels(field.cube_power(p))
             for k, lv in enumerate(wavg):
                 assert got[k].dtype == np.longdouble
                 assert np.array_equal(got[k], brute_spd_power(lv, p))
@@ -224,7 +221,7 @@ def test_singular_pyramid_names_cube(dtype, cube):
         with pytest.raises(SingularMatrixError) as err:
             w.cube_power(p)
         with pytest.raises(SingularMatrixError) as want:
-            level_powers(w.pyramid(), p)
+            level_powers(loop_pyramid(w.values), p)
         assert err.value.cube == want.value.cube == cube
         assert str(err.value) == str(want.value)
         assert err.value.lambda_min == pytest.approx(1e-13, rel=1e-12)

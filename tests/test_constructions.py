@@ -20,7 +20,7 @@ from carlab.constructions import (
     random_scalar_sequence,
     random_spd,
 )
-from carlab.dyadic import DyadicIndex, ROOT, cubes
+from carlab.dyadic import DyadicIndex, ROOT, average, cubes
 from carlab.embeddings import bet_inner_sum, bet_norm_sum, weighted_l2_norm
 from carlab.errors import NumericError, PreconditionError
 from carlab import constructions, matrices
@@ -255,12 +255,12 @@ def test_necessity_probe_attains_testing_constant():
         testing = wcet_testing_constant(inst.w, inst.mseq)
         attained = 0.0
         for q in cubes(4):
-            wk = inst.w.pyramid()[q.level][q.position]
+            wk = average(inst.w, q)
             # accumulate S_K literally, then take the top generalized vector
             s_k = np.zeros((3, 3))
             for qq, a in inst.mseq.items():
                 if q.contains(qq):
-                    wq = inst.w.pyramid()[qq.level][qq.position]
+                    wq = average(inst.w, qq)
                     s_k += wq @ a @ wq
             s_k /= q.measure
             root = matrices.spd_power(wk, -0.5)

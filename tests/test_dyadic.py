@@ -18,11 +18,10 @@ from carlab.dyadic import (
     tree_size,
 )
 from carlab import matrices
-from carlab.characteristics import batch_of_one
 from carlab.constructions import random_weight_field
 from carlab.errors import AddressError, DimensionMismatchError, SingularMatrixError
 
-from oracles import brute_average, brute_spd_power, level_powers_batch, tree_eigh_batch
+from oracles import brute_average, brute_spd_power, level_powers_batch
 
 
 def test_root_and_children():
@@ -268,7 +267,7 @@ def test_cube_power_decomposes_the_averages_once(monkeypatch, dtype):
     # every power of the cube averages comes from one eigendecomposition of
     # them all, bitwise the batch kernel's power of a batch of one
     w = StepField(random_weight_field(3, 3, np.random.default_rng(5)).values.astype(dtype))
-    eig = tree_eigh_batch(batch_of_one(w.pyramid()))
+    eig = matrices.eigh_sym(w.pyramid()[None])
     real = matrices.eigh_sym
     calls = []
     monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(len(m)) or real(m))

@@ -34,7 +34,7 @@ from carlab.matrices import operator_norm_stack
 
 from oracles import loop_cet_sum, unique_choquet_level_form
 
-from oracles import brute_bet_vectors, rank_one_inner_value
+from oracles import brute_bet_vectors, loop_pyramid, rank_one_inner_value, split_levels
 
 
 E1 = np.array([1.0, 0.0])
@@ -118,8 +118,9 @@ def test_bet_scalar_sequence_specialization():
 def _brute_bet_sums(w, seq, f, g):
     """(norm-form, inner-product) sums from the per-cube oracle, in support order."""
     uv = brute_bet_vectors(
-        w.pyramid(), w.inverse().pyramid(),
-        _halfweighted_averages(w, f, +1), _halfweighted_averages(w, g, -1),
+        loop_pyramid(w.values), loop_pyramid(w.inverse().values),
+        split_levels(_halfweighted_averages(w, f, +1)),
+        split_levels(_halfweighted_averages(w, g, -1)),
         list(seq.entries),
     )
     norm = inner = 0.0

@@ -327,8 +327,8 @@ def test_climb_carries_fresh_eigendecompositions(monkeypatch, objective, d):
             w = search._state_weights(carried[0][r:r + 1], carried[1][r:r + 1], 1e4)
             leaf_eig = matrices.eigh_sym(w)
             winv = matrices.eig_power(*leaf_eig, -1.0)
-            wvals, wvecs = matrices.eigh_sym(np.concatenate(pyramid_batch(w), axis=1))
-            vvals, vvecs = matrices.eigh_sym(np.concatenate(pyramid_batch(winv), axis=1))
+            wvals, wvecs = matrices.eigh_sym(pyramid_batch(w))
+            vvals, vvecs = matrices.eigh_sym(pyramid_batch(winv))
             fresh = dict(w=w, winv=winv, wvals=wvals, wvecs=wvecs, vvals=vvals, vvecs=vvecs)
             if objective == "bet_norm_ratio":
                 fresh.update(wh=matrices.eig_power(*leaf_eig, 0.5),
@@ -797,3 +797,59 @@ def test_cli_numeric_error_exit_code(monkeypatch):
     monkeypatch.setattr("carlab.cli.run_experiment", boom)
     rc = main(["counterexample-sweep", "--quiet"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("rotation", [math.nan, math.inf, -math.inf, 10**400])
+def test_cli_non_finite_rotations_exit_code(tmp_path, monkeypatch, capsys, rotation):
+    # NaN and inf exited 3 with "non-finite field value at
+    # DyadicIndex(level=4, position=0)", inf after a numpy RuntimeWarning
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"rotations": [0.0, rotation]}))
+    assert main(["counterexample-sweep", "--config", str(cfg_path), "--quiet"]) == 2
+    assert "rotations must be finite floats" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="rotations must be finite floats"):
+        default_config("c2-sharpness", rotations=[rotation])
+
+
+def test_cli_sibet_suite_zero_norm_embedded_field_exit_code(tmp_path, monkeypatch, capsys):
+    # f = 0 or g = 0 ended in a ZeroDivisionError traceback (exit 1) from the
+    # row's division by ||f|| ||g||
+    from carlab.characteristics import ScalarSequence
+    from carlab.dyadic import ROOT
+
+    monkeypatch.chdir(tmp_path)
+    weight = {"depth": 1, "d": 2, "kind": "matrix", "values": [[1, 0, 0, 1], [2, 0, 0, 1]]}
+    unit = {"depth": 1, "d": 2, "kind": "vector", "values": [[1, 0], [0, 1]]}
+    zero = {"depth": 1, "d": 2, "kind": "vector", "values": [[0, 0], [0, 0]]}
+    alpha = ScalarSequence(1, {ROOT: 1.0}).to_json()
+    cfg_path = tmp_path / "cfg.json"
+    for name, f, g in (("f", zero, unit), ("g", unit, zero)):
+        embedded = {"weight": weight, "f": f, "g": g, "alpha": alpha}
+        cfg_path.write_text(json.dumps({"seeds": [0, 1], "depth": 2, "extra_instances": [embedded]}))
+        assert main(["sibet-suite", "--config", str(cfg_path), "--quiet"]) == 2
+        assert f"bad embedded instance #0: {name} has L2 norm 0" in capsys.readouterr().err
+
+
+def test_cli_unknown_field_kind_exit_code(tmp_path, monkeypatch, capsys):
+    # "matrx" was read as a scalar field: its 2 leaves of 4 values became a
+    # depth-3 tree, and the run stopped at "alpha has depth 1, the weight
+    # has depth 3"
+    from carlab.characteristics import ScalarSequence
+    from carlab.dyadic import ROOT, stepfield_from_json
+    from carlab.errors import DimensionMismatchError
+
+    monkeypatch.chdir(tmp_path)
+    weight = {"depth": 1, "d": 2, "kind": "matrx", "values": [[1, 0, 0, 1], [2, 0, 0, 1]]}
+    embedded = {"weight": weight, "alpha": ScalarSequence(1, {ROOT: 1.0}).to_json()}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seeds": [0], "extra_instances": [embedded]}))
+    assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
+    assert "unknown field kind 'matrx'" in capsys.readouterr().err
+    with pytest.raises(DimensionMismatchError, match="unknown field kind 'matrx'"):
+        stepfield_from_json(weight)
+    # a known kind whose leaves hold another number of values is refused too,
+    # not reshaped onto another tree
+    with pytest.raises(DimensionMismatchError, match="scalar leaves of d=2 take 1 value"):
+        stepfield_from_json(dict(weight, kind="scalar"))
+    assert stepfield_from_json(dict(weight, kind="matrix")).depth == 1

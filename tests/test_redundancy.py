@@ -17,7 +17,7 @@ from carlab.constructions import (
     random_orthogonal,
     random_weight_field,
 )
-from carlab.dyadic import DyadicIndex, ROOT, StepField, tree_levels_batch
+from carlab.dyadic import DyadicIndex, ROOT, StepField, average
 from carlab.errors import DimensionMismatchError, PreconditionError
 from carlab.matrices import operator_norm_stack, spd_power
 from carlab.redundancy import (
@@ -36,7 +36,7 @@ from oracles import (
     brute_substitution_error,
     brute_trace_cycling_error,
     level_powers_batch,
-    tree_eigh_batch,
+    split_levels,
 )
 
 
@@ -143,16 +143,16 @@ def test_red_sums_over_shifts_match_the_level_loop(depth, d):
             MatrixSequence(depth, d, {half: 2.0 ** -half.level * np.eye(d)})]
     ws = [random_weight_field(depth, d, rng, cond_cap=1e3) for _ in seqs]
     for members in (slice(None), slice(1, None), slice(1, 2)):
-        pyramids = [[np.stack(lv) for lv in zip(*(f.pyramid() for f in fields))]
+        pyramids = [np.stack([f.pyramid() for f in fields])
                     for fields in (ws[members], [w.inverse() for w in ws[members]])]
-        roots, proots = (level_powers_batch(tree_eigh_batch(p), -0.5) for p in pyramids)
+        roots, proots = (level_powers_batch(matrices.eigh_sym(p), -0.5) for p in pyramids)
         b = np.stack([s.dense() for s in seqs[members]])
         want = brute_red_sums(roots, proots, b)
         deepest = len(want[0]) - 1
         got = red_sums_batch(roots, proots, b, proots @ b @ proots, deepest)
         for sums_got, sums_want in zip(got, want):
-            assert len(tree_levels_batch(sums_got)) == len(sums_want)
-            for lv_got, lv_want in zip(tree_levels_batch(sums_got), sums_want):
+            assert len(split_levels(sums_got, axis=1)) == len(sums_want)
+            for lv_got, lv_want in zip(split_levels(sums_got, axis=1), sums_want):
                 assert np.array_equal(lv_got, lv_want), (members, deepest)
 
 
@@ -186,13 +186,10 @@ def test_trace_cycling_identity():
     for seed in range(10):
         inst = random_instance(4, 3, seed=seed, cond_cap=1e4)
         w = inst.w.as_matrix()
-        wavg = w.pyramid()
-        vavg = w.inverse().pyramid()
         for q, m in inst.mseq.items():
             b_q = float(np.linalg.eigvalsh(m)[-1])
-            k = DyadicIndex(0, 0)
-            r_k = spd_power(wavg[0][0], -0.5)
-            p_q = spd_power(vavg[q.level][q.position], -0.5)
+            r_k = spd_power(average(w, ROOT), -0.5)
+            p_q = spd_power(average(w.inverse(), q), -0.5)
             scalar = b_q * np.eye(3)
             t1 = float(np.trace(r_k @ p_q @ scalar @ p_q @ r_k))
             t2 = float(np.trace(p_q @ r_k @ scalar @ r_k @ p_q))
@@ -206,14 +203,13 @@ def test_substitution_identity():
     for seed in range(20):
         inst = random_instance(4, 2, seed=seed, cond_cap=1e4)
         w = inst.w.as_matrix()
-        wavg = w.pyramid()
         for _ in range(5):
             level = int(rng.integers(0, 5))
             k = DyadicIndex(level, int(rng.integers(0, 1 << level)))
             e = rng.standard_normal(2)
             e /= np.linalg.norm(e)
             second = red_quadratic_form(w, inst.mseq, k, e, order="second")
-            wk = wavg[k.level][k.position]
+            wk = average(w, k)
             f = spd_power(wk, -0.5) @ e
             corollary = red_quadratic_form(w, inst.mseq, k, f, order="corollary")
             scale = max(second, corollary, 1e-30)

@@ -1,6 +1,6 @@
 """Canonical digest of every experiment's report at its default config.
 
-    python3 tools/report_digest.py --out FILE [--only NAME ...]
+    python3 tools/report_digest.py --out FILE [--only NAME ...] [--stamp FILE]
 
 Runs the seven experiments at ``default_config`` (adversarial-search once
 per objective) and writes their rows, aggregates and verdicts as one
@@ -12,7 +12,8 @@ digests shows every row that moved.  The package is loaded from the
 
 ``--only NAME``, repeatable, keeps the runs of the named experiments, or
 one run such as ``adversarial-search:red_ratio``, so that one experiment's
-digest can be compared on its own.
+digest can be compared on its own.  ``--stamp FILE`` also writes
+``environment_stamp()``: what, besides the code, the digest's floats depend on.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import argparse
 import json
 import os
 import sys
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -43,6 +46,22 @@ def digest_entry(report):
     return {"rows": report.rows, "aggregates": aggregates, "verdicts": report.verdicts}
 
 
+def environment_stamp():
+    """numpy, its BLAS, the SIMD kernels numpy dispatches to on this CPU, and
+    the longdouble epsilon, as strings."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its config
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "simd": " ".join(config.get("SIMD Extensions", {}).get("found", [])),
+        "longdouble_eps": str(np.finfo(np.longdouble).eps),
+    }
+
+
 def canonical_json(obj):
     """Sorted keys, one item per line, numpy scalars as Python numbers."""
     return json.dumps(obj, sort_keys=True, indent=1, default=lambda x: x.item()) + "\n"
@@ -55,6 +74,7 @@ def main(argv=None):
     parser.add_argument("--only", action="append", metavar="NAME",
                         choices=[*EXPERIMENTS, *(n for n in names if n not in EXPERIMENTS)],
                         help="digest only this experiment or run (repeatable)")
+    parser.add_argument("--stamp", help="environment stamp output path")
     args = parser.parse_args(argv)
     digest = {}
     for name, cfg in runs():
@@ -64,6 +84,9 @@ def main(argv=None):
         digest[name] = digest_entry(run_experiment(cfg))
     with open(args.out, "w") as fh:
         fh.write(canonical_json(digest))
+    if args.stamp:
+        with open(args.stamp, "w") as fh:
+            fh.write(canonical_json(environment_stamp()))
     return 0
 
 
