@@ -265,8 +265,7 @@ def dm_gap_stack(s, h=1e-5):
 
 def _dyadic_data(w, alpha):
     """(W, <W>, <W^-1>, m, alpha) with every cube-indexed array in tree order."""
-    w = w.as_matrix()
-    check_fits(w, alpha)
+    w = check_fits(w.as_matrix(), alpha)
     a = alpha.dense()
     acc = subtree_sums_batch(a[None])
     intensity = float(cube_supremum_batch(acc)[0])

@@ -4,7 +4,9 @@ All the "<=" conditions of the theory are exposed here as best-constant
 computations: suprema of generalized Rayleigh quotients over every cube of
 the tree, computed exhaustively (trees are small, and exactness removes a
 source of test flakiness).  Boolean verdicts belong to the caller.
-Cube-indexed arrays are flat in tree order (``dyadic``).
+Cube-indexed arrays are flat in tree order (``dyadic``).  Both Carleson
+sequence classes share one body, ``CubeSequence``; ``check_fits`` is the
+one check that a field or sequence fits its weight.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 
 from . import matrices
 from .dyadic import (
-    DyadicIndex, check_index, level_slice, tree_ancestor, tree_cube, tree_level, tree_position,
-    tree_size,
+    DyadicIndex, check_index, json_int, level_slice, tree_ancestor, tree_cube, tree_level,
+    tree_position, tree_size,
 )
 from .errors import DimensionMismatchError, SingularMatrixError
 
@@ -65,13 +67,28 @@ def check_matrix_entries(mats, cube_of):
 
 
 class CubeSequence:
-    """Cube-indexed entries, sparse with default zero.
+    """Cube-indexed entries of one shape, sparse with default zero.
 
     Only the nonzero entries are kept: ``values`` stacks them in entry
     order and ``positions`` holds their cubes' flat tree positions; the
     stack is checked as one by ``_check``.  ``entries``, which maps each
-    cube to its entry in entry order, is built on first read.
+    cube to its entry in entry order, is built on first read.  Each entry
+    is read by ``_read`` and has ``_rank`` axes of length d.
     """
+
+    _read = staticmethod(np.asarray)
+
+    def __init__(self, depth, d, entries=()):
+        self.depth, shape = int(depth), (int(d),) * self._rank
+        items = entries.items() if isinstance(entries, dict) else entries
+        checked = {check_index(q, self.depth): self._read(v) for q, v in items}
+        for q, v in checked.items():
+            if np.shape(v) != shape:
+                raise DimensionMismatchError(
+                    f"entry at {q} has shape {np.shape(v)}, expected {shape}"
+                )
+        values = np.array(list(checked.values())) if checked else np.zeros((0, *shape))
+        self._store(list(map(tree_position, checked)), values)
 
     @classmethod
     def from_arrays(cls, depth, positions, values):
@@ -89,9 +106,13 @@ class CubeSequence:
         self._entries = None
 
     @property
+    def d(self):
+        return self.values.shape[-1] if self._rank else 1
+
+    @property
     def entries(self):
         if self._entries is None:
-            rows = self.values.tolist() if self.values.ndim == 1 else self.values
+            rows = self.values if self._rank else self.values.tolist()
             self._entries = dict(zip(map(tree_cube, self.positions.tolist()), rows))
         return self._entries
 
@@ -100,6 +121,34 @@ class CubeSequence:
 
     def __len__(self):
         return len(self.positions)
+
+    def get(self, q, default=None):
+        """The entry at cube ``q``; off the support ``default``, or zero if None."""
+        zero = np.zeros((self.d,) * self._rank)[()] if default is None else default
+        return self.entries.get(DyadicIndex(*q), zero)
+
+    def to_json(self):
+        """{"depth", "d", "values": [{"level", "position", "value"}, ...]}, the
+        entries in tree order as floats, matrices flattened row-major."""
+        order = np.argsort(self.positions)
+        values = self.values[order].astype(np.float64)
+        rows = (values.reshape(len(self), self.d ** self._rank) if self._rank else values).tolist()
+        cubes = map(tree_cube, self.positions[order].tolist())
+        return {"depth": self.depth, "d": self.d, "values": [
+            {"level": q.level, "position": q.position, "value": v} for q, v in zip(cubes, rows)]}
+
+    @classmethod
+    def from_json(cls, obj):
+        """The sequence of ``to_json``; depth, d, level and position must be
+        JSON integers (``json_int``), d defaulting to 1."""
+        depth, d = json_int(obj, "depth"), json_int(obj, "d", 1)
+        shape, seq = (d,) * cls._rank, cls.__new__(cls)
+        CubeSequence.__init__(seq, depth, d, [
+            (DyadicIndex(json_int(e, "level"), json_int(e, "position")),
+             np.asarray(e["value"], dtype=float).reshape(shape) if shape else e["value"])
+            for e in obj["values"]
+        ])
+        return seq
 
     def scaled(self, factor):
         """The sequence times ``factor``, checked again as one stack."""
@@ -123,102 +172,31 @@ class CubeSequence:
 class ScalarSequence(CubeSequence):
     """Cube-indexed non-negative scalars, sparse with default zero."""
 
-    _check = staticmethod(check_scalar_entries)
+    _check, _read, _rank = staticmethod(check_scalar_entries), float, 0
 
     def __init__(self, depth, entries=()):
-        self.depth = int(depth)
-        items = entries.items() if isinstance(entries, dict) else entries
-        checked = {check_index(q, self.depth): float(v) for q, v in items}
-        self._store(list(map(tree_position, checked)), np.fromiter(checked.values(), float))
-
-    def get(self, q, default=0.0):
-        return self.entries.get(DyadicIndex(*q), default)
-
-    def to_json(self):
-        return {
-            "depth": self.depth,
-            "d": 1,
-            "values": [
-                {"level": q.level, "position": q.position, "value": v}
-                for q, v in sorted(self.entries.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            int(obj["depth"]),
-            [
-                (DyadicIndex(int(e["level"]), int(e["position"])), float(e["value"]))
-                for e in obj["values"]
-            ],
-        )
+        super().__init__(depth, 1, entries)
 
 
 class MatrixSequence(CubeSequence):
     """Cube-indexed positive semidefinite d x d matrices, sparse with default zero."""
 
-    _check = staticmethod(check_matrix_entries)
-
-    def __init__(self, depth, d, entries=()):
-        self.depth = int(depth)
-        d = int(d)
-        items = entries.items() if isinstance(entries, dict) else entries
-        checked = {check_index(q, self.depth): np.asarray(m) for q, m in items}
-        for q, m in checked.items():
-            if m.shape != (d, d):
-                raise DimensionMismatchError(
-                    f"entry at {q} has shape {m.shape}, expected {(d, d)}"
-                )
-        mats = np.stack(list(checked.values())) if checked else np.zeros((0, d, d))
-        self._store(list(map(tree_position, checked)), mats)
-
-    @property
-    def d(self):
-        return self.values.shape[-1]
-
-    def get(self, q, default=None):
-        q = DyadicIndex(*q)
-        if q in self.entries:
-            return self.entries[q]
-        return np.zeros((self.d, self.d)) if default is None else default
-
-    def to_json(self):
-        return {
-            "depth": self.depth,
-            "d": self.d,
-            "values": [
-                {
-                    "level": q.level,
-                    "position": q.position,
-                    "value": [float(x) for x in m.reshape(-1)],
-                }
-                for q, m in sorted(self.entries.items(), key=lambda kv: kv[0])
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        d = int(obj["d"])
-        return cls(
-            int(obj["depth"]),
-            d,
-            [
-                (
-                    DyadicIndex(int(e["level"]), int(e["position"])),
-                    np.asarray(e["value"], dtype=float).reshape(d, d),
-                )
-                for e in obj["values"]
-            ],
-        )
+    _check, _rank = staticmethod(check_matrix_entries), 2
 
 
-def check_fits(w, seq):
-    """Refuse a sequence off the weight's tree, or a matrix sequence of another d."""
-    if seq.depth != w.depth:
-        raise DimensionMismatchError("sequence and weight live on different trees")
-    if isinstance(seq, MatrixSequence) and seq.d != w.d:
-        raise DimensionMismatchError("sequence and weight dimensions differ")
+def check_fits(w, *parts):
+    """Refuse a field or sequence off the weight's tree, and a vector field
+    or matrix sequence of another d; a scalar sequence fits any d.  ``w`` is
+    a matrix field and the fields are vector fields (``StepField.as_matrix``,
+    ``StepField.as_vector``); returns ``w``."""
+    for part in parts:
+        if part.depth != w.depth:
+            raise DimensionMismatchError(
+                f"different trees: depth {part.depth}, the weight's depth {w.depth}"
+            )
+        if part.d != w.d and not isinstance(part, ScalarSequence):
+            raise DimensionMismatchError(f"dimensions differ: d={part.d}, the weight's d={w.d}")
+    return w
 
 
 def check_sequence_batch(flat):
@@ -328,13 +306,6 @@ def subtree_forms(seq, cubes, vectors):
     return np.ldexp(ordered_sums(terms, n), tree_level(cubes))  # times 1 / |K|
 
 
-def _weight_field(w):
-    """A scalar or matrix field as a matrix weight; vector fields are refused."""
-    if w.kind == "vector":
-        raise DimensionMismatchError("a weight must be a scalar or matrix field")
-    return w.as_matrix()
-
-
 def carleson_intensity(seq):
     """Best constant in the Carleson condition of a cube-indexed sequence.
 
@@ -372,8 +343,7 @@ def wcet_testing_constant(w, seq):
     S_K = |K|^-1 sum_{Q in D(K)} <W>_Q A_Q <W>_Q.  Scalar sequences embed
     as alpha_Q * identity.
     """
-    w = _weight_field(w)
-    check_fits(w, seq)
+    w = check_fits(w.as_matrix(), seq)
     if len(seq) == 0:
         return 0.0
     roots, terms = w.cube_power(-0.5)[None], testing_terms(w.pyramid(), seq)[None]
@@ -386,7 +356,7 @@ def a2_characteristic(w):
     Always >= 1; computed as lambda_max(<W^-1>^1/2 <W> <W^-1>^1/2), which
     needs one eigendecomposition per cube instead of two.
     """
-    w = _weight_field(w)
+    w = w.as_matrix()
     roots = matrices.eig_power(*matrices.eigh_sym(w.inverse().pyramid()), 0.5, context=tree_cube)
     return float(matrices.lambda_max_stack(roots @ w.pyramid() @ roots).max())
 
@@ -417,4 +387,4 @@ def c2_conditioning(w):
     The pointwise condition number kappa(W(x)), supped over the tree's
     leaves; identically 1 for d = 1.
     """
-    return float(c2_conditioning_batch(matrices.eigvalsh_stack(_weight_field(w).values[None]))[0])
+    return float(c2_conditioning_batch(matrices.eigvalsh_stack(w.as_matrix().values[None]))[0])

@@ -264,8 +264,7 @@ def necessity_probe(w, seq, k, e):
     The numerator is a ``subtree_forms`` sum over the support, independent
     of the accumulation path used by the testing-constant computation.
     """
-    w = w.as_matrix()
-    check_fits(w, seq)
+    w = check_fits(w.as_matrix(), seq)
     k = check_index(k, w.depth)
     e = np.asarray(e, dtype=w.values.dtype)
     norm = float(np.sqrt(e @ e))
@@ -297,8 +296,7 @@ def necessity_report(w, seq, rng):
     per-cube relative gap between the two routes.  One stacked ``eigh``
     takes every cube; the samples are one draw, cube by cube in tree order.
     """
-    wm = w.as_matrix()
-    check_fits(wm, seq)
+    wm = check_fits(w.as_matrix(), seq)
     roots = wm.cube_power(-0.5)
     cubes = np.arange(len(roots))
     sandwich = roots @ subtree_sums_batch(testing_terms(wm.pyramid(), seq)[None])[0] @ roots

@@ -15,6 +15,7 @@ index arithmetic of that layout lives in this module.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -289,6 +290,15 @@ def integral(field, q):
 # loaders infer it when absent.
 # ---------------------------------------------------------------------------
 
+def json_int(obj, key, default=None):
+    """``obj[key]``, or ``default`` when given and the key is absent, refused
+    unless an integer: a float such as 1.9 or 1.0, or a bool, is not one."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DimensionMismatchError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def stepfield_to_json(field):
     d = field.d
     if field.kind == "scalar":
@@ -301,8 +311,7 @@ def stepfield_to_json(field):
 
 
 def stepfield_from_json(obj):
-    depth = int(obj["depth"])
-    d = int(obj.get("d", 1))
+    depth, d = json_int(obj, "depth"), json_int(obj, "d", 1)
     values = obj["values"]
     if len(values) != 1 << depth:
         raise DimensionMismatchError(

@@ -4,7 +4,9 @@ Covers the weighted embedding sum, both bilinear sums (inner-product and
 norm form), the weighted maximal function, the cube functional F with its
 Choquet-integral identity, and the pointwise product of two maximal
 functions.  Sums iterate the sparse sequence support; per-cube averages
-come from the cached field pyramids.
+come from the cached field pyramids.  Each entry point takes its weight as
+a matrix field and f, g as vector fields (``StepField.as_matrix``,
+``as_vector``), then checks that they fit (``check_fits``).
 """
 
 from __future__ import annotations
@@ -13,34 +15,18 @@ import numpy as np
 
 from . import matrices
 from .characteristics import (
-    MatrixSequence, ScalarSequence, _weight_field, check_fits, ordered_sums, rowdot,
-    subtree_forms, support_terms,
+    MatrixSequence, ScalarSequence, check_fits, ordered_sums, rowdot, subtree_forms, support_terms,
 )
 from .dyadic import StepField, level_slice, pyramid_batch, tree_ancestor, tree_cube, tree_size
 from .errors import DimensionMismatchError
 
 
-def _vector_field(f):
-    if f.kind == "matrix":
-        raise DimensionMismatchError("expected a scalar or vector field")
-    return f.as_vector()
-
-
-def _check_shapes(w, *fields):
-    for f in fields:
-        if f.depth != w.depth:
-            raise DimensionMismatchError("fields live on different trees")
-        if f.d != w.d:
-            raise DimensionMismatchError(f"dimension mismatch: weight d={w.d}, field d={f.d}")
-
-
 def weighted_l2_norm(f, w=None):
     """L2(W) norm of a vector field; plain L2 norm when ``w`` is None."""
-    f = _vector_field(f)
+    f = f.as_vector()
     if w is None:
         return float(l2_norm_batch(f.values[None])[0])
-    w = _weight_field(w)
-    _check_shapes(w, f)
+    w = check_fits(w.as_matrix(), f)
     sq = np.einsum("ki,kij,kj->k", f.values, w.values, f.values)
     return float(_norm_from_squares(sq))
 
@@ -74,24 +60,21 @@ def cet_sum(w, seq, f):
     Matrix terms <A_Q v, v> are clamped at zero against round-off; the
     terms are added in entry order (``subtree_forms`` at the root).
     """
-    w, f = _weight_field(w), _vector_field(f)
-    _check_shapes(w, f)
-    check_fits(w, seq)
+    w, f = w.as_matrix(), f.as_vector()
+    check_fits(w, f, seq)
     if not len(seq):
         return 0.0
     v = _halfweighted_averages(w, f, +1)[seq.positions]
     return float(subtree_forms(seq, [0], lambda i, j: v[j])[0])
 
 
-def _bet_inputs(w, f, g, support, seq=None):
+def _bet_inputs(w, f, g, support, *seqs):
     """The inputs of ``bet_vectors_batch`` for one bilinear sum over the
     flat cubes ``support``, each a batch of one but the eigendecompositions,
-    which are stacked over the support; ``seq``, when given, must fit the
+    which are stacked over the support; f, g and ``seqs`` must fit the
     weight (``check_fits``)."""
-    w, f, g = _weight_field(w), _vector_field(f), _vector_field(g)
-    _check_shapes(w, f, g)
-    if seq is not None:
-        check_fits(w, seq)
+    w, f, g = w.as_matrix(), f.as_vector(), g.as_vector()
+    check_fits(w, f, g, *seqs)
     havg = _halfweighted_averages(w, f, +1)
     gavg = _halfweighted_averages(w, g, -1)
     vals, vecs = matrices.eigh_sym(np.stack([v.pyramid()[support] for v in (w, w.inverse())]))
@@ -170,7 +153,7 @@ def bet_cube_functional(w, f, g):
     cube of the tree, returned as a dict.  It is the scalar term of
     ``bet_norm_sum`` with alpha_Q = 1, formed as that sum forms it.
     """
-    cubes = np.arange(tree_size(_weight_field(w).depth))
+    cubes = np.arange(tree_size(w.depth))
     u, v = bet_vectors_batch(*_bet_inputs(w, f, g, cubes), cubes)
     values = np.sqrt(rowdot(u, u) * rowdot(v, v)).astype(np.float64)
     return {tree_cube(i): float(x) for i, x in enumerate(values)}
@@ -183,8 +166,8 @@ def maximal_function(w, f):
     ||W^1/2(x) <W>_Q^-1 <W^1/2 f>_Q||, exact on the finite tree: each leaf
     takes the largest norm over its depth + 1 ancestors, all at once.
     """
-    w, f = _weight_field(w), _vector_field(f)
-    _check_shapes(w, f)
+    w, f = w.as_matrix(), f.as_vector()
+    check_fits(w, f)
     u = np.einsum("kij,kj->ki", w.cube_power(-1.0), _halfweighted_averages(w, f, +1))
     leaves = np.arange(tree_size(w.depth))[level_slice(w.depth), None]
     y = np.einsum("kij,kaj->kai", w.power(0.5).values,
@@ -194,7 +177,7 @@ def maximal_function(w, f):
 
 def phi_product(w, f, g):
     """Pointwise product M_W f * M_{W^-1} g as a scalar field."""
-    w = _weight_field(w)
+    w = w.as_matrix()
     mf = maximal_function(w, f)
     mg = maximal_function(w.inverse(), g)
     return StepField(mf.values * mg.values)

@@ -38,6 +38,7 @@ from .characteristics import (
     a2_characteristic,
     c2_conditioning,
     carleson_intensity,
+    check_fits,
     wcet_testing_constant,
 )
 from .constructions import (
@@ -70,6 +71,11 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+# upper limits of samples and budget, ten times the defaults: the sampled
+# gaps and the search's move stream are held in memory whole
+MAX_SAMPLES = MAX_BUDGET = 100_000
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -93,8 +99,8 @@ class ExperimentConfig:
         names = tuple(EXPERIMENTS)
         if self.experiment not in names:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {names}")
-        for name, lo, hi in (("depth", 0, 12), ("d", 1, 8), ("samples", 1, math.inf),
-                             ("budget", 1, math.inf)):
+        for name, lo, hi in (("depth", 0, 12), ("d", 1, 8), ("samples", 1, MAX_SAMPLES),
+                             ("budget", 1, MAX_BUDGET)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -319,29 +325,25 @@ def _normalized_intensity(seq):
     return seq.scaled(1.0 / intensity) if intensity > 1.0 else seq
 
 
+# the optional parts of an embedded instance and their readers, in reading order
+EMBEDDED_PARTS = {name: lambda obj: stepfield_from_json(obj).as_vector() for name in ("f", "g")}
+EMBEDDED_PARTS.update(alpha=ScalarSequence.from_json, matrix_seq=MatrixSequence.from_json)
+
+
 def _parse_embedded(obj, index):
-    """One user-supplied instance from the config's extra_instances list."""
+    """One user-supplied instance from the config's extra_instances list: a
+    matrix weight and each part of ``EMBEDDED_PARTS`` it holds (else None),
+    every part fitting the weight (``check_fits``)."""
+    parts, name = dict.fromkeys(EMBEDDED_PARTS), "weight"
     try:
-        w = stepfield_from_json(obj["weight"])
-        f = stepfield_from_json(obj["f"]) if "f" in obj else None
-        g = stepfield_from_json(obj["g"]) if "g" in obj else None
-        alpha = ScalarSequence.from_json(obj["alpha"]) if "alpha" in obj else None
-        mseq = MatrixSequence.from_json(obj["matrix_seq"]) if "matrix_seq" in obj else None
+        w = stepfield_from_json(obj["weight"]).as_matrix()
+        for name, read in EMBEDDED_PARTS.items():
+            if name in obj:
+                parts[name] = read(obj[name])
+                check_fits(w, parts[name])
     except (KeyError, TypeError, ValueError, LabError) as exc:
-        raise ConfigError(f"bad embedded instance #{index}: {exc}") from exc
-    for name, part in (("f", f), ("g", g), ("alpha", alpha), ("matrix_seq", mseq)):
-        if part is None:
-            continue
-        if part.depth != w.depth:
-            raise ConfigError(
-                f"bad embedded instance #{index}: {name} has depth {part.depth}, "
-                f"the weight has depth {w.depth}"
-            )
-        # a scalar sequence carries no dimension and fits any weight
-        if name != "alpha" and part.d != w.d:
-            raise ConfigError(
-                f"bad embedded instance #{index}: {name} has d={part.d}, the weight has d={w.d}"
-            )
+        raise ConfigError(f"bad embedded instance #{index}: {name}: {exc}") from exc
+    f, g, alpha, mseq = parts.values()
     return w, f, g, _normalized_intensity(alpha), _normalized_intensity(mseq)
 
 

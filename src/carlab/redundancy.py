@@ -162,8 +162,7 @@ def red_quadratic_form(w, bseq, k, e, order="corollary"):
     """
     if order not in ("first", "second", "corollary"):
         raise ValueError(f"unknown order {order!r}")
-    w = w.as_matrix()
-    check_fits(w, bseq)
+    w = check_fits(w.as_matrix(), bseq)
     k = check_index(k, w.depth)
     e = np.asarray(e, dtype=float)
     r_k = matrices.spd_power(w.pyramid()[tree_position(k)], -0.5)

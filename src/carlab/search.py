@@ -137,7 +137,11 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
     every one is.  The steps and checks are those of one evaluation through
     the public kernels, in the same order, so a batch of one raises what
     that evaluation raises: the members not marked stale have passed them
-    before.  The sequences are checked as dense arrays in tree order.
+    before.  The sequences are checked as dense arrays in tree order, once,
+    as scalars: red_ratio's matrix sequence alpha_Q I is finite, symmetric
+    and PSD whenever alpha is finite and non-negative, and has the same
+    Carleson intensity, so the checks ``red_constants`` makes of it are
+    implied by those of alpha.
     """
     n_leaves, d = log_eigs.shape[1:]
     depth = n_leaves.bit_length() - 1
@@ -165,9 +169,6 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
         c2 = c2_conditioning_batch(leaf_vals[0])
     alpha = _state_sequences(seq_weights)
     check_sequence_batch(alpha)
-    if objective == "red_ratio":
-        alpha = alpha[..., None, None] * np.eye(d)  # alpha_Q times I
-        check_sequence_batch(alpha)
     if objective != "bet_norm_ratio":
         check_intensity_batch(alpha)
     vavg = pyramid_batch(leaf_power(c["winv"], -1.0))
@@ -175,7 +176,7 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
     if objective == "red_ratio":
         r = _refresh_power(c["r"], -0.5, weig, stale)
         p = _refresh_power(c["p"], -0.5, veig, stale)
-        c1, c2, c3 = red_constants_batch(r, p, alpha)
+        c1, c2, c3 = red_constants_batch(r, p, alpha[..., None, None] * np.eye(d))  # alpha_Q I
         value = np.where(c2 > c1, c2, c1)  # max(c1, c2, c3): the first maximum
         return np.where(c3 > value, c3, value), w, None
     if objective == "sred_ratio":

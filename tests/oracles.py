@@ -928,11 +928,11 @@ def brute_substitution_error(w, entries, rng, samples=5):
 
 def loop_cet_sum(w, seq, f):
     """``cet_sum`` as a loop over ``seq.items()``, one cube at a time."""
-    from carlab.characteristics import MatrixSequence, _weight_field
+    from carlab.characteristics import MatrixSequence
     from carlab.dyadic import tree_position
     from carlab.embeddings import _halfweighted_averages
 
-    havg = _halfweighted_averages(_weight_field(w), f.as_vector(), +1)
+    havg = _halfweighted_averages(w.as_matrix(), f.as_vector(), +1)
     total = 0.0
     for q, a in seq.items():
         v = havg[tree_position(q)]
@@ -1080,3 +1080,57 @@ def unique_choquet_level_form(seq, functional):
             level_form += (v - prev) * mu
             prev = v
     return float(level_form)
+
+
+def per_class_to_json(seq):
+    """``to_json`` as each sequence class wrote it for itself."""
+    from carlab.characteristics import MatrixSequence
+
+    if isinstance(seq, MatrixSequence):
+        return {
+            "depth": seq.depth,
+            "d": seq.d,
+            "values": [
+                {
+                    "level": q.level,
+                    "position": q.position,
+                    "value": [float(x) for x in m.reshape(-1)],
+                }
+                for q, m in sorted(seq.entries.items(), key=lambda kv: kv[0])
+            ],
+        }
+    return {
+        "depth": seq.depth,
+        "d": 1,
+        "values": [
+            {"level": q.level, "position": q.position, "value": v}
+            for q, v in sorted(seq.entries.items())
+        ],
+    }
+
+
+def per_class_from_json(cls, obj):
+    """``cls.from_json`` as each sequence class read it for itself."""
+    from carlab.characteristics import MatrixSequence
+    from carlab.dyadic import DyadicIndex
+
+    if cls is MatrixSequence:
+        d = int(obj["d"])
+        return cls(
+            int(obj["depth"]),
+            d,
+            [
+                (
+                    DyadicIndex(int(e["level"]), int(e["position"])),
+                    np.asarray(e["value"], dtype=float).reshape(d, d),
+                )
+                for e in obj["values"]
+            ],
+        )
+    return cls(
+        int(obj["depth"]),
+        [
+            (DyadicIndex(int(e["level"]), int(e["position"])), float(e["value"]))
+            for e in obj["values"]
+        ],
+    )

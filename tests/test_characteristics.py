@@ -42,6 +42,8 @@ from oracles import (
     loop_subtree_forms,
     loop_subtree_sums,
     loop_testing_terms,
+    per_class_from_json,
+    per_class_to_json,
     split_levels,
 )
 
@@ -175,6 +177,68 @@ def test_sequence_json_roundtrip():
     )
     alpha = ScalarSequence.from_json(json.loads(json.dumps(inst.alpha.to_json())))
     assert alpha.get(ROOT) == 1.0
+
+
+def _json_sequences():
+    inst = random_instance(3, 2, seed=4, cond_cap=1e3)
+    rng = np.random.default_rng(4)
+    shuffled = [list(inst.mseq.items())[i] for i in rng.permutation(len(inst.mseq))]
+    ld = np.longdouble
+    return [
+        inst.sseq, inst.mseq, MatrixSequence(3, 2, shuffled), ScalarSequence(3),
+        MatrixSequence(3, 2),
+        ScalarSequence.from_arrays(3, inst.sseq.positions, inst.sseq.values.astype(ld) / 3),
+        MatrixSequence.from_arrays(3, inst.mseq.positions, inst.mseq.values.astype(ld) / 3),
+    ]
+
+
+@pytest.mark.parametrize("i", range(7))
+def test_sequence_json_is_the_per_class_json(i):
+    # one to_json and one from_json serve both sequence classes; they write
+    # the bytes, and read back the positions and values, of the per-class
+    # code they replace
+    seq = _json_sequences()[i]
+    text = json.dumps(seq.to_json())
+    # the per-class scalar to_json left longdouble values, which json.dumps refuses
+    assert text == json.dumps(per_class_to_json(seq), default=float)
+    back = type(seq).from_json(json.loads(text))
+    order = np.argsort(seq.positions)
+    for got in (back, per_class_from_json(type(seq), json.loads(text))):
+        assert got.positions.tolist() == seq.positions[order].tolist()
+        assert got.values.dtype == np.float64 and got.d == seq.d and got.depth == seq.depth
+        assert np.array_equal(got.values, seq.values[order].astype(np.float64))
+    zero = back.get(ROOT if not len(back) else (3, 7), None)
+    assert np.shape(zero) == np.shape(seq.values)[1:] and not np.any(zero)
+
+
+@pytest.mark.parametrize("key, bad", [("depth", 1.9), ("depth", True), ("depth", 1.0),
+                                      ("d", 2.0), ("d", False), ("level", 0.9),
+                                      ("position", 0.5), ("position", True)])
+def test_json_refuses_non_integer_sizes_and_addresses(key, bad):
+    # int() read depth 1.9 as 1, level 0.9 as 0 and True as 1: the entry of
+    # a depth-1 sequence at cube (1, 1) moved to the root
+    refused = pytest.raises(DimensionMismatchError, match=f"{key} must be an integer, got {bad}")
+    for cls, obj in ((MatrixSequence, MatrixSequence(1, 2, {(1, 1): np.eye(2)}).to_json()),
+                     (ScalarSequence, ScalarSequence(1, {(1, 1): 1.0}).to_json())):
+        (obj if key in ("depth", "d") else obj["values"][0])[key] = bad
+        with refused:
+            cls.from_json(obj)
+    if key in ("depth", "d"):
+        field = dict(stepfield_to_json(StepField.constant(1, np.eye(2))), **{key: bad})
+        with refused:
+            stepfield_from_json(field)
+
+
+def test_scalar_sequence_json_is_read_as_written():
+    # this loaded as a depth-1 sequence with its entry at the root
+    with pytest.raises(DimensionMismatchError, match="depth must be an integer, got 1.9"):
+        ScalarSequence.from_json(
+            {"depth": 1.9, "values": [{"level": 0.9, "position": 0.5, "value": 1.0}]}
+        )
+    # a scalar entry is one number, not a list of one
+    entry = {"level": 0, "position": 0, "value": [1.0]}
+    with pytest.raises(TypeError):
+        ScalarSequence.from_json({"depth": 1, "values": [entry]})
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -467,41 +531,62 @@ def test_subtree_forms_is_the_entry_loop(d):
 
 
 def _fit_entry_points():
+    """Every entry point that takes a weight, by name: its call(w, f, g, seq),
+    the sequences it takes ("scalar", "matrix", "both" or "") and the
+    fields it takes ("f", "fg" or "")."""
     from carlab.bellman import dyadic_point
-    from carlab.embeddings import bet_inner_sum, bet_norm_sum, cet_sum
+    from carlab.embeddings import (
+        bet_cube_functional, bet_inner_sum, bet_norm_sum, cet_sum, maximal_function,
+        phi_product, weighted_l2_norm,
+    )
     from carlab.redundancy import red_constants, red_quadratic_form, sred_constant
 
     unit = np.array([1.0, 0.0])
     return {
-        "wcet_testing_constant": lambda w, f, s: wcet_testing_constant(w, s),
-        "necessity_probe": lambda w, f, s: necessity_probe(w, s, ROOT, unit),
-        "necessity_report": lambda w, f, s: necessity_report(w, s, np.random.default_rng(0)),
-        "cet_sum": lambda w, f, s: cet_sum(w, s, f),
-        "bet_norm_sum": lambda w, f, s: bet_norm_sum(w, s, f, f),
-        "bet_inner_sum": lambda w, f, s: bet_inner_sum(w, s, f, f),
-        "red_constants": lambda w, f, s: red_constants(w, s),
-        "red_quadratic_form": lambda w, f, s: red_quadratic_form(w, s, ROOT, unit),
-        "sred_constant": lambda w, f, s: sred_constant(w, s),
-        "dyadic_point": lambda w, f, s: dyadic_point(w, s, ROOT),
+        "wcet_testing_constant": (lambda w, f, g, s: wcet_testing_constant(w, s), "both", ""),
+        "necessity_probe": (lambda w, f, g, s: necessity_probe(w, s, ROOT, unit), "both", ""),
+        "necessity_report":
+            (lambda w, f, g, s: necessity_report(w, s, np.random.default_rng(0)), "both", ""),
+        "cet_sum": (lambda w, f, g, s: cet_sum(w, s, f), "both", "f"),
+        "bet_norm_sum": (lambda w, f, g, s: bet_norm_sum(w, s, f, g), "both", "fg"),
+        "bet_inner_sum": (lambda w, f, g, s: bet_inner_sum(w, s, f, g), "both", "fg"),
+        "red_constants": (lambda w, f, g, s: red_constants(w, s), "matrix", ""),
+        "red_quadratic_form":
+            (lambda w, f, g, s: red_quadratic_form(w, s, ROOT, unit), "matrix", ""),
+        "sred_constant": (lambda w, f, g, s: sred_constant(w, s), "scalar", ""),
+        "dyadic_point": (lambda w, f, g, s: dyadic_point(w, s, ROOT), "scalar", ""),
+        "weighted_l2_norm": (lambda w, f, g, s: weighted_l2_norm(f, w), "", "f"),
+        "maximal_function": (lambda w, f, g, s: maximal_function(w, f), "", "f"),
+        "phi_product": (lambda w, f, g, s: phi_product(w, f, g), "", "fg"),
+        "bet_cube_functional": (lambda w, f, g, s: bet_cube_functional(w, f, g), "", "fg"),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_fit_entry_points()))
 def test_sequence_must_fit_its_weight(name):
-    # a sequence on a deeper tree, and a matrix sequence of another d, are
-    # refused as the testing constant refuses them, not with an IndexError
-    # or a numpy ValueError
-    call = _fit_entry_points()[name]
+    # a sequence or field on a deeper tree, and a matrix sequence or vector
+    # field of another d, are refused as the testing constant refuses them
+    # (check_fits), not with an IndexError or a numpy ValueError
+    call, takes, fields = _fit_entry_points()[name]
     w, f = StepField.constant(2, np.eye(2)), StepField.constant(2, np.array([1.0, 0.0]))
     deeper = (MatrixSequence(3, 2, {(3, 7): np.eye(2)}), ScalarSequence(3, {(3, 7): 1.0}))
     wider = MatrixSequence(2, 3, {ROOT: np.eye(3)})
-    takes = {"red_constants": "matrix", "red_quadratic_form": "matrix",
-             "sred_constant": "scalar", "dyadic_point": "scalar"}.get(name, "both")
     bad = [seq for seq, kind in zip(deeper, ("matrix", "scalar")) if takes in (kind, "both")]
-    bad += [wider] if takes != "scalar" else []
+    bad += [wider] if takes in ("matrix", "both") else []
     for seq in bad:
         with pytest.raises(DimensionMismatchError, match="different trees|dimensions differ"):
-            call(w, f, seq)
-    # a scalar sequence fits a weight of any d
-    if takes != "matrix":
-        call(w, f, ScalarSequence(2, {ROOT: 0.5}))
+            call(w, f, f, seq)
+    seq = (MatrixSequence(2, 2, {ROOT: 0.5 * np.eye(2)}) if takes == "matrix"
+           else ScalarSequence(2, {ROOT: 0.5}))
+    for part in fields:
+        for other, match in ((f.refine(3), "different trees"),
+                             (StepField.constant(2, np.ones(3)), "dimensions differ"),
+                             (w, "matrix fields have no vector view")):
+            given = {"f": f, "g": f, part: other}
+            with pytest.raises(DimensionMismatchError, match=match):
+                call(w, given["f"], given["g"], seq)
+    # a vector weight is refused by its matrix view, whatever else is given
+    with pytest.raises(DimensionMismatchError, match="vector fields have no matrix view"):
+        call(f, f, f, seq)
+    # inputs that fit pass; a scalar sequence fits a weight of any d
+    call(w, f, f, seq)

@@ -853,3 +853,55 @@ def test_cli_unknown_field_kind_exit_code(tmp_path, monkeypatch, capsys):
     with pytest.raises(DimensionMismatchError, match="scalar leaves of d=2 take 1 value"):
         stepfield_from_json(dict(weight, kind="scalar"))
     assert stepfield_from_json(dict(weight, kind="matrix")).depth == 1
+
+
+def test_cli_embedded_json_non_integer_exit_code(tmp_path, monkeypatch, capsys):
+    # int() read level 0.9 as 0: the alpha entry moved to the root and the
+    # run exited 0
+    monkeypatch.chdir(tmp_path)
+    weight = {"depth": 1, "d": 2, "kind": "matrix", "values": [[1, 0, 0, 1], [2, 0, 0, 1]]}
+    alpha = {"depth": 1, "d": 1, "values": [{"level": 0.9, "position": 0, "value": 1.0}]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seeds": [0], "extra_instances": [
+        {"weight": weight, "alpha": alpha}]}))
+    assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
+    assert ("bad embedded instance #0: alpha: level must be an integer, got 0.9"
+            in capsys.readouterr().err)
+
+
+def test_cli_sibet_suite_embedded_field_kind_exit_code(tmp_path, monkeypatch, capsys):
+    # a matrix-kind f exited 3 with "error: expected a scalar or vector
+    # field"; a vector-kind weight is refused as bad configuration too
+    monkeypatch.chdir(tmp_path)
+    eye = {"depth": 1, "d": 2, "kind": "matrix", "values": [[1, 0, 0, 1], [1, 0, 0, 1]]}
+    unit = {"depth": 1, "d": 2, "kind": "vector", "values": [[1, 0], [0, 1]]}
+    alpha = {"depth": 1, "d": 1, "values": [{"level": 0, "position": 0, "value": 1.0}]}
+    cfg_path = tmp_path / "cfg.json"
+    for weight, f, message in ((eye, eye, "f: matrix fields have no vector view"),
+                               (unit, unit, "weight: vector fields have no matrix view")):
+        embedded = {"weight": weight, "f": f, "g": unit, "alpha": alpha}
+        cfg_path.write_text(json.dumps({"seeds": [0, 1], "depth": 2, "extra_instances": [embedded]}))
+        assert main(["sibet-suite", "--config", str(cfg_path), "--quiet"]) == 2
+        assert f"bad embedded instance #0: {message}" in capsys.readouterr().err
+
+
+def test_cli_samples_and_budget_limits_exit_code(tmp_path, monkeypatch, capsys):
+    # samples had no upper limit: 10^15 of them ended in a numpy
+    # _ArrayMemoryError traceback (exit 1) from the first allocation; a huge
+    # budget draws its whole move stream into memory before the first
+    # evaluation.  The samples case runs first: a copy without the limits
+    # must never reach the budget case.
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    for experiment, key in (("bellman-certify", "samples"), ("adversarial-search", "budget")):
+        cfg_path.write_text(json.dumps({key: 10**15}))
+        assert main([experiment, "--config", str(cfg_path), "--quiet"]) == 2
+        assert f"{key} must lie in [1, 100000], got {10**15}" in capsys.readouterr().err
+    assert main(["adversarial-search", "--budget", str(10**15), "--quiet"]) == 2
+
+    from carlab.lab import MAX_BUDGET, MAX_SAMPLES
+
+    for key, limit in (("samples", MAX_SAMPLES), ("budget", MAX_BUDGET)):
+        assert getattr(default_config("bellman-certify", **{key: limit}), key) == limit
+        with pytest.raises(ConfigError, match=f"{key} must lie in"):
+            default_config("bellman-certify", **{key: limit + 1})
