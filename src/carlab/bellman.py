@@ -24,20 +24,19 @@ and ``matrix_parameter_probe`` draw each sample's random numbers in the
 order of the per-sample loop, ``BLOCK`` samples at a time, and then build
 and evaluate the block as one stack per d.  The dynamics certificates
 (``dynamics_gaps``, ``telescoping_certificate``) evaluate one stack per
-tree level, so each cube's B is formed once.
+subtree D(K), in tree order, so each cube's B is formed once.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import NamedTuple
 
 import numpy as np
 
 from . import matrices
-from .characteristics import check_fits, cube_supremum_batch, subtree_sums_batch
+from .characteristics import check_fits, cube_supremum_batch, ordered_sums, subtree_sums_batch
 from .constructions import draw_spd, orthogonal_from_draws, spd_from_draws
-from .dyadic import DyadicIndex, ROOT, check_index, level_slice, tree_level, tree_position
+from .dyadic import ROOT, check_index, subtree_positions, tree_cube, tree_level, tree_position
 from .errors import (
     DimensionMismatchError, DomainError, PreconditionError, first_failure, relabel,
 )
@@ -288,54 +287,29 @@ def dyadic_point(w, alpha, k):
     return BellmanPoint(uavg[i], vavg[i], float(m[i]))
 
 
-class _Level(NamedTuple):
-    """Dynamics certificates of the cubes (level, lo + i) of one level."""
-
-    level: int
-    lo: int
-    alpha: np.ndarray  # alpha at the cubes
-    stack: BellmanStack
-    b: np.ndarray  # B at the cubes' points
-    tail: np.ndarray | None  # |L| B(U_L, V_L, 0), leaves only
-    cert: np.ndarray | None
-
-
-def _certificates(data, k, levels, bottom=None):
-    """Matrix slack of the one-step dynamics inequality on D(k), per level.
+def _certificates(data, k):
+    """Matrix slack of the one-step dynamics inequality at every cube of D(k).
 
     Non-leaf: |K| B(K) - V_K^-1 alpha_K / 4 - |K-| B(K-) - |K+| B(K+).
     Leaf:     |L| B(L) - V_L^-1 alpha_L / 4 - |L| B(U_L, V_L, 0).
 
-    One stacked evaluation per level, from level ``bottom`` (default: the
-    leaves) up to k's; each level's B serves its own certificates and its
-    parents'.  Certificates are formed at the levels in ``levels``.
-    Returns a ``_Level`` per level, lowest first.  An inadmissible average
-    names its cube.
+    One stacked evaluation over D(k) in tree order (``subtree_positions``),
+    where the children of the cube at index t sit at 2t + 1 and 2t + 2; each
+    cube's B serves its own certificate and its parent's.  Returns alpha,
+    the stack, |K| B(K), the leaf tails |L| B(U_L, V_L, 0) and the
+    certificates, each over D(k) in tree order (the tails over its leaves).
+    An inadmissible average names its cube, the first in tree order.
     """
     w, uavg, vavg, m, a = data
-    depth = w.depth
-    out = []
-    below = None
-    for j in range(depth if bottom is None else bottom, k.level - 1, -1):
-        lo, start = k.position << (j - k.level), level_slice(j).start
-        cubes = slice(start + lo, start + ((k.position + 1) << (j - k.level)))
-        measure = 2.0 ** (-j)
-        tail = cert = None
-        with relabel(lambda p: DyadicIndex(j, lo + p)):
-            stack = BellmanStack(uavg[cubes], vavg[cubes], m[cubes])
-            b = bellman_eval_stack(stack)
-            if j in levels:
-                lhs = measure * b - (0.25 * a[cubes])[:, None, None] * stack.vinv
-                if j == depth:
-                    rest = tail = measure * bellman_eval_stack(stack.with_m(0.0))
-                else:
-                    rest = np.zeros_like(lhs)
-                    for child in (0, 1):
-                        rest = rest + 2.0 ** (-(j + 1)) * below[child::2]
-                cert = matrices.symmetrize(lhs - rest)
-        out.append(_Level(j, lo, a[cubes], stack, b, tail, cert))
-        below = b
-    return out
+    cubes = subtree_positions(k, w.depth)
+    measure = np.ldexp(1.0, -tree_level(cubes))[:, None, None]
+    with relabel(lambda i: tree_cube(int(cubes[i]))):
+        stack = BellmanStack(uavg[cubes], vavg[cubes], m[cubes])
+        b = measure * bellman_eval_stack(stack)
+        tail = (measure * bellman_eval_stack(stack.with_m(0.0)))[len(cubes) // 2:]
+        lhs = b - (0.25 * a[cubes])[:, None, None] * stack.vinv
+    children = np.zeros_like(b[1::2]) + b[1::2] + b[2::2]  # zero, then left, then right
+    return a[cubes], stack, b, tail, matrices.symmetrize(lhs - np.concatenate([children, tail]))
 
 
 def _gaps(cert):
@@ -343,29 +317,20 @@ def _gaps(cert):
 
 
 def bellman_dynamics_gap(w, alpha, k):
-    """PSD margin of the one-step dynamics inequality at a non-leaf cube."""
+    """PSD margin of the one-step dynamics inequality at a non-leaf cube;
+    every cube of D(k) must be admissible."""
     data = _dyadic_data(w, alpha)
     k = check_index(k, data[0].depth)
     if k.level == data[0].depth:
         raise PreconditionError("dynamics step needs a non-leaf cube")
-    cert = _certificates(data, k, {k.level}, bottom=k.level + 1)[-1].cert
-    return float(_gaps(cert)[0])
+    return float(_gaps(_certificates(data, k)[-1][:1])[0])
 
 
 def dynamics_gaps(w, alpha):
-    """Dynamics margins for every non-leaf cube, as a dict."""
-    data = _dyadic_data(w, alpha)
-    depth = data[0].depth
-    out = {}
-    for lv in reversed(_certificates(data, ROOT, range(depth))[1:]):
-        for p, gap in enumerate(_gaps(lv.cert)):
-            out[DyadicIndex(lv.level, lv.lo + p)] = float(gap)
-    return out
-
-
-def _sum_in_order(stack):
-    """Left-to-right sum over the first axis, as a running ``+`` would add."""
-    return np.add.accumulate(stack, axis=0)[-1]
+    """Dynamics margins for every non-leaf cube, as a dict in tree order."""
+    cert = _certificates(_dyadic_data(w, alpha), ROOT)[-1]
+    inner = len(cert) // 2  # the non-leaf cubes come first
+    return dict(zip(map(tree_cube, range(inner)), _gaps(cert[:inner]).tolist()))
 
 
 def telescoping_certificate(w, alpha, k=ROOT):
@@ -384,24 +349,14 @@ def telescoping_certificate(w, alpha, k=ROOT):
     run over D(K) in ``descendants`` order (level by level, left to right).
     """
     data = _dyadic_data(w, alpha)
-    wm = data[0]
-    k = check_index(k, wm.depth)
-    levels = _certificates(data, k, range(k.level, wm.depth + 1))[::-1]
-
-    certs = np.concatenate([lv.cert for lv in levels])
-    gaps = _gaps(certs)
-    alphas = np.concatenate([lv.alpha for lv in levels])
-    vinvs = np.concatenate([lv.stack.vinv for lv in levels])
+    alphas, stack, b, tail, certs = _certificates(data, check_index(k, data[0].depth))
     nonzero = alphas != 0
-    if nonzero.any():
-        sred_sum = _sum_in_order(alphas[nonzero][:, None, None] * vinvs[nonzero])
-    else:
-        sred_sum = np.zeros((wm.d, wm.d))
-    leaf_tail = _sum_in_order(levels[-1].tail)
-    direct = k.measure * levels[0].b[0] - 0.25 * sred_sum - leaf_tail
-    accumulated = _sum_in_order(certs)
-    min_gap = gaps[np.argmin(gaps)]
-    return matrices.symmetrize(direct), matrices.symmetrize(accumulated), float(min_gap)
+    sred_terms = alphas[nonzero][:, None, None] * stack.vinv[nonzero]
+    sred_sum, leaf_tail, accumulated = ordered_sums(
+        np.concatenate([sred_terms, tail, certs]), [len(sred_terms), len(tail), len(certs)])
+    direct = b[0] - 0.25 * sred_sum - leaf_tail
+    min_gap = float(_gaps(certs).min())
+    return matrices.symmetrize(direct), matrices.symmetrize(accumulated), min_gap
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,9 @@ class CubeSequence:
     @classmethod
     def from_json(cls, obj):
         """The sequence of ``to_json``; depth, d, level and position must be
-        JSON integers (``json_int``), d defaulting to 1."""
-        depth, d = json_int(obj, "depth"), json_int(obj, "d", 1)
+        JSON integers (``json_int``), depth at least 0 and d, defaulting to
+        1, at least 1."""
+        depth, d = json_int(obj, "depth", low=0), json_int(obj, "d", 1, low=1)
         shape, seq = (d,) * cls._rank, cls.__new__(cls)
         CubeSequence.__init__(seq, depth, d, [
             (DyadicIndex(json_int(e, "level"), json_int(e, "position")),
@@ -281,8 +282,9 @@ def support_terms(values, x):
 
 
 def ordered_sums(terms, counts):
-    """Left-to-right sum of each run of ``counts`` consecutive terms, as a loop adds them."""
-    sums = np.zeros(len(counts))
+    """Left-to-right sum of each run of ``counts`` consecutive terms (n, ...),
+    as a loop adds them."""
+    sums = np.zeros((len(counts), *terms.shape[1:]))
     np.add.at(sums, np.repeat(np.arange(len(counts)), counts), terms)
     return sums
 

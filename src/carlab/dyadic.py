@@ -8,8 +8,9 @@ two, so the averaging itself introduces no meaningful rounding.
 
 Every cube-indexed array is flat in tree order: the cubes level by level, as
 ``cubes`` lists them, cube (k, p) at index 2^k - 1 + p (``tree_position``),
-level k at ``level_slice(k)``, and a batch axis, if any, first.  All of the
-index arithmetic of that layout lives in this module.
+level k at ``level_slice(k)``, the subtree D(q) at ``subtree_positions(q)``,
+and a batch axis, if any, first.  All of the index arithmetic of that layout
+lives in this module.
 """
 
 from __future__ import annotations
@@ -79,13 +80,8 @@ def cubes(depth, level=0):
 
 
 def descendants(q, depth):
-    """All cubes of D(q) on a tree of the given depth, q included."""
-    q = check_index(q, depth)
-    for k in range(q.level, depth + 1):
-        shift = k - q.level
-        base = q.position << shift
-        for p in range(base, base + (1 << shift)):
-            yield DyadicIndex(k, p)
+    """All cubes of D(q) on a tree of the given depth, q included, in tree order."""
+    return map(tree_cube, subtree_positions(q, depth).tolist())
 
 
 def tree_position(q):
@@ -97,6 +93,14 @@ def tree_cube(i):
     """The cube at index ``i`` of the tree listed level by level."""
     k = (i + 1).bit_length() - 1
     return DyadicIndex(k, i + 1 - (1 << k))
+
+
+def subtree_positions(q, depth):
+    """The indices of D(q), q included, in tree order: D(q) is itself a tree,
+    and its i-th cube, l levels below q, is at index (tree_position(q) << l) + i."""
+    q = check_index(q, depth)
+    i = np.arange(tree_size(depth, q.level))
+    return (tree_position(q) << tree_level(i)) + i
 
 
 def level_slice(k):
@@ -140,6 +144,8 @@ class StepField:
             raise DimensionMismatchError(f"matrix leaves must be square, got {values.shape[1:]}")
         if values.ndim > 3:
             raise DimensionMismatchError(f"unsupported leaf shape {values.shape[1:]}")
+        if values.ndim > 1 and values.shape[1] == 0:
+            raise DimensionMismatchError("vector and matrix leaves need d >= 1, got d=0")
         bad = np.flatnonzero(~np.isfinite(values).reshape(n, -1).all(axis=1))
         if bad.size:
             leaf = DyadicIndex(n.bit_length() - 1, int(bad[0]))
@@ -290,12 +296,15 @@ def integral(field, q):
 # loaders infer it when absent.
 # ---------------------------------------------------------------------------
 
-def json_int(obj, key, default=None):
+def json_int(obj, key, default=None, low=None):
     """``obj[key]``, or ``default`` when given and the key is absent, refused
-    unless an integer: a float such as 1.9 or 1.0, or a bool, is not one."""
+    unless an integer (a float such as 1.9 or 1.0, or a bool, is not one)
+    and, when ``low`` is given, unless at least ``low``."""
     value = obj[key] if default is None else obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DimensionMismatchError(f"{key} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DimensionMismatchError(f"{key} must be at least {low}, got {value}")
     return int(value)
 
 
@@ -311,7 +320,7 @@ def stepfield_to_json(field):
 
 
 def stepfield_from_json(obj):
-    depth, d = json_int(obj, "depth"), json_int(obj, "d", 1)
+    depth, d = json_int(obj, "depth", low=0), json_int(obj, "d", 1, low=1)
     values = obj["values"]
     if len(values) != 1 << depth:
         raise DimensionMismatchError(

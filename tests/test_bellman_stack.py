@@ -176,6 +176,22 @@ def test_dynamics_match_oracle(seed, depth, d):
         assert gaps[cube] == float(np.linalg.eigh(cert)[0][0])
 
 
+def test_dynamics_eigh_calls_do_not_depend_on_depth(monkeypatch):
+    # D(K) is one stack: the certificates decompose as many stacks on a
+    # tree of depth 6 as on one of depth 1
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    counts = {}
+    for depth in (1, 6):
+        w, alpha = _instance(depth, depth, 2)
+        for certify in (dynamics_gaps, telescoping_certificate):
+            calls.clear()
+            certify(w, alpha)
+            counts[certify, depth] = len(calls)
+    assert counts[dynamics_gaps, 1] == counts[dynamics_gaps, 6]
+    assert counts[telescoping_certificate, 1] == counts[telescoping_certificate, 6]
+
+
 # -- errors name the first bad point -----------------------------------------
 
 I2 = np.eye(2)
@@ -270,14 +286,17 @@ def test_sampled_errors_name_first_failing_sample():
 
 
 def test_dynamics_error_names_cube():
+    # D(K) is one stack in tree order: with (2, 0) out of the domain too, the
+    # first in tree order, (1, 1), is named, as StepField.cube_power names
+    # its cubes
     w, alpha = _instance(3, 2, 2)
-    data = list(bellman._dyadic_data(w, alpha))
-    vavg = data[2].copy()
-    vavg[tree_position(DyadicIndex(1, 1))] = np.diag([1e-20, 1.0])  # (1, 1) leaves the domain
-    data[2] = vavg
-    with pytest.raises(DomainError) as info:
-        bellman._certificates(tuple(data), DyadicIndex(0, 0), {0, 1})
-    assert info.value.point == DyadicIndex(1, 1)
+    for bad in ([DyadicIndex(1, 1)], [DyadicIndex(2, 0), DyadicIndex(1, 1)]):
+        data = list(bellman._dyadic_data(w, alpha))
+        data[2] = data[2].copy()
+        data[2][[tree_position(q) for q in bad]] = np.diag([1e-20, 1.0])  # out of the domain
+        with pytest.raises(DomainError) as info:
+            bellman._certificates(tuple(data), DyadicIndex(0, 0))
+        assert info.value.point == DyadicIndex(1, 1)
 
 
 # -- observability ------------------------------------------------------------

@@ -229,6 +229,21 @@ def test_json_refuses_non_integer_sizes_and_addresses(key, bad):
             stepfield_from_json(field)
 
 
+@pytest.mark.parametrize("key, bad", [("depth", -1), ("depth", -3), ("d", 0), ("d", -2)])
+def test_json_refuses_sizes_out_of_range(key, bad):
+    # ScalarSequence.from_json({"depth": -1, "values": []}) loaded, and a
+    # field of depth -1 was refused with "negative shift count"
+    low = 0 if key == "depth" else 1
+    message = f"{key} must be at least {low}, got {bad}"
+    refused = pytest.raises(DimensionMismatchError, match=message)
+    for cls, obj in ((MatrixSequence, MatrixSequence(1, 2, {(1, 1): np.eye(2)}).to_json()),
+                     (ScalarSequence, {"depth": 1, "values": []})):
+        with refused:
+            cls.from_json(dict(obj, **{key: bad}))
+    with refused:
+        stepfield_from_json(dict(stepfield_to_json(StepField.constant(1, np.eye(2))), **{key: bad}))
+
+
 def test_scalar_sequence_json_is_read_as_written():
     # this loaded as a depth-1 sequence with its entry at the root
     with pytest.raises(DimensionMismatchError, match="depth must be an integer, got 1.9"):

@@ -233,6 +233,13 @@ def test_power_names_first_refused_leaf(dtype):
     assert StepField(singular.astype(dtype)).power(0.5).values[3, 1, 1] == 0.0
 
 
+def test_stepfield_refuses_leaves_of_d_zero():
+    # a (2, 0, 0) weight loaded, and its inverse failed with an IndexError
+    for values in (np.zeros((2, 0, 0)), np.zeros((2, 0))):
+        with pytest.raises(DimensionMismatchError, match="need d >= 1, got d=0"):
+            StepField(values)
+
+
 def test_stepfield_refuses_non_finite_values():
     for values in (np.array([1.0, np.nan]), np.array([[0.0, 1.0], [np.inf, 0.0]]),
                    np.stack([np.eye(2), np.eye(2), np.diag([1.0, -np.inf]), np.eye(2)])):

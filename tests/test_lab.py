@@ -869,6 +869,23 @@ def test_cli_embedded_json_non_integer_exit_code(tmp_path, monkeypatch, capsys):
             in capsys.readouterr().err)
 
 
+def test_cli_embedded_json_size_out_of_range_exit_code(tmp_path, monkeypatch, capsys):
+    # a weight of d = 0 ended in an IndexError traceback (exit 1) from its
+    # inverse; one of depth -1 was refused with "negative shift count"
+    monkeypatch.chdir(tmp_path)
+    alpha = {"depth": 1, "d": 1, "values": [{"level": 0, "position": 0, "value": 1.0}]}
+    cfg_path = tmp_path / "cfg.json"
+    for weight, message in (
+        ({"depth": 1, "d": 0, "kind": "matrix", "values": [[], []]}, "d must be at least 1, got 0"),
+        ({"depth": -1, "d": 1, "kind": "matrix", "values": [[1.0]]},
+         "depth must be at least 0, got -1"),
+    ):
+        cfg_path.write_text(json.dumps({"seeds": [0], "extra_instances": [
+            {"weight": weight, "alpha": alpha}]}))
+        assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
+        assert f"bad embedded instance #0: weight: {message}" in capsys.readouterr().err
+
+
 def test_cli_sibet_suite_embedded_field_kind_exit_code(tmp_path, monkeypatch, capsys):
     # a matrix-kind f exited 3 with "error: expected a scalar or vector
     # field"; a vector-kind weight is refused as bad configuration too

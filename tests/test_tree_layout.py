@@ -18,12 +18,13 @@ from carlab.constructions import (
     random_instance, random_matrix_sequence, random_scalar_sequence, random_weight_field,
 )
 from carlab.dyadic import (
-    StepField, average, cubes, level_slice, pyramid_batch, tree_ancestor, tree_cube, tree_level,
-    tree_position, tree_size,
+    StepField, average, cubes, descendants, level_slice, pyramid_batch, subtree_positions,
+    tree_ancestor, tree_cube, tree_level, tree_position, tree_size,
 )
 from carlab.embeddings import maximal_function
 
 from oracles import (
+    enum_descendants,
     loop_cube_supremum,
     loop_maximal_function,
     loop_pyramid,
@@ -69,6 +70,14 @@ def test_tree_index_arithmetic_matches_the_cubes():
         ups = np.arange(depth + 1)
         assert np.array_equal(tree_ancestor(index[:, None], ups),
                               [[tree_ancestor(int(i), int(u)) for u in ups] for i in index])
+
+
+def test_subtree_positions_are_the_descendants():
+    for depth in DEPTHS:
+        for q in cubes(depth):
+            want = enum_descendants(*q, depth)
+            assert [tree_cube(i) for i in subtree_positions(q, depth).tolist()] == want
+            assert list(descendants(q, depth)) == want
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
