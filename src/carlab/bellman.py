@@ -20,11 +20,13 @@ one, and ``bellman_eval`` and the scalar gap functions read their numbers
 from it; their errors name no member.
 
 The sampling certificates (``size_gaps``, ``concavity_gaps``, ``dm_gaps``)
-and ``matrix_parameter_probe`` draw each sample's random numbers in the
-order of the per-sample loop, ``BLOCK`` samples at a time, and then build
-and evaluate the block as one stack per d.  The dynamics certificates
-(``dynamics_gaps``, ``telescoping_certificate``) evaluate one stack per
-subtree D(K), in tree order, so each cube's B is formed once.
+are each one call of one sampler, which draws a sample's d and then its
+domain points.  It and ``matrix_parameter_probe`` draw each sample's
+random numbers in the order of the per-sample loop, ``BLOCK`` samples at a
+time, and then build and evaluate the block as one stack per d; only the
+points that drew a PSD bump build one (``_add_bumps``).  The dynamics
+certificates (``dynamics_gaps``, ``telescoping_certificate``) evaluate one
+stack per subtree D(K), in tree order, so each cube's B is formed once.
 """
 
 from __future__ import annotations
@@ -376,17 +378,14 @@ def _draw_point(d, rng, cond_cap, boundary_fraction=0.3):
     return v, bump, float(rng.uniform(0.0, 1.0))
 
 
-def _spd_bumped(vinv, bumps):
-    """vinv + scale * random_spd per member, from (scale, draws) bumps.
-
-    A member whose bump is None gets scale 0 and the identity's draws, so
-    the stack stays whole; the caller discards its result.
-    """
-    d = vinv.shape[-1]
-    blank = (0.0, (np.zeros(d), np.eye(d)))
-    scale, draws = zip(*(blank if b is None else b for b in bumps))
-    bump = spd_from_draws(draws)
-    return vinv + np.asarray(scale)[:, None, None] * bump
+def _add_bumps(vinv, bumps):
+    """``vinv`` with scale * random_spd added in place at each member whose
+    bump is (scale, draws); a member whose bump is None keeps V^-1."""
+    at = [i for i, bump in enumerate(bumps) if bump is not None]
+    if at:
+        scale, draws = zip(*(bumps[i] for i in at))
+        vinv[at] += np.asarray(scale)[:, None, None] * spd_from_draws(draws)
+    return vinv
 
 
 def domain_points(draws):
@@ -397,9 +396,7 @@ def domain_points(draws):
     v_draws, bumps, m = zip(*draws)
     v = spd_from_draws(v_draws)  # exactly symmetric: the stack's V is this v
     eig = matrices.eigh_sym(v)
-    vinv = matrices.eig_power(*eig, -1.0)
-    bumped = np.array([b is not None for b in bumps])
-    u = np.where(bumped[:, None, None], _spd_bumped(vinv, bumps), vinv)
+    u = _add_bumps(matrices.eig_power(*eig, -1.0), bumps)
     return BellmanStack(u, v, m, _eig=eig)
 
 
@@ -444,39 +441,30 @@ def _sampled(n, draw, evaluate):
     return gaps, dims
 
 
+def _sample_points(rng, n, d_max, cond_cap, gap, points=1):
+    """``gap`` of ``n`` samples, each ``points`` random domain points of one
+    d in 1..d_max, evaluated as ``gap(stack_1, ..., stack_points)``: (gaps, dims)."""
+    def draw():
+        d = 1 + int(rng.integers(d_max))
+        return d, [_draw_point(d, rng, cond_cap) for _ in range(points)]
+
+    return _sampled(n, draw, lambda samples: gap(*map(domain_points, zip(*samples))))
+
+
 def size_gaps(rng, n, d_max):
     """Size margins of ``n`` random points with d in 1..d_max: (gaps, dims)."""
-    def draw():
-        d = int(1 + rng.integers(d_max))
-        return d, _draw_point(d, rng, 1e4)
-
-    return _sampled(n, draw, lambda draws: size_gap_stack(domain_points(draws)))
+    return _sample_points(rng, n, d_max, 1e4, size_gap_stack)
 
 
 def concavity_gaps(rng, n, d_max):
     """Midpoint-concavity margins of ``n`` random pairs: (gaps, dims)."""
-    def draw():
-        d = 1 + int(rng.integers(d_max))
-        return d, (_draw_point(d, rng, 1e4), _draw_point(d, rng, 1e4))
-
-    def evaluate(pairs):
-        first, second = zip(*pairs)
-        return concavity_gap_stack(domain_points(first), domain_points(second))
-
-    return _sampled(n, draw, evaluate)
+    return _sample_points(rng, n, d_max, 1e4, concavity_gap_stack, points=2)
 
 
 def dm_gaps(rng, n, d_max, h):
     """m-derivative margins of ``n`` random points, m capped at 1 - h: (gaps, dims)."""
-    def draw():
-        d = 1 + int(rng.integers(d_max))
-        return d, _draw_point(d, rng, 1024)
-
-    def evaluate(draws):
-        s = domain_points(draws)
-        return dm_gap_stack(s.with_m(_py_min(s.m, 1.0 - h)), h)
-
-    return _sampled(n, draw, evaluate)
+    return _sample_points(rng, n, d_max, 1024,
+                          lambda s: dm_gap_stack(s.with_m(_py_min(s.m, 1.0 - h)), h))
 
 
 def matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
@@ -499,7 +487,7 @@ def matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
         v_draws, bumps, gauss, eigs = zip(*draws)
         v = spd_from_draws(v_draws)
         v_eig = matrices.eigh_sym(v)
-        u = _spd_bumped(matrices.eig_power(*v_eig, -1.0), bumps)
+        u = _add_bumps(matrices.eig_power(*v_eig, -1.0), bumps)
         q = orthogonal_from_draws(np.stack(gauss))
         mm = matrices.as_symmetric_stack((q * np.stack(eigs)[:, None, :]) @ q.transpose(0, 2, 1))
         return u, v, mm, v_eig

@@ -73,6 +73,8 @@ def _load_config(args):
     out_dir = os.path.dirname(cfg.output_path) or "."
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir} is missing or not writable")
+    if os.path.isdir(cfg.output_path):
+        raise ConfigError(f"output path {cfg.output_path} is a directory")
     return cfg
 
 

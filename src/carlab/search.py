@@ -23,7 +23,7 @@ from .characteristics import (
 )
 from .dyadic import StepField, level_slice, pyramid_batch, tree_ancestor, tree_cube, tree_size
 from .embeddings import bet_norm_sum_batch, halfweighted_pyramid_batch, l2_norm_batch
-from .errors import ConfigError, LabError, first_failure
+from .errors import ConfigError, first_failure
 from .redundancy import check_intensity_batch, red_constants_batch, sred_constant_batch
 
 OBJECTIVES = ("bet_norm_ratio", "sred_ratio", "red_ratio")
@@ -318,12 +318,13 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
     cubes its move changed (``_stale_cubes``); the accepted candidate's
     set becomes the restart's.
 
-    With lookahead 1 all restarts advance one step per batch, and an error
-    stops the failing restart and the ones after it; the first error in
-    (restart, step) order is raised once the others are done.  With a
-    longer lookahead an error may come from a dropped move, which the
-    step-by-step climb never evaluates, so the climb starts over with
-    lookahead 1.
+    A batch that raises is cut at its first member that fails alone
+    (``errors.first_failure``), and the members before it count as usual.
+    If that member's restart accepted an earlier candidate of the batch,
+    the member is a dropped move and its error is ignored: the next batch
+    evaluates that step against the new state.  Otherwise the error stops
+    the restart and the ones after it, and the first error in (restart,
+    step) order is raised once the others are done.
 
     Returns the values and, for bet_norm_ratio, the values over sqrt(C2)
     (else None), both (restart, step), and each restart's weight at its
@@ -331,7 +332,7 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
     """
     n, n_leaves, d = states[0].shape
     depth = n_leaves.bit_length() - 1
-    start, states = states, tuple(a.copy() for a in states)
+    states = tuple(a.copy() for a in states)
     carried = _empty_carry(n, depth, d, objective)
     values = np.empty((n, steps))
     ratios = np.empty((n, steps)) if objective == "bet_norm_ratio" else None
@@ -357,18 +358,12 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
                                      {name: a[sl] for name, a in cand_carried.items()},
                                      stale[sl])
 
-        if lookahead > 1:
-            try:
-                results = evaluate(slice(None))
-            except LabError:
-                return _climb(start, moves, steps, objective, cond_cap, 1)
-        else:
-            results, b, failed = first_failure(evaluate, len(rows))
-            if failed is not None:
-                error, live = failed, b  # the failing restart and the ones after it stop here
-                if results is None:
-                    break
-                rows, offset, step = rows[:live], offset[:live], step[:live]
+        results, b, failure = first_failure(evaluate, len(rows))
+        if results is None:  # the first member fails, a kept evaluation
+            error, live = failure, rows[0]
+            continue
+        failing = rows[b] if failure is not None else None
+        rows, offset, step = rows[:b], offset[:b], step[:b]
         value, weight, ratio = results
         first = step == 0
         current[rows[first]] = value[first]  # a start state is kept whatever its value
@@ -390,6 +385,8 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
         _adopt(states + tuple(carried.values()), rows,
                candidates + tuple(cand_carried.values()), np.flatnonzero(adopted))
         done += np.bincount(rows[kept], minlength=n)
+        if failing is not None and stop[failing] == lookahead:  # not a dropped move
+            error, live = failure, failing  # it and the restarts after it stop here
     if error is not None:
         raise error
     return values, ratios, best_weights

@@ -139,6 +139,26 @@ def test_domain_points_decompose_each_v_once(monkeypatch):
     assert np.array_equal(gaps, want_gaps) and np.array_equal(dims, want_dims)
 
 
+def test_boundary_points_build_no_bump(monkeypatch):
+    # U = V^-1 on the boundary: QR factors V's stack and one bump per point
+    # that drew one, none for a boundary point
+    qr, factored = np.linalg.qr, []
+
+    def counting(a):
+        factored.append(int(np.prod(np.shape(a)[:-2])))
+        return qr(a)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    rng = np.random.default_rng(5)
+    for fraction, n in ((1.0, 9), (0.3, 40)):
+        draws = [bellman._draw_point(3, rng, COND, fraction) for _ in range(n)]
+        bumps = sum(bump is not None for _, bump, _ in draws)
+        assert bumps == 0 if fraction == 1.0 else 0 < bumps < n
+        factored.clear()
+        domain_points(draws)
+        assert sum(factored) == n + bumps
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matrix_parameter_probe_matches_oracle(seed):
     for d in (1, 2, 3, 4):

@@ -260,7 +260,7 @@ class _ScriptedRng:
 def test_search_raises_the_first_error_in_restart_order(monkeypatch, objective):
     # budget 400: 4 restarts of 100 evaluations, 99 moves each.  Restart 2
     # fails at its 5th move, restart 0 at its 50th: the loop meets restart
-    # 0's failure first, while the lockstep search evaluates restart 2's
+    # 0's failure first, while the batched search evaluates restart 2's
     # candidate first.
     make_rng = np.random.default_rng
     kwargs = dict(depth=3, d=2, seed=5, objective=objective, budget=400, cond_cap=1e4)
@@ -353,23 +353,50 @@ def test_climb_carries_fresh_eigendecompositions(monkeypatch, objective, d):
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
-def test_search_lookahead_error_reruns_step_by_step(monkeypatch, objective):
-    # The first lookahead batch fails, as a dropped move that the climb made
-    # one step at a time never evaluates may: the search starts over one
-    # step at a time and returns that climb's result.
+def test_search_ignores_the_error_of_a_dropped_move(monkeypatch, objective):
+    # A candidate of the first lookahead batch that comes after its
+    # restart's first accepted move is dropped: the restart climbs on from
+    # the accepted state, and the restart-by-restart loop never evaluates
+    # it.  Poisoned by its content, it fails alone and in any batch, and the
+    # search must still return the loop's result.
     evaluate = search._search_objective
-    failed = []
+    kwargs = dict(depth=2, d=2, seed=3, objective=objective, budget=202, cond_cap=1e4)
+    lookahead = search.LOOKAHEAD[objective]
+    batches = []
 
-    def fail_once(*args):
-        if len(args[0]) > 4 and not failed:
-            failed.append(len(args[0]))
-            raise SingularMatrixError("matrix not SPD", lambda_min=0.0)
+    def record(*args):
+        out = evaluate(*args)
+        batches.append((tuple(a.copy() for a in args[:3]), out[0]))
+        return out
+
+    monkeypatch.setattr(search, "_search_objective", record)
+    adversarial_search(**kwargs)
+    (states, values), = batches[:1]
+    assert len(values) == 4 * lookahead  # 4 restarts, 50 steps each
+
+    def members(arrays, state):  # the members of a batch that hold ``state``
+        return [i for i in range(len(arrays[0]))
+                if all(np.array_equal(a[i], s) for a, s in zip(arrays, state))]
+
+    dropped = []
+    for r in range(4):
+        row = values[r * lookahead:(r + 1) * lookahead]
+        accepted = [t for t in range(1, lookahead) if row[t] > row[0]]
+        dropped += [r * lookahead + t for t in range(accepted[0] + 1, lookahead)] if accepted else []
+    poison = next(state for state in ([a[j] for a in states] for j in dropped)
+                  if len(members(states, state)) == 1)
+    hits = []
+
+    def poisoned(*args):
+        bad = members(args[:3], poison)
+        if bad:
+            hits.append(len(args[0]))
+            raise SingularMatrixError("matrix not SPD", lambda_min=0.0).at(bad[0])
         return evaluate(*args)
 
-    monkeypatch.setattr(search, "_search_objective", fail_once)
-    kwargs = dict(depth=2, d=2, seed=3, objective=objective, budget=202, cond_cap=1e4)
+    monkeypatch.setattr(search, "_search_objective", poisoned)
     got = adversarial_search(**kwargs)
-    assert failed == [4 * search.LOOKAHEAD[objective]]
+    assert hits[:1] == [4 * lookahead]  # the first batch met the poisoned candidate
     _assert_same_search(got, brute_adversarial_search(**kwargs))
 
 
@@ -678,6 +705,18 @@ def test_cli_missing_output_directory_exits_before_run(tmp_path, monkeypatch):
     assert main(["counterexample-sweep", "--out", str(out), "--quiet"]) == 2
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"output_path": str(out)}))
+    assert main(["counterexample-sweep", "--config", str(cfg_path), "--quiet"]) == 2
+
+
+def test_cli_output_path_naming_a_directory_exits_before_run(tmp_path, monkeypatch, capsys):
+    def never(cfg):
+        raise AssertionError("the experiment ran before the output path was checked")
+
+    monkeypatch.setattr("carlab.cli.run_experiment", never)
+    assert main(["counterexample-sweep", "--out", str(tmp_path), "--quiet"]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"output_path": str(tmp_path)}))
     assert main(["counterexample-sweep", "--config", str(cfg_path), "--quiet"]) == 2
 
 

@@ -93,11 +93,9 @@ def counts(objective, **config):
     def weights(args):  # (log_eigs, angles, cond_cap): one leaf per row of log_eigs
         out["weight_leaves"] += math.prod(np.shape(args[0])[:-1])
 
-    def climbed(result):  # a climb that starts over returns its rerun's result
-        out["accepted"] = _accepted(result[0])
-
     with _wrapped(search, "_search_objective", batch), \
-            _wrapped(search, "_climb", lambda args: None, climbed), \
+            _wrapped(search, "_climb", lambda args: None,
+                     lambda result: out.update(accepted=_accepted(result[0]))), \
             _wrapped(matrices, "eigh_sym", lapack), \
             _wrapped(matrices, "eigvalsh_stack", lapack), \
             _wrapped(matrices, "eig_power", powered), \
