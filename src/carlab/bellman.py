@@ -22,9 +22,10 @@ from it; their errors name no member.
 The sampling certificates (``size_gaps``, ``concavity_gaps``, ``dm_gaps``)
 are each one call of one sampler, which draws a sample's d and then its
 domain points.  It and ``matrix_parameter_probe`` draw each sample's
-random numbers in the order of the per-sample loop, ``BLOCK`` samples at a
-time, and then build and evaluate the block as one stack per d; only the
-points that drew a PSD bump build one (``_add_bumps``).  The dynamics
+random numbers in the order of the per-sample loop, one generator call per
+draw, straight into the packed arrays of its d (``_Draws``), ``BLOCK``
+samples at a time.  Each d's rows of a block are then built and evaluated
+as one stack; only the points that drew a PSD bump build one.  The dynamics
 certificates (``dynamics_gaps``, ``telescoping_certificate``) evaluate one
 stack per subtree D(K), in tree order, so each cube's B is formed once.
 """
@@ -32,12 +33,13 @@ stack per subtree D(K), in tree order, so each cube's B is formed once.
 from __future__ import annotations
 
 import copy
+import itertools
 
 import numpy as np
 
 from . import matrices
 from .characteristics import check_fits, cube_supremum_batch, ordered_sums, subtree_sums_batch
-from .constructions import draw_spd, orthogonal_from_draws, spd_from_draws
+from .constructions import _half_log_cap, orthogonal_from_draws, spd_from_unit
 from .dyadic import ROOT, check_index, subtree_positions, tree_cube, tree_level, tree_position
 from .errors import (
     DimensionMismatchError, DomainError, PreconditionError, first_failure, relabel,
@@ -46,10 +48,12 @@ from .errors import (
 DOMAIN_TOL = 1e-10
 M_TOL = 1e-9
 # Samples drawn and evaluated together by the sampling certificates.  On
-# bellman-certify at 1000 samples (2-core Xeon VM), 128 runs in 0.42 s with
-# 0.6 MB more peak RSS than the per-sample loop; 32 needs no extra memory
-# but takes 0.69 s, 256 takes 0.35 s.
-BLOCK = 128
+# bellman-certify (2-vCPU VM, best of 7 runs at 1,000 samples and of 3 at
+# 10,000, two rounds), 1024 takes 0.19-0.20 s and 0.78-0.89 s, 128 takes
+# 0.26 s and 1.15-1.21 s, 512 0.20 s and 0.86-0.91 s; peak RSS grows by
+# 1.3, 2.0 and 4.5 MB at 1,000, 10,000 and 100,000 samples, 0.5-0.8 MB more
+# than with 128, and by 8.5 MB at 10,000 with 4096.
+BLOCK = 1024
 
 
 class BellmanPoint:
@@ -365,39 +369,65 @@ def telescoping_certificate(w, alpha, k=ROOT):
 # Random admissible points for the sampling certificates.
 # ---------------------------------------------------------------------------
 
-def _draw_point(d, rng, cond_cap, boundary_fraction=0.3):
-    """The random numbers of one ``random_domain_point``, in its draw order.
+def _uniform(low, high, unit):
+    """``rng.uniform(low, high)`` from the unit draws of ``rng.random()``, bitwise."""
+    return low + (high - low) * unit
 
-    Returns (V draws, (scale, bump draws) or None on the boundary, m).
+
+class _Draws:
+    """The random numbers of up to ``rows`` samples of ``points`` random
+    points of one d, packed in arrays in the order the samples draw them.
+
+    Point j of row r holds the unit draws ``unit[k, j, r]`` (d,) of the
+    eigenvalue exponents and the Gaussian draws ``gauss[k, j, r]`` (d, d)
+    of its k-th random SPD matrix (V, then its bump), whether it drew a
+    bump (``bumped[j, r]``), and the unit draws ``scale[j, r]`` of the
+    bump's scale and ``m[j, r]`` of m.  V's condition is capped at
+    ``cond_cap``, the bump's at min(cond_cap, 100).  ``used`` counts the
+    rows handed out (``_sampled_rows``).
     """
-    v = draw_spd(d, rng, cond_cap)
-    if rng.uniform() < boundary_fraction:
-        bump = None
-    else:
-        bump = (rng.uniform(0.0, 2.0), draw_spd(d, rng, min(cond_cap, 1e2)))
-    return v, bump, float(rng.uniform(0.0, 1.0))
 
+    def __init__(self, rows, points, d, cond_cap, spds=2):
+        self.halves = _half_log_cap(cond_cap), _half_log_cap(min(cond_cap, 1e2))
+        self.unit = np.empty((spds, points, rows, d))
+        self.gauss = np.empty((spds, points, rows, d, d))
+        self.bumped = np.ones((points, rows), dtype=bool)
+        self.scale, self.m = np.empty((2, points, rows))
+        self.used = 0
 
-def _add_bumps(vinv, bumps):
-    """``vinv`` with scale * random_spd added in place at each member whose
-    bump is (scale, draws); a member whose bump is None keeps V^-1."""
-    at = [i for i, bump in enumerate(bumps) if bump is not None]
-    if at:
-        scale, draws = zip(*(bumps[i] for i in at))
-        vinv[at] += np.asarray(scale)[:, None, None] * spd_from_draws(draws)
-    return vinv
+    def draw_points(self, rng, r, boundary_fraction=0.3):
+        """Draw the domain points of row r, each in the order of the
+        per-sample loop: V, the boundary draw, the bump's scale and SPD
+        matrix unless the point is on the boundary, then m."""
+        for j in range(self.m.shape[0]):
+            rng.random(out=self.unit[0, j, r])
+            rng.standard_normal(out=self.gauss[0, j, r])
+            bumped = self.bumped[j, r] = rng.random() >= boundary_fraction
+            if bumped:
+                self.scale[j, r] = rng.random()
+                rng.random(out=self.unit[1, j, r])
+                rng.standard_normal(out=self.gauss[1, j, r])
+            self.m[j, r] = rng.random()
 
+    def inverse_plus_bumps(self, j, sl, high):
+        """(U, V, V's eigendecomposition) of point j in the rows ``sl``, with
+        U = V^-1 plus scale * bump at each member that drew a bump, the scale
+        drawn from [0, high).  One stack per SPD matrix, bitwise the
+        per-sample matrices."""
+        v = spd_from_unit(self.unit[0, j, sl], self.gauss[0, j, sl], self.halves[0])
+        eig = matrices.eigh_sym(v)  # v is exactly symmetric: the stack's V is this v
+        u = matrices.eig_power(*eig, -1.0)
+        at = np.flatnonzero(self.bumped[j, sl])
+        if at.size:
+            bump = spd_from_unit(self.unit[1, j, sl][at], self.gauss[1, j, sl][at], self.halves[1])
+            u[at] += _uniform(0.0, high, self.scale[j, sl][at])[:, None, None] * bump
+        return u, v, eig
 
-def domain_points(draws):
-    """BellmanStack of the points ``_draw_point`` drew, all of one d.
-
-    Bitwise the points ``random_domain_point`` builds from the same draws.
-    """
-    v_draws, bumps, m = zip(*draws)
-    v = spd_from_draws(v_draws)  # exactly symmetric: the stack's V is this v
-    eig = matrices.eigh_sym(v)
-    u = _add_bumps(matrices.eig_power(*eig, -1.0), bumps)
-    return BellmanStack(u, v, m, _eig=eig)
+    def stack(self, j, sl):
+        """BellmanStack of the domain points ``draw_points`` drew at point j of
+        the rows ``sl``, each member bitwise the point its draws build alone."""
+        u, v, eig = self.inverse_plus_bumps(j, sl, 2.0)
+        return BellmanStack(u, v, _uniform(0.0, 1.0, self.m[j, sl]), _eig=eig)
 
 
 def random_domain_point(d, rng, cond_cap=1e4, boundary_fraction=0.3):
@@ -407,7 +437,9 @@ def random_domain_point(d, rng, cond_cap=1e4, boundary_fraction=0.3):
     V^-1 plus a PSD bump, landing exactly on the boundary with the given
     probability so the size bound is exercised where it is tight.
     """
-    return domain_points([_draw_point(d, rng, cond_cap, boundary_fraction)]).point(0)
+    draws = _Draws(1, 1, d, cond_cap)
+    draws.draw_points(rng, 0, boundary_fraction)
+    return draws.stack(0, slice(0, 1)).point(0)
 
 
 def _by_d(samples, evaluate):
@@ -441,14 +473,43 @@ def _sampled(n, draw, evaluate):
     return gaps, dims
 
 
+def _sampled_rows(n, new, draw_d, draw_into, evaluate):
+    """``_sampled`` on samples packed in one ``_Draws`` per d, ``new(d)``.
+
+    A sample draws its d (``draw_d()``), then its numbers into the next
+    row r of that d's draws (``draw_into(draws, r)``); ``evaluate(draws,
+    sl)`` evaluates the rows ``sl``.  The rows of a d are handed out in
+    draw order and start over with each block of ``_sampled``, so the
+    samples of one d in a draw-order slice of a block are one row range.
+    """
+    buffers, drawn = {}, itertools.count()
+
+    def draw():
+        if next(drawn) % BLOCK == 0:
+            for draws in buffers.values():
+                draws.used = 0
+        d = draw_d()
+        if d not in buffers:
+            buffers[d] = new(d)
+        draws = buffers[d]
+        r, draws.used = draws.used, draws.used + 1
+        draw_into(draws, r)
+        return d, (draws, r)
+
+    def evaluate_rows(rows):
+        (draws, first), (_, last) = rows[0], rows[-1]
+        return evaluate(draws, slice(first, last + 1))
+
+    return _sampled(n, draw, evaluate_rows)
+
+
 def _sample_points(rng, n, d_max, cond_cap, gap, points=1):
     """``gap`` of ``n`` samples, each ``points`` random domain points of one
     d in 1..d_max, evaluated as ``gap(stack_1, ..., stack_points)``: (gaps, dims)."""
-    def draw():
-        d = 1 + int(rng.integers(d_max))
-        return d, [_draw_point(d, rng, cond_cap) for _ in range(points)]
-
-    return _sampled(n, draw, lambda samples: gap(*map(domain_points, zip(*samples))))
+    return _sampled_rows(
+        n, lambda d: _Draws(min(BLOCK, n), points, d, cond_cap),
+        lambda: 1 + int(rng.integers(d_max)), lambda draws, r: draws.draw_points(rng, r),
+        lambda draws, sl: gap(*(draws.stack(j, sl) for j in range(points))))
 
 
 def size_gaps(rng, n, d_max):
@@ -472,24 +533,28 @@ def matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
 
     Whether this candidate is concave is an open question; the probe samples
     midpoint gaps on the analogous domain (U >= V^-1, 0 <= M <= 1) and
-    reports statistics.  Output is informational only and is never asserted
-    by the acceptance suite.
+    reports statistics, ``negatives`` being the count of gaps below -1e-10.
+    Output is informational only and is never asserted by the acceptance
+    suite.
     """
     rng = np.random.default_rng(seed)
     eye = np.eye(d)
 
-    def draw_sample():
-        v = draw_spd(d, rng, 1e3)
-        bump = (rng.uniform(0.0, 1.5), draw_spd(d, rng, 1e2))
-        return v, bump, rng.standard_normal((d, d)), rng.uniform(0.0, 1.0, size=d)
+    def draw_into(draws, r):
+        for j in range(2):  # V, the bump's scale and SPD matrix, M's rotation and eigenvalues
+            rng.random(out=draws.unit[0, j, r])
+            rng.standard_normal(out=draws.gauss[0, j, r])
+            draws.scale[j, r] = rng.random()
+            rng.random(out=draws.unit[1, j, r])
+            rng.standard_normal(out=draws.gauss[1, j, r])
+            rng.standard_normal(out=draws.gauss[2, j, r])
+            rng.random(out=draws.unit[2, j, r])
 
-    def sample(draws):
-        v_draws, bumps, gauss, eigs = zip(*draws)
-        v = spd_from_draws(v_draws)
-        v_eig = matrices.eigh_sym(v)
-        u = _add_bumps(matrices.eig_power(*v_eig, -1.0), bumps)
-        q = orthogonal_from_draws(np.stack(gauss))
-        mm = matrices.as_symmetric_stack((q * np.stack(eigs)[:, None, :]) @ q.transpose(0, 2, 1))
+    def sample(draws, j, sl):
+        u, v, v_eig = draws.inverse_plus_bumps(j, sl, 1.5)
+        q = orthogonal_from_draws(draws.gauss[2, j, sl])
+        eigs = _uniform(0.0, 1.0, draws.unit[2, j, sl])
+        mm = matrices.as_symmetric_stack((q * eigs[:, None, :]) @ q.transpose(0, 2, 1))
         return u, v, mm, v_eig
 
     def value(u, mm, v_eig):
@@ -497,18 +562,20 @@ def matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
         core = matrices.eig_power(*matrices.eigh_sym(mm + eye), -1.0)
         return matrices.as_symmetric_stack(u - vr @ core @ vr)
 
-    def evaluate(pairs):
-        first, second = zip(*pairs)
-        u0, v0, m0, e0 = sample(first)
-        u1, v1, m1, e1 = sample(second)
+    def evaluate(draws, sl):
+        u0, v0, m0, e0 = sample(draws, 0, sl)
+        u1, v1, m1, e1 = sample(draws, 1, sl)
         mid = value((u0 + u1) / 2, (m0 + m1) / 2, matrices.eigh_sym((v0 + v1) / 2))
         avg = (value(u0, m0, e0) + value(u1, m1, e1)) / 2
         return matrices.psd_gap_stack(mid, avg)
 
-    gaps, _ = _sampled(n_pairs, lambda: (d, (draw_sample(), draw_sample())), evaluate)
+    gaps, _ = _sampled_rows(n_pairs, lambda d: _Draws(min(BLOCK, n_pairs), 2, d, 1e3, spds=3),
+                            lambda: d, draw_into, evaluate)
+    negatives = int(np.count_nonzero(gaps < -1e-10))
     return {
         "pairs": n_pairs,
         "min_gap": float(gaps.min()),
         "mean_gap": float(gaps.mean()),
-        "negative_fraction": float((gaps < -1e-10).mean()),
+        "negative_fraction": negatives / n_pairs,
+        "negatives": negatives,
     }

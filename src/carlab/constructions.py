@@ -143,24 +143,15 @@ def _half_log_cap(cond_cap):
     return 0.5 * np.log(cond_cap)
 
 
-def draw_spd(d, rng, cond_cap=1e4):
-    """The random numbers of one ``random_spd``, in its draw order.
+def spd_from_unit(unit, gauss, half):
+    """SPD matrices Q diag(exp(expo)) Q^T from the draws of ``random_spd``.
 
-    Returns (eigenvalue exponents (d,), Gaussian (d, d)).  Samplers draw
-    these one sample at a time and then build every matrix at once with
-    ``spd_from_draws``, which keeps the generator's sequence.
+    ``unit`` (n, d) are the unit draws of the exponents, mapped to
+    [-half, half) as ``rng.uniform(-half, half)`` maps them, and ``gauss``
+    (n, d, d) the Gaussian draws of Q.  One QR, one sign fix and one matmul
+    for the whole stack, each member bitwise the one built alone.
     """
-    half = _half_log_cap(cond_cap)
-    return rng.uniform(-half, half, size=d), rng.standard_normal((d, d))
-
-
-def spd_from_draws(draws):
-    """SPD matrices Q diag(exp(expo)) Q^T from a list of ``draw_spd`` results.
-
-    One QR, one sign fix and one matmul for the whole (n, d, d) stack, each
-    member bitwise the one ``random_spd`` builds from the same draws.
-    """
-    return _spd_from_arrays(*(np.stack(part) for part in zip(*draws)))
+    return _spd_from_arrays(-half + (half - -half) * unit, gauss)
 
 
 def _spd_from_arrays(expo, gauss):
@@ -170,11 +161,12 @@ def _spd_from_arrays(expo, gauss):
 
 def random_spd(d, rng, cond_cap=1e4):
     """Random SPD matrix with condition number at most ``cond_cap``."""
-    return spd_from_draws([draw_spd(d, rng, cond_cap)])[0]
+    half = _half_log_cap(cond_cap)
+    return spd_from_unit(rng.random((1, d)), rng.standard_normal((1, d, d)), half)[0]
 
 
 def random_weight_field(depth, d, rng, cond_cap=1e4):
-    """Leaves drawn as ``draw_spd`` draws them, built as one stack."""
+    """Leaves drawn as ``random_spd`` draws them, built as one stack."""
     half = _half_log_cap(cond_cap)
     unit, gauss = np.empty((1 << depth, d)), np.empty((1 << depth, d, d))
     for u, g in zip(unit, gauss):

@@ -487,7 +487,7 @@ def _run_bellman(cfg):
          "bound": 100.0, "violations": int(not 80.0 <= richardson <= 120.0)},
         {"check": "matrix_parameter_probe(informational)", "samples": probe["pairs"],
          "worst_gap": probe["min_gap"], "bound": float("nan"),
-         "violations": int(probe["negative_fraction"] * probe["pairs"])},
+         "violations": probe["negatives"]},
     ]
     aggregates = {
         "richardson_ratio": richardson,

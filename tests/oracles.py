@@ -585,6 +585,7 @@ def brute_matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
         "min_gap": float(gaps.min()),
         "mean_gap": float(gaps.mean()),
         "negative_fraction": float((gaps < -1e-10).mean()),
+        "negatives": int((gaps < -1e-10).sum()),
     }
 
 

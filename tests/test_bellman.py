@@ -203,7 +203,7 @@ def test_telescoping_agrees_with_sred_oracle():
 
 def test_matrix_parameter_probe_reports_only():
     out = matrix_parameter_probe(d=2, n_pairs=200, seed=1)
-    assert set(out) == {"pairs", "min_gap", "mean_gap", "negative_fraction"}
+    assert set(out) == {"pairs", "min_gap", "mean_gap", "negative_fraction", "negatives"}
     assert out["pairs"] == 200
     # the open question stays open: the probe must not assert anything
     assert isinstance(out["min_gap"], float)

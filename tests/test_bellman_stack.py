@@ -17,7 +17,6 @@ from carlab.bellman import (
     concavity_gaps,
     dm_gap_stack,
     dm_gaps,
-    domain_points,
     dynamics_gaps,
     matrix_parameter_probe,
     random_domain_point,
@@ -103,9 +102,10 @@ CHECKS = {
 @pytest.mark.parametrize("check", sorted(CHECKS))
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("d_max", [1, 2, 3, 4])
-def test_sampling_checks_match_oracle(check, seed, d_max):
+def test_sampling_checks_match_oracle(check, seed, d_max, monkeypatch):
     # more than one block, the last one partial
-    n = bellman.BLOCK + 37
+    monkeypatch.setattr(bellman, "BLOCK", 16)
+    n = 37
     stacked, brute = CHECKS[check]
     rng, ref = _pair(seed)
     gaps, dims = stacked(rng, n, d_max)
@@ -116,7 +116,7 @@ def test_sampling_checks_match_oracle(check, seed, d_max):
 
 
 def test_domain_points_decompose_each_v_once(monkeypatch):
-    # The stack takes V's eigendecomposition from domain_points, which
+    # The stack takes V's eigendecomposition from _Draws.stack, which
     # formed V^-1 from it: 4 matrices per sample (V, B twice, U - B), not 5.
     from carlab import matrices
 
@@ -139,6 +139,33 @@ def test_domain_points_decompose_each_v_once(monkeypatch):
     assert np.array_equal(gaps, want_gaps) and np.array_equal(dims, want_dims)
 
 
+def test_block_is_one_stack_per_d(monkeypatch):
+    # a block of any size up to BLOCK makes the same LAPACK calls: one
+    # stack per d and step
+    eigh, calls = np.linalg.eigh, []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    counts = []
+    for n in (64, bellman.BLOCK):
+        calls.clear()
+        _, dims = size_gaps(np.random.default_rng(11), n, 4)
+        assert sorted(set(dims.tolist())) == [1, 2, 3, 4]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def _draw_points(rng, n, d, cond_cap=1e4, fraction=0.3):
+    """``_Draws`` of ``n`` random domain points of one d, one per row."""
+    draws = bellman._Draws(n, 1, d, cond_cap)
+    for r in range(n):
+        draws.draw_points(rng, r, fraction)
+    return draws
+
+
 def test_boundary_points_build_no_bump(monkeypatch):
     # U = V^-1 on the boundary: QR factors V's stack and one bump per point
     # that drew one, none for a boundary point
@@ -151,11 +178,11 @@ def test_boundary_points_build_no_bump(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counting)
     rng = np.random.default_rng(5)
     for fraction, n in ((1.0, 9), (0.3, 40)):
-        draws = [bellman._draw_point(3, rng, COND, fraction) for _ in range(n)]
-        bumps = sum(bump is not None for _, bump, _ in draws)
+        draws = _draw_points(rng, n, 3, COND, fraction)
+        bumps = int(draws.bumped.sum())
         assert bumps == 0 if fraction == 1.0 else 0 < bumps < n
         factored.clear()
-        domain_points(draws)
+        draws.stack(0, slice(0, n))
         assert sum(factored) == n + bumps
 
 
@@ -305,6 +332,27 @@ def test_sampled_errors_name_first_failing_sample():
     assert info.value.point == 3
 
 
+def test_sampler_errors_name_the_sample_behind_the_row(monkeypatch):
+    # sample 30, the first with m > 0.95, is row 7 of the d = 3 draws in
+    # the second block of 16; the error names it by its draw order
+    monkeypatch.setattr(bellman, "BLOCK", 16)
+
+    def gap(s):
+        bad = s.m > 0.95
+        if bad.any():
+            raise DomainError("m above 0.95").at(int(np.argmax(bad)))
+        return size_gap_stack(s)
+
+    ref, first = np.random.default_rng(5), None
+    for i in range(60):
+        d = 1 + int(ref.integers(3))
+        if first is None and brute_random_domain_point(d, ref).m > 0.95:
+            first = i
+    with pytest.raises(DomainError) as info:
+        bellman._sample_points(np.random.default_rng(5), 60, 3, 1e4, gap)
+    assert info.value.point == first == 30
+
+
 def test_dynamics_error_names_cube():
     # D(K) is one stack in tree order: with (2, 0) out of the domain too, the
     # first in tree order, (1, 1), is named, as StepField.cube_power names
@@ -345,8 +393,7 @@ COND = 1e2
 
 
 def _random_stack(seed, d, n=6):
-    rng = np.random.default_rng(seed)
-    return domain_points([bellman._draw_point(d, rng, COND) for _ in range(n)])
+    return _draw_points(np.random.default_rng(seed), n, d, COND).stack(0, slice(0, n))
 
 
 def _tol(s, c=1.0):

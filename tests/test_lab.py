@@ -677,6 +677,28 @@ def test_bellman_certify_on_depth_zero_trees():
     assert rep.passed
 
 
+def test_bellman_probe_row_counts_every_negative_gap(monkeypatch):
+    # 55 of 150 gaps negative: the fraction times the pairs is
+    # 54.99999999999999, which the row once truncated to 54
+    from carlab import bellman, lab
+
+    sampled = bellman._sampled
+
+    def probe(**kwargs):
+        def first_55_negative(n, draw, evaluate):
+            gaps, dims = sampled(n, draw, evaluate)
+            return np.where(np.arange(n) < 55, -1.0, np.abs(gaps)), dims
+
+        with monkeypatch.context() as patched:
+            patched.setattr(bellman, "_sampled", first_55_negative)
+            return bellman.matrix_parameter_probe(**kwargs)
+
+    monkeypatch.setattr(lab, "matrix_parameter_probe", probe)
+    rep = run_experiment(default_config("bellman-certify", depth=1, samples=150, seeds=[0]))
+    row = next(r for r in rep.rows if r["check"] == "matrix_parameter_probe(informational)")
+    assert (row["samples"], row["violations"]) == (150, 55)
+
+
 @pytest.mark.parametrize("experiment, obj", [
     ("bellman-certify", {"samples": 10.5}),
     ("bellman-certify", {"depth": 2.5}),

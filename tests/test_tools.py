@@ -1,15 +1,17 @@
 """``tools/digest_diff.py`` on small digests written to a temporary directory,
 ``tools/report_digest.py --only``, ``tools/search_counts.py`` on a small
-search and ``tools/seed_sweep.py`` on three deep-sweep seeds."""
+search, ``tools/sampler_counts.py`` on a few Bellman samples and
+``tools/seed_sweep.py`` on three deep-sweep seeds."""
 
 import importlib.util
 import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from carlab import matrices, search
+from carlab import bellman, matrices, search
 from carlab.lab import OBJECTIVES, default_config, run_experiment
 
 
@@ -24,6 +26,7 @@ def _tool(name):
 
 digest_diff = _tool("digest_diff")
 report_digest = _tool("report_digest")
+sampler_counts = _tool("sampler_counts")
 search_counts = _tool("search_counts")
 seed_sweep = _tool("seed_sweep")
 
@@ -127,6 +130,26 @@ def test_search_counts_prints_one_line_per_objective(capsys):
         # inverted at least
         assert 4 * 4 <= row["weight_leaves"] <= 4 * row["candidates"]
         assert row["weight_leaves"] <= row["power_mats"]
+
+
+def test_sampler_counts_prints_one_line_per_sampler(capsys):
+    eigh, block = np.linalg.eigh, bellman.BLOCK
+    assert sampler_counts.main(["--samples", "40", "--block", "16"]) == 0
+    assert (np.linalg.eigh, bellman.BLOCK) == (eigh, block)  # restored
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "samples=40 d_max=4 seed=0 block=16"
+    assert lines[1].split() == ["sampler", *sampler_counts.COLUMNS]
+    rows = {line.split()[0]: dict(zip(sampler_counts.COLUMNS, map(float, line.split()[1:])))
+            for line in lines[2:]}
+    assert list(rows) == ["size", "concavity", "dm", "probe"]
+    # eigh matrices per sample: V and the domain check of each point, and
+    # then the gaps B >= 0 and U >= B (size), the midpoint's V, its check
+    # and its gap (concavity), the quotient's gap (dm); 7 per probe pair
+    assert [row["eigh_mats"] for row in rows.values()] == [160, 280, 120, 280]
+    for row in rows.values():
+        # three blocks (16, 16, 8), one stack per d and step in each
+        assert 3 <= row["eigh_calls"] <= row["eigh_mats"]
+        assert row["wall_s"] > 0 and row["rss_mb"] >= 0 and row["traced_mb"] > 0
 
 
 def test_seed_sweep_runs_the_perfbench_configs(monkeypatch, capsys):
