@@ -178,7 +178,7 @@ class BellmanStack:
     slack.  The eigendecomposition of V is taken once: V^1/2 for the domain
     check comes from it, and so does V^-1, which is formed on first use and
     cached.  ``_eig`` is that decomposition where the caller already holds
-    it, for a ``v`` that is exactly symmetric (``domain_points``).
+    it, for a ``v`` that is exactly symmetric (``_Draws.stack``).
     """
 
     def __init__(self, u, v, m, _eig=None):
