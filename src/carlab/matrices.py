@@ -45,6 +45,8 @@ SPD_REJECT = 1e-12
 PSD_CLAMP = 1e-12
 
 ALLOWED_POWERS = (0.5, -0.5, -1.0)
+# Sweeps after which the Jacobi solver gives up (NumericError).
+JACOBI_MAX_SWEEPS = 60
 
 
 def as_symmetric(m, rtol=SYM_REJECT_RTOL):
@@ -72,7 +74,26 @@ def symmetrize(m):
     return (m + m.swapaxes(-1, -2)) / 2
 
 
-def _jacobi_eigh(a, max_sweeps=60):
+def _distinct(rows):
+    """Group the equal rows of a 2-D array with one sort.
+
+    Returns (first, inverse): ``rows[first]`` holds one row of each group
+    and ``rows[first][inverse]`` equals ``rows``.  Rows are equal when every
+    entry is ``==`` with the same sign bit, so 0.0 and -0.0 stay apart, a
+    row holding NaN is a group of its own, and the padding bytes of an
+    80-bit longdouble are never read.
+    """
+    signs = np.signbit(rows)
+    order = np.lexsort([*rows.T, *signs.T])
+    rows, signs = rows[order], signs[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = ~((rows[1:] == rows[:-1]) & (signs[1:] == signs[:-1])).all(axis=-1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _jacobi_eigh(a):
     """Cyclic Jacobi eigendecomposition of a stack of symmetric matrices.
 
     ``a`` has shape (..., n, n); returns (eigenvalues ascending, eigenvector
@@ -85,26 +106,29 @@ def _jacobi_eigh(a, max_sweeps=60):
     in row order, each skipped when |a_pq| is negligible.  The stack is
     processed together: a converged matrix leaves the working set, and a
     rotation is applied at once to every remaining matrix that needs it.
-    The per-matrix arithmetic is unchanged, so each result is bitwise the
-    one the matrix would get on its own.
+    Members equal entry for entry (``_distinct``) are solved once.  The
+    per-matrix arithmetic is unchanged, so each result is bitwise the one
+    the matrix would get on its own.
     """
     a = np.asarray(a)
     batch, n = a.shape[:-2], a.shape[-1]
     a = np.where(np.tri(n, dtype=bool), a, a.swapaxes(-1, -2))
     dt = a.dtype
-    a = a.reshape(-1, n, n)
+    first, inverse = _distinct(a.reshape(-1, n * n))
+    a = a.reshape(-1, n, n)[first]
     v = np.broadcast_to(np.eye(n, dtype=dt), a.shape).copy()
     if n > 1:
-        _jacobi_sweeps(a, v, max_sweeps)
+        _jacobi_sweeps(a, v)
     diag = np.diagonal(a, axis1=-2, axis2=-1)
     order = np.argsort(diag, axis=-1, kind="stable")
-    vals = np.take_along_axis(diag, order, axis=-1)
-    vecs = np.take_along_axis(v, order[:, None, :], axis=-1)
+    vals = np.take_along_axis(diag, order, axis=-1)[inverse]
+    vecs = np.take_along_axis(v, order[:, None, :], axis=-1)[inverse]
     return vals.reshape(*batch, n), vecs.reshape(*batch, n, n)
 
 
-def _jacobi_sweeps(a, v, max_sweeps):
-    """Rotate the (m, n, n) stacks ``a`` and ``v`` in place until converged."""
+def _jacobi_sweeps(a, v):
+    """Rotate the (m, n, n) stacks ``a`` and ``v`` in place until converged;
+    returns the number of sweeps that rotated."""
     n = a.shape[-1]
     dt = a.dtype
     eps = np.finfo(dt).eps
@@ -113,7 +137,7 @@ def _jacobi_sweeps(a, v, max_sweeps):
     ii = np.arange(n)
     live = np.arange(a.shape[0])
     wa, wv = a, v
-    for _ in range(max_sweeps):
+    for sweep in range(JACOBI_MAX_SWEEPS):
         diag = np.zeros_like(wa)
         diag[:, ii, ii] = wa[:, ii, ii]
         offd = np.abs(wa - diag).max(axis=(-2, -1))
@@ -125,7 +149,7 @@ def _jacobi_sweeps(a, v, max_sweeps):
             keep = ~done
             live, wa, wv, scale = live[keep], wa[keep], wv[keep], scale[keep]
         if not live.size:
-            return
+            return sweep
         skip = 0.01 * eps * scale
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -232,7 +256,7 @@ def as_symmetric_stack(mats, rtol=SYM_REJECT_RTOL):
 # a 2-D matrix is a stack with no batch axes.
 # ---------------------------------------------------------------------------
 
-def _powered(vals, p, context):
+def _powered(vals, p, context, first=None):
     """vals ** p of ascending spectra (..., d), refusing what the power cannot take.
 
     A negative power refuses lambda_min <= SPD_REJECT; the square root
@@ -240,6 +264,8 @@ def _powered(vals, p, context):
     zero.  The error names the first offending member in stack order, the
     flat index i over the batch axes: as cube ``context(i)`` when a context
     is given, else as ``LabError.point = i`` (a single matrix names none).
+    With ``first``, the refusal reads every member and only the members at
+    the flat indices ``first`` are powered, as rows (len(first), d).
     """
     if p not in ALLOWED_POWERS:
         raise ValueError(f"power must be one of {ALLOWED_POWERS}, got {p}")
@@ -252,6 +278,8 @@ def _powered(vals, p, context):
         cube = None if context is None else context(i)
         err = SingularMatrixError(what, lambda_min=float(lmin[i]), cube=cube)
         raise err if context is not None or vals.ndim == 1 else err.at(i)
+    if first is not None:
+        vals = vals.reshape(-1, vals.shape[-1])[first]
     if p > 0:
         vals = np.clip(vals, 0.0, None)
     return vals ** vals.dtype.type(p)
@@ -263,10 +291,19 @@ def eig_power(vals, vecs, p, context=None):
     ``p`` is one of ``ALLOWED_POWERS``; refusal and naming follow
     ``_powered``.  The contraction is one ``einsum`` for both dtypes: its
     float64 result is bitwise independent of the batch size, and its
-    longdouble result bitwise that of matmul.
+    longdouble result bitwise that of matmul.  A longdouble stack, which
+    the sweeps' constant weights fill with a few matrices, is powered and
+    contracted once per distinct (vals, vecs) member (``_distinct``).
     """
-    out = np.einsum("...ij,...j,...lj->...il", vecs, _powered(vals, p, context), vecs)
-    return (out + out.swapaxes(-1, -2)) / 2
+    shape, first = vecs.shape, None
+    if vals.dtype == np.longdouble:
+        d = shape[-1]
+        rows = np.concatenate([vals[..., None, :], vecs], axis=-2).reshape(-1, d * d + d)
+        first, inverse = _distinct(rows)
+        vecs = vecs.reshape(-1, d, d)[first]
+    out = np.einsum("...ij,...j,...lj->...il", vecs, _powered(vals, p, context, first), vecs)
+    out = (out + out.swapaxes(-1, -2)) / 2
+    return out if first is None else out[inverse].reshape(shape)
 
 
 def eig_apply_power(vals, vecs, p, x, context=None):

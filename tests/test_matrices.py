@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carlab import matrices
 from carlab.errors import DimensionMismatchError, NumericError, SingularMatrixError
+from carlab.lab import ExperimentConfig, run_experiment
 from carlab.matrices import (
     ALLOWED_POWERS,
     _jacobi_eigh,
@@ -188,8 +195,28 @@ def assert_matches_scalar_jacobi(stack):
     flat = stack.reshape(-1, *stack.shape[-2:])
     for m, lam, v in zip(flat, vals.reshape(flat.shape[:2]), vecs.reshape(flat.shape)):
         lam_ref, v_ref = brute_jacobi_eigh(m)
-        assert np.array_equal(lam, lam_ref)
-        assert np.array_equal(v, v_ref)
+        assert np.array_equal(lam, lam_ref) and np.array_equal(np.signbit(lam), np.signbit(lam_ref))
+        assert np.array_equal(v, v_ref) and np.array_equal(np.signbit(v), np.signbit(v_ref))
+
+
+def swept_stacks(monkeypatch):
+    """The stacks ``_jacobi_sweeps`` receives from now on, as copies."""
+    swept, sweeps = [], matrices._jacobi_sweeps
+
+    def recording(a, v):
+        swept.append(a.copy())
+        return sweeps(a, v)
+
+    monkeypatch.setattr(matrices, "_jacobi_sweeps", recording)
+    return swept
+
+
+def assert_distinct(stack):
+    """No two members of a stack are equal entry for entry, sign bits included."""
+    for i, m in enumerate(stack):
+        for other in stack[:i]:
+            same_signs = np.array_equal(np.signbit(m), np.signbit(other))
+            assert not (np.array_equal(m, other) and same_signs)
 
 
 def sweeps_to_converge(m):
@@ -209,7 +236,8 @@ def test_stacked_jacobi_is_bitwise_the_scalar_loop(d):
     assert_matches_scalar_jacobi(stack)
 
 
-def test_stacked_jacobi_special_stacks():
+def test_stacked_jacobi_special_stacks(monkeypatch):
+    swept = swept_stacks(monkeypatch)
     rng = np.random.default_rng(7)
     ld = np.longdouble
     for d in (2, 3, 5):
@@ -232,6 +260,43 @@ def test_stacked_jacobi_special_stacks():
     assert_matches_scalar_jacobi(batch)
     vals, vecs = _jacobi_eigh(np.zeros((0, 4, 4), dtype=ld))
     assert vals.shape == (0, 4) and vecs.shape == (0, 4, 4)
+    assert [len(a) for a in swept] == [3, 3, 3, 2, 4, 6, 0]
+    # repeated members are swept once, whatever the padding bytes of an
+    # 80-bit longdouble hold
+    a, b = random_spd_ld(rng, 3, 1e4), random_spd_ld(rng, 3, 1e2)
+    repeats = np.stack([a, b, a, a, b, a, b, a])
+    if np.finfo(ld).nmant == 63 and repeats.itemsize > 10:  # x87: bytes 10 and up are padding
+        pad = repeats.view(np.uint8).reshape(*repeats.shape, -1)[..., 10:]
+        pad[...] = rng.integers(0, 256, pad.shape)
+        assert len({m.tobytes() for m in repeats}) == 8
+    assert np.array_equal(repeats[::2], np.stack([a, a, b, b]))
+    swept.clear()
+    assert_matches_scalar_jacobi(repeats)
+    assert len(swept[0]) == 2
+    # with a leading batch shape, and read from the lower triangle only
+    upper = np.triu(b) + np.tril(rng.standard_normal((3, 3)).astype(ld), -1)
+    swept.clear()
+    assert_matches_scalar_jacobi(np.stack([a, b, a, b, b.T, upper]).reshape(3, 2, 3, 3))
+    assert len(swept[0]) == 3
+    # 0.0 and -0.0 stay apart, in the diagonal and off it
+    zero = np.diag(np.array([0.0, 1.0, 2.0], dtype=ld))
+    negative_diag, negative_off = zero.copy(), zero.copy()
+    negative_diag[0, 0] = ld(-0.0)
+    negative_off[1, 0] = ld(-0.0)
+    swept.clear()
+    assert_matches_scalar_jacobi(np.stack([zero, negative_diag, zero, negative_off, negative_diag]))
+    assert len(swept[0]) == 3
+    assert np.signbit(_jacobi_eigh(negative_diag)[0][0])
+    assert not np.signbit(_jacobi_eigh(zero)[0][0])
+    # a NaN member never merges, not even with itself, and still fails
+    nan = a.copy()
+    nan[1, 0] = ld("nan")
+    swept.clear()
+    with pytest.raises(NumericError):
+        _jacobi_eigh(np.stack([a, nan, a, nan]))
+    assert len(swept[0]) == 3
+    for stack in swept:
+        assert_distinct(stack)
 
 
 # <W^-1>^1/2 <W> <W^-1>^1/2 at the root of the two-eigenvalue family at
@@ -257,12 +322,48 @@ def test_jacobi_reads_the_lower_triangle():
     assert_matches_scalar_jacobi(np.stack([noisy, random_spd_ld(rng, 4, 1e6)]))
 
 
-def test_stacked_jacobi_sweep_limit():
+def test_stacked_jacobi_sweep_limit(monkeypatch):
     m = random_spd_ld(np.random.default_rng(8), 3, 1e3)
+    monkeypatch.setattr(matrices, "JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(NumericError):
-        _jacobi_eigh(m[None], max_sweeps=1)
+        _jacobi_eigh(m[None])
     with pytest.raises(ArithmeticError):
         brute_jacobi_eigh(m, max_sweeps=1)
+
+
+def test_sweep_rows_are_bitwise_those_without_grouping(monkeypatch, tool):
+    # the deep-sweep configs of perfbench seeds 0-4, with their five rotations
+    configs = [tool("seed_sweep")._perfbench_run().workload_configs("deep-sweep", seed)[0][1]
+               for seed in range(5)]
+    config = configs[0] | {"rotations": [c["rotations"][0] for c in configs]}
+    assert config["depth"] == 10 and len(set(config["rotations"])) == 5
+
+    def rows():
+        return [run_experiment(ExperimentConfig.from_dict({"experiment": name} | config)).rows
+                for name in ("counterexample-sweep", "c2-sharpness")]
+
+    groups, distinct = [], matrices._distinct
+    monkeypatch.setattr(matrices, "_distinct",
+                        lambda rows: groups.append(len(rows)) or distinct(rows))
+    grouped = rows()
+    monkeypatch.setattr(matrices, "_distinct", lambda rows: (np.arange(len(rows)),) * 2)
+    assert rows() == grouped
+    assert len(grouped[0]) == len(grouped[1]) == 10 and max(groups) > 1000
+
+
+def test_sweep_does_not_import_numpy_ma():
+    # numpy.ma costs about 1 MB of peak RSS; np.unique imports it
+    code = (
+        "import sys\n"
+        "from carlab.lab import default_config, run_experiment\n"
+        "report = run_experiment(default_config('counterexample-sweep', depth=10))\n"
+        "assert all(report.verdicts.values())\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_longdouble_power_stack_names_first_singular_matrix():
@@ -273,6 +374,26 @@ def test_longdouble_power_stack_names_first_singular_matrix():
         eig_power(*eigh_sym(mats), -1.0, context=lambda i: ("leaf", i))
     assert err.value.cube == ("leaf", 1)
     assert err.value.lambda_min == pytest.approx(1e-13)
+    # the 5th matrix is refused first: after repeats of others, and ahead of
+    # the more singular 7th
+    eye = np.eye(2)
+    mats = np.stack([2 * eye, eye, 2 * eye, eye, np.diag([1.0, 1e-13]), eye,
+                     np.diag([1.0, 0.0])]).astype(np.longdouble)
+    for p in (-0.5, -1.0):
+        with pytest.raises(SingularMatrixError) as err:
+            eig_power(*eigh_sym(mats), p, context=lambda i: ("leaf", i))
+        assert err.value.cube == ("leaf", 4)
+        with pytest.raises(SingularMatrixError) as err:
+            eig_power(*eigh_sym(mats), p)
+        assert err.value.point == 4 and err.value.lambda_min == pytest.approx(1e-13)
+    # powers of repeated members, each bitwise that of the member on its own
+    rng = np.random.default_rng(11)
+    a, b = random_spd_ld(rng, 3, 1e6), random_spd_ld(rng, 3, 1e2)
+    repeats = np.stack([a, b, a, a, b, b]).reshape(2, 3, 3, 3)
+    for p in ALLOWED_POWERS:
+        got = eig_power(*eigh_sym(repeats), p)
+        assert got.shape == repeats.shape
+        assert np.array_equal(got, brute_spd_power(repeats, p))
 
 
 def _with_spectrum(rng, lams):

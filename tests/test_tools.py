@@ -1,7 +1,8 @@
 """``tools/digest_diff.py`` on small digests written to a temporary directory,
 ``tools/report_digest.py --only``, ``tools/search_counts.py`` on a small
-search, ``tools/sampler_counts.py`` on a few Bellman samples and
-``tools/seed_sweep.py`` on three deep-sweep seeds."""
+search, ``tools/sampler_counts.py`` on a few Bellman samples,
+``tools/longdouble_counts.py`` at depth 3 and ``tools/seed_sweep.py`` on
+three deep-sweep seeds."""
 
 import importlib.util
 import json
@@ -25,6 +26,7 @@ def _tool(name):
 
 
 digest_diff = _tool("digest_diff")
+longdouble_counts = _tool("longdouble_counts")
 report_digest = _tool("report_digest")
 sampler_counts = _tool("sampler_counts")
 search_counts = _tool("search_counts")
@@ -150,6 +152,29 @@ def test_sampler_counts_prints_one_line_per_sampler(capsys):
         # three blocks (16, 16, 8), one stack per d and step in each
         assert 3 <= row["eigh_calls"] <= row["eigh_mats"]
         assert row["wall_s"] > 0 and row["rss_mb"] >= 0 and row["traced_mb"] > 0
+
+
+def test_longdouble_counts_prints_one_line_per_experiment(monkeypatch, capsys):
+    patched = ("_distinct", "_jacobi_eigh", "_jacobi_sweeps", "eig_power")
+    before = [getattr(matrices, name) for name in patched]
+    assert longdouble_counts.main(["--depth", "3"]) == 0
+    assert [getattr(matrices, name) for name in patched] == before  # unwrapped again
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "depth=3"
+    assert lines[1].split() == ["experiment", *longdouble_counts.COLUMNS]
+    rows = {line.split()[0]: dict(zip(longdouble_counts.COLUMNS, map(int, line.split()[1:])))
+            for line in lines[2:]}
+    assert list(rows) == ["counterexample-sweep", "c2-sharpness"]
+    for row in rows.values():
+        # a constant weight: every stack repeats a few matrices
+        assert 0 < row["jacobi_calls"] <= row["jacobi_distinct"] < row["jacobi_mats"]
+        assert 0 < row["power_distinct"] < row["power_mats"]
+        assert row["sweeps"] > 0
+    # with every member its own group, the distinct counts are the members
+    monkeypatch.setattr(matrices, "_distinct", lambda rows: (np.arange(len(rows)),) * 2)
+    row = longdouble_counts.counts("counterexample-sweep", 3)
+    assert row["jacobi_distinct"] == row["jacobi_mats"]
+    assert row["power_distinct"] == row["power_mats"]
 
 
 def test_seed_sweep_runs_the_perfbench_configs(monkeypatch, capsys):
