@@ -342,13 +342,18 @@ def test_sweep_rows_are_bitwise_those_without_grouping(monkeypatch, tool):
         return [run_experiment(ExperimentConfig.from_dict({"experiment": name} | config)).rows
                 for name in ("counterexample-sweep", "c2-sharpness")]
 
-    groups, distinct = [], matrices._distinct
-    monkeypatch.setattr(matrices, "_distinct",
-                        lambda rows: groups.append(len(rows)) or distinct(rows))
+    merged, distinct = [], matrices._distinct
+
+    def counting(rows):
+        first, inverse = distinct(rows)
+        merged.append(len(rows) - len(first))
+        return first, inverse
+
+    monkeypatch.setattr(matrices, "_distinct", counting)
     grouped = rows()
+    assert len(grouped[0]) == len(grouped[1]) == 10 and max(merged) > 1000
     monkeypatch.setattr(matrices, "_distinct", lambda rows: (np.arange(len(rows)),) * 2)
     assert rows() == grouped
-    assert len(grouped[0]) == len(grouped[1]) == 10 and max(groups) > 1000
 
 
 def test_sweep_does_not_import_numpy_ma():
