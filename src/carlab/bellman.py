@@ -23,23 +23,23 @@ The sampling certificates (``size_gaps``, ``concavity_gaps``, ``dm_gaps``)
 are each one call of one sampler, which draws a sample's d and then its
 domain points.  It and ``matrix_parameter_probe`` draw each sample's
 random numbers in the order of the per-sample loop, one generator call per
-draw, straight into the packed arrays of its d (``_Draws``), ``BLOCK``
-samples at a time.  Each d's rows of a block are then built and evaluated
-as one stack; only the points that drew a PSD bump build one.  The dynamics
-certificates (``dynamics_gaps``, ``telescoping_certificate``) evaluate one
-stack per subtree D(K), in tree order, so each cube's B is formed once.
+draw, straight into the next row of the packed arrays of its d
+(``_Draws``), ``BLOCK`` samples at a time (``_sampled``).  Each d's rows of
+a block are then built and evaluated as one stack; only the points that
+drew a PSD bump build one.  The dynamics certificates (``dynamics_gaps``,
+``telescoping_certificate``) evaluate one stack per subtree D(K), in tree
+order, so each cube's B is formed once.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 
 import numpy as np
 
 from . import matrices
 from .characteristics import check_fits, cube_supremum_batch, ordered_sums, subtree_sums_batch
-from .constructions import _half_log_cap, orthogonal_from_draws, spd_from_unit
+from .constructions import _half_log_cap, orthogonal_from_draws, spd_from_unit, uniform
 from .dyadic import ROOT, check_index, subtree_positions, tree_cube, tree_level, tree_position
 from .errors import (
     DimensionMismatchError, DomainError, PreconditionError, first_failure, relabel,
@@ -150,11 +150,11 @@ def hessian_richardson_ratio(ts=(1e-3, 1e-4)):
     m, dm = HESSIAN_CHECK["m"], HESSIAN_CHECK["dm"]
     p = BellmanPoint(u, v, m)
     exact = bellman_second_derivative(p, dv, dm)
+    center = bellman_eval(p)
     errs = []
     for t in ts:
         plus = bellman_eval(BellmanPoint(u, v + t * dv, m + t * dm))
         minus = bellman_eval(BellmanPoint(u, v - t * dv, m - t * dm))
-        center = bellman_eval(p)
         second = (plus - 2.0 * center + minus) / (t * t)
         errs.append(matrices.operator_norm(matrices.as_symmetric(second - exact)))
     return errs[0] / errs[1]
@@ -369,11 +369,6 @@ def telescoping_certificate(w, alpha, k=ROOT):
 # Random admissible points for the sampling certificates.
 # ---------------------------------------------------------------------------
 
-def _uniform(low, high, unit):
-    """``rng.uniform(low, high)`` from the unit draws of ``rng.random()``, bitwise."""
-    return low + (high - low) * unit
-
-
 class _Draws:
     """The random numbers of up to ``rows`` samples of ``points`` random
     points of one d, packed in arrays in the order the samples draw them.
@@ -383,8 +378,7 @@ class _Draws:
     of its k-th random SPD matrix (V, then its bump), whether it drew a
     bump (``bumped[j, r]``), and the unit draws ``scale[j, r]`` of the
     bump's scale and ``m[j, r]`` of m.  V's condition is capped at
-    ``cond_cap``, the bump's at min(cond_cap, 100).  ``used`` counts the
-    rows handed out (``_sampled_rows``).
+    ``cond_cap``, the bump's at min(cond_cap, 100).
     """
 
     def __init__(self, rows, points, d, cond_cap, spds=2):
@@ -393,7 +387,6 @@ class _Draws:
         self.gauss = np.empty((spds, points, rows, d, d))
         self.bumped = np.ones((points, rows), dtype=bool)
         self.scale, self.m = np.empty((2, points, rows))
-        self.used = 0
 
     def draw_points(self, rng, r, boundary_fraction=0.3):
         """Draw the domain points of row r, each in the order of the
@@ -420,14 +413,14 @@ class _Draws:
         at = np.flatnonzero(self.bumped[j, sl])
         if at.size:
             bump = spd_from_unit(self.unit[1, j, sl][at], self.gauss[1, j, sl][at], self.halves[1])
-            u[at] += _uniform(0.0, high, self.scale[j, sl][at])[:, None, None] * bump
+            u[at] += uniform(0.0, high, self.scale[j, sl][at])[:, None, None] * bump
         return u, v, eig
 
     def stack(self, j, sl):
         """BellmanStack of the domain points ``draw_points`` drew at point j of
         the rows ``sl``, each member bitwise the point its draws build alone."""
         u, v, eig = self.inverse_plus_bumps(j, sl, 2.0)
-        return BellmanStack(u, v, _uniform(0.0, 1.0, self.m[j, sl]), _eig=eig)
+        return BellmanStack(u, v, uniform(0.0, 1.0, self.m[j, sl]), _eig=eig)
 
 
 def random_domain_point(d, rng, cond_cap=1e4, boundary_fraction=0.3):
@@ -442,71 +435,51 @@ def random_domain_point(d, rng, cond_cap=1e4, boundary_fraction=0.3):
     return draws.stack(0, slice(0, 1)).point(0)
 
 
-def _by_d(samples, evaluate):
-    """``evaluate`` on (d, draws) samples, one stack per d; errors name the sample."""
-    dims = np.array([d for d, _ in samples])
-    out = np.empty(len(samples))
-    for d in sorted(set(dims.tolist())):  # np.unique would import numpy.ma (1 MB)
-        idx = np.flatnonzero(dims == d)
-        with relabel(lambda p: int(idx[p])):
-            out[idx] = evaluate([samples[i][1] for i in idx])
-    return out
-
-
-def _sampled(n, draw, evaluate):
+def _sampled(n, new, draw_d, draw_into, evaluate):
     """Gaps and dimensions of ``n`` samples, in draw order.
 
-    ``draw()`` draws one sample: (d, raw numbers).  Samples are drawn
-    ``BLOCK`` at a time, then evaluated; the error raised is the first
-    failing sample's in draw order, and names its sample index.
+    Samples are drawn ``BLOCK`` at a time, then evaluated.  A sample draws
+    its d (``draw_d()``), then its numbers into the next row r of that d's
+    draws (``draw_into(draws, r)``), which ``new(d)`` makes on first use.
+    The rows start over with each block, so the samples of one d in a
+    draw-order slice of a block are one row range ``sl``, which
+    ``evaluate(draws, sl)`` evaluates as one stack, in increasing d.  The
+    error raised is the first failing sample's in draw order, and names its
+    sample index.
     """
-    gaps = np.empty(n)
-    dims = np.empty(n, dtype=np.intp)
+    buffers = {}
+    gaps, dims = np.empty(n), np.empty(n, dtype=np.intp)
     for start in range(0, n, BLOCK):
-        block = [draw() for _ in range(min(BLOCK, n - start))]
-        dims[start:start + len(block)] = [d for d, _ in block]
+        block, rows, used = dims[start:start + BLOCK], [], {}
+        for i in range(len(block)):
+            d = block[i] = draw_d()
+            if d not in buffers:
+                buffers[d] = new(d)
+            rows.append(used.get(d, 0))
+            used[d] = rows[-1] + 1
+            draw_into(buffers[d], rows[-1])
+
+        def evaluate_slice(sl):
+            ds, rs = block[sl], rows[sl]
+            out = np.empty(len(ds))
+            for d in sorted(set(ds.tolist())):  # np.unique would import numpy.ma (1 MB)
+                idx = np.flatnonzero(ds == d)
+                with relabel(lambda p: int(idx[p])):
+                    out[idx] = evaluate(buffers[d], slice(rs[idx[0]], rs[idx[-1]] + 1))
+            return out
+
         with relabel(lambda p: start + p):
-            out, _, error = first_failure(lambda sl: _by_d(block[sl], evaluate), len(block))
+            out, _, error = first_failure(evaluate_slice, len(block))
             if error is not None:
                 raise error
         gaps[start:start + len(block)] = out
     return gaps, dims
 
 
-def _sampled_rows(n, new, draw_d, draw_into, evaluate):
-    """``_sampled`` on samples packed in one ``_Draws`` per d, ``new(d)``.
-
-    A sample draws its d (``draw_d()``), then its numbers into the next
-    row r of that d's draws (``draw_into(draws, r)``); ``evaluate(draws,
-    sl)`` evaluates the rows ``sl``.  The rows of a d are handed out in
-    draw order and start over with each block of ``_sampled``, so the
-    samples of one d in a draw-order slice of a block are one row range.
-    """
-    buffers, drawn = {}, itertools.count()
-
-    def draw():
-        if next(drawn) % BLOCK == 0:
-            for draws in buffers.values():
-                draws.used = 0
-        d = draw_d()
-        if d not in buffers:
-            buffers[d] = new(d)
-        draws = buffers[d]
-        r, draws.used = draws.used, draws.used + 1
-        draw_into(draws, r)
-        return d, (draws, r)
-
-    def evaluate_rows(rows):
-        (draws, first), (_, last) = rows[0], rows[-1]
-        return evaluate(draws, slice(first, last + 1))
-
-    return _sampled(n, draw, evaluate_rows)
-
-
 def _sample_points(rng, n, d_max, cond_cap, gap, points=1):
     """``gap`` of ``n`` samples, each ``points`` random domain points of one
     d in 1..d_max, evaluated as ``gap(stack_1, ..., stack_points)``: (gaps, dims)."""
-    return _sampled_rows(
+    return _sampled(
         n, lambda d: _Draws(min(BLOCK, n), points, d, cond_cap),
         lambda: 1 + int(rng.integers(d_max)), lambda draws, r: draws.draw_points(rng, r),
         lambda draws, sl: gap(*(draws.stack(j, sl) for j in range(points))))
@@ -553,7 +526,7 @@ def matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
     def sample(draws, j, sl):
         u, v, v_eig = draws.inverse_plus_bumps(j, sl, 1.5)
         q = orthogonal_from_draws(draws.gauss[2, j, sl])
-        eigs = _uniform(0.0, 1.0, draws.unit[2, j, sl])
+        eigs = uniform(0.0, 1.0, draws.unit[2, j, sl])
         mm = matrices.as_symmetric_stack((q * eigs[:, None, :]) @ q.transpose(0, 2, 1))
         return u, v, mm, v_eig
 
@@ -569,8 +542,8 @@ def matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
         avg = (value(u0, m0, e0) + value(u1, m1, e1)) / 2
         return matrices.psd_gap_stack(mid, avg)
 
-    gaps, _ = _sampled_rows(n_pairs, lambda d: _Draws(min(BLOCK, n_pairs), 2, d, 1e3, spds=3),
-                            lambda: d, draw_into, evaluate)
+    gaps, _ = _sampled(n_pairs, lambda d: _Draws(min(BLOCK, n_pairs), 2, d, 1e3, spds=3),
+                       lambda: d, draw_into, evaluate)
     negatives = int(np.count_nonzero(gaps < -1e-10))
     return {
         "pairs": n_pairs,

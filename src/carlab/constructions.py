@@ -115,8 +115,8 @@ EPS_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
 # log-uniform eigenvalues spanning at most log(cond_cap), so the per-leaf
 # condition number respects the cap by construction.  The samplers of whole
 # fields and sequences draw leaf by leaf, or cube by cube in tree order, in
-# place into arrays and build every leaf or entry at once; they draw
-# ``rng.uniform(low, high)`` as ``low + (high - low) * rng.random()`` does.
+# place into arrays and build every leaf or entry at once; they map unit
+# draws of ``rng.random()`` to [low, high) with ``uniform``.
 # ---------------------------------------------------------------------------
 
 COND_CAP_LIMIT = 1e8
@@ -137,6 +137,11 @@ def random_orthogonal(d, rng):
     return orthogonal_from_draws(rng.standard_normal((d, d)))
 
 
+def uniform(low, high, unit):
+    """``rng.uniform(low, high)`` from the unit draws of ``rng.random()``, bitwise."""
+    return low + (high - low) * unit
+
+
 def _half_log_cap(cond_cap):
     if cond_cap > COND_CAP_LIMIT:
         raise PreconditionError(f"cond_cap must be <= {COND_CAP_LIMIT:g}")
@@ -147,15 +152,11 @@ def spd_from_unit(unit, gauss, half):
     """SPD matrices Q diag(exp(expo)) Q^T from the draws of ``random_spd``.
 
     ``unit`` (n, d) are the unit draws of the exponents, mapped to
-    [-half, half) as ``rng.uniform(-half, half)`` maps them, and ``gauss``
-    (n, d, d) the Gaussian draws of Q.  One QR, one sign fix and one matmul
-    for the whole stack, each member bitwise the one built alone.
+    [-half, half) by ``uniform``, and ``gauss`` (n, d, d) the Gaussian draws
+    of Q.  One QR, one sign fix and one matmul for the whole stack, each
+    member bitwise the one built alone.
     """
-    return _spd_from_arrays(-half + (half - -half) * unit, gauss)
-
-
-def _spd_from_arrays(expo, gauss):
-    q = orthogonal_from_draws(gauss)
+    q, expo = orthogonal_from_draws(gauss), uniform(-half, half, unit)
     return matrices.as_symmetric_stack((q * np.exp(expo)[:, None, :]) @ q.transpose(0, 2, 1))
 
 
@@ -172,7 +173,7 @@ def random_weight_field(depth, d, rng, cond_cap=1e4):
     for u, g in zip(unit, gauss):
         rng.random(out=u)
         rng.standard_normal(out=g)
-    return StepField(_spd_from_arrays(-half + (half - -half) * unit, gauss))
+    return StepField(spd_from_unit(unit, gauss, half))
 
 
 def random_vector_field(depth, d, rng):
@@ -184,7 +185,7 @@ def random_scalar_sequence(depth, rng, density=0.35):
     values = np.zeros(tree_size(depth))
     for i in range(len(values)):
         if rng.random() < density:
-            values[i] = 0.1 + (1.0 - 0.1) * rng.random()
+            values[i] = uniform(0.1, 1.0, rng.random())
     if not values.any():
         values[0] = 1.0
     seq = ScalarSequence.from_arrays(depth, np.arange(len(values)), values)
@@ -214,7 +215,7 @@ def random_matrix_sequence(depth, d, rng, density=0.35):
             rng.random(out=unit[i])
     mats = vecs[:, :, None] * vecs[:, None, :]
     q = orthogonal_from_draws(gauss[full])
-    mats[full] = (q * (0.05 + (1.0 - 0.05) * unit[full])[:, None, :]) @ q.transpose(0, 2, 1)
+    mats[full] = (q * uniform(0.05, 1.0, unit[full])[:, None, :]) @ q.transpose(0, 2, 1)
     if not mats.any():
         mats[0] = np.eye(d)
     seq = MatrixSequence.from_arrays(depth, np.arange(n), mats)

@@ -317,19 +317,61 @@ def test_sampled_errors_name_first_failing_sample():
         (1, (np.array([[0.1]]), np.eye(1), 0.5)),  # outside the domain
         (2, good[2]),
     ]
-    draws = iter(samples)
 
-    def evaluate(points):
-        u, v, m = (np.stack(part) for part in zip(*points))
+    def evaluate(store, sl):
+        u, v, m = (np.stack(part) for part in zip(*map(store.get, range(sl.start, sl.stop))))
         return size_gap_stack(BellmanStack(u, v, m))
 
     with pytest.raises(SingularMatrixError) as info:
-        bellman._sampled(len(samples), lambda: next(draws), evaluate)
+        _scripted_sampled(samples, evaluate)
     assert info.value.point == 1
-    draws = iter(samples[:1] + samples[2:])
     with pytest.raises(DomainError) as info:
-        bellman._sampled(len(samples) - 1, lambda: next(draws), evaluate)
+        _scripted_sampled(samples[:1] + samples[2:], evaluate)
     assert info.value.point == 3
+
+
+def _scripted_sampled(samples, evaluate):
+    """``bellman._sampled`` on the (d, sample) pairs ``samples``: each d's
+    draws are a dict, and a sample is stored under its row."""
+    drawn = iter(samples)
+
+    def draw_d():
+        nonlocal sample
+        d, sample = next(drawn)
+        return d
+
+    def draw_into(store, r):
+        store[r] = sample
+
+    sample = None
+    return bellman._sampled(len(samples), lambda d: {}, draw_d, draw_into, evaluate)
+
+
+def test_sampled_rows_restart_with_each_block(monkeypatch):
+    # blocks of 4: d = 3 is drawn first in the second block, and d = 1 is
+    # missing from it; each d's rows start at 0 in every block
+    monkeypatch.setattr(bellman, "BLOCK", 4)
+    dims = [1, 2, 1, 1, 3, 2, 3, 2, 1, 2]
+    calls = []
+
+    def evaluate(store, sl, bad=()):
+        drawn = [store[r] for r in range(sl.start, sl.stop)]
+        calls.append((drawn[0][0], sl.start, sl.stop))
+        for p, (_, i) in enumerate(drawn):
+            if i in bad:
+                raise DomainError(f"sample {i}").at(p)
+        return np.array([i for _, i in drawn], dtype=float)
+
+    samples = [(d, (d, i)) for i, d in enumerate(dims)]
+    gaps, got = _scripted_sampled(samples, evaluate)
+    assert np.array_equal(gaps, np.arange(10)) and got.tolist() == dims
+    # the first call of each block evaluates all of it, in increasing d
+    assert calls == [(1, 0, 3), (2, 0, 1), (2, 0, 2), (3, 0, 2), (1, 0, 1), (2, 0, 1)]
+    # d = 2 is evaluated first, but sample 6 (d = 3) precedes sample 7 in
+    # draw order; sample 9, in the third block, is never reached
+    with pytest.raises(DomainError) as info:
+        _scripted_sampled(samples, lambda store, sl: evaluate(store, sl, bad={6, 7, 9}))
+    assert info.value.point == 6
 
 
 def test_sampler_errors_name_the_sample_behind_the_row(monkeypatch):

@@ -685,8 +685,8 @@ def test_bellman_probe_row_counts_every_negative_gap(monkeypatch):
     sampled = bellman._sampled
 
     def probe(**kwargs):
-        def first_55_negative(n, draw, evaluate):
-            gaps, dims = sampled(n, draw, evaluate)
+        def first_55_negative(n, *args):
+            gaps, dims = sampled(n, *args)
             return np.where(np.arange(n) < 55, -1.0, np.abs(gaps)), dims
 
         with monkeypatch.context() as patched:

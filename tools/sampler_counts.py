@@ -33,6 +33,7 @@ import resource
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 
@@ -76,14 +77,13 @@ def traced(call):
         mats.append(math.prod(np.shape(a)[:-2]))
         return eigh(a)
 
-    np.linalg.eigh = counting
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        np.linalg.eigh = eigh
+    with mock.patch.object(np.linalg, "eigh", counting):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     return {"eigh_calls": len(mats), "eigh_mats": sum(mats), "traced_mb": round(peak / 2**20, 2)}
 
 
@@ -108,14 +108,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.samples < 1 or args.d_max < 1 or args.block < 1:
         parser.error("--samples, --d-max and --block must be at least 1")
-    block, bellman.BLOCK = bellman.BLOCK, args.block
-    try:
+    with mock.patch.object(bellman, "BLOCK", args.block):
         print(f"samples={args.samples} d_max={args.d_max} seed={args.seed} block={args.block}")
         print(f"{'sampler':<10}" + "".join(f"{c:>12}" for c in COLUMNS))
         for name, row in counts(args.samples, args.d_max, args.seed).items():
             print(f"{name:<10}" + "".join(f"{row[c]:>12}" for c in COLUMNS))
-    finally:
-        bellman.BLOCK = block
     return 0
 
 

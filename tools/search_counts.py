@@ -28,7 +28,8 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 
@@ -38,26 +39,6 @@ from carlab import matrices, search  # noqa: E402
 
 COLUMNS = ("lookahead", "batches", "candidates", "accepted", "lapack_calls", "lapack_mats",
            "power_mats", "weight_leaves")
-
-
-@contextmanager
-def _wrapped(owner, name, before, after=None):
-    """Run ``before(args)`` ahead of every call of ``owner.name`` and
-    ``after(result)`` behind it, until the block ends."""
-    original = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        before(args)
-        result = original(*args, **kwargs)
-        if after is not None:
-            after(result)
-        return result
-
-    setattr(owner, name, wrapper)
-    try:
-        yield
-    finally:
-        setattr(owner, name, original)
 
 
 def _accepted(values):
@@ -76,30 +57,43 @@ def counts(objective, **config):
     """The ``COLUMNS`` of one search, as a dict."""
     out = dict.fromkeys(COLUMNS, 0)
     out["lookahead"] = search.LOOKAHEAD[objective]
+    search_objective, climb, state_weights = (
+        search._search_objective, search._climb, search._state_weights)
+    eigh_sym, eigvalsh_stack, power = matrices.eigh_sym, matrices.eigvalsh_stack, matrices.eig_power
 
-    def batch(args):
+    def batch(log_eigs, *args, **kwargs):
         out["batches"] += 1
-        out["candidates"] += len(args[0])
+        out["candidates"] += len(log_eigs)
+        return search_objective(log_eigs, *args, **kwargs)
 
-    def lapack(args):
-        mats = np.asarray(args[0])
-        if mats.dtype == np.float64:
-            out["lapack_calls"] += 1
-            out["lapack_mats"] += math.prod(mats.shape[:-2])
+    def climbing(*args, **kwargs):
+        result = climb(*args, **kwargs)
+        out["accepted"] = _accepted(result[0])
+        return result
 
-    def powered(args):  # (vals, vecs, p): one matrix per spectrum
-        out["power_mats"] += math.prod(np.shape(args[0])[:-1])
+    def lapack(original):
+        def counting(mats):
+            if np.asarray(mats).dtype == np.float64:
+                out["lapack_calls"] += 1
+                out["lapack_mats"] += math.prod(np.shape(mats)[:-2])
+            return original(mats)
+        return counting
 
-    def weights(args):  # (log_eigs, angles, cond_cap): one leaf per row of log_eigs
-        out["weight_leaves"] += math.prod(np.shape(args[0])[:-1])
+    def powered(vals, *args, **kwargs):  # one matrix per spectrum
+        out["power_mats"] += math.prod(np.shape(vals)[:-1])
+        return power(vals, *args, **kwargs)
 
-    with _wrapped(search, "_search_objective", batch), \
-            _wrapped(search, "_climb", lambda args: None,
-                     lambda result: out.update(accepted=_accepted(result[0]))), \
-            _wrapped(matrices, "eigh_sym", lapack), \
-            _wrapped(matrices, "eigvalsh_stack", lapack), \
-            _wrapped(matrices, "eig_power", powered), \
-            _wrapped(search, "_state_weights", weights):
+    def weights(log_eigs, *args):  # one leaf per row of log_eigs
+        out["weight_leaves"] += math.prod(np.shape(log_eigs)[:-1])
+        return state_weights(log_eigs, *args)
+
+    with ExitStack() as patches:
+        for owner, name, wrapper in (
+                (search, "_search_objective", batch), (search, "_climb", climbing),
+                (matrices, "eigh_sym", lapack(eigh_sym)),
+                (matrices, "eigvalsh_stack", lapack(eigvalsh_stack)),
+                (matrices, "eig_power", powered), (search, "_state_weights", weights)):
+            patches.enter_context(mock.patch.object(owner, name, wrapper))
         search.adversarial_search(objective=objective, **config)
     return out
 
