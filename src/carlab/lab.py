@@ -347,6 +347,29 @@ def _parse_embedded(obj, index):
     return w, f, g, _normalized_intensity(alpha), _normalized_intensity(mseq)
 
 
+def _suite_instances(cfg, kind, depth_max, depth_min=3):
+    """(kind, seed, w, alpha, mseq, f, g) of each seed's ``random_instance``
+    on the ``suite_instance_params`` ladder, then of each embedded instance:
+    kind "embedded", seed "embedded-<i>" and None for each part it lacks.
+    Every embedded instance is read, and refused if bad, before the first
+    random instance is built; ``kind`` labels the random ones."""
+    embedded = []
+    for i, obj in enumerate(cfg.extra_instances):
+        w, f, g, alpha, mseq = _parse_embedded(obj, i)
+        if cfg.experiment == "sibet-suite":  # its rows pair f and g through alpha, over |f| |g|
+            if f is None or g is None or alpha is None:
+                raise ConfigError(f"embedded instance #{i} needs weight, f, g and alpha")
+            for name, part in (("f", f), ("g", g)):
+                if weighted_l2_norm(part) == 0.0:
+                    raise ConfigError(f"bad embedded instance #{i}: {name} has L2 norm 0")
+        embedded.append(("embedded", f"embedded-{i}", w, alpha, mseq, f, g))
+    for i, seed in enumerate(cfg.seeds):
+        d, depth = suite_instance_params(i, cfg.d, depth_max, depth_min)
+        inst = random_instance(depth, d, seed, cfg.cond_cap)
+        yield kind, seed, inst.w, inst.sseq, inst.mseq, inst.f, inst.g
+    yield from embedded
+
+
 def _sibet_row(kind, seed, eps, w, seq, f, g):
     fg = weighted_l2_norm(f) * weighted_l2_norm(g)
     norm = bet_norm_sum(w, seq, f, g)
@@ -365,19 +388,8 @@ def _sibet_row(kind, seed, eps, w, seq, f, g):
 
 
 def _run_sibet(cfg):
-    rows = []
-    for i, seed in enumerate(cfg.seeds):
-        d, depth = suite_instance_params(i, cfg.d, cfg.depth)
-        inst = random_instance(depth, d, seed, cfg.cond_cap)
-        rows.append(_sibet_row("random", seed, "", inst.w, inst.sseq, inst.f, inst.g))
-    for idx, obj in enumerate(cfg.extra_instances):
-        w, f, g, alpha, _ = _parse_embedded(obj, idx)
-        if f is None or g is None or alpha is None:
-            raise ConfigError(f"embedded instance #{idx} needs weight, f, g and alpha")
-        for name, part in (("f", f), ("g", g)):
-            if weighted_l2_norm(part) == 0.0:
-                raise ConfigError(f"bad embedded instance #{idx}: {name} has L2 norm 0")
-        rows.append(_sibet_row("embedded", f"embedded-{idx}", "", w, alpha, f, g))
+    rows = [_sibet_row(kind, seed, "", w, alpha, f, g)
+            for kind, seed, w, alpha, _, f, g in _suite_instances(cfg, "random", cfg.depth)]
     for theta in cfg.rotations:
         for eps in cfg.eps_grid:
             inst = epsilon_family(eps, theta, min(cfg.depth, 4))
@@ -401,19 +413,17 @@ def _run_sibet(cfg):
 
 def _run_wcet(cfg):
     rows = []
-    for i, seed in enumerate(cfg.seeds):
-        d, depth = suite_instance_params(i, cfg.d, cfg.depth)
-        inst = random_instance(depth, d, seed, cfg.cond_cap)
+    for _, seed, w, _, mseq, f, _ in _suite_instances(cfg, "random", cfg.depth):
         rng = np.random.default_rng(seed + 10_000_019)
-        testing = wcet_testing_constant(inst.w, inst.mseq)
-        embed = cet_sum(inst.w, inst.mseq, inst.f)
-        fnorm = weighted_l2_norm(inst.f)
-        t_ref, probe_sup, sampled_max, worst_rel = necessity_report(inst.w, inst.mseq, rng)
-        mf = maximal_function(inst.w, inst.f)
+        testing = wcet_testing_constant(w, mseq)
+        embed = cet_sum(w, mseq, f)
+        fnorm = weighted_l2_norm(f)
+        t_ref, probe_sup, sampled_max, worst_rel = necessity_report(w, mseq, rng)
+        mf = maximal_function(w, f)
         rows.append({
             "seed": seed,
-            "d": d,
-            "depth": depth,
+            "d": w.d,
+            "depth": w.depth,
             "testing_constant": testing,
             "cet_sum": embed,
             "forward_ratio": embed / (testing * fnorm**2),
@@ -468,6 +478,7 @@ def _run_bellman(cfg):
 
     dynamics_worst = np.inf
     dynamics_violations = 0
+    # not on _suite_instances: these draw only w and alpha, at cond_cap 1e3
     for i, seed in enumerate(cfg.seeds):
         d, depth = suite_instance_params(i, d_max, min(cfg.depth, 5))
         inst_rng = np.random.default_rng(seed)
@@ -513,61 +524,49 @@ def _max_by_d(pairs):
 
 
 def _run_redundancy(cfg):
+    # One loop over the suite's instances.  The first 50 seeds also run the
+    # Bellman telescoping cross-check, and the first 20 the structural
+    # identities, on the instance of suite_instance_params(i, d,
+    # min(depth, 6), 4) and cond_cap min(cond_cap, 1e4): the suite's own
+    # instance, with its row's constants, when it is that one, else a fresh
+    # one.  The substitution samples are drawn in seed order.
     rows = []
-    # The cross-check loop below reuses the suite's instance i, and its
-    # constants, when it would build the same one.
-    n_head = min(50, len(cfg.seeds))
-    head = [(*suite_instance_params(i, cfg.d, min(cfg.depth, 6), depth_min=4),
-             min(cfg.cond_cap, 1e4)) for i in range(n_head)]
-    reused = {}
-    for i, seed in enumerate(cfg.seeds):
-        d, depth = suite_instance_params(i, cfg.d, cfg.depth, depth_min=4)
-        inst = random_instance(depth, d, seed, cfg.cond_cap)
-        s = sred_constant(inst.w, inst.sseq)
-        c1, c2, c3 = red_constants(inst.w, inst.mseq)
-        if i < n_head and head[i] == (d, depth, cfg.cond_cap):
-            reused[i] = inst, (c1, c2, c3)
-        rows.append({"kind": "suite", "seed": seed, "d": d, "depth": depth, "sred": s,
-                     "red_c1": c1, "red_c2": c2, "red_c3": c3})
-
-    for idx, obj in enumerate(cfg.extra_instances):
-        w, _, _, alpha, mseq = _parse_embedded(obj, idx)
-        row = {"kind": "embedded", "seed": f"embedded-{idx}", "d": w.d, "depth": w.depth,
+    telescope_diff, telescope_gap, mono_ok, cycle_err, subst_err = 0.0, np.inf, True, 0.0, 0.0
+    rng = np.random.default_rng(cfg.seeds[0] + 77)
+    cross_cap = min(cfg.cond_cap, 1e4)
+    stream = _suite_instances(cfg, "suite", cfg.depth, depth_min=4)
+    for i, (kind, seed, w, alpha, mseq, _, _) in enumerate(stream):
+        row = {"kind": kind, "seed": seed, "d": w.d, "depth": w.depth,
                "sred": "", "red_c1": "", "red_c2": "", "red_c3": ""}
         if alpha is not None:
             row["sred"] = sred_constant(w, alpha)
         if mseq is not None:
-            c1, c2, c3 = red_constants(w, mseq)
-            row.update(red_c1=c1, red_c2=c2, red_c3=c3)
+            row["red_c1"], row["red_c2"], row["red_c3"] = red_constants(w, mseq)
         rows.append(row)
-
-    # Bellman telescoping cross-check on the head of the suite, and
-    # structural identities on the first 20 of those instances.
-    telescope_diff = 0.0
-    telescope_gap = np.inf
-    rng = np.random.default_rng(cfg.seeds[0] + 77)
-    mono_ok = True
-    cycle_err = 0.0
-    subst_err = 0.0
-    for i, (d, depth, cond_cap) in enumerate(head):
-        inst, c = reused.get(i) or (random_instance(depth, d, cfg.seeds[i], cond_cap), None)
-        direct, accumulated, min_gap = telescoping_certificate(inst.w, inst.sseq)
+        if i >= min(50, len(cfg.seeds)):
+            continue
+        d, depth = suite_instance_params(i, cfg.d, min(cfg.depth, 6), depth_min=4)
+        c = row["red_c1"], row["red_c2"], row["red_c3"]
+        if (d, depth, cross_cap) != (w.d, w.depth, cfg.cond_cap):
+            inst = random_instance(depth, d, seed, cross_cap)
+            (w, alpha, mseq), c = (inst.w, inst.sseq, inst.mseq), None
+        direct, accumulated, min_gap = telescoping_certificate(w, alpha)
         telescope_diff = max(telescope_diff, matrices.operator_norm(direct - accumulated))
         telescope_gap = min(telescope_gap, min_gap)
         if i >= 20:
             continue
-        c1, c2, c3 = c or red_constants(inst.w, inst.mseq)
-        norms = matrices.operator_norm_stack(inst.mseq.values)
-        dominated = MatrixSequence.from_arrays(depth, inst.mseq.positions,
+        c1, c2, c3 = c or red_constants(w, mseq)
+        norms = matrices.operator_norm_stack(mseq.values)
+        dominated = MatrixSequence.from_arrays(depth, mseq.positions,
                                                norms[:, None, None] * np.eye(d))
         intensity = carleson_intensity(dominated)
-        k1, k2, k3 = red_constants(inst.w, dominated.scaled(1.0 / intensity))
+        k1, k2, k3 = red_constants(w, dominated.scaled(1.0 / intensity))
         # Undo the intensity normalization to compare against the raw sequence.
         k1, k2, k3 = k1 * intensity, k2 * intensity, k3 * intensity
         if min(k1 - c1, k2 - c2, k3 - c3) < -1e-8:
             mono_ok = False
-        cycle_err = max(cycle_err, trace_cycling_error(inst.w, inst.mseq, norms))
-        subst_err = max(subst_err, substitution_error(inst.w, inst.mseq, rng, samples=5))
+        cycle_err = max(cycle_err, trace_cycling_error(w, mseq, norms))
+        subst_err = max(subst_err, substitution_error(w, mseq, rng, samples=5))
 
     sred = [(r["d"], r["sred"]) for r in rows if r["sred"] != ""]
     red = [(r["d"], max(r["red_c1"], r["red_c2"], r["red_c3"])) for r in rows if r["red_c1"] != ""]

@@ -1135,3 +1135,61 @@ def per_class_from_json(cls, obj):
             for e in obj["values"]
         ],
     )
+
+
+def two_loop_redundancy_cross_check(cfg):
+    """The cross-checks of redundancy-suite as two loops over the seeds.
+    The first builds each suite instance and its constants, keeping those
+    the second would build again; the second runs the Bellman telescoping
+    cross-check on the first 50 seeds and the structural identities on the
+    first 20.  Returns (telescoping_max_diff, telescoping_min_gap,
+    trace_cycling_max_err, substitution_max_err, monotone)."""
+    from carlab import matrices
+    from carlab.bellman import telescoping_certificate
+    from carlab.characteristics import MatrixSequence, carleson_intensity
+    from carlab.constructions import random_instance
+    from carlab.lab import suite_instance_params
+    from carlab.redundancy import (
+        red_constants,
+        sred_constant,
+        substitution_error,
+        trace_cycling_error,
+    )
+
+    n_head = min(50, len(cfg.seeds))
+    head = [(*suite_instance_params(i, cfg.d, min(cfg.depth, 6), depth_min=4),
+             min(cfg.cond_cap, 1e4)) for i in range(n_head)]
+    reused = {}
+    for i, seed in enumerate(cfg.seeds):
+        d, depth = suite_instance_params(i, cfg.d, cfg.depth, depth_min=4)
+        inst = random_instance(depth, d, seed, cfg.cond_cap)
+        sred_constant(inst.w, inst.sseq)
+        c1, c2, c3 = red_constants(inst.w, inst.mseq)
+        if i < n_head and head[i] == (d, depth, cfg.cond_cap):
+            reused[i] = inst, (c1, c2, c3)
+
+    telescope_diff = 0.0
+    telescope_gap = np.inf
+    rng = np.random.default_rng(cfg.seeds[0] + 77)
+    mono_ok = True
+    cycle_err = 0.0
+    subst_err = 0.0
+    for i, (d, depth, cond_cap) in enumerate(head):
+        inst, c = reused.get(i) or (random_instance(depth, d, cfg.seeds[i], cond_cap), None)
+        direct, accumulated, min_gap = telescoping_certificate(inst.w, inst.sseq)
+        telescope_diff = max(telescope_diff, matrices.operator_norm(direct - accumulated))
+        telescope_gap = min(telescope_gap, min_gap)
+        if i >= 20:
+            continue
+        c1, c2, c3 = c or red_constants(inst.w, inst.mseq)
+        norms = matrices.operator_norm_stack(inst.mseq.values)
+        dominated = MatrixSequence.from_arrays(depth, inst.mseq.positions,
+                                               norms[:, None, None] * np.eye(d))
+        intensity = carleson_intensity(dominated)
+        k1, k2, k3 = red_constants(inst.w, dominated.scaled(1.0 / intensity))
+        k1, k2, k3 = k1 * intensity, k2 * intensity, k3 * intensity
+        if min(k1 - c1, k2 - c2, k3 - c3) < -1e-8:
+            mono_ok = False
+        cycle_err = max(cycle_err, trace_cycling_error(inst.w, inst.mseq, norms))
+        subst_err = max(subst_err, substitution_error(inst.w, inst.mseq, rng, samples=5))
+    return telescope_diff, telescope_gap, cycle_err, subst_err, mono_ok

@@ -19,9 +19,14 @@ from carlab.lab import (
     suite_instance_params,
     sweep_row,
 )
+from carlab.characteristics import c2_conditioning, wcet_testing_constant
 from carlab.redundancy import red_constants, sred_constant
 
-from oracles import brute_adversarial_search, brute_search_weight
+from oracles import (
+    brute_adversarial_search,
+    brute_search_weight,
+    two_loop_redundancy_cross_check,
+)
 
 
 def small_sweep_config(**over):
@@ -568,19 +573,88 @@ def test_cli_wcet_suite_refuses_extra_instances(tmp_path):
         default_config("wcet-suite", extra_instances=[{"x": 1}])
 
 
-def test_redundancy_rows_match_fresh_instances():
-    # two periods of the (d, depth) ladder; each row's constants recomputed
-    # on a fresh instance, red before sred, so that no cached power is shared
-    cfg = default_config("redundancy-suite", depth=6, d=4, seeds=list(range(7, 31)))
+@pytest.mark.parametrize("experiment", ["sibet-suite", "wcet-suite", "redundancy-suite"])
+def test_suite_rows_match_fresh_instances(experiment):
+    # two or more periods of the (d, depth) ladder: each random row's seed,
+    # d and depth are the ladder's, and one column is recomputed on a fresh
+    # instance; redundancy recomputes its whole row, red before sred, so
+    # that no cached power is shared
+    depth_min = 4 if experiment == "redundancy-suite" else 3
+    cfg = default_config(experiment, depth=6, d=4, seeds=list(range(7, 31)))
     rows = run_experiment(cfg).rows
-    assert len(rows) == 24
+    # the random rows come first; sibet-suite's sweep rows follow them
+    assert len([row for row in rows if row.get("kind") != "sweep"]) == 24
     for i, (seed, row) in enumerate(zip(cfg.seeds, rows)):
-        d, depth = suite_instance_params(i, 4, 6, depth_min=4)
+        d, depth = suite_instance_params(i, 4, 6, depth_min=depth_min)
+        assert (row["seed"], row["d"], row["depth"]) == (seed, d, depth)
         inst = random_instance(depth, d, seed, cfg.cond_cap)
-        c1, c2, c3 = red_constants(inst.w, inst.mseq)
-        assert row == {"kind": "suite", "seed": seed, "d": d, "depth": depth,
-                       "sred": sred_constant(inst.w, inst.sseq),
-                       "red_c1": c1, "red_c2": c2, "red_c3": c3}
+        if experiment == "sibet-suite":
+            assert row["kind"] == "random" and row["c2"] == c2_conditioning(inst.w)
+        elif experiment == "wcet-suite":
+            assert row["testing_constant"] == wcet_testing_constant(inst.w, inst.mseq)
+        else:
+            c1, c2, c3 = red_constants(inst.w, inst.mseq)
+            assert row == {"kind": "suite", "seed": seed, "d": d, "depth": depth,
+                           "sred": sred_constant(inst.w, inst.sseq),
+                           "red_c1": c1, "red_c2": c2, "red_c3": c3}
+
+
+@pytest.mark.parametrize("over, builds", [
+    # every cross-check instance is the suite's; the 50-seed head is cut
+    (dict(depth=6, d=2, seeds=list(range(52))), 52),
+    # i = 0, 1, 2, 15, 16, 17 share (d, depth) with the cross-check's ladder
+    (dict(depth=8, seeds=list(range(24))), 24 + 18),
+    # no suite instance has the cross-check's cond_cap 1e4
+    (dict(depth=6, cond_cap=1e5, seeds=list(range(24))), 24 + 24),
+    (dict(depth=6, seeds=list(range(3, 25)), extra_instances="embedded"), 22),
+], ids=["all-reused", "some-reused", "none-reused", "embedded"])
+def test_redundancy_cross_checks_match_the_two_loop_oracle(monkeypatch, over, builds):
+    # the cross-checks run inside the suite loop on the suite's own
+    # instances where they can; the oracle runs them in a second loop
+    if over.get("extra_instances") == "embedded":
+        inst = random_instance(3, 2, seed=0, cond_cap=1e3)
+        over = dict(over, extra_instances=[{"weight": stepfield_to_json(inst.w),
+                                            "alpha": inst.sseq.to_json(),
+                                            "matrix_seq": inst.mseq.to_json()}])
+    cfg = default_config("redundancy-suite", **over)
+    built = []
+    monkeypatch.setattr("carlab.lab.random_instance",
+                        lambda *args: built.append(args) or random_instance(*args))
+    report = run_experiment(cfg)
+    assert len(built) == builds
+    agg = report.aggregates
+    assert (agg["telescoping_max_diff"], agg["telescoping_min_gap"],
+            agg["trace_cycling_max_err"], agg["substitution_max_err"],
+            report.verdicts["operator_norm_monotonicity"]) == two_loop_redundancy_cross_check(cfg)
+
+
+def test_cli_refuses_bad_embedded_instances_before_any_instance_is_built(
+        tmp_path, monkeypatch, capsys):
+    # a bad embedded instance exited 2 only after every random instance had
+    # been built and run: 2.8 s for a default redundancy-suite
+    def refused(*args):
+        raise AssertionError("a random instance was built before the config was refused")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("carlab.lab.random_instance", refused)
+    inst = random_instance(2, 2, seed=0, cond_cap=1e3)
+    short = stepfield_to_json(inst.w)
+    short["values"] = short["values"][:-1]
+    zero = stepfield_to_json(inst.f)
+    zero["values"] = [[0.0, 0.0] for _ in zero["values"]]
+    parts = {"weight": stepfield_to_json(inst.w), "f": zero, "g": stepfield_to_json(inst.g),
+             "alpha": inst.sseq.to_json()}
+    cfg_path = tmp_path / "cfg.json"
+    for experiment, embedded, message in (
+        ("redundancy-suite", {"weight": short, "alpha": inst.sseq.to_json()},
+         "bad embedded instance #0: weight"),
+        ("sibet-suite", {"weight": parts["weight"]},
+         "embedded instance #0 needs weight, f, g and alpha"),
+        ("sibet-suite", parts, "bad embedded instance #0: f has L2 norm 0"),
+    ):
+        cfg_path.write_text(json.dumps({"extra_instances": [embedded]}))
+        assert main([experiment, "--config", str(cfg_path), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):
