@@ -247,16 +247,21 @@ def cube_supremum_batch(flat, touched=None):
     supremum, and the eigenvalue call, to the cubes it marks.  A level whose
     maximum is NaN is passed over.
     """
-    n_levels = flat.shape[1].bit_length()
     if touched is not None:
         keep = touched[:, :flat.shape[1]]
         tops, kept = np.full(keep.shape, -np.inf, dtype=flat.dtype), flat[keep]
         tops[keep] = matrices.lambda_max_stack(kept) if kept.ndim == 3 else kept
     else:
         tops = matrices.lambda_max_stack(flat) if flat.ndim == 4 else flat
-    starts = [level_slice(k).start for k in range(n_levels)]
-    level_max = np.maximum.reduceat(tops, starts, axis=1).astype(np.float64)
-    return np.fmax.reduce(level_max * 2.0 ** np.arange(n_levels), axis=1, initial=-np.inf)
+    return level_supremum(tops)
+
+
+def level_supremum(tops):
+    """sup over cubes K of 2^level(K) tops[b, K] for each member b of (B, cubes)
+    in tree order, level k starting at 2^k - 1; a NaN level is passed over."""
+    levels = np.arange(tops.shape[1].bit_length())
+    level_max = np.maximum.reduceat(tops, (1 << levels) - 1, axis=1).astype(np.float64)
+    return np.fmax.reduce(level_max * 2.0 ** levels, axis=1, initial=-np.inf)
 
 
 def testing_terms(wavg, seq):

@@ -143,6 +143,10 @@ class ExperimentConfig:
             raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.experiment == "adversarial-search" and len(self.seeds) != 1:
             raise ConfigError(f"adversarial-search runs one seed, got {self.seeds!r}")
+        run = (self.experiment, self.objective)
+        if run == ("adversarial-search", "bet_norm_ratio") and self.d < 2:
+            # attains_sqrt_c2 compares with the counterexample family, a start state for d >= 2
+            raise ConfigError(f"adversarial-search bet_norm_ratio needs d >= 2, got d = {self.d}")
         if not isinstance(self.extra_instances, list):
             raise ConfigError(f"extra_instances must be a list, got {self.extra_instances!r}")
         if self.experiment == "wcet-suite" and self.extra_instances:

@@ -14,11 +14,7 @@ import numpy as np
 
 from . import matrices
 from .characteristics import (
-    MatrixSequence,
-    ScalarSequence,
-    check_fits,
-    cube_supremum_batch,
-    subtree_forms,
+    MatrixSequence, ScalarSequence, check_fits, cube_supremum_batch, level_supremum, subtree_forms,
     subtree_sums_batch,
 )
 from .dyadic import DyadicIndex, check_index, level_slice, tree_level, tree_position, tree_size
@@ -101,17 +97,21 @@ def red_constants_batch(roots, proots, b):
     c3), one entry per member.  The support of a member is its nonzero
     entries; no member may have an empty support.
     """
-    support = np.any(b != 0.0, axis=(-2, -1))
+    d, support = b.shape[-1], np.any(b != 0.0, axis=(-2, -1))
     touched = subtree_sums_batch(support.astype(np.float64)) > 0.0
 
     # c3: accumulate P_Q B_Q P_Q, sandwich with <W>_K^-1/2 once per cube K.
     pbp = proots @ b @ proots
-    c3 = cube_supremum_batch(roots @ subtree_sums_batch(pbp) @ roots)
+    c3 = roots @ subtree_sums_batch(pbp) @ roots
 
-    # c1, c2: both conjugation orders depend on (K, Q) jointly.
+    # c1, c2: both conjugation orders depend on (K, Q) jointly; one lambda_max call for all three
     deepest = int(tree_level(np.flatnonzero(support.any(axis=0))[-1]))
-    sums = red_sums_batch(roots, proots, b, pbp, deepest)
-    return (*(cube_supremum_batch(a, touched) for a in sums), c3)
+    sum1, sum2 = red_sums_batch(roots, proots, b, pbp, deepest)
+    keep, n = touched[:, :len(sum1[0])], np.count_nonzero(touched)
+    lmax = matrices.lambda_max_stack(np.concatenate([sum1[keep], sum2[keep], c3.reshape(-1, d, d)]))
+    tops = np.full((3, *touched.shape), -np.inf, dtype=c3.dtype)
+    tops[:2, touched], tops[2] = lmax[:2 * n].reshape(2, n), lmax[2 * n:].reshape(touched.shape)
+    return tuple(level_supremum(tops.reshape(-1, touched.shape[1])).reshape(3, -1))
 
 
 def red_constants(w, bseq):

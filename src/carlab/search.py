@@ -8,7 +8,7 @@ stream is drawn from ``seed`` before the first evaluation.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .characteristics import (
     cube_supremum_batch,
     subtree_sums_batch,
 )
-from .dyadic import StepField, level_slice, pyramid_batch, tree_ancestor, tree_cube, tree_size
+from .dyadic import StepField, pyramid_batch, tree_ancestor, tree_cube, tree_size
 from .embeddings import bet_norm_sum_batch, halfweighted_pyramid_batch, l2_norm_batch
 from .errors import ConfigError, first_failure
 from .redundancy import check_intensity_batch, red_constants_batch, sred_constant_batch
@@ -52,30 +52,26 @@ def _n_angles(d):
 
 def _clip_spread(log_eigs, cond_cap):
     half = 0.5 * math.log(cond_cap)
-    center = log_eigs.mean(axis=-1, keepdims=True)
-    return center + np.clip(log_eigs - center, -half, half)
+    center = np.add.reduce(log_eigs, axis=-1, keepdims=True) / log_eigs.shape[-1]  # the mean
+    return center + np.minimum(np.maximum(log_eigs - center, -half), half)  # np.clip, cheaper
 
 
 def _state_weights(log_eigs, angles, cond_cap):
     """Leaf weights Q diag(exp(log_eigs)) Q^T of a batch of states.
 
-    Q is the product of one Givens rotation per coordinate plane; the
-    leaves (B, 2^depth, d, d) are symmetrized as ``StepField`` does.
+    Q = I G_1 G_2 ..., one Givens rotation per coordinate plane in row
+    order; the leaves (B, 2^depth, d, d) are symmetrized as ``StepField`` does.
     """
     logs = _clip_spread(log_eigs, cond_cap)
     shape, d = logs.shape[:-1], logs.shape[-1]
-    eye = np.broadcast_to(np.eye(d), (*shape, d, d))
-    q = eye
-    planes = [(i, j) for i in range(d - 1) for j in range(i + 1, d)]
-    for (i, j), plane in zip(planes, np.moveaxis(angles, -1, 0)):
-        flat = plane.ravel().tolist()
-        c = np.reshape([math.cos(a) for a in flat], shape)
-        s = np.reshape([math.sin(a) for a in flat], shape)
-        g = eye.copy()
-        g[..., i, i] = c
-        g[..., j, j] = c
-        g[..., i, j] = -s
-        g[..., j, i] = s
+    trig = np.array([(math.cos(a), math.sin(a)) for a in angles.ravel().tolist()])
+    trig = trig.reshape(*angles.shape, 2)
+    q = np.eye(d)
+    for k, (i, j) in enumerate((i, j) for i in range(d - 1) for j in range(i + 1, d)):
+        c, s = trig[..., k, 0], trig[..., k, 1]
+        g = np.zeros((*shape, d, d))
+        g.reshape(-1, d * d)[:, ::d + 1] = 1.0  # the identity, through a view of the new g
+        g[..., i, i], g[..., j, j], g[..., i, j], g[..., j, i] = c, c, -s, s
         q = q @ g
     w = (q * np.exp(logs)[..., None, :]) @ q.swapaxes(-1, -2)
     return (w + w.swapaxes(-1, -2)) / 2
@@ -91,106 +87,117 @@ def _state_sequences(seq_weights):
     return weights * (1.0 / intensity)[:, None]
 
 
-def _empty_carry(n, depth, d, objective):
-    """Room for what ``n`` states derive from their weights, by name, each
-    with a leading state axis: the leaves of W and W^-1; (vals, vecs) of
-    every cube average of W and of W^-1; and the powers the objective's
-    kernels take: for bet_norm_ratio the leaves' W^1/2 and W^-1/2 and the
-    leaf eigenvalues of C2, for the redundancy ratios R = <W>^-1/2 of every
-    cube and P = <W^-1>^-1/2 (red_ratio) or <W^-1>^-1 (sred_ratio)."""
+_STATE = ("log_eigs", "angles", "seq_weights")
+
+
+def _layout(depth, d, objective):
+    """The shape of each part of a restart's row of a packed (restarts, F)
+    float64 buffer, by name: the state, the leaves of W and W^-1, (vals,
+    vecs) of every cube average of W and of W^-1, and the powers the
+    objective's kernels take: the leaves' W^1/2 and W^-1/2 and eigenvalues
+    (for C2) for bet_norm_ratio, else R = <W>^-1/2 of every cube and
+    P = <W^-1>^-1/2 (red_ratio) or <W^-1>^-1 (sred_ratio)."""
     leaf, cube = (1 << depth, d, d), (tree_size(depth), d, d)
-    shapes = dict(w=leaf, winv=leaf, wvals=cube[:2], wvecs=cube, vvals=cube[:2], vvecs=cube)
+    shapes = dict(zip(_STATE, (leaf[:2], (1 << depth, _n_angles(d)), cube[:1])))
+    shapes.update(w=leaf, winv=leaf, wvals=cube[:2], wvecs=cube, vvals=cube[:2], vvecs=cube)
     if objective == "bet_norm_ratio":
         shapes.update(wh=leaf, whinv=leaf, leaf_vals=leaf[:2])
     else:
         shapes.update({"r": cube, "p" if objective == "red_ratio" else "vinv": cube})
-    return {name: np.empty((n, *shape)) for name, shape in shapes.items()}
+    return shapes
 
 
-def _refresh(solve, inputs, out, stale):
-    """The arrays ``out`` (B, m, ...), with the members at ``stale`` (B, m)
-    recomputed in place by one call of ``solve`` on the same members of the
-    arrays ``inputs``, which returns one array per array of ``out``."""
-    if stale.any():
-        for old, new in zip(out, solve(*(a[stale] for a in inputs))):
-            old[stale] = new
-    return out
+def _views(buf, shapes):
+    """The parts (len(buf), *shape) of the packed rows ``buf``, each a view of it."""
+    ends = np.cumsum([0, *map(math.prod, shapes.values())]).tolist()
+    return {name: buf[:, a:b].reshape(len(buf), *shape)
+            for (name, shape), a, b in zip(shapes.items(), ends, ends[1:])}
 
 
-def _refresh_power(out, p, eig, stale, first=0):
-    """``out`` (B, m, d, d), with its members at ``stale`` (B, m) set in
-    place to W^p from the same members of ``eig``; a refusal names the first
-    failing member's cube, member j being the cube ``first + j`` in tree
-    order."""
-    def context(i):
-        return tree_cube(first + int(np.flatnonzero(stale)[i]) % stale.shape[1])
-    return _refresh(lambda *e: (matrices.eig_power(*e, p, context=context),), eig, (out,), stale)[0]
+def _packed(states, objective):
+    """Packed rows holding ``states`` (three arrays with a leading restart
+    axis) and room for what they derive (``_layout``), and their views."""
+    n, n_leaves, d = states[0].shape
+    shapes = _layout(n_leaves.bit_length() - 1, d, objective)
+    buf = np.empty((n, sum(map(math.prod, shapes.values()))))
+    views = _views(buf, shapes)
+    for name, state in zip(_STATE, states):
+        views[name][...] = state
+    return buf, views
 
 
 def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=None, stale=None):
     """Objective values of a batch of states, with their leaf weights and,
     for bet_norm_ratio, the values over sqrt(C2) of each weight (else None).
 
-    ``carry`` holds what each state derives from its weights
-    (``_empty_carry``), of which only the leaves and cubes marked in
-    ``stale`` (B, cubes) are computed again, in place; without ``carry``
-    every one is.  The steps and checks are those of one evaluation through
-    the public kernels, in the same order, so a batch of one raises what
-    that evaluation raises: the members not marked stale have passed them
-    before.  The sequences are checked as dense arrays in tree order, once,
-    as scalars: red_ratio's matrix sequence alpha_Q I is finite, symmetric
-    and PSD whenever alpha is finite and non-negative, and has the same
-    Carleson intensity, so the checks ``red_constants`` makes of it are
-    implied by those of alpha.
+    ``carry`` holds the views of ``_packed``, of which only the leaves and
+    cubes marked in ``stale`` (B, cubes) are computed again, in place, each
+    part by one gather, solve and scatter on the mask's (member, cube) or
+    (member, leaf) pairs; without ``carry`` every one is.  The steps and
+    checks are those of one evaluation through the public kernels, in the
+    same order, so a batch of one raises what that evaluation raises: the
+    members not marked stale have passed them before.  The sequences are
+    checked as dense arrays in tree order, once, as scalars: red_ratio's
+    matrix sequence alpha_Q I is finite, symmetric and PSD whenever alpha is
+    finite and non-negative, and has the same Carleson intensity, so the
+    checks ``red_constants`` makes of it are implied by those of alpha.
     """
     n_leaves, d = log_eigs.shape[1:]
-    depth = n_leaves.bit_length() - 1
     if carry is None:
-        carry = _empty_carry(len(log_eigs), depth, d, objective)
-        stale = np.ones((len(log_eigs), tree_size(depth)), dtype=bool)
-    c, leaf_level = carry, level_slice(depth)
-    leaves = stale[:, leaf_level]
-    w = _refresh(lambda *state: (_state_weights(*state, cond_cap),), (log_eigs, angles),
-                 (c["w"],), leaves)[0]
-    weig = _refresh(matrices.eigh_sym, (pyramid_batch(w),), (c["wvals"], c["wvecs"]), stale)
-    leaf_power = partial(_refresh_power, eig=tuple(a[:, leaf_level] for a in weig),
-                         stale=leaves, first=leaf_level.start)
+        carry = _packed((log_eigs, angles, seq_weights), objective)[1]
+        stale = np.ones((len(log_eigs), 2 * n_leaves - 1), dtype=bool)
+    c, (member, cube) = carry, np.nonzero(stale)
+    on_leaf = cube >= n_leaves - 1  # the leaves are the last n_leaves cubes
+    leaves, leaf_cubes = (member[on_leaf], cube[on_leaf] - (n_leaves - 1)), cube[on_leaf]
 
+    def power(vals, vecs, p, cubes):  # a refusal names its cube
+        return matrices.eig_power(vals, vecs, p, context=lambda i: tree_cube(int(cubes[i])))
+
+    if member.size:
+        w = c["w"][leaves] = _state_weights(log_eigs[leaves], angles[leaves], cond_cap)
+        weig = matrices.eigh_sym(pyramid_batch(c["w"])[member, cube])
+        c["wvals"][member, cube], c["wvecs"][member, cube] = weig
+        leaf_eig = weig[0][on_leaf], weig[1][on_leaf]
+        if objective == "bet_norm_ratio":
+            c["wh"][leaves] = power(*leaf_eig, 0.5, leaf_cubes)
+            c["whinv"][leaves] = power(*leaf_eig, -0.5, leaf_cubes)
+            c["leaf_vals"][leaves] = matrices.eigvalsh_stack(w)
     if objective == "bet_norm_ratio":
         # f = W^1/2 b and g = W^-1/2 a leafwise, from the bottom and top
         # eigenvectors b, a of the root average: this reproduces the
         # counterexample family exactly when the weight is one of its members
-        root_vecs, wh, whinv = weig[1][:, 0], leaf_power(c["wh"], 0.5), leaf_power(c["whinv"], -0.5)
-        f = np.einsum("bkij,bj->bki", wh, root_vecs[:, :, 0])
-        g = np.einsum("bkij,bj->bki", whinv, root_vecs[:, :, -1])
+        root_vecs = c["wvecs"][:, 0]
+        f = np.einsum("bkij,bj->bki", c["wh"], root_vecs[:, :, 0])
+        g = np.einsum("bkij,bj->bki", c["whinv"], root_vecs[:, :, -1])
         norms = l2_norm_batch(f) * l2_norm_batch(g)
-        leaf_vals = _refresh(lambda m: (matrices.eigvalsh_stack(m),), (w,), (c["leaf_vals"],),
-                             leaves)
-        c2 = c2_conditioning_batch(leaf_vals[0])
+        c2 = c2_conditioning_batch(c["leaf_vals"])
     alpha = _state_sequences(seq_weights)
     check_sequence_batch(alpha)
     if objective != "bet_norm_ratio":
         check_intensity_batch(alpha)
-    vavg = pyramid_batch(leaf_power(c["winv"], -1.0))
-    veig = _refresh(matrices.eigh_sym, (vavg,), (c["vvals"], c["vvecs"]), stale)
+    if member.size:
+        c["winv"][leaves] = power(*leaf_eig, -1.0, leaf_cubes)
+        veig = matrices.eigh_sym(pyramid_batch(c["winv"])[member, cube])
+        c["vvals"][member, cube], c["vvecs"][member, cube] = veig
+        if objective == "red_ratio":
+            c["r"][member, cube] = power(*weig, -0.5, cube)
+            c["p"][member, cube] = power(*veig, -0.5, cube)
+        elif objective == "sred_ratio":
+            c["vinv"][member, cube] = power(*veig, -1.0, cube)
+            c["r"][member, cube] = power(*weig, -0.5, cube)
     if objective == "red_ratio":
-        r = _refresh_power(c["r"], -0.5, weig, stale)
-        p = _refresh_power(c["p"], -0.5, veig, stale)
-        c1, c2, c3 = red_constants_batch(r, p, alpha[..., None, None] * np.eye(d))  # alpha_Q I
+        c1, c2, c3 = red_constants_batch(c["r"], c["p"], alpha[..., None, None] * np.eye(d))
         value = np.where(c2 > c1, c2, c1)  # max(c1, c2, c3): the first maximum
-        return np.where(c3 > value, c3, value), w, None
+        return np.where(c3 > value, c3, value), c["w"], None
     if objective == "sred_ratio":
-        vinv = _refresh_power(c["vinv"], -1.0, veig, stale)
-        r = _refresh_power(c["r"], -0.5, weig, stale)
-        return sred_constant_batch(r, vinv, alpha), w, None
-    support = np.flatnonzero(alpha)
-    on_support = [tuple(a.reshape(-1, *a.shape[2:])[support] for a in eig) for eig in (weig, veig)]
-    sums = bet_norm_sum_batch(
-        *on_support, halfweighted_pyramid_batch(wh, f), halfweighted_pyramid_batch(whinv, g),
-        support, alpha.ravel()[support], np.count_nonzero(alpha, axis=1),
-    )
-    value = sums / norms
-    return value, w, value / np.sqrt(c2)
+        return sred_constant_batch(c["r"], c["vinv"], alpha), c["w"], None
+    support = np.nonzero(alpha)
+    value = bet_norm_sum_batch(
+        (c["wvals"][support], c["wvecs"][support]), (c["vvals"][support], c["vvecs"][support]),
+        halfweighted_pyramid_batch(c["wh"], f), halfweighted_pyramid_batch(c["whinv"], g),
+        np.flatnonzero(alpha), alpha[support], np.count_nonzero(alpha, axis=1),
+    ) / norms
+    return value, c["w"], value / np.sqrt(c2)
 
 
 def _family_state(depth, d, cond_cap, rotation=0.0):
@@ -258,45 +265,40 @@ def _draw_stream(depth, d, seed, cond_cap, n_restarts, steps):
     return tuple(np.stack(a) for a in zip(*starts)), moves
 
 
-def _apply_moves(states, rows, moves):
-    """The states of the restarts ``rows``, each with its move (the same
-    row of ``moves``) applied."""
-    log_eigs, angles, seq_weights = (a[rows] for a in states)
+def _apply_moves(packed, moves, n_leaves, d):
+    """Apply each move to the state in its row of the packed rows ``packed``
+    (the same row of ``moves``), in place: a move changes one entry."""
     kind, i, j = moves[:, :3].astype(np.intp).T
-    delta = moves[:, 3]
-    member = np.arange(len(moves))
-    sel = kind == _LOG_EIG
-    log_eigs[member[sel], i[sel], j[sel]] += delta[sel]
-    sel = kind == _ANGLE
-    angles[member[sel], i[sel], j[sel]] += delta[sel]
-    sel = kind == _SEQ
-    moved = seq_weights[member[sel], i[sel]] + delta[sel]
-    seq_weights[member[sel], i[sel]] = np.where(moved > 0.0, moved, 0.0)
-    return log_eigs, angles, seq_weights
+    na = _n_angles(d)  # by kind: the part's first column, and i's stride (a sequence move's j is 0)
+    starts, strides = np.array([[0, n_leaves * d, n_leaves * (d + na), 0], [d, na, 1, 0]])
+    member = np.flatnonzero(kind != _START)
+    col = (starts[kind] + i * strides[kind] + j)[member]
+    moved = packed[member, col] + moves[member, 3]
+    packed[member, col] = np.where((kind[member] != _SEQ) | (moved > 0.0), moved, 0.0)
+
+
+@cache
+def _paths(depth):
+    """Boolean rows over the cubes: leaf l's path to the root (l < 2^depth), none, all."""
+    leaves = np.arange(1 << depth)[:, None]
+    paths = np.zeros(((1 << depth) + 2, tree_size(depth)), dtype=bool)
+    paths[leaves, tree_ancestor(len(leaves) - 1 + leaves, np.arange(depth + 1))] = True
+    paths[-1] = True
+    paths.flags.writeable = False  # one table per depth, shared by every call
+    return paths
 
 
 def _stale_cubes(moves, fresh, depth):
-    """The cubes (len(moves), cubes) whose averages a batch of moves changes.
-
-    A leaf move changes its leaf and the leaf's ancestors, a sequence move
-    no cube; every cube of a ``fresh`` member, whose restart has no
-    eigendecompositions yet, counts as changed.
-    """
-    stale = np.zeros((len(moves), tree_size(depth)), dtype=bool)
-    stale[fresh] = True
-    kind, leaf = moves[:, 0], moves[:, 1].astype(np.intp)
-    m = np.flatnonzero((kind == _LOG_EIG) | (kind == _ANGLE))
-    leaves = level_slice(depth).start + leaf[m, None]
-    stale[m[:, None], tree_ancestor(leaves, np.arange(depth + 1))] = True
-    return stale
+    """The cubes (len(moves), cubes) whose averages a batch of moves changes: a leaf move's
+    leaf and ancestors, none for a sequence move, all for a ``fresh`` member (nothing carried)."""
+    kind, leaf, n_leaves = moves[:, 0], moves[:, 1].astype(np.intp), 1 << depth
+    return _paths(depth)[np.where(fresh, n_leaves + 1, np.where(kind < _SEQ, leaf, n_leaves))]
 
 
-def _adopt(carried, rows, candidates, members):
+def _adopt(buf, rows, candidates, members):
     """Make the candidates ``members`` the current states of their restarts
-    ``rows[members]``: each array of ``carried`` (state, then what
-    ``_empty_carry`` names, in its order) takes the candidates' rows."""
-    for mine, theirs in zip(carried, candidates):
-        mine[rows[members]] = theirs[members]
+    ``rows[members]``: each restart's packed row takes its candidate's."""
+    buf[rows[members]] = candidates[members]
 
 
 def _climb(states, moves, steps, objective, cond_cap, lookahead):
@@ -312,11 +314,10 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
     member's value does not depend on the batch around it, so every kept
     value is the one the climb makes one step at a time.
 
-    Each restart carries what its current state derives from its weights
-    (``_empty_carry``): leaves, eigendecompositions and powers.  A
-    candidate starts from a copy and computes again only the leaf and the
-    cubes its move changed (``_stale_cubes``); the accepted candidate's
-    set becomes the restart's.
+    Each restart's state, leaves, eigendecompositions and powers are one
+    packed row (``_packed``).  A candidate is a copy of its restart's row
+    with its move written in; it computes again only the leaf and cubes the
+    move changed (``_stale_cubes``), and ``_adopt`` copies it back.
 
     A batch that raises is cut at its first member that fails alone
     (``errors.first_failure``), and the members before it count as usual.
@@ -332,8 +333,7 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
     """
     n, n_leaves, d = states[0].shape
     depth = n_leaves.bit_length() - 1
-    states = tuple(a.copy() for a in states)
-    carried = _empty_carry(n, depth, d, objective)
+    buf, shapes = _packed(states, objective)[0], _layout(depth, d, objective)
     values = np.empty((n, steps))
     ratios = np.empty((n, steps)) if objective == "bet_norm_ratio" else None
     best = np.full(n, -np.inf)
@@ -349,14 +349,15 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
         rows = np.repeat(climbing, count)
         offset = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
         step = done[rows] + offset
-        candidates = _apply_moves(states, rows, moves[rows, step])
-        cand_carried = {name: a[rows] for name, a in carried.items()}
+        candidates = buf[rows]
+        _apply_moves(candidates, moves[rows, step], n_leaves, d)
+        views = _views(candidates, shapes)
         stale = _stale_cubes(moves[rows, step], done[rows] == 0, depth)
 
         def evaluate(sl):
-            return _search_objective(*(a[sl] for a in candidates), objective, cond_cap,
-                                     {name: a[sl] for name, a in cand_carried.items()},
-                                     stale[sl])
+            part = {name: view[sl] for name, view in views.items()}
+            return _search_objective(*(part[name] for name in _STATE), objective, cond_cap,
+                                     part, stale[sl])
 
         results, b, failure = first_failure(evaluate, len(rows))
         if results is None:  # the first member fails, a kept evaluation
@@ -382,8 +383,7 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
         current[rows[moved]] = value[moved]
         # a restart adopts its accepted candidate or, in its first batch, its start state
         adopted = moved | (first & (stop[rows] == lookahead))
-        _adopt(states + tuple(carried.values()), rows,
-               candidates + tuple(cand_carried.values()), np.flatnonzero(adopted))
+        _adopt(buf, rows, candidates, np.flatnonzero(adopted))
         done += np.bincount(rows[kept], minlength=n)
         if failing is not None and stop[failing] == lookahead:  # not a dropped move
             error, live = failure, failing  # it and the restarts after it stop here

@@ -266,6 +266,24 @@ def brute_red_sums(roots, proots, b):
     return sums1, sums2
 
 
+def three_call_red_constants(roots, proots, b):
+    """(c1, c2, c3) of ``red_constants_batch`` as it ran before its three
+    suprema shared one eigenvalue call: one ``cube_supremum_batch`` call
+    each, c3 over every cube and c1, c2 over the cubes with support below
+    them, down to the batch's deepest support level."""
+    from carlab.characteristics import cube_supremum_batch, subtree_sums_batch
+    from carlab.dyadic import tree_level
+    from carlab.redundancy import red_sums_batch
+
+    support = np.any(b != 0.0, axis=(-2, -1))
+    touched = subtree_sums_batch(support.astype(np.float64)) > 0.0
+    pbp = proots @ b @ proots
+    c3 = cube_supremum_batch(roots @ subtree_sums_batch(pbp) @ roots)
+    deepest = int(tree_level(np.flatnonzero(support.any(axis=0))[-1]))
+    sums = red_sums_batch(roots, proots, b, pbp, deepest)
+    return (*(cube_supremum_batch(a, touched) for a in sums), c3)
+
+
 def _sandwich_supremum(leaves, depth, term):
     """sup_K 2^k lambda_max(R_K [sum_{Q in D(K)} term(Q)] R_K), R_K = <W>_K^-1/2."""
     d = leaves.shape[1]

@@ -33,7 +33,9 @@ from carlab.redundancy import (
     sred_constant,
     sred_constant_batch,
 )
-from carlab.search import OBJECTIVES, _apply_moves, _draw_stream, _search_objective
+from carlab.search import (
+    _STATE, OBJECTIVES, _apply_moves, _draw_stream, _packed, _search_objective,
+)
 
 from oracles import level_powers_batch
 
@@ -153,7 +155,9 @@ def test_search_objective_member_matches_mixed_batch(objective, depth, d):
     states, moves = _draw_stream(depth, d, 5, 1e4, 4, 30)
     rows = np.repeat(np.arange(4), 4)
     steps = np.array([0, 1, 2, 3, 7, 8, 9, 10, 14, 15, 16, 17, 26, 27, 28, 29])
-    batch = _apply_moves(states, rows, moves[rows, steps])
+    packed, views = _packed(tuple(a[rows] for a in states), objective)
+    _apply_moves(packed, moves[rows, steps], 1 << depth, d)
+    batch = [views[name] for name in _STATE]
     value, weight, ratio = _search_objective(*batch, objective, 1e4)
     assert (ratio is None) == (objective != "bet_norm_ratio")
     for b in range(len(rows)):

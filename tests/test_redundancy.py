@@ -18,10 +18,11 @@ from carlab.constructions import (
     random_weight_field,
 )
 from carlab.dyadic import DyadicIndex, ROOT, StepField, average
-from carlab.errors import DimensionMismatchError, PreconditionError
+from carlab.errors import DimensionMismatchError, NumericError, PreconditionError
 from carlab.matrices import operator_norm_stack, spd_power
 from carlab.redundancy import (
     red_constants,
+    red_constants_batch,
     red_quadratic_form,
     red_sums_batch,
     sred_constant,
@@ -37,6 +38,7 @@ from oracles import (
     brute_trace_cycling_error,
     level_powers_batch,
     split_levels,
+    three_call_red_constants,
 )
 
 
@@ -154,6 +156,44 @@ def test_red_sums_over_shifts_match_the_level_loop(depth, d):
             assert len(split_levels(sums_got, axis=1)) == len(sums_want)
             for lv_got, lv_want in zip(split_levels(sums_got, axis=1), sums_want):
                 assert np.array_equal(lv_got, lv_want), (members, deepest)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3, 6])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_red_constants_one_supremum_call_is_the_three_calls(depth, d, dtype):
+    # c1, c2 and c3 take lambda_max in one call over the touched c1 and c2
+    # sums and every c3 sum; the three-call form gives the same bits.  The
+    # batches mix a random sequence, the root alone, one cube at about half
+    # the depth (without the random member the deepest support lies above
+    # the leaves) and, in float64, the random sequence with a NaN entry, whose
+    # sums are NaN on the entry's cube and its ancestors.
+    rng = np.random.default_rng(2000 + 10 * depth + d)
+    half = DyadicIndex(depth // 2, (1 << (depth // 2)) - 1)
+    seqs = [random_matrix_sequence(depth, d, rng),
+            MatrixSequence(depth, d, {ROOT: np.eye(d)}),
+            MatrixSequence(depth, d, {half: 2.0 ** -half.level * np.eye(d)})]
+    b = np.stack([s.dense(dtype) for s in seqs] + [seqs[0].dense(dtype)])
+    b[-1, np.flatnonzero(np.any(b[-1] != 0.0, axis=(-2, -1)))[-1], 0, 0] = np.nan
+    ws = [random_weight_field(depth, d, rng, cond_cap=1e3) for _ in b]
+    pyramids = [np.stack([f.pyramid().astype(dtype) for f in fields])
+                for fields in (ws, [w.inverse() for w in ws])]
+    roots, proots = (level_powers_batch(matrices.eigh_sym(p), -0.5) for p in pyramids)
+    batches = [[0, 1, 2], [1, 2], [2], [1], [2, 0]]
+    if dtype == np.float64:  # the Jacobi solver refuses a NaN matrix
+        batches += [[1, 3], [3]]
+    for members in batches:
+        args = roots[members], proots[members], b[members]
+        try:
+            want = three_call_red_constants(*args)
+        except NumericError as exc:  # LAPACK fails on some NaN matrices: so must one call
+            with pytest.raises(NumericError, match=str(exc)):
+                red_constants_batch(*args)
+            continue
+        got = red_constants_batch(*args)
+        assert len(got) == 3 and all(g.shape == (len(members),) for g in got)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64)), (members, g, w)
 
 
 def test_red_c2_equals_c3():

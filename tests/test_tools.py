@@ -2,7 +2,7 @@
 ``tools/report_digest.py --only``, ``tools/search_counts.py`` on a small
 search, ``tools/sampler_counts.py`` on a few Bellman samples,
 ``tools/longdouble_counts.py`` at depth 3 and ``tools/seed_sweep.py`` on
-three deep-sweep seeds."""
+two or three deep-sweep seeds."""
 
 import importlib.util
 import json
@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from carlab import bellman, matrices, search
+from carlab import bellman, cli, matrices, search
+from carlab.errors import NumericError
 from carlab.lab import OBJECTIVES, default_config, run_experiment
 
 
@@ -191,3 +192,36 @@ def test_seed_sweep_runs_the_perfbench_configs(monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:
             seed_sweep.main(["--workload", "deep-sweep", "--seeds", bad])
         assert exc.value.code == 2
+
+
+def test_seed_sweep_digest_is_the_report_digest_of_each_run(tmp_path, monkeypatch, capsys):
+    # --digest writes each run's rows, aggregates and verdicts as
+    # report_digest.py does, so digest_diff compares two sweeps; a run that
+    # made no report is null
+    path, perfbench = tmp_path / "sweep.json", seed_sweep._perfbench_run()
+    assert seed_sweep.main(["--workload", "deep-sweep", "--seeds", "108:110",
+                            "--digest", str(path)]) == 0
+    want = {}
+    for seed in (108, 109):
+        (experiment, config), = perfbench.workload_configs("deep-sweep", seed)
+        report = run_experiment(default_config(experiment, **config))
+        want[f"{experiment} seed {seed} run 0"] = report_digest.digest_entry(report)
+    assert path.read_text() == report_digest.canonical_json(want)
+    assert "elapsed_seconds" not in path.read_text()
+    assert digest_diff.main([str(path), str(path)]) == 0
+
+    rotations, run = perfbench.workload_configs("deep-sweep", 109)[0][1]["rotations"], cli.run_experiment
+
+    def failing(cfg):  # seed 109's run, told apart by its angle, raises
+        if cfg.rotations == rotations:
+            raise NumericError("no report")
+        return run(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", failing)
+    assert seed_sweep.main(["--workload", "deep-sweep", "--seeds", "108:110",
+                            "--digest", str(path)]) == 1
+    assert "seed 109: exit 3" in capsys.readouterr().out
+    got = json.loads(path.read_text())
+    assert got["counterexample-sweep seed 109 run 0"] is None
+    assert got["counterexample-sweep seed 108 run 0"] == json.loads(
+        report_digest.canonical_json(want["counterexample-sweep seed 108 run 0"]))
