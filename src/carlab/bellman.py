@@ -178,7 +178,7 @@ class BellmanStack:
     slack.  The eigendecomposition of V is taken once: V^1/2 for the domain
     check comes from it, and so does V^-1, which is formed on first use and
     cached.  ``_eig`` is that decomposition where the caller already holds
-    it, for a ``v`` that is exactly symmetric (``_Draws.stack``).
+    it, for a ``v`` that is exactly symmetric (``_Draws.stack``, ``_certificates``).
     """
 
     def __init__(self, u, v, m, _eig=None):
@@ -269,7 +269,7 @@ def dm_gap_stack(s, h=1e-5):
 # ---------------------------------------------------------------------------
 
 def _dyadic_data(w, alpha):
-    """(W, <W>, <W^-1>, m, alpha) with every cube-indexed array in tree order."""
+    """(W, <W>, <W^-1>, m, alpha, W^-1's ``cube_eig``), each cube-indexed one in tree order."""
     w = check_fits(w.as_matrix(), alpha)
     a = alpha.dense()
     acc = subtree_sums_batch(a[None])
@@ -279,7 +279,7 @@ def _dyadic_data(w, alpha):
             f"dynamics requires Carleson intensity <= 1, got {intensity}"
         )
     m = np.ldexp(acc[0], tree_level(np.arange(len(a))))  # |K|^-1 sum over D(K)
-    return w, w.pyramid(), w.inverse().pyramid(), m, a
+    return w, w.pyramid(), w.inverse().pyramid(), m, a, w.inverse().cube_eig()
 
 
 def dyadic_point(w, alpha, k):
@@ -288,7 +288,7 @@ def dyadic_point(w, alpha, k):
     Matrix Jensen guarantees <W>_K >= <W^-1>_K^-1, so generated points are
     always admissible; construction asserts this instead of repairing.
     """
-    w, uavg, vavg, m, _ = _dyadic_data(w, alpha)
+    w, uavg, vavg, m, _, _ = _dyadic_data(w, alpha)
     i = tree_position(check_index(k, w.depth))
     return BellmanPoint(uavg[i], vavg[i], float(m[i]))
 
@@ -306,11 +306,11 @@ def _certificates(data, k):
     certificates, each over D(k) in tree order (the tails over its leaves).
     An inadmissible average names its cube, the first in tree order.
     """
-    w, uavg, vavg, m, a = data
+    w, uavg, vavg, m, a, veig = data
     cubes = subtree_positions(k, w.depth)
     measure = np.ldexp(1.0, -tree_level(cubes))[:, None, None]
     with relabel(lambda i: tree_cube(int(cubes[i]))):
-        stack = BellmanStack(uavg[cubes], vavg[cubes], m[cubes])
+        stack = BellmanStack(uavg[cubes], vavg[cubes], m[cubes], _eig=[x[cubes] for x in veig])
         b = measure * bellman_eval_stack(stack)
         tail = (measure * bellman_eval_stack(stack.with_m(0.0)))[len(cubes) // 2:]
         lhs = b - (0.25 * a[cubes])[:, None, None] * stack.vinv

@@ -29,19 +29,19 @@ PSD_TOL = 1e-12
 def check_scalar_entries(values, cube_of):
     """Refuse scalar sequence entries that are non-finite, then negative ones.
 
-    ``values`` is a flat array of entries, returned when they pass; an
-    error names the cube ``cube_of(i)`` of the first offending entry i.
+    ``values`` is a flat array of entries, returned as (entries, lambda_min)
+    when they pass; an error names the cube ``cube_of(i)`` of the first offending entry i.
     """
     for bad, what in ((~np.isfinite(values), "non-finite"), (values < 0.0, "negative")):
         hits = np.flatnonzero(bad)
         if hits.size:
             i = int(hits[0])
             raise DimensionMismatchError(f"{what} sequence entry {values[i]} at {cube_of(i)}")
-    return values
+    return values, values
 
 
 def check_matrix_entries(mats, cube_of):
-    """Check a stack (n, d, d) of matrix sequence entries; returns it symmetrized.
+    """Check matrix sequence entries (n, d, d); returns them symmetrized, and their lambda_min.
 
     The entries must be finite, then symmetric (one ``as_symmetric_stack``),
     then PSD to within ``PSD_TOL`` (one ``lambda_min_stack``); an error
@@ -63,17 +63,17 @@ def check_matrix_entries(mats, cube_of):
         raise SingularMatrixError(
             f"sequence entry at {cube_of(i)} is not PSD", lambda_min=float(lmins[i])
         )
-    return mats
+    return mats, lmins
 
 
 class CubeSequence:
     """Cube-indexed entries of one shape, sparse with default zero.
 
-    Only the nonzero entries are kept: ``values`` stacks them in entry
-    order and ``positions`` holds their cubes' flat tree positions; the
-    stack is checked as one by ``_check``.  ``entries``, which maps each
-    cube to its entry in entry order, is built on first read.  Each entry
-    is read by ``_read`` and has ``_rank`` axes of length d.
+    Only the nonzero entries are kept, read-only: ``values`` stacks them in
+    entry order and ``positions`` holds their cubes' flat tree positions;
+    ``_check`` checks the stack as one and gives the lambda_min ``scaled``
+    reads.  ``entries``, which maps each cube to its entry in entry order,
+    is built on first read.  Each entry is read by ``_read`` and has ``_rank`` axes of length d.
     """
 
     _read = staticmethod(np.asarray)
@@ -98,12 +98,15 @@ class CubeSequence:
         seq._store(positions, values)
         return seq
 
-    def _store(self, positions, values):
-        keep = np.flatnonzero(np.any(values != 0.0, axis=tuple(range(1, values.ndim))))
-        positions = np.asarray(positions, dtype=np.intp)[keep]
-        self.values = self._check(values[keep], lambda i: tree_cube(int(positions[i])))
-        self.positions = positions
-        self._entries = None
+    def _store(self, positions, values, lmin=None):
+        """Keep the nonzero entries, checked unless their ``lmin`` is given."""
+        if lmin is None:
+            keep = np.flatnonzero(np.any(values != 0.0, axis=tuple(range(1, values.ndim))))
+            positions = np.asarray(positions, dtype=np.intp)[keep]
+            values, lmin = self._check(values[keep], lambda i: tree_cube(int(positions[i])))
+        positions.setflags(write=False)
+        values.setflags(write=False)
+        self.positions, self.values, self._lmin, self._entries = positions, values, lmin, None
 
     @property
     def d(self):
@@ -152,9 +155,15 @@ class CubeSequence:
         return seq
 
     def scaled(self, factor):
-        """The sequence times ``factor``, checked again as one stack."""
-        seq = copy.copy(self)
-        seq._store(self.positions, self.values * factor)
+        """The sequence times ``factor``.  A positive finite factor is checked
+        for finite, nonzero entries and against ``factor`` times the kept
+        lambda_min, with no solver call; any other case, and a refusal, goes
+        through the whole check, which names the cube as ``__init__`` does."""
+        seq, values, lmin = copy.copy(self), self.values * factor, factor * self._lmin
+        checked = (0.0 < factor < np.inf and np.isfinite(values).all()
+                   and np.any(values != 0.0, axis=tuple(range(1, values.ndim))).all()
+                   and np.all(lmin >= -PSD_TOL))
+        seq._store(self.positions, values, lmin if checked else None)
         return seq
 
     def _dense(self, values):
@@ -313,6 +322,15 @@ def subtree_forms(seq, cubes, vectors):
     return np.ldexp(ordered_sums(terms, n), tree_level(cubes))  # times 1 / |K|
 
 
+def carleson_intensity_batch(flat):
+    """``carleson_intensity`` of each member of a batch of dense sequences (B, cubes[, d, d]) in
+    tree order; a matrix sum is solved only where support below makes it nonzero."""
+    sums = subtree_sums_batch(flat)
+    if flat.ndim == 2:
+        return cube_supremum_batch(sums)
+    return cube_supremum_batch(sums, np.any(sums != 0.0, axis=(-2, -1)))
+
+
 def carleson_intensity(seq):
     """Best constant in the Carleson condition of a cube-indexed sequence.
 
@@ -321,7 +339,7 @@ def carleson_intensity(seq):
     """
     if len(seq) == 0:
         return 0.0
-    return float(cube_supremum_batch(subtree_sums_batch(seq.dense()[None]))[0])
+    return float(carleson_intensity_batch(seq.dense()[None])[0])
 
 
 def carleson_equivalents(seq):

@@ -181,11 +181,17 @@ def random_vector_field(depth, d, rng):
 
 
 def random_scalar_sequence(depth, rng, density=0.35):
-    """Sparse non-negative sequence rescaled to Carleson intensity exactly 1."""
+    """Sparse non-negative sequence rescaled to Carleson intensity exactly 1.
+
+    Each cube in tree order draws whether it is kept, then a kept one its value, from a
+    block of 2 draws per cube; the generator is then rewound and advanced by those used."""
     values = np.zeros(tree_size(depth))
+    state, unit = rng.bit_generator.state, iter(rng.random(2 * len(values)).tolist())
     for i in range(len(values)):
-        if rng.random() < density:
-            values[i] = uniform(0.1, 1.0, rng.random())
+        if next(unit) < density:
+            values[i] = uniform(0.1, 1.0, next(unit))
+    rng.bit_generator.state = state
+    rng.random(2 * len(values) - len(list(unit)))
     if not values.any():
         values[0] = 1.0
     seq = ScalarSequence.from_arrays(depth, np.arange(len(values)), values)

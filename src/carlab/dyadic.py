@@ -208,8 +208,8 @@ class StepField:
         """Leafwise SPD power of a matrix-valued weight field (cached).
 
         Every embedding sum reuses the same powers across all cubes, hence
-        the cache; the leaves are decomposed once, for every power.  A leaf
-        the power refuses raises SingularMatrixError naming the first one.
+        the cache; the leaves are decomposed once, for every power and for
+        ``cube_eig``.  A refused leaf raises SingularMatrixError naming the first.
         """
         if self.kind != "matrix":
             raise DimensionMismatchError("powers are defined for matrix fields only")
@@ -220,18 +220,28 @@ class StepField:
             self._powers[p] = StepField(out)
         return self._powers[p]
 
-    def cube_power(self, p):
-        """SPD power of every cube average, (cubes, d, d) in tree order (cached).
-
-        The averages are decomposed once, for every power; a refused one
-        raises SingularMatrixError naming the first in tree order.
-        """
+    def cube_eig(self):
+        """Eigendecomposition (vals, vecs) of every cube average in tree order,
+        read-only (cached).  Its leaf level is that of the leaves, shared
+        with ``power``: a solver decomposes each stack member as it would
+        alone, so whichever of the two runs first decomposes the leaves."""
         if self.kind != "matrix":
             raise DimensionMismatchError("powers are defined for matrix fields only")
+        if self._cube_eig is None:
+            n, leaves = self.n_leaves, self._eig
+            eig = matrices.eigh_sym(self.pyramid()[:None if leaves is None else n - 1])
+            self._cube_eig = eig if leaves is None else tuple(map(np.concatenate, zip(eig, leaves)))
+            for x in self._cube_eig:
+                x.setflags(write=False)
+            self._eig = tuple(x[n - 1:] for x in self._cube_eig)
+        return self._cube_eig
+
+    def cube_power(self, p):
+        """SPD power of every cube average, (cubes, d, d) in tree order (cached),
+        from ``cube_eig``; a refused average raises SingularMatrixError naming
+        the first in tree order."""
         if p not in self._cube_powers:
-            if self._cube_eig is None:
-                self._cube_eig = matrices.eigh_sym(self.pyramid())
-            out = matrices.eig_power(*self._cube_eig, p, context=tree_cube)
+            out = matrices.eig_power(*self.cube_eig(), p, context=tree_cube)
             out.setflags(write=False)
             self._cube_powers[p] = out
         return self._cube_powers[p]

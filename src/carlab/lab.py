@@ -60,6 +60,7 @@ from .embeddings import (
 from .errors import ConfigError, LabError
 from .redundancy import (
     red_constants,
+    red_constants_each,
     sred_constant,
     substitution_error,
     trace_cycling_error,
@@ -533,7 +534,8 @@ def _run_redundancy(cfg):
     # identities, on the instance of suite_instance_params(i, d,
     # min(depth, 6), 4) and cond_cap min(cond_cap, 1e4): the suite's own
     # instance, with its row's constants, when it is that one, else a fresh
-    # one.  The substitution samples are drawn in seed order.
+    # one, whose constants share a batch with the dominated sequence's.  The
+    # substitution samples are drawn in seed order.
     rows = []
     telescope_diff, telescope_gap, mono_ok, cycle_err, subst_err = 0.0, np.inf, True, 0.0, 0.0
     rng = np.random.default_rng(cfg.seeds[0] + 77)
@@ -559,12 +561,13 @@ def _run_redundancy(cfg):
         telescope_gap = min(telescope_gap, min_gap)
         if i >= 20:
             continue
-        c1, c2, c3 = c or red_constants(w, mseq)
         norms = matrices.operator_norm_stack(mseq.values)
         dominated = MatrixSequence.from_arrays(depth, mseq.positions,
                                                norms[:, None, None] * np.eye(d))
         intensity = carleson_intensity(dominated)
-        k1, k2, k3 = red_constants(w, dominated.scaled(1.0 / intensity))
+        *fresh, (k1, k2, k3) = red_constants_each(
+            w, [mseq] * (c is None) + [dominated.scaled(1.0 / intensity)])
+        c1, c2, c3 = c or fresh[0]
         # Undo the intensity normalization to compare against the raw sequence.
         k1, k2, k3 = k1 * intensity, k2 * intensity, k3 * intensity
         if min(k1 - c1, k2 - c2, k3 - c3) < -1e-8:

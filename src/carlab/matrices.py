@@ -349,7 +349,11 @@ def eigvalsh_stack(mats):
 
 
 def lambda_max_stack(mats):
-    """Largest eigenvalue of each matrix in a stack."""
+    """Largest eigenvalue of each matrix in a stack; NaN for a member that
+    holds a NaN, solved as the zero matrix (LAPACK can read a NaN as 0 or fail)."""
+    nan = np.isnan(mats).any(axis=(-2, -1))
+    if nan.any():
+        return np.where(nan, np.nan, lambda_max_stack(np.where(nan[..., None, None], 0.0, mats)))
     return eigvalsh_stack(mats)[..., -1]
 
 

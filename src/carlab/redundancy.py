@@ -14,8 +14,8 @@ import numpy as np
 
 from . import matrices
 from .characteristics import (
-    MatrixSequence, ScalarSequence, check_fits, cube_supremum_batch, level_supremum, subtree_forms,
-    subtree_sums_batch,
+    MatrixSequence, ScalarSequence, carleson_intensity_batch, check_fits, cube_supremum_batch,
+    level_supremum, rowdot, subtree_forms, subtree_sums_batch,
 )
 from .dyadic import DyadicIndex, check_index, level_slice, tree_level, tree_position, tree_size
 from .errors import DimensionMismatchError, PreconditionError
@@ -29,7 +29,7 @@ def check_intensity_batch(flat):
     ``flat`` holds the dense sequences (B, cubes[, d, d]) in tree order;
     the first offending member is named by its intensity.
     """
-    intensity = cube_supremum_batch(subtree_sums_batch(flat))
+    intensity = carleson_intensity_batch(flat)
     bad = np.flatnonzero(intensity > 1.0 + INTENSITY_SLACK)
     if bad.size:
         raise PreconditionError(
@@ -92,10 +92,10 @@ def red_constants_batch(roots, proots, b):
     (``roots``) and P = <W^-1>_Q^-1/2 (``proots``) of every cube
     (``StepField.cube_power``).
 
-    ``roots``, ``proots`` and the dense sequences ``b`` (B, cubes, d, d) are
-    in tree order with a leading batch axis; returns the arrays (c1, c2,
-    c3), one entry per member.  The support of a member is its nonzero
-    entries; no member may have an empty support.
+    ``roots``, ``proots`` (batch axis of length 1 for members of one weight)
+    and the dense sequences ``b`` (B, cubes, d, d) are in tree order with a
+    leading batch axis; returns the arrays (c1, c2, c3), one entry per
+    member.  A member's support, its nonzero entries, may not be empty.
     """
     d, support = b.shape[-1], np.any(b != 0.0, axis=(-2, -1))
     touched = subtree_sums_batch(support.astype(np.float64)) > 0.0
@@ -134,16 +134,22 @@ def red_constants(w, bseq):
     Cubes K with no support cube in D(K) are left out of c1 and c2; every
     cube deeper than the deepest support cube is one of them.
     """
+    return red_constants_each(w, [bseq])[0]
+
+
+def red_constants_each(w, bseqs):
+    """``red_constants`` of each matrix sequence in the list ``bseqs`` on the weight ``w``,
+    the nonempty ones as one batch, bitwise each alone; a refusal names the first refused."""
     w = w.as_matrix()
-    if not isinstance(bseq, MatrixSequence):
+    if not all(isinstance(bseq, MatrixSequence) for bseq in bseqs):
         raise DimensionMismatchError("red_constants expects a matrix sequence")
-    check_fits(w, bseq)
-    check_intensity_batch(bseq.dense()[None])
-    if len(bseq) == 0:
-        return 0.0, 0.0, 0.0
-    roots, proots = (f.cube_power(-0.5)[None] for f in (w, w.inverse()))
-    b = bseq.dense(w.values.dtype)[None]
-    return tuple(float(c[0]) for c in red_constants_batch(roots, proots, b))
+    check_fits(w, *bseqs)
+    check_intensity_batch(np.stack([bseq.dense() for bseq in bseqs]))
+    full, consts = [bseq.dense(w.values.dtype) for bseq in bseqs if len(bseq)], iter(())
+    if full:
+        roots, proots = (f.cube_power(-0.5)[None] for f in (w, w.inverse()))
+        consts = zip(*red_constants_batch(roots, proots, np.stack(full)))
+    return [tuple(map(float, next(consts))) if len(bseq) else (0.0,) * 3 for bseq in bseqs]
 
 
 def red_quadratic_form(w, bseq, k, e, order="corollary"):
@@ -192,7 +198,7 @@ def trace_cycling_error(w, bseq, norms):
     matmuls, each bitwise the single-matrix product.
     """
     w = w.as_matrix()
-    r_k = matrices.spd_power(w.pyramid()[0], -0.5)
+    r_k = w.cube_power(-0.5)[0]
     p_q = _support_powers(w, bseq)
     scalar = norms[:, None, None] * np.eye(w.d)
     t1 = np.trace(r_k @ p_q @ scalar @ p_q @ r_k, axis1=1, axis2=2)
@@ -205,25 +211,25 @@ def substitution_error(w, bseq, rng, samples=5):
     """Defect of the substitution e = <W>_K^1/2 f linking the two forms.
 
     Each sample draws a cube K and a unit vector e from ``rng``.  The
-    support's P_Q are decomposed once for all samples, and each sample's
-    <W>_K once, for both R_K and f = <W>_K^-1/2 e; both forms of every
-    sample are one ``subtree_forms`` call.
+    support's P_Q and every <W>_K come decomposed from the field's caches
+    (``StepField.cube_eig``); after the draws, R_K, f = <W>_K^-1/2 e and
+    both forms of every sample are one stacked pass each.
     """
     w = w.as_matrix()
-    wavg = w.pyramid()
     p_q = _support_powers(w, bseq)
-    cubes, x, rhs = [], np.empty((2 * samples, len(bseq), w.d), dtype=p_q.dtype), []
+    ks, e = [], np.empty((samples, w.d))
     for s in range(samples):
         level = int(rng.integers(0, w.depth + 1))
-        k = DyadicIndex(level, int(rng.integers(0, 1 << level)))
-        e = rng.standard_normal(w.d)
-        e /= np.linalg.norm(e)
-        wk = wavg[tree_position(k)]
-        eig = matrices.eigh_sym(wk)
-        f = matrices.eig_apply_power(*eig, -0.5, e)
-        cubes += [tree_position(k)] * 2
-        x[2 * s], x[2 * s + 1] = p_q @ (matrices.eig_power(*eig, -0.5) @ e), p_q @ f
-        rhs.append(abs(float(e @ e) - float(f @ (wk @ f))) / max(float(e @ e), 1e-30))
-    second, corollary = subtree_forms(bseq, cubes, lambda i, j: x[i, j]).reshape(-1, 2).T
+        ks.append(DyadicIndex(level, int(rng.integers(0, 1 << level))))
+        e[s] = rng.standard_normal(w.d)
+        e[s] /= np.linalg.norm(e[s])
+    cubes = list(map(tree_position, ks))
+    eig = tuple(a[cubes] for a in w.cube_eig())
+    f = matrices.eig_apply_power(*eig, -0.5, e, ks.__getitem__)
+    re = (matrices.eig_power(*eig, -0.5, ks.__getitem__) @ e[:, :, None])[..., 0]
+    x = (p_q @ np.stack([re, f])[:, :, None, :, None]).reshape(2 * samples, len(bseq), w.d)
+    ee, wf = rowdot(e, e), rowdot(f, (w.pyramid()[cubes] @ f[:, :, None])[..., 0])
+    rhs = np.abs(ee - wf.astype(np.float64)) / np.maximum(ee, 1e-30)
+    second, corollary = subtree_forms(bseq, cubes * 2, lambda i, j: x[i, j]).reshape(2, -1)
     forms = np.abs(second - corollary) / np.maximum(np.maximum(second, corollary), 1e-30)
     return float(np.max(np.concatenate([forms, rhs]), initial=0.0))

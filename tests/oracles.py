@@ -205,6 +205,27 @@ def level_powers(pyramid, p):
             for k, level in enumerate(pyramid)]
 
 
+def separate_powers(values, p):
+    """``StepField.power`` and ``cube_power`` of the leaves ``values`` as they
+    ran before they shared the leaf level: each decomposes a stack of its
+    own, the leaves and every cube average, leaves included."""
+    from carlab import matrices
+    from carlab.dyadic import DyadicIndex, pyramid_batch, tree_cube
+
+    depth = len(values).bit_length() - 1
+    leaves = matrices.eig_power(*matrices.eigh_sym(values), p,
+                                context=lambda i: DyadicIndex(depth, i))
+    avgs = pyramid_batch(values[None])[0]
+    return leaves, matrices.eig_power(*matrices.eigh_sym(avgs), p, context=tree_cube)
+
+
+def two_check_scaled(seq, factor):
+    """``CubeSequence.scaled`` as it ran before it kept each entry's
+    lambda_min: the scaled entries go through the whole check again, as the
+    sequence's construction checked them."""
+    return type(seq).from_arrays(seq.depth, seq.positions, seq.values * factor)
+
+
 def brute_red_constants(leaves, entries, depth):
     """(c1, c2, c3) of the matrix redundancy forms, one (K, Q) pair at a time.
 

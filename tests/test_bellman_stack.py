@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlab import bellman
+from carlab import bellman, matrices
 from carlab.bellman import (
     BellmanPoint,
     BellmanStack,
@@ -398,12 +398,14 @@ def test_sampler_errors_name_the_sample_behind_the_row(monkeypatch):
 def test_dynamics_error_names_cube():
     # D(K) is one stack in tree order: with (2, 0) out of the domain too, the
     # first in tree order, (1, 1), is named, as StepField.cube_power names
-    # its cubes
+    # its cubes.  The averages of W^-1 go in through the tuple's
+    # decomposition of them as well.
     w, alpha = _instance(3, 2, 2)
     for bad in ([DyadicIndex(1, 1)], [DyadicIndex(2, 0), DyadicIndex(1, 1)]):
         data = list(bellman._dyadic_data(w, alpha))
         data[2] = data[2].copy()
         data[2][[tree_position(q) for q in bad]] = np.diag([1e-20, 1.0])  # out of the domain
+        data[5] = matrices.eigh_sym(data[2])
         with pytest.raises(DomainError) as info:
             bellman._certificates(tuple(data), DyadicIndex(0, 0))
         assert info.value.point == DyadicIndex(1, 1)

@@ -11,12 +11,14 @@ from carlab.characteristics import (
     c2_conditioning,
     carleson_equivalents,
     carleson_intensity,
+    carleson_intensity_batch,
     cube_supremum_batch,
     subtree_forms,
     wcet_testing_constant,
 )
 from carlab.constructions import (
-    epsilon_family, necessity_probe, necessity_report, random_instance,
+    epsilon_family, necessity_probe, necessity_report, random_instance, random_matrix_sequence,
+    random_scalar_sequence,
 )
 from carlab.dyadic import (
     DyadicIndex,
@@ -45,6 +47,7 @@ from oracles import (
     per_class_from_json,
     per_class_to_json,
     split_levels,
+    two_check_scaled,
 )
 
 
@@ -165,6 +168,70 @@ def test_scaled_checks_the_stack_again():
     with pytest.raises(DimensionMismatchError, match="non-finite"):
         alpha.scaled(np.nan)
     assert alpha.scaled(0.0).entries == {} and len(seq.scaled(0.0)) == 0
+
+
+def test_scaled_refuses_what_the_second_check_refused(monkeypatch):
+    # a positive finite factor is checked against the kept lambda_min, with
+    # no solver call when it passes; every factor keeps and refuses bitwise
+    # what the whole check of the scaled stack does: an entry whose
+    # lambda_min sits just above -PSD_TOL scaled by 2, c = 0, c = inf, a
+    # negative or NaN c, and (on diagonal entries, whose lambda_min no
+    # rounding moves) entries that overflow or underflow to zero
+    rng = np.random.default_rng(31)
+    edge = np.diag([1.0, -0.9e-12])
+    diagonal = [MatrixSequence(3, 2, {(1, 0): np.eye(2), (2, 3): edge, (3, 5): edge}),
+                MatrixSequence(2, 2, {(2, 1): 1e-300 * np.eye(2), (1, 0): 1e10 * np.eye(2)}),
+                MatrixSequence(2, 2), ScalarSequence(2, {ROOT: 1e10, (1, 1): 1e-300})]
+    passing = (2.0, 0.5, 1.0, 3.0)
+    real, solved = matrices.eigvalsh_stack, []
+    monkeypatch.setattr(matrices, "eigvalsh_stack", lambda m: solved.append(1) or real(m))
+    for seq in diagonal + [random_matrix_sequence(4, 3, rng), random_scalar_sequence(4, rng)]:
+        extreme = (1e-30, 1e300) if any(seq is s for s in diagonal) else ()
+        for c in passing + (0.0, np.inf, -1.0, np.nan) + extreme:
+            outcomes = []
+            for scaled in (seq.scaled, lambda c: two_check_scaled(seq, c)):
+                solved.clear()
+                try:
+                    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                        got = scaled(c)
+                    outcomes.append((got.values.tobytes(), got.positions.tobytes(), len(got)))
+                except (DimensionMismatchError, SingularMatrixError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+                if scaled == seq.scaled and c in passing and len(outcomes[0]) == 3:
+                    assert not solved, (seq, c)
+            assert outcomes[0] == outcomes[1], (seq, c)
+    with pytest.raises(SingularMatrixError, match=r"level=2, position=3\) is not PSD"):
+        diagonal[0].scaled(2.0)
+
+
+def test_sequence_arrays_are_read_only():
+    # a checked sequence cannot change after its check: writing -I into an
+    # entry was accepted, and the intensity then read a non-PSD sequence
+    seq = MatrixSequence.from_arrays(2, range(3), np.stack([np.eye(2)] * 3))
+    alpha = ScalarSequence(2, {ROOT: 1.0, (1, 1): 0.5})
+    for s in (seq, seq.scaled(0.5), seq.scaled(-0.0), alpha, alpha.scaled(2.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            s.values[:1] = -s.values[:1]
+        with pytest.raises(ValueError, match="read-only"):
+            s.positions[:1] = 1
+    assert carleson_intensity(seq) == 3.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_intensity_over_touched_cubes_is_the_cube_loop(d):
+    # lambda_max is taken only at cubes whose subtree holds support; the
+    # intensity is bitwise the loop over every cube's subtree sum
+    rng = np.random.default_rng(50 + d)
+    for depth in range(6):
+        leaf = DyadicIndex(depth, (1 << depth) - 1)
+        seqs = [random_matrix_sequence(depth, d, rng), MatrixSequence(depth, d, {ROOT: np.eye(d)}),
+                MatrixSequence(depth, d, {leaf: 0.5 * np.eye(d)}),
+                random_scalar_sequence(depth, rng), ScalarSequence(depth, {ROOT: 0.25})]
+        want = [loop_cube_supremum(loop_subtree_sums(split_levels(s.dense()))) for s in seqs]
+        assert [carleson_intensity(s) for s in seqs] == want
+        for batch in (seqs[:3], seqs[3:]):
+            got = carleson_intensity_batch(np.stack([s.dense() for s in batch]))
+            assert got.tolist() == [want[seqs.index(s)] for s in batch]
 
 
 def test_sequence_json_roundtrip():

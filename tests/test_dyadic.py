@@ -21,7 +21,7 @@ from carlab import matrices
 from carlab.constructions import random_weight_field
 from carlab.errors import AddressError, DimensionMismatchError, SingularMatrixError
 
-from oracles import brute_average, brute_spd_power, level_powers_batch
+from oracles import brute_average, brute_spd_power, level_powers_batch, separate_powers
 
 
 def test_root_and_children():
@@ -286,3 +286,28 @@ def test_cube_power_decomposes_the_averages_once(monkeypatch, dtype):
     assert calls == [15]
     with pytest.raises(DimensionMismatchError, match="matrix fields only"):
         StepField(np.ones(4)).cube_power(-0.5)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_power_and_cube_power_share_the_leaf_level(monkeypatch, d, dtype):
+    # whichever of power and cube_power runs first decomposes the leaves, and
+    # the other reads them: in either order every power is bitwise the one of
+    # the separate decompositions, and each cube average, the leaves
+    # included, goes to the solver once
+    rng = np.random.default_rng(40 + d)
+    real = matrices.eigh_sym
+    for depth in (0, 1, 3, 5):
+        leaves = random_weight_field(depth, d, rng, cond_cap=1e4).values.astype(dtype)
+        want = {p: separate_powers(leaves, p) for p in matrices.ALLOWED_POWERS}
+        for power_first in (True, False):
+            w, calls = StepField(leaves), []
+            monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(len(m)) or real(m))
+            w.power(-1.0) if power_first else w.cube_power(-0.5)
+            for p, (leaf_powers, cube_powers) in want.items():
+                assert np.array_equal(w.power(p).values, leaf_powers), (depth, p)
+                assert np.array_equal(w.cube_power(p), cube_powers), (depth, p)
+            monkeypatch.setattr(matrices, "eigh_sym", real)
+            assert sum(calls) == 2 * len(leaves) - 1
+            vals, vecs = w.cube_eig()
+            assert not vals.flags.writeable and not vecs.flags.writeable

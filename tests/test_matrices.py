@@ -19,6 +19,7 @@ from carlab.matrices import (
     eig_power,
     eigh_sym,
     eigvalsh_stack,
+    lambda_max_stack,
     operator_norm,
     operator_norm_stack,
     psd_gap,
@@ -482,3 +483,28 @@ def test_apply_power_is_the_power_applied():
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
         # one vector through one matrix is bitwise the stack's member
         assert np.array_equal(eig_apply_power(*eigh_sym(mats[2]), p, x[2]), got[2])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_lambda_max_is_nan_for_a_member_holding_nan(monkeypatch, dtype):
+    # LAPACK read [[nan, 0], [0, 1]] as [0, -0] and diag(nan, 1, 1) as
+    # [0, -0, 1], and failed on diag(0, nan, 0); a NaN in the triangle the
+    # solvers do not read counts too.  No NaN member reaches a solver.
+    nan = np.nan
+    real, solved = matrices.eigvalsh_stack, []
+    monkeypatch.setattr(matrices, "eigvalsh_stack", lambda m: solved.append(m) or real(m))
+    upper = np.eye(3)
+    upper[0, 2] = nan
+    for m in (np.array([[nan, 0.0], [0.0, 1.0]]), np.diag([nan, 1.0, 1.0]),
+              np.diag([0.0, nan, 0.0]), upper):
+        d = len(m)
+        stack = np.stack([2.0 * np.eye(d), m, np.diag(np.arange(1.0, d + 1))]).astype(dtype)
+        solved.clear()
+        got = lambda_max_stack(stack)
+        assert got.dtype == dtype and np.isnan(got[1])
+        assert got[0] == 2.0 and got[2] == d
+        assert not any(np.isnan(s).any() for s in solved)
+        assert np.isnan(lambda_max_stack(stack[1:2])).all()
+    full = np.full((2, 3, 2, 2), nan, dtype=dtype)
+    got = lambda_max_stack(full)
+    assert got.shape == (2, 3) and np.isnan(got).all()

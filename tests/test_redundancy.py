@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +20,13 @@ from carlab.constructions import (
     random_weight_field,
 )
 from carlab.dyadic import DyadicIndex, ROOT, StepField, average
-from carlab.errors import DimensionMismatchError, NumericError, PreconditionError
+from carlab.errors import DimensionMismatchError, PreconditionError
+from carlab.lab import default_config, run_experiment
 from carlab.matrices import operator_norm_stack, spd_power
 from carlab.redundancy import (
     red_constants,
     red_constants_batch,
+    red_constants_each,
     red_quadratic_form,
     red_sums_batch,
     sred_constant,
@@ -166,8 +170,9 @@ def test_red_constants_one_supremum_call_is_the_three_calls(depth, d, dtype):
     # sums and every c3 sum; the three-call form gives the same bits.  The
     # batches mix a random sequence, the root alone, one cube at about half
     # the depth (without the random member the deepest support lies above
-    # the leaves) and, in float64, the random sequence with a NaN entry, whose
-    # sums are NaN on the entry's cube and its ancestors.
+    # the leaves) and the random sequence with a NaN entry, whose sums are
+    # NaN on the entry's cube and its ancestors: no solver sees them, so
+    # every level holding one is passed over in both forms.
     rng = np.random.default_rng(2000 + 10 * depth + d)
     half = DyadicIndex(depth // 2, (1 << (depth // 2)) - 1)
     seqs = [random_matrix_sequence(depth, d, rng),
@@ -179,21 +184,30 @@ def test_red_constants_one_supremum_call_is_the_three_calls(depth, d, dtype):
     pyramids = [np.stack([f.pyramid().astype(dtype) for f in fields])
                 for fields in (ws, [w.inverse() for w in ws])]
     roots, proots = (level_powers_batch(matrices.eigh_sym(p), -0.5) for p in pyramids)
-    batches = [[0, 1, 2], [1, 2], [2], [1], [2, 0]]
-    if dtype == np.float64:  # the Jacobi solver refuses a NaN matrix
-        batches += [[1, 3], [3]]
-    for members in batches:
+    for members in [[0, 1, 2], [1, 2], [2], [1], [2, 0], [1, 3], [3]]:
         args = roots[members], proots[members], b[members]
-        try:
-            want = three_call_red_constants(*args)
-        except NumericError as exc:  # LAPACK fails on some NaN matrices: so must one call
-            with pytest.raises(NumericError, match=str(exc)):
-                red_constants_batch(*args)
-            continue
+        want = three_call_red_constants(*args)
         got = red_constants_batch(*args)
         assert len(got) == 3 and all(g.shape == (len(members),) for g in got)
         for g, w in zip(got, want):
             assert np.array_equal(g.view(np.int64), w.view(np.int64)), (members, g, w)
+
+
+def test_red_constants_each_is_each_alone():
+    # the sequences of one weight go through one batch that shares its
+    # powers, bitwise what each gives alone; an empty sequence gives zeros,
+    # and the first sequence over intensity 1 is the one refused
+    for depth, d in [(0, 1), (3, 2), (5, 3), (4, 4)]:
+        rng = np.random.default_rng(70 + depth)
+        w = random_weight_field(depth, d, rng, cond_cap=1e3)
+        seqs = [random_matrix_sequence(depth, d, rng), MatrixSequence(depth, d),
+                MatrixSequence(depth, d, {ROOT: np.eye(d)}),
+                random_matrix_sequence(depth, d, rng).scaled(0.5)]
+        assert red_constants_each(w, seqs) == [red_constants(w, s) for s in seqs]
+        assert red_constants_each(w, seqs[1:2]) == [(0.0, 0.0, 0.0)]
+        over = [s.scaled(factor) for s, factor in zip(seqs, (1.0, 1.0, 3.0, 4.0))]
+        with pytest.raises(PreconditionError, match="got 3.0"):
+            red_constants_each(w, over)
 
 
 def test_red_c2_equals_c3():
@@ -284,8 +298,10 @@ def test_stacked_cross_checks_match_per_cube_oracles(d):
 
 
 def test_substitution_error_decomposes_once_per_sample(monkeypatch):
-    # one eigh of <W>_K per sample serves R_K and f, and one of the support's
-    # <W^-1>_Q serves every sample; the value is bitwise the per-sample loop's
+    # every sample's <W>_K comes decomposed from the field's cube cache, whose
+    # leaf level is the leaves' cached decomposition: one eigh of the inner
+    # averages of W (an empty stack at depth 0) and one of every average of
+    # W^-1 serve all samples; the value is bitwise the per-sample loop's
     real = matrices.eigh_sym
     calls = []
     for depth in range(6):
@@ -296,11 +312,37 @@ def test_substitution_error_decomposes_once_per_sample(monkeypatch):
             monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(1) or real(m))
             got = substitution_error(inst.w, inst.mseq, np.random.default_rng(depth), samples=5)
             monkeypatch.setattr(matrices, "eigh_sym", real)
-            assert len(calls) == 5 + 1
+            assert len(calls) == 2
             want = brute_substitution_error(
                 inst.w, inst.mseq.entries, np.random.default_rng(depth), samples=5
             )
             assert got == want
+
+
+def test_redundancy_suite_decomposes_each_average_once(monkeypatch):
+    # every leaf and cube average of W and W^-1 of every instance, the fresh
+    # instance of the cross-checks included (seed 3), goes to the solver
+    # once: the constants, the telescoping check and the structural
+    # identities all read the fields' cached decompositions.  (The fresh
+    # depth-4 instance shares its leaves with the first 16 of the suite's
+    # depth-7 one of the same seed, so such a matrix is solved once for each.)
+    real, real_cube_eig, seen, fields = matrices.eigh_sym, StepField.cube_eig, Counter(), {}
+
+    def counting(m):
+        m = np.asarray(m)
+        seen.update(x.tobytes() for x in m.reshape(-1, *m.shape[-2:]))
+        return real(m)
+
+    def recording(field):
+        fields[id(field)] = field
+        return real_cube_eig(field)
+
+    monkeypatch.setattr(matrices, "eigh_sym", counting)
+    monkeypatch.setattr(StepField, "cube_eig", recording)
+    assert run_experiment(default_config("redundancy-suite", seeds=[0, 1, 2, 3])).passed
+    assert len(fields) == 2 * 5  # W and W^-1 of four suite instances and one fresh one
+    want = Counter(x.tobytes() for field in fields.values() for x in field.pyramid())
+    assert all(seen[x] == n for x, n in want.items())
 
 
 # Metamorphic checks.  W -> cW and the joint rotation W -> U W U^T,

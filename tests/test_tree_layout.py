@@ -111,6 +111,19 @@ def test_subtree_sums_batch_is_the_level_loop(kind, dtype):
             _assert_levels_equal(got[b], loop_subtree_sums(split_levels(terms[b])))
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("d", [2, 3])
+def test_cube_supremum_passes_over_a_nan_matrix_level(d, dtype):
+    # level 1 holds a NaN member that LAPACK read as lambda_max 0 (d = 2)
+    # or failed on (d = 3), next to a member of lambda_max 10: the level is
+    # passed over, so the supremum is the root's 1, touched or not
+    nan_member = np.diag([np.nan, 1.0] if d == 2 else [0.0, np.nan, 0.0])
+    flat = np.stack([np.diag([1.0] + [0.0] * (d - 1)), nan_member,
+                     np.diag([10.0] + [0.0] * (d - 1))])[None].astype(dtype)
+    for touched in (None, np.ones((1, 3), dtype=bool)):
+        assert cube_supremum_batch(flat, touched)[0] == 1.0
+
+
 @pytest.mark.parametrize("touched", [False, True])
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("kind", ["scalar", "matrix"])
