@@ -38,7 +38,9 @@ import copy
 import numpy as np
 
 from . import matrices
-from .characteristics import check_fits, cube_supremum_batch, ordered_sums, subtree_sums_batch
+from .characteristics import (
+    INTENSITY_SLACK, check_fits, cube_supremum_batch, ordered_sums, subtree_sums_batch,
+)
 from .constructions import _half_log_cap, orthogonal_from_draws, spd_from_unit, uniform
 from .dyadic import ROOT, check_index, subtree_positions, tree_cube, tree_level, tree_position
 from .errors import (
@@ -178,10 +180,11 @@ class BellmanStack:
     slack.  The eigendecomposition of V is taken once: V^1/2 for the domain
     check comes from it, and so does V^-1, which is formed on first use and
     cached.  ``_eig`` is that decomposition where the caller already holds
-    it, for a ``v`` that is exactly symmetric (``_Draws.stack``, ``_certificates``).
+    it, for a ``v`` that is exactly symmetric (``_Draws.stack``, ``_certificates``),
+    and ``_vinv`` its ``eig_power(*_eig, -1.0)``, where the caller holds that too.
     """
 
-    def __init__(self, u, v, m, _eig=None):
+    def __init__(self, u, v, m, _eig=None, _vinv=None):
         u = matrices.as_symmetric_stack(u)
         v = matrices.as_symmetric_stack(v)
         if u.shape != v.shape:
@@ -191,7 +194,7 @@ class BellmanStack:
             raise DimensionMismatchError(f"m has shape {m.shape}, expected {u.shape[:1]}")
         self.u, self.v = u, v
         self._eig = matrices.eigh_sym(v) if _eig is None else _eig
-        self._vinv = None
+        self._vinv = _vinv
         root = matrices.eig_power(*self._eig, 0.5)
         eye = np.broadcast_to(np.eye(self.d, dtype=root.dtype), root.shape)
         self.psd_margin = matrices.psd_gap_stack(root @ u @ root, eye)
@@ -274,7 +277,7 @@ def _dyadic_data(w, alpha):
     a = alpha.dense()
     acc = subtree_sums_batch(a[None])
     intensity = float(cube_supremum_batch(acc)[0])
-    if intensity > 1.0 + 1e-9:
+    if intensity > 1.0 + INTENSITY_SLACK:
         raise PreconditionError(
             f"dynamics requires Carleson intensity <= 1, got {intensity}"
         )
@@ -301,7 +304,9 @@ def _certificates(data, k):
 
     One stacked evaluation over D(k) in tree order (``subtree_positions``),
     where the children of the cube at index t sit at 2t + 1 and 2t + 2; each
-    cube's B serves its own certificate and its parent's.  Returns alpha,
+    cube's B serves its own certificate and its parent's.  V^-1 is sliced
+    from W^-1's cached ``cube_power(-1.0)``, the ``eig_power`` of the same
+    decomposition, so it is bitwise the stack's own.  Returns alpha,
     the stack, |K| B(K), the leaf tails |L| B(U_L, V_L, 0) and the
     certificates, each over D(k) in tree order (the tails over its leaves).
     An inadmissible average names its cube, the first in tree order.
@@ -309,8 +314,10 @@ def _certificates(data, k):
     w, uavg, vavg, m, a, veig = data
     cubes = subtree_positions(k, w.depth)
     measure = np.ldexp(1.0, -tree_level(cubes))[:, None, None]
+    vinv = w.inverse().cube_power(-1.0)[cubes]
     with relabel(lambda i: tree_cube(int(cubes[i]))):
-        stack = BellmanStack(uavg[cubes], vavg[cubes], m[cubes], _eig=[x[cubes] for x in veig])
+        stack = BellmanStack(uavg[cubes], vavg[cubes], m[cubes],
+                             _eig=[x[cubes] for x in veig], _vinv=vinv)
         b = measure * bellman_eval_stack(stack)
         tail = (measure * bellman_eval_stack(stack.with_m(0.0)))[len(cubes) // 2:]
         lhs = b - (0.25 * a[cubes])[:, None, None] * stack.vinv

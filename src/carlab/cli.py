@@ -7,6 +7,7 @@ Flags override the config file.  Exit codes: 0 all verdicts pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -15,7 +16,9 @@ from .errors import ConfigError, LabError, NumericError
 from .lab import EXPERIMENTS, default_config, run_experiment
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lab",
         description="Run one experiment of the embedding laboratory.",

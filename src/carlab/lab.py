@@ -202,7 +202,7 @@ class LabReport:
     def write(self, path, fmt):
         if fmt == "json":
             with open(path, "w") as fh:
-                json.dump(self.to_json_obj(), fh, indent=1, default=float)
+                fh.write(json.dumps(self.to_json_obj(), indent=1, default=float))
         else:
             columns = EXPERIMENTS[self.experiment].columns
             if columns is None:
@@ -534,7 +534,10 @@ def _run_redundancy(cfg):
     # identities, on the instance of suite_instance_params(i, d,
     # min(depth, 6), 4) and cond_cap min(cond_cap, 1e4): the suite's own
     # instance, with its row's constants, when it is that one, else a fresh
-    # one, whose constants share a batch with the dominated sequence's.  The
+    # one, whose constants share a batch with the dominated sequence's.  A
+    # fresh instance is not independent of the suite's: random_instance(depth',
+    # d, seed) draws its weight leaf by leaf from the same seeded stream, so
+    # its leaves are the suite instance's first 2^depth' leaves.  The
     # substitution samples are drawn in seed order.
     rows = []
     telescope_diff, telescope_gap, mono_ok, cycle_err, subst_err = 0.0, np.inf, True, 0.0, 0.0
@@ -561,10 +564,12 @@ def _run_redundancy(cfg):
         telescope_gap = min(telescope_gap, min_gap)
         if i >= 20:
             continue
+        # The dominated entries are n_Q I, so each subtree sum is its sum of
+        # norms times I: the intensity is that of the scalar sequence of norms.
         norms = matrices.operator_norm_stack(mseq.values)
+        intensity = carleson_intensity(ScalarSequence.from_arrays(depth, mseq.positions, norms))
         dominated = MatrixSequence.from_arrays(depth, mseq.positions,
-                                               norms[:, None, None] * np.eye(d))
-        intensity = carleson_intensity(dominated)
+                                               norms[:, None, None] * np.eye(d), intensity)
         *fresh, (k1, k2, k3) = red_constants_each(
             w, [mseq] * (c is None) + [dominated.scaled(1.0 / intensity)])
         c1, c2, c3 = c or fresh[0]

@@ -14,20 +14,22 @@ import numpy as np
 
 from . import matrices
 from .characteristics import (
-    MatrixSequence, ScalarSequence, carleson_intensity_batch, check_fits, cube_supremum_batch,
-    level_supremum, rowdot, subtree_forms, subtree_sums_batch,
+    INTENSITY_SLACK, MatrixSequence, ScalarSequence, carleson_intensity_batch, check_fits,
+    cube_supremum_batch, level_supremum, rowdot, subtree_forms, subtree_sums_batch,
 )
 from .dyadic import DyadicIndex, check_index, level_slice, tree_level, tree_position, tree_size
 from .errors import DimensionMismatchError, PreconditionError
-
-INTENSITY_SLACK = 1e-9
 
 
 def check_intensity_batch(flat):
     """Refuse a batch of dense sequences whose Carleson intensity exceeds 1.
 
     ``flat`` holds the dense sequences (B, cubes[, d, d]) in tree order;
-    the first offending member is named by its intensity.
+    the first offending member is named by its intensity, computed here.
+    This is the whole check, which reads no carried intensity;
+    ``sred_constant`` and ``red_constants_each`` reach it through
+    ``check_intensities``, which first passes, with no solver call, each
+    sequence whose carried intensity is at most 1 + ``INTENSITY_SLACK``/2.
     """
     intensity = carleson_intensity_batch(flat)
     bad = np.flatnonzero(intensity > 1.0 + INTENSITY_SLACK)
@@ -35,6 +37,25 @@ def check_intensity_batch(flat):
         raise PreconditionError(
             f"redundancy bounds assume Carleson intensity <= 1, got {float(intensity[bad[0]])}"
         )
+
+
+def check_intensities(seqs):
+    """``check_intensity_batch`` on the sequences ``seqs`` of one shape, passing
+    with no solver call each one whose ``carried_intensity`` is at most
+    1 + ``INTENSITY_SLACK``/2.
+
+    The carried value of a sequence normalized by ``scaled`` sits within
+    a few 1e-15 relative of the intensity the whole check would compute
+    (``CubeSequence.scaled``), so the half slack of margin keeps the fast
+    pass inside the whole check's acceptance.  Every other sequence (no
+    carried value, a NaN or infinite one, or one above the margin) goes
+    through the whole check, and a refusal names the first refused of
+    those, the first refused of ``seqs``.
+    """
+    rest = [seq for seq in seqs if seq.carried_intensity is None
+            or not seq.carried_intensity <= 1.0 + INTENSITY_SLACK / 2]
+    if rest:
+        check_intensity_batch(np.stack([seq.dense() for seq in rest]))
 
 
 def sred_constant_batch(roots, vinv, alpha):
@@ -58,7 +79,7 @@ def sred_constant(w, alpha):
     if not isinstance(alpha, ScalarSequence):
         raise DimensionMismatchError("sred_constant expects a scalar sequence")
     check_fits(w, alpha)
-    check_intensity_batch(alpha.dense()[None])
+    check_intensities([alpha])
     if len(alpha) == 0:
         return 0.0
     vinv, roots = w.inverse().cube_power(-1.0)[None], w.cube_power(-0.5)[None]
@@ -144,7 +165,7 @@ def red_constants_each(w, bseqs):
     if not all(isinstance(bseq, MatrixSequence) for bseq in bseqs):
         raise DimensionMismatchError("red_constants expects a matrix sequence")
     check_fits(w, *bseqs)
-    check_intensity_batch(np.stack([bseq.dense() for bseq in bseqs]))
+    check_intensities(bseqs)
     full, consts = [bseq.dense(w.values.dtype) for bseq in bseqs if len(bseq)], iter(())
     if full:
         roots, proots = (f.cube_power(-0.5)[None] for f in (w, w.inverse()))

@@ -226,6 +226,22 @@ def two_check_scaled(seq, factor):
     return type(seq).from_arrays(seq.depth, seq.positions, seq.values * factor)
 
 
+def computed_intensity(seq):
+    """``carleson_intensity`` as it ran before a sequence carried one: the
+    intensity computed from the entries, and nothing kept on the sequence."""
+    from carlab.characteristics import carleson_intensity_batch
+
+    return float(carleson_intensity_batch(seq.dense()[None])[0]) if len(seq) else 0.0
+
+
+def always_check_intensities(seqs):
+    """The intensity refusal of ``sred_constant`` and ``red_constants_each``
+    before a sequence carried an intensity: the whole check on every one."""
+    from carlab.redundancy import check_intensity_batch
+
+    check_intensity_batch(np.stack([seq.dense() for seq in seqs]))
+
+
 def brute_red_constants(leaves, entries, depth):
     """(c1, c2, c3) of the matrix redundancy forms, one (K, Q) pair at a time.
 

@@ -30,7 +30,7 @@ from carlab.constructions import (
     random_spd,
     random_weight_field,
 )
-from carlab.dyadic import DyadicIndex, tree_position
+from carlab.dyadic import ROOT, DyadicIndex, StepField, subtree_positions, tree_position
 from carlab.errors import DimensionMismatchError, DomainError, SingularMatrixError
 from carlab.lab import default_config, run_experiment
 
@@ -393,6 +393,22 @@ def test_sampler_errors_name_the_sample_behind_the_row(monkeypatch):
     with pytest.raises(DomainError) as info:
         bellman._sample_points(np.random.default_rng(5), 60, 3, 1e4, gap)
     assert info.value.point == first == 30
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_certificate_stack_vinv_is_its_own_power(dtype):
+    # the certificates' stack takes V^-1 as a slice of W^-1's cached
+    # cube_power(-1.0): bitwise the eig_power of the stack's own slice of
+    # the decomposition, at the root and below it
+    for seed, depth, d in [(1, 0, 1), (2, 3, 2), (3, 4, 3), (4, 3, 4)]:
+        w, alpha = _instance(seed, depth, d)
+        data = bellman._dyadic_data(StepField(w.values.astype(dtype)), alpha)
+        for k in [ROOT] + [DyadicIndex(1, 1)] * (depth > 0):
+            cubes = subtree_positions(k, depth)
+            got = bellman._certificates(data, k)[1].vinv
+            want = matrices.eig_power(*[x[cubes] for x in data[5]], -1.0)
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_dynamics_error_names_cube():

@@ -38,6 +38,7 @@ from oracles import (
     brute_scalar_intensity,
     brute_spd_power,
     brute_wcet_testing_constant,
+    computed_intensity,
     level_powers,
     loop_cube_supremum,
     loop_pyramid,
@@ -202,6 +203,25 @@ def test_scaled_refuses_what_the_second_check_refused(monkeypatch):
             assert outcomes[0] == outcomes[1], (seq, c)
     with pytest.raises(SingularMatrixError, match=r"level=2, position=3\) is not PSD"):
         diagonal[0].scaled(2.0)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_intensity_is_computed_and_carried(d):
+    # carleson_intensity computes whatever a sequence carries, bitwise as
+    # before sequences carried one, and leaves the computed value on the
+    # sequence; a generated sequence, normalized by scaled(1 / I), carries
+    # 1 / I times I, within 1e-12 of its computed intensity
+    for depth in range(9):
+        rng = np.random.default_rng(600 + 10 * d + depth)
+        for seq in (random_matrix_sequence(depth, d, rng), random_scalar_sequence(depth, rng)):
+            carried, want = seq.carried_intensity, computed_intensity(seq)
+            assert abs(carried - want) <= 1e-12 * want
+            assert carleson_intensity(seq).hex() == want.hex() == seq.carried_intensity.hex()
+            assert seq.scaled(3.0).carried_intensity == 3.0 * want
+    plain = MatrixSequence(2, d, {ROOT: np.eye(d)})
+    assert plain.carried_intensity is None and plain.scaled(2.0).carried_intensity is None
+    assert MatrixSequence.from_json(plain.to_json()).carried_intensity is None
+    assert carleson_intensity(MatrixSequence(2, d)) == 0.0
 
 
 def test_sequence_arrays_are_read_only():

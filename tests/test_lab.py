@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from carlab import matrices, search
-from carlab.cli import main
+from carlab.cli import build_parser, main
 from carlab.dyadic import StepField, pyramid_batch, stepfield_to_json
 from carlab.constructions import EPS_SWEEP, random_instance
 from carlab.errors import ConfigError, SingularMatrixError
@@ -88,6 +88,17 @@ def test_json_report_schema(tmp_path):
     assert len(payload["rows"]) == len(report.rows)
     assert all(isinstance(v, bool) for v in payload["verdicts"].values())
     assert payload["stamp"]["package"] == "carlab"
+
+
+def test_json_report_bytes_are_json_dump(tmp_path, default_reports):
+    # a report is encoded in one string and written once: the bytes of
+    # json.dump, which writes chunk by chunk, for each default run
+    for name in ("counterexample-sweep", "redundancy-suite", "adversarial-search:red_ratio"):
+        report, got, want = default_reports[name], tmp_path / "got.json", tmp_path / "want.json"
+        report.write(got, "json")
+        with open(want, "w") as fh:
+            json.dump(report.to_json_obj(), fh, indent=1, default=float)
+        assert got.read_bytes() == want.read_bytes(), name
 
 
 def test_sweep_row_values_match_claims():
@@ -558,6 +569,14 @@ def test_cli_runs_sweep_and_exits_zero(tmp_path, capsys):
     assert out.exists()
     stdout = capsys.readouterr().out
     assert "[PASS]" in stdout and "[FAIL]" not in stdout
+
+
+def test_cli_parser_is_built_once():
+    # the parser is cached per process, and parsing leaves it as it was
+    parser = build_parser()
+    args = parser.parse_args(["redundancy-suite", "--depth", "3", "--quiet"])
+    assert build_parser() is parser and (args.depth, args.quiet) == (3, True)
+    assert parser.parse_args(["redundancy-suite"]).depth is None
 
 
 def test_cli_deep_sweep_at_rounding_asymmetric_rotations(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlab import matrices
+from carlab import characteristics, matrices, redundancy
 from carlab.characteristics import (
     MatrixSequence,
     ScalarSequence,
@@ -17,13 +17,16 @@ from carlab.constructions import (
     random_instance,
     random_matrix_sequence,
     random_orthogonal,
+    random_scalar_sequence,
     random_weight_field,
 )
 from carlab.dyadic import DyadicIndex, ROOT, StepField, average
-from carlab.errors import DimensionMismatchError, PreconditionError
+from carlab.errors import DimensionMismatchError, LabError, PreconditionError
 from carlab.lab import default_config, run_experiment
 from carlab.matrices import operator_norm_stack, spd_power
 from carlab.redundancy import (
+    INTENSITY_SLACK,
+    check_intensities,
     red_constants,
     red_constants_batch,
     red_constants_each,
@@ -34,12 +37,14 @@ from carlab.redundancy import (
     trace_cycling_error,
 )
 from oracles import (
+    always_check_intensities,
     brute_red_constants,
     brute_red_sums,
     brute_red_quadratic_form,
     brute_sred_constant,
     brute_substitution_error,
     brute_trace_cycling_error,
+    computed_intensity,
     level_powers_batch,
     split_levels,
     three_call_red_constants,
@@ -208,6 +213,84 @@ def test_red_constants_each_is_each_alone():
         over = [s.scaled(factor) for s, factor in zip(seqs, (1.0, 1.0, 3.0, 4.0))]
         with pytest.raises(PreconditionError, match="got 3.0"):
             red_constants_each(w, over)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_carried_intensity_refusal_is_the_whole_check(d, monkeypatch):
+    # a generated sequence scaled by c passes or is refused as the whole
+    # check passes or refuses it, with its error: c = (1 + k 1e-10) / I
+    # crosses both the half-slack margin (k = 5) and the slack (k = 10), and
+    # the edge factors fail in scaled or reach the whole check; only a
+    # carried intensity within the margin passes with no intensity solve
+    real, solved = characteristics.carleson_intensity_batch, []
+    monkeypatch.setattr(redundancy, "carleson_intensity_batch",
+                        lambda flat: solved.append(1) or real(flat))
+    for depth in range(9):
+        rng = np.random.default_rng(900 + 10 * d + depth)
+        w = random_weight_field(depth, d, rng, cond_cap=1e3)
+        for seq, constants in ((random_matrix_sequence(depth, d, rng),
+                                lambda s: red_constants_each(w, [s])),
+                               (random_scalar_sequence(depth, rng), lambda s: sred_constant(w, s))):
+            intensity = carleson_intensity(seq)
+            edges = [0.0, -1.0, np.inf, np.nan, 1e-300, 1e300]
+            for c in [(1.0 + k * 1e-10) / intensity for k in range(-10, 21)] + edges:
+                outcomes = []
+                for check in (check_intensities, always_check_intensities):
+                    solved.clear()
+                    try:
+                        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                            scaled = seq.scaled(c)
+                        check([scaled])
+                        outcomes.append(None)
+                    except LabError as exc:
+                        outcomes.append((type(exc), str(exc)))
+                    if check is check_intensities and outcomes[0] is None:
+                        fast = scaled.carried_intensity <= 1.0 + INTENSITY_SLACK / 2
+                        assert bool(solved) != fast, (depth, c)
+                assert outcomes[0] == outcomes[1], (depth, c)
+                if outcomes[0] is not None and outcomes[0][0] is PreconditionError:
+                    with pytest.raises(PreconditionError) as info:
+                        constants(scaled)
+                    assert str(info.value) == outcomes[0][1]
+
+
+def test_dominated_intensity_is_that_of_the_norms():
+    # the entries n_Q I make every subtree sum a multiple of I: the scalar
+    # sequence of the norms has bitwise the matrix sequence's intensity
+    for depth in range(9):
+        for d in range(1, 5):
+            seq = random_matrix_sequence(depth, d, np.random.default_rng(1000 + 10 * depth + d))
+            norms = operator_norm_stack(seq.values)
+            dominated = MatrixSequence.from_arrays(depth, seq.positions,
+                                                   norms[:, None, None] * np.eye(d))
+            scalar = ScalarSequence.from_arrays(depth, seq.positions, norms)
+            assert computed_intensity(scalar).hex() == computed_intensity(dominated).hex()
+
+
+def test_redundancy_suite_measures_each_intensity_once(monkeypatch):
+    # each generated sequence is measured once, by its generator, and each
+    # dominated one once, through its norms: sred_constant and
+    # red_constants_each read the intensity the sequence carries.  The four
+    # suite instances and the fresh one of seed 3 hold 10 sequences, and the
+    # four cross-checks make 4 dominated ones.
+    real, calls = characteristics.carleson_intensity_batch, Counter()
+
+    def counting(where):
+        return lambda flat: calls.update([where]) or real(flat)
+
+    monkeypatch.setattr(characteristics, "carleson_intensity_batch", counting("measured"))
+    monkeypatch.setattr(redundancy, "carleson_intensity_batch", counting("checked"))
+    assert run_experiment(default_config("redundancy-suite", seeds=[0, 1, 2, 3])).passed
+    assert calls == {"measured": 10 + 4}
+    # past the margin the whole check runs, and refuses as before
+    inst = random_instance(4, 2, seed=0)
+    over = inst.mseq.scaled(2.0 / carleson_intensity(inst.mseq))
+    for constants, seq in ((red_constants, over), (sred_constant, inst.sseq.scaled(2.0))):
+        calls.clear()
+        with pytest.raises(PreconditionError,
+                           match=r"^redundancy bounds assume Carleson intensity <= 1, got 2\.0"):
+            constants(inst.w, seq)
+        assert calls == {"checked": 1}
 
 
 def test_red_c2_equals_c3():
