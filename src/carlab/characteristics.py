@@ -381,7 +381,7 @@ def carleson_equivalents(seq):
     op = matrices.operator_norm_stack(seq.values)
     tr = np.trace(seq.values, axis1=1, axis2=2)
     dense = (seq._dense(v.astype(np.float64))[None] for v in (op, tr))
-    return tuple(float(cube_supremum_batch(subtree_sums_batch(a))[0]) for a in dense)
+    return tuple(float(carleson_intensity_batch(a)[0]) for a in dense)
 
 
 def wcet_testing_constant(w, seq):

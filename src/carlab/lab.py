@@ -214,19 +214,33 @@ class LabReport:
                     writer.writerow([row.get(c, "") for c in columns])
 
 
-def _stamp():
-    from . import __version__
-
-    return {"package": "carlab", "version": __version__, "numpy": np.__version__}
+def environment_stamp():
+    """numpy, its BLAS, the SIMD kernels numpy dispatches to on this CPU, and
+    the longdouble epsilon, as strings: what, besides the code, a report's
+    floats depend on."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its config
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "simd": " ".join(config.get("SIMD Extensions", {}).get("found", [])),
+        "longdouble_eps": str(np.finfo(np.longdouble).eps),
+    }
 
 
 def run_experiment(cfg):
     """Run one experiment; write the report if an output path is set."""
+    from . import __version__
+
     started = time.perf_counter()
     rows, aggregates, verdicts = EXPERIMENTS[cfg.experiment].run(cfg)
     aggregates["elapsed_seconds"] = time.perf_counter() - started
     report = LabReport(experiment=cfg.experiment, config=cfg.to_dict(), rows=rows,
-                       aggregates=aggregates, verdicts=verdicts, stamp=_stamp())
+                       aggregates=aggregates, verdicts=verdicts,
+                       stamp={"package": "carlab", "version": __version__, **environment_stamp()})
     if cfg.output_path:
         report.write(cfg.output_path, cfg.format)
     return report
@@ -323,10 +337,14 @@ def suite_instance_params(index, d_max, depth_max, depth_min=3):
 
 
 def _normalized_intensity(seq):
-    """Rescale a sequence so the redundancy/embedding preconditions hold."""
+    """Rescale a sequence so the redundancy/embedding preconditions hold;
+    refuses one whose Carleson intensity overflows, which no rescaling fits."""
     if seq is None or not len(seq):
         return seq
-    intensity = carleson_intensity(seq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        intensity = carleson_intensity(seq)
+    if not math.isfinite(intensity):
+        raise ConfigError(f"Carleson intensity {intensity} is not finite")
     return seq.scaled(1.0 / intensity) if intensity > 1.0 else seq
 
 
@@ -346,10 +364,11 @@ def _parse_embedded(obj, index):
             if name in obj:
                 parts[name] = read(obj[name])
                 check_fits(w, parts[name])
+        for name in ("alpha", "matrix_seq"):
+            parts[name] = _normalized_intensity(parts[name])
     except (KeyError, TypeError, ValueError, LabError) as exc:
         raise ConfigError(f"bad embedded instance #{index}: {name}: {exc}") from exc
-    f, g, alpha, mseq = parts.values()
-    return w, f, g, _normalized_intensity(alpha), _normalized_intensity(mseq)
+    return w, *parts.values()
 
 
 def _suite_instances(cfg, kind, depth_max, depth_min=3):

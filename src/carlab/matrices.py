@@ -29,9 +29,15 @@ lambda_min <= ``SPD_REJECT``, the square root refuses lambda_min <
 -``PSD_CLAMP`` and clips the rest to zero.  It has one naming rule: the
 first offending member in stack order, as the cube its caller's
 ``context`` gives it or else as ``LabError.point``.
+
+``TALLY`` counts the solver work where it happens, always on; the work of
+a run is the tally's change around it.
 """
 
 from __future__ import annotations
+
+import math
+from collections import Counter
 
 import numpy as np
 
@@ -47,6 +53,14 @@ PSD_CLAMP = 1e-12
 ALLOWED_POWERS = (0.5, -0.5, -1.0)
 # Sweeps after which the Jacobi solver gives up (NumericError).
 JACOBI_MAX_SWEEPS = 60
+
+# Solver work since import: LAPACK eigh_calls/eigh_mats and
+# eigvalsh_calls/eigvalsh_mats (calls and the matrices in them); Jacobi
+# jacobi_calls/jacobi_mats, jacobi_distinct (the matrices its sweeps solve)
+# and jacobi_sweeps (the sweeps that rotated); power_mats, the members
+# ``eig_power`` powers, of which power_longdouble_mats are longdouble and
+# power_longdouble_distinct distinct longdouble ones.
+TALLY = Counter()
 
 
 def as_symmetric(m, rtol=SYM_REJECT_RTOL):
@@ -117,8 +131,11 @@ def _jacobi_eigh(a):
     first, inverse = _distinct(a.reshape(-1, n * n))
     a = a.reshape(-1, n, n)[first]
     v = np.broadcast_to(np.eye(n, dtype=dt), a.shape).copy()
-    if n > 1:
-        _jacobi_sweeps(a, v)
+    sweeps = _jacobi_sweeps(a, v) if n > 1 else 0
+    TALLY["jacobi_calls"] += 1
+    TALLY["jacobi_mats"] += len(inverse)
+    TALLY["jacobi_distinct"] += len(first)
+    TALLY["jacobi_sweeps"] += sweeps
     diag = np.diagonal(a, axis1=-2, axis2=-1)
     order = np.argsort(diag, axis=-1, kind="stable")
     vals = np.take_along_axis(diag, order, axis=-1)[inverse]
@@ -187,6 +204,8 @@ def eigh_sym(m):
     m = np.asarray(m)
     if m.dtype == np.longdouble:
         return _jacobi_eigh(m)
+    TALLY["eigh_calls"] += 1
+    TALLY["eigh_mats"] += math.prod(m.shape[:-2])
     try:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -296,10 +315,13 @@ def eig_power(vals, vecs, p, context=None):
     contracted once per distinct (vals, vecs) member (``_distinct``).
     """
     shape, first = vecs.shape, None
+    TALLY["power_mats"] += math.prod(shape[:-2])
     if vals.dtype == np.longdouble:
         d = shape[-1]
         rows = np.concatenate([vals[..., None, :], vecs], axis=-2).reshape(-1, d * d + d)
         first, inverse = _distinct(rows)
+        TALLY["power_longdouble_mats"] += len(inverse)
+        TALLY["power_longdouble_distinct"] += len(first)
         vecs = vecs.reshape(-1, d, d)[first]
     out = np.einsum("...ij,...j,...lj->...il", vecs, _powered(vals, p, context, first), vecs)
     out = (out + out.swapaxes(-1, -2)) / 2
@@ -342,6 +364,8 @@ def eigvalsh_stack(mats):
     mats = np.asarray(mats)
     if mats.dtype == np.longdouble:
         return _jacobi_eigh(mats)[0]
+    TALLY["eigvalsh_calls"] += 1
+    TALLY["eigvalsh_mats"] += math.prod(mats.shape[:-2])
     try:
         return np.linalg.eigvalsh(mats)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -17,9 +17,8 @@ from .characteristics import (
     a2_characteristic,
     c2_conditioning,
     c2_conditioning_batch,
+    carleson_intensity_batch,
     check_sequence_batch,
-    cube_supremum_batch,
-    subtree_sums_batch,
 )
 from .dyadic import StepField, pyramid_batch, tree_ancestor, tree_cube, tree_size
 from .embeddings import bet_norm_sum_batch, halfweighted_pyramid_batch, l2_norm_batch
@@ -83,7 +82,7 @@ def _state_sequences(seq_weights):
     weight on the root."""
     weights = np.where(seq_weights > 0.0, seq_weights, 0.0)
     weights[~weights.any(axis=1), 0] = 1.0
-    intensity = cube_supremum_batch(subtree_sums_batch(weights))
+    intensity = carleson_intensity_batch(weights)
     return weights * (1.0 / intensity)[:, None]
 
 

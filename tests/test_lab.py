@@ -956,6 +956,31 @@ def test_cli_invalid_embedded_sequence_exit_code(tmp_path, monkeypatch):
         assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
 
 
+def test_cli_embedded_sequence_of_infinite_intensity_exit_code(tmp_path, monkeypatch, capsys):
+    # alpha 1e308 at (0, 0) and (1, 0) overflowed to an infinite intensity;
+    # the rescaling by 1/inf emptied it, and the row read sred 0.0 with exit
+    # 0.  The same matrix_seq on a d = 1 weight exited 3 with "non-finite
+    # sequence entry", and as 1e308 I on a d = 2 weight ran with constants
+    # -inf and exit 0.  Every entry is finite: all are bad configuration.
+    from carlab.constructions import random_instance
+
+    monkeypatch.chdir(tmp_path)
+    cubes = [{"level": 0, "position": 0}, {"level": 1, "position": 0}]
+
+    def seq(d, value):
+        return {"depth": 3, "d": d, "values": [dict(q, value=value) for q in cubes]}
+
+    cases = [(1, "alpha", seq(1, 1e308)), (1, "matrix_seq", seq(1, [1e308])),
+             (2, "matrix_seq", seq(2, [1e308, 0.0, 0.0, 1e308]))]
+    cfg_path = tmp_path / "cfg.json"
+    for d, name, part in cases:
+        weight = stepfield_to_json(random_instance(3, d, seed=0, cond_cap=1e3).w)
+        cfg_path.write_text(json.dumps({"seeds": [0], "extra_instances": [
+            {"weight": weight, name: part}]}))
+        assert main(["redundancy-suite", "--config", str(cfg_path), "--quiet"]) == 2
+        assert f"bad embedded instance #0: {name}: Carleson intensity" in capsys.readouterr().err
+
+
 def test_cli_non_finite_embedded_field_exit_code(tmp_path, monkeypatch):
     # a NaN weight entry ran redundancy-suite with the row sred -inf (and
     # red_c1..3 -inf with a matrix sequence) and exit 0; an inf entry of g

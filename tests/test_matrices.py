@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from carlab import matrices
 from carlab.errors import DimensionMismatchError, NumericError, SingularMatrixError
-from carlab.lab import ExperimentConfig, run_experiment
+from carlab.lab import ExperimentConfig, default_config, run_experiment
 from carlab.matrices import (
     ALLOWED_POWERS,
     _jacobi_eigh,
@@ -355,6 +357,47 @@ def test_sweep_rows_are_bitwise_those_without_grouping(monkeypatch, tool):
     assert len(grouped[0]) == len(grouped[1]) == 10 and max(merged) > 1000
     monkeypatch.setattr(matrices, "_distinct", lambda rows: (np.arange(len(rows)),) * 2)
     assert rows() == grouped
+
+
+@pytest.mark.parametrize("experiment, overrides", [
+    ("redundancy-suite", dict(depth=4, seeds=[0, 1, 2])),  # float64: LAPACK only
+    ("counterexample-sweep", dict(depth=3)),  # longdouble: the Jacobi solver only
+])
+def test_tally_is_the_work_counted_from_outside(monkeypatch, experiment, overrides):
+    # the tally's change over a run against wrappers on the LAPACK entry
+    # points, the Jacobi solver and the power core, each counting its calls
+    # and the matrices in them
+    outside = Counter()
+
+    def counting(name, fn, members):
+        def wrapper(*args, **kwargs):
+            outside.update({f"{name}_calls": 1, f"{name}_mats": members(np.shape(args[0]))})
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def stack(shape):
+        return math.prod(shape[:-2])
+
+    for owner, attr, name, members in (
+            (np.linalg, "eigh", "eigh", stack), (np.linalg, "eigvalsh", "eigvalsh", stack),
+            (matrices, "_jacobi_eigh", "jacobi", stack),
+            (matrices, "eig_power", "power", lambda shape: math.prod(shape[:-1]))):
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr), members))
+    before = matrices.TALLY.copy()
+    run_experiment(default_config(experiment, **overrides))
+    work = matrices.TALLY - before
+    for path in ("eigh", "eigvalsh", "jacobi"):
+        assert (work[f"{path}_calls"], work[f"{path}_mats"]) == (
+            outside[f"{path}_calls"], outside[f"{path}_mats"]), path
+    assert work["power_mats"] == outside["power_mats"] > 0
+    assert work["jacobi_distinct"] <= work["jacobi_mats"]
+    assert work["power_longdouble_distinct"] <= work["power_longdouble_mats"] <= work["power_mats"]
+    if experiment == "redundancy-suite":
+        assert outside["eigh_calls"] > 0 and outside["eigvalsh_calls"] > 0
+        assert work["jacobi_calls"] == work["power_longdouble_mats"] == 0
+    else:
+        assert outside["jacobi_calls"] > 0 and work["jacobi_sweeps"] > 0
+        assert work["power_longdouble_mats"] == work["power_mats"]
 
 
 def test_sweep_does_not_import_numpy_ma():

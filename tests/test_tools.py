@@ -4,9 +4,7 @@ search, ``tools/sampler_counts.py`` on a few Bellman samples,
 ``tools/longdouble_counts.py`` at depth 3 and ``tools/seed_sweep.py`` on
 two or three deep-sweep seeds."""
 
-import importlib.util
 import json
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,23 +13,14 @@ import pytest
 from carlab import bellman, cli, matrices, search
 from carlab.errors import NumericError
 from carlab.lab import OBJECTIVES, default_config, run_experiment
+from conftest import load_tool
 
-
-def _tool(name):
-    spec = importlib.util.spec_from_file_location(
-        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-digest_diff = _tool("digest_diff")
-longdouble_counts = _tool("longdouble_counts")
-report_digest = _tool("report_digest")
-sampler_counts = _tool("sampler_counts")
-search_counts = _tool("search_counts")
-seed_sweep = _tool("seed_sweep")
+digest_diff = load_tool("digest_diff")
+longdouble_counts = load_tool("longdouble_counts")
+report_digest = load_tool("report_digest")
+sampler_counts = load_tool("sampler_counts")
+search_counts = load_tool("search_counts")
+seed_sweep = load_tool("seed_sweep")
 
 VALUE = 0.7310585786300049
 

@@ -13,7 +13,8 @@ digests shows every row that moved.  The package is loaded from the
 ``--only NAME``, repeatable, keeps the runs of the named experiments, or
 one run such as ``adversarial-search:red_ratio``, so that one experiment's
 digest can be compared on its own.  ``--stamp FILE`` also writes
-``environment_stamp()``: what, besides the code, the digest's floats depend on.
+``carlab.lab.environment_stamp()``: what, besides the code, the digest's
+floats depend on.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from carlab.lab import EXPERIMENTS, OBJECTIVES, default_config, run_experiment  # noqa: E402
+from carlab.lab import (  # noqa: E402
+    EXPERIMENTS, OBJECTIVES, default_config, environment_stamp, run_experiment,
+)
 
 
 def runs():
@@ -44,22 +45,6 @@ def digest_entry(report):
     """The rows, aggregates (without timing) and verdicts of one report."""
     aggregates = {k: v for k, v in report.aggregates.items() if k != "elapsed_seconds"}
     return {"rows": report.rows, "aggregates": aggregates, "verdicts": report.verdicts}
-
-
-def environment_stamp():
-    """numpy, its BLAS, the SIMD kernels numpy dispatches to on this CPU, and
-    the longdouble epsilon, as strings."""
-    try:
-        config = np.show_config(mode="dicts")
-    except TypeError:  # numpy before 1.26 only prints its config
-        config = {}
-    blas = config.get("Build Dependencies", {}).get("blas", {})
-    return {
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "simd": " ".join(config.get("SIMD Extensions", {}).get("found", [])),
-        "longdouble_eps": str(np.finfo(np.longdouble).eps),
-    }
 
 
 def canonical_json(obj):

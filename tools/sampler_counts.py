@@ -11,23 +11,21 @@ and prints one line per sampler:
 * ``wall_s``: wall time of the call;
 * ``rss_mb``: growth of the process's peak resident memory (``ru_maxrss``)
   over the call, so 0 when the call stayed below an earlier peak;
-* ``eigh_calls`` and ``eigh_mats``: calls to ``np.linalg.eigh`` and the
-  matrices in them;
+* ``eigh_calls`` and ``eigh_mats``: LAPACK ``eigh`` calls and the matrices
+  in them, the change of ``matrices.TALLY`` over the call;
 * ``traced_mb``: the tracemalloc peak of the call, above what was
   allocated before it.
 
 After a warm-up at a few samples, the samplers run twice from the same
-seed: once plain, for ``wall_s`` and ``rss_mb``, and once with ``eigh``
-counted and tracemalloc on.  ``--block``
-sets ``bellman.BLOCK``, the samples drawn and evaluated together; these
-numbers are what its value rests on.  The package is loaded from the
+seed: once plain, for ``wall_s`` and ``rss_mb``, and once with tracemalloc
+on, for the other columns.  ``--block`` sets ``bellman.BLOCK``, the samples
+drawn and evaluated together; these numbers are what its value rests on.  The package is loaded from the
 ``src/`` directory next to this script's directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import resource
 import sys
@@ -39,7 +37,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from carlab import bellman  # noqa: E402
+from carlab import bellman, matrices  # noqa: E402
 
 COLUMNS = ("wall_s", "rss_mb", "eigh_calls", "eigh_mats", "traced_mb")
 H = 1e-5  # bellman-certify's dm step
@@ -71,20 +69,16 @@ def plain(call):
 
 def traced(call):
     """``eigh_calls``, ``eigh_mats`` and ``traced_mb`` of ``call()``."""
-    eigh, mats = np.linalg.eigh, []
-
-    def counting(a):
-        mats.append(math.prod(np.shape(a)[:-2]))
-        return eigh(a)
-
-    with mock.patch.object(np.linalg, "eigh", counting):
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    return {"eigh_calls": len(mats), "eigh_mats": sum(mats), "traced_mb": round(peak / 2**20, 2)}
+    before = matrices.TALLY.copy()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    work = matrices.TALLY - before
+    return {"eigh_calls": work["eigh_calls"], "eigh_mats": work["eigh_mats"],
+            "traced_mb": round(peak / 2**20, 2)}
 
 
 def counts(samples, d_max=4, seed=0):

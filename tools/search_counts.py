@@ -11,10 +11,13 @@ named) and prints one line per objective:
 * ``batches``: batched evaluations (``_search_objective`` calls);
 * ``candidates``: states those batches evaluated, dropped ones included;
 * ``accepted``: moves that became a restart's current state;
-* ``lapack_calls`` and ``lapack_mats``: calls to ``matrices.eigh_sym`` and
-  ``matrices.eigvalsh_stack`` on float64 stacks, and the matrices in them;
+* ``lapack_calls`` and ``lapack_mats``: LAPACK ``eigh`` and ``eigvalsh``
+  calls, and the matrices in them;
 * ``power_mats``: matrices raised to a power by ``matrices.eig_power``;
 * ``weight_leaves``: leaf weights built by ``search._state_weights``.
+
+The solver columns are the change of ``matrices.TALLY`` over the search;
+the others come from wrappers on the three ``search`` functions named.
 
 A longer lookahead makes fewer batches but evaluates more candidates that
 are dropped after an accepted move; these counts are what the lookahead
@@ -30,8 +33,6 @@ import os
 import sys
 from contextlib import ExitStack
 from unittest import mock
-
-import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -59,7 +60,6 @@ def counts(objective, **config):
     out["lookahead"] = search.LOOKAHEAD[objective]
     search_objective, climb, state_weights = (
         search._search_objective, search._climb, search._state_weights)
-    eigh_sym, eigvalsh_stack, power = matrices.eigh_sym, matrices.eigvalsh_stack, matrices.eig_power
 
     def batch(log_eigs, *args, **kwargs):
         out["batches"] += 1
@@ -71,30 +71,20 @@ def counts(objective, **config):
         out["accepted"] = _accepted(result[0])
         return result
 
-    def lapack(original):
-        def counting(mats):
-            if np.asarray(mats).dtype == np.float64:
-                out["lapack_calls"] += 1
-                out["lapack_mats"] += math.prod(np.shape(mats)[:-2])
-            return original(mats)
-        return counting
-
-    def powered(vals, *args, **kwargs):  # one matrix per spectrum
-        out["power_mats"] += math.prod(np.shape(vals)[:-1])
-        return power(vals, *args, **kwargs)
-
     def weights(log_eigs, *args):  # one leaf per row of log_eigs
-        out["weight_leaves"] += math.prod(np.shape(log_eigs)[:-1])
+        out["weight_leaves"] += math.prod(log_eigs.shape[:-1])
         return state_weights(log_eigs, *args)
 
+    before = matrices.TALLY.copy()
     with ExitStack() as patches:
-        for owner, name, wrapper in (
-                (search, "_search_objective", batch), (search, "_climb", climbing),
-                (matrices, "eigh_sym", lapack(eigh_sym)),
-                (matrices, "eigvalsh_stack", lapack(eigvalsh_stack)),
-                (matrices, "eig_power", powered), (search, "_state_weights", weights)):
-            patches.enter_context(mock.patch.object(owner, name, wrapper))
+        for name, wrapper in (("_search_objective", batch), ("_climb", climbing),
+                              ("_state_weights", weights)):
+            patches.enter_context(mock.patch.object(search, name, wrapper))
         search.adversarial_search(objective=objective, **config)
+    work = matrices.TALLY - before
+    out["lapack_calls"] = work["eigh_calls"] + work["eigvalsh_calls"]
+    out["lapack_mats"] = work["eigh_mats"] + work["eigvalsh_mats"]
+    out["power_mats"] = work["power_mats"]
     return out
 
 
