@@ -28,7 +28,9 @@ draw, straight into the next row of the packed arrays of its d
 a block are then built and evaluated as one stack; only the points that
 drew a PSD bump build one.  The dynamics certificates (``dynamics_gaps``,
 ``telescoping_certificate``) evaluate one stack per subtree D(K), in tree
-order, so each cube's B is formed once.
+order, so each cube's B is formed once; ``dynamics_gaps_batch`` stacks
+the whole trees of a ``FieldBatch``, and ``dynamics_gaps`` is its batch of
+one.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ class BellmanPoint:
     def d(self):
         return self.u.shape[0]
 
-    def domain_margins(self):
-        """Signed slack of each domain constraint (negative = violated)."""
-        return {"psd": float(self.stack.psd_margin[0]), "m": float(self.stack.m_margin[0])}
-
 
 def _one(f, *args):
     """``f(*args)`` on stacks of one; an error's member index is cleared,
@@ -100,11 +98,6 @@ def bellman_concavity_gap(p0, p1):
     is admissible; constructing it re-asserts membership.
     """
     return float(_one(concavity_gap_stack, p0.stack, p1.stack)[0])
-
-
-def bellman_dm_derivative(p):
-    """Analytic m-derivative (m+1)^-2 V^-1 (the finite-difference oracle)."""
-    return _one(lambda: p.stack.vinv)[0] / (p.m + 1.0) ** 2
 
 
 def bellman_dm_gap(p, h=1e-5):
@@ -271,18 +264,28 @@ def dm_gap_stack(s, h=1e-5):
 # Dyadic dynamics: data (U_K, V_K, m_K) from a weight and scalar sequence.
 # ---------------------------------------------------------------------------
 
-def _dyadic_data(w, alpha):
-    """(W, <W>, <W^-1>, m, alpha, W^-1's ``cube_eig``), each cube-indexed one in tree order."""
-    w = check_fits(w.as_matrix(), alpha)
-    a = alpha.dense()
-    acc = subtree_sums_batch(a[None])
-    intensity = float(cube_supremum_batch(acc)[0])
-    if intensity > 1.0 + INTENSITY_SLACK:
-        raise PreconditionError(
-            f"dynamics requires Carleson intensity <= 1, got {intensity}"
-        )
-    m = np.ldexp(acc[0], tree_level(np.arange(len(a))))  # |K|^-1 sum over D(K)
-    return w, w.pyramid(), w.inverse().pyramid(), m, a, w.inverse().cube_eig()
+def _dyadic_data(w, alphas):
+    """(W, <W>, <W^-1>, m, alpha, W^-1's ``cube_eig``, V^-1) of a matrix
+    ``FieldBatch`` and one scalar sequence per member, each cube-indexed one
+    (B, cubes, ...) in tree order; V^-1 is W^-1's ``cube_power(-1.0)``.  A
+    refusal in a batch of more than one names its member (``LabError.point``)."""
+    check_fits(w, *alphas)
+    a = np.stack([alpha.dense() for alpha in alphas])
+    acc = subtree_sums_batch(a)
+    intensity = cube_supremum_batch(acc)
+    bad = np.flatnonzero(intensity > 1.0 + INTENSITY_SLACK)
+    if bad.size:
+        err = PreconditionError(
+            f"dynamics requires Carleson intensity <= 1, got {float(intensity[bad[0]])}")
+        raise err.at(int(bad[0])) if len(a) > 1 else err
+    m = np.ldexp(acc, tree_level(np.arange(a.shape[1])))  # |K|^-1 sum over D(K)
+    inv = w.inverse()
+    return w, w.pyramid(), inv.pyramid(), m, a, inv.cube_eig(), inv.cube_power(-1.0)
+
+
+def _field_data(w, alpha):
+    """``_dyadic_data`` of one field, its batch of one."""
+    return _dyadic_data(w.as_matrix().batch, [alpha])
 
 
 def dyadic_point(w, alpha, k):
@@ -291,59 +294,85 @@ def dyadic_point(w, alpha, k):
     Matrix Jensen guarantees <W>_K >= <W^-1>_K^-1, so generated points are
     always admissible; construction asserts this instead of repairing.
     """
-    w, uavg, vavg, m, _, _ = _dyadic_data(w, alpha)
+    w, uavg, vavg, m, _, _, _ = _field_data(w, alpha)
     i = tree_position(check_index(k, w.depth))
-    return BellmanPoint(uavg[i], vavg[i], float(m[i]))
+    return BellmanPoint(uavg[0, i], vavg[0, i], float(m[0, i]))
 
 
 def _certificates(data, k):
-    """Matrix slack of the one-step dynamics inequality at every cube of D(k).
+    """Matrix slack of the one-step dynamics inequality at every cube of D(k),
+    for every member of the batch of ``_dyadic_data``.
 
     Non-leaf: |K| B(K) - V_K^-1 alpha_K / 4 - |K-| B(K-) - |K+| B(K+).
     Leaf:     |L| B(L) - V_L^-1 alpha_L / 4 - |L| B(U_L, V_L, 0).
 
-    One stacked evaluation over D(k) in tree order (``subtree_positions``),
-    where the children of the cube at index t sit at 2t + 1 and 2t + 2; each
-    cube's B serves its own certificate and its parent's.  V^-1 is sliced
-    from W^-1's cached ``cube_power(-1.0)``, the ``eig_power`` of the same
-    decomposition, so it is bitwise the stack's own.  Returns alpha,
-    the stack, |K| B(K), the leaf tails |L| B(U_L, V_L, 0) and the
-    certificates, each over D(k) in tree order (the tails over its leaves).
-    An inadmissible average names its cube, the first in tree order.
+    One stacked evaluation over D(k) of every member, member by member and
+    in tree order (``subtree_positions``), where the children of the cube
+    at index t sit at 2t + 1 and 2t + 2; each cube's B serves its own
+    certificate and its parent's.  V^-1 is sliced from W^-1's cached
+    ``cube_power(-1.0)``, the ``eig_power`` of the same decomposition, so it
+    is bitwise the stack's own.  Returns alpha, the stack (flat over the
+    members), |K| B(K), the leaf tails |L| B(U_L, V_L, 0) and the
+    certificates, each (B, D(k), ...) in tree order (the tails over its
+    leaves).  An inadmissible average names its cube, the first in tree
+    order, and in a batch of more than one, as the pair (member, cube),
+    its member too.
     """
-    w, uavg, vavg, m, a, veig = data
+    w, uavg, vavg, m, a, veig, vinv = data
     cubes = subtree_positions(k, w.depth)
+    n, nc, d = len(a), len(cubes), w.d
     measure = np.ldexp(1.0, -tree_level(cubes))[:, None, None]
-    vinv = w.inverse().cube_power(-1.0)[cubes]
-    with relabel(lambda i: tree_cube(int(cubes[i]))):
-        stack = BellmanStack(uavg[cubes], vavg[cubes], m[cubes],
-                             _eig=[x[cubes] for x in veig], _vinv=vinv)
-        b = measure * bellman_eval_stack(stack)
-        tail = (measure * bellman_eval_stack(stack.with_m(0.0)))[len(cubes) // 2:]
-        lhs = b - (0.25 * a[cubes])[:, None, None] * stack.vinv
-    children = np.zeros_like(b[1::2]) + b[1::2] + b[2::2]  # zero, then left, then right
-    return a[cubes], stack, b, tail, matrices.symmetrize(lhs - np.concatenate([children, tail]))
+
+    def flat(x):  # every member's D(k), as one stack
+        return x[:, cubes].reshape(n * nc, *x.shape[2:])
+
+    def name(j):
+        cube = tree_cube(int(cubes[j % nc]))
+        return cube if n == 1 else (j // nc, cube)
+
+    with relabel(name):
+        stack = BellmanStack(flat(uavg), flat(vavg), flat(m),
+                             _eig=[flat(x) for x in veig], _vinv=flat(vinv))
+        b = measure * bellman_eval_stack(stack).reshape(n, nc, d, d)
+        tail = (measure * bellman_eval_stack(stack.with_m(0.0)).reshape(n, nc, d, d))[:, nc // 2:]
+        lhs = b - (0.25 * a[:, cubes])[..., None, None] * stack.vinv.reshape(n, nc, d, d)
+    children = np.zeros_like(b[:, 1::2]) + b[:, 1::2] + b[:, 2::2]  # zero, then left, then right
+    certs = lhs - np.concatenate([children, tail], axis=1)
+    return a[:, cubes], stack, b, tail, matrices.symmetrize(certs)
 
 
 def _gaps(cert):
-    return matrices.psd_gap_stack(cert, np.zeros_like(cert))
+    """PSD margin of each certificate of a stack (..., d, d)."""
+    flat = cert.reshape(-1, *cert.shape[-2:])
+    return matrices.psd_gap_stack(flat, np.zeros_like(flat)).reshape(cert.shape[:-2])
 
 
 def bellman_dynamics_gap(w, alpha, k):
     """PSD margin of the one-step dynamics inequality at a non-leaf cube;
     every cube of D(k) must be admissible."""
-    data = _dyadic_data(w, alpha)
+    data = _field_data(w, alpha)
     k = check_index(k, data[0].depth)
     if k.level == data[0].depth:
         raise PreconditionError("dynamics step needs a non-leaf cube")
-    return float(_gaps(_certificates(data, k)[-1][:1])[0])
+    return float(_gaps(_certificates(data, k)[-1][0, :1])[0])
+
+
+def dynamics_gaps_batch(w, alphas):
+    """Dynamics margins of every non-leaf cube of each member of a matrix
+    ``FieldBatch`` ``w``, with the scalar sequence ``alphas[b]`` of member b:
+    (B, non-leaf cubes) in tree order, each row bitwise ``dynamics_gaps`` of
+    its member alone.  One ``BellmanStack`` over every member's cubes, one
+    evaluation of B and one PSD gap stack; a refusal in a batch of more
+    than one names its member."""
+    cert = _certificates(_dyadic_data(w, alphas), ROOT)[-1]
+    return _gaps(cert[:, :cert.shape[1] // 2])  # the non-leaf cubes come first
 
 
 def dynamics_gaps(w, alpha):
-    """Dynamics margins for every non-leaf cube, as a dict in tree order."""
-    cert = _certificates(_dyadic_data(w, alpha), ROOT)[-1]
-    inner = len(cert) // 2  # the non-leaf cubes come first
-    return dict(zip(map(tree_cube, range(inner)), _gaps(cert[:inner]).tolist()))
+    """Dynamics margins for every non-leaf cube, as a dict in tree order:
+    ``dynamics_gaps_batch`` of the field's batch of one."""
+    gaps = dynamics_gaps_batch(w.as_matrix().batch, [alpha])[0]
+    return dict(zip(map(tree_cube, range(len(gaps))), gaps.tolist()))
 
 
 def telescoping_certificate(w, alpha, k=ROOT):
@@ -361,8 +390,9 @@ def telescoping_certificate(w, alpha, k=ROOT):
     sum alpha_Q <W^-1>_Q^-1 <= 4 |K| <W>_K, the redundancy bound.  Sums
     run over D(K) in ``descendants`` order (level by level, left to right).
     """
-    data = _dyadic_data(w, alpha)
+    data = _field_data(w, alpha)
     alphas, stack, b, tail, certs = _certificates(data, check_index(k, data[0].depth))
+    alphas, b, tail, certs = alphas[0], b[0], tail[0], certs[0]
     nonzero = alphas != 0
     sred_terms = alphas[nonzero][:, None, None] * stack.vinv[nonzero]
     sred_sum, leaf_tail, accumulated = ordered_sums(

@@ -132,11 +132,6 @@ def orthogonal_from_draws(gauss):
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def random_orthogonal(d, rng):
-    """Haar-distributed orthogonal matrix (QR of a Gaussian with sign fix)."""
-    return orthogonal_from_draws(rng.standard_normal((d, d)))
-
-
 def uniform(low, high, unit):
     """``rng.uniform(low, high)`` from the unit draws of ``rng.random()``, bitwise."""
     return low + (high - low) * unit

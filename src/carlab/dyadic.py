@@ -4,7 +4,9 @@ The root cube is [0, 1]; the cube at (level k, position p) is
 [p 2^-k, (p+1) 2^-k] and has measure 2^-k.  A StepField assigns one value
 (scalar, vector or symmetric matrix) to each leaf of a tree of fixed depth,
 and all averages are exact finite sums of leaf values scaled by powers of
-two, so the averaging itself introduces no meaningful rounding.
+two, so the averaging itself introduces no meaningful rounding.  A
+FieldBatch holds B fields of one shape and every cache of theirs; a
+StepField is its batch of one.
 
 Every cube-indexed array is flat in tree order: the cubes level by level, as
 ``cubes`` lists them, cube (k, p) at index 2^k - 1 + p (``tree_position``),
@@ -15,6 +17,7 @@ lives in this module.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import NamedTuple
@@ -22,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices
-from .errors import AddressError, DimensionMismatchError
+from .errors import AddressError, DimensionMismatchError, first_failure
 
 
 class DyadicIndex(NamedTuple):
@@ -124,41 +127,175 @@ def tree_size(depth, level=0):
     return (1 << (depth - level + 1)) - 1
 
 
-class StepField:
-    """Leaf-indexed piecewise-constant field on the dyadic tree.
+class FieldBatch:
+    """Leaf values (B, 2^depth, ...) of B piecewise-constant fields of one
+    kind, depth and dtype: scalar (B, 2^depth), vector (B, 2^depth, d) or
+    symmetric matrix (B, 2^depth, d, d) leaves.
 
-    ``values`` has shape (2^depth,) for scalar fields, (2^depth, d) for
-    vector fields and (2^depth, d, d) for matrix fields.  Instances are
-    treated as immutable; per-level averages, and the eigendecompositions
-    and SPD powers of the leaves and of the cube averages, are cached.
+    Instances are treated as immutable.  The cube averages and, for matrix
+    fields, the eigendecompositions and SPD powers of the leaves and of the
+    cube averages are cached, each one stacked call over the whole batch.
+    A refused power names its cube (``SingularMatrixError.cube``) and, in
+    a batch of more than one, the first refused member (``LabError.point``);
+    so do the constructor's refusals.
     """
 
     def __init__(self, values):
         values = np.asarray(values)
         if values.dtype not in (np.float64, np.longdouble):
             values = values.astype(np.float64)
-        n = values.shape[0]
+        if values.ndim < 2:
+            raise DimensionMismatchError(f"a batch holds (B, leaves, ...), got {values.shape}")
+        n = values.shape[1]
         if n < 1 or n & (n - 1):
             raise DimensionMismatchError(f"leaf count must be a power of two, got {n}")
-        if values.ndim == 3 and values.shape[1] != values.shape[2]:
-            raise DimensionMismatchError(f"matrix leaves must be square, got {values.shape[1:]}")
-        if values.ndim > 3:
-            raise DimensionMismatchError(f"unsupported leaf shape {values.shape[1:]}")
-        if values.ndim > 1 and values.shape[1] == 0:
+        if values.ndim == 4 and values.shape[2] != values.shape[3]:
+            raise DimensionMismatchError(f"matrix leaves must be square, got {values.shape[2:]}")
+        if values.ndim > 4:
+            raise DimensionMismatchError(f"unsupported leaf shape {values.shape[2:]}")
+        if values.ndim > 2 and values.shape[2] == 0:
             raise DimensionMismatchError("vector and matrix leaves need d >= 1, got d=0")
-        bad = np.flatnonzero(~np.isfinite(values).reshape(n, -1).all(axis=1))
+        # halves first: (M + M^T) / 2 overflows for finite entries above max / 2
+        values = values / 2 + values.swapaxes(-1, -2) / 2 if values.ndim == 4 else values.copy()
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=tuple(range(2, values.ndim))))
         if bad.size:
-            leaf = DyadicIndex(n.bit_length() - 1, int(bad[0]))
-            raise DimensionMismatchError(f"non-finite field value at {leaf}")
-        if values.ndim == 3:
-            values = (values + values.transpose(0, 2, 1)) / 2
-        values = values.copy()
+            i = int(bad[0])
+            leaf = DyadicIndex(n.bit_length() - 1, i % n)
+            err = DimensionMismatchError(f"non-finite field value at {leaf}")
+            raise err.at(i // n) if len(values) > 1 else err
+        self._hold(values)
+
+    def _hold(self, values):
         values.setflags(write=False)
-        self.values = values
-        self.depth = n.bit_length() - 1
-        self._pyramid = None
-        self._eig = self._cube_eig = None
+        self.values, self.depth = values, values.shape[1].bit_length() - 1
+        self._pyramid = self._eig = self._cube_eig = None
         self._powers, self._cube_powers = {}, {}
+
+    @classmethod
+    def stack(cls, fields):
+        """The batch of ``fields``, StepFields of one kind, depth and dtype,
+        holding their values as they are: each was checked when it was built."""
+        batch = cls.__new__(cls)
+        batch._hold(np.stack([f.values for f in fields]))
+        return batch
+
+    def member(self, b):
+        """Member ``b`` as a batch of one, holding a copy of every cache computed so far."""
+        def take(x):
+            if x is None:
+                return None
+            x = x[b:b + 1].copy()
+            x.setflags(write=False)
+            return x
+
+        one = FieldBatch.__new__(FieldBatch)
+        one._hold(take(self.values))
+        one._pyramid = take(self._pyramid)
+        one._eig, one._cube_eig = (None if e is None else tuple(map(take, e))
+                                   for e in (self._eig, self._cube_eig))
+        one._powers = {p: f.member(b) for p, f in self._powers.items()}
+        one._cube_powers = {p: take(x) for p, x in self._cube_powers.items()}
+        return one
+
+    @property
+    def d(self):
+        return 1 if self.values.ndim == 2 else int(self.values.shape[2])
+
+    def pyramid(self):
+        """Every cube average (B, cubes, ...) in tree order, ``pyramid_batch``
+        of the leaves, read-only (cached)."""
+        if self._pyramid is None:
+            self._pyramid = pyramid_batch(self.values)
+            self._pyramid.setflags(write=False)
+        return self._pyramid
+
+    def _matrix(self):
+        if self.values.ndim != 4:
+            raise DimensionMismatchError("powers are defined for matrix fields only")
+
+    def power(self, p):
+        """Leafwise SPD power of a matrix batch, as a batch (cached).
+
+        Every embedding sum reuses the same powers across all cubes, hence
+        the cache; the leaves are decomposed once, for every power and for
+        ``cube_eig``.  A refused leaf raises SingularMatrixError naming the
+        first, member by member.
+        """
+        self._matrix()
+        if p not in self._powers:
+            if self._eig is None:
+                self._eig = matrices.eigh_sym(self.values)
+            leaf = functools.partial(DyadicIndex, self.depth)
+            self._powers[p] = FieldBatch(_batch_power(self._eig, p, leaf))
+        return self._powers[p]
+
+    def inverse(self):
+        return self.power(-1.0)
+
+    def cube_eig(self):
+        """Eigendecomposition (vals, vecs) of every cube average, (B, cubes, ...)
+        in tree order, read-only (cached).  Its leaf level is that of the
+        leaves, shared with ``power``: a solver decomposes each stack member
+        as it would alone, so whichever of the two runs first decomposes the
+        leaves, for every member at once."""
+        self._matrix()
+        if self._cube_eig is None:
+            n, leaves = self.values.shape[1], self._eig
+            eig = matrices.eigh_sym(self.pyramid()[:, :None if leaves is None else n - 1])
+            if leaves is not None:
+                eig = tuple(np.concatenate(pair, axis=1) for pair in zip(eig, leaves))
+            for x in eig:
+                x.setflags(write=False)
+            self._cube_eig, self._eig = eig, tuple(x[:, n - 1:] for x in eig)
+        return self._cube_eig
+
+    def cube_power(self, p):
+        """SPD power of every cube average, (B, cubes, d, d) in tree order
+        (cached), from ``cube_eig``; a refused average raises
+        SingularMatrixError naming the first, member by member, in tree order."""
+        if p not in self._cube_powers:
+            out = _batch_power(self.cube_eig(), p, tree_cube)
+            out.setflags(write=False)
+            self._cube_powers[p] = out
+        return self._cube_powers[p]
+
+
+def _batch_power(eig, p, cube):
+    """``eig_power`` of a batch's decomposition (B, m, ...); a refusal names
+    the first refused member's first refused matrix j as ``cube(j)``, as
+    that member refuses alone, and in a batch of more than one the member
+    (``LabError.point``)."""
+    n, m = eig[0].shape[:2]
+    out, b, error = first_failure(
+        lambda sl: matrices.eig_power(*(x[sl] for x in eig), p, context=lambda i: cube(i % m)), n)
+    if error is not None:
+        raise error.at(b) if n > 1 else error
+    return out
+
+
+class StepField:
+    """Leaf-indexed piecewise-constant field on the dyadic tree.
+
+    ``values`` has shape (2^depth,) for scalar fields, (2^depth, d) for
+    vector fields and (2^depth, d, d) for matrix fields.  Instances are
+    treated as immutable.  A field is the batch of one ``batch``
+    (``FieldBatch``), which checks the values and holds every cache; a
+    batch of one names no member.
+    """
+
+    def __init__(self, values):
+        self._hold(FieldBatch(np.asarray(values)[None]))
+
+    def _hold(self, batch):
+        self.batch, self.values, self.depth = batch, batch.values[0], batch.depth
+        self._powers = batch._powers  # the power cache, whose hits perfbench/spans.py counts
+
+    @classmethod
+    def of(cls, batch):
+        """The field of the batch of one ``batch``, sharing its caches."""
+        field = cls.__new__(cls)
+        field._hold(batch)
+        return field
 
     # -- basic structure ----------------------------------------------------
 
@@ -181,70 +318,33 @@ class StepField:
         reps = (1 << depth,) + (1,) * value.ndim
         return cls(np.tile(value, reps))
 
-    def refine(self, new_depth):
-        """The same function represented on a deeper tree."""
-        if new_depth < self.depth:
-            raise DimensionMismatchError("refinement cannot reduce depth")
-        reps = 1 << (new_depth - self.depth)
-        return StepField(np.repeat(self.values, reps, axis=0))
-
     def leaf_slice(self, q):
         """Half-open leaf position range [a, b) covered by cube ``q``."""
         q = check_index(q, self.depth)
         shift = self.depth - q.level
         return q.position << shift, (q.position + 1) << shift
 
-    # -- cached derived data ------------------------------------------------
+    # -- the batch's cached derived data ------------------------------------
 
     def pyramid(self):
-        """Every cube average (cubes, ...), that over q at ``tree_position(q)``:
-        the batch of one of ``pyramid_batch``, read-only."""
-        if self._pyramid is None:
-            self._pyramid = pyramid_batch(self.values[None])[0]
-            self._pyramid.setflags(write=False)
-        return self._pyramid
+        """Every cube average (cubes, ...), that over q at ``tree_position(q)``, read-only."""
+        return self.batch.pyramid()[0]
 
     def power(self, p):
-        """Leafwise SPD power of a matrix-valued weight field (cached).
-
-        Every embedding sum reuses the same powers across all cubes, hence
-        the cache; the leaves are decomposed once, for every power and for
-        ``cube_eig``.  A refused leaf raises SingularMatrixError naming the first.
-        """
-        if self.kind != "matrix":
-            raise DimensionMismatchError("powers are defined for matrix fields only")
-        if p not in self._powers:
-            if self._eig is None:
-                self._eig = matrices.eigh_sym(self.values)
-            out = matrices.eig_power(*self._eig, p, context=lambda i: DyadicIndex(self.depth, i))
-            self._powers[p] = StepField(out)
-        return self._powers[p]
+        """Leafwise SPD power of a matrix-valued weight field, as a field
+        (``FieldBatch.power``); a refused leaf raises SingularMatrixError naming the first."""
+        return StepField.of(self.batch.power(p))
 
     def cube_eig(self):
         """Eigendecomposition (vals, vecs) of every cube average in tree order,
-        read-only (cached).  Its leaf level is that of the leaves, shared
-        with ``power``: a solver decomposes each stack member as it would
-        alone, so whichever of the two runs first decomposes the leaves."""
-        if self.kind != "matrix":
-            raise DimensionMismatchError("powers are defined for matrix fields only")
-        if self._cube_eig is None:
-            n, leaves = self.n_leaves, self._eig
-            eig = matrices.eigh_sym(self.pyramid()[:None if leaves is None else n - 1])
-            self._cube_eig = eig if leaves is None else tuple(map(np.concatenate, zip(eig, leaves)))
-            for x in self._cube_eig:
-                x.setflags(write=False)
-            self._eig = tuple(x[n - 1:] for x in self._cube_eig)
-        return self._cube_eig
+        read-only (``FieldBatch.cube_eig``)."""
+        return tuple(x[0] for x in self.batch.cube_eig())
 
     def cube_power(self, p):
-        """SPD power of every cube average, (cubes, d, d) in tree order (cached),
-        from ``cube_eig``; a refused average raises SingularMatrixError naming
-        the first in tree order."""
-        if p not in self._cube_powers:
-            out = matrices.eig_power(*self.cube_eig(), p, context=tree_cube)
-            out.setflags(write=False)
-            self._cube_powers[p] = out
-        return self._cube_powers[p]
+        """SPD power of every cube average, (cubes, d, d) in tree order, read-only
+        (``FieldBatch.cube_power``); a refused average raises SingularMatrixError
+        naming the first in tree order."""
+        return self.batch.cube_power(p)[0]
 
     def inverse(self):
         return self.power(-1.0)

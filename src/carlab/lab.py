@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import json
 import math
 import numbers
@@ -27,6 +28,7 @@ from .bellman import (
     concavity_gaps,
     dm_gaps,
     dynamics_gaps,
+    dynamics_gaps_batch,
     hessian_richardson_ratio,
     matrix_parameter_probe,
     size_gaps,
@@ -49,7 +51,7 @@ from .constructions import (
     random_scalar_sequence,
     random_weight_field,
 )
-from .dyadic import stepfield_from_json, stepfield_to_json
+from .dyadic import FieldBatch, StepField, stepfield_from_json, stepfield_to_json
 from .embeddings import (
     bet_inner_sum,
     bet_norm_sum,
@@ -59,6 +61,7 @@ from .embeddings import (
 )
 from .errors import ConfigError, LabError
 from .redundancy import (
+    group_constants,
     red_constants,
     red_constants_each,
     sred_constant,
@@ -371,13 +374,19 @@ def _parse_embedded(obj, index):
     return w, *parts.values()
 
 
-def _suite_instances(cfg, kind, depth_max, depth_min=3):
-    """(kind, seed, w, alpha, mseq, f, g) of each seed's ``random_instance``
-    on the ``suite_instance_params`` ladder, then of each embedded instance:
-    kind "embedded", seed "embedded-<i>" and None for each part it lacks.
-    Every embedded instance is read, and refused if bad, before the first
-    random instance is built; ``kind`` labels the random ones."""
-    embedded = []
+def _suite_plan(cfg, kind, depth_max, depth_min):
+    """((d, depth), build) of each instance of a suite, in order: each seed's
+    ``random_instance`` on the ``suite_instance_params`` ladder, then each
+    embedded instance, where ``build()`` gives (kind, seed, w, alpha, mseq,
+    f, g): kind "embedded", seed "embedded-<i>" and None for each part an
+    embedded instance lacks; ``kind`` labels the random ones.  Every
+    embedded instance is read here, and refused if bad, before any random
+    instance is built."""
+    plan = []
+    for i, seed in enumerate(cfg.seeds):
+        d, depth = suite_instance_params(i, cfg.d, depth_max, depth_min)
+        build = functools.partial(_random_member, kind, seed, depth, d, cfg.cond_cap)
+        plan.append(((d, depth), build))
     for i, obj in enumerate(cfg.extra_instances):
         w, f, g, alpha, mseq = _parse_embedded(obj, i)
         if cfg.experiment == "sibet-suite":  # its rows pair f and g through alpha, over |f| |g|
@@ -386,12 +395,61 @@ def _suite_instances(cfg, kind, depth_max, depth_min=3):
             for name, part in (("f", f), ("g", g)):
                 if weighted_l2_norm(part) == 0.0:
                     raise ConfigError(f"bad embedded instance #{i}: {name} has L2 norm 0")
-        embedded.append(("embedded", f"embedded-{i}", w, alpha, mseq, f, g))
-    for i, seed in enumerate(cfg.seeds):
-        d, depth = suite_instance_params(i, cfg.d, depth_max, depth_min)
-        inst = random_instance(depth, d, seed, cfg.cond_cap)
-        yield kind, seed, inst.w, inst.sseq, inst.mseq, inst.f, inst.g
-    yield from embedded
+        inst = ("embedded", f"embedded-{i}", w, alpha, mseq, f, g)
+        plan.append(((w.d, w.depth), lambda inst=inst: inst))
+    return plan
+
+
+def _random_member(kind, seed, depth, d, cond_cap):
+    inst = random_instance(depth, d, seed, cond_cap)
+    return kind, seed, inst.w, inst.sseq, inst.mseq, inst.f, inst.g
+
+
+def _suite_instances(cfg, kind, depth_max, depth_min=3):
+    """The instances of ``_suite_plan``, built one at a time, in order."""
+    for _, build in _suite_plan(cfg, kind, depth_max, depth_min):
+        yield build()
+
+
+def _groups(keys):
+    """The indices of each distinct key in ``keys``, in the order of their first index."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _grouped(groups, build, evaluate, alone):
+    """One result per index, and the first failure of a loop over the indices.
+
+    Each group (a list of indices) is built (``build(i)`` of each), passed
+    to ``evaluate`` as one list of (index, member) pairs, which returns the
+    members' results in order, and freed, one group at a time.  A group
+    that raises goes member by member through ``alone(i, member)``, the
+    loop's computation of one result, up to its first member that raises.
+    Returns (results by index, failure): failure is None, or (i, error) of
+    the first index i, in index order, whose member raises alone, as a loop
+    over the indices would raise; the indices of a group from that member
+    on have no result.  A group that raises while none of its members does
+    alone fails as a whole, at its first index.
+    """
+    results, failure = {}, None
+    for group in groups:
+        members = [(i, build(i)) for i in group]
+        try:
+            results.update(zip(group, evaluate(members)))
+            continue
+        except LabError as exc:
+            first = (group[0], exc)
+        for i, member in members:
+            try:
+                results[i] = alone(i, member)
+            except LabError as exc:
+                first = (i, exc)
+                break
+        if failure is None or first[0] < failure[0]:
+            failure = first
+    return results, failure
 
 
 def _sibet_row(kind, seed, eps, w, seq, f, g):
@@ -500,17 +558,30 @@ def _run_bellman(cfg):
         rows.append({"check": check, "samples": n, "worst_gap": float(gaps[i]), "bound": bound,
                      "violations": int(np.count_nonzero(gaps < bound))})
 
+    # not on _suite_instances: these draw only w and alpha, at cond_cap 1e3;
+    # one dynamics_gaps_batch per (d, depth) group
+    params = [suite_instance_params(i, d_max, min(cfg.depth, 5)) for i in range(len(cfg.seeds))]
+
+    def build(i):
+        d, depth = params[i]
+        inst_rng = np.random.default_rng(cfg.seeds[i])
+        w = random_weight_field(depth, d, inst_rng, cond_cap=1e3)
+        return w, random_scalar_sequence(depth, inst_rng)
+
+    def evaluate(members):
+        fields, alphas = zip(*(member for _, member in members))
+        return dynamics_gaps_batch(FieldBatch.stack(fields), alphas).tolist()
+
+    gaps, failure = _grouped(_groups(params), build, evaluate,
+                             lambda i, member: list(dynamics_gaps(*member).values()))
+    if failure is not None:
+        raise failure[1]
     dynamics_worst = np.inf
     dynamics_violations = 0
-    # not on _suite_instances: these draw only w and alpha, at cond_cap 1e3
-    for i, seed in enumerate(cfg.seeds):
-        d, depth = suite_instance_params(i, d_max, min(cfg.depth, 5))
-        inst_rng = np.random.default_rng(seed)
-        w = random_weight_field(depth, d, inst_rng, cond_cap=1e3)
-        alpha = random_scalar_sequence(depth, inst_rng)
-        gaps = dynamics_gaps(w, alpha)  # empty on a depth-0 tree
-        dynamics_worst = min(dynamics_worst, min(gaps.values(), default=np.inf))
-        dynamics_violations += sum(g < -1e-9 for g in gaps.values())
+    for i in range(len(cfg.seeds)):
+        values = gaps[i]  # empty on a depth-0 tree
+        dynamics_worst = min(dynamics_worst, min(values, default=np.inf))
+        dynamics_violations += sum(g < -1e-9 for g in values)
 
     richardson = hessian_richardson_ratio()
     probe = matrix_parameter_probe(d=2, n_pairs=min(n, 2000), seed=cfg.seeds[0])
@@ -548,36 +619,61 @@ def _max_by_d(pairs):
 
 
 def _run_redundancy(cfg):
-    # One loop over the suite's instances.  The first 50 seeds also run the
-    # Bellman telescoping cross-check, and the first 20 the structural
+    # The constants come one batch per (d, depth) group of the suite's
+    # instances (redundancy.group_constants), each group built and freed in
+    # turn; then one loop over the first 50 seeds runs the Bellman
+    # telescoping cross-check, and over the first 20 the structural
     # identities, on the instance of suite_instance_params(i, d,
     # min(depth, 6), 4) and cond_cap min(cond_cap, 1e4): the suite's own
-    # instance, with its row's constants, when it is that one, else a fresh
-    # one, whose constants share a batch with the dominated sequence's.  A
-    # fresh instance is not independent of the suite's: random_instance(depth',
-    # d, seed) draws its weight leaf by leaf from the same seeded stream, so
-    # its leaves are the suite instance's first 2^depth' leaves.  The
-    # substitution samples are drawn in seed order.
-    rows = []
+    # instance, with its row's constants and its group's decompositions,
+    # when it is that one, else a fresh one, whose constants share a batch
+    # with the dominated sequence's.  A fresh instance is not independent of
+    # the suite's: random_instance(depth', d, seed) draws its weight leaf by
+    # leaf from the same seeded stream, so its leaves are the suite
+    # instance's first 2^depth' leaves.  The substitution samples are drawn
+    # in seed order.  The error raised is the one a loop over the seeds,
+    # constants then cross-checks, would raise first.
+    n_cross, cross_cap = min(50, len(cfg.seeds)), min(cfg.cond_cap, 1e4)
+    plan = _suite_plan(cfg, "suite", cfg.depth, depth_min=4)
+
+    def cross_params(i):
+        return (*suite_instance_params(i, cfg.d, min(cfg.depth, 6), depth_min=4), cross_cap)
+
+    def reused(i, w):  # the suite's instance i is its cross-check's
+        return i < n_cross and cross_params(i) == (w.d, w.depth, cfg.cond_cap)
+
+    def result(i, member, consts, w):
+        """The row of instance i, and what its cross-check reads when ``reused``."""
+        kind, seed, _, alpha, mseq, _, _ = member
+        sred, (c1, c2, c3) = consts
+        row = {"kind": kind, "seed": seed, "d": w.d, "depth": w.depth,
+               "sred": sred, "red_c1": c1, "red_c2": c2, "red_c3": c3}
+        return row, (w, alpha, mseq, (c1, c2, c3)) if reused(i, w) else None
+
+    def alone(i, member):
+        _, _, w, alpha, mseq, _, _ = member
+        sred = "" if alpha is None else sred_constant(w, alpha)
+        return result(i, member, (sred, ("",) * 3 if mseq is None else red_constants(w, mseq)), w)
+
+    def evaluate(members):
+        ws, alphas, mseqs = zip(*(member[2:5] for _, member in members))
+        if not all(seq is not None and len(seq) for seq in alphas + mseqs):
+            return [alone(i, member) for i, member in members]  # an embedded part is missing
+        batch = FieldBatch.stack(ws)
+        consts = group_constants(batch, alphas, mseqs)
+        return [result(i, member, c, StepField.of(batch.member(b)) if reused(i, w) else w)
+                for b, ((i, member), c, w) in enumerate(zip(members, consts, ws))]
+
+    results, failure = _grouped(_groups([key for key, _ in plan]), lambda i: plan[i][1](),
+                                evaluate, alone)
     telescope_diff, telescope_gap, mono_ok, cycle_err, subst_err = 0.0, np.inf, True, 0.0, 0.0
     rng = np.random.default_rng(cfg.seeds[0] + 77)
-    cross_cap = min(cfg.cond_cap, 1e4)
-    stream = _suite_instances(cfg, "suite", cfg.depth, depth_min=4)
-    for i, (kind, seed, w, alpha, mseq, _, _) in enumerate(stream):
-        row = {"kind": kind, "seed": seed, "d": w.d, "depth": w.depth,
-               "sred": "", "red_c1": "", "red_c2": "", "red_c3": ""}
-        if alpha is not None:
-            row["sred"] = sred_constant(w, alpha)
-        if mseq is not None:
-            row["red_c1"], row["red_c2"], row["red_c3"] = red_constants(w, mseq)
-        rows.append(row)
-        if i >= min(50, len(cfg.seeds)):
-            continue
-        d, depth = suite_instance_params(i, cfg.d, min(cfg.depth, 6), depth_min=4)
-        c = row["red_c1"], row["red_c2"], row["red_c3"]
-        if (d, depth, cross_cap) != (w.d, w.depth, cfg.cond_cap):
-            inst = random_instance(depth, d, seed, cross_cap)
-            (w, alpha, mseq), c = (inst.w, inst.sseq, inst.mseq), None
+    for i in range(n_cross if failure is None else min(n_cross, failure[0])):
+        d, depth, _ = cross_params(i)
+        w, alpha, mseq, c = results[i][1] or (None, None, None, None)
+        if c is None:
+            inst = random_instance(depth, d, cfg.seeds[i], cross_cap)
+            w, alpha, mseq = inst.w, inst.sseq, inst.mseq
         direct, accumulated, min_gap = telescoping_certificate(w, alpha)
         telescope_diff = max(telescope_diff, matrices.operator_norm(direct - accumulated))
         telescope_gap = min(telescope_gap, min_gap)
@@ -598,6 +694,9 @@ def _run_redundancy(cfg):
             mono_ok = False
         cycle_err = max(cycle_err, trace_cycling_error(w, mseq, norms))
         subst_err = max(subst_err, substitution_error(w, mseq, rng, samples=5))
+    if failure is not None:
+        raise failure[1]
+    rows = [results[i][0] for i in range(len(plan))]
 
     sred = [(r["d"], r["sred"]) for r in rows if r["sred"] != ""]
     red = [(r["d"], max(r["red_c1"], r["red_c2"], r["red_c3"])) for r in rows if r["red_c1"] != ""]

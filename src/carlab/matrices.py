@@ -64,7 +64,7 @@ TALLY = Counter()
 
 
 def as_symmetric(m, rtol=SYM_REJECT_RTOL):
-    """Return the symmetrized copy (M + M^T)/2 of a square matrix.
+    """Return the symmetrized copy M/2 + M^T/2 of a square matrix.
 
     Rejects input whose asymmetric part exceeds ``rtol`` relative to the
     largest entry; silent symmetrization of genuinely asymmetric data would
@@ -259,15 +259,18 @@ def as_symmetric_stack(mats, rtol=SYM_REJECT_RTOL):
     mats = np.asarray(mats)
     if mats.ndim < 3 or mats.shape[-1] != mats.shape[-2]:
         raise DimensionMismatchError(f"expected a stack of square matrices, got shape {mats.shape}")
-    trans = mats.swapaxes(-1, -2)
+    # halves first: M + M^T and M - M^T overflow above half the largest float
+    half = mats / 2
+    trans = half.swapaxes(-1, -2)
     scale = np.abs(mats).max(axis=(-2, -1))
-    asym = np.abs(mats - trans).max(axis=(-2, -1))
-    i = _first((scale > 0.0) & (asym > rtol * scale))
+    skew = np.abs(half - trans).max(axis=(-2, -1))  # |M - M^T| / 2
+    i = _first((scale > 0.0) & (skew > rtol / 2 * scale))
     if i is not None:
         raise DimensionMismatchError(
-            f"matrix is not symmetric: |M - M^T| = {asym.flat[i]:.3e} vs scale {scale.flat[i]:.3e}"
+            f"matrix is not symmetric: |M - M^T| = {2 * float(skew.flat[i]):.3e} "
+            f"vs scale {scale.flat[i]:.3e}"
         ).at(i)
-    return (mats + trans) / 2
+    return half + trans
 
 
 # ---------------------------------------------------------------------------

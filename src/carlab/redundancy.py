@@ -86,6 +86,28 @@ def sred_constant(w, alpha):
     return float(sred_constant_batch(roots, vinv, alpha.dense(w.values.dtype)[None])[0])
 
 
+def group_constants(w, alphas, bseqs):
+    """``sred_constant`` and ``red_constants`` of each member b of a matrix
+    ``FieldBatch`` ``w``, with the scalar sequence ``alphas[b]`` and the
+    matrix sequence ``bseqs[b]``, each nonempty: a list of (sred,
+    (c1, c2, c3)), bitwise each member's alone.  The powers are the batch's,
+    and each constant is one ``sred_constant_batch`` or
+    ``red_constants_batch`` call over the whole batch.  A refusal is the
+    batch's; which member refuses first alone is the caller's to find.
+    """
+    if not all(map(len, (*alphas, *bseqs))):
+        raise PreconditionError("group_constants takes nonempty sequences")
+    check_fits(w, *alphas, *bseqs)
+    check_intensities(alphas)
+    check_intensities(bseqs)
+    roots, inv, dtype = w.cube_power(-0.5), w.inverse(), w.values.dtype
+    sred = sred_constant_batch(roots, inv.cube_power(-1.0),
+                               np.stack([a.dense(dtype) for a in alphas]))
+    red = red_constants_batch(roots, inv.cube_power(-0.5),
+                              np.stack([b.dense(dtype) for b in bseqs]))
+    return [(float(s), tuple(map(float, c))) for s, c in zip(sred, zip(*red))]
+
+
 def red_sums_batch(roots, proots, b, pbp, deepest):
     """The c1 and c2 sums of ``red_constants_batch``, over Q in D(K) of
     P_Q R_K B_Q R_K P_Q and of R_K P_Q B_Q P_Q R_K (``pbp`` holds each

@@ -1248,3 +1248,108 @@ def two_loop_redundancy_cross_check(cfg):
         cycle_err = max(cycle_err, trace_cycling_error(inst.w, inst.mseq, norms))
         subst_err = max(subst_err, substitution_error(inst.w, inst.mseq, rng, samples=5))
     return telescope_diff, telescope_gap, cycle_err, subst_err, mono_ok
+
+
+# ---------------------------------------------------------------------------
+# Helpers used by the tests only.
+# ---------------------------------------------------------------------------
+
+def refine(field, depth):
+    """The same function represented on a tree of the given, deeper depth."""
+    from carlab.dyadic import StepField
+    from carlab.errors import DimensionMismatchError
+
+    if depth < field.depth:
+        raise DimensionMismatchError("refinement cannot reduce depth")
+    return StepField(np.repeat(field.values, 1 << (depth - field.depth), axis=0))
+
+
+def random_orthogonal(d, rng):
+    """Haar-distributed orthogonal matrix (QR of a Gaussian with sign fix)."""
+    from carlab.constructions import orthogonal_from_draws
+
+    return orthogonal_from_draws(rng.standard_normal((d, d)))
+
+
+def domain_margins(p):
+    """Signed slack of each domain constraint of a BellmanPoint (negative = violated)."""
+    return {"psd": float(p.stack.psd_margin[0]), "m": float(p.stack.m_margin[0])}
+
+
+def bellman_dm_derivative(p):
+    """Analytic m-derivative (m+1)^-2 V^-1 of B at a BellmanPoint (the finite-difference oracle)."""
+    return p.stack.vinv[0] / (p.m + 1.0) ** 2
+
+
+# ---------------------------------------------------------------------------
+# The per-seed loops of the grouped runners (lab._run_bellman's dynamics
+# row and lab._run_redundancy): one instance at a time, in seed order.
+# ---------------------------------------------------------------------------
+
+def loop_bellman_dynamics(cfg):
+    """(worst gap, violations) of bellman-certify's dynamics row: each seed's
+    ``dynamics_gaps`` on its own instance, in seed order."""
+    from carlab import lab
+    from carlab.bellman import dynamics_gaps
+
+    d_max, worst, violations = min(cfg.d, 4), np.inf, 0
+    for i, seed in enumerate(cfg.seeds):
+        d, depth = lab.suite_instance_params(i, d_max, min(cfg.depth, 5))
+        rng = np.random.default_rng(seed)
+        w = lab.random_weight_field(depth, d, rng, cond_cap=1e3)
+        gaps = dynamics_gaps(w, lab.random_scalar_sequence(depth, rng))
+        worst = min(worst, min(gaps.values(), default=np.inf))
+        violations += sum(g < -1e-9 for g in gaps.values())
+    return worst, violations
+
+
+def loop_redundancy(cfg):
+    """The rows of redundancy-suite and its cross-check aggregates
+    (telescoping_max_diff, telescoping_min_gap, trace_cycling_max_err,
+    substitution_max_err, monotone), from one loop over the instances:
+    each instance's constants, then, on the first 50 seeds, its cross-checks."""
+    from carlab import lab, matrices
+    from carlab.bellman import telescoping_certificate
+    from carlab.characteristics import MatrixSequence, ScalarSequence, carleson_intensity
+    from carlab.redundancy import (
+        red_constants, red_constants_each, sred_constant, substitution_error, trace_cycling_error,
+    )
+
+    rows = []
+    telescope_diff, telescope_gap, mono_ok, cycle_err, subst_err = 0.0, np.inf, True, 0.0, 0.0
+    rng = np.random.default_rng(cfg.seeds[0] + 77)
+    cross_cap = min(cfg.cond_cap, 1e4)
+    stream = lab._suite_instances(cfg, "suite", cfg.depth, depth_min=4)
+    for i, (kind, seed, w, alpha, mseq, _, _) in enumerate(stream):
+        row = {"kind": kind, "seed": seed, "d": w.d, "depth": w.depth,
+               "sred": "", "red_c1": "", "red_c2": "", "red_c3": ""}
+        if alpha is not None:
+            row["sred"] = sred_constant(w, alpha)
+        if mseq is not None:
+            row["red_c1"], row["red_c2"], row["red_c3"] = red_constants(w, mseq)
+        rows.append(row)
+        if i >= min(50, len(cfg.seeds)):
+            continue
+        d, depth = lab.suite_instance_params(i, cfg.d, min(cfg.depth, 6), depth_min=4)
+        c = row["red_c1"], row["red_c2"], row["red_c3"]
+        if (d, depth, cross_cap) != (w.d, w.depth, cfg.cond_cap):
+            inst = lab.random_instance(depth, d, seed, cross_cap)
+            (w, alpha, mseq), c = (inst.w, inst.sseq, inst.mseq), None
+        direct, accumulated, min_gap = telescoping_certificate(w, alpha)
+        telescope_diff = max(telescope_diff, matrices.operator_norm(direct - accumulated))
+        telescope_gap = min(telescope_gap, min_gap)
+        if i >= 20:
+            continue
+        norms = matrices.operator_norm_stack(mseq.values)
+        intensity = carleson_intensity(ScalarSequence.from_arrays(depth, mseq.positions, norms))
+        dominated = MatrixSequence.from_arrays(depth, mseq.positions,
+                                               norms[:, None, None] * np.eye(d), intensity)
+        *fresh, (k1, k2, k3) = red_constants_each(
+            w, [mseq] * (c is None) + [dominated.scaled(1.0 / intensity)])
+        c1, c2, c3 = c or fresh[0]
+        k1, k2, k3 = k1 * intensity, k2 * intensity, k3 * intensity
+        if min(k1 - c1, k2 - c2, k3 - c3) < -1e-8:
+            mono_ok = False
+        cycle_err = max(cycle_err, trace_cycling_error(w, mseq, norms))
+        subst_err = max(subst_err, substitution_error(w, mseq, rng, samples=5))
+    return rows, (telescope_diff, telescope_gap, cycle_err, subst_err, mono_ok)

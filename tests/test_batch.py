@@ -6,7 +6,9 @@ mixed batch must give, with ``np.array_equal``, what the single-tree
 calls give.  The members of a batch share (depth, d) but differ in weight,
 fields and support, and one of them carries a root-only sequence.  The
 search objective is held to the same rule: the search's lookahead batches
-mix restarts at different steps.
+mix restarts at different steps.  So are ``FieldBatch`` and the grouped
+passes of the suites (``dynamics_gaps_batch``, ``group_constants``), in
+float64 and longdouble.
 """
 
 import numpy as np
@@ -25,9 +27,12 @@ from carlab.constructions import (
     random_vector_field,
     random_weight_field,
 )
-from carlab.dyadic import ROOT, DyadicIndex, StepField, tree_position, tree_size
+from carlab.bellman import dynamics_gaps, dynamics_gaps_batch
+from carlab.dyadic import ROOT, DyadicIndex, FieldBatch, StepField, tree_position, tree_size
 from carlab.embeddings import bet_norm_sum, bet_norm_sum_batch, halfweighted_pyramid_batch
+from carlab.errors import DimensionMismatchError, SingularMatrixError
 from carlab.redundancy import (
+    group_constants,
     red_constants,
     red_constants_batch,
     sred_constant,
@@ -145,6 +150,75 @@ def test_level_powers_and_cube_supremum_batch_match_single_trees(depth, d, dtype
     got = subtree_sums_batch(pyramids)
     for b, pyramid in enumerate(pyramids):
         assert np.array_equal(got[b], subtree_sums_batch(pyramid[None])[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("depth, d", SHAPES)
+def test_field_batch_matches_single_fields(depth, d, dtype):
+    # every cache of a FieldBatch is, member by member, that of the field
+    # alone, whichever of power and cube_eig runs first; a member copied out
+    # holds the batch's caches and solves nothing again
+    rng = np.random.default_rng(500 * depth + d)
+    ws = _weights(depth, d, rng, dtype=dtype)
+    for power_first in (True, False):
+        batch = FieldBatch.stack(ws)
+        batch.power(-1.0) if power_first else batch.cube_eig()
+        for p in (0.5, -0.5, -1.0):
+            for b, w in enumerate(StepField(w.values) for w in ws):
+                assert np.array_equal(batch.power(p).values[b], w.power(p).values)
+                assert np.array_equal(batch.cube_power(p)[b], w.cube_power(p))
+                assert np.array_equal(batch.inverse().cube_power(p)[b], w.inverse().cube_power(p))
+        for b, w in enumerate(ws):
+            assert np.array_equal(batch.pyramid()[b], w.pyramid())
+            assert all(map(np.array_equal, (x[b] for x in batch.cube_eig()), w.cube_eig()))
+        one = batch.member(2)
+        assert one._cube_eig is not None and not one.values.flags.writeable
+        assert np.array_equal(one.inverse().cube_power(-0.5)[0], batch.inverse().cube_power(-0.5)[2])
+
+
+def test_field_batch_refusals_name_member_and_cube():
+    # members 1 and 3 each hold a leaf refused under W^-1 (leaves 2 and 0):
+    # the first refused member is named, with its first refused leaf; its
+    # field alone names the leaf and no member
+    leaves = np.stack([np.stack([np.eye(2)] * 4)] * 4)
+    leaves[1, 2] = leaves[3, 0] = np.diag([1.0, 1e-13])
+    batch = FieldBatch(leaves)
+    with pytest.raises(SingularMatrixError) as err:
+        batch.inverse()
+    assert (err.value.point, err.value.cube) == (1, DyadicIndex(2, 2))
+    with pytest.raises(SingularMatrixError) as alone:
+        StepField(leaves[1]).inverse()
+    assert alone.value.point is None and alone.value.cube == DyadicIndex(2, 2)
+    averages = np.stack([np.stack([np.eye(2)] * 4)] * 3)
+    averages[2, :2] = [np.diag([1.0, 1e-12]), np.diag([1.0, -1e-12])]  # average (1, 0) is singular
+    with pytest.raises(SingularMatrixError) as err:
+        FieldBatch(averages).cube_power(-0.5)
+    assert (err.value.point, err.value.cube) == (2, DyadicIndex(1, 0))
+    bad = np.stack([np.eye(2)] * 8).reshape(2, 4, 2, 2)
+    bad[1, 3, 0, 1] = np.inf
+    with pytest.raises(DimensionMismatchError, match=r"level=2, position=3\) \(point 1\)"):
+        FieldBatch(bad)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("depth, d", SHAPES)
+def test_dynamics_gaps_batch_matches_single_fields(depth, d, dtype):
+    rng = np.random.default_rng(600 * depth + d)
+    ws, seqs = _weights(depth, d, rng, dtype=dtype), _scalar_sequences(depth, rng)
+    got = dynamics_gaps_batch(FieldBatch.stack(ws), seqs)
+    want = [list(dynamics_gaps(w, s).values()) for w, s in zip(ws, seqs)]
+    assert got.shape == (len(ws), tree_size(depth) // 2) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("depth, d", SHAPES)
+def test_group_constants_match_single_fields(depth, d, dtype):
+    rng = np.random.default_rng(700 * depth + d)
+    ws = _weights(depth, d, rng, dtype=dtype)
+    alphas, bseqs = _scalar_sequences(depth, rng), _matrix_sequences(depth, d, rng)
+    got = group_constants(FieldBatch.stack(ws), alphas, bseqs)
+    want = [(sred_constant(w, a), red_constants(w, b)) for w, a, b in zip(ws, alphas, bseqs)]
+    assert np.array_equal([[s, *c] for s, c in got], [[s, *c] for s, c in want])
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)

@@ -25,7 +25,6 @@ from carlab.bellman import (
     telescoping_certificate,
 )
 from carlab.constructions import (
-    random_orthogonal,
     random_scalar_sequence,
     random_spd,
     random_weight_field,
@@ -46,6 +45,7 @@ from oracles import (
     brute_random_weight_field,
     brute_size_gaps,
     brute_telescoping_certificate,
+    random_orthogonal,
 )
 
 SEEDS = (0, 7, 100, 5000)
@@ -402,11 +402,11 @@ def test_certificate_stack_vinv_is_its_own_power(dtype):
     # the decomposition, at the root and below it
     for seed, depth, d in [(1, 0, 1), (2, 3, 2), (3, 4, 3), (4, 3, 4)]:
         w, alpha = _instance(seed, depth, d)
-        data = bellman._dyadic_data(StepField(w.values.astype(dtype)), alpha)
+        data = bellman._field_data(StepField(w.values.astype(dtype)), alpha)
         for k in [ROOT] + [DyadicIndex(1, 1)] * (depth > 0):
             cubes = subtree_positions(k, depth)
             got = bellman._certificates(data, k)[1].vinv
-            want = matrices.eig_power(*[x[cubes] for x in data[5]], -1.0)
+            want = matrices.eig_power(*[x[0, cubes] for x in data[5]], -1.0)
             assert got.dtype == want.dtype == dtype
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -418,9 +418,9 @@ def test_dynamics_error_names_cube():
     # decomposition of them as well.
     w, alpha = _instance(3, 2, 2)
     for bad in ([DyadicIndex(1, 1)], [DyadicIndex(2, 0), DyadicIndex(1, 1)]):
-        data = list(bellman._dyadic_data(w, alpha))
+        data = list(bellman._field_data(w, alpha))
         data[2] = data[2].copy()
-        data[2][[tree_position(q) for q in bad]] = np.diag([1e-20, 1.0])  # out of the domain
+        data[2][0, [tree_position(q) for q in bad]] = np.diag([1e-20, 1.0])  # out of the domain
         data[5] = matrices.eigh_sym(data[2])
         with pytest.raises(DomainError) as info:
             bellman._certificates(tuple(data), DyadicIndex(0, 0))

@@ -46,6 +46,7 @@ from oracles import (
     loop_subtree_sums,
     loop_testing_terms,
     per_class_from_json,
+    refine,
     per_class_to_json,
     split_levels,
     two_check_scaled,
@@ -107,6 +108,17 @@ def test_matrix_sequence_matches_per_entry_oracle():
 def test_matrix_sequence_error_order(entries, error, match):
     with pytest.raises(error, match=match):
         MatrixSequence(2, 2, entries)
+
+
+def test_huge_finite_entries_symmetrize_without_overflow():
+    # (M + M^T) / 2 overflowed above half the largest float: the entry
+    # 1e308 I was kept as inf I with only a numpy warning, and the intensity
+    # read -inf; halves first keep it finite, in a sequence and in a field
+    seq = MatrixSequence(3, 2, {(0, 0): 1e308 * np.eye(2)})
+    assert np.array_equal(seq.values, [1e308 * np.eye(2)])
+    assert carleson_intensity(seq) == 1e308
+    w = StepField(np.stack([1e308 * np.eye(2), np.eye(2)]))
+    assert np.array_equal(w.values[0], 1e308 * np.eye(2)) and np.isfinite(w.pyramid()).all()
 
 
 def test_scalar_sequence_error_order():
@@ -681,7 +693,7 @@ def test_sequence_must_fit_its_weight(name):
     seq = (MatrixSequence(2, 2, {ROOT: 0.5 * np.eye(2)}) if takes == "matrix"
            else ScalarSequence(2, {ROOT: 0.5}))
     for part in fields:
-        for other, match in ((f.refine(3), "different trees"),
+        for other, match in ((refine(f, 3), "different trees"),
                              (StepField.constant(2, np.ones(3)), "dimensions differ"),
                              (w, "matrix fields have no vector view")):
             given = {"f": f, "g": f, part: other}

@@ -16,7 +16,6 @@ from carlab.constructions import (
     necessity_report,
     random_instance,
     random_matrix_sequence,
-    random_orthogonal,
     random_scalar_sequence,
     random_spd,
 )
@@ -32,6 +31,7 @@ from oracles import (
     loop_necessity_report,
     loop_random_matrix_sequence,
     loop_random_scalar_sequence,
+    random_orthogonal,
 )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from carlab import matrices
 from carlab.constructions import random_weight_field
 from carlab.errors import AddressError, DimensionMismatchError, SingularMatrixError
 
-from oracles import brute_average, brute_spd_power, level_powers_batch, separate_powers
+from oracles import brute_average, brute_spd_power, level_powers_batch, refine, separate_powers
 
 
 def test_root_and_children():
@@ -162,7 +163,7 @@ def test_pyramid_matches_brute_average():
 def test_refine_preserves_averages():
     rng = np.random.default_rng(6)
     f = StepField(rng.standard_normal(8))
-    g = f.refine(6)
+    g = refine(f, 6)
     for q in cubes(3):
         assert abs(average(f, q) - average(g, q)) <= 1e-14
 
@@ -211,7 +212,7 @@ def test_weight_power_cache_and_identity():
     m = rng.standard_normal((4, 3, 3))
     leaves = np.einsum("kij,klj->kil", m, m) + 3 * np.eye(3)
     w = StepField(leaves)
-    assert w.power(0.5) is w.power(0.5)
+    assert w.power(0.5).batch is w.power(0.5).batch  # a field is a view of its cached batch
     sq = np.einsum("kij,kjl->kil", w.power(0.5).values, w.power(0.5).values)
     np.testing.assert_allclose(sq, leaves, rtol=1e-10, atol=1e-12)
 
@@ -262,10 +263,10 @@ def test_power_decomposes_the_leaves_once(monkeypatch, dtype):
     w = StepField(random_weight_field(3, 3, np.random.default_rng(5)).values.astype(dtype))
     real = matrices.eigh_sym
     calls = []
-    monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(len(m)) or real(m))
+    monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(math.prod(m.shape[:-2])) or real(m))
     for p in (0.5, -1.0, -0.5, 0.5):
         assert np.array_equal(w.power(p).values, brute_spd_power(w.values, p))
-    assert w.inverse() is w.power(-1.0)
+    assert w.inverse().batch is w.power(-1.0).batch
     assert calls == [8]
 
 
@@ -277,12 +278,12 @@ def test_cube_power_decomposes_the_averages_once(monkeypatch, dtype):
     eig = matrices.eigh_sym(w.pyramid()[None])
     real = matrices.eigh_sym
     calls = []
-    monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(len(m)) or real(m))
+    monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(math.prod(m.shape[:-2])) or real(m))
     for p in (-1.0, -0.5, 0.5, -0.5):
         got = w.cube_power(p)
         assert got.dtype == dtype and not got.flags.writeable
         assert np.array_equal(got, level_powers_batch(eig, p)[0])
-    assert w.cube_power(0.5) is w.cube_power(0.5)
+    assert w.batch.cube_power(0.5) is w.batch.cube_power(0.5)
     assert calls == [15]
     with pytest.raises(DimensionMismatchError, match="matrix fields only"):
         StepField(np.ones(4)).cube_power(-0.5)
@@ -302,7 +303,7 @@ def test_power_and_cube_power_share_the_leaf_level(monkeypatch, d, dtype):
         want = {p: separate_powers(leaves, p) for p in matrices.ALLOWED_POWERS}
         for power_first in (True, False):
             w, calls = StepField(leaves), []
-            monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(len(m)) or real(m))
+            monkeypatch.setattr(matrices, "eigh_sym", lambda m: calls.append(math.prod(m.shape[:-2])) or real(m))
             w.power(-1.0) if power_first else w.cube_power(-0.5)
             for p, (leaf_powers, cube_powers) in want.items():
                 assert np.array_equal(w.power(p).values, leaf_powers), (depth, p)

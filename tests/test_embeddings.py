@@ -15,7 +15,7 @@ from carlab.characteristics import (
     c2_conditioning,
     carleson_intensity,
 )
-from carlab.constructions import epsilon_family, random_instance, random_orthogonal
+from carlab.constructions import epsilon_family, random_instance
 from carlab.dyadic import DyadicIndex, ROOT, StepField, average, cubes, integral
 from carlab.embeddings import (
     _halfweighted_averages,
@@ -32,7 +32,7 @@ from carlab import baselines
 from carlab.errors import SingularMatrixError
 from carlab.matrices import operator_norm_stack
 
-from oracles import loop_cet_sum, unique_choquet_level_form
+from oracles import loop_cet_sum, random_orthogonal, refine, unique_choquet_level_form
 
 from oracles import brute_bet_vectors, loop_pyramid, rank_one_inner_value, split_levels
 
@@ -241,8 +241,8 @@ def test_maximal_function_no_blowup_under_refinement():
     inst = random_instance(4, 2, seed=9, cond_cap=1e4)
     base = weighted_l2_norm(maximal_function(inst.w, inst.f).as_vector()) / weighted_l2_norm(inst.f)
     for depth in (6, 8, 10):
-        w = inst.w.refine(depth)
-        f = inst.f.refine(depth)
+        w = refine(inst.w, depth)
+        f = refine(inst.f, depth)
         ratio = weighted_l2_norm(maximal_function(w, f).as_vector()) / weighted_l2_norm(f)
         assert ratio == pytest.approx(base, rel=1e-10)
     assert base <= baselines.MAXIMAL_L2_C

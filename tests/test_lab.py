@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ from carlab import matrices, search
 from carlab.cli import build_parser, main
 from carlab.dyadic import StepField, pyramid_batch, stepfield_to_json
 from carlab.constructions import EPS_SWEEP, random_instance
-from carlab.errors import ConfigError, SingularMatrixError
+from carlab.errors import ConfigError, LabError, PreconditionError, SingularMatrixError
 from carlab.lab import (
     OBJECTIVES,
     ExperimentConfig,
@@ -25,6 +26,8 @@ from carlab.redundancy import red_constants, sred_constant
 from oracles import (
     brute_adversarial_search,
     brute_search_weight,
+    loop_bellman_dynamics,
+    loop_redundancy,
     two_loop_redundancy_cross_check,
 )
 
@@ -688,6 +691,103 @@ def test_redundancy_cross_checks_match_the_two_loop_oracle(monkeypatch, over, bu
     assert (agg["telescoping_max_diff"], agg["telescoping_min_gap"],
             agg["trace_cycling_max_err"], agg["substitution_max_err"],
             report.verdicts["operator_norm_monotonicity"]) == two_loop_redundancy_cross_check(cfg)
+
+
+def _embedded(over):
+    if over.get("extra_instances") != "embedded":
+        return over
+    inst = random_instance(3, 2, seed=0, cond_cap=1e3)
+    return dict(over, extra_instances=[
+        {"weight": stepfield_to_json(inst.w), "alpha": inst.sseq.to_json(),
+         "matrix_seq": inst.mseq.to_json()},
+        {"weight": stepfield_to_json(inst.w), "alpha": inst.sseq.to_json()}])
+
+
+def _numbers(rows, keys):
+    return np.array([[np.nan if r[k] == "" else r[k] for k in keys] for r in rows], dtype=float)
+
+
+@pytest.mark.parametrize("over", [
+    dict(depth=6, d=2, seeds=list(range(52))),  # groups of up to 9, every instance reused
+    dict(depth=8, seeds=list(range(45))),  # 20 groups of 2 or 3, some reused
+    dict(depth=6, cond_cap=1e5, seeds=list(range(30))),  # none reused
+    dict(depth=3, d=2, seeds=list(range(5, 30)), extra_instances="embedded"),
+], ids=["all-reused", "some-reused", "none-reused", "embedded"])
+def test_redundancy_groups_match_the_per_seed_loop(over):
+    # one batch per (d, depth) group gives the rows and the cross-checks of
+    # a loop over the instances, bit for bit; the embedded instances, one of
+    # them without a matrix sequence, share the d = 2, depth 3 group
+    cfg = default_config("redundancy-suite", **_embedded(over))
+    report = run_experiment(cfg)
+    rows, (diff, gap, cycle, subst, mono) = loop_redundancy(cfg)
+    keys = ("sred", "red_c1", "red_c2", "red_c3")
+    assert [[r[k] for k in ("kind", "seed", "d", "depth")] for r in report.rows] == \
+        [[r[k] for k in ("kind", "seed", "d", "depth")] for r in rows]
+    assert np.array_equal(_numbers(report.rows, keys), _numbers(rows, keys), equal_nan=True)
+    agg = report.aggregates
+    assert np.array_equal([agg["telescoping_max_diff"], agg["telescoping_min_gap"],
+                           agg["trace_cycling_max_err"], agg["substitution_max_err"]],
+                          [diff, gap, cycle, subst])
+    assert report.verdicts["operator_norm_monotonicity"] == mono
+
+
+@pytest.mark.parametrize("depth, d", [(4, 4), (5, 2), (2, 3), (0, 2)])
+def test_bellman_dynamics_groups_match_the_per_seed_loop(depth, d):
+    cfg = default_config("bellman-certify", depth=depth, d=d, samples=20, seeds=list(range(30)))
+    row = next(r for r in run_experiment(cfg).rows if r["check"] == "dynamics")
+    assert np.array_equal([row["worst_gap"], row["violations"]], loop_bellman_dynamics(cfg))
+
+
+def _failing_seeds(monkeypatch, singular, too_dense):
+    """Make the instance of seed ``singular`` take a zero weight (refused
+    under W^-1) and that of seed ``too_dense`` a scalar sequence of
+    Carleson intensity 2 (refused by every intensity check)."""
+    import carlab.lab as lab
+
+    fresh = {s: np.random.default_rng(s).bit_generator.state for s in (singular, too_dense)}
+    real_weight, real_sequence, flagged = lab.random_weight_field, lab.random_scalar_sequence, []
+
+    def weight(depth, d, rng, cond_cap):
+        seed = next((s for s, state in fresh.items() if state == rng.bit_generator.state), None)
+        w = real_weight(depth, d, rng, cond_cap)
+        flagged.append(seed == too_dense)
+        return StepField(np.zeros_like(w.values)) if seed == singular else w
+
+    def sequence(depth, rng):
+        seq = real_sequence(depth, rng)
+        return seq.scaled(2.0) if flagged.pop() else seq
+
+    def instance(depth, d, seed, cond_cap):
+        inst = random_instance(depth, d, seed, cond_cap)
+        if seed == singular:
+            return dataclasses.replace(inst, w=StepField(np.zeros_like(inst.w.values)))
+        return dataclasses.replace(inst, sseq=inst.sseq.scaled(2.0)) if seed == too_dense else inst
+
+    monkeypatch.setattr(lab, "random_weight_field", weight)
+    monkeypatch.setattr(lab, "random_scalar_sequence", sequence)
+    monkeypatch.setattr(lab, "random_instance", instance)
+
+
+@pytest.mark.parametrize("experiment, n, loop", [
+    ("redundancy-suite", 40, loop_redundancy),  # groups {0, 20}, {1, 21}, ...
+    ("bellman-certify", 24, loop_bellman_dynamics),  # groups {0, 12}, {1, 13}, ...
+])
+@pytest.mark.parametrize("flip", [False, True])
+def test_grouped_runners_raise_the_first_failing_seeds_error(monkeypatch, experiment, n, loop,
+                                                             flip):
+    # the group of seed 0 runs first and holds the bad seed n / 2; the first
+    # bad seed is 1, in a later group: its error is raised, as the loop
+    # raises it, whichever of the two refusals it is
+    singular, too_dense = (1, n // 2) if flip else (n // 2, 1)
+    _failing_seeds(monkeypatch, singular, too_dense)
+    cfg = default_config(experiment, seeds=list(range(n)), samples=20, d=4,
+                         depth=8 if experiment == "redundancy-suite" else 5)
+    with pytest.raises(LabError) as want:
+        loop(cfg)
+    with pytest.raises(LabError) as got:
+        run_experiment(cfg)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    assert isinstance(got.value, SingularMatrixError if flip else PreconditionError)
 
 
 def test_cli_refuses_bad_embedded_instances_before_any_instance_is_built(

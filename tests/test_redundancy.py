@@ -16,11 +16,10 @@ from carlab.characteristics import (
 from carlab.constructions import (
     random_instance,
     random_matrix_sequence,
-    random_orthogonal,
     random_scalar_sequence,
     random_weight_field,
 )
-from carlab.dyadic import DyadicIndex, ROOT, StepField, average
+from carlab.dyadic import DyadicIndex, ROOT, FieldBatch, StepField, average
 from carlab.errors import DimensionMismatchError, LabError, PreconditionError
 from carlab.lab import default_config, run_experiment
 from carlab.matrices import operator_norm_stack, spd_power
@@ -46,6 +45,8 @@ from oracles import (
     brute_trace_cycling_error,
     computed_intensity,
     level_powers_batch,
+    random_orthogonal,
+    refine,
     split_levels,
     three_call_red_constants,
 )
@@ -409,22 +410,26 @@ def test_redundancy_suite_decomposes_each_average_once(monkeypatch):
     # identities all read the fields' cached decompositions.  (The fresh
     # depth-4 instance shares its leaves with the first 16 of the suite's
     # depth-7 one of the same seed, so such a matrix is solved once for each.)
-    real, real_cube_eig, seen, fields = matrices.eigh_sym, StepField.cube_eig, Counter(), {}
+    # The suite's instances are solved as (d, depth) groups (FieldBatch);
+    # a cross-check on a suite instance reads its member of the group.
+    real, real_cube_eig, seen, batches = matrices.eigh_sym, FieldBatch.cube_eig, Counter(), {}
 
     def counting(m):
         m = np.asarray(m)
         seen.update(x.tobytes() for x in m.reshape(-1, *m.shape[-2:]))
         return real(m)
 
-    def recording(field):
-        fields[id(field)] = field
-        return real_cube_eig(field)
+    def recording(batch):
+        if batch._cube_eig is None:  # it solves its averages, not reads them from its group
+            batches[id(batch)] = batch
+        return real_cube_eig(batch)
 
     monkeypatch.setattr(matrices, "eigh_sym", counting)
-    monkeypatch.setattr(StepField, "cube_eig", recording)
+    monkeypatch.setattr(FieldBatch, "cube_eig", recording)
     assert run_experiment(default_config("redundancy-suite", seeds=[0, 1, 2, 3])).passed
-    assert len(fields) == 2 * 5  # W and W^-1 of four suite instances and one fresh one
-    want = Counter(x.tobytes() for field in fields.values() for x in field.pyramid())
+    assert len(batches) == 2 * 5  # W and W^-1 of four suite groups and one fresh instance
+    want = Counter(x.tobytes() for batch in batches.values()
+                   for x in batch.pyramid().reshape(-1, *batch.values.shape[2:]))
     assert all(seen[x] == n for x, n in want.items())
 
 
@@ -490,7 +495,7 @@ def test_best_constants_unchanged_under_refinement(d, dtype):
         want = _best_constants(w, inst.sseq, inst.mseq)
         for deeper in (depth + 1, depth + 2):
             got = _best_constants(
-                w.refine(deeper),
+                refine(w, deeper),
                 ScalarSequence(deeper, inst.sseq.entries),
                 MatrixSequence(deeper, d, inst.mseq.entries),
             )
