@@ -19,18 +19,16 @@ offending member (``LabError.point``).  A ``BellmanPoint`` is a stack of
 one, and ``bellman_eval`` and the scalar gap functions read their numbers
 from it; their errors name no member.
 
-The sampling certificates (``size_gaps``, ``concavity_gaps``, ``dm_gaps``)
-are each one call of one sampler, which draws a sample's d and then its
-domain points.  It and ``matrix_parameter_probe`` draw each sample's
-random numbers in the order of the per-sample loop, one generator call per
-draw, straight into the next row of the packed arrays of its d
-(``_Draws``), ``BLOCK`` samples at a time (``_sampled``).  Each d's rows of
-a block are then built and evaluated as one stack; only the points that
-drew a PSD bump build one.  The dynamics certificates (``dynamics_gaps``,
+The samplers keep the random stream of a per-sample loop, with one
+generator call per run of draws of one kind, ``BLOCK`` samples at a time.
+``size_gaps``, ``concavity_gaps`` and ``dm_gaps`` draw each sample's d, then
+its points into the next row of the arrays of that d (``_Draws``), and
+build each d's rows as one stack (``_sampled``); only the points that drew
+a PSD bump build one.  ``matrix_parameter_probe`` draws into two tapes and
+builds a block as one stack.  The dynamics certificates (``dynamics_gaps``,
 ``telescoping_certificate``) evaluate one stack per subtree D(K), in tree
 order, so each cube's B is formed once; ``dynamics_gaps_batch`` stacks
-the whole trees of a ``FieldBatch``, and ``dynamics_gaps`` is its batch of
-one.
+whole trees of a ``FieldBatch``, and ``dynamics_gaps`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -226,10 +224,6 @@ class BellmanStack:
         out._set_m(np.broadcast_to(np.asarray(m, dtype=np.float64), self.m.shape))
         return out
 
-    def point(self, i):
-        """Member ``i`` as a BellmanPoint."""
-        return BellmanPoint(self.u[i], self.v[i], float(self.m[i]))
-
 
 def bellman_eval_stack(s):
     """B(U_i, V_i, m_i) of every member, as ``bellman_eval`` forms it."""
@@ -412,51 +406,44 @@ class _Draws:
 
     Point j of row r holds the unit draws ``unit[k, j, r]`` (d,) of the
     eigenvalue exponents and the Gaussian draws ``gauss[k, j, r]`` (d, d)
-    of its k-th random SPD matrix (V, then its bump), whether it drew a
-    bump (``bumped[j, r]``), and the unit draws ``scale[j, r]`` of the
-    bump's scale and ``m[j, r]`` of m.  V's condition is capped at
-    ``cond_cap``, the bump's at min(cond_cap, 100).
+    of its k-th random SPD matrix (V, then its bump), the boundary draw and
+    the unit draw after it, ``coin[j, r]`` (the bump's scale if the point
+    drew a bump, ``bumped[j, r]``, else m), and m's unit draw ``m[j, r]``.
+    V's condition is capped at ``cond_cap``, the bump's at min(cond_cap, 100).
     """
 
-    def __init__(self, rows, points, d, cond_cap, spds=2):
+    def __init__(self, rows, points, d, cond_cap):
         self.halves = _half_log_cap(cond_cap), _half_log_cap(min(cond_cap, 1e2))
-        self.unit = np.empty((spds, points, rows, d))
-        self.gauss = np.empty((spds, points, rows, d, d))
+        self.unit, self.gauss = np.empty((2, points, rows, d)), np.empty((2, points, rows, d, d))
         self.bumped = np.ones((points, rows), dtype=bool)
-        self.scale, self.m = np.empty((2, points, rows))
+        self.coin, self.m = np.empty((points, rows, 2)), np.empty((points, rows))
 
     def draw_points(self, rng, r, boundary_fraction=0.3):
         """Draw the domain points of row r, each in the order of the
         per-sample loop: V, the boundary draw, the bump's scale and SPD
-        matrix unless the point is on the boundary, then m."""
-        for j in range(self.m.shape[0]):
+        matrix unless the point is on the boundary, then m; 3 generator
+        calls for a boundary point and 6 for a bumped one."""
+        for j in range(len(self.m)):
             rng.random(out=self.unit[0, j, r])
             rng.standard_normal(out=self.gauss[0, j, r])
-            bumped = self.bumped[j, r] = rng.random() >= boundary_fraction
+            rng.random(out=self.coin[j, r])
+            bumped = self.bumped[j, r] = self.coin[j, r, 0] >= boundary_fraction
             if bumped:
-                self.scale[j, r] = rng.random()
                 rng.random(out=self.unit[1, j, r])
                 rng.standard_normal(out=self.gauss[1, j, r])
-            self.m[j, r] = rng.random()
+            self.m[j, r] = rng.random() if bumped else self.coin[j, r, 1]
 
-    def inverse_plus_bumps(self, j, sl, high):
-        """(U, V, V's eigendecomposition) of point j in the rows ``sl``, with
-        U = V^-1 plus scale * bump at each member that drew a bump, the scale
-        drawn from [0, high).  One stack per SPD matrix, bitwise the
-        per-sample matrices."""
+    def stack(self, j, sl):
+        """BellmanStack of the domain points ``draw_points`` drew at point j of
+        the rows ``sl``, each member bitwise the point its draws build alone:
+        U is V^-1, plus scale * bump, scale in [0, 2), where a bump was drawn."""
         v = spd_from_unit(self.unit[0, j, sl], self.gauss[0, j, sl], self.halves[0])
         eig = matrices.eigh_sym(v)  # v is exactly symmetric: the stack's V is this v
         u = matrices.eig_power(*eig, -1.0)
         at = np.flatnonzero(self.bumped[j, sl])
         if at.size:
             bump = spd_from_unit(self.unit[1, j, sl][at], self.gauss[1, j, sl][at], self.halves[1])
-            u[at] += uniform(0.0, high, self.scale[j, sl][at])[:, None, None] * bump
-        return u, v, eig
-
-    def stack(self, j, sl):
-        """BellmanStack of the domain points ``draw_points`` drew at point j of
-        the rows ``sl``, each member bitwise the point its draws build alone."""
-        u, v, eig = self.inverse_plus_bumps(j, sl, 2.0)
+            u[at] += uniform(0.0, 2.0, self.coin[j, sl, 1][at])[:, None, None] * bump
         return BellmanStack(u, v, uniform(0.0, 1.0, self.m[j, sl]), _eig=eig)
 
 
@@ -469,7 +456,8 @@ def random_domain_point(d, rng, cond_cap=1e4, boundary_fraction=0.3):
     """
     draws = _Draws(1, 1, d, cond_cap)
     draws.draw_points(rng, 0, boundary_fraction)
-    return draws.stack(0, slice(0, 1)).point(0)
+    s = draws.stack(0, slice(0, 1))
+    return BellmanPoint(s.u[0], s.v[0], float(s.m[0]))
 
 
 def _sampled(n, new, draw_d, draw_into, evaluate):
@@ -481,8 +469,7 @@ def _sampled(n, new, draw_d, draw_into, evaluate):
     The rows start over with each block, so the samples of one d in a
     draw-order slice of a block are one row range ``sl``, which
     ``evaluate(draws, sl)`` evaluates as one stack, in increasing d.  The
-    error raised is the first failing sample's in draw order, and names its
-    sample index.
+    error raised is the first failing sample's in draw order, by its index.
     """
     buffers = {}
     gaps, dims = np.empty(n), np.empty(n, dtype=np.intp)
@@ -516,6 +503,8 @@ def _sampled(n, new, draw_d, draw_into, evaluate):
 def _sample_points(rng, n, d_max, cond_cap, gap, points=1):
     """``gap`` of ``n`` samples, each ``points`` random domain points of one
     d in 1..d_max, evaluated as ``gap(stack_1, ..., stack_points)``: (gaps, dims)."""
+    if d_max < 1:
+        raise PreconditionError(f"d_max must be at least 1, got {d_max}")
     return _sampled(
         n, lambda d: _Draws(min(BLOCK, n), points, d, cond_cap),
         lambda: 1 + int(rng.integers(d_max)), lambda draws, r: draws.draw_points(rng, r),
@@ -538,6 +527,52 @@ def dm_gaps(rng, n, d_max, h):
                           lambda s: dm_gap_stack(s.with_m(_py_min(s.m, 1.0 - h)), h))
 
 
+def _probe_gaps(rng, d, n):
+    """Midpoint gaps of ``matrix_parameter_probe``'s ``n`` random pairs.
+
+    A point draws into two tapes in stream order, uniforms [V | scale | bump
+    | M's eigenvalues] and normals [V | bump | M's rotation]; its last
+    uniforms run on into the next point's: 1 + 8 calls per pair and block.
+    The error raised is the first failing pair's in draw order."""
+    halves, width, eye = (_half_log_cap(1e3), _half_log_cap(1e2)), 3 * d + 1, np.eye(d)
+    gaps, m0 = np.empty(n), 2 * d + 1  # M's eigenvalues start at m0 in a point's uniforms
+
+    def value(u, mm, v_eig):
+        vr = matrices.eig_power(*v_eig, -0.5)
+        core = matrices.eig_power(*matrices.eigh_sym(mm + eye), -1.0)
+        return matrices.as_symmetric_stack(u - vr @ core @ vr)
+
+    for start in range(0, n, BLOCK):
+        k = min(BLOCK, n - start)
+        unit, gauss = np.empty((k, 2, width)), np.empty((k, 2, 3, d, d))
+        tape = unit.reshape(-1)
+        rng.random(out=tape[:d])
+        for o, normals in zip(range(0, tape.size, width), gauss.reshape(-1, 3, d, d)):
+            rng.standard_normal(out=normals[0])
+            rng.random(out=tape[o + d:o + m0])
+            rng.standard_normal(out=normals[1:])
+            rng.random(out=tape[o + m0:o + width + d])
+
+        def evaluate(sl):  # point 2i + j of the stack is point j of pair i
+            x, g = unit[sl].reshape(-1, width), gauss[sl].reshape(-1, 3, d, d)
+            with relabel(lambda p: p // 2):
+                v = spd_from_unit(x[:, :d], g[:, 0], halves[0])
+                eig = matrices.eigh_sym(v)
+                bump = spd_from_unit(x[:, d + 1:m0], g[:, 1], halves[1])
+                u = matrices.eig_power(*eig, -1.0) + uniform(0.0, 1.5, x[:, d, None, None]) * bump
+                q = orthogonal_from_draws(g[:, 2])  # M's eigenvalues are the unit draws
+                mm = matrices.as_symmetric_stack((q * x[:, None, m0:]) @ q.transpose(0, 2, 1))
+                u, v, mm, ends = ((y[0::2] + y[1::2]) / 2 for y in (u, v, mm, value(u, mm, eig)))
+            return matrices.psd_gap_stack(value(u, mm, matrices.eigh_sym(v)), ends)
+
+        with relabel(lambda p: start + p):
+            out, _, error = first_failure(evaluate, k)
+            if error is not None:
+                raise error
+        gaps[start:start + k] = out
+    return gaps
+
+
 def matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
     """Experimental probe of U - V^-1/2 (M + 1)^-1 V^-1/2 with matrix M.
 
@@ -547,45 +582,10 @@ def matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
     Output is informational only and is never asserted by the acceptance
     suite.
     """
-    rng = np.random.default_rng(seed)
-    eye = np.eye(d)
-
-    def draw_into(draws, r):
-        for j in range(2):  # V, the bump's scale and SPD matrix, M's rotation and eigenvalues
-            rng.random(out=draws.unit[0, j, r])
-            rng.standard_normal(out=draws.gauss[0, j, r])
-            draws.scale[j, r] = rng.random()
-            rng.random(out=draws.unit[1, j, r])
-            rng.standard_normal(out=draws.gauss[1, j, r])
-            rng.standard_normal(out=draws.gauss[2, j, r])
-            rng.random(out=draws.unit[2, j, r])
-
-    def sample(draws, j, sl):
-        u, v, v_eig = draws.inverse_plus_bumps(j, sl, 1.5)
-        q = orthogonal_from_draws(draws.gauss[2, j, sl])
-        eigs = uniform(0.0, 1.0, draws.unit[2, j, sl])
-        mm = matrices.as_symmetric_stack((q * eigs[:, None, :]) @ q.transpose(0, 2, 1))
-        return u, v, mm, v_eig
-
-    def value(u, mm, v_eig):
-        vr = matrices.eig_power(*v_eig, -0.5)
-        core = matrices.eig_power(*matrices.eigh_sym(mm + eye), -1.0)
-        return matrices.as_symmetric_stack(u - vr @ core @ vr)
-
-    def evaluate(draws, sl):
-        u0, v0, m0, e0 = sample(draws, 0, sl)
-        u1, v1, m1, e1 = sample(draws, 1, sl)
-        mid = value((u0 + u1) / 2, (m0 + m1) / 2, matrices.eigh_sym((v0 + v1) / 2))
-        avg = (value(u0, m0, e0) + value(u1, m1, e1)) / 2
-        return matrices.psd_gap_stack(mid, avg)
-
-    gaps, _ = _sampled(n_pairs, lambda d: _Draws(min(BLOCK, n_pairs), 2, d, 1e3, spds=3),
-                       lambda: d, draw_into, evaluate)
+    for name, count in (("d", d), ("n_pairs", n_pairs)):
+        if count < 1:
+            raise PreconditionError(f"{name} must be at least 1, got {count}")
+    gaps = _probe_gaps(np.random.default_rng(seed), d, n_pairs)
     negatives = int(np.count_nonzero(gaps < -1e-10))
-    return {
-        "pairs": n_pairs,
-        "min_gap": float(gaps.min()),
-        "mean_gap": float(gaps.mean()),
-        "negative_fraction": negatives / n_pairs,
-        "negatives": negatives,
-    }
+    return {"pairs": n_pairs, "min_gap": float(gaps.min()), "mean_gap": float(gaps.mean()),
+            "negative_fraction": negatives / n_pairs, "negatives": negatives}

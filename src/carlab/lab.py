@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import copy
 import csv
+import ctypes
 import functools
 import json
 import math
 import numbers
+import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -217,10 +220,27 @@ class LabReport:
                     writer.writerow([row.get(c, "") for c in columns])
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_core():
+    """The kernel numpy's bundled OpenBLAS chose for this CPU, from its
+    ``scipy_openblas_get_corename64_``; None where that library or symbol is
+    missing."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        lib = next(name for name in sorted(os.listdir(libs)) if "openblas" in name)
+        core = ctypes.CDLL(os.path.join(libs, lib)).scipy_openblas_get_corename64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    core.argtypes, core.restype = [], ctypes.c_char_p
+    return core().decode()
+
+
 def environment_stamp():
-    """numpy, its BLAS, the SIMD kernels numpy dispatches to on this CPU, and
-    the longdouble epsilon, as strings: what, besides the code, a report's
-    floats depend on."""
+    """numpy, its BLAS and the kernel that BLAS chose, the SIMD kernels numpy
+    dispatches to on this CPU, the longdouble epsilon, Python and the
+    machine, as strings (the kernel None where it cannot be read): what,
+    besides the code, a report's floats depend on.  ``platform.platform()``
+    is left out: it takes milliseconds, and the stamp is built in every run."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy before 1.26 only prints its config
@@ -229,8 +249,11 @@ def environment_stamp():
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": _openblas_core(),
         "simd": " ".join(config.get("SIMD Extensions", {}).get("found", [])),
         "longdouble_eps": str(np.finfo(np.longdouble).eps),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
     }
 
 

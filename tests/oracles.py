@@ -614,6 +614,8 @@ def brute_dm_gaps(rng, n, d_max, h):
 
 
 def brute_matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
+    """(summary, per-pair gaps) of the per-pair probe loop; ``seed`` may be a
+    generator, which the loop then draws from."""
     rng = np.random.default_rng(seed)
 
     def sample():
@@ -641,7 +643,7 @@ def brute_matrix_parameter_probe(d=2, n_pairs=2000, seed=0):
         "mean_gap": float(gaps.mean()),
         "negative_fraction": float((gaps < -1e-10).mean()),
         "negatives": int((gaps < -1e-10).sum()),
-    }
+    }, gaps
 
 
 def _dynamics_data(w, alpha):

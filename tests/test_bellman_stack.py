@@ -25,14 +25,18 @@ from carlab.bellman import (
     telescoping_certificate,
 )
 from carlab.constructions import (
+    _half_log_cap,
     random_scalar_sequence,
     random_spd,
     random_weight_field,
 )
 from carlab.dyadic import ROOT, DyadicIndex, StepField, subtree_positions, tree_position
-from carlab.errors import DimensionMismatchError, DomainError, SingularMatrixError
+from carlab.errors import (
+    DimensionMismatchError, DomainError, PreconditionError, SingularMatrixError,
+)
 from carlab.lab import default_config, run_experiment
 
+from conftest import load_tool
 from oracles import (
     brute_concavity_gaps,
     brute_cube_certificate,
@@ -190,7 +194,57 @@ def test_boundary_points_build_no_bump(monkeypatch):
 def test_matrix_parameter_probe_matches_oracle(seed):
     for d in (1, 2, 3, 4):
         n = 150 if d == 2 else 40
-        assert matrix_parameter_probe(d, n, seed) == brute_matrix_parameter_probe(d, n, seed)
+        assert matrix_parameter_probe(d, n, seed) == brute_matrix_parameter_probe(d, n, seed)[0]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_probe_gaps_match_oracle_across_blocks(seed, d, monkeypatch):
+    # every gap, not only the summary: two blocks of 16 and a partial one
+    monkeypatch.setattr(bellman, "BLOCK", 16)
+    rng, ref = _pair(seed)
+    gaps = bellman._probe_gaps(rng, d, 37)
+    assert np.array_equal(gaps, brute_matrix_parameter_probe(d, 37, ref)[1])
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_samplers_draw_each_run_of_one_kind_in_one_call(seed, monkeypatch):
+    # the probe: one call for a block's first uniforms, then 8 per pair, in
+    # blocks of 16, 16 and 5; a domain point: 3 calls on the boundary and 6
+    # with a bump.  The stream is the per-draw oracles', to the final state.
+    monkeypatch.setattr(bellman, "BLOCK", 16)
+    counting = load_tool("sampler_counts").CountingGenerator
+    for d in (1, 3):
+        rng, ref = counting(seed), np.random.default_rng(seed)
+        gaps = bellman._probe_gaps(rng, d, 37)
+        assert rng.calls == 3 + 8 * 37
+        assert np.array_equal(gaps, brute_matrix_parameter_probe(d, 37, ref)[1])
+        assert rng.bit_generator.state == ref.bit_generator.state
+    rng, ref = counting(seed), np.random.default_rng(seed)
+    draws = _draw_points(rng, 60, 2)
+    bumps = int(draws.bumped.sum())
+    assert 0 < bumps < 60 and rng.calls == 3 * 60 + 3 * bumps
+    want = [brute_random_domain_point(2, ref) for _ in range(60)]
+    s = draws.stack(0, slice(0, 60))
+    assert np.array_equal(s.u, np.stack([p.u for p in want]))
+    assert np.array_equal(s.v, np.stack([p.v for p in want]))
+    assert s.m.tolist() == [p.m for p in want]
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: matrix_parameter_probe(2, 0), "n_pairs"),
+    (lambda: matrix_parameter_probe(0, 5), "d"),
+    (lambda: size_gaps(np.random.default_rng(0), 3, 0), "d_max"),
+    (lambda: concavity_gaps(np.random.default_rng(0), 3, -1), "d_max"),
+    (lambda: dm_gaps(np.random.default_rng(0), 3, 0, H), "d_max"),
+])
+def test_samplers_refuse_counts_below_one_by_name(call, name):
+    # these used to end in numpy's errors: a reduction over an empty array,
+    # or "high <= 0" from the generator
+    with pytest.raises(PreconditionError, match=f"^{name} must be at least 1"):
+        call()
 
 
 # -- dynamics -----------------------------------------------------------------
@@ -393,6 +447,36 @@ def test_sampler_errors_name_the_sample_behind_the_row(monkeypatch):
     with pytest.raises(DomainError) as info:
         bellman._sample_points(np.random.default_rng(5), 60, 3, 1e4, gap)
     assert info.value.point == first == 30
+
+
+def test_probe_error_names_first_failing_pair(monkeypatch):
+    # V is refused at every point whose first exponent draw exceeds 0.97.
+    # At seed 2 the first such point is the second point of pair 20, in the
+    # second block of 16: the error names its pair, not the point's index in
+    # the block's stack of points.
+    monkeypatch.setattr(bellman, "BLOCK", 16)
+    spd_from_unit, v_half, firsts = bellman.spd_from_unit, _half_log_cap(1e3), []
+
+    def recording(unit, gauss, half):
+        if half == v_half:
+            firsts.append(unit[:, 0].copy())
+        return spd_from_unit(unit, gauss, half)
+
+    def refusing(unit, gauss, half):
+        bad = (unit[:, 0] > 0.97) & (half == v_half)
+        if bad.any():
+            raise DomainError("V refused").at(int(np.argmax(bad)))
+        return spd_from_unit(unit, gauss, half)
+
+    monkeypatch.setattr(bellman, "spd_from_unit", recording)
+    bellman._probe_gaps(np.random.default_rng(2), 2, 40)
+    first = np.concatenate(firsts)  # V's first exponent draw of each point, in draw order
+    pair = int(np.argmax(np.maximum(first[0::2], first[1::2]) > 0.97))
+    assert pair == 20 and first[2 * pair] <= 0.97 < first[2 * pair + 1]
+    monkeypatch.setattr(bellman, "spd_from_unit", refusing)
+    with pytest.raises(DomainError) as info:
+        bellman._probe_gaps(np.random.default_rng(2), 2, 40)
+    assert info.value.point == 20
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])

@@ -1,8 +1,9 @@
 """The default runs against the golden digest ``tests/data/digest.json``.
 
 The golden file was written by ``tools/report_digest.py --stamp``, which
-also wrote ``tests/data/digest_stamp.json``: numpy, its BLAS, the SIMD
-kernels numpy dispatches to, and the longdouble epsilon.  A fresh digest of
+also wrote ``tests/data/digest_stamp.json``: numpy, its BLAS and the
+kernel OpenBLAS chose, the SIMD kernels numpy dispatches to, the longdouble
+epsilon, Python and the machine.  A fresh digest of
 the session's default runs (``conftest.default_reports``) is compared leaf
 by leaf through ``tools/digest_diff.py``: verdicts and every non-float value
 must be equal, and floats must agree within ``ROW_RTOL``.  Rows are compared

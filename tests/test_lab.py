@@ -93,6 +93,23 @@ def test_json_report_schema(tmp_path):
     assert payload["stamp"]["package"] == "carlab"
 
 
+def test_environment_stamp_names_the_blas_kernel(monkeypatch):
+    # the kernel OpenBLAS chose, Python and the machine; the kernel is read
+    # once, and is None where numpy ships no OpenBLAS to read it from
+    import platform
+
+    from carlab import lab
+
+    stamp = lab.environment_stamp()
+    assert (stamp["python"], stamp["machine"]) == (platform.python_version(), platform.machine())
+    assert stamp["blas_core"] is None or stamp["blas_core"].isprintable() and stamp["blas_core"]
+    hits = lab._openblas_core.cache_info().hits
+    assert lab.environment_stamp() == stamp
+    assert lab._openblas_core.cache_info().hits == hits + 1
+    monkeypatch.setattr(lab.os, "listdir", lambda path: ["libgfortran.so"])
+    assert lab._openblas_core.__wrapped__() is None
+
+
 def test_json_report_bytes_are_json_dump(tmp_path, default_reports):
     # a report is encoded in one string and written once: the bytes of
     # json.dump, which writes chunk by chunk, for each default run
@@ -934,15 +951,14 @@ def test_bellman_probe_row_counts_every_negative_gap(monkeypatch):
     # 54.99999999999999, which the row once truncated to 54
     from carlab import bellman, lab
 
-    sampled = bellman._sampled
+    probe_gaps = bellman._probe_gaps
 
     def probe(**kwargs):
-        def first_55_negative(n, *args):
-            gaps, dims = sampled(n, *args)
-            return np.where(np.arange(n) < 55, -1.0, np.abs(gaps)), dims
+        def first_55_negative(rng, d, n):
+            return np.where(np.arange(n) < 55, -1.0, np.abs(probe_gaps(rng, d, n)))
 
         with monkeypatch.context() as patched:
-            patched.setattr(bellman, "_sampled", first_55_negative)
+            patched.setattr(bellman, "_probe_gaps", first_55_negative)
             return bellman.matrix_parameter_probe(**kwargs)
 
     monkeypatch.setattr(lab, "matrix_parameter_probe", probe)

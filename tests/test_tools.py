@@ -14,6 +14,7 @@ from carlab import bellman, cli, matrices, search
 from carlab.errors import NumericError
 from carlab.lab import OBJECTIVES, default_config, run_experiment
 from conftest import load_tool
+from oracles import brute_concavity_gaps, brute_dm_gaps, brute_size_gaps
 
 digest_diff = load_tool("digest_diff")
 longdouble_counts = load_tool("longdouble_counts")
@@ -138,6 +139,16 @@ def test_sampler_counts_prints_one_line_per_sampler(capsys):
     # then the gaps B >= 0 and U >= B (size), the midpoint's V, its check
     # and its gap (concavity), the quotient's gap (dm); 7 per probe pair
     assert [row["eigh_mats"] for row in rows.values()] == [160, 280, 120, 280]
+    # generator calls: one fewer per domain point than the per-draw oracles
+    # make on the same stream (the boundary draw and the uniform after it
+    # are one call), and 1 + 8 per probe pair in each of the three blocks
+    ref, want = sampler_counts.CountingGenerator(0), []
+    for check, points in ((brute_size_gaps, 1), (brute_concavity_gaps, 2),
+                          (lambda *args: brute_dm_gaps(*args, sampler_counts.H), 1)):
+        before = ref.calls
+        check(ref, 40, 4)
+        want.append(ref.calls - before - 40 * points)
+    assert [row["draw_calls"] for row in rows.values()] == [*want, 3 + 8 * 40]
     for row in rows.values():
         # three blocks (16, 16, 8), one stack per d and step in each
         assert 3 <= row["eigh_calls"] <= row["eigh_mats"]

@@ -14,13 +14,16 @@ and prints one line per sampler:
 * ``eigh_calls`` and ``eigh_mats``: LAPACK ``eigh`` calls and the matrices
   in them, the change of ``matrices.TALLY`` over the call;
 * ``traced_mb``: the tracemalloc peak of the call, above what was
-  allocated before it.
+  allocated before it;
+* ``draw_calls``: the generator calls of the call, counted by a subclass
+  of ``np.random.Generator`` (``CountingGenerator``) on the same stream.
 
 After a warm-up at a few samples, the samplers run twice from the same
 seed: once plain, for ``wall_s`` and ``rss_mb``, and once with tracemalloc
-on, for the other columns.  ``--block`` sets ``bellman.BLOCK``, the samples
-drawn and evaluated together; these numbers are what its value rests on.  The package is loaded from the
-``src/`` directory next to this script's directory.
+on and counting generators, for the other columns.  ``--block`` sets
+``bellman.BLOCK``, the samples drawn and evaluated together; these numbers
+are what its value rests on.  The package is loaded from the ``src/``
+directory next to this script's directory.
 """
 
 from __future__ import annotations
@@ -39,19 +42,40 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from carlab import bellman, matrices  # noqa: E402
 
-COLUMNS = ("wall_s", "rss_mb", "eigh_calls", "eigh_mats", "traced_mb")
+COLUMNS = ("wall_s", "rss_mb", "eigh_calls", "eigh_mats", "traced_mb", "draw_calls")
 H = 1e-5  # bellman-certify's dm step
 
 
-def samplers(samples, d_max, seed):
-    """(name, call) of each sampler, in bellman-certify's order; the three
-    sampling checks draw from one generator, one after the other."""
-    rng = np.random.default_rng(seed)
+def _counted(name):
+    """The draw method ``name`` of ``np.random.Generator``, counting its calls."""
+    def draw(self, *args, **kwargs):
+        self.calls += 1
+        return getattr(np.random.Generator, name)(self, *args, **kwargs)
+    return draw
+
+
+class CountingGenerator(np.random.Generator):
+    """``np.random.default_rng(seed)``'s stream, counting the calls of its
+    draw methods in ``calls``; ``default_rng`` passes it through."""
+
+    random, standard_normal, integers, uniform = map(
+        _counted, ("random", "standard_normal", "integers", "uniform"))
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = 0
+
+
+def samplers(samples, d_max, seed, generator=np.random.default_rng):
+    """(name, call, the generator it draws from) of each sampler, in
+    bellman-certify's order; the three sampling checks draw from one
+    ``generator(seed)``, one after the other, and the probe from another."""
+    rng, probe = generator(seed), generator(seed)
     return [
-        ("size", lambda: bellman.size_gaps(rng, samples, d_max)),
-        ("concavity", lambda: bellman.concavity_gaps(rng, samples, d_max)),
-        ("dm", lambda: bellman.dm_gaps(rng, samples, d_max, H)),
-        ("probe", lambda: bellman.matrix_parameter_probe(2, min(samples, 2000), seed)),
+        ("size", lambda: bellman.size_gaps(rng, samples, d_max), rng),
+        ("concavity", lambda: bellman.concavity_gaps(rng, samples, d_max), rng),
+        ("dm", lambda: bellman.dm_gaps(rng, samples, d_max, H), rng),
+        ("probe", lambda: bellman.matrix_parameter_probe(2, min(samples, 2000), probe), probe),
     ]
 
 
@@ -67,9 +91,10 @@ def plain(call):
             "rss_mb": round(_max_rss_mb() - rss, 2)}
 
 
-def traced(call):
-    """``eigh_calls``, ``eigh_mats`` and ``traced_mb`` of ``call()``."""
-    before = matrices.TALLY.copy()
+def traced(call, rng):
+    """``eigh_calls``, ``eigh_mats``, ``traced_mb`` and ``draw_calls`` of
+    ``call()``, which draws from the ``CountingGenerator`` ``rng``."""
+    before, draws = matrices.TALLY.copy(), rng.calls
     tracemalloc.start()
     try:
         call()
@@ -78,18 +103,18 @@ def traced(call):
         tracemalloc.stop()
     work = matrices.TALLY - before
     return {"eigh_calls": work["eigh_calls"], "eigh_mats": work["eigh_mats"],
-            "traced_mb": round(peak / 2**20, 2)}
+            "traced_mb": round(peak / 2**20, 2), "draw_calls": rng.calls - draws}
 
 
 def counts(samples, d_max=4, seed=0):
     """The ``COLUMNS`` of each sampler, by name: a pass over the samplers at
     a few samples, which pays what the first calls load, then a plain pass
-    and a traced one from the same seed."""
-    for _, call in samplers(min(samples, 16), d_max, seed):
+    and a traced one from the same seed, on counting generators."""
+    for _, call, _ in samplers(min(samples, 16), d_max, seed):
         call()
-    rows = {name: plain(call) for name, call in samplers(samples, d_max, seed)}
-    for name, call in samplers(samples, d_max, seed):
-        rows[name].update(traced(call))
+    rows = {name: plain(call) for name, call, _ in samplers(samples, d_max, seed)}
+    for name, call, rng in samplers(samples, d_max, seed, CountingGenerator):
+        rows[name].update(traced(call, rng))
     return rows
 
 
