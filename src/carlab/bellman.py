@@ -39,7 +39,7 @@ import numpy as np
 
 from . import matrices
 from .characteristics import (
-    INTENSITY_SLACK, check_fits, cube_supremum_batch, ordered_sums, subtree_sums_batch,
+    check_fits, check_intensity_bound, cube_supremum_batch, ordered_sums, subtree_sums_batch,
 )
 from .constructions import _half_log_cap, orthogonal_from_draws, spd_from_unit, uniform
 from .dyadic import ROOT, check_index, subtree_positions, tree_cube, tree_level, tree_position
@@ -266,12 +266,7 @@ def _dyadic_data(w, alphas):
     check_fits(w, *alphas)
     a = np.stack([alpha.dense() for alpha in alphas])
     acc = subtree_sums_batch(a)
-    intensity = cube_supremum_batch(acc)
-    bad = np.flatnonzero(intensity > 1.0 + INTENSITY_SLACK)
-    if bad.size:
-        err = PreconditionError(
-            f"dynamics requires Carleson intensity <= 1, got {float(intensity[bad[0]])}")
-        raise err.at(int(bad[0])) if len(a) > 1 else err
+    check_intensity_bound(cube_supremum_batch(acc), "dynamics requires")
     m = np.ldexp(acc, tree_level(np.arange(a.shape[1])))  # |K|^-1 sum over D(K)
     inv = w.inverse()
     return w, w.pyramid(), inv.pyramid(), m, a, inv.cube_eig(), inv.cube_power(-1.0)
@@ -502,9 +497,11 @@ def _sampled(n, new, draw_d, draw_into, evaluate):
 
 def _sample_points(rng, n, d_max, cond_cap, gap, points=1):
     """``gap`` of ``n`` samples, each ``points`` random domain points of one
-    d in 1..d_max, evaluated as ``gap(stack_1, ..., stack_points)``: (gaps, dims)."""
-    if d_max < 1:
-        raise PreconditionError(f"d_max must be at least 1, got {d_max}")
+    d in 1..d_max, evaluated as ``gap(stack_1, ..., stack_points)``: (gaps, dims);
+    ``d_max`` or ``n`` below 1 is refused by name."""
+    for name, count in (("d_max", d_max), ("n", n)):
+        if count < 1:
+            raise PreconditionError(f"{name} must be at least 1, got {count}")
     return _sampled(
         n, lambda d: _Draws(min(BLOCK, n), points, d, cond_cap),
         lambda: 1 + int(rng.integers(d_max)), lambda draws, r: draws.draw_points(rng, r),

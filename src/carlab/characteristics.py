@@ -20,7 +20,7 @@ from .dyadic import (
     DyadicIndex, check_index, json_int, level_slice, tree_ancestor, tree_cube, tree_level,
     tree_position, tree_size,
 )
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, PreconditionError, SingularMatrixError
 
 
 PSD_TOL = 1e-12
@@ -350,6 +350,16 @@ def carleson_intensity_batch(flat):
     if flat.ndim == 2:
         return cube_supremum_batch(sums)
     return cube_supremum_batch(sums, np.any(sums != 0.0, axis=(-2, -1)))
+
+
+def check_intensity_bound(intensity, prefix):
+    """Refuse Carleson intensities ``intensity`` (B,) above 1 + ``INTENSITY_SLACK``:
+    "<prefix> Carleson intensity <= 1, got <the first refused>", naming that
+    member (``LabError.point``) in a batch of more than one."""
+    bad = np.flatnonzero(intensity > 1.0 + INTENSITY_SLACK)
+    if bad.size:
+        err = PreconditionError(f"{prefix} Carleson intensity <= 1, got {float(intensity[bad[0]])}")
+        raise err.at(int(bad[0])) if len(intensity) > 1 else err
 
 
 def carleson_intensity(seq):

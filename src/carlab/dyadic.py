@@ -180,11 +180,12 @@ class FieldBatch:
         return batch
 
     def member(self, b):
-        """Member ``b`` as a batch of one, holding a copy of every cache computed so far."""
+        """Member ``b``, or the members of the list ``b``, as a batch holding a
+        copy of every cache computed so far."""
         def take(x):
             if x is None:
                 return None
-            x = x[b:b + 1].copy()
+            x = x[np.atleast_1d(b)]
             x.setflags(write=False)
             return x
 

@@ -30,7 +30,6 @@ from . import baselines, matrices
 from .bellman import (
     concavity_gaps,
     dm_gaps,
-    dynamics_gaps,
     dynamics_gaps_batch,
     hessian_richardson_ratio,
     matrix_parameter_probe,
@@ -62,12 +61,10 @@ from .embeddings import (
     maximal_function,
     weighted_l2_norm,
 )
-from .errors import ConfigError, LabError
+from .errors import ConfigError, LabError, first_failure
 from .redundancy import (
-    group_constants,
-    red_constants,
-    red_constants_each,
-    sred_constant,
+    red_constants_checked,
+    sred_constants_checked,
     substitution_error,
     trace_cycling_error,
 )
@@ -442,36 +439,30 @@ def _groups(keys):
     return list(groups.values())
 
 
-def _grouped(groups, build, evaluate, alone):
+def _grouped(groups, build, evaluate):
     """One result per index, and the first failure of a loop over the indices.
 
     Each group (a list of indices) is built (``build(i)`` of each), passed
     to ``evaluate`` as one list of (index, member) pairs, which returns the
     members' results in order, and freed, one group at a time.  A group
-    that raises goes member by member through ``alone(i, member)``, the
-    loop's computation of one result, up to its first member that raises.
-    Returns (results by index, failure): failure is None, or (i, error) of
-    the first index i, in index order, whose member raises alone, as a loop
-    over the indices would raise; the indices of a group from that member
-    on have no result.  A group that raises while none of its members does
-    alone fails as a whole, at its first index.
+    that raises is evaluated again as batches of one, up to its first member
+    that raises (``errors.first_failure``).  Returns (results by index,
+    failure): failure is None, or (i, error) of the first index i, in index
+    order, whose member raises alone, as a loop over the indices would
+    raise; the indices of a group from that member on have no result.  A
+    group that raises while none of its members does alone fails as a
+    whole, at its first index, and none of its indices has a result.
     """
     results, failure = {}, None
     for group in groups:
         members = [(i, build(i)) for i in group]
         try:
-            results.update(zip(group, evaluate(members)))
-            continue
+            out, b, error = first_failure(lambda sl: evaluate(members[sl]), len(group))
         except LabError as exc:
-            first = (group[0], exc)
-        for i, member in members:
-            try:
-                results[i] = alone(i, member)
-            except LabError as exc:
-                first = (i, exc)
-                break
-        if failure is None or first[0] < failure[0]:
-            failure = first
+            out, b, error = None, 0, exc
+        results.update(zip(group, out or ()))
+        if error is not None and (failure is None or group[b] < failure[0]):
+            failure = (group[b], error)
     return results, failure
 
 
@@ -595,8 +586,7 @@ def _run_bellman(cfg):
         fields, alphas = zip(*(member for _, member in members))
         return dynamics_gaps_batch(FieldBatch.stack(fields), alphas).tolist()
 
-    gaps, failure = _grouped(_groups(params), build, evaluate,
-                             lambda i, member: list(dynamics_gaps(*member).values()))
+    gaps, failure = _grouped(_groups(params), build, evaluate)
     if failure is not None:
         raise failure[1]
     dynamics_worst = np.inf
@@ -643,52 +633,50 @@ def _max_by_d(pairs):
 
 def _run_redundancy(cfg):
     # The constants come one batch per (d, depth) group of the suite's
-    # instances (redundancy.group_constants), each group built and freed in
-    # turn; then one loop over the first 50 seeds runs the Bellman
-    # telescoping cross-check, and over the first 20 the structural
-    # identities, on the instance of suite_instance_params(i, d,
-    # min(depth, 6), 4) and cond_cap min(cond_cap, 1e4): the suite's own
-    # instance, with its row's constants and its group's decompositions,
-    # when it is that one, else a fresh one, whose constants share a batch
-    # with the dominated sequence's.  A fresh instance is not independent of
-    # the suite's: random_instance(depth', d, seed) draws its weight leaf by
-    # leaf from the same seeded stream, so its leaves are the suite
-    # instance's first 2^depth' leaves.  The substitution samples are drawn
-    # in seed order.  The error raised is the one a loop over the seeds,
-    # constants then cross-checks, would raise first.
+    # instances (redundancy.sred_constants_checked and
+    # red_constants_checked), each group built and freed in turn; then one
+    # loop over the first 50 seeds runs the Bellman telescoping cross-check,
+    # and over the first 20 the structural identities, on the instance of
+    # suite_instance_params(i, d, min(depth, 6), 4) and cond_cap
+    # min(cond_cap, 1e4): the suite's own instance, with its row's constants
+    # and its group's decompositions, when it is that one, else a fresh one,
+    # whose constants share a batch with the dominated sequence's.  A fresh
+    # instance is not independent of the suite's: random_instance(depth', d,
+    # seed) draws its weight leaf by leaf from the same seeded stream, so its
+    # leaves are the suite instance's first 2^depth' leaves.  The
+    # substitution samples are drawn in seed order.  The error raised is the
+    # one a loop over the seeds, constants then cross-checks, would raise first.
     n_cross, cross_cap = min(50, len(cfg.seeds)), min(cfg.cond_cap, 1e4)
     plan = _suite_plan(cfg, "suite", cfg.depth, depth_min=4)
 
     def cross_params(i):
         return (*suite_instance_params(i, cfg.d, min(cfg.depth, 6), depth_min=4), cross_cap)
 
-    def reused(i, w):  # the suite's instance i is its cross-check's
-        return i < n_cross and cross_params(i) == (w.d, w.depth, cfg.cond_cap)
+    def constants(entry, batch, seqs, missing):
+        """``entry`` of the members of ``batch`` that hold a sequence (an
+        embedded one may lack it), ``missing`` for the others."""
+        have = [b for b, seq in enumerate(seqs) if seq is not None]
+        if not have:
+            return [missing] * len(seqs)
+        part = batch if len(have) == len(seqs) else batch.member(have)
+        got = iter(entry(part, [seqs[b] for b in have]))
+        return [missing if seq is None else next(got) for seq in seqs]
 
-    def result(i, member, consts, w):
-        """The row of instance i, and what its cross-check reads when ``reused``."""
-        kind, seed, _, alpha, mseq, _, _ = member
-        sred, (c1, c2, c3) = consts
-        row = {"kind": kind, "seed": seed, "d": w.d, "depth": w.depth,
-               "sred": sred, "red_c1": c1, "red_c2": c2, "red_c3": c3}
-        return row, (w, alpha, mseq, (c1, c2, c3)) if reused(i, w) else None
-
-    def alone(i, member):
-        _, _, w, alpha, mseq, _, _ = member
-        sred = "" if alpha is None else sred_constant(w, alpha)
-        return result(i, member, (sred, ("",) * 3 if mseq is None else red_constants(w, mseq)), w)
-
-    def evaluate(members):
+    def evaluate(members):  # each row, and what its cross-check reads when it is the suite's
         ws, alphas, mseqs = zip(*(member[2:5] for _, member in members))
-        if not all(seq is not None and len(seq) for seq in alphas + mseqs):
-            return [alone(i, member) for i, member in members]  # an embedded part is missing
         batch = FieldBatch.stack(ws)
-        consts = group_constants(batch, alphas, mseqs)
-        return [result(i, member, c, StepField.of(batch.member(b)) if reused(i, w) else w)
-                for b, ((i, member), c, w) in enumerate(zip(members, consts, ws))]
+        sred = constants(sred_constants_checked, batch, alphas, "")
+        red = constants(red_constants_checked, batch, mseqs, ("",) * 3)
+        out = []
+        for b, ((i, (kind, seed, w, alpha, mseq, _, _)), c) in enumerate(zip(members, red)):
+            row = {"kind": kind, "seed": seed, "d": w.d, "depth": w.depth,
+                   "sred": sred[b], "red_c1": c[0], "red_c2": c[1], "red_c3": c[2]}
+            reused = i < n_cross and cross_params(i) == (w.d, w.depth, cfg.cond_cap)
+            out.append((row, (StepField.of(batch.member(b)), alpha, mseq, c) if reused else None))
+        return out
 
     results, failure = _grouped(_groups([key for key, _ in plan]), lambda i: plan[i][1](),
-                                evaluate, alone)
+                                evaluate)
     telescope_diff, telescope_gap, mono_ok, cycle_err, subst_err = 0.0, np.inf, True, 0.0, 0.0
     rng = np.random.default_rng(cfg.seeds[0] + 77)
     for i in range(n_cross if failure is None else min(n_cross, failure[0])):
@@ -708,8 +696,8 @@ def _run_redundancy(cfg):
         intensity = carleson_intensity(ScalarSequence.from_arrays(depth, mseq.positions, norms))
         dominated = MatrixSequence.from_arrays(depth, mseq.positions,
                                                norms[:, None, None] * np.eye(d), intensity)
-        *fresh, (k1, k2, k3) = red_constants_each(
-            w, [mseq] * (c is None) + [dominated.scaled(1.0 / intensity)])
+        *fresh, (k1, k2, k3) = red_constants_checked(
+            w.batch, [mseq] * (c is None) + [dominated.scaled(1.0 / intensity)])
         c1, c2, c3 = c or fresh[0]
         # Undo the intensity normalization to compare against the raw sequence.
         k1, k2, k3 = k1 * intensity, k2 * intensity, k3 * intensity

@@ -6,6 +6,11 @@ corollary operator form.  Everything here returns best constants (suprema
 of sandwiched eigenvalues over all cubes), never booleans; inputs are
 required to have Carleson intensity at most 1 so the reported constants
 carry no hidden intensity factor.
+
+Each constant has one checked entry over a matrix ``FieldBatch`` of one
+member per sequence or of one weight they share (``sred_constants_checked``,
+``red_constants_checked``), whose batches of one are ``sred_constant`` and
+``red_constants``; the kernels under them take cube powers and check nothing.
 """
 
 from __future__ import annotations
@@ -15,32 +20,26 @@ import numpy as np
 from . import matrices
 from .characteristics import (
     INTENSITY_SLACK, MatrixSequence, ScalarSequence, carleson_intensity_batch, check_fits,
-    cube_supremum_batch, level_supremum, rowdot, subtree_forms, subtree_sums_batch,
+    check_intensity_bound, cube_supremum_batch, level_supremum, rowdot, subtree_forms,
+    subtree_sums_batch,
 )
 from .dyadic import DyadicIndex, check_index, level_slice, tree_level, tree_position, tree_size
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import DimensionMismatchError
 
 
 def check_intensity_batch(flat):
     """Refuse a batch of dense sequences whose Carleson intensity exceeds 1.
 
     ``flat`` holds the dense sequences (B, cubes[, d, d]) in tree order;
-    the first offending member is named by its intensity, computed here.
-    This is the whole check, which reads no carried intensity;
-    ``sred_constant`` and ``red_constants_each`` reach it through
-    ``check_intensities``, which first passes, with no solver call, each
-    sequence whose carried intensity is at most 1 + ``INTENSITY_SLACK``/2.
+    the first offending member is named by its intensity, computed here,
+    and in a batch of more than one by its index (``check_intensity_bound``).
+    This is the whole check, which reads no carried intensity.
     """
-    intensity = carleson_intensity_batch(flat)
-    bad = np.flatnonzero(intensity > 1.0 + INTENSITY_SLACK)
-    if bad.size:
-        raise PreconditionError(
-            f"redundancy bounds assume Carleson intensity <= 1, got {float(intensity[bad[0]])}"
-        )
+    check_intensity_bound(carleson_intensity_batch(flat), "redundancy bounds assume")
 
 
 def check_intensities(seqs):
-    """``check_intensity_batch`` on the sequences ``seqs`` of one shape, passing
+    """The whole check on the sequences ``seqs`` of one shape, passing
     with no solver call each one whose ``carried_intensity`` is at most
     1 + ``INTENSITY_SLACK``/2.
 
@@ -50,12 +49,34 @@ def check_intensities(seqs):
     pass inside the whole check's acceptance.  Every other sequence (no
     carried value, a NaN or infinite one, or one above the margin) goes
     through the whole check, and a refusal names the first refused of
-    those, the first refused of ``seqs``.
+    ``seqs``, by its index in a list of more than one.
     """
-    rest = [seq for seq in seqs if seq.carried_intensity is None
+    rest = [b for b, seq in enumerate(seqs) if seq.carried_intensity is None
             or not seq.carried_intensity <= 1.0 + INTENSITY_SLACK / 2]
     if rest:
-        check_intensity_batch(np.stack([seq.dense() for seq in rest]))
+        intensity = np.zeros(len(seqs), dtype=np.longdouble)  # holds either dtype exactly
+        intensity[rest] = carleson_intensity_batch(np.stack([seqs[b].dense() for b in rest]))
+        check_intensity_bound(intensity, "redundancy bounds assume")
+
+
+def _checked(w, seqs, kind, refusal, zero, constants):
+    """The constant of each sequence of ``seqs`` (``kind``, else ``refusal``) on
+    its member of the matrix ``FieldBatch`` ``w``, or on its one member, once
+    checked: ``constants(w, flat)`` of the nonempty ones' weights and dense
+    sequences; an empty one gives ``zero`` and, as alone, decomposes nothing."""
+    if not all(isinstance(seq, kind) for seq in seqs):
+        raise DimensionMismatchError(refusal)
+    if len(w.values) not in (1, len(seqs)):
+        raise DimensionMismatchError(f"{len(seqs)} sequences on a batch of {len(w.values)}")
+    check_fits(w, *seqs)
+    check_intensities(seqs)
+    full = [b for b, seq in enumerate(seqs) if len(seq)]
+    if not full:
+        return [zero] * len(seqs)
+    if len(w.values) > 1 and len(full) < len(seqs):
+        w = w.member(full)
+    got = iter(constants(w, np.stack([seqs[b].dense(w.values.dtype) for b in full])))
+    return [next(got) if len(seq) else zero for seq in seqs]
 
 
 def sred_constant_batch(roots, vinv, alpha):
@@ -68,44 +89,26 @@ def sred_constant_batch(roots, vinv, alpha):
     return cube_supremum_batch(roots @ subtree_sums_batch(alpha[..., None, None] * vinv) @ roots)
 
 
+def sred_constants_checked(w, alphas):
+    """``sred_constant`` of each scalar sequence ``alphas[b]`` on member b of a
+    matrix ``FieldBatch`` ``w``, or on its one member, bitwise each alone, as
+    one ``sred_constant_batch`` call; a refusal names the first refused."""
+    def constants(w, flat):
+        vinv, roots = w.inverse().cube_power(-1.0), w.cube_power(-0.5)
+        return list(map(float, sred_constant_batch(roots, vinv, flat)))
+
+    return _checked(w, alphas, ScalarSequence, "sred_constant expects a scalar sequence", 0.0,
+                    constants)
+
+
 def sred_constant(w, alpha):
     """Best constant in sum alpha_Q <W^-1>_Q^-1 <= C |K| <W>_K.
 
     sup over K of lambda_max(<W>_K^-1/2 [|K|^-1 sum_{Q in D(K)}
     alpha_Q <W^-1>_Q^-1] <W>_K^-1/2); the theory puts C <= 4 whenever the
-    intensity of alpha is at most 1.
+    intensity of alpha is at most 1.  The batch of one of ``sred_constants_checked``.
     """
-    w = w.as_matrix()
-    if not isinstance(alpha, ScalarSequence):
-        raise DimensionMismatchError("sred_constant expects a scalar sequence")
-    check_fits(w, alpha)
-    check_intensities([alpha])
-    if len(alpha) == 0:
-        return 0.0
-    vinv, roots = w.inverse().cube_power(-1.0)[None], w.cube_power(-0.5)[None]
-    return float(sred_constant_batch(roots, vinv, alpha.dense(w.values.dtype)[None])[0])
-
-
-def group_constants(w, alphas, bseqs):
-    """``sred_constant`` and ``red_constants`` of each member b of a matrix
-    ``FieldBatch`` ``w``, with the scalar sequence ``alphas[b]`` and the
-    matrix sequence ``bseqs[b]``, each nonempty: a list of (sred,
-    (c1, c2, c3)), bitwise each member's alone.  The powers are the batch's,
-    and each constant is one ``sred_constant_batch`` or
-    ``red_constants_batch`` call over the whole batch.  A refusal is the
-    batch's; which member refuses first alone is the caller's to find.
-    """
-    if not all(map(len, (*alphas, *bseqs))):
-        raise PreconditionError("group_constants takes nonempty sequences")
-    check_fits(w, *alphas, *bseqs)
-    check_intensities(alphas)
-    check_intensities(bseqs)
-    roots, inv, dtype = w.cube_power(-0.5), w.inverse(), w.values.dtype
-    sred = sred_constant_batch(roots, inv.cube_power(-1.0),
-                               np.stack([a.dense(dtype) for a in alphas]))
-    red = red_constants_batch(roots, inv.cube_power(-0.5),
-                              np.stack([b.dense(dtype) for b in bseqs]))
-    return [(float(s), tuple(map(float, c))) for s, c in zip(sred, zip(*red))]
+    return sred_constants_checked(w.as_matrix().batch, [alpha])[0]
 
 
 def red_sums_batch(roots, proots, b, pbp, deepest):
@@ -176,23 +179,21 @@ def red_constants(w, bseq):
     e = <W>_K^1/2 f maps one onto the other).
     Cubes K with no support cube in D(K) are left out of c1 and c2; every
     cube deeper than the deepest support cube is one of them.
+    The batch of one of ``red_constants_checked``.
     """
-    return red_constants_each(w, [bseq])[0]
+    return red_constants_checked(w.as_matrix().batch, [bseq])[0]
 
 
-def red_constants_each(w, bseqs):
-    """``red_constants`` of each matrix sequence in the list ``bseqs`` on the weight ``w``,
-    the nonempty ones as one batch, bitwise each alone; a refusal names the first refused."""
-    w = w.as_matrix()
-    if not all(isinstance(bseq, MatrixSequence) for bseq in bseqs):
-        raise DimensionMismatchError("red_constants expects a matrix sequence")
-    check_fits(w, *bseqs)
-    check_intensities(bseqs)
-    full, consts = [bseq.dense(w.values.dtype) for bseq in bseqs if len(bseq)], iter(())
-    if full:
-        roots, proots = (f.cube_power(-0.5)[None] for f in (w, w.inverse()))
-        consts = zip(*red_constants_batch(roots, proots, np.stack(full)))
-    return [tuple(map(float, next(consts))) if len(bseq) else (0.0,) * 3 for bseq in bseqs]
+def red_constants_checked(w, bseqs):
+    """``red_constants`` (c1, c2, c3) of each matrix sequence ``bseqs[b]`` on
+    member b of a matrix ``FieldBatch`` ``w``, or on its one member, bitwise each
+    alone, as one ``red_constants_batch`` call; a refusal names the first refused."""
+    def constants(w, flat):
+        roots, proots = (f.cube_power(-0.5) for f in (w, w.inverse()))
+        return [tuple(map(float, c)) for c in zip(*red_constants_batch(roots, proots, flat))]
+
+    return _checked(w, bseqs, MatrixSequence, "red_constants expects a matrix sequence",
+                    (0.0,) * 3, constants)
 
 
 def red_quadratic_form(w, bseq, k, e, order="corollary"):

@@ -235,8 +235,8 @@ def computed_intensity(seq):
 
 
 def always_check_intensities(seqs):
-    """The intensity refusal of ``sred_constant`` and ``red_constants_each``
-    before a sequence carried an intensity: the whole check on every one."""
+    """The intensity refusal of ``sred_constant`` and ``red_constants`` before
+    a sequence carried an intensity: the whole check on every one."""
     from carlab.redundancy import check_intensity_batch
 
     check_intensity_batch(np.stack([seq.dense() for seq in seqs]))
@@ -1314,7 +1314,7 @@ def loop_redundancy(cfg):
     from carlab.bellman import telescoping_certificate
     from carlab.characteristics import MatrixSequence, ScalarSequence, carleson_intensity
     from carlab.redundancy import (
-        red_constants, red_constants_each, sred_constant, substitution_error, trace_cycling_error,
+        red_constants, sred_constant, substitution_error, trace_cycling_error,
     )
 
     rows = []
@@ -1346,9 +1346,8 @@ def loop_redundancy(cfg):
         intensity = carleson_intensity(ScalarSequence.from_arrays(depth, mseq.positions, norms))
         dominated = MatrixSequence.from_arrays(depth, mseq.positions,
                                                norms[:, None, None] * np.eye(d), intensity)
-        *fresh, (k1, k2, k3) = red_constants_each(
-            w, [mseq] * (c is None) + [dominated.scaled(1.0 / intensity)])
-        c1, c2, c3 = c or fresh[0]
+        c1, c2, c3 = c or red_constants(w, mseq)
+        k1, k2, k3 = red_constants(w, dominated.scaled(1.0 / intensity))
         k1, k2, k3 = k1 * intensity, k2 * intensity, k3 * intensity
         if min(k1 - c1, k2 - c2, k3 - c3) < -1e-8:
             mono_ok = False

@@ -7,8 +7,8 @@ calls give.  The members of a batch share (depth, d) but differ in weight,
 fields and support, and one of them carries a root-only sequence.  The
 search objective is held to the same rule: the search's lookahead batches
 mix restarts at different steps.  So are ``FieldBatch`` and the grouped
-passes of the suites (``dynamics_gaps_batch``, ``group_constants``), in
-float64 and longdouble.
+passes of the suites (``dynamics_gaps_batch``, ``sred_constants_checked``
+and ``red_constants_checked``), in float64 and longdouble.
 """
 
 import numpy as np
@@ -32,11 +32,12 @@ from carlab.dyadic import ROOT, DyadicIndex, FieldBatch, StepField, tree_positio
 from carlab.embeddings import bet_norm_sum, bet_norm_sum_batch, halfweighted_pyramid_batch
 from carlab.errors import DimensionMismatchError, SingularMatrixError
 from carlab.redundancy import (
-    group_constants,
     red_constants,
     red_constants_batch,
+    red_constants_checked,
     sred_constant,
     sred_constant_batch,
+    sred_constants_checked,
 )
 from carlab.search import (
     _STATE, OBJECTIVES, _apply_moves, _draw_stream, _packed, _search_objective,
@@ -216,7 +217,8 @@ def test_group_constants_match_single_fields(depth, d, dtype):
     rng = np.random.default_rng(700 * depth + d)
     ws = _weights(depth, d, rng, dtype=dtype)
     alphas, bseqs = _scalar_sequences(depth, rng), _matrix_sequences(depth, d, rng)
-    got = group_constants(FieldBatch.stack(ws), alphas, bseqs)
+    batch = FieldBatch.stack(ws)
+    got = zip(sred_constants_checked(batch, alphas), red_constants_checked(batch, bseqs))
     want = [(sred_constant(w, a), red_constants(w, b)) for w, a, b in zip(ws, alphas, bseqs)]
     assert np.array_equal([[s, *c] for s, c in got], [[s, *c] for s, c in want])
 

@@ -10,6 +10,7 @@ from carlab.bellman import (
     bellman_second_derivative,
     dyadic_point,
     dynamics_gaps,
+    dynamics_gaps_batch,
     hessian_richardson_ratio,
     matrix_parameter_probe,
     random_domain_point,
@@ -17,7 +18,7 @@ from carlab.bellman import (
 )
 from carlab.characteristics import ScalarSequence, carleson_intensity
 from carlab.constructions import random_instance, random_scalar_sequence, random_weight_field
-from carlab.dyadic import ROOT, DyadicIndex, StepField, average
+from carlab.dyadic import ROOT, DyadicIndex, FieldBatch, StepField, average
 from carlab.errors import DomainError, PreconditionError
 from carlab.matrices import operator_norm, psd_gap
 from carlab.redundancy import sred_constant
@@ -154,8 +155,15 @@ def test_dynamics_rejects_leaf_and_bad_intensity():
     with pytest.raises(PreconditionError):
         bellman_dynamics_gap(w, alpha, DyadicIndex(1, 0))
     heavy = ScalarSequence(1, {ROOT: 3.0})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^dynamics requires Carleson intensity <= 1, "
+                                                r"got 3\.0$"):
         bellman_dynamics_gap(w, heavy, ROOT)
+    # in a batch of more than one the refusal names the first member refused
+    batch = FieldBatch.stack([w] * 3)
+    with pytest.raises(PreconditionError) as info:
+        dynamics_gaps_batch(batch, [alpha, heavy, heavy.scaled(2.0)])
+    assert str(info.value) == "dynamics requires Carleson intensity <= 1, got 3.0 (point 1)"
+    assert info.value.point == 1
 
 
 def test_dynamics_random_instances():

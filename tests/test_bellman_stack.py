@@ -239,10 +239,14 @@ def test_samplers_draw_each_run_of_one_kind_in_one_call(seed, monkeypatch):
     (lambda: size_gaps(np.random.default_rng(0), 3, 0), "d_max"),
     (lambda: concavity_gaps(np.random.default_rng(0), 3, -1), "d_max"),
     (lambda: dm_gaps(np.random.default_rng(0), 3, 0, H), "d_max"),
+    *[(lambda sampler=sampler, n=n: sampler(np.random.default_rng(0), n, 2), "n")
+      for sampler in (size_gaps, concavity_gaps, lambda rng, n, d_max: dm_gaps(rng, n, d_max, H))
+      for n in (0, -1)],
 ])
 def test_samplers_refuse_counts_below_one_by_name(call, name):
     # these used to end in numpy's errors: a reduction over an empty array,
-    # or "high <= 0" from the generator
+    # "high <= 0" from the generator, or "negative dimensions are not
+    # allowed"; a sampler's n of 0 returned empty arrays
     with pytest.raises(PreconditionError, match=f"^{name} must be at least 1"):
         call()
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from carlab import matrices, search
+from carlab import lab, matrices, search
 from carlab.cli import build_parser, main
 from carlab.dyadic import StepField, pyramid_batch, stepfield_to_json
 from carlab.constructions import EPS_SWEEP, random_instance
@@ -20,7 +20,9 @@ from carlab.lab import (
     suite_instance_params,
     sweep_row,
 )
-from carlab.characteristics import c2_conditioning, wcet_testing_constant
+from carlab.characteristics import (
+    MatrixSequence, ScalarSequence, c2_conditioning, wcet_testing_constant,
+)
 from carlab.redundancy import red_constants, sred_constant
 
 from oracles import (
@@ -755,6 +757,34 @@ def test_bellman_dynamics_groups_match_the_per_seed_loop(depth, d):
     assert np.array_equal([row["worst_gap"], row["violations"]], loop_bellman_dynamics(cfg))
 
 
+def _stub_grouped(groups, bad=(), bad_together=()):
+    """``lab._grouped`` on the stub members i -> 10 i: a batch holding a
+    member of ``bad`` fails, naming it as a batch does, and a batch of more
+    than one holding every index of ``bad_together`` fails as a whole."""
+    def evaluate(members):
+        idx = [i for i, _ in members]
+        for p, i in enumerate(idx):
+            if i in bad:
+                err = PreconditionError(f"member {i}")
+                raise err.at(p) if len(idx) > 1 else err
+        if len(idx) > 1 and bad_together and set(bad_together) <= set(idx):
+            raise PreconditionError("together")
+        return [member for _, member in members]
+
+    return lab._grouped(groups, lambda i: 10 * i, evaluate)
+
+
+def test_grouped_fails_as_a_loop_over_the_indices():
+    assert _stub_grouped([[0, 2], [1, 3]]) == ({0: 0, 2: 20, 1: 10, 3: 30}, None)
+    # 3 fails in the first group, 1 in a later one: the lower index is raised,
+    # and the members before each failing one keep their results
+    results, (i, error) = _stub_grouped([[0, 3], [1, 2]], bad={3, 1})
+    assert results == {0: 0} and i == 1 and str(error) == "member 1"
+    # a group that fails while no member fails alone fails at its first index
+    results, (i, error) = _stub_grouped([[0, 2], [1, 3]], bad={3}, bad_together={0, 2})
+    assert results[1] == 10 and 3 not in results and i == 0 and str(error) == "together"
+
+
 def _failing_seeds(monkeypatch, singular, too_dense):
     """Make the instance of seed ``singular`` take a zero weight (refused
     under W^-1) and that of seed ``too_dense`` a scalar sequence of
@@ -1276,3 +1306,19 @@ def test_cli_samples_and_budget_limits_exit_code(tmp_path, monkeypatch, capsys):
         assert getattr(default_config("bellman-certify", **{key: limit}), key) == limit
         with pytest.raises(ConfigError, match=f"{key} must lie in"):
             default_config("bellman-certify", **{key: limit + 1})
+
+
+def test_redundancy_empty_embedded_sequences_decompose_no_weight():
+    # an embedded instance's empty sequences give zero constants without
+    # decomposing its weight, as they do alone, also in a group with random
+    # instances: a zero weight there is not refused
+    zero = StepField(np.zeros((8, 2, 2)))
+    empty = {"weight": stepfield_to_json(zero), "alpha": ScalarSequence(3).to_json(),
+             "matrix_seq": MatrixSequence(3, 2).to_json()}
+    cfg = default_config("redundancy-suite", depth=3, d=2, seeds=list(range(4)),
+                         extra_instances=[empty])
+    report = run_experiment(cfg)
+    rows, _ = loop_redundancy(cfg)
+    keys = ("sred", "red_c1", "red_c2", "red_c3")
+    assert np.array_equal(_numbers(report.rows, keys), _numbers(rows, keys))
+    assert [report.rows[-1][k] for k in keys] == [0.0] * 4

@@ -28,10 +28,11 @@ from carlab.redundancy import (
     check_intensities,
     red_constants,
     red_constants_batch,
-    red_constants_each,
+    red_constants_checked,
     red_quadratic_form,
     red_sums_batch,
     sred_constant,
+    sred_constants_checked,
     substitution_error,
     trace_cycling_error,
 )
@@ -199,21 +200,31 @@ def test_red_constants_one_supremum_call_is_the_three_calls(depth, d, dtype):
             assert np.array_equal(g.view(np.int64), w.view(np.int64)), (members, g, w)
 
 
-def test_red_constants_each_is_each_alone():
+def test_checked_entries_are_each_alone():
     # the sequences of one weight go through one batch that shares its
-    # powers, bitwise what each gives alone; an empty sequence gives zeros,
-    # and the first sequence over intensity 1 is the one refused
+    # powers, and so do those of a batch of weights, one member each: bitwise
+    # what each gives alone.  An empty sequence gives zeros, and the first
+    # sequence over intensity 1 is the one refused, named by its index.
     for depth, d in [(0, 1), (3, 2), (5, 3), (4, 4)]:
         rng = np.random.default_rng(70 + depth)
         w = random_weight_field(depth, d, rng, cond_cap=1e3)
         seqs = [random_matrix_sequence(depth, d, rng), MatrixSequence(depth, d),
                 MatrixSequence(depth, d, {ROOT: np.eye(d)}),
                 random_matrix_sequence(depth, d, rng).scaled(0.5)]
-        assert red_constants_each(w, seqs) == [red_constants(w, s) for s in seqs]
-        assert red_constants_each(w, seqs[1:2]) == [(0.0, 0.0, 0.0)]
+        alphas = [random_scalar_sequence(depth, rng), ScalarSequence(depth),
+                  ScalarSequence(depth, {ROOT: 1.0}), random_scalar_sequence(depth, rng).scaled(0.5)]
+        assert red_constants_checked(w.batch, seqs) == [red_constants(w, s) for s in seqs]
+        assert red_constants_checked(w.batch, seqs[1:2]) == [(0.0, 0.0, 0.0)]
+        assert sred_constants_checked(w.batch, alphas) == [sred_constant(w, a) for a in alphas]
+        ws = [w] + [random_weight_field(depth, d, rng, cond_cap=1e3) for _ in seqs[1:]]
+        batch = FieldBatch.stack(ws)
+        assert red_constants_checked(batch, seqs) == list(map(red_constants, ws, seqs))
+        assert sred_constants_checked(batch, alphas) == list(map(sred_constant, ws, alphas))
+        with pytest.raises(DimensionMismatchError, match="4 sequences on a batch of 2"):
+            red_constants_checked(FieldBatch.stack(ws[:2]), seqs)
         over = [s.scaled(factor) for s, factor in zip(seqs, (1.0, 1.0, 3.0, 4.0))]
-        with pytest.raises(PreconditionError, match="got 3.0"):
-            red_constants_each(w, over)
+        with pytest.raises(PreconditionError, match=r"got 3\.0 \(point 2\)$"):
+            red_constants_checked(w.batch, over)
 
 
 @pytest.mark.parametrize("d", range(1, 5))
@@ -230,7 +241,7 @@ def test_carried_intensity_refusal_is_the_whole_check(d, monkeypatch):
         rng = np.random.default_rng(900 + 10 * d + depth)
         w = random_weight_field(depth, d, rng, cond_cap=1e3)
         for seq, constants in ((random_matrix_sequence(depth, d, rng),
-                                lambda s: red_constants_each(w, [s])),
+                                lambda s: red_constants(w, s)),
                                (random_scalar_sequence(depth, rng), lambda s: sred_constant(w, s))):
             intensity = carleson_intensity(seq)
             edges = [0.0, -1.0, np.inf, np.nan, 1e-300, 1e300]
@@ -270,8 +281,8 @@ def test_dominated_intensity_is_that_of_the_norms():
 
 def test_redundancy_suite_measures_each_intensity_once(monkeypatch):
     # each generated sequence is measured once, by its generator, and each
-    # dominated one once, through its norms: sred_constant and
-    # red_constants_each read the intensity the sequence carries.  The four
+    # dominated one once, through its norms: the checked entries read the
+    # intensity the sequence carries.  The four
     # suite instances and the fresh one of seed 3 hold 10 sequences, and the
     # four cross-checks make 4 dominated ones.
     real, calls = characteristics.carleson_intensity_batch, Counter()

@@ -1,16 +1,20 @@
 """``tools/digest_diff.py`` on small digests written to a temporary directory,
 ``tools/report_digest.py --only``, ``tools/search_counts.py`` on a small
 search, ``tools/sampler_counts.py`` on a few Bellman samples,
-``tools/longdouble_counts.py`` at depth 3 and ``tools/seed_sweep.py`` on
-two or three deep-sweep seeds."""
+``tools/longdouble_counts.py`` at depth 3, ``tools/seed_sweep.py`` on
+two or three deep-sweep seeds, and the benchmark's tracer
+(``perfbench/spans.py``) on two short suites."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from carlab import bellman, cli, matrices, search
+from carlab import bellman, cli, lab, matrices, search
 from carlab.errors import NumericError
 from carlab.lab import OBJECTIVES, default_config, run_experiment
 from conftest import load_tool
@@ -225,3 +229,29 @@ def test_seed_sweep_digest_is_the_report_digest_of_each_run(tmp_path, monkeypatc
     assert got["counterexample-sweep seed 109 run 0"] is None
     assert got["counterexample-sweep seed 108 run 0"] == json.loads(
         report_digest.canonical_json(want["counterexample-sweep seed 108 run 0"]))
+
+
+def test_benchmark_tracer_installs_and_restores_on_two_suites(monkeypatch):
+    # perfbench/spans.py patches StepField.power, BellmanPoint.__init__,
+    # LabReport.write, matrices._jacobi_eigh and DyadicIndex.contains through
+    # vars(owner)[attr]: if one of them stops being an own attribute there,
+    # install raises and the benchmark's traced runs fail.  The file is
+    # only read here, with no bytecode written next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = (lab.run_experiment, matrices._jacobi_eigh)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert lab.run_experiment is not originals[0]
+        for experiment in ("redundancy-suite", "bellman-certify"):
+            assert lab.run_experiment(default_config(experiment, seeds=[0, 1], samples=20)).passed
+    finally:
+        tracer.restore()
+    assert (lab.run_experiment, matrices._jacobi_eigh) == originals
+    summary = tracer.summary()
+    assert summary["lab.calls"] >= 2 and summary["redundancy.calls"] > 0
+    assert summary["bellman.calls"] > 0 and summary["bellman.points"] > 0
