@@ -415,7 +415,7 @@ def a2_characteristic(w):
     needs one eigendecomposition per cube instead of two.
     """
     w = w.as_matrix()
-    roots = matrices.eig_power(*matrices.eigh_sym(w.inverse().pyramid()), 0.5, context=tree_cube)
+    roots = w.inverse().cube_power(0.5)
     return float(matrices.lambda_max_stack(roots @ w.pyramid() @ roots).max())
 
 

@@ -3,9 +3,10 @@
 Every experiment is a pure function of its configuration: all randomness is
 seeded, so any report row can be regenerated from the config plus the seed
 or eps it carries.  Reports collect rows, suite aggregates and boolean
-verdicts; the CLI turns failed verdicts into a nonzero exit code.  The
-experiments are declared in one table, ``EXPERIMENTS``, at the end of the
-module: each has a preset config, a runner and its pinned CSV columns.
+verdicts, and record the solver and search work of the run; the CLI turns
+failed verdicts into a nonzero exit code.  The experiments are declared in
+one table, ``EXPERIMENTS``, at the end of the module: each has a preset
+config, a runner and its pinned CSV columns.
 """
 
 from __future__ import annotations
@@ -187,6 +188,7 @@ class LabReport:
     aggregates: dict
     verdicts: dict
     stamp: dict
+    work: dict  # the change of ``matrices.TALLY`` over the run; unchanged keys left out
 
     @property
     def passed(self):
@@ -200,6 +202,7 @@ class LabReport:
             "aggregates": self.aggregates,
             "verdicts": self.verdicts,
             "stamp": self.stamp,
+            "work": self.work,
         }
 
     def write(self, path, fmt):
@@ -258,12 +261,13 @@ def run_experiment(cfg):
     """Run one experiment; write the report if an output path is set."""
     from . import __version__
 
-    started = time.perf_counter()
+    tally, started = matrices.TALLY.copy(), time.perf_counter()
     rows, aggregates, verdicts = EXPERIMENTS[cfg.experiment].run(cfg)
     aggregates["elapsed_seconds"] = time.perf_counter() - started
     report = LabReport(experiment=cfg.experiment, config=cfg.to_dict(), rows=rows,
                        aggregates=aggregates, verdicts=verdicts,
-                       stamp={"package": "carlab", "version": __version__, **environment_stamp()})
+                       stamp={"package": "carlab", "version": __version__, **environment_stamp()},
+                       work=dict(sorted((matrices.TALLY - tally).items())))
     if cfg.output_path:
         report.write(cfg.output_path, cfg.format)
     return report

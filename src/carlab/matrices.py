@@ -59,7 +59,11 @@ JACOBI_MAX_SWEEPS = 60
 # jacobi_calls/jacobi_mats, jacobi_distinct (the matrices its sweeps solve)
 # and jacobi_sweeps (the sweeps that rotated); power_mats, the members
 # ``eig_power`` powers, of which power_longdouble_mats are longdouble and
-# power_longdouble_distinct distinct longdouble ones.
+# power_longdouble_distinct distinct longdouble ones.  The adversarial
+# search adds its search_batches (batched evaluations), search_candidates
+# (the states in them), search_accepted (accepted moves) and
+# search_weight_leaves (leaf weights built).  A report's ``work`` is the
+# change of the tally over its run.
 TALLY = Counter()
 
 

@@ -60,9 +60,11 @@ def _state_weights(log_eigs, angles, cond_cap):
 
     Q = I G_1 G_2 ..., one Givens rotation per coordinate plane in row
     order; the leaves (B, 2^depth, d, d) are symmetrized as ``StepField`` does.
+    ``matrices.TALLY`` counts the leaves built (search_weight_leaves).
     """
     logs = _clip_spread(log_eigs, cond_cap)
     shape, d = logs.shape[:-1], logs.shape[-1]
+    matrices.TALLY["search_weight_leaves"] += math.prod(shape)
     trig = np.array([(math.cos(a), math.sin(a)) for a in angles.ravel().tolist()])
     trig = trig.reshape(*angles.shape, 2)
     q = np.eye(d)
@@ -140,6 +142,12 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
     matrix sequence alpha_Q I is finite, symmetric and PSD whenever alpha is
     finite and non-negative, and has the same Carleson intensity, so the
     checks ``red_constants`` makes of it are implied by those of alpha.
+
+    bet_norm_ratio has a closed form.  Its f = W^1/2 b and g = W^-1/2 a,
+    from the bottom and top eigenvectors b, a of the root average <W>,
+    give <W^1/2 f>_Q = <W>_Q b and <W^-1/2 g>_Q = <W^-1>_Q a, so u_Q = b and
+    v_Q = a on every cube, and the value is sum_Q alpha_Q / (||W^1/2 b||
+    ||W^-1/2 a||), the L2 norms over the leaves.
     """
     n_leaves, d = log_eigs.shape[1:]
     if carry is None:
@@ -326,6 +334,10 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
     the restart and the ones after it, and the first error in (restart,
     step) order is raised once the others are done.
 
+    ``matrices.TALLY`` counts the batched evaluations, a failing batch's
+    evaluations of one included (search_batches), the candidates in them
+    (search_candidates) and the accepted moves (search_accepted).
+
     Returns the values and, for bet_norm_ratio, the values over sqrt(C2)
     (else None), both (restart, step), and each restart's weight at its
     first best value.
@@ -355,6 +367,8 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
 
         def evaluate(sl):
             part = {name: view[sl] for name, view in views.items()}
+            matrices.TALLY["search_batches"] += 1
+            matrices.TALLY["search_candidates"] += len(part["w"])
             return _search_objective(*(part[name] for name in _STATE), objective, cond_cap,
                                      part, stale[sl])
 
@@ -379,6 +393,7 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
                 best[rows[m]] = value[m]
                 best_weights[rows[m]] = weight[m]
         moved = accept & (offset == stop[rows])
+        matrices.TALLY["search_accepted"] += int(np.count_nonzero(moved))
         current[rows[moved]] = value[moved]
         # a restart adopts its accepted candidate or, in its first batch, its start state
         adopted = moved | (first & (stop[rows] == lookahead))

@@ -40,7 +40,8 @@ from carlab.redundancy import (
     sred_constants_checked,
 )
 from carlab.search import (
-    _STATE, OBJECTIVES, _apply_moves, _draw_stream, _packed, _search_objective,
+    _STATE, OBJECTIVES, _apply_moves, _draw_stream, _packed, _random_state, _search_objective,
+    _state_sequences,
 )
 
 from oracles import level_powers_batch
@@ -242,3 +243,23 @@ def test_search_objective_member_matches_mixed_batch(objective, depth, d):
         assert np.array_equal(one[1], weight[b:b + 1])
         if ratio is not None:
             assert np.array_equal(one[2], ratio[b:b + 1])
+
+
+@pytest.mark.parametrize("cond_cap", [1e4, 1e8])
+@pytest.mark.parametrize("depth, d", [(depth, d) for depth in range(5) for d in range(2, 5)])
+def test_bet_norm_ratio_objective_is_its_closed_form(depth, d, cond_cap):
+    # f = W^1/2 b and g = W^-1/2 a, with b and a the bottom and top
+    # eigenvectors of <W> at the root, make u_Q = b and v_Q = a on every
+    # cube: the value is sum_Q alpha_Q / (||W^1/2 b|| ||W^-1/2 a||), and
+    # ||W^1/2 b||^2 = <<W> b, b>, ||W^-1/2 a||^2 = <<W^-1> a, a> at the root
+    rng = np.random.default_rng(1000 * depth + d)
+    states = [_random_state(depth, d, cond_cap, rng) for _ in range(6)]
+    log_eigs, angles, seq_weights = (np.stack(a) for a in zip(*states))
+    value, w, _ = _search_objective(log_eigs, angles, seq_weights, "bet_norm_ratio", cond_cap)
+    root = w.mean(axis=1)
+    vecs = np.linalg.eigh(root)[1]
+    b, a = vecs[..., 0], vecs[..., -1]
+    wb = np.einsum("bi,bij,bj->b", b, root, b)
+    va = np.einsum("bi,bij,bj->b", a, np.linalg.inv(w).mean(axis=1), a)
+    want = _state_sequences(seq_weights).sum(axis=1) / np.sqrt(wb * va)
+    assert np.allclose(value, want, rtol=10 * np.finfo(float).eps * cond_cap, atol=0.0)

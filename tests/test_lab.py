@@ -88,11 +88,81 @@ def test_json_report_schema(tmp_path):
     with open(out) as fh:
         payload = json.load(fh)
     assert payload["schema"] == 1
-    assert set(payload) == {"schema", "config", "rows", "aggregates", "verdicts", "stamp"}
+    assert set(payload) == {"schema", "config", "rows", "aggregates", "verdicts", "stamp",
+                            "work"}
     assert payload["config"]["experiment"] == "counterexample-sweep"
     assert len(payload["rows"]) == len(report.rows)
     assert all(isinstance(v, bool) for v in payload["verdicts"].values())
     assert payload["stamp"]["package"] == "carlab"
+    assert payload["work"] == report.work and list(report.work) == sorted(report.work)
+    assert all(isinstance(v, int) and v > 0 for v in report.work.values())
+
+
+# The work of a search at depth 3, d 2, seed 0 and budget 400, by objective:
+# search_batches, search_candidates, search_accepted, search_weight_leaves,
+# LAPACK calls and the matrices in them (eigh and eigvalsh), and power_mats.
+SEARCH_WORK = {
+    "bet_norm_ratio": (50, 641, 126, 551, 151, 4461, 1676),
+    "sred_ratio": (16, 434, 11, 524, 52, 9660, 3651),
+    "red_ratio": (16, 430, 10, 523, 52, 15388, 3642),
+}
+
+
+def _search_work(work):
+    return (work["search_batches"], work["search_candidates"], work["search_accepted"],
+            work["search_weight_leaves"], work["eigh_calls"] + work["eigvalsh_calls"],
+            work["eigh_mats"] + work["eigvalsh_mats"], work["power_mats"])
+
+
+def test_report_work_counts_the_search():
+    for objective in OBJECTIVES:
+        lookahead = search.LOOKAHEAD[objective]
+        cfg = default_config("adversarial-search", objective=objective, depth=2, budget=40,
+                             seeds=[3])
+        batches, candidates, accepted, leaves, calls, mats, powered = _search_work(
+            run_experiment(cfg).work)
+        # 4 restarts of 10 evaluations: a batch advances each restart by 1
+        # to lookahead steps, and every kept evaluation is a candidate
+        assert -(-10 // lookahead) <= batches <= 10
+        assert 40 <= candidates <= 4 * lookahead * batches
+        # a move is accepted when it beats every value before it in its restart
+        values = search._climb(*search._draw_stream(2, 2, 3, 1e4, 4, 10), 10, objective, 1e4,
+                               lookahead)[0]
+        best = np.maximum.accumulate(values, axis=1)
+        assert accepted == np.count_nonzero(values[:, 1:] > best[:, :-1]) <= 36
+        assert 0 < calls <= mats
+        # a restart's first batch builds all 4 leaves of each candidate, a
+        # later candidate at most its moved leaf, and every built leaf is
+        # inverted at least
+        assert 4 * 4 <= leaves <= 4 * candidates
+        assert leaves <= powered
+    for objective, want in SEARCH_WORK.items():
+        cfg = default_config("adversarial-search", objective=objective, budget=400)
+        assert _search_work(run_experiment(cfg).work) == want, objective
+
+
+def test_report_work_counts_the_longdouble_solves(monkeypatch):
+    # both runs build a constant matrix weight on a full tree, in longdouble:
+    # every stack repeats a few matrices, and no LAPACK solver runs
+    for experiment in ("counterexample-sweep", "c2-sharpness"):
+        work = run_experiment(default_config(experiment, depth=3)).work
+        assert 0 < work["jacobi_calls"] <= work["jacobi_distinct"] < work["jacobi_mats"]
+        assert 0 < work["power_longdouble_distinct"] < work["power_longdouble_mats"]
+        assert work["power_longdouble_mats"] == work["power_mats"]
+        assert work["jacobi_sweeps"] > 0
+        assert not {"eigh_calls", "eigvalsh_calls"} & set(work)
+        work = run_experiment(default_config(experiment, depth=10)).work
+        assert {key: work[key] for key in (
+            "jacobi_calls", "jacobi_mats", "jacobi_distinct", "jacobi_sweeps",
+            "power_longdouble_mats", "power_longdouble_distinct")} == {
+            "jacobi_calls": 96, "jacobi_mats": 49232, "jacobi_distinct": 128,
+            "jacobi_sweeps": 48, "power_longdouble_mats": 40952,
+            "power_longdouble_distinct": 32}, experiment
+    # with every member its own group, the distinct counts are the members
+    monkeypatch.setattr(matrices, "_distinct", lambda rows: (np.arange(len(rows)),) * 2)
+    work = run_experiment(default_config("counterexample-sweep", depth=3)).work
+    assert work["jacobi_distinct"] == work["jacobi_mats"]
+    assert work["power_longdouble_distinct"] == work["power_longdouble_mats"]
 
 
 def test_environment_stamp_names_the_blas_kernel(monkeypatch):

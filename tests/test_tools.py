@@ -1,9 +1,8 @@
 """``tools/digest_diff.py`` on small digests written to a temporary directory,
-``tools/report_digest.py --only``, ``tools/search_counts.py`` on a small
-search, ``tools/sampler_counts.py`` on a few Bellman samples,
-``tools/longdouble_counts.py`` at depth 3, ``tools/seed_sweep.py`` on
-two or three deep-sweep seeds, and the benchmark's tracer
-(``perfbench/spans.py``) on two short suites."""
+``tools/report_digest.py --only``, ``tools/sampler_counts.py`` on a few
+Bellman samples, ``tools/seed_sweep.py`` on two or three deep-sweep seeds,
+and the benchmark's tracer (``perfbench/spans.py``) on two short suites and
+a short search."""
 
 import importlib.util
 import json
@@ -14,17 +13,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from carlab import bellman, cli, lab, matrices, search
+from carlab import bellman, cli, lab, matrices
 from carlab.errors import NumericError
 from carlab.lab import OBJECTIVES, default_config, run_experiment
 from conftest import load_tool
 from oracles import brute_concavity_gaps, brute_dm_gaps, brute_size_gaps
 
 digest_diff = load_tool("digest_diff")
-longdouble_counts = load_tool("longdouble_counts")
 report_digest = load_tool("report_digest")
 sampler_counts = load_tool("sampler_counts")
-search_counts = load_tool("search_counts")
 seed_sweep = load_tool("seed_sweep")
 
 VALUE = 0.7310585786300049
@@ -104,31 +101,6 @@ def test_report_digest_only_selects_experiments_and_runs(tmp_path, monkeypatch):
     assert exc.value.code == 2 and not ran[1:]
 
 
-def test_search_counts_prints_one_line_per_objective(capsys):
-    eigh_sym, climb = matrices.eigh_sym, search._climb
-    assert search_counts.main(["--depth", "2", "--budget", "40", "--seed", "3"]) == 0
-    assert (matrices.eigh_sym, search._climb) == (eigh_sym, climb)  # unwrapped again
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "depth=2 d=2 seed=3 budget=40 cond_cap=10000.0"
-    assert lines[1].split() == ["objective", *search_counts.COLUMNS]
-    rows = {line.split()[0]: dict(zip(search_counts.COLUMNS, map(int, line.split()[1:])))
-            for line in lines[2:]}
-    assert list(rows) == list(search.OBJECTIVES)
-    for objective, row in rows.items():
-        assert row["lookahead"] == search.LOOKAHEAD[objective]
-        # 4 restarts of 10 evaluations: a batch advances each restart by 1
-        # to lookahead steps, and every kept evaluation is a candidate
-        assert -(-10 // row["lookahead"]) <= row["batches"] <= 10
-        assert 40 <= row["candidates"] <= 4 * row["lookahead"] * row["batches"]
-        assert 0 <= row["accepted"] <= 36  # step 0 of each restart is no move
-        assert 0 < row["lapack_calls"] <= row["lapack_mats"]
-        # a restart's first batch builds all 4 leaves of each candidate, a
-        # later candidate at most its moved leaf, and every built leaf is
-        # inverted at least
-        assert 4 * 4 <= row["weight_leaves"] <= 4 * row["candidates"]
-        assert row["weight_leaves"] <= row["power_mats"]
-
-
 def test_sampler_counts_prints_one_line_per_sampler(capsys):
     eigh, block = np.linalg.eigh, bellman.BLOCK
     assert sampler_counts.main(["--samples", "40", "--block", "16"]) == 0
@@ -157,29 +129,6 @@ def test_sampler_counts_prints_one_line_per_sampler(capsys):
         # three blocks (16, 16, 8), one stack per d and step in each
         assert 3 <= row["eigh_calls"] <= row["eigh_mats"]
         assert row["wall_s"] > 0 and row["rss_mb"] >= 0 and row["traced_mb"] > 0
-
-
-def test_longdouble_counts_prints_one_line_per_experiment(monkeypatch, capsys):
-    patched = ("_distinct", "_jacobi_eigh", "_jacobi_sweeps", "eig_power")
-    before = [getattr(matrices, name) for name in patched]
-    assert longdouble_counts.main(["--depth", "3"]) == 0
-    assert [getattr(matrices, name) for name in patched] == before  # unwrapped again
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "depth=3"
-    assert lines[1].split() == ["experiment", *longdouble_counts.COLUMNS]
-    rows = {line.split()[0]: dict(zip(longdouble_counts.COLUMNS, map(int, line.split()[1:])))
-            for line in lines[2:]}
-    assert list(rows) == ["counterexample-sweep", "c2-sharpness"]
-    for row in rows.values():
-        # a constant weight: every stack repeats a few matrices
-        assert 0 < row["jacobi_calls"] <= row["jacobi_distinct"] < row["jacobi_mats"]
-        assert 0 < row["power_distinct"] < row["power_mats"]
-        assert row["sweeps"] > 0
-    # with every member its own group, the distinct counts are the members
-    monkeypatch.setattr(matrices, "_distinct", lambda rows: (np.arange(len(rows)),) * 2)
-    row = longdouble_counts.counts("counterexample-sweep", 3)
-    assert row["jacobi_distinct"] == row["jacobi_mats"]
-    assert row["power_distinct"] == row["power_mats"]
 
 
 def test_seed_sweep_runs_the_perfbench_configs(monkeypatch, capsys):
@@ -249,9 +198,19 @@ def test_benchmark_tracer_installs_and_restores_on_two_suites(monkeypatch):
         assert lab.run_experiment is not originals[0]
         for experiment in ("redundancy-suite", "bellman-certify"):
             assert lab.run_experiment(default_config(experiment, seeds=[0, 1], samples=20)).passed
+        # a search adds its own keys to matrices.TALLY; the report's LAPACK
+        # work is what the tracer's counters on np.linalg saw
+        before = dict(tracer.counts)
+        report = lab.run_experiment(default_config("adversarial-search", budget=40))
+        assert report.passed and report.work["search_batches"] > 0
+        work, counts = report.work, tracer.counts
+        assert work["eigh_calls"] + work["eigvalsh_calls"] == (
+            counts["lapack_calls"] - before["lapack_calls"])
+        assert work["eigh_mats"] + work["eigvalsh_mats"] == (
+            counts["lapack_mats"] - before["lapack_mats"])
     finally:
         tracer.restore()
     assert (lab.run_experiment, matrices._jacobi_eigh) == originals
     summary = tracer.summary()
-    assert summary["lab.calls"] >= 2 and summary["redundancy.calls"] > 0
+    assert summary["lab.calls"] >= 3 and summary["redundancy.calls"] > 0
     assert summary["bellman.calls"] > 0 and summary["bellman.points"] > 0
