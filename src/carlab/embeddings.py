@@ -70,15 +70,15 @@ def cet_sum(w, seq, f):
 
 def _bet_inputs(w, f, g, support, *seqs):
     """The inputs of ``bet_vectors_batch`` for one bilinear sum over the
-    flat cubes ``support``, each a batch of one but the eigendecompositions,
-    which are stacked over the support; f, g and ``seqs`` must fit the
-    weight (``check_fits``)."""
+    flat cubes ``support``: the fields' cached decompositions of <W>_Q and
+    <W^-1>_Q (``StepField.cube_eig``) at the support, and batches of one;
+    f, g and ``seqs`` must fit the weight (``check_fits``)."""
     w, f, g = w.as_matrix(), f.as_vector(), g.as_vector()
     check_fits(w, f, g, *seqs)
     havg = _halfweighted_averages(w, f, +1)
     gavg = _halfweighted_averages(w, g, -1)
-    vals, vecs = matrices.eigh_sym(np.stack([v.pyramid()[support] for v in (w, w.inverse())]))
-    return (vals[0], vecs[0]), (vals[1], vecs[1]), havg[None], gavg[None]
+    weig, veig = (tuple(x[support] for x in v.cube_eig()) for v in (w, w.inverse()))
+    return weig, veig, havg[None], gavg[None]
 
 
 def bet_vectors_batch(weig, veig, havg, gavg, support):

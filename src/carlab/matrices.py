@@ -59,7 +59,7 @@ JACOBI_MAX_SWEEPS = 60
 # jacobi_calls/jacobi_mats, jacobi_distinct (the matrices its sweeps solve)
 # and jacobi_sweeps (the sweeps that rotated); power_mats, the members
 # ``eig_power`` powers, of which power_longdouble_mats are longdouble and
-# power_longdouble_distinct distinct longdouble ones.  The adversarial
+# power_longdouble_distinct the longdouble ones it powers.  The adversarial
 # search adds its search_batches (batched evaluations), search_candidates
 # (the states in them), search_accepted (accepted moves) and
 # search_weight_leaves (leaf weights built).  A report's ``work`` is the
@@ -93,22 +93,20 @@ def symmetrize(m):
 
 
 def _distinct(rows):
-    """Group the equal rows of a 2-D array with one sort.
+    """Group the runs of equal adjacent rows of a 2-D array in one pass.
 
-    Returns (first, inverse): ``rows[first]`` holds one row of each group
-    and ``rows[first][inverse]`` equals ``rows``.  Rows are equal when every
-    entry is ``==`` with the same sign bit, so 0.0 and -0.0 stay apart, a
-    row holding NaN is a group of its own, and the padding bytes of an
-    80-bit longdouble are never read.
+    Returns (first, inverse): ``rows[first]`` holds the first row of each
+    run and ``rows[first][inverse]`` equals ``rows``; equal rows that are
+    not adjacent stay apart.  Rows are equal when every entry is ``==``
+    with the same sign bit, so 0.0 and -0.0 stay apart, a row holding NaN
+    is a group of its own, and the padding bytes of an 80-bit longdouble
+    are never read.
     """
     signs = np.signbit(rows)
-    order = np.lexsort([*rows.T, *signs.T])
-    rows, signs = rows[order], signs[order]
+    same = (rows[1:] == rows[:-1]) & (signs[1:] == signs[:-1])
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = ~((rows[1:] == rows[:-1]) & (signs[1:] == signs[:-1])).all(axis=-1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
+    new[1:] = ~same.T.copy().all(axis=0)  # all() along a short last axis is slow
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def _jacobi_eigh(a):
@@ -124,7 +122,7 @@ def _jacobi_eigh(a):
     in row order, each skipped when |a_pq| is negligible.  The stack is
     processed together: a converged matrix leaves the working set, and a
     rotation is applied at once to every remaining matrix that needs it.
-    Members equal entry for entry (``_distinct``) are solved once.  The
+    A run of equal adjacent members (``_distinct``) is solved once.  The
     per-matrix arithmetic is unchanged, so each result is bitwise the one
     the matrix would get on its own.
     """
@@ -319,7 +317,7 @@ def eig_power(vals, vecs, p, context=None):
     float64 result is bitwise independent of the batch size, and its
     longdouble result bitwise that of matmul.  A longdouble stack, which
     the sweeps' constant weights fill with a few matrices, is powered and
-    contracted once per distinct (vals, vecs) member (``_distinct``).
+    contracted once per run of equal (vals, vecs) members (``_distinct``).
     """
     shape, first = vecs.shape, None
     TALLY["power_mats"] += math.prod(shape[:-2])

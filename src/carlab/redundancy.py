@@ -207,15 +207,16 @@ def red_quadratic_form(w, bseq, k, e, order="corollary"):
 
     summed over Q in D(K) and divided by |K|.  Used to verify that the
     substitution e = <W>_K^1/2 f turns the second form into the corollary.
-    The summands are formed with batched matmul, each bitwise the
-    single-matrix product, and summed by ``subtree_forms``.
+    R_K and P_Q are the fields' cached cube powers; the summands are formed
+    with batched matmul, each bitwise the single-matrix product, and summed
+    by ``subtree_forms``.
     """
     if order not in ("first", "second", "corollary"):
         raise ValueError(f"unknown order {order!r}")
     w = check_fits(w.as_matrix(), bseq)
     k = check_index(k, w.depth)
     e = np.asarray(e, dtype=float)
-    r_k = matrices.spd_power(w.pyramid()[tree_position(k)], -0.5)
+    r_k = w.cube_power(-0.5)[tree_position(k)]
     p_q = _support_powers(w, bseq)
     if order == "first":
         return _form(bseq, k, (r_k @ (p_q @ e)[..., None])[..., 0])

@@ -28,7 +28,7 @@ from carlab.embeddings import (
     phi_product,
     weighted_l2_norm,
 )
-from carlab import baselines
+from carlab import baselines, matrices
 from carlab.errors import SingularMatrixError
 from carlab.matrices import operator_norm_stack
 
@@ -144,6 +144,25 @@ def test_bet_sums_match_per_cube_oracle(d):
             norm, inner = _brute_bet_sums(w, seq, f, g)
             assert bet_norm_sum(w, seq, f, g) == norm
             assert bet_inner_sum(w, seq, f, g) == inner
+
+
+def test_bet_sums_share_the_fields_cube_decompositions():
+    # on one longdouble weight the bilinear sums read the eigendecompositions
+    # of <W>_Q and <W^-1>_Q from the fields' caches: once bet_norm_sum has
+    # filled them, bet_inner_sum and bet_cube_functional solve nothing, and
+    # each value is bitwise the one a fresh weight gives
+    inst = random_instance(4, 2, seed=3, cond_cap=1e4)
+    w, f, g = (StepField(x.values.astype(np.longdouble)) for x in (inst.w, inst.f, inst.g))
+    calls = [(bet_norm_sum, inst.mseq), (bet_inner_sum, inst.mseq), (bet_inner_sum, inst.sseq)]
+    want = [fn(StepField(w.values), seq, f, g) for fn, seq in calls]
+    want_functional = bet_cube_functional(StepField(w.values), f, g)
+    before = matrices.TALLY["jacobi_calls"]
+    assert bet_norm_sum(w, inst.mseq, f, g) == want[0]
+    assert matrices.TALLY["jacobi_calls"] > before
+    before = matrices.TALLY.copy()
+    assert [fn(w, seq, f, g) for fn, seq in calls[1:]] == want[1:]
+    assert bet_cube_functional(w, f, g) == want_functional
+    assert matrices.TALLY["jacobi_calls"] == before["jacobi_calls"]
 
 
 def test_bet_sum_singular_average_names_first_support_cube():

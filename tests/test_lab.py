@@ -143,7 +143,8 @@ def test_report_work_counts_the_search():
 
 def test_report_work_counts_the_longdouble_solves(monkeypatch):
     # both runs build a constant matrix weight on a full tree, in longdouble:
-    # every stack repeats a few matrices, and no LAPACK solver runs
+    # every stack repeats a few matrices in adjacent runs, each Jacobi call
+    # solves one run, and no LAPACK solver runs
     for experiment in ("counterexample-sweep", "c2-sharpness"):
         work = run_experiment(default_config(experiment, depth=3)).work
         assert 0 < work["jacobi_calls"] <= work["jacobi_distinct"] < work["jacobi_mats"]
@@ -155,8 +156,8 @@ def test_report_work_counts_the_longdouble_solves(monkeypatch):
         assert {key: work[key] for key in (
             "jacobi_calls", "jacobi_mats", "jacobi_distinct", "jacobi_sweeps",
             "power_longdouble_mats", "power_longdouble_distinct")} == {
-            "jacobi_calls": 96, "jacobi_mats": 49232, "jacobi_distinct": 128,
-            "jacobi_sweeps": 48, "power_longdouble_mats": 40952,
+            "jacobi_calls": 72, "jacobi_mats": 57352, "jacobi_distinct": 72,
+            "jacobi_sweeps": 36, "power_longdouble_mats": 40952,
             "power_longdouble_distinct": 32}, experiment
     # with every member its own group, the distinct counts are the members
     monkeypatch.setattr(matrices, "_distinct", lambda rows: (np.arange(len(rows)),) * 2)

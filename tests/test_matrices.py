@@ -214,12 +214,11 @@ def swept_stacks(monkeypatch):
     return swept
 
 
-def assert_distinct(stack):
-    """No two members of a stack are equal entry for entry, sign bits included."""
-    for i, m in enumerate(stack):
-        for other in stack[:i]:
-            same_signs = np.array_equal(np.signbit(m), np.signbit(other))
-            assert not (np.array_equal(m, other) and same_signs)
+def assert_no_equal_neighbours(stack):
+    """No two adjacent members of a stack are equal entry for entry, sign bits included."""
+    for m, other in zip(stack[1:], stack[:-1]):
+        same_signs = np.array_equal(np.signbit(m), np.signbit(other))
+        assert not (np.array_equal(m, other) and same_signs)
 
 
 def sweeps_to_converge(m):
@@ -264,10 +263,11 @@ def test_stacked_jacobi_special_stacks(monkeypatch):
     vals, vecs = _jacobi_eigh(np.zeros((0, 4, 4), dtype=ld))
     assert vals.shape == (0, 4) and vecs.shape == (0, 4, 4)
     assert [len(a) for a in swept] == [3, 3, 3, 2, 4, 6, 0]
-    # repeated members are swept once, whatever the padding bytes of an
-    # 80-bit longdouble hold
+    # a run of adjacent equal members is swept once, whatever the padding
+    # bytes of an 80-bit longdouble hold; equal members that are not
+    # adjacent are each swept, and each matches the oracle bitwise
     a, b = random_spd_ld(rng, 3, 1e4), random_spd_ld(rng, 3, 1e2)
-    repeats = np.stack([a, b, a, a, b, a, b, a])
+    repeats = np.stack([a, a, a, b, b, a, b, b])
     if np.finfo(ld).nmant == 63 and repeats.itemsize > 10:  # x87: bytes 10 and up are padding
         pad = repeats.view(np.uint8).reshape(*repeats.shape, -1)[..., 10:]
         pad[...] = rng.integers(0, 256, pad.shape)
@@ -275,31 +275,33 @@ def test_stacked_jacobi_special_stacks(monkeypatch):
     assert np.array_equal(repeats[::2], np.stack([a, a, b, b]))
     swept.clear()
     assert_matches_scalar_jacobi(repeats)
-    assert len(swept[0]) == 2
+    assert np.array_equal(swept[0], np.stack([a, b, a, b]))
     # with a leading batch shape, and read from the lower triangle only
     upper = np.triu(b) + np.tril(rng.standard_normal((3, 3)).astype(ld), -1)
     swept.clear()
-    assert_matches_scalar_jacobi(np.stack([a, b, a, b, b.T, upper]).reshape(3, 2, 3, 3))
+    assert_matches_scalar_jacobi(np.stack([a, a, b, b.T, upper, upper]).reshape(3, 2, 3, 3))
     assert len(swept[0]) == 3
-    # 0.0 and -0.0 stay apart, in the diagonal and off it
+    # 0.0 and -0.0 stay apart, in the diagonal and off it, when adjacent
     zero = np.diag(np.array([0.0, 1.0, 2.0], dtype=ld))
     negative_diag, negative_off = zero.copy(), zero.copy()
     negative_diag[0, 0] = ld(-0.0)
     negative_off[1, 0] = ld(-0.0)
     swept.clear()
-    assert_matches_scalar_jacobi(np.stack([zero, negative_diag, zero, negative_off, negative_diag]))
+    assert_matches_scalar_jacobi(np.stack([negative_diag, negative_diag, zero, zero,
+                                           negative_off, negative_off]))
     assert len(swept[0]) == 3
     assert np.signbit(_jacobi_eigh(negative_diag)[0][0])
     assert not np.signbit(_jacobi_eigh(zero)[0][0])
-    # a NaN member never merges, not even with itself, and still fails
+    # a NaN member never merges, not even with an adjacent copy of itself,
+    # and still fails
     nan = a.copy()
     nan[1, 0] = ld("nan")
     swept.clear()
     with pytest.raises(NumericError):
-        _jacobi_eigh(np.stack([a, nan, a, nan]))
+        _jacobi_eigh(np.stack([a, a, nan, nan]))
     assert len(swept[0]) == 3
     for stack in swept:
-        assert_distinct(stack)
+        assert_no_equal_neighbours(stack)
 
 
 # <W^-1>^1/2 <W> <W^-1>^1/2 at the root of the two-eigenvalue family at
