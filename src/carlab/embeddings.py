@@ -22,36 +22,21 @@ from .errors import DimensionMismatchError
 
 
 def weighted_l2_norm(f, w=None):
-    """L2(W) norm of a vector field; plain L2 norm when ``w`` is None."""
+    """L2(W) norm of a vector field, sqrt(sum_k |Q_k| <W_k f_k, f_k>) over the
+    leaves; plain L2 norm when ``w`` is None."""
     f = f.as_vector()
     if w is None:
-        return float(l2_norm_batch(f.values[None])[0])
-    w = check_fits(w.as_matrix(), f)
-    sq = np.einsum("ki,kij,kj->k", f.values, w.values, f.values)
-    return float(_norm_from_squares(sq))
-
-
-def l2_norm_batch(values):
-    """Plain L2 norms of a batch of vector fields (B, 2^depth, d)."""
-    return _norm_from_squares(np.einsum("...ki,...ki->...k", values, values))
-
-
-def _norm_from_squares(sq):
-    """sqrt(sum_k |Q_k| sq_k) over the leaves, the last axis of ``sq``."""
-    meas = sq.dtype.type(2.0) ** -(sq.shape[-1].bit_length() - 1)
-    return np.sqrt(sq.sum(axis=-1) * meas)
-
-
-def halfweighted_pyramid_batch(wh, f):
-    """Pyramids (B, cubes, d) of <W^{+-1/2} f> for a batch of leaf powers
-    (B, n, d, d) and fields (B, n, d)."""
-    return pyramid_batch(np.einsum("...ij,...j->...i", wh, f))
+        sq = np.einsum("ki,ki->k", f.values, f.values)
+    else:
+        w = check_fits(w.as_matrix(), f)
+        sq = np.einsum("ki,kij,kj->k", f.values, w.values, f.values)
+    return float(np.sqrt(sq.sum() * sq.dtype.type(2.0) ** -f.depth))
 
 
 def _halfweighted_averages(w, f, sign):
     """Pyramid (cubes, d) of <W^{sign/2} f>: the half-weighted averages of f."""
-    wh = w.power(0.5 * sign)
-    return halfweighted_pyramid_batch(wh.values[None], f.values[None])[0]
+    wh = w.power(0.5 * sign).values
+    return pyramid_batch(np.einsum("kij,kj->ki", wh, f.values)[None])[0]
 
 
 def cet_sum(w, seq, f):
@@ -68,53 +53,27 @@ def cet_sum(w, seq, f):
     return float(subtree_forms(seq, [0], lambda i, j: v[j])[0])
 
 
-def _bet_inputs(w, f, g, support, *seqs):
-    """The inputs of ``bet_vectors_batch`` for one bilinear sum over the
-    flat cubes ``support``: the fields' cached decompositions of <W>_Q and
-    <W^-1>_Q (``StepField.cube_eig``) at the support, and batches of one;
-    f, g and ``seqs`` must fit the weight (``check_fits``)."""
+def bet_vectors(w, f, g, support, *seqs):
+    """u_Q and v_Q of a bilinear sum, stacked over the cubes at the tree
+    positions ``support``.
+
+    u_Q = <W>_Q^-1 <W^1/2 f>_Q and v_Q = <W^-1>_Q^-1 <W^-1/2 g>_Q, from the
+    fields' cached decompositions of <W>_Q and <W^-1>_Q
+    (``StepField.cube_eig``); f, g and ``seqs`` must fit the weight
+    (``check_fits``).  Both sides are one stacked power, <W>_Q and <W^-1>_Q
+    interleaved per support cube, so a singular average names the first
+    such cube in support order, the <W> side before the <W^-1> side.
+    """
     w, f, g = w.as_matrix(), f.as_vector(), g.as_vector()
     check_fits(w, f, g, *seqs)
-    havg = _halfweighted_averages(w, f, +1)
-    gavg = _halfweighted_averages(w, g, -1)
-    weig, veig = (tuple(x[support] for x in v.cube_eig()) for v in (w, w.inverse()))
-    return weig, veig, havg[None], gavg[None]
-
-
-def bet_vectors_batch(weig, veig, havg, gavg, support):
-    """u_Q and v_Q of a batch of bilinear sums, stacked over the support.
-
-    u_Q = <W>_Q^-1 <W^1/2 f>_Q and v_Q = <W^-1>_Q^-1 <W^-1/2 g>_Q.  The
-    half-weighted pyramids ``havg`` and ``gavg`` are (B, cubes, d) in tree
-    order; ``support`` holds flat indices into the batch's cubes, member by
-    member (b * cubes + tree position), and ``weig``, ``veig`` are the
-    eigendecompositions (vals, vecs) of <W>_Q and <W^-1>_Q over it.  Both
-    sides are one stacked power, <W>_Q and <W^-1>_Q interleaved per support
-    cube, so a singular average names the first such cube in support
-    order, the <W> side before the <W^-1> side.
-    """
-    n_cubes, d = havg.shape[1:]
-    vals, vecs = (np.stack(pair, axis=1) for pair in zip(weig, veig))
-    rhs = np.stack([havg.reshape(-1, d)[support], gavg.reshape(-1, d)[support]], axis=1)
+    rhs = np.stack([_halfweighted_averages(w, f, +1)[support],
+                    _halfweighted_averages(w, g, -1)[support]], axis=1)
+    eig = zip(w.cube_eig(), w.inverse().cube_eig())
+    vals, vecs = (np.stack([x[support] for x in pair], axis=1) for pair in eig)
     out = matrices.eig_apply_power(
-        vals, vecs, -1.0, rhs, context=lambda i: tree_cube(int(support[i // 2]) % n_cubes),
+        vals, vecs, -1.0, rhs, context=lambda i: tree_cube(int(support[i // 2])),
     )
     return out[:, 0], out[:, 1]
-
-
-def bet_norm_sum_batch(weig, veig, havg, gavg, support, entries, counts):
-    """``bet_norm_sum`` of a batch; one sum per member.
-
-    ``weig``, ``veig``, ``support`` and ``entries`` are stacked member by
-    member (see ``bet_vectors_batch``), ``counts`` holds each member's
-    support size.  Entries (S,) are scalar, (S, d, d) matrix.
-    """
-    u, v = bet_vectors_batch(weig, veig, havg, gavg, support)
-    if entries.ndim == 3:
-        terms = np.sqrt(support_terms(entries, u)) * np.sqrt(support_terms(entries, v))
-    else:
-        terms = entries * np.sqrt(rowdot(u, u) * rowdot(v, v)).astype(np.float64)
-    return ordered_sums(terms, counts)
 
 
 def bet_norm_sum(w, seq, f, g):
@@ -123,10 +82,14 @@ def bet_norm_sum(w, seq, f, g):
     sum_Q ||A_Q^1/2 <W>_Q^-1 <W^1/2 f>_Q|| * ||A_Q^1/2 <W^-1>_Q^-1 <W^-1/2 g>_Q||;
     scalar sequences specialize to alpha_Q times the product of plain norms.
     """
-    inputs = _bet_inputs(w, f, g, seq.positions, seq)
+    u, v = bet_vectors(w, f, g, seq.positions, seq)
     if not len(seq):
         return 0.0
-    return float(bet_norm_sum_batch(*inputs, seq.positions, seq.values, [len(seq)])[0])
+    if isinstance(seq, MatrixSequence):
+        terms = np.sqrt(support_terms(seq.values, u)) * np.sqrt(support_terms(seq.values, v))
+    else:
+        terms = seq.values * np.sqrt(rowdot(u, u) * rowdot(v, v)).astype(np.float64)
+    return float(ordered_sums(terms, [len(seq)])[0])
 
 
 def bet_inner_sum(w, seq, f, g):
@@ -135,10 +98,9 @@ def bet_inner_sum(w, seq, f, g):
     sum_Q |<A_Q <W>_Q^-1 <W^1/2 f>_Q, <W^-1>_Q^-1 <W^-1/2 g>_Q>|; scalar
     sequences contribute alpha_Q |<u, v>|.
     """
-    inputs = _bet_inputs(w, f, g, seq.positions, seq)
+    u, v = bet_vectors(w, f, g, seq.positions, seq)
     if not len(seq):
         return 0.0
-    u, v = bet_vectors_batch(*inputs, seq.positions)
     if isinstance(seq, MatrixSequence):
         terms = np.abs(rowdot((seq.values @ u[:, :, None])[..., 0], v).astype(np.float64))
     else:
@@ -154,7 +116,7 @@ def bet_cube_functional(w, f, g):
     ``bet_norm_sum`` with alpha_Q = 1, formed as that sum forms it.
     """
     cubes = np.arange(tree_size(w.depth))
-    u, v = bet_vectors_batch(*_bet_inputs(w, f, g, cubes), cubes)
+    u, v = bet_vectors(w, f, g, cubes)
     values = np.sqrt(rowdot(u, u) * rowdot(v, v)).astype(np.float64)
     return {tree_cube(i): float(x) for i, x in enumerate(values)}
 

@@ -19,9 +19,9 @@ from .characteristics import (
     c2_conditioning_batch,
     carleson_intensity_batch,
     check_sequence_batch,
+    rowdot,
 )
 from .dyadic import StepField, pyramid_batch, tree_ancestor, tree_cube, tree_size
-from .embeddings import bet_norm_sum_batch, halfweighted_pyramid_batch, l2_norm_batch
 from .errors import ConfigError, first_failure
 from .redundancy import check_intensity_batch, red_constants_batch, sred_constant_batch
 
@@ -93,18 +93,19 @@ _STATE = ("log_eigs", "angles", "seq_weights")
 
 def _layout(depth, d, objective):
     """The shape of each part of a restart's row of a packed (restarts, F)
-    float64 buffer, by name: the state, the leaves of W and W^-1, (vals,
-    vecs) of every cube average of W and of W^-1, and the powers the
-    objective's kernels take: the leaves' W^1/2 and W^-1/2 and eigenvalues
-    (for C2) for bet_norm_ratio, else R = <W>^-1/2 of every cube and
-    P = <W^-1>^-1/2 (red_ratio) or <W^-1>^-1 (sred_ratio)."""
+    float64 buffer, by name: the state, the leaves of W and W^-1, and what
+    the objective derives from them: the leaves' eigenvalues (for C2) for
+    bet_norm_ratio, else (vals, vecs) of every cube average of W and of
+    W^-1, R = <W>^-1/2 of every cube and P = <W^-1>^-1/2 (red_ratio) or
+    <W^-1>^-1 (sred_ratio)."""
     leaf, cube = (1 << depth, d, d), (tree_size(depth), d, d)
     shapes = dict(zip(_STATE, (leaf[:2], (1 << depth, _n_angles(d)), cube[:1])))
-    shapes.update(w=leaf, winv=leaf, wvals=cube[:2], wvecs=cube, vvals=cube[:2], vvecs=cube)
+    shapes.update(w=leaf, winv=leaf)
     if objective == "bet_norm_ratio":
-        shapes.update(wh=leaf, whinv=leaf, leaf_vals=leaf[:2])
+        shapes.update(leaf_vals=leaf[:2])
     else:
-        shapes.update({"r": cube, "p" if objective == "red_ratio" else "vinv": cube})
+        shapes.update(wvals=cube[:2], wvecs=cube, vvals=cube[:2], vvecs=cube, r=cube)
+        shapes["p" if objective == "red_ratio" else "vinv"] = cube
     return shapes
 
 
@@ -134,20 +135,26 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
     ``carry`` holds the views of ``_packed``, of which only the leaves and
     cubes marked in ``stale`` (B, cubes) are computed again, in place, each
     part by one gather, solve and scatter on the mask's (member, cube) or
-    (member, leaf) pairs; without ``carry`` every one is.  The steps and
-    checks are those of one evaluation through the public kernels, in the
-    same order, so a batch of one raises what that evaluation raises: the
-    members not marked stale have passed them before.  The sequences are
-    checked as dense arrays in tree order, once, as scalars: red_ratio's
-    matrix sequence alpha_Q I is finite, symmetric and PSD whenever alpha is
-    finite and non-negative, and has the same Carleson intensity, so the
-    checks ``red_constants`` makes of it are implied by those of alpha.
+    (member, leaf) pairs; without ``carry`` every one is.  For the
+    redundancy ratios the steps and checks are those of one evaluation
+    through the public kernels, in the same order, so a batch of one raises
+    what that evaluation raises: the members not marked stale have passed
+    them before.  The sequences are checked as dense arrays in tree order,
+    once, as scalars: red_ratio's matrix sequence alpha_Q I is finite,
+    symmetric and PSD whenever alpha is finite and non-negative, and has
+    the same Carleson intensity, so the checks ``red_constants`` makes of
+    it are implied by those of alpha.
 
-    bet_norm_ratio has a closed form.  Its f = W^1/2 b and g = W^-1/2 a,
-    from the bottom and top eigenvectors b, a of the root average <W>,
-    give <W^1/2 f>_Q = <W>_Q b and <W^-1/2 g>_Q = <W^-1>_Q a, so u_Q = b and
-    v_Q = a on every cube, and the value is sum_Q alpha_Q / (||W^1/2 b||
-    ||W^-1/2 a||), the L2 norms over the leaves.
+    bet_norm_ratio is evaluated in its closed form.  Its f = W^1/2 b and
+    g = W^-1/2 a, from the bottom and top eigenvectors b, a of the root
+    average <W>, give <W^1/2 f>_Q = <W>_Q b and <W^-1/2 g>_Q = <W^-1>_Q a,
+    so u_Q = b and v_Q = a on every cube, and the value is sum_Q alpha_Q /
+    (||W^1/2 b|| ||W^-1/2 a||), the L2 norms over the leaves, that is
+    sum_Q alpha_Q / sqrt(lambda_min(<W>) <<W^-1> a, a>) at the root.  Its f
+    and g reproduce the counterexample family exactly when the weight is
+    one of its members.  It checks, in this order: each leaf under W^-1
+    (a leaf that is not SPD is refused and named by its cube), C2 and the
+    sequence; every step is bitwise the same whatever the batch size.
     """
     n_leaves, d = log_eigs.shape[1:]
     if carry is None:
@@ -162,49 +169,38 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
 
     if member.size:
         w = c["w"][leaves] = _state_weights(log_eigs[leaves], angles[leaves], cond_cap)
-        weig = matrices.eigh_sym(pyramid_batch(c["w"])[member, cube])
-        c["wvals"][member, cube], c["wvecs"][member, cube] = weig
-        leaf_eig = weig[0][on_leaf], weig[1][on_leaf]
         if objective == "bet_norm_ratio":
-            c["wh"][leaves] = power(*leaf_eig, 0.5, leaf_cubes)
-            c["whinv"][leaves] = power(*leaf_eig, -0.5, leaf_cubes)
+            c["winv"][leaves] = power(*matrices.eigh_sym(w), -1.0, leaf_cubes)
             c["leaf_vals"][leaves] = matrices.eigvalsh_stack(w)
+        else:
+            weig = matrices.eigh_sym(pyramid_batch(c["w"])[member, cube])
+            c["wvals"][member, cube], c["wvecs"][member, cube] = weig
     if objective == "bet_norm_ratio":
-        # f = W^1/2 b and g = W^-1/2 a leafwise, from the bottom and top
-        # eigenvectors b, a of the root average: this reproduces the
-        # counterexample family exactly when the weight is one of its members
-        root_vecs = c["wvecs"][:, 0]
-        f = np.einsum("bkij,bj->bki", c["wh"], root_vecs[:, :, 0])
-        g = np.einsum("bkij,bj->bki", c["whinv"], root_vecs[:, :, -1])
-        norms = l2_norm_batch(f) * l2_norm_batch(g)
         c2 = c2_conditioning_batch(c["leaf_vals"])
     alpha = _state_sequences(seq_weights)
     check_sequence_batch(alpha)
-    if objective != "bet_norm_ratio":
-        check_intensity_batch(alpha)
+    if objective == "bet_norm_ratio":
+        vals, vecs = matrices.eigh_sym(c["w"].mean(axis=1))  # <W> at the root
+        a = vecs[..., -1]  # its top eigenvector
+        va = rowdot(a, (c["winv"].mean(axis=1) @ a[..., None])[..., 0])  # <<W^-1> a, a>
+        value = alpha.sum(axis=1) / np.sqrt(vals[:, 0] * va)
+        return value, c["w"], value / np.sqrt(c2)
+    check_intensity_batch(alpha)
     if member.size:
-        c["winv"][leaves] = power(*leaf_eig, -1.0, leaf_cubes)
+        c["winv"][leaves] = power(weig[0][on_leaf], weig[1][on_leaf], -1.0, leaf_cubes)
         veig = matrices.eigh_sym(pyramid_batch(c["winv"])[member, cube])
         c["vvals"][member, cube], c["vvecs"][member, cube] = veig
         if objective == "red_ratio":
             c["r"][member, cube] = power(*weig, -0.5, cube)
             c["p"][member, cube] = power(*veig, -0.5, cube)
-        elif objective == "sred_ratio":
+        else:
             c["vinv"][member, cube] = power(*veig, -1.0, cube)
             c["r"][member, cube] = power(*weig, -0.5, cube)
     if objective == "red_ratio":
         c1, c2, c3 = red_constants_batch(c["r"], c["p"], alpha[..., None, None] * np.eye(d))
         value = np.where(c2 > c1, c2, c1)  # max(c1, c2, c3): the first maximum
         return np.where(c3 > value, c3, value), c["w"], None
-    if objective == "sred_ratio":
-        return sred_constant_batch(c["r"], c["vinv"], alpha), c["w"], None
-    support = np.nonzero(alpha)
-    value = bet_norm_sum_batch(
-        (c["wvals"][support], c["wvecs"][support]), (c["vvals"][support], c["vvecs"][support]),
-        halfweighted_pyramid_batch(c["wh"], f), halfweighted_pyramid_batch(c["whinv"], g),
-        np.flatnonzero(alpha), alpha[support], np.count_nonzero(alpha, axis=1),
-    ) / norms
-    return value, c["w"], value / np.sqrt(c2)
+    return sred_constant_batch(c["r"], c["vinv"], alpha), c["w"], None
 
 
 def _family_state(depth, d, cond_cap, rotation=0.0):

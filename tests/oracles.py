@@ -712,8 +712,10 @@ def brute_telescoping_certificate(w, alpha, level=0, pos=0):
 # ---------------------------------------------------------------------------
 # The adversarial search as one restart after the other, one evaluation at
 # a time through the public kernels, as it ran before the restarts were
-# batched.  Leaf-derived values are reused across sequence-only moves;
-# everything else is computed afresh for every candidate.
+# batched; bet_norm_ratio in its closed form, whose evaluation through the
+# bilinear sum is ``bilinear_bet_norm_ratio``.  Leaf-derived values are
+# reused across sequence-only moves; everything else is computed afresh
+# for every candidate.
 # ---------------------------------------------------------------------------
 
 def _brute_state_weight(state, cond_cap):
@@ -725,11 +727,27 @@ def _brute_state_weight(state, cond_cap):
     return StepField(brute_search_weight(logs, state.angles))
 
 
+def bilinear_bet_norm_ratio(w, seq):
+    """The search's bet_norm_ratio of one weight and scalar sequence through
+    the public kernels: f = W^1/2 b and g = W^-1/2 a, from the bottom and top
+    eigenvectors b, a of the root average <W>, then ``bet_norm_sum`` over
+    ``weighted_l2_norm(f) * weighted_l2_norm(g)``."""
+    from carlab import matrices
+    from carlab.dyadic import StepField
+    from carlab.embeddings import bet_norm_sum, weighted_l2_norm
+
+    root_avg = loop_pyramid(w.values)[0][0]
+    _, vecs = matrices.eigh_sym(matrices.as_symmetric(root_avg))
+    f = StepField(np.einsum("kij,j->ki", w.power(0.5).values, vecs[:, 0]))
+    g = StepField(np.einsum("kij,j->ki", w.power(-0.5).values, vecs[:, -1]))
+    return bet_norm_sum(w, seq, f, g) / (weighted_l2_norm(f) * weighted_l2_norm(g))
+
+
 class _BruteState:
     def __init__(self, depth, d, log_eigs, angles, seq_weights, leaf=None):
         self.depth, self.d = depth, d
         self.log_eigs, self.angles, self.seq_weights = log_eigs, angles, seq_weights
-        self.leaf = leaf  # (w, f, g, ||f|| ||g||, c2), shared until the leaves move
+        self.leaf = leaf  # (w, closed-form denominator, c2), shared until the leaves move
 
     def copy(self):
         return _BruteState(self.depth, self.d, self.log_eigs.copy(), self.angles.copy(),
@@ -737,33 +755,30 @@ class _BruteState:
 
 
 def _brute_leaf(state, objective, cond_cap):
-    from carlab import matrices
     from carlab.characteristics import c2_conditioning
-    from carlab.dyadic import StepField
-    from carlab.embeddings import weighted_l2_norm
 
     if state.leaf is None:
         w = _brute_state_weight(state, cond_cap)
         if objective == "bet_norm_ratio":
-            root_avg = loop_pyramid(w.values)[0][0]
-            _, vecs = matrices.eigh_sym(matrices.as_symmetric(root_avg))
-            f = StepField(np.einsum("kij,j->ki", w.power(0.5).values, vecs[:, 0]))
-            g = StepField(np.einsum("kij,j->ki", w.power(-0.5).values, vecs[:, -1]))
-            norms = weighted_l2_norm(f) * weighted_l2_norm(g)
-            state.leaf = (w, f, g, norms, c2_conditioning(w))
+            # the denominator of the closed form, with a the top eigenvector
+            # of the root average <W>
+            winv = w.inverse()
+            vals, vecs = np.linalg.eigh(w.values.mean(axis=0))
+            a = vecs[:, -1]
+            norms = math.sqrt(vals[0] * (a @ (winv.values.mean(axis=0) @ a)))
+            state.leaf = (w, norms, c2_conditioning(w))
         else:
-            state.leaf = (w, None, None, None, None)
+            state.leaf = (w, None, None)
     return state.leaf
 
 
 def _brute_objective(state, objective, cond_cap):
     from carlab.characteristics import MatrixSequence, ScalarSequence
     from carlab.dyadic import tree_cube
-    from carlab.embeddings import bet_norm_sum
     from carlab.redundancy import red_constants, sred_constant
 
     leaf = _brute_leaf(state, objective, cond_cap)
-    w, f, g, norms, _ = leaf
+    w, norms, _ = leaf
     weights = np.where(state.seq_weights > 0.0, state.seq_weights, 0.0)
     if not weights.any():
         weights[0] = 1.0
@@ -771,8 +786,8 @@ def _brute_objective(state, objective, cond_cap):
     seq = ScalarSequence(
         state.depth, [(tree_cube(int(i)), scaled[i]) for i in np.flatnonzero(scaled)]
     )
-    if objective == "bet_norm_ratio":
-        return bet_norm_sum(w, seq, f, g) / norms, leaf
+    if objective == "bet_norm_ratio":  # the closed form: sum_Q alpha_Q over the denominator
+        return scaled.sum() / norms, leaf
     if objective == "sred_ratio":
         return sred_constant(w, seq), leaf
     mseq = MatrixSequence(state.depth, state.d, {q: v * np.eye(state.d) for q, v in seq.items()})
@@ -832,7 +847,7 @@ def brute_adversarial_search(depth=3, d=2, seed=0, objective="bet_norm_ratio",
         current = None
         while evals < per_restart * (restart + 1):
             candidate = state if current is None else _brute_perturb(state, rng)
-            value, (w, _, _, _, c2) = _brute_objective(candidate, objective, cond_cap)
+            value, (w, _, c2) = _brute_objective(candidate, objective, cond_cap)
             evals += 1
             if value > best_value:
                 best_value, best_weight, best_at, best_restart = value, w, evals, restart

@@ -1,6 +1,6 @@
 """Batch cores against their single-tree forms, member by member.
 
-Every single-tree kernel is the batch of one of its core, so these tests
+Every single-tree kernel with a batch core is its batch of one, so these tests
 check that a member's result does not depend on the batch around it: a
 mixed batch must give, with ``np.array_equal``, what the single-tree
 calls give.  The members of a batch share (depth, d) but differ in weight,
@@ -24,12 +24,10 @@ from carlab.characteristics import (
 from carlab.constructions import (
     random_matrix_sequence,
     random_scalar_sequence,
-    random_vector_field,
     random_weight_field,
 )
 from carlab.bellman import dynamics_gaps, dynamics_gaps_batch
-from carlab.dyadic import ROOT, DyadicIndex, FieldBatch, StepField, tree_position, tree_size
-from carlab.embeddings import bet_norm_sum, bet_norm_sum_batch, halfweighted_pyramid_batch
+from carlab.dyadic import ROOT, DyadicIndex, FieldBatch, StepField, tree_size
 from carlab.errors import DimensionMismatchError, SingularMatrixError
 from carlab.redundancy import (
     red_constants,
@@ -44,7 +42,7 @@ from carlab.search import (
     _state_sequences,
 )
 
-from oracles import level_powers_batch
+from oracles import bilinear_bet_norm_ratio, level_powers_batch
 
 SHAPES = [(depth, d) for depth in range(5) for d in range(1, 5)]
 
@@ -108,30 +106,6 @@ def test_red_constants_batch_matches_single_trees(depth, d):
     got = red_constants_batch(*_tree_powers(ws, -0.5, -0.5), np.stack([s.dense() for s in seqs]))
     want = np.array([red_constants(w, s) for w, s in zip(ws, seqs)])
     assert np.array_equal(np.stack(got, axis=1), want)
-
-
-@pytest.mark.parametrize("matrix", [False, True])
-@pytest.mark.parametrize("depth, d", SHAPES)
-def test_bet_norm_sum_batch_matches_single_trees(depth, d, matrix):
-    rng = np.random.default_rng(300 * depth + d)
-    ws = _weights(depth, d, rng)
-    seqs = _matrix_sequences(depth, d, rng) if matrix else _scalar_sequences(depth, rng)
-    fs = [random_vector_field(depth, d, rng) for _ in ws]
-    gs = [random_vector_field(depth, d, rng) for _ in ws]
-    havg = halfweighted_pyramid_batch(
-        np.stack([w.power(0.5).values for w in ws]), np.stack([f.values for f in fs]))
-    gavg = halfweighted_pyramid_batch(
-        np.stack([w.power(-0.5).values for w in ws]), np.stack([g.values for g in gs]))
-    n_cubes = tree_size(depth)
-    support = np.array([b * n_cubes + tree_position(q)
-                        for b, s in enumerate(seqs) for q in s.entries])
-    entries = np.array([v for s in seqs for v in s.entries.values()])
-    on_support = [p.reshape(-1, d, d)[support] for p in _pyramids(ws)]
-    weig, veig = (tuple(matrices.eigh_sym(m)) for m in on_support)
-    got = bet_norm_sum_batch(weig, veig, havg, gavg, support, entries,
-                             [len(s) for s in seqs])
-    want = [bet_norm_sum(w, s, f, g) for w, s, f, g in zip(ws, seqs, fs, gs)]
-    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -248,18 +222,15 @@ def test_search_objective_member_matches_mixed_batch(objective, depth, d):
 @pytest.mark.parametrize("cond_cap", [1e4, 1e8])
 @pytest.mark.parametrize("depth, d", [(depth, d) for depth in range(5) for d in range(2, 5)])
 def test_bet_norm_ratio_objective_is_its_closed_form(depth, d, cond_cap):
-    # f = W^1/2 b and g = W^-1/2 a, with b and a the bottom and top
-    # eigenvectors of <W> at the root, make u_Q = b and v_Q = a on every
-    # cube: the value is sum_Q alpha_Q / (||W^1/2 b|| ||W^-1/2 a||), and
-    # ||W^1/2 b||^2 = <<W> b, b>, ||W^-1/2 a||^2 = <<W^-1> a, a> at the root
+    # The search evaluates sum_Q alpha_Q / sqrt(lambda_min(<W>) <<W^-1> a, a>)
+    # at the root; the reference forms f = W^1/2 b and g = W^-1/2 a and
+    # takes the bilinear sum and the two norms through the public kernels
     rng = np.random.default_rng(1000 * depth + d)
     states = [_random_state(depth, d, cond_cap, rng) for _ in range(6)]
     log_eigs, angles, seq_weights = (np.stack(a) for a in zip(*states))
     value, w, _ = _search_objective(log_eigs, angles, seq_weights, "bet_norm_ratio", cond_cap)
-    root = w.mean(axis=1)
-    vecs = np.linalg.eigh(root)[1]
-    b, a = vecs[..., 0], vecs[..., -1]
-    wb = np.einsum("bi,bij,bj->b", b, root, b)
-    va = np.einsum("bi,bij,bj->b", a, np.linalg.inv(w).mean(axis=1), a)
-    want = _state_sequences(seq_weights).sum(axis=1) / np.sqrt(wb * va)
+    alpha = _state_sequences(seq_weights)
+    positions = np.arange(tree_size(depth))
+    want = [bilinear_bet_norm_ratio(StepField(wb), ScalarSequence.from_arrays(depth, positions, a))
+            for wb, a in zip(w, alpha)]
     assert np.allclose(value, want, rtol=10 * np.finfo(float).eps * cond_cap, atol=0.0)

@@ -102,7 +102,7 @@ def test_json_report_schema(tmp_path):
 # search_batches, search_candidates, search_accepted, search_weight_leaves,
 # LAPACK calls and the matrices in them (eigh and eigvalsh), and power_mats.
 SEARCH_WORK = {
-    "bet_norm_ratio": (50, 641, 126, 551, 151, 4461, 1676),
+    "bet_norm_ratio": (50, 640, 125, 550, 152, 1786, 573),
     "sred_ratio": (16, 434, 11, 524, 52, 9660, 3651),
     "red_ratio": (16, 430, 10, 523, 52, 15388, 3642),
 }
@@ -419,12 +419,12 @@ def test_climb_lookahead_changes_nothing(objective):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_climb_carries_fresh_eigendecompositions(monkeypatch, objective, d):
     # After every batch each restart's carried set equals, bitwise, one
-    # computed afresh from its current state: the leaves of W and W^-1, the
-    # eigendecompositions of every cube average of W and of W^-1 and the
-    # objective's powers (for bet_norm_ratio the leaves' W^1/2, W^-1/2 and
-    # eigenvalues, else <W>^-1/2 and <W^-1>^-1/2 or <W^-1>^-1 of every
-    # cube).  At depth 0 the one leaf is the root cube; at d = 1 there are
-    # no angle moves.
+    # computed afresh from its current state: the leaves of W and W^-1 and
+    # what the objective derives from them (for bet_norm_ratio the leaf
+    # eigenvalues, else the eigendecompositions of every cube average of W
+    # and of W^-1 and <W>^-1/2 and <W^-1>^-1/2 or <W^-1>^-1 of every cube).
+    # At depth 0 the one leaf is the root cube; at d = 1 there are no angle
+    # moves.
     adopt, batches = search._adopt, []
 
     def adopt_and_check(packed, rows, candidates, members):
@@ -434,16 +434,14 @@ def test_climb_carries_fresh_eigendecompositions(monkeypatch, objective, d):
         names = list(carried)[3:]
         for r in range(len(packed)):
             w = search._state_weights(carried["log_eigs"][r:r + 1], carried["angles"][r:r + 1], 1e4)
-            leaf_eig = matrices.eigh_sym(w)
-            winv = matrices.eig_power(*leaf_eig, -1.0)
-            wvals, wvecs = matrices.eigh_sym(pyramid_batch(w))
-            vvals, vvecs = matrices.eigh_sym(pyramid_batch(winv))
-            fresh = dict(w=w, winv=winv, wvals=wvals, wvecs=wvecs, vvals=vvals, vvecs=vvecs)
+            winv = matrices.eig_power(*matrices.eigh_sym(w), -1.0)
+            fresh = dict(w=w, winv=winv)
             if objective == "bet_norm_ratio":
-                fresh.update(wh=matrices.eig_power(*leaf_eig, 0.5),
-                             whinv=matrices.eig_power(*leaf_eig, -0.5),
-                             leaf_vals=matrices.eigvalsh_stack(w))
+                fresh["leaf_vals"] = matrices.eigvalsh_stack(w)
             else:
+                wvals, wvecs = matrices.eigh_sym(pyramid_batch(w))
+                vvals, vvecs = matrices.eigh_sym(pyramid_batch(winv))
+                fresh.update(wvals=wvals, wvecs=wvecs, vvals=vvals, vvecs=vvecs)
                 fresh["r"] = matrices.eig_power(wvals, wvecs, -0.5)
                 if objective == "red_ratio":
                     fresh["p"] = matrices.eig_power(vvals, vvecs, -0.5)

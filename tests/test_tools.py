@@ -68,6 +68,21 @@ def test_flipped_verdict_fails(tmp_path, capsys):
     assert "1 values differ, 1 beyond" in out
 
 
+def test_digest_diff_bad_arguments_exit_2(tmp_path, capsys):
+    # exit 1 means values moved, so a wrong argument count, a missing file or
+    # a file that is not JSON prints the usage and exits 2, with no traceback
+    path, text = tmp_path / "a.json", tmp_path / "a.txt"
+    path.write_text(json.dumps(_digest()))
+    text.write_text("not json")
+    for argv in ([], [str(path)], [str(path)] * 3, [str(path), str(tmp_path / "missing.json")],
+                 [str(text), str(path)]):
+        with pytest.raises(SystemExit) as err:
+            digest_diff.main(argv)
+        assert err.value.code == 2, argv
+        out = capsys.readouterr().err
+        assert out.startswith("usage: ") and "error: " in out and "Traceback" not in out, argv
+
+
 def test_report_digest_only_writes_the_named_runs(tmp_path):
     out = tmp_path / "digest.json"
     assert report_digest.main(["--out", str(out), "--only", "c2-sharpness",

@@ -6,11 +6,13 @@ A and B are files written by ``report_digest.py``.  Prints each value that
 differs with its path and, for two floats, its relative gap, largest gap
 first (a changed non-float value counts as the largest).  Exits 1 if a row
 value moves by more than ``ROW_RTOL`` relative or a verdict or any other
-non-float value differs, and 0 otherwise.
+non-float value differs, and 0 otherwise.  A wrong number of arguments or
+a file that cannot be read as JSON prints the usage and exits 2.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
@@ -37,7 +39,18 @@ def gap(a, b):
 
 
 def main(argv=None):
-    old, new = (dict(leaves(json.load(open(path)))) for path in (argv or sys.argv[1:]))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", help="digest A")
+    parser.add_argument("new", help="digest B")
+    args = parser.parse_args(argv)
+    docs = []
+    for path in (args.old, args.new):
+        try:
+            with open(path) as f:
+                docs.append(dict(leaves(json.load(f))))
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read {path}: {exc}")
+    old, new = docs
     moved = sorted(((gap(old.get(k), new.get(k)), k) for k in old.keys() | new.keys()),
                    key=lambda m: (-m[0], str(m[1])))
     moved = [(g, k) for g, k in moved if g > 0.0]
