@@ -133,6 +133,26 @@ def red_sums_batch(roots, proots, b, pbp, deepest):
     return sum1, sum2
 
 
+def _reach(support):
+    """The cubes K whose D(K) meets the support (B, cubes) of each member,
+    and the deepest level of a support cube of any member."""
+    touched = subtree_sums_batch(support.astype(np.float64)) > 0.0
+    return touched, int(tree_level(np.flatnonzero(support.any(axis=0))[-1]))
+
+
+def _suprema(sums, c3, touched):
+    """sup over K of 2^level(K) lambda_max of each of the ``sums`` (B,
+    cubes', d, d), over the cubes K that ``touched`` marks, and of ``c3``
+    over every cube: one row per sum, c3's last, from one lambda_max call."""
+    keep, n, d = touched[:, :sums[0].shape[1]], np.count_nonzero(touched), c3.shape[-1]
+    lmax = matrices.lambda_max_stack(np.concatenate([*(s[keep] for s in sums),
+                                                     c3.reshape(-1, d, d)]))
+    tops = np.full((len(sums) + 1, *touched.shape), -np.inf, dtype=c3.dtype)
+    tops[:-1, touched] = lmax[:len(sums) * n].reshape(len(sums), n)
+    tops[-1] = lmax[len(sums) * n:].reshape(touched.shape)
+    return level_supremum(tops.reshape(-1, touched.shape[1])).reshape(len(tops), -1)
+
+
 def red_constants_batch(roots, proots, b):
     """``red_constants`` of a batch, from the powers R = <W>_Q^-1/2
     (``roots``) and P = <W^-1>_Q^-1/2 (``proots``) of every cube
@@ -143,21 +163,43 @@ def red_constants_batch(roots, proots, b):
     leading batch axis; returns the arrays (c1, c2, c3), one entry per
     member.  A member's support, its nonzero entries, may not be empty.
     """
-    d, support = b.shape[-1], np.any(b != 0.0, axis=(-2, -1))
-    touched = subtree_sums_batch(support.astype(np.float64)) > 0.0
+    touched, deepest = _reach(np.any(b != 0.0, axis=(-2, -1)))
 
     # c3: accumulate P_Q B_Q P_Q, sandwich with <W>_K^-1/2 once per cube K.
     pbp = proots @ b @ proots
     c3 = roots @ subtree_sums_batch(pbp) @ roots
 
     # c1, c2: both conjugation orders depend on (K, Q) jointly; one lambda_max call for all three
-    deepest = int(tree_level(np.flatnonzero(support.any(axis=0))[-1]))
-    sum1, sum2 = red_sums_batch(roots, proots, b, pbp, deepest)
-    keep, n = touched[:, :len(sum1[0])], np.count_nonzero(touched)
-    lmax = matrices.lambda_max_stack(np.concatenate([sum1[keep], sum2[keep], c3.reshape(-1, d, d)]))
-    tops = np.full((3, *touched.shape), -np.inf, dtype=c3.dtype)
-    tops[:2, touched], tops[2] = lmax[:2 * n].reshape(2, n), lmax[2 * n:].reshape(touched.shape)
-    return tuple(level_supremum(tops.reshape(-1, touched.shape[1])).reshape(3, -1))
+    return tuple(_suprema(red_sums_batch(roots, proots, b, pbp, deepest), c3, touched))
+
+
+def red_ratio_batch(roots, proots, alpha):
+    """max(c1, c3) of ``red_constants`` for the matrix sequences alpha_Q I
+    of the dense scalar sequences ``alpha`` (B, cubes), from the same
+    powers as ``red_constants_batch``; one entry per member, whose support
+    may not be empty.
+
+    c2 and c3 are lambda_max of the same matrix R_K (sum_Q P_Q B_Q P_Q) R_K
+    (``red_constants``), so their max is that of c1 and c3 up to rounding,
+    and no c2 sum is formed.  c3 is formed as ``red_constants_batch`` forms
+    it, bitwise.  With B_Q = alpha_Q I the c1 summand is (alpha_Q P_Q) M_K
+    P_Q, M_K = R_K R_K: per shift s, as in ``red_sums_batch``, the 2^s
+    cubes Q below each K take M_K by broadcasting, not by repetition.
+    """
+    (size, n_cubes), d = alpha.shape, roots.shape[-1]
+    depth = n_cubes.bit_length() - 1
+    touched, deepest = _reach(alpha != 0.0)
+    ap = alpha[..., None, None] * proots
+    c3 = roots @ subtree_sums_batch(ap @ proots) @ roots
+    m, sum1 = roots @ roots, np.zeros((size, tree_size(deepest), d, d), dtype=c3.dtype)
+    for s in range(depth + 1):
+        kk = min(deepest, depth - s)
+        ks, qs = slice(0, tree_size(kk)), slice(level_slice(s).start, level_slice(kk + s).stop)
+        segments = (-1, 1 << s, d, d)  # the 2^s summands of each K
+        terms = ap[:, qs].reshape(size, *segments) @ m[:, ks, None]
+        sum1[:, ks] += (terms @ proots[:, qs].reshape(len(proots), *segments)).sum(axis=2)
+    c1, c3 = _suprema([sum1], c3, touched)
+    return np.where(c3 > c1, c3, c1)
 
 
 def red_constants(w, bseq):
@@ -176,7 +218,8 @@ def red_constants(w, bseq):
     (``red_sums_batch``).  c3 instead accumulates the K-independent
     conjugations P_Q B_Q P_Q over the tree first and sandwiches once per K
     (which is also why c2 and c3 agree up to rounding: the substitution
-    e = <W>_K^1/2 f maps one onto the other).
+    e = <W>_K^1/2 f maps one onto the other; ``tests/test_redundancy.py::
+    test_red_c2_and_c3_agree_to_rounding`` measures the gap).
     Cubes K with no support cube in D(K) are left out of c1 and c2; every
     cube deeper than the deepest support cube is one of them.
     The batch of one of ``red_constants_checked``.

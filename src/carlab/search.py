@@ -23,7 +23,7 @@ from .characteristics import (
 )
 from .dyadic import StepField, pyramid_batch, tree_ancestor, tree_cube, tree_size
 from .errors import ConfigError, first_failure
-from .redundancy import check_intensity_batch, red_constants_batch, sred_constant_batch
+from .redundancy import check_intensity_batch, red_ratio_batch, sred_constant_batch
 
 OBJECTIVES = ("bet_norm_ratio", "sred_ratio", "red_ratio")
 
@@ -136,14 +136,17 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
     cubes marked in ``stale`` (B, cubes) are computed again, in place, each
     part by one gather, solve and scatter on the mask's (member, cube) or
     (member, leaf) pairs; without ``carry`` every one is.  For the
-    redundancy ratios the steps and checks are those of one evaluation
+    redundancy ratios the checks and powers are those of one evaluation
     through the public kernels, in the same order, so a batch of one raises
     what that evaluation raises: the members not marked stale have passed
     them before.  The sequences are checked as dense arrays in tree order,
     once, as scalars: red_ratio's matrix sequence alpha_Q I is finite,
     symmetric and PSD whenever alpha is finite and non-negative, and has
     the same Carleson intensity, so the checks ``red_constants`` makes of
-    it are implied by those of alpha.
+    it are implied by those of alpha.  sred_ratio's value is that of
+    ``sred_constant``; red_ratio's is ``red_ratio_batch``, max(c1, c3) in
+    the scalar form, which agrees with max(c1, c2, c3) of ``red_constants``
+    on alpha_Q I up to rounding, not bitwise.
 
     bet_norm_ratio is evaluated in its closed form.  Its f = W^1/2 b and
     g = W^-1/2 a, from the bottom and top eigenvectors b, a of the root
@@ -156,7 +159,7 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
     (a leaf that is not SPD is refused and named by its cube), C2 and the
     sequence; every step is bitwise the same whatever the batch size.
     """
-    n_leaves, d = log_eigs.shape[1:]
+    n_leaves = log_eigs.shape[1]
     if carry is None:
         carry = _packed((log_eigs, angles, seq_weights), objective)[1]
         stale = np.ones((len(log_eigs), 2 * n_leaves - 1), dtype=bool)
@@ -197,9 +200,7 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
             c["vinv"][member, cube] = power(*veig, -1.0, cube)
             c["r"][member, cube] = power(*weig, -0.5, cube)
     if objective == "red_ratio":
-        c1, c2, c3 = red_constants_batch(c["r"], c["p"], alpha[..., None, None] * np.eye(d))
-        value = np.where(c2 > c1, c2, c1)  # max(c1, c2, c3): the first maximum
-        return np.where(c3 > value, c3, value), c["w"], None
+        return red_ratio_batch(c["r"], c["p"], alpha), c["w"], None
     return sred_constant_batch(c["r"], c["vinv"], alpha), c["w"], None
 
 

@@ -713,7 +713,9 @@ def brute_telescoping_certificate(w, alpha, level=0, pos=0):
 # The adversarial search as one restart after the other, one evaluation at
 # a time through the public kernels, as it ran before the restarts were
 # batched; bet_norm_ratio in its closed form, whose evaluation through the
-# bilinear sum is ``bilinear_bet_norm_ratio``.  Leaf-derived values are
+# bilinear sum is ``bilinear_bet_norm_ratio``, and red_ratio in its scalar
+# form, whose evaluation through ``red_constants`` is
+# ``matrix_form_red_ratio``.  Leaf-derived values are
 # reused across sequence-only moves; everything else is computed afresh
 # for every candidate.
 # ---------------------------------------------------------------------------
@@ -741,6 +743,17 @@ def bilinear_bet_norm_ratio(w, seq):
     f = StepField(np.einsum("kij,j->ki", w.power(0.5).values, vecs[:, 0]))
     g = StepField(np.einsum("kij,j->ki", w.power(-0.5).values, vecs[:, -1]))
     return bet_norm_sum(w, seq, f, g) / (weighted_l2_norm(f) * weighted_l2_norm(g))
+
+
+def matrix_form_red_ratio(w, seq):
+    """The search's red_ratio of one weight and scalar sequence through the
+    public kernel for matrix sequences: max(c1, c2, c3) of ``red_constants``
+    of the sequence alpha_Q I."""
+    from carlab.characteristics import MatrixSequence
+    from carlab.redundancy import red_constants
+
+    return max(red_constants(w, MatrixSequence(w.depth, w.d, {q: v * np.eye(w.d)
+                                                              for q, v in seq.items()})))
 
 
 class _BruteState:
@@ -773,9 +786,9 @@ def _brute_leaf(state, objective, cond_cap):
 
 
 def _brute_objective(state, objective, cond_cap):
-    from carlab.characteristics import MatrixSequence, ScalarSequence
+    from carlab.characteristics import ScalarSequence
     from carlab.dyadic import tree_cube
-    from carlab.redundancy import red_constants, sred_constant
+    from carlab.redundancy import red_ratio_batch, sred_constant
 
     leaf = _brute_leaf(state, objective, cond_cap)
     w, norms, _ = leaf
@@ -790,8 +803,9 @@ def _brute_objective(state, objective, cond_cap):
         return scaled.sum() / norms, leaf
     if objective == "sred_ratio":
         return sred_constant(w, seq), leaf
-    mseq = MatrixSequence(state.depth, state.d, {q: v * np.eye(state.d) for q, v in seq.items()})
-    return max(red_constants(w, mseq)), leaf
+    # max(c1, c3) of red_constants(w, alpha I): the scalar form, as a batch of one
+    roots, proots = (f.cube_power(-0.5)[None] for f in (w, w.inverse()))
+    return float(red_ratio_batch(roots, proots, seq.dense()[None])[0]), leaf
 
 
 def _brute_start(restart, depth, d, cond_cap, rng):

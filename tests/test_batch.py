@@ -33,6 +33,7 @@ from carlab.redundancy import (
     red_constants,
     red_constants_batch,
     red_constants_checked,
+    red_ratio_batch,
     sred_constant,
     sred_constant_batch,
     sred_constants_checked,
@@ -42,7 +43,7 @@ from carlab.search import (
     _state_sequences,
 )
 
-from oracles import bilinear_bet_norm_ratio, level_powers_batch
+from oracles import bilinear_bet_norm_ratio, level_powers_batch, matrix_form_red_ratio
 
 SHAPES = [(depth, d) for depth in range(5) for d in range(1, 5)]
 
@@ -106,6 +107,19 @@ def test_red_constants_batch_matches_single_trees(depth, d):
     got = red_constants_batch(*_tree_powers(ws, -0.5, -0.5), np.stack([s.dense() for s in seqs]))
     want = np.array([red_constants(w, s) for w, s in zip(ws, seqs)])
     assert np.array_equal(np.stack(got, axis=1), want)
+
+
+@pytest.mark.parametrize("depth, d", SHAPES)
+def test_red_ratio_batch_matches_single_trees(depth, d):
+    # the root-only member alone has its deepest support at the root, the
+    # batch at a leaf: a member's sums do not depend on how deep they run
+    rng = np.random.default_rng(300 * depth + d)
+    ws, seqs = _weights(depth, d, rng), _scalar_sequences(depth, rng)
+    roots, proots = _tree_powers(ws, -0.5, -0.5)
+    alpha = np.stack([s.dense() for s in seqs])
+    got = red_ratio_batch(roots, proots, alpha)
+    want = [red_ratio_batch(roots[b:b + 1], proots[b:b + 1], alpha[b:b + 1])[0] for b in range(4)]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -232,5 +246,23 @@ def test_bet_norm_ratio_objective_is_its_closed_form(depth, d, cond_cap):
     alpha = _state_sequences(seq_weights)
     positions = np.arange(tree_size(depth))
     want = [bilinear_bet_norm_ratio(StepField(wb), ScalarSequence.from_arrays(depth, positions, a))
+            for wb, a in zip(w, alpha)]
+    assert np.allclose(value, want, rtol=10 * np.finfo(float).eps * cond_cap, atol=0.0)
+
+
+@pytest.mark.parametrize("cond_cap", [1e4, 1e8])
+@pytest.mark.parametrize("depth, d", SHAPES)
+def test_red_ratio_objective_is_its_matrix_form(depth, d, cond_cap):
+    # The search evaluates max(c1, c3) of the matrix sequence alpha_Q I in
+    # its scalar form (``red_ratio_batch``); the reference is max(c1, c2,
+    # c3) of ``red_constants`` of that matrix sequence.  Measured: at most
+    # 48 eps apart at cond_cap 1e4 and 2.5e3 eps at 1e8.
+    rng = np.random.default_rng(2000 * depth + d)
+    states = [_random_state(depth, d, cond_cap, rng) for _ in range(6)]
+    log_eigs, angles, seq_weights = (np.stack(a) for a in zip(*states))
+    value, w, _ = _search_objective(log_eigs, angles, seq_weights, "red_ratio", cond_cap)
+    alpha = _state_sequences(seq_weights)
+    positions = np.arange(tree_size(depth))
+    want = [matrix_form_red_ratio(StepField(wb), ScalarSequence.from_arrays(depth, positions, a))
             for wb, a in zip(w, alpha)]
     assert np.allclose(value, want, rtol=10 * np.finfo(float).eps * cond_cap, atol=0.0)

@@ -104,7 +104,7 @@ def test_json_report_schema(tmp_path):
 SEARCH_WORK = {
     "bet_norm_ratio": (50, 640, 125, 550, 152, 1786, 573),
     "sred_ratio": (16, 434, 11, 524, 52, 9660, 3651),
-    "red_ratio": (16, 430, 10, 523, 52, 15388, 3642),
+    "red_ratio": (16, 430, 10, 523, 52, 12490, 3642),
 }
 
 

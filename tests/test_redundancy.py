@@ -22,7 +22,9 @@ from carlab.constructions import (
 from carlab.dyadic import DyadicIndex, ROOT, FieldBatch, StepField, average
 from carlab.errors import DimensionMismatchError, LabError, PreconditionError
 from carlab.lab import default_config, run_experiment
+from carlab.errors import SingularMatrixError
 from carlab.matrices import operator_norm_stack, spd_power
+from carlab.search import _random_state, _search_objective, _state_weights
 from carlab.redundancy import (
     INTENSITY_SLACK,
     check_intensities,
@@ -30,6 +32,7 @@ from carlab.redundancy import (
     red_constants_batch,
     red_constants_checked,
     red_quadratic_form,
+    red_ratio_batch,
     red_sums_batch,
     sred_constant,
     sred_constants_checked,
@@ -46,6 +49,7 @@ from oracles import (
     brute_trace_cycling_error,
     computed_intensity,
     level_powers_batch,
+    matrix_form_red_ratio,
     random_orthogonal,
     refine,
     split_levels,
@@ -311,6 +315,93 @@ def test_red_c2_equals_c3():
         inst = random_instance(4, 2, seed=seed, cond_cap=1e4)
         _, c2, c3 = red_constants(inst.w, inst.mseq)
         assert c2 == pytest.approx(c3, rel=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_red_c2_and_c3_agree_to_rounding(d, dtype):
+    # c2 and c3 are lambda_max of one matrix, R_K (sum_Q P_Q B_Q P_Q) R_K,
+    # with R_K inside or outside the sum, which is why red_ratio_batch forms
+    # only c3.  Batches of six random matrix sequences on weights at
+    # cond_cap 1e3, depths 0-5: measured at most 4.8 eps (float64) apart;
+    # the longdouble constants, returned in float64, were equal.
+    for depth in range(6):
+        rng = np.random.default_rng(3000 + 10 * depth + d)
+        seqs = [random_matrix_sequence(depth, d, rng) for _ in range(6)]
+        ws = [random_weight_field(depth, d, rng, cond_cap=1e3) for _ in seqs]
+        pyramids = [np.stack([f.pyramid().astype(dtype) for f in fields])
+                    for fields in (ws, [w.inverse() for w in ws])]
+        roots, proots = (level_powers_batch(matrices.eigh_sym(p), -0.5) for p in pyramids)
+        _, c2, c3 = red_constants_batch(roots, proots, np.stack([s.dense(dtype) for s in seqs]))
+        full = [len(s) > 0 for s in seqs]  # an empty sequence has c2 = -inf and c3 = 0
+        assert any(full)
+        assert np.allclose(c2[full], c3[full], rtol=16 * np.finfo(np.float64).eps, atol=0.0)
+
+
+def _red_ratio(w, alpha):
+    """``red_ratio_batch`` of one weight and scalar sequence, as a batch of one."""
+    w = w.as_matrix()
+    return float(red_ratio_batch(w.cube_power(-0.5)[None], w.inverse().cube_power(-0.5)[None],
+                                 alpha.dense()[None])[0])
+
+
+@pytest.mark.parametrize("depth", range(7))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_red_ratio_batch_matches_brute_oracle(depth, d):
+    # max(c1, c3) of the scalar form against max(c1, c2, c3) of the loop
+    # over (K, Q) pairs on the matrix sequence alpha_Q I.  Depth 0 is the
+    # one-cube tree; at d = 1 the ratio is the scalar constant.
+    inst = random_instance(depth, d, seed=7 * depth + d, cond_cap=1e4)
+    got = _red_ratio(inst.w, inst.sseq)
+    entries = {q: v * np.eye(d) for q, v in inst.sseq.items()}
+    want = max(brute_red_constants(inst.w.as_matrix().values, entries, depth))
+    assert abs(got - want) <= 1e-12 * want
+    if d == 1:
+        assert got == pytest.approx(sred_constant(inst.w, inst.sseq), rel=1e-12)
+
+
+@pytest.mark.parametrize("depth, d", [(0, 1), (0, 3), (3, 1), (3, 2), (4, 4)])
+def test_red_ratio_objective_of_an_all_zero_state_weights_the_root(depth, d):
+    # A state with no positive sequence weight puts weight 1 on the root,
+    # bitwise as a root-only state does.  Its ratio is that of the root,
+    # lambda_max(<W>^-1/2 <W^-1>^-1 <W>^-1/2): c1 and c3 are lambda_max of
+    # X^T X and X X^T for X = <W^-1>^-1/2 <W>^-1/2.
+    rng = np.random.default_rng(50 + 10 * depth + d)
+    log_eigs, angles, seq_weights = (np.stack(a) for a in zip(
+        *[_random_state(depth, d, 1e4, rng) for _ in range(3)]))
+    seq_weights[0] = 0.0
+    seq_weights[1] = -0.5
+    value, w, _ = _search_objective(log_eigs, angles, seq_weights, "red_ratio", 1e4)
+    seq_weights[:] = 0.0
+    seq_weights[:, 0] = 1.0
+    root_only = _search_objective(log_eigs, angles, seq_weights, "red_ratio", 1e4)[0]
+    assert np.array_equal(value[:2], root_only[:2])
+    for b in range(2):
+        wavg, vavg = w[b].mean(axis=0), np.linalg.inv(w[b]).mean(axis=0)
+        want = np.linalg.eigvals(np.linalg.solve(wavg, np.linalg.inv(vavg))).real.max()
+        assert value[b] == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("depth, d", [(0, 1), (2, 2), (3, 3)])
+def test_red_ratio_objective_refuses_a_leaf_that_is_not_spd(depth, d):
+    # The last leaf's eigenvalues underflow to 0: alone and in a batch, the
+    # objective refuses it under W^-1 and names its cube, as the matrix
+    # form through red_constants does.
+    rng = np.random.default_rng(4)
+    log_eigs, angles, seq_weights = (np.stack(a) for a in zip(
+        *[_random_state(depth, d, 1e4, rng) for _ in range(3)]))
+    log_eigs[1, -1] = -1e4
+    cube = DyadicIndex(depth, (1 << depth) - 1)
+    with pytest.raises(SingularMatrixError) as want:
+        matrix_form_red_ratio(StepField(_state_weights(log_eigs[1], angles[1], 1e4)),
+                              ScalarSequence(depth, {ROOT: 1.0}))
+    assert str(want.value) == ("matrix not SPD under negative power (lambda_min=0.000e+00) "
+                               f"at cube {cube!r}")
+    for members in (slice(1, 2), slice(None)):
+        with pytest.raises(SingularMatrixError) as got:
+            _search_objective(log_eigs[members], angles[members], seq_weights[members],
+                              "red_ratio", 1e4)
+        assert got.value.cube == cube and str(got.value) == str(want.value)
 
 
 def test_monotonicity_under_operator_norm_domination():

@@ -1,8 +1,9 @@
 """``tools/digest_diff.py`` on small digests written to a temporary directory,
 ``tools/report_digest.py --only``, ``tools/sampler_counts.py`` on a few
 Bellman samples, ``tools/seed_sweep.py`` on two or three deep-sweep seeds,
-and the benchmark's tracer (``perfbench/spans.py``) on two short suites and
-a short search."""
+the benchmark's default-seed runs against its reference rows, and the
+benchmark's tracer (``perfbench/spans.py``) on two short suites and a short
+search."""
 
 import importlib.util
 import json
@@ -193,6 +194,22 @@ def test_seed_sweep_digest_is_the_report_digest_of_each_run(tmp_path, monkeypatc
     assert got["counterexample-sweep seed 109 run 0"] is None
     assert got["counterexample-sweep seed 108 run 0"] == json.loads(
         report_digest.canonical_json(want["counterexample-sweep seed 108 run 0"]))
+
+
+@pytest.mark.parametrize("workload", seed_sweep._perfbench_run().WORKLOADS)
+def test_perfbench_default_seed_rows_match_the_reference(workload, tmp_path, monkeypatch):
+    # the benchmark refuses a change whose default-seed report rows differ
+    # from perfbench/reference/<workload>.json by more than its row
+    # tolerance; the same runs in this process, with the same comparison
+    monkeypatch.chdir(tmp_path)
+    perfbench = seed_sweep._perfbench_run()
+    codes = seed_sweep.exit_codes(perfbench.workload_configs, workload, perfbench.DEFAULT_SEED,
+                                  str(tmp_path))
+    assert codes == [0] * len(codes)
+    rows = [json.loads(Path(seed_sweep._report_path(str(tmp_path), i)).read_text())["rows"]
+            for i in range(len(codes))]
+    want = json.loads(perfbench.reference_path(workload).read_text())["rows"]
+    assert perfbench.rows_match(rows, want)
 
 
 def test_benchmark_tracer_installs_and_restores_on_two_suites(monkeypatch):
