@@ -27,17 +27,6 @@ from .dyadic import DyadicIndex, check_index, level_slice, tree_level, tree_posi
 from .errors import DimensionMismatchError
 
 
-def check_intensity_batch(flat):
-    """Refuse a batch of dense sequences whose Carleson intensity exceeds 1.
-
-    ``flat`` holds the dense sequences (B, cubes[, d, d]) in tree order;
-    the first offending member is named by its intensity, computed here,
-    and in a batch of more than one by its index (``check_intensity_bound``).
-    This is the whole check, which reads no carried intensity.
-    """
-    check_intensity_bound(carleson_intensity_batch(flat), "redundancy bounds assume")
-
-
 def check_intensities(seqs):
     """The whole check on the sequences ``seqs`` of one shape, passing
     with no solver call each one whose ``carried_intensity`` is at most

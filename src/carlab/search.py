@@ -23,7 +23,7 @@ from .characteristics import (
 )
 from .dyadic import StepField, pyramid_batch, tree_ancestor, tree_cube, tree_size
 from .errors import ConfigError, first_failure
-from .redundancy import check_intensity_batch, red_ratio_batch, sred_constant_batch
+from .redundancy import red_ratio_batch, sred_constant_batch
 
 OBJECTIVES = ("bet_norm_ratio", "sred_ratio", "red_ratio")
 
@@ -94,17 +94,17 @@ _STATE = ("log_eigs", "angles", "seq_weights")
 def _layout(depth, d, objective):
     """The shape of each part of a restart's row of a packed (restarts, F)
     float64 buffer, by name: the state, the leaves of W and W^-1, and what
-    the objective derives from them: the leaves' eigenvalues (for C2) for
-    bet_norm_ratio, else (vals, vecs) of every cube average of W and of
-    W^-1, R = <W>^-1/2 of every cube and P = <W^-1>^-1/2 (red_ratio) or
-    <W^-1>^-1 (sred_ratio)."""
+    the objective reads of them: the leaves' eigenvalues (for C2) for
+    bet_norm_ratio, else R = <W>^-1/2 of every cube and P = <W^-1>^-1/2
+    (red_ratio) or <W^-1>^-1 (sred_ratio).  No cube average's eigendecomposition is
+    kept: only a stale cube's powers are computed again, from its new average."""
     leaf, cube = (1 << depth, d, d), (tree_size(depth), d, d)
     shapes = dict(zip(_STATE, (leaf[:2], (1 << depth, _n_angles(d)), cube[:1])))
     shapes.update(w=leaf, winv=leaf)
     if objective == "bet_norm_ratio":
         shapes.update(leaf_vals=leaf[:2])
     else:
-        shapes.update(wvals=cube[:2], wvecs=cube, vvals=cube[:2], vvecs=cube, r=cube)
+        shapes["r"] = cube
         shapes["p" if objective == "red_ratio" else "vinv"] = cube
     return shapes
 
@@ -143,7 +143,10 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
     once, as scalars: red_ratio's matrix sequence alpha_Q I is finite,
     symmetric and PSD whenever alpha is finite and non-negative, and has
     the same Carleson intensity, so the checks ``red_constants`` makes of
-    it are implied by those of alpha.  sred_ratio's value is that of
+    it are implied by those of alpha.  So is the kernels' intensity check,
+    which is not made: ``_state_sequences`` divides alpha by its Carleson
+    intensity, so a finite alpha has intensity 1 to within a few ulps, far
+    inside 1 + ``INTENSITY_SLACK``.  sred_ratio's value is that of
     ``sred_constant``; red_ratio's is ``red_ratio_batch``, max(c1, c3) in
     the scalar form, which agrees with max(c1, c2, c3) of ``red_constants``
     on alpha_Q I up to rounding, not bitwise.
@@ -177,7 +180,6 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
             c["leaf_vals"][leaves] = matrices.eigvalsh_stack(w)
         else:
             weig = matrices.eigh_sym(pyramid_batch(c["w"])[member, cube])
-            c["wvals"][member, cube], c["wvecs"][member, cube] = weig
     if objective == "bet_norm_ratio":
         c2 = c2_conditioning_batch(c["leaf_vals"])
     alpha = _state_sequences(seq_weights)
@@ -188,11 +190,9 @@ def _search_objective(log_eigs, angles, seq_weights, objective, cond_cap, carry=
         va = rowdot(a, (c["winv"].mean(axis=1) @ a[..., None])[..., 0])  # <<W^-1> a, a>
         value = alpha.sum(axis=1) / np.sqrt(vals[:, 0] * va)
         return value, c["w"], value / np.sqrt(c2)
-    check_intensity_batch(alpha)
     if member.size:
         c["winv"][leaves] = power(weig[0][on_leaf], weig[1][on_leaf], -1.0, leaf_cubes)
         veig = matrices.eigh_sym(pyramid_batch(c["winv"])[member, cube])
-        c["vvals"][member, cube], c["vvecs"][member, cube] = veig
         if objective == "red_ratio":
             c["r"][member, cube] = power(*weig, -0.5, cube)
             c["p"][member, cube] = power(*veig, -0.5, cube)
@@ -318,7 +318,7 @@ def _climb(states, moves, steps, objective, cond_cap, lookahead):
     member's value does not depend on the batch around it, so every kept
     value is the one the climb makes one step at a time.
 
-    Each restart's state, leaves, eigendecompositions and powers are one
+    Each restart's state, its leaves and what its objective reads are one
     packed row (``_packed``).  A candidate is a copy of its restart's row
     with its move written in; it computes again only the leaf and cubes the
     move changed (``_stale_cubes``), and ``_adopt`` copies it back.

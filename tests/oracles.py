@@ -237,9 +237,10 @@ def computed_intensity(seq):
 def always_check_intensities(seqs):
     """The intensity refusal of ``sred_constant`` and ``red_constants`` before
     a sequence carried an intensity: the whole check on every one."""
-    from carlab.redundancy import check_intensity_batch
+    from carlab.characteristics import carleson_intensity_batch, check_intensity_bound
 
-    check_intensity_batch(np.stack([seq.dense() for seq in seqs]))
+    intensity = carleson_intensity_batch(np.stack([seq.dense() for seq in seqs]))
+    check_intensity_bound(intensity, "redundancy bounds assume")
 
 
 def brute_red_constants(leaves, entries, depth):
